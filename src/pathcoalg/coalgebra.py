@@ -8,8 +8,6 @@ separability-element checks, and localization of dual algebras.
 
 from __future__ import annotations
 
-import re
-
 from .errors import (
     AmbientMismatch,
     BasisNotDiamond,
@@ -26,7 +24,7 @@ from .errors import (
 )
 from .linalg import SparseBasis, nullspace
 from .quiver import Path, Quiver
-from .scalar import ONE, ZERO, CycScalar, cyc, parse_scalar
+from .scalar import ONE, ZERO, cyc, parse_scalar
 
 
 class CoElement:
@@ -133,11 +131,6 @@ def _fmt_path(path):
     if path.length == 0:
         return f"e_{path.start}"
     return f"({'|'.join(path.arrows)})"
-
-
-def coelement(quiver, terms):
-    """Build a CoElement from {Path: scalar-like}."""
-    return CoElement(quiver, terms)
 
 
 def path_element(quiver, path, coeff=1):
@@ -272,7 +265,7 @@ class SubCoalgebra:
     def __init__(self, quiver, basis, validate=True):
         self.quiver = quiver
         self.basis = list(basis)
-        self._engine = SparseBasis()
+        self._engine = SparseBasis(coords=True)
         for i, b in enumerate(self.basis):
             if b.is_zero():
                 raise InvalidDescription("zero element in basis")
@@ -430,13 +423,11 @@ def _solve_combination(coalg, candidates, condition):
 
     condition maps a CoElement to a sparse dict; must be linear.  Returns the
     list of solution CoElements (a basis of the solution space)."""
-    mats = [condition(c) for c in candidates]
-    keys = sorted({k for m in mats for k in m})
-    rows = [[mats[i].get(k, ZERO) for i in range(len(candidates))] for k in keys]
-    sols = nullspace(rows) if rows else [
-        [ONE if i == j else ZERO for i in range(len(candidates))]
-        for j in range(len(candidates))
-    ]
+    rows = {}
+    for i, cand in enumerate(candidates):
+        for k, c in condition(cand).items():
+            rows.setdefault(k, {})[i] = c
+    sols = nullspace(rows.values(), len(candidates))
     out = []
     for c in sols:
         x = CoElement(coalg.quiver, {})
@@ -508,18 +499,7 @@ def coradical_filtration(coalg):
                 res, _ = current.residue(col)
                 for p, c in res.items():
                     rows_by_key.setdefault((q, p), {})[i] = c
-        keys = sorted(rows_by_key)
-        rows = [
-            [rows_by_key[k].get(i, ZERO) for i in range(coalg.dim)] for k in keys
-        ]
-        if rows:
-            sols = nullspace(rows)
-        else:
-            # no constraints: the next level is everything
-            sols = [
-                [ONE if i == j else ZERO for i in range(coalg.dim)]
-                for j in range(coalg.dim)
-            ]
+        sols = nullspace(rows_by_key.values(), coalg.dim)
         members = []
         nxt = SparseBasis()
         for c in sols:
@@ -577,9 +557,7 @@ class CoalgebraMap:
     def _delta_in_basis(self, element, coalg):
         """Coefficients of delta(element) over basis (x) basis of coalg."""
         dd = element.delta_dict()
-        lookup = {}
-        for pivot, _, crow in coalg._engine.rows:
-            lookup[pivot] = crow
+        lookup = coalg._engine.crows
         out = {}
         for (l, r), c in dd.items():
             cl = lookup.get(l)
@@ -797,15 +775,16 @@ class DualAlgebra:
         mats = [self.left_mult_matrix(self.basis_vector(i)) for i in range(self.dim)]
         gram = []
         for i in range(self.dim):
-            row = []
+            row = {}
             for j in range(self.dim):
                 tr = ZERO
                 for k in range(self.dim):
                     for l in range(self.dim):
                         tr = tr + mats[i][k][l] * mats[j][l][k]
-                row.append(tr)
+                if not tr.is_zero():
+                    row[j] = tr
             gram.append(row)
-        return nullspace(gram)
+        return nullspace(gram, self.dim)
 
     def radical_chain(self):
         """Radical powers rad >= rad^2 >= ... as lists of vectors."""
@@ -833,7 +812,7 @@ def dualize(coalg):
     duals of the grouplikes."""
     db = diamond_basis(coalg)
     base = SubCoalgebra(coalg.quiver, [d.element for d in db], validate=False)
-    lookup = {pivot: crow for pivot, _, crow in base._engine.rows}
+    lookup = base._engine.crows
     structure = {}
     for k, d in enumerate(db):
         for (l, r), c in d.element.delta_dict().items():
@@ -876,7 +855,7 @@ def localize(algebra, idempotent_labels):
     for l in chosen:
         for k, c in enumerate(by_label[l]):
             e[k] = e[k] + c
-    engine = SparseBasis()
+    engine = SparseBasis(coords=True)
     basis = []
     for k in range(algebra.dim):
         w = algebra.multiply(algebra.multiply(e, algebra.basis_vector(k)), e)
@@ -940,13 +919,12 @@ def separability_check(pi, capacity=40):
             f"domain dimension {pi.domain.dim} exceeds capacity {capacity}"
         )
     cstar = dualize(pi.domain)
-    dstar = dualize(pi.codomain)
     dom_db = diamond_basis(pi.domain)
     cod_base = SubCoalgebra(
         pi.codomain.quiver, [d.element for d in diamond_basis(pi.codomain)], validate=False
     )
     d = cstar.dim
-    dprime = dstar.dim
+    dprime = pi.codomain.dim
     # pi in diamond bases: P[i][j] = j-th codomain coordinate of pi(domain diamond i)
     pmat = []
     for dia in dom_db:
@@ -973,7 +951,6 @@ def separability_check(pi, capacity=40):
         ua = cstar.basis_vector(a)
         for j in range(dprime):
             asj = cstar.multiply(ua, subgens[j])
-            sja_right = {}
             for c in range(d):
                 uc = cstar.basis_vector(c)
                 rel = {}

@@ -12,7 +12,7 @@ type.
 
 from __future__ import annotations
 
-from .coalgebra import CoElement, SubCoalgebra, path_element, span_subcoalgebra
+from .coalgebra import CoElement, path_element, span_subcoalgebra
 from .errors import (
     AmbientMismatch,
     InvalidDescription,
@@ -135,19 +135,8 @@ class HomSpace:
         return len(self.basis)
 
 
-def _sparse_nullspace(rows, ncols):
-    engine = SparseBasis()
-    for row in rows:
-        if row:
-            engine.add(row)
-    dense = [
-        [vec.get(c, ZERO) for c in range(ncols)] for vec in engine.basis_vectors()
-    ]
-    if not dense:
-        return [
-            [ONE if c == f else ZERO for c in range(ncols)] for f in range(ncols)
-        ]
-    return nullspace(dense)
+# kept under its old name for callers outside the package
+_sparse_nullspace = nullspace
 
 
 def hom(m1, m2):
@@ -174,7 +163,7 @@ def hom(m1, m2):
             for p, row in per_path.items():
                 if row:
                     rows.append(row)
-    sols = _sparse_nullspace(rows, nunk)
+    sols = nullspace(rows, nunk)
     basis = []
     for vec in sols:
         basis.append([[vec[unk(r, c)] for c in range(dm)] for r in range(dn)])
@@ -217,15 +206,16 @@ def is_indecomposable(mod):
         return False  # zero module
     gram = []
     for i in range(r):
-        row = []
+        row = {}
         for j in range(r):
             prod = _mat_mul(end.basis[i], end.basis[j])
             tr = ZERO
             for d in range(mod.dim):
                 tr = tr + prod[d][d]
-            row.append(tr)
+            if not tr.is_zero():
+                row[j] = tr
         gram.append(row)
-    nullity = len(nullspace(gram))
+    nullity = len(nullspace(gram, r))
     return r - nullity == 1
 
 
@@ -266,15 +256,14 @@ def _socle_vectors(mod):
                     per_path.setdefault(p, {})
                     _acc(per_path[p], j, coeff)
         rows.extend(row for row in per_path.values() if row)
-    return _sparse_nullspace(rows, mod.dim)
+    return nullspace(rows, mod.dim)
 
 
 def _quotient_comodule(mod, sub_vectors):
     engine = SparseBasis()
     for v in sub_vectors:
         engine.add({i: c for i, c in enumerate(v) if not c.is_zero()})
-    pivots = set(engine.pivots())
-    keep = [i for i in range(mod.dim) if i not in pivots]
+    keep = [i for i in range(mod.dim) if i not in engine.rows]
     # residues of the unit vectors give the projection onto the complement
     proj = []
     for i in range(mod.dim):
@@ -481,10 +470,6 @@ def build_band_family(params, length, mus, truncation=None):
 
 
 # -- enumeration and discreteness --------------------------------------------
-
-
-def _in_box(g, radius):
-    return abs(g[0]) <= radius and abs(g[1]) <= radius
 
 
 def enumerate_indecomposables(params, radius, max_total_dim, truncation=None):

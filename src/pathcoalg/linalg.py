@@ -1,165 +1,61 @@
-"""Dense exact linear algebra over the cyclotomic scalars.
+"""Exact sparse linear algebra over the cyclotomic scalars.
 
-Matrices are lists of rows; rows are lists of CycScalar.  Everything is
-desk-scale Gaussian elimination -- no pivot strategy beyond "first nonzero".
+One elimination kernel, `SparseBasis`, serves every caller.  Vectors are
+dicts key -> CycScalar over totally ordered keys.  The basis is kept fully
+reduced: each row has coefficient 1 at its pivot (its smallest key) and 0 at
+every other row's pivot.  That is the unique reduced row echelon form of the
+span, so `rref` and `nullspace` do not depend on the order the rows arrive in.
 """
 
 from __future__ import annotations
 
-from .scalar import ONE, ZERO, CycScalar, cyc
+from .scalar import ONE, ZERO
 
 
-def zeros(rows, cols):
-    return [[ZERO] * cols for _ in range(rows)]
-
-
-def identity(n):
-    mat = zeros(n, n)
-    for i in range(n):
-        mat[i][i] = ONE
-    return mat
-
-
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(rows, cols)
-    for i in range(rows):
-        for k in range(inner):
-            aik = a[i][k]
-            if aik.is_zero():
-                continue
-            for j in range(cols):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + aik * b[k][j]
-    return out
-
-
-def transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
-def rref(matrix):
-    """Reduced row echelon form.  Returns (rows, pivot_columns); zero rows are
-    dropped."""
-    mat = [list(row) for row in matrix]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(mat)):
-            if not mat[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def rank(matrix):
-    return len(rref(matrix)[0])
-
-
-def reduce_against(row, basis_rows, pivots):
-    """Reduce a row vector against an rref basis; returns the residue."""
-    row = list(row)
-    for brow, p in zip(basis_rows, pivots):
-        c = row[p]
-        if not c.is_zero():
-            row = [x - c * y for x, y in zip(row, brow)]
-    return row
-
-
-def in_span(row, basis_rows, pivots):
-    return all(x.is_zero() for x in reduce_against(row, basis_rows, pivots))
-
-
-def solve_in_span(row, spanning_rows):
-    """Express ``row`` as a combination of ``spanning_rows``; returns the
-    coefficient list or None.  (Not unique if the rows are dependent.)"""
-    if not spanning_rows:
-        return None if any(not x.is_zero() for x in row) else []
-    n = len(spanning_rows)
-    # columns = spanning rows, rhs = row; eliminate on the transpose
-    aug = [[spanning_rows[j][i] for j in range(n)] + [row[i]] for i in range(len(row))]
-    reduced, pivots = rref(aug)
-    coeffs = [ZERO] * n
-    for rrow, p in zip(reduced, pivots):
-        if p == n:
-            return None  # inconsistent
-        coeffs[p] = rrow[n]
-    return coeffs
-
-
-def nullspace(matrix):
-    """Basis of the right nullspace, as row vectors."""
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    reduced, pivots = rref(matrix)
-    pivset = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        vec = [ZERO] * ncols
-        vec[free] = ONE
-        for rrow, p in zip(reduced, pivots):
-            vec[p] = -rrow[free]
-        basis.append(vec)
-    return basis
+def _axpy(target, coeff, source):
+    """target += coeff * source, dropping entries that cancel."""
+    for k, val in source.items():
+        new = target.get(k, ZERO) + coeff * val
+        if new.is_zero():
+            target.pop(k, None)
+        else:
+            target[k] = new
 
 
 class SparseBasis:
     """An incrementally built, fully reduced basis of sparse vectors.
 
-    Vectors are dicts key -> CycScalar.  Each inserted generator is tracked, so
-    membership tests also yield coordinates in terms of the original
-    generators.  Keys must be totally ordered (pivot = smallest key).
+    `rows` maps each pivot to its reduced row.  With ``coords=True`` the engine
+    also records, per pivot, the row as a combination of the inserted
+    generators (`crows`), so membership tests yield coordinates in terms of
+    the generators; without it `coords` raises.
     """
 
-    def __init__(self):
-        self.rows = []  # list of (pivot, row_dict, comb_dict)
-        self.tags = []
+    def __init__(self, coords=False):
+        self.rows = {}  # pivot -> row dict, coefficient 1 at the pivot
+        self.crows = {} if coords else None  # pivot -> {tag: coeff}
+        self._adds = 0
 
     @property
     def dim(self):
         return len(self.rows)
 
-    @staticmethod
-    def _axpy(target, coeff, source):
-        for k, val in source.items():
-            new = target.get(k, ZERO) + coeff * val
-            if new.is_zero():
-                target.pop(k, None)
-            else:
-                target[k] = new
-
     def residue(self, vec):
         """Reduce vec; returns (residue, coords) with
-        vec = residue + sum(coords[tag] * generator_tag)."""
+        vec = residue + sum(coords[tag] * generator_tag).  coords is None
+        when the engine does not track coordinates.
+
+        Only the rows whose pivot is in the support of vec are subtracted, with
+        the coefficients vec has there: subtracting a reduced row leaves every
+        other pivot's entry unchanged."""
         res = {k: v for k, v in vec.items() if not v.is_zero()}
-        comb = {}
-        for pivot, row, crow in self.rows:
-            c = res.get(pivot)
-            if c is not None and not c.is_zero():
-                self._axpy(res, -c, row)
-                self._axpy(comb, c, crow)
+        rows = self.rows
+        hits = [(p, c) for p, c in res.items() if p in rows]
+        comb = None if self.crows is None else {}
+        for p, c in hits:
+            _axpy(res, -c, rows[p])
+            if comb is not None:
+                _axpy(comb, c, self.crows[p])
         return res, comb
 
     def contains(self, vec):
@@ -168,45 +64,74 @@ class SparseBasis:
 
     def coords(self, vec):
         """Coordinates over the original generators, or None if not in span."""
+        if self.crows is None:
+            raise RuntimeError("engine built without coordinate tracking")
         res, comb = self.residue(vec)
         return None if res else comb
 
     def add(self, vec, tag=None):
-        """Insert a generator; returns True if it enlarged the span."""
+        """Insert a generator; returns True if it enlarged the span.  The tag
+        names the generator in coordinates (default: the number of earlier
+        add calls)."""
         if tag is None:
-            tag = len(self.tags)
+            tag = self._adds
+        self._adds += 1
         res, comb = self.residue(vec)
-        self.tags.append(tag)
         if not res:
             return False
         pivot = min(res)
         inv = res[pivot].inverse()
         row = {k: v * inv for k, v in res.items()}
-        crow = {tag: inv}
-        for t, v in comb.items():
-            val = -v * inv
-            if not val.is_zero():
-                crow[t] = crow.get(t, ZERO) + val
+        crow = None
+        if comb is not None:
+            crow = {tag: inv}
+            for t, v in comb.items():
+                val = -v * inv
+                if not val.is_zero():
+                    crow[t] = crow.get(t, ZERO) + val
         # eliminate the new pivot from the existing rows
-        for i, (p, r, cr) in enumerate(self.rows):
+        for p, r in self.rows.items():
             c = r.get(pivot)
-            if c is not None and not c.is_zero():
-                self._axpy(r, -c, row)
-                self._axpy(cr, -c, crow)
-        self.rows.append((pivot, row, crow))
+            if c is not None:
+                _axpy(r, -c, row)
+                if crow is not None:
+                    _axpy(self.crows[p], -c, crow)
+        self.rows[pivot] = row
+        if crow is not None:
+            self.crows[pivot] = crow
         return True
 
-    def basis_vectors(self):
-        return [dict(row) for _, row, _ in self.rows]
 
-    def pivots(self):
-        return [pivot for pivot, _, _ in self.rows]
+def rref(matrix):
+    """Reduced row echelon form of a dense matrix.  Returns (rows,
+    pivot_columns) with the rows sorted by pivot; zero rows are dropped."""
+    engine = SparseBasis()
+    for row in matrix:
+        engine.add(dict(enumerate(row)))
+    ncols = len(matrix[0]) if matrix else 0
+    pivots = sorted(engine.rows)
+    return [[engine.rows[p].get(c, ZERO) for c in range(ncols)] for p in pivots], pivots
 
 
-def mat_from(entries):
-    """Coerce a nested list of int/Fraction/str/CycScalar entries."""
-    return [[cyc(x) for x in row] for row in entries]
+def nullspace(rows, ncols):
+    """Basis of {x : sum_c row[c] * x[c] = 0 for every row}, for sparse rows
+    over the columns 0..ncols-1, as dense vectors.
 
-
-def is_zero_matrix(a):
-    return all(x.is_zero() for row in a for x in row)
+    One vector per free (non-pivot) column f, in increasing order of f: 1 at
+    f, -row_p[f] at each pivot p, 0 elsewhere."""
+    engine = SparseBasis()
+    for row in rows:
+        engine.add(row)
+    pivot_rows = engine.rows
+    vecs = {}
+    for f in range(ncols):
+        if f not in pivot_rows:
+            vec = [ZERO] * ncols
+            vec[f] = ONE
+            vecs[f] = vec
+    # a reduced row is zero at every other pivot, so its other keys are free
+    for p, row in pivot_rows.items():
+        for f, c in row.items():
+            if f != p:
+                vecs[f][p] = -c
+    return list(vecs.values())

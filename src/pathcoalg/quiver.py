@@ -9,7 +9,6 @@ bounded exhaustive search for bipartite non-Dynkin covers.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 
 from .errors import (
@@ -543,7 +542,7 @@ def quotient(quiver, partition):
 # -- bipartite non-Dynkin covers --------------------------------------------
 
 
-def _is_nondynkin_bipartite(vert_images, vert_side, cover_arrows):
+def _is_nondynkin_bipartite(vert_images, cover_arrows):
     """Classify the partial cover's underlying graph; loops are impossible by
     construction (sources and sinks are disjoint)."""
     pair_seen = set()
@@ -611,7 +610,7 @@ def find_nondynkin_cover(qtarget, size_bound):
         cover_arrows, images_t, sides_t = queue.popleft()
         images = dict(images_t)
         sides = dict(sides_t)
-        if _is_nondynkin_bipartite(images, sides, cover_arrows):
+        if _is_nondynkin_bipartite(images, cover_arrows):
             return build_result(list(cover_arrows), images)
         used = {aid for aid, _, _ in cover_arrows}
         next_vertex = max(images) + 1
@@ -676,7 +675,3 @@ def classify_link_component(m, n, num_generators, cyclic_order=None):
             raise InvalidDescription("(m, n) = +/-(1, 1) is excluded")
         return 4
     raise InvalidDescription("num_generators must be 0, 1, or 2")
-
-
-def quiver_to_json_str(quiver):
-    return json.dumps(quiver.to_json(), sort_keys=True)

@@ -26,7 +26,7 @@ from pathcoalg.errors import (
     WindowTooSmall,
 )
 from pathcoalg.hopf import truncate_to_subcoalgebra, validate_params
-from pathcoalg.scalar import ONE, cyc
+from pathcoalg.scalar import ONE, ZERO, cyc
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +151,34 @@ class TestHom:
     def test_string_end_is_local(self, free_trunc):
         m = build_string(free_trunc, StringSpec((0, 0), "x", 2))
         assert hom(m, m).dim == 1
+
+    def test_basis_of_sum_of_simples_is_unit_matrices(self, free_trunc):
+        # the Hom basis order is observable (are_isomorphic weights it)
+        s = build_simple(free_trunc, 0, 0)
+        ss = direct_sum(s, s)
+        units = [
+            [[ONE if (r, c) == rc else ZERO for c in range(2)] for r in range(2)]
+            for rc in ((0, 0), (0, 1), (1, 0), (1, 1))
+        ]
+        assert hom(ss, ss).basis == units
+
+    def test_basis_free_column_form(self, free_trunc):
+        # flattened row-major, basis vector i has 1 at its last nonzero
+        # entry f_i, every other basis vector is 0 there, and f_i increases
+        m = build_string(free_trunc, StringSpec((0, 0), "x", 2))
+        for g in ((0, 0), (1, 0), (0, 1)):
+            ms = direct_sum(m, build_simple(free_trunc, *g))
+            for a, b in ((ms, ms), (m, ms), (ms, m), (m, m)):
+                vecs = [[x for row in f for x in row] for f in hom(a, b).basis]
+                assert vecs
+                lead = [
+                    max(k for k, x in enumerate(vec) if not x.is_zero())
+                    for vec in vecs
+                ]
+                assert lead == sorted(set(lead))
+                for i, vec in enumerate(vecs):
+                    for j, f in enumerate(lead):
+                        assert vec[f] == (ONE if i == j else ZERO)
 
 
 class TestIndecomposability:

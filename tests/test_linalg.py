@@ -1,0 +1,199 @@
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pathcoalg.linalg import SparseBasis, nullspace, rref
+from pathcoalg.scalar import ONE, ZERO, cyc
+
+entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def sparse_systems(draw, max_rows=6, max_cols=7):
+    """(rows, ncols): sparse rational rows, some of them combinations of
+    earlier rows so that dependent systems are common."""
+    ncols = draw(st.integers(1, max_cols))
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        if rows and draw(st.booleans()):
+            a, b = draw(entries), draw(entries)
+            r1 = draw(st.sampled_from(rows))
+            r2 = draw(st.sampled_from(rows))
+            row = {}
+            for k in set(r1) | set(r2):
+                row[k] = a * r1.get(k, 0) + b * r2.get(k, 0)
+        else:
+            row = draw(
+                st.dictionaries(st.integers(0, ncols - 1), entries, max_size=ncols)
+            )
+        rows.append(row)
+    return rows, ncols
+
+
+def as_cyc(row):
+    return {k: cyc(v) for k, v in row.items()}
+
+
+def reference_rref(rows, ncols):
+    """Textbook dense Gauss-Jordan over Fraction: (rows, pivots)."""
+    mat = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat[:r], pivots
+
+
+def full_scan_residue(engine, vec):
+    """Reduce against every row in turn, reading each coefficient afresh."""
+    res = {k: v for k, v in vec.items() if not v.is_zero()}
+    for pivot, row in engine.rows.items():
+        c = res.get(pivot)
+        if c is None:
+            continue
+        for k, val in row.items():
+            new = res.get(k, ZERO) - c * val
+            if new.is_zero():
+                res.pop(k, None)
+            else:
+                res[k] = new
+    return res
+
+
+def dot(row, vec):
+    total = ZERO
+    for k, c in row.items():
+        total = total + c * vec[k]
+    return total
+
+
+class TestNullspace:
+    @given(sparse_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_vectors_are_annihilated(self, system):
+        rows, ncols = system
+        crows = [as_cyc(r) for r in rows]
+        for vec in nullspace(crows, ncols):
+            assert len(vec) == ncols
+            assert all(dot(row, vec).is_zero() for row in crows)
+
+    @given(sparse_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_dimension_is_ncols_minus_rank(self, system):
+        rows, ncols = system
+        _, pivots = reference_rref(rows, ncols)
+        assert len(nullspace([as_cyc(r) for r in rows], ncols)) == ncols - len(pivots)
+
+    @given(sparse_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_free_column_form(self, system):
+        rows, ncols = system
+        _, pivots = reference_rref(rows, ncols)
+        free = [c for c in range(ncols) if c not in pivots]
+        vecs = nullspace([as_cyc(r) for r in rows], ncols)
+        for i, vec in enumerate(vecs):
+            for j, f in enumerate(free):
+                assert vec[f] == (ONE if i == j else ZERO)
+
+    def test_no_rows_gives_unit_vectors(self):
+        assert nullspace([], 3) == [
+            [ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]
+        ]
+        assert nullspace([{}], 2) == [[ONE, ZERO], [ZERO, ONE]]
+
+    def test_pinned_example(self):
+        # x0 + 2 x2 = 0, x1 - x2 + 3 x3 = 0: free columns 2 and 3
+        rows = [as_cyc({0: 1, 2: 2}), as_cyc({1: 1, 2: -1, 3: 3})]
+        assert nullspace(rows, 4) == [
+            [cyc(-2), ONE, ONE, ZERO],
+            [ZERO, cyc(-3), ZERO, ONE],
+        ]
+
+
+class TestRref:
+    @given(sparse_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_reduced_echelon_form(self, system):
+        rows, ncols = system
+        dense = [[cyc(r.get(c, 0)) for c in range(ncols)] for r in rows]
+        reduced, pivots = rref(dense)
+        assert pivots == sorted(pivots)
+        for i, p in enumerate(pivots):
+            for k, row in enumerate(reduced):
+                assert row[p] == (ONE if i == k else ZERO)
+        ref_rows, ref_pivots = reference_rref(rows, ncols)
+        assert pivots == ref_pivots
+        assert reduced == [[cyc(x) for x in row] for row in ref_rows]
+
+    def test_empty(self):
+        assert rref([]) == ([], [])
+
+
+class TestSparseBasis:
+    @given(sparse_systems(), st.lists(entries, min_size=7, max_size=7))
+    @settings(max_examples=60, deadline=None)
+    def test_coords_reconstruct_vector(self, system, extra):
+        rows, ncols = system
+        gens = [as_cyc(r) for r in rows]
+        engine = SparseBasis(coords=True)
+        for g in gens:
+            engine.add(g)
+        # an arbitrary vector and one in the span
+        probes = [as_cyc(dict(enumerate(extra[:ncols])))]
+        inside = {}
+        for g, w in zip(gens, extra):
+            for k, c in g.items():
+                inside[k] = inside.get(k, ZERO) + cyc(w) * c
+        probes.append(inside)
+        for vec in probes:
+            res, comb = engine.residue(vec)
+            total = dict(res)
+            for tag, c in comb.items():
+                for k, val in gens[tag].items():
+                    total[k] = total.get(k, ZERO) + c * val
+            for k in set(total) | set(vec):
+                assert total.get(k, ZERO) == vec.get(k, ZERO)
+        assert engine.coords(inside) is not None
+
+    @given(sparse_systems(), st.lists(entries, min_size=7, max_size=7))
+    @settings(max_examples=60, deadline=None)
+    def test_residue_matches_full_scan(self, system, extra):
+        rows, ncols = system
+        engine = SparseBasis()
+        for r in rows:
+            engine.add(as_cyc(r))
+        vec = as_cyc(dict(enumerate(extra[:ncols])))
+        res, comb = engine.residue(vec)
+        assert comb is None
+        assert res == full_scan_residue(engine, vec)
+        assert not set(res) & set(engine.rows)
+
+    @given(sparse_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_add_reports_rank_growth(self, system):
+        rows, ncols = system
+        engine = SparseBasis()
+        prev = 0
+        for i, r in enumerate(rows):
+            rank = len(reference_rref(rows[: i + 1], ncols)[1])
+            assert engine.add(as_cyc(r)) == (rank > prev)
+            assert engine.dim == rank
+            prev = rank
+
+    def test_coords_require_tracking(self):
+        engine = SparseBasis()
+        engine.add({0: ONE})
+        with pytest.raises(RuntimeError):
+            engine.coords({0: ONE})
