@@ -18,17 +18,15 @@ from .errors import (
     SquareRootUnavailable,
 )
 from .hopf import (
-    BmnParams,
     TensorElement,
     antipode,
     comultiply,
     counit,
-    element,
-    gen_a,
-    gen_b,
+    evaluate_relation,
     gen_x,
     gen_y,
     group_element,
+    relations,
     unit,
     validate_params,
 )
@@ -167,51 +165,32 @@ def verify_witness(w, p1, p2):
     else:
         va, vb = (0, 1), (1, 0)
         img_x, img_y = gen_y(p2) * w.alpha, gen_x(p2) * w.beta
-    img_a = group_element(p2, *va)
-    img_b = group_element(p2, *vb)
+    images = {
+        "a": group_element(p2, *va),
+        "A": group_element(p2, -va[0], -va[1]),
+        "b": group_element(p2, *vb),
+        "B": group_element(p2, -vb[0], -vb[1]),
+        "x": img_x,
+        "y": img_y,
+    }
     one = unit(p2)
-    zero = element(p2, {})
-    lam, s, t, k = p1.lam, p1.s, p1.t, p1.k
-
-    def grp(coeff_a, coeff_b):
-        return group_element(
-            p2,
-            coeff_a * va[0] + coeff_b * vb[0],
-            coeff_a * va[1] + coeff_b * vb[1],
-        )
-
-    relations = [
-        img_a * img_b - img_b * img_a,
-        grp(p1.m, 0) - grp(0, p1.n),
-        img_x * img_y + (img_y * img_x) * lam - (one - grp(1, 1)) * k,
-        img_a * img_x + img_x * img_a,
-        (img_b * img_x) * lam + img_x * img_b,
-        img_x * img_x - (one - grp(2, 0)) * s,
-        img_b * img_y + img_y * img_b,
-        img_a * img_y + (img_y * img_a) * lam,
-        img_y * img_y - (one - grp(0, 2)) * t,
-    ]
-    if any(r != zero for r in relations):
+    if any(
+        not evaluate_relation(rel, images, one).is_zero()
+        for _, rel in relations(p1)
+    ):
         return False
     # comultiplication, counit, antipode on the generators
-    for g in (img_a, img_b):
+    for g in (images["a"], images["b"]):
         if comultiply(g) != _tensor_of(g, g) or counit(g) != ONE:
             return False
-    for skew, grouplike in ((img_x, img_a), (img_y, img_b)):
+    for skew, grouplike, inv in (("x", "a", "A"), ("y", "b", "B")):
+        skew, grouplike, inv = images[skew], images[grouplike], images[inv]
         expected = _tensor_of(one, skew) + _tensor_of(skew, grouplike)
         if comultiply(skew) != expected or not counit(skew).is_zero():
             return False
-        inv = group_element(
-            p2, -_vec(grouplike)[0], -_vec(grouplike)[1]
-        )
         if antipode(skew) != (skew * inv) * (-1):
             return False
     return True
-
-
-def _vec(group_elem):
-    ((g, _, _),) = group_elem.terms.keys()
-    return g
 
 
 def _prefer_sign(value):

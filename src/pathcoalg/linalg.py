@@ -40,10 +40,11 @@ class SparseBasis:
     def dim(self):
         return len(self.rows)
 
-    def residue(self, vec):
+    def residue(self, vec, coords=True):
         """Reduce vec; returns (residue, coords) with
         vec = residue + sum(coords[tag] * generator_tag).  coords is None
-        when the engine does not track coordinates.
+        when the engine does not track coordinates or coords=False, which
+        skips that bookkeeping.
 
         Only the rows whose pivot is in the support of vec are subtracted, with
         the coefficients vec has there: subtracting a reduced row leaves every
@@ -51,7 +52,7 @@ class SparseBasis:
         res = {k: v for k, v in vec.items() if not v.is_zero()}
         rows = self.rows
         hits = [(p, c) for p, c in res.items() if p in rows]
-        comb = None if self.crows is None else {}
+        comb = {} if coords and self.crows is not None else None
         for p, c in hits:
             _axpy(res, -c, rows[p])
             if comb is not None:
@@ -59,7 +60,7 @@ class SparseBasis:
         return res, comb
 
     def contains(self, vec):
-        res, _ = self.residue(vec)
+        res, _ = self.residue(vec, coords=False)
         return not res
 
     def coords(self, vec):

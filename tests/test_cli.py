@@ -36,6 +36,11 @@ class TestVerifyHopf:
         assert code == 2
         assert out["error"] == "ForbiddenPair"
 
+    def test_negative_radius(self, capsys):
+        code, out = run_cli(capsys, "verify-hopf", "-m", "0", "-n", "0", "-N", "-1")
+        assert code == 2
+        assert out["error"] == "WindowTooSmall"
+
 
 class TestClassify:
     def test_family_5a(self, capsys):

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from pathcoalg import hopf
 from pathcoalg.coalgebra import coradical_filtration, path_element, skew_primitives
 from pathcoalg.errors import (
+    AxiomFailure,
     ConstraintViolation,
     ForbiddenPair,
     LambdaOrderViolation,
@@ -29,6 +31,7 @@ from pathcoalg.hopf import (
     group_element,
     multiply,
     parse_bmn_element,
+    relations,
     translate,
     truncate_to_subcoalgebra,
     unit,
@@ -37,6 +40,8 @@ from pathcoalg.hopf import (
 )
 from pathcoalg.quiver import Path
 from pathcoalg.scalar import ONE, cyc
+
+from test_acceptance import _valid_grid
 
 
 def params_free(lam="1", s="1", t="1", k="0"):
@@ -217,6 +222,18 @@ class TestCoalgebraStructure:
         assert antipode(gen_y(p)) == group_element(p, 0, -1) * gen_y(p)
 
 
+SHAPES = [
+    (3, 1, 1, 1, 0, 1),
+    (2, -2, -1, 1, 1, 0),
+    (2, 0, "z2^1", 0, 1, 0),
+    (0, 0, "z4^1", 0, 0, 0),
+]
+
+
+def shape_params():
+    return [validate_params(*shape) for shape in SHAPES]
+
+
 class TestHopfAxioms:
     def test_full_suite_row_5b(self):
         p = validate_params(0, 0, 1, 1, 1, 5)
@@ -225,12 +242,7 @@ class TestHopfAxioms:
         assert report["basis_checked"] == 4 * 25
 
     def test_other_shapes(self):
-        for p in (
-            validate_params(3, 1, 1, 1, 0, 1),
-            validate_params(2, -2, -1, 1, 1, 0),
-            validate_params(2, 0, "z2^1", 0, 1, 0),
-            validate_params(0, 0, "z4^1", 0, 0, 0),
-        ):
+        for p in shape_params():
             assert verify_hopf_axioms(p, 1)["ok"]
 
 
@@ -385,3 +397,259 @@ class TestFoldedSquares:
         y = gen_y(p)
         assert y * y == element(p, {})
         assert verify_hopf_axioms(p, 1)["ok"]
+
+
+# -- the window sweep: reference oracle for the certificate ------------------
+
+
+def sweep_hopf_axioms(params, radius, product_pairs=12, seed=0):
+    """The former verifier, kept as a reference: every Hopf axiom on every
+    basis monomial with group part in the window, plus multiplicativity on
+    random monomial pairs.  Reaches the structure maps through the module so
+    that monkeypatched mutants are seen."""
+    keys = [
+        ((i, j), p, q)
+        for (i, j) in params.window(radius)
+        for p in (0, 1)
+        for q in (0, 1)
+    ]
+
+    def delta_key(key):
+        return hopf.comultiply(BmnElement(params, {key: ONE})).terms
+
+    one = hopf.unit(params)
+    for key in keys:
+        u = BmnElement(params, {key: ONE})
+        du = hopf.comultiply(u)
+        lhs, rhs = {}, {}
+        for (l, r), c in du.terms.items():
+            for (l2, r2), c2 in delta_key(l).items():
+                hopf._accumulate(lhs, (l2, r2, r), c * c2)
+            for (l2, r2), c2 in delta_key(r).items():
+                hopf._accumulate(rhs, (l, l2, r2), c * c2)
+        if lhs != rhs:
+            raise AxiomFailure("coassociativity fails", witness=str(u))
+        left = BmnElement(params, {})
+        right = BmnElement(params, {})
+        for (l, r), c in du.terms.items():
+            if l[1] == 0 and l[2] == 0:
+                left = left + BmnElement(params, {r: c})
+            if r[1] == 0 and r[2] == 0:
+                right = right + BmnElement(params, {l: c})
+        if left != u or right != u:
+            raise AxiomFailure("counit law fails", witness=str(u))
+        target = one * hopf.counit(u)
+        conv_l = BmnElement(params, {})
+        conv_r = BmnElement(params, {})
+        for (l, r), c in du.terms.items():
+            el = BmnElement(params, {l: ONE})
+            er = BmnElement(params, {r: ONE})
+            conv_l = conv_l + (hopf.antipode(el) * er) * c
+            conv_r = conv_r + (el * hopf.antipode(er)) * c
+        if conv_l != target or conv_r != target:
+            raise AxiomFailure("antipode law fails", witness=str(u))
+    rng = random.Random(seed)
+    for _ in range(product_pairs):
+        u = BmnElement(params, {keys[rng.randrange(len(keys))]: ONE})
+        v = BmnElement(params, {keys[rng.randrange(len(keys))]: ONE})
+        uv = u * v
+        if hopf.comultiply(uv) != hopf.comultiply(u) * hopf.comultiply(v):
+            raise AxiomFailure("comultiplication is not multiplicative")
+        if hopf.counit(uv) != hopf.counit(u) * hopf.counit(v):
+            raise AxiomFailure("counit is not multiplicative")
+        if hopf.antipode(uv) != hopf.antipode(v) * hopf.antipode(u):
+            raise AxiomFailure("antipode is not anti-multiplicative")
+    return True
+
+
+def rejects(check, params):
+    try:
+        check(params)
+    except AxiomFailure:
+        return True
+    return False
+
+
+class TestCertificate:
+    def test_negative_radius(self):
+        with pytest.raises(WindowTooSmall):
+            verify_hopf_axioms(params_free(), -1)
+
+    def test_report(self):
+        p = validate_params(3, 1, 1, 1, 0, 1)
+        for radius in range(7):
+            report = verify_hopf_axioms(p, radius, seed=5)
+            assert report["ok"] is True
+            assert report["window_radius"] == radius
+            assert report["basis_checked"] == 4 * len(p.window(radius))
+            assert report["product_pairs"] == 0
+        cert = report["certificate"]
+        assert len(cert["relations"]) == len(relations(p)) == 13
+        assert cert["generators"] == ["a", "a^-1", "b", "b^-1", "x", "y"]
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_agrees_with_sweep_on_grid(self, radius):
+        for p in _valid_grid():
+            assert sweep_hopf_axioms(p, radius)
+            assert verify_hopf_axioms(p, radius)["ok"]
+
+    def test_agrees_with_sweep_on_shapes(self):
+        for p in shape_params() + [validate_params(0, 0, 1, 1, 1, 5)]:
+            assert sweep_hopf_axioms(p, 2)
+            assert verify_hopf_axioms(p, 2)["ok"]
+
+
+# -- mutants: each must fail the certificate wherever it fails the sweep -----
+
+
+def rightmul_x_variant(square=1, commute=1, k_term=1, shifted=1):
+    """`_rightmul_x` with a sign factor on one of its terms; all 1 is the
+    original."""
+
+    def rightmul_x(params, key):
+        g, p, q = key
+        if q == 0:
+            if p == 0:
+                return {(g, 1, 0): ONE}
+            out = {}
+            hopf._accumulate(out, (g, 0, 0), params.s * square)
+            hopf._accumulate(out, (params.canon(g[0] + 2, g[1]), 0, 0), -params.s * square)
+            return out
+        out = {}
+        li = params.lam_inv
+        coeff = li * params.k * k_term
+        if not coeff.is_zero():
+            out[(g, p, 0)] = coeff
+            shift = params.canon(g[0] + 1, g[1] + 1)
+            hopf._accumulate(out, (shift, p, 0), -coeff * params.sign_x(1, 1) ** p * shifted)
+        for (g2, p2, _), c in rightmul_x(params, (g, p, 0)).items():
+            hopf._accumulate(out, (g2, p2, 1), -li * c * commute)
+        return out
+
+    return rightmul_x
+
+
+def rightmul_y_flipped_square(params, key):
+    g, p, q = key
+    if q == 0:
+        return {(g, p, 1): ONE}
+    out = {}
+    hopf._accumulate(out, (g, p, 0), -params.t)
+    shifted = params.canon(g[0], g[1] + 2)
+    hopf._accumulate(out, (shifted, p, 0), params.t * params.sign_x(0, 2) ** p)
+    return out
+
+
+def delta_variant(x_right=(1, 0), y_right=(0, 1)):
+    """`_delta_generators` with Delta x = 1(x)x + x(x)g and Delta y =
+    1(x)y + y(x)h for the given g, h; the defaults a, b are the original."""
+
+    def delta_generators(params):
+        one = (params.canon(0, 0), 0, 0)
+        x = (params.canon(0, 0), 1, 0)
+        y = (params.canon(0, 0), 0, 1)
+        gx = (params.canon(*x_right), 0, 0)
+        gy = (params.canon(*y_right), 0, 0)
+        dx = TensorElement(params, {(one, x): ONE, (x, gx): ONE})
+        dy = TensorElement(params, {(one, y): ONE, (y, gy): ONE})
+        return dx, dy
+
+    return delta_generators
+
+
+def comultiply_dy_first(u):
+    params = u.params
+    dx, dy = hopf._delta_generators(params)
+    out = TensorElement(params, {})
+    for (g, p, q), c in u.terms.items():
+        gk = (g, 0, 0)
+        t = TensorElement(params, {(gk, gk): c})
+        if p:
+            t = t * dx
+        if q:
+            t = dy * t
+        out = out + t
+    return out
+
+
+def antipode_variant(reverse=False, s_x_sign=-1):
+    def mutant(u):
+        params = u.params
+        s_x = gen_x(params) * group_element(params, -1, 0) * s_x_sign
+        s_y = -(gen_y(params) * group_element(params, 0, -1))
+        out = BmnElement(params, {})
+        for (g, p, q), c in u.terms.items():
+            term = group_element(params, -g[0], -g[1])
+            for flag, factor in ((p, s_x), (q, s_y)):
+                if flag:
+                    term = term * factor if reverse else factor * term
+            out = out + term * c
+        return out
+
+    return mutant
+
+
+def counit_of_x_is_one(u):
+    return sum(
+        (c for (_, p, q), c in u.terms.items() if q == 0), cyc(0)
+    )
+
+
+def sign_x_inverted(self, i, j):
+    return (-ONE) ** i * (-self.lam_inv) ** j
+
+
+MUTANTS = {
+    "x*x sign": (hopf, "_rightmul_x", rightmul_x_variant(square=-1)),
+    "y*x commutation sign": (hopf, "_rightmul_x", rightmul_x_variant(commute=-1)),
+    "y*x k-term sign": (hopf, "_rightmul_x", rightmul_x_variant(k_term=-1)),
+    "y*x shifted-term sign": (hopf, "_rightmul_x", rightmul_x_variant(shifted=-1)),
+    "y*y sign": (hopf, "_rightmul_y", rightmul_y_flipped_square),
+    "x past b with lam^-1": (hopf.BmnParams, "sign_x", sign_x_inverted),
+    "Delta x = 1(x)x + x(x)b": (hopf, "_delta_generators", delta_variant(x_right=(0, 1))),
+    "Delta y = 1(x)y + y(x)a": (hopf, "_delta_generators", delta_variant(y_right=(1, 0))),
+    "dy * t in comultiply": (hopf, "comultiply", comultiply_dy_first),
+    "reversed antipode factors": (hopf, "antipode", antipode_variant(reverse=True)),
+    "S(x) = x*a^-1": (hopf, "antipode", antipode_variant(s_x_sign=1)),
+    "epsilon(x) = 1": (hopf, "counit", counit_of_x_is_one),
+}
+
+
+# These mutants present B(m, n; lam, -s, t, k), B(m, n; lam, s, -t, k) and
+# B(m, n; lam, s, t, -k): Hopf algebras again, so the sweep accepts them, and
+# only the relation table of the certificate tells them from the parameters.
+SWEEP_BLIND = {"x*x sign", "y*y sign", "y*x k-term sign"}
+
+
+def mutant_params():
+    return shape_params() + [
+        validate_params(0, 0, 1, 1, 1, 5),
+        validate_params(0, 0, 1, 2, 3, 0),
+        validate_params(0, 0, -1, 1, 1, 0),
+        validate_params(4, 2, -1, 1, 1, 0),
+        validate_params(0, 0, "z3^1", 0, 0, 0),
+    ]
+
+
+class TestMutants:
+    def test_unmutated_variants_pass(self, monkeypatch):
+        monkeypatch.setattr(hopf, "_rightmul_x", rightmul_x_variant())
+        monkeypatch.setattr(hopf, "_delta_generators", delta_variant())
+        monkeypatch.setattr(hopf, "antipode", antipode_variant())
+        for p in mutant_params():
+            assert sweep_hopf_axioms(p, 1)
+            assert verify_hopf_axioms(p, 1)["ok"]
+
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_certificate_rejects_what_sweep_rejects(self, monkeypatch, name):
+        owner, attr, mutant = MUTANTS[name]
+        monkeypatch.setattr(owner, attr, mutant)
+        swept = certified = 0
+        for p in mutant_params():
+            by_sweep = rejects(lambda q: sweep_hopf_axioms(q, 1), p)
+            by_certificate = rejects(lambda q: verify_hopf_axioms(q, 1), p)
+            assert by_certificate or not by_sweep, p
+            swept += by_sweep
+            certified += by_certificate
+        assert certified
+        assert (swept > 0) == (name not in SWEEP_BLIND)

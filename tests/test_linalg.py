@@ -165,6 +165,7 @@ class TestSparseBasis:
                     total[k] = total.get(k, ZERO) + c * val
             for k in set(total) | set(vec):
                 assert total.get(k, ZERO) == vec.get(k, ZERO)
+            assert engine.contains(vec) == (engine.coords(vec) is not None)
         assert engine.coords(inside) is not None
 
     @given(sparse_systems(), st.lists(entries, min_size=7, max_size=7))
