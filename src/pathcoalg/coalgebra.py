@@ -721,14 +721,17 @@ class DualAlgebra:
 
     def multiply(self, u, v):
         out = [ZERO] * self.dim
+        structure = self.structure
+        right = [(j, b) for j, b in enumerate(v) if not b.is_zero()]
         for i, a in enumerate(u):
             if a.is_zero():
                 continue
-            for j, b in enumerate(v):
-                if b.is_zero():
-                    continue
-                for k, c in self.structure.get((i, j), {}).items():
-                    out[k] = out[k] + a * b * c
+            for j, b in right:
+                cell = structure.get((i, j))
+                if cell:
+                    ab = a * b
+                    for k, c in cell.items():
+                        out[k] = out[k] + ab * c
         return out
 
     def basis_vector(self, i):
@@ -740,10 +743,6 @@ class DualAlgebra:
             for k, c in enumerate(vec):
                 out[k] = out[k] + c
         return out
-
-    def left_mult_matrix(self, vec):
-        cols = [self.multiply(vec, self.basis_vector(j)) for j in range(self.dim)]
-        return [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
 
     def is_associative(self):
         for i in range(self.dim):
@@ -771,19 +770,24 @@ class DualAlgebra:
 
     def radical_basis(self):
         """Basis of the Jacobson radical (characteristic 0: the radical of the
-        trace form of the regular representation)."""
-        mats = [self.left_mult_matrix(self.basis_vector(i)) for i in range(self.dim)]
-        gram = []
-        for i in range(self.dim):
-            row = {}
-            for j in range(self.dim):
-                tr = ZERO
-                for k in range(self.dim):
-                    for l in range(self.dim):
-                        tr = tr + mats[i][k][l] * mats[j][l][k]
-                if not tr.is_zero():
-                    row[j] = tr
-            gram.append(row)
+        trace form of the regular representation).
+
+        The algebra is associative, so tr(L_a L_b) = tr(L_ab) and the Gram
+        matrix comes from the structure constants alone:
+        gram[i][j] = sum_k c_ij^k t_k with t_k = tr(L_k) = sum_l c_kl^l."""
+        trace = [ZERO] * self.dim
+        for (k, l), cell in self.structure.items():
+            c = cell.get(l)
+            if c is not None:
+                trace[k] = trace[k] + c
+        gram = [{} for _ in range(self.dim)]
+        for (i, j), cell in self.structure.items():
+            tr = ZERO
+            for k, c in cell.items():
+                if not trace[k].is_zero():
+                    tr = tr + c * trace[k]
+            if not tr.is_zero():
+                gram[i][j] = tr
         return nullspace(gram, self.dim)
 
     def radical_chain(self):
@@ -934,13 +938,12 @@ def separability_check(pi, capacity=40):
     subgens = [[pmat[i][j] for i in range(d)] for j in range(dprime)]
 
     def tensor_add(target, vec_left, vec_right, sign=1):
+        right = [(l, b * sign) for l, b in enumerate(vec_right) if not b.is_zero()]
         for k, a in enumerate(vec_left):
             if a.is_zero():
                 continue
-            for l, b in enumerate(vec_right):
-                if b.is_zero():
-                    continue
-                val = target.get((k, l), ZERO) + a * b * sign
+            for l, b in right:
+                val = target.get((k, l), ZERO) + a * b
                 if val.is_zero():
                     target.pop((k, l), None)
                 else:

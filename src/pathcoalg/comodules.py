@@ -178,19 +178,6 @@ def _acc(target, key, value):
         target[key] = new
 
 
-def _mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[ZERO] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            if a[i][k].is_zero():
-                continue
-            for j in range(cols):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
-    return out
-
-
 def _mat_rank(mat):
     engine = SparseBasis()
     for row in mat:
@@ -198,48 +185,67 @@ def _mat_rank(mat):
     return engine.dim
 
 
-def is_indecomposable(mod):
-    """True iff End(M) is local, via the trace-form radical (char 0)."""
-    end = hom(mod, mod)
-    r = end.dim
-    if r == 0:
-        return False  # zero module
-    gram = []
-    for i in range(r):
+def _trace_rank(fs, gs):
+    """Rank of the pairing (f, g) -> tr(f g) = sum_ab f[a][b] g[b][a]."""
+    engine = SparseBasis()
+    for f in fs:
+        entries = [
+            (a, b, x) for a, row in enumerate(f) for b, x in enumerate(row) if not x.is_zero()
+        ]
         row = {}
-        for j in range(r):
-            prod = _mat_mul(end.basis[i], end.basis[j])
+        for j, g in enumerate(gs):
             tr = ZERO
-            for d in range(mod.dim):
-                tr = tr + prod[d][d]
+            for a, b, x in entries:
+                y = g[b][a]
+                if not y.is_zero():
+                    tr = tr + x * y
             if not tr.is_zero():
                 row[j] = tr
-        gram.append(row)
-    nullity = len(nullspace(gram, r))
-    return r - nullity == 1
+        engine.add(row)
+    return engine.dim
 
 
-def are_isomorphic(m1, m2, attempts=6):
-    """Search Hom(M, N) for an invertible element."""
+def is_indecomposable(mod):
+    """True iff End(M) is local, via the trace-form radical (char 0)."""
+    end = hom(mod, mod).basis
+    return _trace_rank(end, end) == 1
+
+
+def are_isomorphic(m1, m2):
+    """Exact isomorphism test (characteristic 0).
+
+    Positive proofs come first: a Hom(M, N) basis element of full rank, or
+    the fixed combination sum_i (i + 1) f_i.  Otherwise the trace pairings
+    decide.  For S = End(M + N)/rad and e, e' the projections onto M and N,
+    the pairings (f, g) -> tr(f g) on End(M), on Hom(M, N) x Hom(N, M) and on
+    End(N) have ranks dim eSe, dim eSe' and dim e'Se'.  Over the simple
+    blocks M_n(D) of S, where e and e' have ranks r and r', these are the
+    sums of r^2, r r' and r'^2 times dim D.  If they agree, the sum of
+    (r - r')^2 dim D vanishes, so e ~ e' in S.  Equivalence of idempotents
+    lifts modulo the radical (Lam, A First Course in Noncommutative Rings,
+    section 21), and e ~ e' in End(M + N) means M is isomorphic to N.
+    Differing dimensions are answered first, as dimension is an isomorphism
+    invariant."""
     if m1.dim != m2.dim:
         return False
-    hs = hom(m1, m2)
-    if not hs.basis:
-        return m1.dim == 0
-    for f in hs.basis:
+    forth = hom(m1, m2).basis
+    combo = [[ZERO] * m1.dim for _ in range(m1.dim)]
+    for idx, f in enumerate(forth):
         if _mat_rank(f) == m1.dim:
             return True
-    # generic combinations with deterministic small weights
-    for trial in range(attempts):
-        combo = [[ZERO] * m1.dim for _ in range(m1.dim)]
-        for idx, f in enumerate(hs.basis):
-            w = cyc((trial + 2) ** idx)
-            for r in range(m1.dim):
-                for c in range(m1.dim):
-                    combo[r][c] = combo[r][c] + f[r][c] * w
-        if _mat_rank(combo) == m1.dim:
-            return True
-    return False
+        w = cyc(idx + 1)
+        for r, row in enumerate(f):
+            for c, x in enumerate(row):
+                if not x.is_zero():
+                    combo[r][c] = combo[r][c] + x * w
+    if _mat_rank(combo) == m1.dim:
+        return True
+    pairing = _trace_rank(forth, hom(m2, m1).basis) if forth else 0
+    end1 = hom(m1, m1).basis
+    if _trace_rank(end1, end1) != pairing:
+        return False
+    end2 = hom(m2, m2).basis
+    return _trace_rank(end2, end2) == pairing
 
 
 # -- socle series ------------------------------------------------------------

@@ -138,7 +138,10 @@ class CycScalar:
     # -- basic predicates ---------------------------------------------------
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        """Every element is kept at its minimal conductor, and `_canonical`
+        turns zero into (1, (0,)), so zero is the one element with n == 1 and
+        a zero constant coordinate."""
+        return self.n == 1 and not self.coeffs[0]
 
     def is_rational(self):
         return self.n == 1

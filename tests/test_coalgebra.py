@@ -7,6 +7,7 @@ from pathcoalg.coalgebra import (
     CoalgebraMap,
     CoElement,
     Diamond,
+    DualAlgebra,
     SubCoalgebra,
     _solve_combination,
     coradical_filtration,
@@ -35,6 +36,8 @@ from pathcoalg.errors import (
     NotPointed,
     ParseError,
 )
+from pathcoalg.hopf import truncate_to_subcoalgebra, validate_params
+from pathcoalg.linalg import nullspace
 from pathcoalg.quiver import Path, Quiver, QuiverMorphism, graph_class, grid_quiver, quotient
 from pathcoalg.scalar import ONE, ZERO, cyc
 
@@ -479,6 +482,76 @@ class TestLocalization:
         alg = dualize(two_loop_subcoalgebra())
         with pytest.raises(EmptySubset):
             localize(alg, [])
+
+
+def reference_radical_basis(alg):
+    """The trace-form radical from the Gram matrix tr(L_i L_j) of the dense
+    left-multiplication matrices, (L_i)[k][j] = c_ij^k.  O(D^4); it does not
+    use associativity, which `DualAlgebra.radical_basis` relies on."""
+    d = alg.dim
+    mats = [
+        [[alg.structure.get((i, j), {}).get(k, ZERO) for j in range(d)] for k in range(d)]
+        for i in range(d)
+    ]
+    gram = []
+    for i in range(d):
+        nonzero = [(k, l, x) for k in range(d) for l, x in enumerate(mats[i][k]) if x]
+        row = {}
+        for j in range(d):
+            tr = ZERO
+            for k, l, x in nonzero:
+                y = mats[j][l][k]
+                if y:
+                    tr = tr + x * y
+            if tr:
+                row[j] = tr
+        gram.append(row)
+    return nullspace(gram, d)
+
+
+def _dual_case(coalg, drop=None):
+    alg = dualize(coalg)
+    keep = [l for l, _ in alg.idempotents if l not in drop] if drop else None
+    return alg, keep
+
+
+def _truncation_case(m, n, lam):
+    trunc = truncate_to_subcoalgebra(validate_params(m, n, lam, 0, 0, 0), 1)
+    return dualize(trunc.coalgebra), None
+
+
+# name -> () -> (algebra, labels of a corner to check too, or None)
+ORACLE_CASES = {
+    "covering-domain": lambda: _dual_case(covering_example()[0]),
+    "covering-codomain": lambda: _dual_case(covering_example()[1]),
+    "localization": lambda: _dual_case(localization_example(), ("a", "b")),
+    "localization-3": lambda: _dual_case(localization_example(3), ("a", "b")),
+    "two-loop": lambda: _dual_case(two_loop_subcoalgebra(), ("2",)),
+    "a2": lambda: _dual_case(path_coalgebra(Quiver(["1", "2"], [("a", "1", "2")]), 1), ("1",)),
+    "grouplikes": lambda: _dual_case(path_coalgebra(Quiver(["1", "2", "3"], []), 0), ("2",)),
+    "truncation-0,0,1": lambda: _truncation_case(0, 0, 1),
+    "truncation-0,0,z3": lambda: _truncation_case(0, 0, "z3"),
+    "truncation-2,0,-1": lambda: _truncation_case(2, 0, -1),
+}
+
+
+class TestRadicalOracle:
+    """`radical_basis` (Gram from structure constants) equals the dense
+    trace-form reference vector for vector, and so leaves the Gabriel
+    quivers unchanged."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_CASES))
+    def test_matches_reference(self, name, monkeypatch):
+        alg, labels = ORACLE_CASES[name]()
+        algebras = [alg] if labels is None else [alg, localize(alg, labels)]
+        for a in algebras:
+            assert a.radical_basis() == reference_radical_basis(a)
+        quivers = [gabriel_quiver(a) for a in algebras]
+        monkeypatch.setattr(DualAlgebra, "radical_basis", reference_radical_basis)
+        for a, gq in zip(algebras, quivers):
+            ref = gabriel_quiver(a)
+            assert gq.vertices == ref.vertices
+            assert gq.arrows == ref.arrows
 
 
 class TestGrammar:

@@ -1,5 +1,9 @@
+import random
+from fractions import Fraction
+
 import pytest
 
+from pathcoalg import comodules
 from pathcoalg.comodules import (
     Comodule,
     StringSpec,
@@ -153,7 +157,8 @@ class TestHom:
         assert hom(m, m).dim == 1
 
     def test_basis_of_sum_of_simples_is_unit_matrices(self, free_trunc):
-        # the Hom basis order is observable (are_isomorphic weights it)
+        # the Hom basis order is pinned (free-column form); are_isomorphic's
+        # answer does not depend on it
         s = build_simple(free_trunc, 0, 0)
         ss = direct_sum(s, s)
         units = [
@@ -209,6 +214,98 @@ class TestIndecomposability:
         s = build_simple(free_trunc, 0, 0)
         assert not are_isomorphic(d1, direct_sum(direct_sum(s, s),
                                                  direct_sum(s, s)))
+
+
+def _conjugate(mod, rng):
+    """The same comodule in the basis m'_j = sum_i m_i P[i][j] for a random
+    invertible rational P: coaction P^-1 c P, validated."""
+    d = mod.dim
+    p = [[Fraction(int(r == c)) for c in range(d)] for r in range(d)]
+    pinv = [row[:] for row in p]
+    for _ in range(3 * d):
+        # P <- P E with E = 1 + t e_ij, so P^-1 <- E^-1 P^-1, E^-1 = 1 - t e_ij
+        i, j = rng.randrange(d), rng.randrange(d)
+        if i == j:
+            t = Fraction(rng.choice([-3, -2, 2, 3]), rng.randint(1, 4))
+            for r in range(d):
+                p[r][i] *= t
+            pinv[i] = [x / t for x in pinv[i]]
+            continue
+        t = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        for r in range(d):
+            p[r][j] += t * p[r][i]
+        pinv[i] = [x - t * y for x, y in zip(pinv[i], pinv[j])]
+    c = mod.coaction
+    zero = c[0][0] - c[0][0]
+    new = [[zero] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            entry = zero
+            for k in range(d):
+                for l in range(d):
+                    w = pinv[i][k] * p[l][j]
+                    if w and not c[k][l].is_zero():
+                        entry = entry + c[k][l] * cyc(w)
+            new[i][j] = entry
+    return Comodule(mod.coalgebra, new)
+
+
+def _sum(mods):
+    out = mods[0]
+    for m in mods[1:]:
+        out = direct_sum(out, m)
+    return out
+
+
+class TestIsomorphism:
+    def test_self_sum_of_simple(self, free_trunc):
+        ss = direct_sum(build_simple(free_trunc, 0, 0), build_simple(free_trunc, 0, 0))
+        again = direct_sum(build_simple(free_trunc, 0, 0), build_simple(free_trunc, 0, 0))
+        assert are_isomorphic(ss, again)
+
+    def test_multiplicity_differs(self, free_trunc):
+        a = build_string(free_trunc, StringSpec((0, 0), "x", 1))
+        b = build_string(free_trunc, StringSpec((0, 0), "y", 1))
+        c = build_simple(free_trunc, 1, 1)
+        assert not are_isomorphic(_sum([a, a, c]), _sum([a, b, c]))
+        assert not are_isomorphic(_sum([a, b, c]), _sum([a, a, c]))
+
+    def test_same_composition_factors(self, free_trunc):
+        split = direct_sum(build_simple(free_trunc, 0, 0), build_simple(free_trunc, 1, 0))
+        string = build_string(free_trunc, StringSpec((0, 0), "x", 1))
+        assert split.dimension_vector() == string.dimension_vector()
+        assert not are_isomorphic(split, string)
+        assert not are_isomorphic(string, split)
+
+    @pytest.mark.parametrize("shortcuts", [True, False])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_krull_schmidt(self, free_trunc, seed, shortcuts, monkeypatch):
+        # pairwise non-isomorphic indecomposables: M + ... is isomorphic to
+        # N + ... iff the multisets of summands agree; without the positive
+        # shortcuts the trace-rank criterion answers every case alone
+        if not shortcuts:
+            monkeypatch.setattr(comodules, "_mat_rank", lambda mat: -1)
+        pool = [build_simple(free_trunc, *g) for g in ((0, 0), (1, 0), (0, 1), (1, 1))]
+        pool += [
+            build_string(free_trunc, StringSpec((0, 0), "x", 1)),
+            build_string(free_trunc, StringSpec((0, 0), "y", 1)),
+            build_string(free_trunc, StringSpec((0, 0), "x", 2)),
+        ]
+        rng = random.Random(seed)
+        for _ in range(10):
+            left = sorted(rng.choices(range(len(pool)), k=rng.randint(1, 3)))
+            right = list(left)
+            if rng.random() < 0.5:
+                dim = sum(pool[i].dim for i in left)
+                for _ in range(50):
+                    right = sorted(rng.choices(range(len(pool)), k=rng.randint(1, 4)))
+                    if right != left and sum(pool[i].dim for i in right) == dim:
+                        break
+            rng.shuffle(left)
+            rng.shuffle(right)
+            m = _sum([pool[i] for i in left])
+            n = _conjugate(_sum([pool[i] for i in right]), rng)
+            assert are_isomorphic(m, n) == (sorted(left) == sorted(right))
 
 
 class TestSocleAndUniserial:

@@ -188,3 +188,28 @@ class TestProperties:
         from pathcoalg.scalar import _canonical
 
         assert _canonical(24, lifted) == a
+
+
+# small coefficients over a few roots of unity, so that sums often cancel
+field_elements = st.builds(
+    lambda n, cs: sum((cyc(c) * zeta(n, j) for j, c in enumerate(cs)), ZERO),
+    st.sampled_from([1, 3, 4, 12]),
+    st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=12),
+)
+
+
+class TestZeroInvariant:
+    """`is_zero` reads only the conductor and the constant coordinate; that is
+    exact because every result is at minimal conductor and zero is (1, (0,))."""
+
+    @given(field_elements, field_elements)
+    @settings(max_examples=200, deadline=None)
+    def test_zero_is_canonical(self, a, b):
+        results = [a, b, a + b, a - b, b - a, a - a, a * b, (a - a) * b, -(a - a)]
+        for x in (a, b):
+            if not all(c == 0 for c in x.coeffs):
+                results += [x.inverse(), x * x.inverse() - ONE, x / x - ONE]
+        for x in results:
+            assert x.is_zero() == all(c == 0 for c in x.coeffs)
+            if x.is_zero():
+                assert x.n == 1
