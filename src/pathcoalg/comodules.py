@@ -135,10 +135,6 @@ class HomSpace:
         return len(self.basis)
 
 
-# kept under its old name for callers outside the package
-_sparse_nullspace = nullspace
-
-
 def hom(m1, m2):
     """All f with rho_N(f(m)) = (f (x) id)(rho_M(m))."""
     _check_ambient(m1, m2)

@@ -3,7 +3,8 @@
 Generators a, b (grouplike) and x, y (skew-primitive) subject to
 ab = ba, a^m = b^n, x^2 = s(1 - a^2), y^2 = t(1 - b^2), xy + lam*yx = k(1 - ab),
 ax = -xa, bx = -lam^-1*xb, ay = -lam*ya, by = -yb.  Elements are kept in the
-normal form a^i b^j x^p y^q with p, q in {0, 1} by term rewriting.
+normal form a^i b^j x^p y^q with p, q in {0, 1}, multiplied as a crossed
+product of the group algebra and {1, x, y, xy} (see `_mono_mul`).
 
 The module also embeds finite windows of the basis into the grid path
 coalgebra (vertices = canonical group elements) and answers path-membership
@@ -41,6 +42,7 @@ class BmnParams:
         self.k = k
         self.lam_inv = lam.inverse()
         self._mono_cache = {}
+        self._tables = {}
 
     def canon(self, i, j):
         return group_canonical_pair(self.m, self.n, i, j)
@@ -140,44 +142,45 @@ def group_canonical(params, i, j):
 # basis key: ((i, j), p, q) for a^i b^j x^p y^q
 
 
-def _rightmul_x(params, key):
-    """key * x as a dict of basis keys."""
-    g, p, q = key
-    if q == 0:
-        if p == 0:
-            return {(g, 1, 0): ONE}
-        # x^2 = s(1 - a^2); the two terms cancel when a^2 folds to 1
-        out = {}
-        _accumulate(out, (g, 0, 0), params.s)
-        _accumulate(out, (params.canon(g[0] + 2, g[1]), 0, 0), -params.s)
-        return out
-    # move x past the trailing y:  yx = lam^-1*k*(1 - ab) - lam^-1*xy
-    out = {}
-    li = params.lam_inv
-    coeff = li * params.k
-    if not coeff.is_zero():
-        out[(g, p, 0)] = coeff
-        shifted = params.canon(g[0] + 1, g[1] + 1)
-        sign = params.sign_x(1, 1) ** p
-        _accumulate(out, (shifted, p, 0), -coeff * sign)
-    for key2, c in _rightmul_x(params, (g, p, 0)).items():
-        g2, p2, _ = key2
-        _accumulate(out, (g2, p2, 1), -li * c)
-    return out
+def _rule_table(params):
+    """x^p y^q * x and x^p y^q * y for p, q in {0, 1}, read off the relations:
+    (p, q, letter) -> [(h, p', q', c)], the sum of c * a^h x^p' y^q'.  Moving
+    x past a group part h picks up the character sign_x(h)."""
+    s, t, k, li = params.s, params.t, params.k, params.lam_inv
+    return {
+        (0, 0, "x"): [((0, 0), 1, 0, ONE)],
+        (0, 0, "y"): [((0, 0), 0, 1, ONE)],
+        # x^2 = s(1 - a^2)
+        (1, 0, "x"): [((0, 0), 0, 0, s), ((2, 0), 0, 0, -s)],
+        (1, 0, "y"): [((0, 0), 1, 1, ONE)],
+        # yx = lam^-1 k(1 - ab) - lam^-1 xy
+        (0, 1, "x"): [((0, 0), 0, 0, li * k), ((1, 1), 0, 0, -li * k),
+                      ((0, 0), 1, 1, -li)],
+        # y^2 = t(1 - b^2)
+        (0, 1, "y"): [((0, 0), 0, 0, t), ((0, 2), 0, 0, -t)],
+        # x(yx), then x^2 = s(1 - a^2)
+        (1, 1, "x"): [((0, 0), 1, 0, li * k),
+                      ((1, 1), 1, 0, -li * k * params.sign_x(1, 1)),
+                      ((0, 0), 0, 1, -li * s), ((2, 0), 0, 1, li * s)],
+        # x y^2 = x t(1 - b^2)
+        (1, 1, "y"): [((0, 0), 1, 0, t), ((0, 2), 1, 0, -t * params.sign_x(0, 2))],
+    }
 
 
-def _rightmul_y(params, key):
-    """key * y as a dict of basis keys."""
-    g, p, q = key
-    if q == 0:
-        return {(g, p, 1): ONE}
-    # y^2 = t(1 - b^2); the two terms cancel when b^2 folds to 1
-    out = {}
-    _accumulate(out, (g, p, 0), params.t)
-    shifted = params.canon(g[0], g[1] + 2)
-    sign = params.sign_x(0, 2) ** p
-    _accumulate(out, (shifted, p, 0), -params.t * sign)
-    return out
+def _table(params, build):
+    """build(params), computed on first use and kept on params.  A table
+    holds term dicts, tuples and scalars only: an element points back at
+    params, so keeping one there would make a reference cycle."""
+    table = params._tables.get(build)
+    if table is None:
+        table = params._tables[build] = build(params)
+    return table
+
+
+def _shift(params, g, key):
+    """g * key for a group part g: left multiplication is a pure shift."""
+    (i, j), p, q = key
+    return params.canon(g[0] + i, g[1] + j), p, q
 
 
 def _accumulate(target, key, value):
@@ -189,7 +192,8 @@ def _accumulate(target, key, value):
 
 
 def _mono_mul(params, key1, key2):
-    """Product of two basis monomials as a dict of basis keys."""
+    """(g1 u)(g2 v) as a dict of basis keys: the character of u at g2, the
+    shift by g1 g2, then the rule table letter by letter for v."""
     cached = params._mono_cache.get((key1, key2))
     if cached is not None:
         return cached
@@ -199,19 +203,13 @@ def _mono_mul(params, key1, key2):
         coeff = coeff * params.sign_x(*g2)
     if q1:
         coeff = coeff * params.sign_y(*g2)
-    g = params.canon(g1[0] + g2[0], g1[1] + g2[1])
-    terms = {(g, p1, q1): coeff}
-    for _ in range(p2):
+    terms = {_shift(params, g1, (g2, p1, q1)): coeff}
+    rules = _table(params, _rule_table)
+    for letter in "x" * p2 + "y" * q2:
         nxt = {}
         for key, c in terms.items():
-            for key_out, c2 in _rightmul_x(params, key).items():
-                _accumulate(nxt, key_out, c * c2)
-        terms = nxt
-    for _ in range(q2):
-        nxt = {}
-        for key, c in terms.items():
-            for key_out, c2 in _rightmul_y(params, key).items():
-                _accumulate(nxt, key_out, c * c2)
+            for h, p, q, c2 in rules[key[1], key[2], letter]:
+                _accumulate(nxt, _shift(params, key[0], (h, p, q)), c * c2)
         terms = nxt
     params._mono_cache[(key1, key2)] = terms
     return terms
@@ -419,36 +417,41 @@ def _delta_generators(params):
     return dx, dy
 
 
-def comultiply(u):
-    params = u.params
+def _structure_table(params):
+    """Delta and S on x^p y^q as term dicts, by (p, q): Delta(x)^p Delta(y)^q
+    and S(y)^q S(x)^p, from S(x) = -x a^-1 and S(y) = -y b^-1."""
     dx, dy = _delta_generators(params)
-    out = TensorElement(params, {})
+    one = (params.canon(0, 0), 0, 0)
+    d1, u1 = TensorElement(params, {(one, one): ONE}), unit(params)
+    s_x = -(gen_x(params) * group_element(params, -1, 0))
+    s_y = -(gen_y(params) * group_element(params, 0, -1))
+    return {(p, q): ((d1 * (dx if p else d1) * (dy if q else d1)).terms,
+                     ((s_y if q else u1) * (s_x if p else u1)).terms)
+            for p in (0, 1) for q in (0, 1)}
+
+
+def comultiply(u):
+    """Delta(g x^p y^q) = (g (x) g) Delta(x^p y^q), a shift of the table."""
+    params = u.params
+    table = _table(params, _structure_table)
+    out = {}
     for (g, p, q), c in u.terms.items():
-        gk = (g, 0, 0)
-        t = TensorElement(params, {(gk, gk): c})
-        if p:
-            t = t * dx
-        if q:
-            t = t * dy
-        out = out + t
-    return out
+        for (l, r), c2 in table[p, q][0].items():
+            _accumulate(out, (_shift(params, g, l), _shift(params, g, r)), c * c2)
+    return TensorElement(params, out)
 
 
 def antipode(u):
+    """S(g x^p y^q) = S(x^p y^q) g^-1, from the table."""
     params = u.params
-    a_inv = group_element(params, -1, 0)
-    b_inv = group_element(params, 0, -1)
-    s_x = -(gen_x(params) * a_inv)
-    s_y = -(gen_y(params) * b_inv)
-    out = BmnElement(params, {})
+    table = _table(params, _structure_table)
+    out = {}
     for (g, p, q), c in u.terms.items():
-        term = group_element(params, -g[0], -g[1])
-        if p:
-            term = s_x * term
-        if q:
-            term = s_y * term
-        out = out + term * c
-    return out
+        g_inv = (params.canon(-g[0], -g[1]), 0, 0)
+        for key, c2 in table[p, q][1].items():
+            for key3, c3 in _mono_mul(params, key, g_inv).items():
+                _accumulate(out, key3, c * c2 * c3)
+    return BmnElement(params, out)
 
 
 # -- defining relations ------------------------------------------------------
@@ -558,15 +561,15 @@ def verify_hopf_axioms(params, radius, seed=None):
     depend on the radius.  Raises AxiomFailure with a witness; returns a
     report dict on success.
 
-    1. Associativity, by Bergman's diamond lemma.  `multiply` computes k1 * k2
-       as right multiplication of k1 by the group part of k2, then by x^p,
-       then by y^q.  Each of the 13 relations is checked as an identity of
-       right-multiplication operators on the four monomials x^p y^q.  The
-       rewriting rules see the group part only through `canon` of its
-       translates, so the identities then hold on every monomial.  The
-       normal-form space is then a right module over the algebra the
-       relations present, the monomials a^i b^j x^p y^q are a basis, and
-       `multiply` is its associative product.
+    1. Associativity, by Bergman's diamond lemma.  `multiply` computes
+       (g1 u)(g2 v) as a character of g2, a shift by g1 g2 and the rule table
+       for the letters of v.  Each of the 13 relations is checked as an
+       identity of right-multiplication operators on the four monomials
+       x^p y^q.  A group part enters a product only as that shift, so the
+       identities hold on every monomial by construction of the table, not
+       by assumption.  The normal-form space is then a right module over the
+       algebra the relations present, the monomials a^i b^j x^p y^q are a
+       basis, and `multiply` is its associative product.
     2. The structure maps are well defined: the values of Delta, epsilon and
        S on the generators send every relation to 0, in H (x) H, in K, and
        in H read as an anti-map.
@@ -834,19 +837,12 @@ def parse_bmn_element(params, text):
                 raise ParseError(f"empty factor in {chunk!r}")
             name, sep, exp_str = factor.partition("^")
             if name in ("a", "b", "x", "y"):
-                if sep and not _is_int(exp_str):
-                    raise ParseError(f"bad exponent in {factor!r}")
-                exponent = int(exp_str) if sep else 1
+                try:
+                    exponent = int(exp_str) if sep else 1
+                except ValueError:
+                    raise ParseError(f"bad exponent in {factor!r}") from None
                 term = term * _gen_factor(params, name, exponent)
             else:
                 term = term * parse_scalar(factor)
         total = total + term
     return total
-
-
-def _is_int(text):
-    try:
-        int(text)
-        return True
-    except ValueError:
-        return False

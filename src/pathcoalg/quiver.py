@@ -135,15 +135,6 @@ class Quiver:
                 break
         return result
 
-    def induced(self, vertex_subset):
-        vs = [v for v in self.vertices if v in vertex_subset]
-        missing = set(vertex_subset) - self.vertex_set
-        if missing:
-            raise UnknownVertex(f"unknown vertices {sorted(missing)!r}")
-        keep = set(vs)
-        ars = [a for a in self.arrows if a[1] in keep and a[2] in keep]
-        return Quiver(vs, ars)
-
     def undirected_adjacency(self):
         """Neighbor multiset map ignoring orientation (loops excluded)."""
         adj = {v: [] for v in self.vertices}

@@ -126,10 +126,6 @@ class CycScalar:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def from_rational(q):
-        return CycScalar(1, (Fraction(q),))
-
-    @staticmethod
     def root_of_unity(n, e=1):
         e %= n
         vec = _reduce_mod_cyclo([_ZERO] * e + [_ONE], n)
@@ -278,10 +274,6 @@ class CycScalar:
         if self._hash is None:
             self._hash = hash((self.n, self.coeffs))
         return self._hash
-
-    def sort_key(self):
-        """Deterministic total order key (conductor, then coordinates)."""
-        return (self.n, self.coeffs)
 
     # -- serialization ------------------------------------------------------
 

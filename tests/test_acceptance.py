@@ -25,7 +25,6 @@ from pathcoalg.coalgebra import (
 )
 from pathcoalg.comodules import (
     Comodule,
-    _sparse_nullspace,
     are_isomorphic,
     build_band_family,
     decide_discrete,
@@ -47,7 +46,7 @@ from pathcoalg.hopf import (
     validate_params,
     verify_hopf_axioms,
 )
-from pathcoalg.linalg import SparseBasis
+from pathcoalg.linalg import SparseBasis, nullspace
 from pathcoalg.quiver import (
     Path,
     check_homogeneous,
@@ -320,7 +319,7 @@ def _extension_columns(coalg, radical, column_basis, top_label):
                 for bi, b in enumerate(column_basis):
                     for q, cq in b.terms.items():
                         bump((j, p, q), unk(l, bi), -cp * cq)
-    sols = _sparse_nullspace([r for r in rows.values() if r], dm * nb)
+    sols = nullspace([r for r in rows.values() if r], dm * nb)
     if not sols:
         return []
     weight_sets = []

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -244,6 +246,24 @@ class TestHopfAxioms:
     def test_other_shapes(self):
         for p in shape_params():
             assert verify_hopf_axioms(p, 1)["ok"]
+
+    def test_tables_make_no_reference_cycle(self):
+        """The per-params tables hold term dicts, not elements (which point
+        back at the params), so the params die without the cycle collector."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            p = validate_params(0, 0, 1, 1, 1, 5)
+            verify_hopf_axioms(p, 1)
+            u = gen_x(p) * gen_y(p) * gen_a(p)
+            comultiply(u)
+            antipode(u)
+            ref = weakref.ref(p)
+            del p, u
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestTruncation:
@@ -502,42 +522,31 @@ class TestCertificate:
 # -- mutants: each must fail the certificate wherever it fails the sweep -----
 
 
-def rightmul_x_variant(square=1, commute=1, k_term=1, shifted=1):
-    """`_rightmul_x` with a sign factor on one of its terms; all 1 is the
-    original."""
+def rule_table_variant(square=1, commute=1, k_term=1, shifted=1, y_square=1):
+    """`_rule_table` with a sign factor on some of its terms; all 1 is the
+    original.  `square` is on x*x = s(1 - a^2) wherever the table uses it,
+    `commute` on the -lam^-1 xy of yx, `k_term` on both k-terms of yx and
+    `shifted` on the ab one, and `y_square` on y*y = t(1 - b^2)."""
 
-    def rightmul_x(params, key):
-        g, p, q = key
-        if q == 0:
-            if p == 0:
-                return {(g, 1, 0): ONE}
-            out = {}
-            hopf._accumulate(out, (g, 0, 0), params.s * square)
-            hopf._accumulate(out, (params.canon(g[0] + 2, g[1]), 0, 0), -params.s * square)
-            return out
-        out = {}
-        li = params.lam_inv
-        coeff = li * params.k * k_term
-        if not coeff.is_zero():
-            out[(g, p, 0)] = coeff
-            shift = params.canon(g[0] + 1, g[1] + 1)
-            hopf._accumulate(out, (shift, p, 0), -coeff * params.sign_x(1, 1) ** p * shifted)
-        for (g2, p2, _), c in rightmul_x(params, (g, p, 0)).items():
-            hopf._accumulate(out, (g2, p2, 1), -li * c * commute)
-        return out
+    def rule_table(params):
+        s, t, li = params.s * square, params.t * y_square, params.lam_inv
+        lk = li * params.k * k_term
+        return {
+            (0, 0, "x"): [((0, 0), 1, 0, ONE)],
+            (0, 0, "y"): [((0, 0), 0, 1, ONE)],
+            (1, 0, "x"): [((0, 0), 0, 0, s), ((2, 0), 0, 0, -s)],
+            (1, 0, "y"): [((0, 0), 1, 1, ONE)],
+            (0, 1, "x"): [((0, 0), 0, 0, lk), ((1, 1), 0, 0, -lk * shifted),
+                          ((0, 0), 1, 1, -li * commute)],
+            (0, 1, "y"): [((0, 0), 0, 0, t), ((0, 2), 0, 0, -t)],
+            (1, 1, "x"): [((0, 0), 1, 0, lk),
+                          ((1, 1), 1, 0, -lk * shifted * params.sign_x(1, 1)),
+                          ((0, 0), 0, 1, -li * s * commute),
+                          ((2, 0), 0, 1, li * s * commute)],
+            (1, 1, "y"): [((0, 0), 1, 0, t), ((0, 2), 1, 0, -t * params.sign_x(0, 2))],
+        }
 
-    return rightmul_x
-
-
-def rightmul_y_flipped_square(params, key):
-    g, p, q = key
-    if q == 0:
-        return {(g, p, 1): ONE}
-    out = {}
-    hopf._accumulate(out, (g, p, 0), -params.t)
-    shifted = params.canon(g[0], g[1] + 2)
-    hopf._accumulate(out, (shifted, p, 0), params.t * params.sign_x(0, 2) ** p)
-    return out
+    return rule_table
 
 
 def delta_variant(x_right=(1, 0), y_right=(0, 1)):
@@ -600,11 +609,11 @@ def sign_x_inverted(self, i, j):
 
 
 MUTANTS = {
-    "x*x sign": (hopf, "_rightmul_x", rightmul_x_variant(square=-1)),
-    "y*x commutation sign": (hopf, "_rightmul_x", rightmul_x_variant(commute=-1)),
-    "y*x k-term sign": (hopf, "_rightmul_x", rightmul_x_variant(k_term=-1)),
-    "y*x shifted-term sign": (hopf, "_rightmul_x", rightmul_x_variant(shifted=-1)),
-    "y*y sign": (hopf, "_rightmul_y", rightmul_y_flipped_square),
+    "x*x sign": (hopf, "_rule_table", rule_table_variant(square=-1)),
+    "y*x commutation sign": (hopf, "_rule_table", rule_table_variant(commute=-1)),
+    "y*x k-term sign": (hopf, "_rule_table", rule_table_variant(k_term=-1)),
+    "y*x shifted-term sign": (hopf, "_rule_table", rule_table_variant(shifted=-1)),
+    "y*y sign": (hopf, "_rule_table", rule_table_variant(y_square=-1)),
     "x past b with lam^-1": (hopf.BmnParams, "sign_x", sign_x_inverted),
     "Delta x = 1(x)x + x(x)b": (hopf, "_delta_generators", delta_variant(x_right=(0, 1))),
     "Delta y = 1(x)y + y(x)a": (hopf, "_delta_generators", delta_variant(y_right=(1, 0))),
@@ -633,7 +642,9 @@ def mutant_params():
 
 class TestMutants:
     def test_unmutated_variants_pass(self, monkeypatch):
-        monkeypatch.setattr(hopf, "_rightmul_x", rightmul_x_variant())
+        for p in mutant_params():
+            assert rule_table_variant()(p) == hopf._rule_table(p)
+        monkeypatch.setattr(hopf, "_rule_table", rule_table_variant())
         monkeypatch.setattr(hopf, "_delta_generators", delta_variant())
         monkeypatch.setattr(hopf, "antipode", antipode_variant())
         for p in mutant_params():
