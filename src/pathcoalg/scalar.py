@@ -1,9 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 Elements are stored on the power basis 1, z, ..., z^(phi(N)-1) of zeta_N modulo
-the N-th cyclotomic polynomial, with rational (Fraction) coordinates.  Mixed
-conductors are handled by lazy promotion to the lcm; every element is kept at
-its minimal conductor so equality and hashing are structural.
+the N-th cyclotomic polynomial.  Rational coordinates have one normal form
+(``_q``): an ``int`` when integral, a reduced ``Fraction`` otherwise.  The two
+compare and hash equal, so the form changes no result, only its cost.  A
+coordinate is divided only through ``Fraction``: ``1 / c`` on an ``int`` is a
+float.  Mixed conductors are handled by lazy promotion to the lcm; every
+element is kept at its minimal conductor so equality and hashing are
+structural.
 
 Text grammar (bit-exact round trip): rationals as ``p/q``, roots of unity as
 ``z<N>^<e>``, products with ``*``, sums with ``+``/``-``, parentheses.
@@ -17,8 +21,13 @@ from math import gcd
 
 from .errors import DivisionByZero, ParseError, SquareRootUnavailable, ZeroInput
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
+
+
+def _q(x):
+    """The normal form of a rational coordinate: int when integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def _lcm(a, b):
@@ -82,8 +91,8 @@ def cyclotomic_poly(n):
 
 
 def _reduce_mod_cyclo(coeffs, n):
-    """Reduce a polynomial (list of Fractions) modulo Phi_n; return a vector of
-    length phi(n)."""
+    """Reduce a polynomial (list of ints and Fractions) modulo Phi_n; return a
+    vector of length phi(n).  Phi_n is monic, so no coordinate is divided."""
     deg = phi(n)
     poly = cyclotomic_poly(n)
     work = list(coeffs)
@@ -117,8 +126,8 @@ class CycScalar:
     __slots__ = ("n", "coeffs", "_hash")
 
     def __init__(self, n, coeffs):
-        # assumes coeffs already reduced mod Phi_n and at minimal conductor;
-        # use the constructors below
+        # assumes coeffs already reduced mod Phi_n, at minimal conductor and in
+        # the normal form of _q (int when integral); use the constructors below
         self.n = n
         self.coeffs = tuple(coeffs)
         self._hash = None
@@ -172,7 +181,7 @@ class CycScalar:
         if isinstance(other, CycScalar):
             return other
         if isinstance(other, (int, Fraction)):
-            return CycScalar(1, (Fraction(other),))
+            return CycScalar(1, (_q(other),))
         return None
 
     def __add__(self, other):
@@ -180,7 +189,7 @@ class CycScalar:
         if other is None:
             return NotImplemented
         if self.n == 1 and other.n == 1:
-            return CycScalar(1, (self.coeffs[0] + other.coeffs[0],))
+            return CycScalar(1, (_q(self.coeffs[0] + other.coeffs[0]),))
         n = _lcm(self.n, other.n)
         a, b = self.promote(n), other.promote(n)
         return _canonical(n, [x + y for x, y in zip(a, b)])
@@ -207,7 +216,7 @@ class CycScalar:
         if other is None:
             return NotImplemented
         if self.n == 1 and other.n == 1:
-            return CycScalar(1, (self.coeffs[0] * other.coeffs[0],))
+            return CycScalar(1, (_q(self.coeffs[0] * other.coeffs[0]),))
         if self.n == 1:
             q = self.coeffs[0]
             if q == 0:
@@ -234,7 +243,7 @@ class CycScalar:
         if self.is_zero():
             raise DivisionByZero("division by zero scalar")
         if self.n == 1:
-            return CycScalar(1, (1 / self.coeffs[0],))
+            return CycScalar(1, (_q(1 / Fraction(self.coeffs[0])),))
         inv = _poly_inverse(list(self.coeffs), self.n)
         return _canonical(self.n, inv)
 
@@ -310,6 +319,7 @@ def _fmt_rational(q):
 
 def _canonical(n, vec):
     """Demote (n, vec) to the minimal conductor representation."""
+    vec = [_q(c) for c in vec]
     if n == 1:
         return CycScalar(1, tuple(vec))
     if all(c == 0 for c in vec[1:]):
@@ -321,7 +331,7 @@ def _canonical(n, vec):
             continue
         sol = _try_express(vec, d, n)
         if sol is not None:
-            return CycScalar(d, tuple(sol))
+            return CycScalar(d, tuple(_q(c) for c in sol))
     return CycScalar(n, tuple(vec))
 
 
@@ -344,7 +354,7 @@ def _try_express(vec, d, n):
         if pr is None:
             continue
         aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
+        inv = Fraction(1) / aug[r][c]
         aug[r] = [x * inv for x in aug[r]]
         for i in range(rows):
             if i != r and aug[i][c] != 0:
@@ -411,7 +421,7 @@ def _poly_inverse(coeffs, n):
 
 ZERO = CycScalar(1, (_ZERO,))
 ONE = CycScalar(1, (_ONE,))
-MINUS_ONE = CycScalar(1, (Fraction(-1),))
+MINUS_ONE = CycScalar(1, (-1,))
 
 
 def cyc(value):
@@ -419,7 +429,7 @@ def cyc(value):
     if isinstance(value, CycScalar):
         return value
     if isinstance(value, (int, Fraction)):
-        return CycScalar(1, (Fraction(value),))
+        return CycScalar(1, (_q(value),))
     if isinstance(value, str):
         return parse_scalar(value)
     raise TypeError(f"cannot coerce {value!r} to a scalar")

@@ -213,3 +213,84 @@ class TestZeroInvariant:
             assert x.is_zero() == all(c == 0 for c in x.coeffs)
             if x.is_zero():
                 assert x.n == 1
+
+
+def assert_normal_form(x):
+    """Every coordinate is an int, or a Fraction that is not integral."""
+    for c in x.coeffs:
+        normal = type(c) is int or (type(c) is Fraction and c.denominator > 1)
+        assert normal, (x.n, x.coeffs)
+
+
+class TestNormalForm:
+    """A rational coordinate is an int when integral and a reduced Fraction
+    otherwise; no operation may leave an integral Fraction or a float."""
+
+    @given(st.one_of(field_elements, scalars), st.one_of(field_elements, scalars))
+    @settings(max_examples=200, deadline=None)
+    def test_every_result_is_normal(self, a, b):
+        from pathcoalg.scalar import _canonical
+
+        results = [a, b, a + b, a - b, b - a, a - a, a * b, (a - a) * b, -(a - a)]
+        for x in (a, b):
+            if not x.is_zero():
+                results += [x.inverse(), x * x.inverse() - ONE, x / x - ONE, x ** -2]
+        results += [parse_scalar(str(x)) for x in results]
+        results += [_canonical(24, x.promote(24)) for x in (a, b)]
+        for x in results:
+            assert_normal_form(x)
+
+    @given(
+        st.fractions(max_denominator=12).filter(lambda q: q != 0),
+        st.sampled_from([1, 2, 3, 4, 6, 8, 12]),
+        st.integers(min_value=0, max_value=23),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sqrt_of_square_is_normal(self, q, n, e):
+        v = cyc(q) * zeta(n, e)
+        r = sqrt(v * v)
+        assert r * r == v * v
+        assert_normal_form(r)
+
+    @pytest.mark.parametrize("text", ["4/2", "-6/3", "1/2", "2/4*z4^1", "3/3-z3^1"])
+    def test_parsed_rationals_are_normal(self, text):
+        assert_normal_form(parse_scalar(text))
+
+
+class TestExactness:
+    """The int normal form changes no equality, hash or text."""
+
+    def test_integral_spellings_agree(self):
+        values = [
+            cyc(2),
+            cyc(Fraction(4, 2)),
+            parse_scalar("4/2"),
+            cyc(Fraction(5, 2)) + cyc(Fraction(-1, 2)),
+        ]
+        for v in values:
+            assert v == values[0]
+            assert hash(v) == hash(values[0])
+            assert str(v) == "2"
+            assert v.coeffs == (2,) and type(v.coeffs[0]) is int
+        table = {values[0]: "two"}
+        for v in values:
+            assert table[v] == "two"
+        assert len(set(values)) == 1
+
+    @pytest.mark.parametrize(
+        "make, text",
+        [
+            (lambda: cyc(Fraction(-2, 3)), "-2/3"),
+            (lambda: cyc(3) * zeta(4), "3*z4^1"),
+            (lambda: cyc(Fraction(1, 2)) - zeta(3), "1/2-z3^1"),
+            (lambda: cyc(Fraction(3, 2)) * 2, "3"),
+            (lambda: cyc(Fraction(1, 3)) * zeta(12, 7) * 3, "-z12^1"),
+            (lambda: cyc(4) / cyc(6), "2/3"),
+            (lambda: (ONE + zeta(3)).inverse(), "-z3^1"),
+            (lambda: cyc(2) * zeta(8) * zeta(8), "2*z4^1"),
+        ],
+    )
+    def test_text_is_unchanged(self, make, text):
+        value = make()
+        assert str(value) == text
+        assert parse_scalar(text) == value
