@@ -147,11 +147,9 @@ def are_isomorphic(p1, p2):
 
 
 def _tensor_of(u, v):
-    out = {}
-    for ku, cu in u.terms.items():
-        for kv, cv in v.terms.items():
-            out[(ku, kv)] = out.get((ku, kv), ZERO) + cu * cv
-    return TensorElement(u.params, out)
+    return TensorElement(u.params, {
+        (ku, kv): cu * cv for ku, cu in u.terms.items() for kv, cv in v.terms.items()
+    })
 
 
 def verify_witness(w, p1, p2):

@@ -27,6 +27,7 @@ from .errors import (
     InvalidMorphism,
     NotDiscreteParams,
     PathcoalgError,
+    UsageError,
 )
 from .hopf import validate_params, verify_hopf_axioms
 from .quiver import Quiver, QuiverMorphism, check_homogeneous, find_nondynkin_cover, graph_class
@@ -34,6 +35,31 @@ from .quiver import Quiver, QuiverMorphism, check_homogeneous, find_nondynkin_co
 
 def _log(message):
     print(message, file=sys.stderr)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as UsageError, so it ends in the error JSON."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
+_SCALAR_FLAGS = {
+    f"--{name}{suffix}" for name in ("lambda", "s", "t", "k") for suffix in ("", "2")
+}
+
+
+def _attach_scalar_values(argv):
+    """Write `--s -1/4` as `--s=-1/4`: argparse takes a separate value with a
+    leading '-' that is not a plain number for a flag."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _SCALAR_FLAGS:
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _add_param_flags(sub, suffix=""):
@@ -193,7 +219,7 @@ def cmd_covering(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pathcoalg",
         description="Exact computations with grid-window path coalgebras",
     )
@@ -246,9 +272,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        args = build_parser().parse_args(_attach_scalar_values(argv))
         result, ok = args.func(args)
     except PathcoalgError as exc:
         print(json.dumps({"error": exc.code, "detail": exc.detail}, sort_keys=True))

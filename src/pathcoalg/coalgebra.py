@@ -8,6 +8,8 @@ separability-element checks, and localization of dual algebras.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .errors import (
     AmbientMismatch,
     BasisNotDiamond,
@@ -22,27 +24,24 @@ from .errors import (
     ParseError,
     UnknownVertex,
 )
-from .linalg import SparseBasis, nullspace
+from .linalg import SparseBasis, SparseElement, accumulate, nullspace
 from .quiver import Path, Quiver
 from .scalar import ONE, ZERO, cyc, parse_scalar
 
 
-class CoElement:
+def _fmt_path(path):
+    if path.length == 0:
+        return f"e_{path.start}"
+    return f"({'|'.join(path.arrows)})"
+
+
+class CoElement(SparseElement):
     """A sparse linear combination of paths in a fixed ambient quiver."""
 
-    __slots__ = ("quiver", "terms")
-
-    def __init__(self, quiver, terms):
-        self.quiver = quiver
-        clean = {}
-        for path, coeff in terms.items():
-            coeff = cyc(coeff)
-            if not coeff.is_zero():
-                clean[path] = coeff
-        self.terms = clean
-
-    def is_zero(self):
-        return not self.terms
+    __slots__ = ()
+    mismatch = AmbientMismatch
+    quiver = property(attrgetter("ambient"))
+    _format_key = staticmethod(_fmt_path)
 
     def support(self):
         return sorted(self.terms)
@@ -50,53 +49,16 @@ class CoElement:
     def coefficient(self, path):
         return self.terms.get(path, ZERO)
 
-    def _check_ambient(self, other):
-        if self.quiver is not other.quiver and self.quiver != other.quiver:
-            raise AmbientMismatch("elements live in different quivers")
-
-    def __add__(self, other):
-        if not isinstance(other, CoElement):
-            return NotImplemented
-        self._check_ambient(other)
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, ZERO) + c
-        return CoElement(self.quiver, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, CoElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return CoElement(self.quiver, {p: -c for p, c in self.terms.items()})
-
-    def __mul__(self, scalar):
-        s = cyc(scalar)
-        return CoElement(self.quiver, {p: c * s for p, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, CoElement):
-            return NotImplemented
-        return self.quiver == other.quiver and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((p, c) for p, c in self.terms.items()))
-
     def delta(self):
-        """Comultiplication: list of (left path, right path, coefficient)."""
-        out = {}
+        """Comultiplication: list of (left path, right path, coefficient).
+        A path is the only concatenation of each of its splits, so no two
+        terms share a split."""
+        out = []
         for path, coeff in self.terms.items():
-            v = path.start
             for k in range(path.length + 1):
                 left = Path(path.start, path.arrows[:k])
-                mid = left.target(self.quiver)
-                right = Path(mid, path.arrows[k:])
-                key = (left, right)
-                out[key] = out.get(key, ZERO) + coeff
-        return [(l, r, c) for (l, r), c in out.items() if not c.is_zero()]
+                out.append((left, Path(left.target(self.quiver), path.arrows[k:]), coeff))
+        return out
 
     def delta_dict(self):
         return {(l, r): c for l, r, c in self.delta()}
@@ -107,30 +69,6 @@ class CoElement:
             if path.length == 0:
                 total = total + coeff
         return total
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for path in self.support():
-            parts.append(f"{_fmt_scalar(self.terms[path])}*{_fmt_path(path)}")
-        return "+".join(parts)
-
-    def __repr__(self):
-        return f"CoElement({self!s})"
-
-
-def _fmt_scalar(s):
-    body = str(s)
-    if "+" in body or "-" in body:
-        return f"({body})"
-    return body
-
-
-def _fmt_path(path):
-    if path.length == 0:
-        return f"e_{path.start}"
-    return f"({'|'.join(path.arrows)})"
 
 
 def path_element(quiver, path, coeff=1):
@@ -220,7 +158,7 @@ def parse_coelement(quiver, text):
             raise ParseError(f"missing path in term {chunk!r}")
         path = parse_path(quiver, path_str)
         coeff = sign if scalar_str is None else sign * parse_scalar(scalar_str)
-        terms[path] = terms.get(path, ZERO) + coeff
+        accumulate(terms, path, coeff)
     return CoElement(quiver, terms)
 
 
@@ -292,12 +230,7 @@ class SubCoalgebra:
         return [comb.get(i, ZERO) for i in range(self.dim)]
 
     def from_coords(self, coeffs):
-        out = CoElement(self.quiver, {})
-        for c, b in zip(coeffs, self.basis):
-            c = cyc(c)
-            if not c.is_zero():
-                out = out + b * c
-        return out
+        return CoElement.combination(self.quiver, coeffs, self.basis)
 
     def vertices_used(self):
         vs = set()
@@ -430,10 +363,7 @@ def _solve_combination(coalg, candidates, condition):
     sols = nullspace(rows.values(), len(candidates))
     out = []
     for c in sols:
-        x = CoElement(coalg.quiver, {})
-        for coeff, cand in zip(c, candidates):
-            if not coeff.is_zero():
-                x = x + cand * coeff
+        x = CoElement.combination(coalg.quiver, c, candidates)
         if not x.is_zero():
             out.append(x)
     return out
@@ -461,12 +391,8 @@ def skew_primitives(coalg, g, h):
     def condition(x):
         out = dict(x.delta_dict())
         for p, c in x.terms.items():
-            for key, coeff in (((pg, p), c), ((p, ph), c)):
-                val = out.get(key, ZERO) - coeff
-                if val.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = val
+            accumulate(out, (pg, p), -c)
+            accumulate(out, (p, ph), -c)
         return out
 
     return _solve_combination(coalg, candidates, condition)
@@ -548,11 +474,7 @@ class CoalgebraMap:
         c = self.domain.coords(element)
         if c is None:
             raise InvalidMorphism("element outside the domain")
-        out = CoElement(self.codomain.quiver, {})
-        for coeff, img in zip(c, self.images):
-            if not coeff.is_zero():
-                out = out + img * coeff
-        return out
+        return CoElement.combination(self.codomain.quiver, c, self.images)
 
     def _delta_in_basis(self, element, coalg):
         """Coefficients of delta(element) over basis (x) basis of coalg."""
@@ -566,12 +488,7 @@ class CoalgebraMap:
                 continue
             for i, a in cl.items():
                 for j, b in cr.items():
-                    key = (i, j)
-                    val = out.get(key, ZERO) + c * a * b
-                    if val.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = val
+                    accumulate(out, (i, j), c * a * b)
         return out
 
     def coalgebra_map_failure(self):
@@ -585,20 +502,8 @@ class CoalgebraMap:
             for (i, j), c in self._delta_in_basis(b, self.domain).items():
                 for (p, cp) in self.images[i].terms.items():
                     for (q, cq) in self.images[j].terms.items():
-                        key = (p, q)
-                        val = rhs.get(key, ZERO) + c * cp * cq
-                        if val.is_zero():
-                            rhs.pop(key, None)
-                        else:
-                            rhs[key] = val
-            diff = dict(lhs)
-            for key, c in rhs.items():
-                val = diff.get(key, ZERO) - c
-                if val.is_zero():
-                    diff.pop(key, None)
-                else:
-                    diff[key] = val
-            if diff:
+                        accumulate(rhs, (p, q), c * cp * cq)
+            if lhs != rhs:
                 return {"element": str(b), "axiom": "comultiplication"}
         return None
 
@@ -700,8 +605,7 @@ def induced_quotient_covering(coalg, morphism):
     for b in coalg.basis:
         terms = {}
         for p, c in b.terms.items():
-            q = map_path(morphism, p)
-            terms[q] = terms.get(q, ZERO) + c
+            accumulate(terms, map_path(morphism, p), c)
         images.append(CoElement(target, terms))
     image_coalg = span_subcoalgebra(target, images, validate=False)
     return image_coalg, CoalgebraMap(coalg, image_coalg, images)
@@ -801,8 +705,7 @@ class DualAlgebra:
             for u in current:
                 for v in rad:
                     w = self.multiply(u, v)
-                    vec = {i: c for i, c in enumerate(w) if not c.is_zero()}
-                    if vec and nxt_engine.add(vec):
+                    if nxt_engine.add(dict(enumerate(w))):
                         nxt.append(w)
             if not nxt:
                 break
@@ -827,13 +730,9 @@ def dualize(coalg):
             for i, a in cl.items():
                 for j, b in cr.items():
                     cell = structure.setdefault((i, j), {})
-                    val = cell.get(k, ZERO) + c * a * b
-                    if val.is_zero():
-                        cell.pop(k, None)
-                        if not cell:
-                            structure.pop((i, j))
-                    else:
-                        cell[k] = val
+                    accumulate(cell, k, c * a * b)
+                    if not cell:
+                        del structure[i, j]
     idempotents = []
     labels = []
     for k, d in enumerate(db):
@@ -863,14 +762,12 @@ def localize(algebra, idempotent_labels):
     basis = []
     for k in range(algebra.dim):
         w = algebra.multiply(algebra.multiply(e, algebra.basis_vector(k)), e)
-        vec = {i: c for i, c in enumerate(w) if not c.is_zero()}
-        if vec and engine.add(vec, len(basis)):
+        if engine.add(dict(enumerate(w)), len(basis)):
             basis.append(w)
     dim = len(basis)
 
     def coords(vec_list):
-        vec = {i: c for i, c in enumerate(vec_list) if not c.is_zero()}
-        comb = engine.coords(vec)
+        comb = engine.coords(dict(enumerate(vec_list)))
         if comb is None:
             raise InvalidDescription("product escaped the corner algebra")
         return comb
@@ -879,7 +776,7 @@ def localize(algebra, idempotent_labels):
     for i in range(dim):
         for j in range(dim):
             prod = algebra.multiply(basis[i], basis[j])
-            cell = {k: c for k, c in coords(prod).items() if not c.is_zero()}
+            cell = coords(prod)
             if cell:
                 structure[(i, j)] = cell
     idempotents = []
@@ -902,11 +799,11 @@ def gabriel_quiver(algebra):
         for v in labels:
             engine = SparseBasis()
             for w in rad2:
-                engine.add({i: c for i, c in enumerate(w) if not c.is_zero()})
+                engine.add(dict(enumerate(w)))
             base_dim = engine.dim
             for r in rad:
                 w = algebra.multiply(algebra.multiply(by_label[u], r), by_label[v])
-                engine.add({i: c for i, c in enumerate(w) if not c.is_zero()})
+                engine.add(dict(enumerate(w)))
             for k in range(engine.dim - base_dim):
                 arrows.append((f"r{k}@{u}>{v}", u, v))
     return Quiver(labels, arrows)
@@ -943,11 +840,7 @@ def separability_check(pi, capacity=40):
             if a.is_zero():
                 continue
             for l, b in right:
-                val = target.get((k, l), ZERO) + a * b
-                if val.is_zero():
-                    target.pop((k, l), None)
-                else:
-                    target[(k, l)] = val
+                accumulate(target, (k, l), a * b)
 
     relations = SparseBasis()
     for a in range(d):

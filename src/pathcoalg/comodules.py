@@ -22,7 +22,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .hopf import truncate_to_subcoalgebra
-from .linalg import SparseBasis, nullspace
+from .linalg import SparseBasis, accumulate, nullspace
 from .quiver import Path, grid_vertex_label
 from .scalar import ONE, ZERO, cyc
 
@@ -64,12 +64,7 @@ class Comodule:
                         continue
                     for p, cp in left.terms.items():
                         for q, cq in right.terms.items():
-                            key = (p, q)
-                            val = rhs.get(key, ZERO) + cp * cq
-                            if val.is_zero():
-                                rhs.pop(key, None)
-                            else:
-                                rhs[key] = val
+                            accumulate(rhs, (p, q), cp * cq)
                 if lhs != rhs:
                     raise InvalidDescription(
                         f"comatrix identity fails at entry ({i},{j})"
@@ -81,8 +76,8 @@ class Comodule:
         for i in range(self.dim):
             for p, coeff in self.coaction[i][i].terms.items():
                 if p.length == 0:
-                    out[p.start] = out.get(p.start, ZERO) + coeff
-        return {v: c for v, c in out.items() if not c.is_zero()}
+                    accumulate(out, p.start, coeff)
+        return out
 
     def to_json(self):
         return {
@@ -151,11 +146,11 @@ def hom(m1, m2):
             for k in range(dn):
                 for p, coeff in m2.coaction[l][k].terms.items():
                     per_path.setdefault(p, {})
-                    _acc(per_path[p], unk(k, j), coeff)
+                    accumulate(per_path[p], unk(k, j), coeff)
             for i in range(dm):
                 for p, coeff in m1.coaction[i][j].terms.items():
                     per_path.setdefault(p, {})
-                    _acc(per_path[p], unk(l, i), -coeff)
+                    accumulate(per_path[p], unk(l, i), -coeff)
             for p, row in per_path.items():
                 if row:
                     rows.append(row)
@@ -166,18 +161,10 @@ def hom(m1, m2):
     return HomSpace(m1, m2, basis)
 
 
-def _acc(target, key, value):
-    new = target.get(key, ZERO) + value
-    if new.is_zero():
-        target.pop(key, None)
-    else:
-        target[key] = new
-
-
 def _mat_rank(mat):
     engine = SparseBasis()
     for row in mat:
-        engine.add({i: c for i, c in enumerate(row) if not c.is_zero()})
+        engine.add(dict(enumerate(row)))
     return engine.dim
 
 
@@ -256,7 +243,7 @@ def _socle_vectors(mod):
             for p, coeff in mod.coaction[i][j].terms.items():
                 if p.length > 0:
                     per_path.setdefault(p, {})
-                    _acc(per_path[p], j, coeff)
+                    accumulate(per_path[p], j, coeff)
         rows.extend(row for row in per_path.values() if row)
     return nullspace(rows, mod.dim)
 
@@ -264,7 +251,7 @@ def _socle_vectors(mod):
 def _quotient_comodule(mod, sub_vectors):
     engine = SparseBasis()
     for v in sub_vectors:
-        engine.add({i: c for i, c in enumerate(v) if not c.is_zero()})
+        engine.add(dict(enumerate(v)))
     keep = [i for i in range(mod.dim) if i not in engine.rows]
     # residues of the unit vectors give the projection onto the complement
     proj = []

@@ -140,3 +140,8 @@ class NotCanonical(PathcoalgError, ValueError):
 
 class NotClosed(PathcoalgError, ValueError):
     code = "NotClosed"
+
+
+# cli
+class UsageError(PathcoalgError, ValueError):
+    code = "UsageError"

@@ -14,8 +14,9 @@ queries there.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 
-from .coalgebra import CoElement, SubCoalgebra, path_element
+from .coalgebra import SubCoalgebra, _split_top_level, path_element
 from .errors import (
     AxiomFailure,
     ConstraintViolation,
@@ -26,6 +27,7 @@ from .errors import (
     ParseError,
     WindowTooSmall,
 )
+from .linalg import SparseElement, accumulate
 from .quiver import Path, grid_quiver, grid_vertex_label, group_canonical_pair
 from .scalar import ONE, ZERO, cyc, parse_scalar
 
@@ -183,14 +185,6 @@ def _shift(params, g, key):
     return params.canon(g[0] + i, g[1] + j), p, q
 
 
-def _accumulate(target, key, value):
-    new = target.get(key, ZERO) + value
-    if new.is_zero():
-        target.pop(key, None)
-    else:
-        target[key] = new
-
-
 def _mono_mul(params, key1, key2):
     """(g1 u)(g2 v) as a dict of basis keys: the character of u at g2, the
     shift by g1 g2, then the rule table letter by letter for v."""
@@ -209,84 +203,10 @@ def _mono_mul(params, key1, key2):
         nxt = {}
         for key, c in terms.items():
             for h, p, q, c2 in rules[key[1], key[2], letter]:
-                _accumulate(nxt, _shift(params, key[0], (h, p, q)), c * c2)
+                accumulate(nxt, _shift(params, key[0], (h, p, q)), c * c2)
         terms = nxt
     params._mono_cache[(key1, key2)] = terms
     return terms
-
-
-class BmnElement:
-    """A sparse combination of normal-form basis monomials."""
-
-    __slots__ = ("params", "terms")
-
-    def __init__(self, params, terms):
-        self.params = params
-        clean = {}
-        for key, coeff in terms.items():
-            coeff = cyc(coeff)
-            if not coeff.is_zero():
-                clean[key] = coeff
-        self.terms = clean
-
-    def is_zero(self):
-        return not self.terms
-
-    def _check(self, other):
-        if self.params != other.params:
-            raise ParamMismatch("elements have different parameters")
-
-    def __add__(self, other):
-        if not isinstance(other, BmnElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _accumulate(out, key, c)
-        return BmnElement(self.params, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, BmnElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return BmnElement(self.params, {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, BmnElement):
-            return multiply(self, other)
-        s = cyc(other)
-        return BmnElement(self.params, {k: c * s for k, c in self.terms.items()})
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __eq__(self, other):
-        if not isinstance(other, BmnElement):
-            return NotImplemented
-        return self.params == other.params and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms):
-            parts.append(f"{_fmt_coeff(self.terms[key])}*{_fmt_key(key)}")
-        return "+".join(parts)
-
-    def __repr__(self):
-        return f"BmnElement({self!s})"
-
-
-def _fmt_coeff(c):
-    body = str(c)
-    if "+" in body or "-" in body:
-        return f"({body})"
-    return body
 
 
 def _fmt_key(key):
@@ -301,6 +221,20 @@ def _fmt_key(key):
     if q:
         parts.append("y")
     return "*".join(parts) if parts else "1"
+
+
+class BmnElement(SparseElement):
+    """A sparse combination of normal-form basis monomials."""
+
+    __slots__ = ()
+    mismatch = ParamMismatch
+    params = property(attrgetter("ambient"))
+    _format_key = staticmethod(_fmt_key)
+
+    def __mul__(self, other):
+        if isinstance(other, BmnElement):
+            return multiply(self, other)
+        return super().__mul__(other)
 
 
 def element(params, terms):
@@ -336,14 +270,13 @@ def gen_y(params):
 
 
 def multiply(u, v):
-    if u.params != v.params:
-        raise ParamMismatch("elements have different parameters")
+    u._check(v)
     out = {}
     for k1, c1 in u.terms.items():
         for k2, c2 in v.terms.items():
             c = c1 * c2
             for key, c3 in _mono_mul(u.params, k1, k2).items():
-                _accumulate(out, key, c * c3)
+                accumulate(out, key, c * c3)
     return BmnElement(u.params, out)
 
 
@@ -355,34 +288,21 @@ def counit(u):
     return total
 
 
-class TensorElement:
+class TensorElement(SparseElement):
     """A sparse element of the tensor square, keyed by basis-key pairs."""
 
-    __slots__ = ("params", "terms")
+    __slots__ = ()
+    mismatch = ParamMismatch
+    params = property(attrgetter("ambient"))
 
-    def __init__(self, params, terms):
-        self.params = params
-        clean = {}
-        for key, coeff in terms.items():
-            coeff = cyc(coeff)
-            if not coeff.is_zero():
-                clean[key] = coeff
-        self.terms = clean
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _accumulate(out, key, c)
-        return TensorElement(self.params, out)
-
-    def __sub__(self, other):
-        neg = {k: -c for k, c in other.terms.items()}
-        return self + TensorElement(self.params, neg)
+    @staticmethod
+    def _format_key(key):
+        return f"({_fmt_key(key[0])} (x) {_fmt_key(key[1])})"
 
     def __mul__(self, other):
         if not isinstance(other, TensorElement):
-            s = cyc(other)
-            return TensorElement(self.params, {k: c * s for k, c in self.terms.items()})
+            return super().__mul__(other)
+        self._check(other)
         out = {}
         for (l1, r1), c1 in self.terms.items():
             for (l2, r2), c2 in other.terms.items():
@@ -391,19 +311,8 @@ class TensorElement:
                 right = _mono_mul(self.params, r1, r2)
                 for kl, cl in left.items():
                     for kr, cr in right.items():
-                        _accumulate(out, (kl, kr), c * cl * cr)
+                        accumulate(out, (kl, kr), c * cl * cr)
         return TensorElement(self.params, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.params == other.params and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        return f"TensorElement({len(self.terms)} terms)"
 
 
 def _delta_generators(params):
@@ -437,7 +346,7 @@ def comultiply(u):
     out = {}
     for (g, p, q), c in u.terms.items():
         for (l, r), c2 in table[p, q][0].items():
-            _accumulate(out, (_shift(params, g, l), _shift(params, g, r)), c * c2)
+            accumulate(out, (_shift(params, g, l), _shift(params, g, r)), c * c2)
     return TensorElement(params, out)
 
 
@@ -450,7 +359,7 @@ def antipode(u):
         g_inv = (params.canon(-g[0], -g[1]), 0, 0)
         for key, c2 in table[p, q][1].items():
             for key3, c3 in _mono_mul(params, key, g_inv).items():
-                _accumulate(out, key3, c * c2 * c3)
+                accumulate(out, key3, c * c2 * c3)
     return BmnElement(params, out)
 
 
@@ -533,9 +442,9 @@ def _check_generator_laws(params, name, u):
     lhs, rhs = {}, {}
     for (l, r), c in du.terms.items():
         for (l2, r2), c2 in _delta_key(params, l).items():
-            _accumulate(lhs, (l2, r2, r), c * c2)
+            accumulate(lhs, (l2, r2, r), c * c2)
         for (l2, r2), c2 in _delta_key(params, r).items():
-            _accumulate(rhs, (l, l2, r2), c * c2)
+            accumulate(rhs, (l, l2, r2), c * c2)
     if lhs != rhs:
         raise AxiomFailure("coassociativity fails", witness=name)
     left = BmnElement(params, {})
@@ -831,8 +740,9 @@ def parse_bmn_element(params, text):
         if not body:
             raise ParseError(f"dangling sign in {text!r}")
         term = unit(params) * sign
-        for factor in body.split("*"):
-            factor = factor.strip()
+        # every factor after the first keeps the '*' it was split at
+        for n, factor in enumerate(_split_top_level(body, "*")):
+            factor = (factor[1:] if n else factor).strip()
             if not factor:
                 raise ParseError(f"empty factor in {chunk!r}")
             name, sep, exp_str = factor.partition("^")

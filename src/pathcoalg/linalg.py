@@ -1,18 +1,33 @@
 """Exact sparse linear algebra over the cyclotomic scalars.
 
-One elimination kernel, `SparseBasis`, serves every caller.  Vectors are
-dicts key -> CycScalar over totally ordered keys.  The basis is kept fully
-reduced: each row has coefficient 1 at its pivot (its smallest key) and 0 at
-every other row's pivot.  That is the unique reduced row echelon form of the
-span, so `rref` and `nullspace` do not depend on the order the rows arrive in.
+A sparse vector is a dict key -> CycScalar that stores no zero.  `accumulate`
+adds into one entry and `axpy` adds a multiple of a whole vector; both drop
+an entry that cancels.  `SparseElement` is that format as a value: the base
+of the path-coalgebra elements, the algebra elements of B(m, n; lambda, s, t,
+k) and their tensor square, which add only an ambient space and products.
+
+One elimination kernel, `SparseBasis`, serves every caller.  Its keys are
+totally ordered.  The basis is kept fully reduced: each row has coefficient
+1 at its pivot (its smallest key) and 0 at every other row's pivot.  That is
+the unique reduced row echelon form of the span, so `rref` and `nullspace` do
+not depend on the order the rows arrive in.
 """
 
 from __future__ import annotations
 
-from .scalar import ONE, ZERO
+from .scalar import ONE, ZERO, cyc
 
 
-def _axpy(target, coeff, source):
+def accumulate(target, key, value):
+    """target[key] += value, dropping the entry if it cancels."""
+    new = target.get(key, ZERO) + value
+    if new.is_zero():
+        target.pop(key, None)
+    else:
+        target[key] = new
+
+
+def axpy(target, coeff, source):
     """target += coeff * source, dropping entries that cancel."""
     for k, val in source.items():
         new = target.get(k, ZERO) + coeff * val
@@ -20,6 +35,95 @@ def _axpy(target, coeff, source):
             target.pop(k, None)
         else:
             target[k] = new
+
+
+def _fmt_scalar(s):
+    body = str(s)
+    if "+" in body or "-" in body:
+        return f"({body})"
+    return body
+
+
+class SparseElement:
+    """A sparse combination of basis keys in an ambient space.
+
+    `terms` is a sparse vector; the constructor coerces each coefficient and
+    drops zeros.  A subclass names its ambient space (`mismatch` is raised
+    when two differ) and prints its keys with `_format_key`.  Sums,
+    differences and equality need the same subclass; the text form is
+    `coeff*key` terms in key order joined by `+`, and `0` when empty."""
+
+    __slots__ = ("ambient", "terms")
+    mismatch = None  # the error raised for elements of different spaces
+
+    def __init__(self, ambient, terms):
+        self.ambient = ambient
+        clean = {}
+        for key, coeff in terms.items():
+            coeff = cyc(coeff)
+            if not coeff.is_zero():
+                clean[key] = coeff
+        self.terms = clean
+
+    @classmethod
+    def combination(cls, ambient, coeffs, elements):
+        """sum c_i * x_i, summed in one dict."""
+        out = cls(ambient, {})
+        for c, x in zip(coeffs, elements):
+            c = cyc(c)
+            if not c.is_zero():
+                out._check(x)
+                axpy(out.terms, c, x.terms)
+        return out
+
+    def _check(self, other):
+        if self.ambient is not other.ambient and self.ambient != other.ambient:
+            raise self.mismatch(f"{type(self).__name__} operands live in different spaces")
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            accumulate(out, key, c)
+        return type(self)(self.ambient, out)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(self.ambient, {k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, scalar):
+        s = cyc(scalar)
+        return type(self)(self.ambient, {k: c * s for k, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.ambient == other.ambient and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        return "+".join(
+            f"{_fmt_scalar(self.terms[key])}*{self._format_key(key)}"
+            for key in sorted(self.terms)
+        )
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self!s})"
 
 
 class SparseBasis:
@@ -54,9 +158,9 @@ class SparseBasis:
         hits = [(p, c) for p, c in res.items() if p in rows]
         comb = {} if coords and self.crows is not None else None
         for p, c in hits:
-            _axpy(res, -c, rows[p])
+            axpy(res, -c, rows[p])
             if comb is not None:
-                _axpy(comb, c, self.crows[p])
+                axpy(comb, c, self.crows[p])
         return res, comb
 
     def contains(self, vec):
@@ -86,17 +190,14 @@ class SparseBasis:
         crow = None
         if comb is not None:
             crow = {tag: inv}
-            for t, v in comb.items():
-                val = -v * inv
-                if not val.is_zero():
-                    crow[t] = crow.get(t, ZERO) + val
+            axpy(crow, -inv, comb)
         # eliminate the new pivot from the existing rows
         for p, r in self.rows.items():
             c = r.get(pivot)
             if c is not None:
-                _axpy(r, -c, row)
+                axpy(r, -c, row)
                 if crow is not None:
-                    _axpy(self.crows[p], -c, crow)
+                    axpy(self.crows[p], -c, crow)
         self.rows[pivot] = row
         if crow is not None:
             self.crows[pivot] = crow

@@ -233,3 +233,32 @@ class TestCovering:
         assert code == 1
         assert out["covering"] is False
         assert out["report"]["counterexample"] is not None
+
+
+class TestArguments:
+    @pytest.mark.parametrize("separate, attached", [
+        ("classify -m 0 -n 0 --s -1/4 --t 1", "classify -m 0 -n 0 --s=-1/4 --t 1"),
+        ("classify -m 0 -n 0 --s -z4 --t 1", "classify -m 0 -n 0 --s=-z4 --t 1"),
+        ("iso -m 0 -n 0 --s 1 --t 1 --k 1 -m2 0 -n2 0 --s2 1 --t2 1 --k2 -5/3",
+         "iso -m 0 -n 0 --s 1 --t 1 --k 1 -m2 0 -n2 0 --s2 1 --t2 1 --k2=-5/3"),
+        ("verify-hopf -m 2 -n 0 --lambda -1 --s -1/2 --t -z3 -N 1",
+         "verify-hopf -m 2 -n 0 --lambda=-1 --s=-1/2 --t=-z3 -N 1"),
+    ])
+    def test_negative_scalar_as_separate_argument(self, capsys, separate, attached):
+        code = main(separate.split())
+        out = capsys.readouterr().out
+        assert (code, out) == (main(attached.split()), capsys.readouterr().out)
+        assert code in (0, 1)
+        json.loads(out)
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "-n", "0"],
+        ["classify", "-m", "0", "-n", "0", "--bogus", "1"],
+        ["classify", "-m", "zero", "-n", "0"],
+        ["frobnicate"],
+    ])
+    def test_usage_error_is_json(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert out["error"] == "UsageError"
+        assert out["detail"]

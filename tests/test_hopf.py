@@ -40,6 +40,7 @@ from pathcoalg.hopf import (
     validate_params,
     verify_hopf_axioms,
 )
+from pathcoalg.linalg import accumulate
 from pathcoalg.quiver import Path
 from pathcoalg.scalar import ONE, cyc
 
@@ -183,6 +184,12 @@ class TestMultiply:
     def test_param_mismatch(self):
         with pytest.raises(ParamMismatch):
             multiply(gen_x(params_free()), gen_x(params_free(k="5")))
+
+    def test_tensor_param_mismatch(self):
+        one = ((0, 0), 0, 0)
+        t1, t2 = (TensorElement(params_free(k=k), {(one, one): ONE}) for k in ("0", "5"))
+        with pytest.raises(ParamMismatch):
+            t1 + t2
 
 
 class TestCoalgebraStructure:
@@ -397,6 +404,14 @@ class TestGrammar:
         for e in elems:
             assert parse_bmn_element(p, str(e)) == e
 
+    def test_round_trip_star_in_coefficient(self):
+        p = params_free(k="5")
+        ax = gen_a(p) * gen_x(p)
+        for c in ("-3*z4", "-1-2*z3"):
+            u = ax * cyc(c) + unit(p)
+            assert "*z" in str(u)
+            assert parse_bmn_element(p, str(u)) == u
+
     def test_errors(self):
         p = params_free()
         for bad in ["", "x^-1", "q", "2**x", "a^"]:
@@ -444,9 +459,9 @@ def sweep_hopf_axioms(params, radius, product_pairs=12, seed=0):
         lhs, rhs = {}, {}
         for (l, r), c in du.terms.items():
             for (l2, r2), c2 in delta_key(l).items():
-                hopf._accumulate(lhs, (l2, r2, r), c * c2)
+                accumulate(lhs, (l2, r2, r), c * c2)
             for (l2, r2), c2 in delta_key(r).items():
-                hopf._accumulate(rhs, (l, l2, r2), c * c2)
+                accumulate(rhs, (l, l2, r2), c * c2)
         if lhs != rhs:
             raise AxiomFailure("coassociativity fails", witness=str(u))
         left = BmnElement(params, {})

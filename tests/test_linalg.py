@@ -3,8 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pathcoalg.coalgebra import CoElement, parse_coelement
+from pathcoalg.hopf import BmnElement, TensorElement, parse_bmn_element, validate_params
 from pathcoalg.linalg import SparseBasis, nullspace, rref
-from pathcoalg.scalar import ONE, ZERO, cyc
+from pathcoalg.quiver import Quiver
+from pathcoalg.scalar import ONE, ZERO, CycScalar, cyc
 
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -198,3 +201,60 @@ class TestSparseBasis:
         engine.add({0: ONE})
         with pytest.raises(RuntimeError):
             engine.coords({0: ONE})
+
+
+# -- the sparse-combination base of the three element types -----------------
+
+QUIVER = Quiver(["1", "2", "3"], [("u", "1", "2"), ("v", "2", "3"), ("w", "1", "3")])
+PARAMS = validate_params(3, 1, 1, 1, 0, 1)
+PATHS = QUIVER.paths_up_to(2)
+MONOMIALS = [(g, p, q) for g in PARAMS.window(1) for p in (0, 1) for q in (0, 1)]
+
+# integral, fractional and cyclotomic coefficients, zero among them
+coefficients = st.builds(
+    lambda n, e, a, b: cyc(Fraction(a, b)) * CycScalar.root_of_unity(n, e),
+    st.sampled_from([1, 3, 4]),
+    st.integers(0, 3),
+    st.integers(-4, 4),
+    st.sampled_from([1, 1, 2, 3]),
+)
+
+
+def _elements(make, keys):
+    return st.dictionaries(st.sampled_from(keys), coefficients, max_size=5).map(make)
+
+
+KINDS = {
+    "CoElement": _elements(lambda t: CoElement(QUIVER, t), PATHS),
+    "BmnElement": _elements(lambda t: BmnElement(PARAMS, t), MONOMIALS),
+    "TensorElement": _elements(
+        lambda t: TensorElement(PARAMS, t),
+        [(l, r) for l in MONOMIALS[:6] for r in MONOMIALS[-6:]],
+    ),
+}
+
+
+def _stores_no_zero(x):
+    return all(not c.is_zero() for c in x.terms.values())
+
+
+class TestSparseElement:
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_combination_rules(self, kind, data):
+        a, b = data.draw(KINDS[kind]), data.draw(KINDS[kind])
+        c = data.draw(coefficients)
+        for x in (a, a + b, a - b, -a, a * c, c * a):
+            assert _stores_no_zero(x)
+        assert (a + (-a)).is_zero()
+        assert (a + b) - b == a
+        assert hash((a + b) - b) == hash(a)
+        reordered = type(a)(a.ambient, dict(reversed(list(a.terms.items()))))
+        assert reordered == a and hash(reordered) == hash(a)
+
+    @given(x=KINDS["CoElement"], u=KINDS["BmnElement"])
+    @settings(max_examples=60, deadline=None)
+    def test_text_round_trip(self, x, u):
+        assert parse_coelement(QUIVER, str(x)) == x
+        assert parse_bmn_element(PARAMS, str(u)) == u
