@@ -38,11 +38,18 @@ def _log(message):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as UsageError, so it ends in the error JSON."""
+    """Reports a usage error as UsageError, so it ends in the error JSON, and
+    lets each (sub)parser attach the values of its scalar flags."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         raise UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else args
+        return super().parse_known_args(
+            _attach_scalar_values(args, self._option_string_actions), namespace
+        )
 
 
 _SCALAR_FLAGS = {
@@ -50,12 +57,19 @@ _SCALAR_FLAGS = {
 }
 
 
-def _attach_scalar_values(argv):
+def _is_scalar_flag(token, options):
+    """Whether argparse reads `token` as a scalar flag among `options`: by its
+    full name, or by a prefix that starts only one option (`--lam`)."""
+    named = [token] if token in options else [o for o in options if o.startswith(token)]
+    return token.startswith("--") and len(named) == 1 and named[0] in _SCALAR_FLAGS
+
+
+def _attach_scalar_values(argv, options):
     """Write `--s -1/4` as `--s=-1/4`: argparse takes a separate value with a
     leading '-' that is not a plain number for a flag."""
     out = []
     for token in argv:
-        if out and out[-1] in _SCALAR_FLAGS:
+        if out and _is_scalar_flag(out[-1], options):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
@@ -274,7 +288,7 @@ def build_parser():
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(_attach_scalar_values(argv))
+        args = build_parser().parse_args(argv)
         result, ok = args.func(args)
     except PathcoalgError as exc:
         print(json.dumps({"error": exc.code, "detail": exc.detail}, sort_keys=True))

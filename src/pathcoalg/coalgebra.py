@@ -104,8 +104,9 @@ def parse_path(quiver, text):
 
 def _split_top_level(text, seps):
     """Split at top-level (depth-0) occurrences of characters in seps,
-    keeping the separators."""
-    chunks, depth, cur = [], 0, ""
+    keeping the separators.  A sign right after '^', '*', '+', '-', '(' or
+    '/' belongs to an exponent or a scalar, so it is never a split point."""
+    chunks, depth, cur, last = [], 0, "", ""
     for ch in text:
         if ch == "(":
             depth += 1
@@ -113,11 +114,13 @@ def _split_top_level(text, seps):
             depth -= 1
             if depth < 0:
                 raise ParseError(f"unbalanced parentheses in {text!r}")
-        if depth == 0 and ch in seps and cur:
+        if depth == 0 and ch in seps and cur and not (ch in "+-" and last in "^*+-(/"):
             chunks.append(cur)
             cur = ch
         else:
             cur += ch
+        if not ch.isspace():
+            last = ch
     if depth != 0:
         raise ParseError(f"unbalanced parentheses in {text!r}")
     if cur:
@@ -125,25 +128,29 @@ def _split_top_level(text, seps):
     return chunks
 
 
-def parse_coelement(quiver, text):
-    """Parse the element grammar: `<scalar>*<path>` terms joined by +/-."""
+def _signed_terms(text):
+    """The terms of an element's text, joined by + and -, as (sign, body,
+    term) triples; none for "0"."""
     text = text.strip()
     if not text:
         raise ParseError("empty element")
     if text == "0":
-        return CoElement(quiver, {})
-    terms = {}
+        return []
+    out = []
     for chunk in _split_top_level(text, "+-"):
-        sign = ONE
-        body = chunk
-        if body.startswith("+"):
-            body = body[1:]
-        elif body.startswith("-"):
-            sign = -ONE
-            body = body[1:]
-        body = body.strip()
+        body = chunk.strip()
+        sign = -ONE if body[0] == "-" else ONE
+        body = body[1:].strip() if body[0] in "+-" else body
         if not body:
             raise ParseError(f"dangling sign in {text!r}")
+        out.append((sign, body, chunk))
+    return out
+
+
+def parse_coelement(quiver, text):
+    """Parse the element grammar: `<scalar>*<path>` terms joined by +/-."""
+    terms = {}
+    for sign, body, chunk in _signed_terms(text):
         # split scalar factor from the trailing path at the last top-level '*'
         pieces = _split_top_level(body, "*")
         # pieces alternate: first piece plain, later pieces start with '*'

@@ -131,34 +131,42 @@ class HomSpace:
 
 
 def hom(m1, m2):
-    """All f with rho_N(f(m)) = (f (x) id)(rho_M(m))."""
+    """All f with rho_N(f(m)) = (f (x) id)(rho_M(m)).
+
+    One unknown per entry of the matrix f and one equation per (l, j, path).
+    Most equations have one term and force their unknown to 0; `nullspace`
+    settles those before it eliminates the rest.  When every coaction
+    coefficient is rational, the equations are built on bare int/Fraction
+    values and the basis is boxed with `cyc` on the way out."""
     _check_ambient(m1, m2)
     dm, dn = m1.dim, m2.dim
-    nunk = dn * dm
+    bare = all(c.is_rational() for m in (m1, m2) for row in m.coaction for e in row
+               for c in e.terms.values())
+    ids = {}  # paths are numbered once, so the equation loop hashes small ints
 
-    def unk(r, c):
-        return r * dm + c
+    def terms(e):
+        return [(ids.setdefault(p, len(ids)), c.coeffs[0] if bare else c)
+                for p, c in e.terms.items()]
 
+    # unknown f[r][c] is column r * dm + c
+    out2 = [[(k * dm, p, c) for k, e in enumerate(row) for p, c in terms(e)]
+            for row in m2.coaction]
+    in1 = [[(i, p, -c) for i, row in enumerate(m1.coaction) for p, c in terms(row[j])]
+           for j in range(dm)]
     rows = []
     for l in range(dn):
         for j in range(dm):
             per_path = {}
-            for k in range(dn):
-                for p, coeff in m2.coaction[l][k].terms.items():
-                    per_path.setdefault(p, {})
-                    accumulate(per_path[p], unk(k, j), coeff)
-            for i in range(dm):
-                for p, coeff in m1.coaction[i][j].terms.items():
-                    per_path.setdefault(p, {})
-                    accumulate(per_path[p], unk(l, i), -coeff)
-            for p, row in per_path.items():
-                if row:
-                    rows.append(row)
-    sols = nullspace(rows, nunk)
-    basis = []
-    for vec in sols:
-        basis.append([[vec[unk(r, c)] for c in range(dm)] for r in range(dn)])
-    return HomSpace(m1, m2, basis)
+            # each (k, path) is met once, so these entries are new
+            for k, p, c in out2[l]:
+                per_path.setdefault(p, {})[k + j] = c
+            for i, p, c in in1[j]:
+                accumulate(per_path.setdefault(p, {}), l * dm + i, c)
+            rows.extend(row for row in per_path.values() if row)
+    return HomSpace(m1, m2, [
+        [[cyc(x) for x in vec[r * dm:(r + 1) * dm]] for r in range(dn)]
+        for vec in nullspace(rows, dn * dm)
+    ])
 
 
 def _mat_rank(mat):
@@ -172,19 +180,9 @@ def _trace_rank(fs, gs):
     """Rank of the pairing (f, g) -> tr(f g) = sum_ab f[a][b] g[b][a]."""
     engine = SparseBasis()
     for f in fs:
-        entries = [
-            (a, b, x) for a, row in enumerate(f) for b, x in enumerate(row) if not x.is_zero()
-        ]
-        row = {}
-        for j, g in enumerate(gs):
-            tr = ZERO
-            for a, b, x in entries:
-                y = g[b][a]
-                if not y.is_zero():
-                    tr = tr + x * y
-            if not tr.is_zero():
-                row[j] = tr
-        engine.add(row)
+        entries = [(a, b, x) for a, row in enumerate(f) for b, x in enumerate(row) if x]
+        traces = [sum((x * g[b][a] for a, b, x in entries if g[b][a]), ZERO) for g in gs]
+        engine.add(dict(enumerate(traces)))
     return engine.dim
 
 

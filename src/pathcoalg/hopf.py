@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from operator import attrgetter
 
-from .coalgebra import SubCoalgebra, _split_top_level, path_element
+from .coalgebra import SubCoalgebra, _signed_terms, _split_top_level, path_element
 from .errors import (
     AxiomFailure,
     ConstraintViolation,
@@ -681,30 +681,6 @@ def _parse_grid_label(label):
 # -- element grammar ---------------------------------------------------------
 
 
-def _split_signed(text):
-    chunks, depth, cur, last = [], 0, "", ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced parentheses in {text!r}")
-        # a sign right after '^' or '*' belongs to an exponent or scalar
-        if depth == 0 and ch in "+-" and cur and last not in "^*+-(/":
-            chunks.append(cur)
-            cur = ch
-        else:
-            cur += ch
-        if not ch.isspace():
-            last = ch
-    if depth != 0:
-        raise ParseError(f"unbalanced parentheses in {text!r}")
-    if cur:
-        chunks.append(cur)
-    return chunks
-
-
 def _gen_factor(params, name, exponent):
     if name == "a":
         return group_element(params, exponent, 0)
@@ -722,23 +698,8 @@ def _gen_factor(params, name, exponent):
 def parse_bmn_element(params, text):
     """Parse products of a, b, x, y (with integer exponents on a, b) and
     scalar literals, joined by + and -."""
-    text = text.strip()
-    if not text:
-        raise ParseError("empty element")
-    if text == "0":
-        return BmnElement(params, {})
     total = BmnElement(params, {})
-    for chunk in _split_signed(text):
-        sign = ONE
-        body = chunk.strip()
-        if body.startswith("+"):
-            body = body[1:]
-        elif body.startswith("-"):
-            sign = -ONE
-            body = body[1:]
-        body = body.strip()
-        if not body:
-            raise ParseError(f"dangling sign in {text!r}")
+    for sign, body, chunk in _signed_terms(text):
         term = unit(params) * sign
         # every factor after the first keeps the '*' it was split at
         for n, factor in enumerate(_split_top_level(body, "*")):

@@ -1,8 +1,11 @@
 """Exact sparse linear algebra over the cyclotomic scalars.
 
-A sparse vector is a dict key -> CycScalar that stores no zero.  `accumulate`
-adds into one entry and `axpy` adds a multiple of a whole vector; both drop
-an entry that cancels.  `SparseElement` is that format as a value: the base
+A sparse vector is a dict key -> value that stores no zero.  Its values are
+all `CycScalar`s or all bare rationals (`int` or `Fraction`), never a mix:
+bare rationals are the fast path for systems that are rational throughout.
+Zero is tested by truthiness, which both kinds share.  `accumulate` adds into
+one entry and `axpy` adds a multiple of a whole vector; both drop an entry
+that cancels.  `SparseElement` is that format as a value: the base
 of the path-coalgebra elements, the algebra elements of B(m, n; lambda, s, t,
 k) and their tensor square, which add only an ambient space and products.
 
@@ -15,26 +18,35 @@ not depend on the order the rows arrive in.
 
 from __future__ import annotations
 
-from .scalar import ONE, ZERO, cyc
+from fractions import Fraction
+
+from .scalar import ONE, ZERO, CycScalar, _q, cyc
 
 
 def accumulate(target, key, value):
     """target[key] += value, dropping the entry if it cancels."""
-    new = target.get(key, ZERO) + value
-    if new.is_zero():
-        target.pop(key, None)
-    else:
+    new = target[key] + value if key in target else value
+    if new:
         target[key] = new
+    else:
+        target.pop(key, None)
 
 
 def axpy(target, coeff, source):
     """target += coeff * source, dropping entries that cancel."""
     for k, val in source.items():
-        new = target.get(k, ZERO) + coeff * val
-        if new.is_zero():
-            target.pop(k, None)
-        else:
+        new = target[k] + coeff * val if k in target else coeff * val
+        if new:
             target[k] = new
+        else:
+            target.pop(k, None)
+
+
+def _inverse(value):
+    """1 / value for a nonzero CycScalar or bare rational, of the same kind."""
+    if isinstance(value, CycScalar):
+        return value.inverse()
+    return _q(Fraction(1, value))
 
 
 def _fmt_scalar(s):
@@ -61,7 +73,7 @@ class SparseElement:
         clean = {}
         for key, coeff in terms.items():
             coeff = cyc(coeff)
-            if not coeff.is_zero():
+            if coeff:
                 clean[key] = coeff
         self.terms = clean
 
@@ -71,7 +83,7 @@ class SparseElement:
         out = cls(ambient, {})
         for c, x in zip(coeffs, elements):
             c = cyc(c)
-            if not c.is_zero():
+            if c:
                 out._check(x)
                 axpy(out.terms, c, x.terms)
         return out
@@ -153,7 +165,7 @@ class SparseBasis:
         Only the rows whose pivot is in the support of vec are subtracted, with
         the coefficients vec has there: subtracting a reduced row leaves every
         other pivot's entry unchanged."""
-        res = {k: v for k, v in vec.items() if not v.is_zero()}
+        res = {k: v for k, v in vec.items() if v}
         rows = self.rows
         hits = [(p, c) for p, c in res.items() if p in rows]
         comb = {} if coords and self.crows is not None else None
@@ -185,7 +197,7 @@ class SparseBasis:
         if not res:
             return False
         pivot = min(res)
-        inv = res[pivot].inverse()
+        inv = _inverse(res[pivot])
         row = {k: v * inv for k, v in res.items()}
         crow = None
         if comb is not None:
@@ -219,18 +231,33 @@ def nullspace(rows, ncols):
     """Basis of {x : sum_c row[c] * x[c] = 0 for every row}, for sparse rows
     over the columns 0..ncols-1, as dense vectors.
 
+    Zero entries are dropped first.  A row left with one entry forces its
+    column to 0, a pivot with a unit row, so only the longer rows, with the
+    forced columns removed, go through `SparseBasis`; by the uniqueness of
+    the reduced form the result is what full elimination gives.  Entries are
+    bare rationals if the rows hold bare rationals, else `CycScalar`s.
+
     One vector per free (non-pivot) column f, in increasing order of f: 1 at
     f, -row_p[f] at each pivot p, 0 elsewhere."""
-    engine = SparseBasis()
+    forced, long_rows = {}, []  # forced: column -> its one-entry row's value
     for row in rows:
-        engine.add(row)
+        row = {k: v for k, v in row.items() if v}
+        if len(row) == 1:
+            forced.update(row)
+        elif row:
+            long_rows.append(row)
+    engine = SparseBasis()
+    for row in long_rows:
+        row = {k: v for k, v in row.items() if k not in forced}
+        if row:
+            engine.add(row)
     pivot_rows = engine.rows
-    vecs = {}
-    for f in range(ncols):
-        if f not in pivot_rows:
-            vec = [ZERO] * ncols
-            vec[f] = ONE
-            vecs[f] = vec
+    sample = next((v for row in (*long_rows, forced) for v in row.values()), ONE)
+    zero, one = (ZERO, ONE) if isinstance(sample, CycScalar) else (0, 1)
+    vecs = {
+        f: [one if c == f else zero for c in range(ncols)]
+        for f in range(ncols) if f not in pivot_rows and f not in forced
+    }
     # a reduced row is zero at every other pivot, so its other keys are free
     for p, row in pivot_rows.items():
         for f, c in row.items():

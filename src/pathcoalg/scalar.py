@@ -157,7 +157,7 @@ class CycScalar:
         return self.coeffs[0]
 
     def __bool__(self):
-        return not self.is_zero()
+        return self.n != 1 or bool(self.coeffs[0])
 
     # -- conductor handling -------------------------------------------------
 

@@ -243,6 +243,7 @@ class TestArguments:
          "iso -m 0 -n 0 --s 1 --t 1 --k 1 -m2 0 -n2 0 --s2 1 --t2 1 --k2=-5/3"),
         ("verify-hopf -m 2 -n 0 --lambda -1 --s -1/2 --t -z3 -N 1",
          "verify-hopf -m 2 -n 0 --lambda=-1 --s=-1/2 --t=-z3 -N 1"),
+        ("classify -m 0 -n 0 --lam -z4", "classify -m 0 -n 0 --lam=-z4"),
     ])
     def test_negative_scalar_as_separate_argument(self, capsys, separate, attached):
         code = main(separate.split())

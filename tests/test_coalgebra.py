@@ -573,6 +573,14 @@ class TestGrammar:
         )
         assert parse_coelement(q, "0").is_zero()
 
+    def test_sign_inside_a_term(self):
+        # a sign right after '*' or '^' belongs to the scalar, not a new term
+        q = square_tilde()
+        assert parse_coelement(q, "3*-z4*e_1") == grouplike(q, "1") * cyc("-3*z4")
+        assert parse_coelement(q, "z4^-1*(bt)-2*-1*e_1") == (
+            path_element(q, Path("1", ("bt",)), cyc("-z4")) + grouplike(q, "1") * 2
+        )
+
     def test_errors(self):
         q = square_tilde()
         for bad in ["", "e_9", "(zz)", "(gt|bt)", "2*", "(bt)+"]:

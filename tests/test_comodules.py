@@ -30,7 +30,7 @@ from pathcoalg.errors import (
     WindowTooSmall,
 )
 from pathcoalg.hopf import truncate_to_subcoalgebra, validate_params
-from pathcoalg.scalar import ONE, ZERO, cyc
+from pathcoalg.scalar import ONE, ZERO, CycScalar, cyc
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +214,33 @@ class TestIndecomposability:
         s = build_simple(free_trunc, 0, 0)
         assert not are_isomorphic(d1, direct_sum(direct_sum(s, s),
                                                  direct_sum(s, s)))
+
+    def test_cyclotomic_coaction(self):
+        # at lambda = z3 the diamond's coaction has the coefficient -z3, so
+        # hom cannot work on bare rationals; a rescaled copy of the diamond
+        # makes the Hom basis cyclotomic too
+        trunc = truncate_to_subcoalgebra(validate_params(0, 0, "z3", 0, 0, 0), 1)
+        d = build_diamond(trunc, 0, 0)
+        assert any(
+            not c.is_rational() for row in d.coaction for e in row for c in e.terms.values()
+        )
+        scale = [ONE, ONE, cyc("z3"), cyc("z3")]
+        e = Comodule(d.coalgebra, [
+            [d.coaction[i][j] * (scale[j] / scale[i]) for j in range(4)] for i in range(4)
+        ])
+        zero = d.coaction[1][0]
+        for m1, m2 in ((d, d), (d, e), (e, d)):
+            (f,) = hom(m1, m2).basis
+            assert all(isinstance(x, CycScalar) for row in f for x in row)
+            # rho_N(f(m_j)) = (f (x) id)(rho_M(m_j)), entry by entry
+            for l in range(4):
+                for j in range(4):
+                    lhs = sum((m2.coaction[l][k] * f[k][j] for k in range(4)), zero)
+                    rhs = sum((m1.coaction[i][j] * f[l][i] for i in range(4)), zero)
+                    assert lhs == rhs
+        (f,) = hom(d, e).basis
+        assert not all(x.is_rational() for row in f for x in row)
+        assert is_indecomposable(d) and are_isomorphic(d, e)
 
 
 def _conjugate(mod, rng):

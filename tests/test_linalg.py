@@ -258,3 +258,76 @@ class TestSparseElement:
     def test_text_round_trip(self, x, u):
         assert parse_coelement(QUIVER, str(x)) == x
         assert parse_bmn_element(PARAMS, str(u)) == u
+
+
+# -- the forced-zero shortcut of nullspace and the bare-rational kernel -------
+
+
+def reference_nullspace(rows, ncols):
+    """Every row through one SparseBasis, the kernel read off its reduced rows."""
+    engine = SparseBasis()
+    for row in rows:
+        engine.add(row)
+    vecs = {
+        f: [ONE if c == f else ZERO for c in range(ncols)]
+        for f in range(ncols) if f not in engine.rows
+    }
+    for p, row in engine.rows.items():
+        for f, c in row.items():
+            if f != p:
+                vecs[f][p] = -c
+    return list(vecs.values())
+
+
+@st.composite
+def mixed_systems(draw, max_rows=8, max_cols=7):
+    """(rows, ncols): boxed rows that mix one-entry rows, zero-valued entries
+    and rational and cyclotomic coefficients."""
+    ncols = draw(st.integers(1, max_cols))
+    column = st.integers(0, ncols - 1)
+    row = st.one_of(
+        st.builds(lambda k, c: {k: c}, column, coefficients),
+        st.dictionaries(column, coefficients, max_size=ncols),
+    )
+    return draw(st.lists(row, max_size=max_rows)), ncols
+
+
+def bare(value):
+    """A rational as int when integral, as Fraction otherwise."""
+    return value.numerator if value.denominator == 1 else value
+
+
+class TestKernelFastPaths:
+    @given(mixed_systems())
+    @settings(max_examples=80, deadline=None)
+    def test_nullspace_matches_full_reduction(self, system):
+        rows, ncols = system
+        assert nullspace(rows, ncols) == reference_nullspace(rows, ncols)
+
+    def test_zero_valued_entry_forces_nothing(self):
+        rows = [{3: ZERO}, {0: ONE, 1: ZERO}]
+        assert nullspace(rows, 4) == [
+            [ZERO, ONE, ZERO, ZERO], [ZERO, ZERO, ONE, ZERO], [ZERO, ZERO, ZERO, ONE]
+        ]
+
+    def test_forced_column_reaches_longer_rows(self):
+        # x1 = 0 turns x0 + x1 = 0 into x0 = 0 and x0 + x1 + x2 into x2 = 0
+        rows = [{0: ONE, 1: ONE}, {1: cyc(5)}, {0: ONE, 1: ONE, 2: ONE}]
+        assert nullspace(rows, 4) == [[ZERO, ZERO, ZERO, ONE]]
+
+    @given(sparse_systems())
+    @settings(max_examples=80, deadline=None)
+    def test_bare_rows_reduce_like_boxed_rows(self, system):
+        rows, ncols = system
+        plain, boxed = SparseBasis(), SparseBasis()
+        for r in rows:
+            assert plain.add({k: bare(v) for k, v in r.items()}) == boxed.add(as_cyc(r))
+        assert {p: as_cyc(r) for p, r in plain.rows.items()} == boxed.rows
+        values = [v for r in plain.rows.values() for v in r.values()]
+        assert all(type(v) in (int, Fraction) and v for v in values)
+        bare_kernel = nullspace([{k: bare(v) for k, v in r.items()} for r in rows], ncols)
+        if any(v for r in rows for v in r.values()):
+            assert all(type(x) in (int, Fraction) for vec in bare_kernel for x in vec)
+        assert [[cyc(x) for x in vec] for vec in bare_kernel] == nullspace(
+            [as_cyc(r) for r in rows], ncols
+        )
