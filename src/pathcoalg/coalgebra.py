@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     UnknownVertex,
 )
-from .linalg import SparseBasis, SparseElement, accumulate, nullspace
+from .linalg import SparseBasis, SparseElement, accumulate, axpy, nullspace
 from .quiver import Path, Quiver
 from .scalar import ONE, ZERO, cyc, parse_scalar
 
@@ -827,38 +827,40 @@ def separability_check(pi, capacity=40):
             f"domain dimension {pi.domain.dim} exceeds capacity {capacity}"
         )
     cstar = dualize(pi.domain)
-    dom_db = diamond_basis(pi.domain)
     cod_base = SubCoalgebra(
         pi.codomain.quiver, [d.element for d in diamond_basis(pi.codomain)], validate=False
     )
     d = cstar.dim
-    dprime = pi.codomain.dim
-    # pi in diamond bases: P[i][j] = j-th codomain coordinate of pi(domain diamond i)
-    pmat = []
-    for dia in dom_db:
-        comb = cod_base._engine.coords(pi.apply(dia.element).terms)
-        pmat.append([comb.get(j, ZERO) for j in range(dprime)])
-    # generators of the subalgebra image of the dual map: s_j = sum_i P[i][j] c^i
-    subgens = [[pmat[i][j] for i in range(d)] for j in range(dprime)]
+    # rows[x][i] = c_{x,i} and cols[x][i] = c_{i,x}, the cells of e_x e_i and e_i e_x
+    rows, cols = {}, {}
+    for (i, j), cell in cstar.structure.items():
+        rows.setdefault(i, {})[j] = cell
+        cols.setdefault(j, {})[i] = cell
 
-    def tensor_add(target, vec_left, vec_right, sign=1):
-        right = [(l, b * sign) for l, b in enumerate(vec_right) if not b.is_zero()]
-        for k, a in enumerate(vec_left):
-            if a.is_zero():
-                continue
-            for l, b in right:
-                accumulate(target, (k, l), a * b)
+    def times(vec, cells):
+        """sum_i vec[i] cells[i]: e_x vec for rows[x], vec e_x for cols[x]."""
+        out = {}
+        for i, v in vec.items():
+            if i in cells:
+                axpy(out, v, cells[i])
+        return out
 
+    # generators of the subalgebra image of the dual map: s_j = sum_i P[i][j] c^i,
+    # P[i][j] the j-th codomain coordinate of pi(domain diamond i)
+    subgens = [{} for _ in range(pi.codomain.dim)]
+    for i, dia in enumerate(diamond_basis(pi.domain)):
+        for j, v in cod_base._engine.coords(pi.apply(dia.element).terms).items():
+            subgens[j][i] = v
+    # relations (e_a s_j) (x) e_c - e_a (x) (s_j e_c) of the tensor product over D*
+    right_of = [[times(s, cols.get(c, {})) for c in range(d)] for s in subgens]
     relations = SparseBasis()
     for a in range(d):
-        ua = cstar.basis_vector(a)
-        for j in range(dprime):
-            asj = cstar.multiply(ua, subgens[j])
+        for s, s_right in zip(subgens, right_of):
+            s_left = times(s, rows.get(a, {}))
             for c in range(d):
-                uc = cstar.basis_vector(c)
-                rel = {}
-                tensor_add(rel, asj, uc)
-                tensor_add(rel, ua, cstar.multiply(subgens[j], uc), sign=-1)
+                rel = {(k, c): v for k, v in s_left.items()}
+                for l, v in s_right[c].items():
+                    accumulate(rel, (a, l), -v)
                 if rel:
                     relations.add(rel)
     # e = sum over grouplike duals g* (x) g*
@@ -870,12 +872,16 @@ def separability_check(pi, capacity=40):
             u_of_e[k] = u_of_e[k] + c
     if u_of_e != cstar.unit():
         return False
+    idems = [{k: c for k, c in enumerate(g) if c} for g in idem_vecs]
     for x in range(d):
-        ux = cstar.basis_vector(x)
         diff = {}
-        for g in idem_vecs:
-            tensor_add(diff, cstar.multiply(ux, g), g)
-            tensor_add(diff, g, cstar.multiply(g, ux), sign=-1)
+        for g in idems:
+            for k, v in times(g, rows.get(x, {})).items():
+                for l, w in g.items():
+                    accumulate(diff, (k, l), v * w)
+            for l, v in times(g, cols.get(x, {})).items():
+                for k, w in g.items():
+                    accumulate(diff, (k, l), -(w * v))
         res, _ = relations.residue(diff)
         if res:
             return False

@@ -10,6 +10,7 @@ bounded exhaustive search for bipartite non-Dynkin covers.
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 
 from .errors import (
     Disconnected,
@@ -21,24 +22,26 @@ from .errors import (
 )
 
 
-class Path:
+class Path(tuple):
     """A path in a quiver: a start vertex and a composable arrow id sequence.
 
-    The empty sequence is the trivial path at its start vertex.
+    The empty sequence is the trivial path at its start vertex.  A path is
+    the tuple (length, start, arrows) and equals, hashes and orders as the
+    plain tuple with the same fields: shortest first, then by start vertex,
+    then by arrow ids.
     """
 
-    __slots__ = ("start", "arrows")
+    __slots__ = ()
+    length = property(itemgetter(0))
+    start = property(itemgetter(1))
+    arrows = property(itemgetter(2))
 
-    def __init__(self, start, arrows=()):
-        self.start = start
-        self.arrows = tuple(arrows)
+    def __new__(cls, start, arrows=()):
+        arrows = tuple(arrows)
+        return tuple.__new__(cls, (len(arrows), start, arrows))
 
-    @property
-    def length(self):
-        return len(self.arrows)
-
-    def source(self):
-        return self.start
+    def __getnewargs__(self):
+        return self[1], self[2]
 
     def target(self, quiver):
         v = self.start
@@ -59,21 +62,6 @@ class Path:
                 return False
             v = dst
         return True
-
-    def __eq__(self, other):
-        if not isinstance(other, Path):
-            return NotImplemented
-        return self.start == other.start and self.arrows == other.arrows
-
-    def __hash__(self):
-        return hash((self.start, self.arrows))
-
-    def __lt__(self, other):
-        return (self.length, self.start, self.arrows) < (
-            other.length,
-            other.start,
-            other.arrows,
-        )
 
     def __repr__(self):
         if not self.arrows:
@@ -195,6 +183,8 @@ class Quiver:
         return f"Quiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Quiver):
             return NotImplemented
         return set(self.vertices) == set(other.vertices) and set(self.arrows) == set(

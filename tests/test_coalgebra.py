@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pathcoalg import coalgebra
 from pathcoalg.coalgebra import (
     CoalgebraMap,
     CoElement,
@@ -37,7 +38,7 @@ from pathcoalg.errors import (
     ParseError,
 )
 from pathcoalg.hopf import truncate_to_subcoalgebra, validate_params
-from pathcoalg.linalg import nullspace
+from pathcoalg.linalg import SparseBasis, accumulate, nullspace
 from pathcoalg.quiver import Path, Quiver, QuiverMorphism, graph_class, grid_quiver, quotient
 from pathcoalg.scalar import ONE, ZERO, cyc
 
@@ -416,6 +417,124 @@ class TestDualAlgebra:
     def test_separability_example(self):
         _, _, pi = covering_example()
         assert separability_check(pi)
+
+
+def dense_separability(pi):
+    """Reference for separability_check: builds every relation from dense
+    vector products, as the library did before it read the products off the
+    structure cells.  The covering and capacity preconditions are left to
+    the caller."""
+    cstar = coalgebra.dualize(pi.domain)
+    dom_db = diamond_basis(pi.domain)
+    cod_base = SubCoalgebra(
+        pi.codomain.quiver, [d.element for d in diamond_basis(pi.codomain)], validate=False
+    )
+    d = cstar.dim
+    dprime = pi.codomain.dim
+    pmat = []
+    for dia in dom_db:
+        comb = cod_base._engine.coords(pi.apply(dia.element).terms)
+        pmat.append([comb.get(j, ZERO) for j in range(dprime)])
+    subgens = [[pmat[i][j] for i in range(d)] for j in range(dprime)]
+
+    def tensor_add(target, vec_left, vec_right, sign=1):
+        right = [(l, b * sign) for l, b in enumerate(vec_right) if not b.is_zero()]
+        for k, a in enumerate(vec_left):
+            if a.is_zero():
+                continue
+            for l, b in right:
+                accumulate(target, (k, l), a * b)
+
+    relations = SparseBasis()
+    for a in range(d):
+        ua = cstar.basis_vector(a)
+        for j in range(dprime):
+            asj = cstar.multiply(ua, subgens[j])
+            for c in range(d):
+                uc = cstar.basis_vector(c)
+                rel = {}
+                tensor_add(rel, asj, uc)
+                tensor_add(rel, ua, cstar.multiply(subgens[j], uc), sign=-1)
+                if rel:
+                    relations.add(rel)
+    idem_vecs = [vec for _, vec in cstar.idempotents]
+    u_of_e = [ZERO] * d
+    for g in idem_vecs:
+        for k, c in enumerate(cstar.multiply(g, g)):
+            u_of_e[k] = u_of_e[k] + c
+    if u_of_e != cstar.unit():
+        return False
+    for x in range(d):
+        ux = cstar.basis_vector(x)
+        diff = {}
+        for g in idem_vecs:
+            tensor_add(diff, cstar.multiply(ux, g), g)
+            tensor_add(diff, g, cstar.multiply(g, ux), sign=-1)
+        res, _ = relations.residue(diff)
+        if res:
+            return False
+    return True
+
+
+def six_cycle_covering():
+    q = bipartite_six_cycle()
+    _, morph = quotient(q, [["1"], ["2", "2x"], ["3", "3x"], ["4"]])
+    return induced_quotient_covering(path_coalgebra(q, 1), morph)[1]
+
+
+def four_cycle_covering():
+    q = Quiver(
+        ["1", "2", "3", "4"],
+        [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"), ("d", "4", "1")],
+    )
+    _, morph = quotient(q, [["1", "3"], ["2", "4"]])
+    return induced_quotient_covering(path_coalgebra(q, 1), morph)[1]
+
+
+class TestSeparabilityReference:
+    """separability_check against the dense reference when one structure
+    cell of the domain's dual algebra is perturbed (through `dualize`)."""
+
+    PERTURBATIONS = {
+        "double": lambda cell: {k: c * 2 for k, c in cell.items()},
+        "negate": lambda cell: {k: -c for k, c in cell.items()},
+        "drop": lambda cell: {},
+    }
+
+    def verdicts(self, pi, how, monkeypatch):
+        real = coalgebra.dualize
+        perturb = self.PERTURBATIONS[how]
+        out = []
+        for key in sorted(real(pi.domain).structure):
+
+            def perturbed(coalg, key=key):
+                alg = real(coalg)
+                alg.structure[key] = perturb(alg.structure[key])
+                if not alg.structure[key]:
+                    del alg.structure[key]
+                return alg
+
+            monkeypatch.setattr(coalgebra, "dualize", perturbed)
+            verdict = separability_check(pi)
+            assert verdict is dense_separability(pi), (how, key)
+            out.append(verdict)
+        return out
+
+    @pytest.mark.parametrize("how", sorted(PERTURBATIONS))
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: covering_example()[2], six_cycle_covering, four_cycle_covering],
+        ids=["square", "six_cycle", "four_cycle"],
+    )
+    def test_sparse_matches_dense(self, make, how, monkeypatch):
+        pi = make()
+        assert separability_check(pi) is dense_separability(pi) is True
+        self.verdicts(pi, how, monkeypatch)
+
+    def test_doubled_square_cells(self, monkeypatch):
+        verdicts = self.verdicts(covering_example()[2], "double", monkeypatch)
+        assert len(verdicts) == 18
+        assert verdicts.count(False) == 4
 
 
 def localization_example(lam=2):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import combinations
 
@@ -86,6 +88,75 @@ class TestPath:
         q = Quiver(["1", "2", "3"], [("u", "1", "2"), ("v", "2", "3")])
         ps = q.paths_up_to(2)
         assert len(ps) == 3 + 2 + 1
+
+
+GRID = grid_quiver(0, 0, 2)
+
+
+@st.composite
+def grid_paths(draw):
+    """A random path of length <= 4 in the radius-2 free grid window."""
+    start = v = draw(st.sampled_from(GRID.vertices))
+    arrows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        outs = GRID.out_arrows(v)
+        if not outs:
+            break
+        aid, _, v = draw(st.sampled_from(outs))
+        arrows.append(aid)
+    return Path(start, arrows)
+
+
+def field_key(p):
+    return (p.length, p.start, p.arrows)
+
+
+class TestPathValue:
+    @given(st.lists(grid_paths(), min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_sorted_and_min_follow_the_field_key(self, paths):
+        assert sorted(paths) == sorted(paths, key=field_key)
+        assert field_key(min(paths)) == min(map(field_key, paths))
+
+    @given(grid_paths(), grid_paths())
+    @settings(max_examples=100, deadline=None)
+    def test_comparisons_agree(self, p, q):
+        kp, kq = field_key(p), field_key(q)
+        assert (p < q) == (kp < kq) == (q > p)
+        assert (p <= q) == (kp <= kq) == (q >= p)
+        assert (p <= q) == (p < q or p == q)
+        assert (p == q) == (kp == kq) != (p != q)
+        assert [p < q, p == q, p > q].count(True) == 1
+
+    @given(grid_paths())
+    @settings(max_examples=60, deadline=None)
+    def test_equal_paths_hash_equal(self, p):
+        twin = Path(p.start, list(p.arrows))
+        assert twin is not p and twin == p and hash(twin) == hash(p)
+        assert p == field_key(p) and hash(p) == hash(field_key(p))
+        assert p.target(GRID) == twin.target(GRID)
+
+    @given(grid_paths())
+    @settings(max_examples=30, deadline=None)
+    def test_pickle_and_copy_round_trip(self, p):
+        clones = [copy.copy(p), copy.deepcopy(p)]
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            clones.append(pickle.loads(pickle.dumps(p, proto)))
+        for clone in clones:
+            assert type(clone) is Path and clone == p and clone.arrows == p.arrows
+
+    def test_fields_are_read_only(self):
+        p = Path("a0b0", ("x@a0b0",))
+        for name in ("length", "start", "arrows"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, None)
+
+    def test_text_is_pinned(self):
+        e = Path("a0b0")
+        p = Path("a0b0", ("x@a0b0", "y@a1b0"))
+        assert (repr(e), str(e)) == ("Path(e_a0b0)", "e_a0b0")
+        assert (repr(p), str(p)) == ("Path(a0b0:x@a0b0|y@a1b0)", "(x@a0b0|y@a1b0)")
+        assert repr([e, p]) == "[Path(e_a0b0), Path(a0b0:x@a0b0|y@a1b0)]"
 
 
 class TestStar:
