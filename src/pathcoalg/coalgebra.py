@@ -620,86 +620,61 @@ def induced_quotient_covering(coalg, morphism):
 
 class DualAlgebra:
     """A finite-dimensional algebra by structure constants, with distinguished
-    orthogonal idempotents (one per grouplike of the dualized coalgebra)."""
+    orthogonal idempotents (one per grouplike of the dualized coalgebra).
 
-    def __init__(self, dim, structure, idempotents, labels=None):
+    Elements are sparse dicts {index: scalar} over the basis d_0 .. d_{dim-1},
+    storing no zero; `structure` maps (i, j) to the sparse vector d_i d_j.
+    The algebra is pointed in this basis: each idempotent is one basis vector
+    with coefficient 1, and the other basis vectors span the Jacobson
+    radical.  `dualize` gives this shape, since rad(C*) = C_0^perp for a
+    pointed coalgebra C, and `localize` keeps it, since e d_k e is d_k or 0."""
+
+    def __init__(self, dim, structure, idempotents):
         self.dim = dim
-        # structure: dict (i, j) -> dict k -> CycScalar, e_i * e_j = sum_k c e_k
         self.structure = structure
-        # idempotents: ordered dict-like list of (label, vector)
+        # (label, vector) pairs, each vector {k: ONE}
         self.idempotents = list(idempotents)
-        self.labels = labels or [f"d{i}" for i in range(dim)]
+        for label, vec in self.idempotents:
+            if list(vec.values()) != [ONE]:
+                raise InvalidDescription(
+                    f"idempotent {label!r} is not a single basis vector"
+                )
 
     def multiply(self, u, v):
-        out = [ZERO] * self.dim
+        out = {}
         structure = self.structure
-        right = [(j, b) for j, b in enumerate(v) if not b.is_zero()]
-        for i, a in enumerate(u):
-            if a.is_zero():
-                continue
-            for j, b in right:
+        for i, a in u.items():
+            for j, b in v.items():
                 cell = structure.get((i, j))
                 if cell:
-                    ab = a * b
-                    for k, c in cell.items():
-                        out[k] = out[k] + ab * c
+                    axpy(out, a * b, cell)
         return out
 
-    def basis_vector(self, i):
-        return [ONE if j == i else ZERO for j in range(self.dim)]
-
     def unit(self):
-        out = [ZERO] * self.dim
+        out = {}
         for _, vec in self.idempotents:
-            for k, c in enumerate(vec):
-                out[k] = out[k] + c
+            axpy(out, ONE, vec)
         return out
 
     def is_associative(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    lhs = self.multiply(
-                        self.multiply(self.basis_vector(i), self.basis_vector(j)),
-                        self.basis_vector(k),
-                    )
-                    rhs = self.multiply(
-                        self.basis_vector(i),
-                        self.multiply(self.basis_vector(j), self.basis_vector(k)),
-                    )
-                    if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
-                        return False
-        return True
+        mul = self.multiply
+        basis = [{i: ONE} for i in range(self.dim)]
+        return all(
+            mul(mul(a, b), c) == mul(a, mul(b, c)) for a in basis for b in basis for c in basis
+        )
 
     def is_unital(self):
         one = self.unit()
-        for i in range(self.dim):
-            b = self.basis_vector(i)
-            if self.multiply(one, b) != b or self.multiply(b, one) != b:
-                return False
-        return True
+        return all(
+            self.multiply(one, {i: ONE}) == {i: ONE} == self.multiply({i: ONE}, one)
+            for i in range(self.dim)
+        )
 
     def radical_basis(self):
-        """Basis of the Jacobson radical (characteristic 0: the radical of the
-        trace form of the regular representation).
-
-        The algebra is associative, so tr(L_a L_b) = tr(L_ab) and the Gram
-        matrix comes from the structure constants alone:
-        gram[i][j] = sum_k c_ij^k t_k with t_k = tr(L_k) = sum_l c_kl^l."""
-        trace = [ZERO] * self.dim
-        for (k, l), cell in self.structure.items():
-            c = cell.get(l)
-            if c is not None:
-                trace[k] = trace[k] + c
-        gram = [{} for _ in range(self.dim)]
-        for (i, j), cell in self.structure.items():
-            tr = ZERO
-            for k, c in cell.items():
-                if not trace[k].is_zero():
-                    tr = tr + c * trace[k]
-            if not tr.is_zero():
-                gram[i][j] = tr
-        return nullspace(gram, self.dim)
+        """Basis of the Jacobson radical: the basis vectors that are not
+        idempotents (see the class docstring)."""
+        idempotent = {k for _, vec in self.idempotents for k in vec}
+        return [{k: ONE} for k in range(self.dim) if k not in idempotent]
 
     def radical_chain(self):
         """Radical powers rad >= rad^2 >= ... as lists of vectors."""
@@ -712,7 +687,7 @@ class DualAlgebra:
             for u in current:
                 for v in rad:
                     w = self.multiply(u, v)
-                    if nxt_engine.add(dict(enumerate(w))):
+                    if nxt_engine.add(w):
                         nxt.append(w)
             if not nxt:
                 break
@@ -740,16 +715,12 @@ def dualize(coalg):
                     accumulate(cell, k, c * a * b)
                     if not cell:
                         del structure[i, j]
-    idempotents = []
-    labels = []
-    for k, d in enumerate(db):
-        if d.element.terms.get(Path(d.source)) is not None and d.source == d.sink:
-            vec = [ONE if i == k else ZERO for i in range(len(db))]
-            idempotents.append((d.source, vec))
-            labels.append(str(d.source))
-        else:
-            labels.append(f"({d.source}>{d.sink})#{k}")
-    return DualAlgebra(len(db), structure, idempotents, labels)
+    idempotents = [
+        (d.source, {k: ONE})
+        for k, d in enumerate(db)
+        if d.source == d.sink and Path(d.source) in d.element.terms
+    ]
+    return DualAlgebra(len(db), structure, idempotents)
 
 
 def localize(algebra, idempotent_labels):
@@ -761,20 +732,19 @@ def localize(algebra, idempotent_labels):
     missing = [l for l in chosen if l not in by_label]
     if missing:
         raise UnknownVertex(f"unknown idempotents {missing!r}")
-    e = [ZERO] * algebra.dim
+    e = {}
     for l in chosen:
-        for k, c in enumerate(by_label[l]):
-            e[k] = e[k] + c
+        axpy(e, ONE, by_label[l])
     engine = SparseBasis(coords=True)
     basis = []
     for k in range(algebra.dim):
-        w = algebra.multiply(algebra.multiply(e, algebra.basis_vector(k)), e)
-        if engine.add(dict(enumerate(w)), len(basis)):
+        w = algebra.multiply(algebra.multiply(e, {k: ONE}), e)
+        if engine.add(w, len(basis)):
             basis.append(w)
     dim = len(basis)
 
-    def coords(vec_list):
-        comb = engine.coords(dict(enumerate(vec_list)))
+    def coords(vec):
+        comb = engine.coords(vec)
         if comb is None:
             raise InvalidDescription("product escaped the corner algebra")
         return comb
@@ -782,36 +752,30 @@ def localize(algebra, idempotent_labels):
     structure = {}
     for i in range(dim):
         for j in range(dim):
-            prod = algebra.multiply(basis[i], basis[j])
-            cell = coords(prod)
+            cell = coords(algebra.multiply(basis[i], basis[j]))
             if cell:
                 structure[(i, j)] = cell
-    idempotents = []
-    for l in chosen:
-        comb = coords(by_label[l])
-        idempotents.append((l, [comb.get(i, ZERO) for i in range(dim)]))
+    idempotents = [(l, coords(by_label[l])) for l in chosen]
     return DualAlgebra(dim, structure, idempotents)
 
 
 def gabriel_quiver(algebra):
     """Quiver of an algebra with the given orthogonal idempotents: arrows
-    u -> v count dim e_u (rad/rad^2) e_v."""
+    u -> v count dim e_u (rad/rad^2) e_v, the rank of the residues of the
+    e_u r e_v (r in rad) modulo one fully reduced basis of rad^2."""
     chain = algebra.radical_chain()
-    rad = chain[0] if chain else []
-    rad2 = chain[1] if len(chain) > 1 else []
+    rad2 = SparseBasis()
+    for w in chain[1] if len(chain) > 1 else ():
+        rad2.add(w)
     labels = [l for l, _ in algebra.idempotents]
-    by_label = dict(algebra.idempotents)
     arrows = []
-    for u in labels:
-        for v in labels:
+    for u, eu in algebra.idempotents:
+        left = [w for w in (algebra.multiply(eu, r) for r in chain[0]) if w]
+        for v, ev in algebra.idempotents:
             engine = SparseBasis()
-            for w in rad2:
-                engine.add(dict(enumerate(w)))
-            base_dim = engine.dim
-            for r in rad:
-                w = algebra.multiply(algebra.multiply(by_label[u], r), by_label[v])
-                engine.add(dict(enumerate(w)))
-            for k in range(engine.dim - base_dim):
+            for w in left:
+                engine.add(rad2.residue(algebra.multiply(w, ev), coords=False)[0])
+            for k in range(engine.dim):
                 arrows.append((f"r{k}@{u}>{v}", u, v))
     return Quiver(labels, arrows)
 
@@ -827,24 +791,11 @@ def separability_check(pi, capacity=40):
             f"domain dimension {pi.domain.dim} exceeds capacity {capacity}"
         )
     cstar = dualize(pi.domain)
+    mul = cstar.multiply
     cod_base = SubCoalgebra(
         pi.codomain.quiver, [d.element for d in diamond_basis(pi.codomain)], validate=False
     )
     d = cstar.dim
-    # rows[x][i] = c_{x,i} and cols[x][i] = c_{i,x}, the cells of e_x e_i and e_i e_x
-    rows, cols = {}, {}
-    for (i, j), cell in cstar.structure.items():
-        rows.setdefault(i, {})[j] = cell
-        cols.setdefault(j, {})[i] = cell
-
-    def times(vec, cells):
-        """sum_i vec[i] cells[i]: e_x vec for rows[x], vec e_x for cols[x]."""
-        out = {}
-        for i, v in vec.items():
-            if i in cells:
-                axpy(out, v, cells[i])
-        return out
-
     # generators of the subalgebra image of the dual map: s_j = sum_i P[i][j] c^i,
     # P[i][j] the j-th codomain coordinate of pi(domain diamond i)
     subgens = [{} for _ in range(pi.codomain.dim)]
@@ -852,11 +803,11 @@ def separability_check(pi, capacity=40):
         for j, v in cod_base._engine.coords(pi.apply(dia.element).terms).items():
             subgens[j][i] = v
     # relations (e_a s_j) (x) e_c - e_a (x) (s_j e_c) of the tensor product over D*
-    right_of = [[times(s, cols.get(c, {})) for c in range(d)] for s in subgens]
+    right_of = [[mul(s, {c: ONE}) for c in range(d)] for s in subgens]
     relations = SparseBasis()
     for a in range(d):
         for s, s_right in zip(subgens, right_of):
-            s_left = times(s, rows.get(a, {}))
+            s_left = mul({a: ONE}, s)
             for c in range(d):
                 rel = {(k, c): v for k, v in s_left.items()}
                 for l, v in s_right[c].items():
@@ -864,22 +815,19 @@ def separability_check(pi, capacity=40):
                 if rel:
                     relations.add(rel)
     # e = sum over grouplike duals g* (x) g*
-    idem_vecs = [vec for _, vec in cstar.idempotents]
-    u_of_e = [ZERO] * d
-    for g in idem_vecs:
-        prod = cstar.multiply(g, g)
-        for k, c in enumerate(prod):
-            u_of_e[k] = u_of_e[k] + c
+    idems = [g for _, g in cstar.idempotents]
+    u_of_e = {}
+    for g in idems:
+        axpy(u_of_e, ONE, mul(g, g))
     if u_of_e != cstar.unit():
         return False
-    idems = [{k: c for k, c in enumerate(g) if c} for g in idem_vecs]
     for x in range(d):
         diff = {}
         for g in idems:
-            for k, v in times(g, rows.get(x, {})).items():
+            for k, v in mul({x: ONE}, g).items():
                 for l, w in g.items():
                     accumulate(diff, (k, l), v * w)
-            for l, v in times(g, cols.get(x, {})).items():
+            for l, v in mul(g, {x: ONE}).items():
                 for k, w in g.items():
                     accumulate(diff, (k, l), -(w * v))
         res, _ = relations.residue(diff)

@@ -633,7 +633,7 @@ def contains_path_combination(params, radius, i, j, c1, c2, truncation=None):
     lies in the embedded subcoalgebra."""
     trunc = truncation or truncate_to_subcoalgebra(params, radius)
     g = params.canon(i, j)
-    if g not in set(trunc.window):
+    if (g, 0, 0) not in trunc.images:
         raise WindowTooSmall(f"group part {g} outside the window")
     quiver = trunc.quiver
     v = grid_vertex_label(*g)

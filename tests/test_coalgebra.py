@@ -32,6 +32,7 @@ from pathcoalg.coalgebra import (
 from pathcoalg.errors import (
     BasisNotDiamond,
     EmptySubset,
+    InvalidDescription,
     NotClosedUnderDelta,
     NotGrouplike,
     NotPointed,
@@ -396,7 +397,7 @@ class TestDualAlgebra:
         # idempotent duals are orthogonal
         e1 = dict(alg.idempotents)["1"]
         e2 = dict(alg.idempotents)["2"]
-        assert all(c.is_zero() for c in alg.multiply(e1, e2))
+        assert alg.multiply(e1, e2) == {}
 
     def test_grouplike_span_semisimple(self):
         q = Quiver([str(i) for i in range(5)], [])
@@ -419,12 +420,44 @@ class TestDualAlgebra:
         assert separability_check(pi)
 
 
+class DenseView:
+    """Dense vectors (lists indexed by basis number) over a `DualAlgebra`'s
+    structure cells, for the dense references below."""
+
+    def __init__(self, alg):
+        self.dim = alg.dim
+        self.structure = alg.structure
+        self.idempotents = [(l, self.dense(vec)) for l, vec in alg.idempotents]
+
+    def dense(self, vec):
+        return [vec.get(k, ZERO) for k in range(self.dim)]
+
+    def basis_vector(self, i):
+        return [ONE if j == i else ZERO for j in range(self.dim)]
+
+    def multiply(self, u, v):
+        out = [ZERO] * self.dim
+        right = [(j, b) for j, b in enumerate(v) if b]
+        for i, a in enumerate(u):
+            if a:
+                for j, b in right:
+                    for k, c in self.structure.get((i, j), {}).items():
+                        out[k] = out[k] + a * b * c
+        return out
+
+    def unit(self):
+        out = [ZERO] * self.dim
+        for _, vec in self.idempotents:
+            out = [x + y for x, y in zip(out, vec)]
+        return out
+
+
 def dense_separability(pi):
     """Reference for separability_check: builds every relation from dense
     vector products, as the library did before it read the products off the
     structure cells.  The covering and capacity preconditions are left to
     the caller."""
-    cstar = coalgebra.dualize(pi.domain)
+    cstar = DenseView(coalgebra.dualize(pi.domain))
     dom_db = diamond_basis(pi.domain)
     cod_base = SubCoalgebra(
         pi.codomain.quiver, [d.element for d in diamond_basis(pi.codomain)], validate=False
@@ -606,7 +639,8 @@ class TestLocalization:
 def reference_radical_basis(alg):
     """The trace-form radical from the Gram matrix tr(L_i L_j) of the dense
     left-multiplication matrices, (L_i)[k][j] = c_ij^k.  O(D^4); it does not
-    use associativity, which `DualAlgebra.radical_basis` relies on."""
+    use the pointed shape of the basis, which `DualAlgebra.radical_basis`
+    relies on."""
     d = alg.dim
     mats = [
         [[alg.structure.get((i, j), {}).get(k, ZERO) for j in range(d)] for k in range(d)]
@@ -655,7 +689,7 @@ ORACLE_CASES = {
 
 
 class TestRadicalOracle:
-    """`radical_basis` (Gram from structure constants) equals the dense
+    """`radical_basis` (the non-idempotent basis vectors) equals the dense
     trace-form reference vector for vector, and so leaves the Gabriel
     quivers unchanged."""
 
@@ -664,13 +698,50 @@ class TestRadicalOracle:
         alg, labels = ORACLE_CASES[name]()
         algebras = [alg] if labels is None else [alg, localize(alg, labels)]
         for a in algebras:
-            assert a.radical_basis() == reference_radical_basis(a)
+            dense = DenseView(a).dense
+            assert [dense(r) for r in a.radical_basis()] == reference_radical_basis(a)
         quivers = [gabriel_quiver(a) for a in algebras]
-        monkeypatch.setattr(DualAlgebra, "radical_basis", reference_radical_basis)
+
+        def sparse_reference(a):
+            return [{k: c for k, c in enumerate(r) if c} for r in reference_radical_basis(a)]
+
+        monkeypatch.setattr(DualAlgebra, "radical_basis", sparse_reference)
         for a, gq in zip(algebras, quivers):
             ref = gabriel_quiver(a)
             assert gq.vertices == ref.vertices
             assert gq.arrows == ref.arrows
+
+
+class TestPointedShape:
+    """The dual algebras keep the shape `radical_basis` relies on: every
+    idempotent is one basis vector with coefficient 1."""
+
+    @pytest.mark.parametrize("vec", [{0: ONE, 1: ONE}, {0: 2}], ids=["sum", "scaled"])
+    def test_guard(self, vec):
+        with pytest.raises(InvalidDescription):
+            DualAlgebra(2, {}, [("1", vec)])
+
+    @pytest.mark.parametrize("name", list(ORACLE_CASES))
+    def test_localize_keeps_unit_idempotents(self, name):
+        alg, labels = ORACLE_CASES[name]()
+        corner = localize(alg, labels or [l for l, _ in alg.idempotents])
+        keys = [k for _, vec in corner.idempotents for k in vec]
+        assert len(set(keys)) == len(keys) == len(corner.idempotents)
+        assert all(list(vec.values()) == [ONE] for _, vec in corner.idempotents)
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+@pytest.mark.parametrize("m, n", [(0, 0), (3, 1), (2, -2)])
+def test_ext_quiver_is_gabriel_quiver_of_dual(m, n, radius):
+    """For a pointed coalgebra C the Ext-quiver of C is the Gabriel quiver of
+    C* (Chin-Montgomery, "Basic coalgebras", 1997)."""
+    coalg = truncate_to_subcoalgebra(validate_params(m, n, 1, 0, 0, 0), radius).coalgebra
+    ext = ext_quiver(coalg)
+    gab = gabriel_quiver(dualize(coalg))
+    assert ext.vertices == gab.vertices
+    assert sorted((src, dst) for _, src, dst in ext.arrows) == sorted(
+        (src, dst) for _, src, dst in gab.arrows
+    )
 
 
 class TestGrammar:

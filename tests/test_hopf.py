@@ -356,6 +356,15 @@ class TestPathMembership:
         with pytest.raises(WindowTooSmall):
             contains_path_combination(p, 1, 5, 5, ONE, -ONE)
 
+    def test_window_edge(self):
+        p = params_free()
+        tr = truncate_to_subcoalgebra(p, 1)
+        for i, j in [(1, 1), (-1, 1), (1, -1), (-1, -1)]:
+            assert contains_path_combination(p, 1, i, j, ONE, -p.lam, truncation=tr)
+        for i, j in [(2, 1), (1, 2), (-2, -1), (-1, -2)]:
+            with pytest.raises(WindowTooSmall):
+                contains_path_combination(p, 1, i, j, ONE, -p.lam, truncation=tr)
+
 
 class TestTranslate:
     def test_examples(self):
