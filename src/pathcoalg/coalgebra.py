@@ -22,6 +22,7 @@ from .errors import (
     NotGrouplike,
     NotPointed,
     ParseError,
+    PathcoalgError,
     UnknownVertex,
 )
 from .linalg import SparseBasis, SparseElement, accumulate, axpy, nullspace
@@ -288,13 +289,18 @@ class SubCoalgebra:
 
     @staticmethod
     def from_json(data, validate=True):
-        quiver = Quiver.from_json(data["quiver"])
-        basis = []
-        for entry in data["basis"]:
-            terms = {}
-            for path_str, scalar_str in entry:
-                terms[parse_path(quiver, path_str)] = parse_scalar(scalar_str)
-            basis.append(CoElement(quiver, terms))
+        try:
+            quiver = Quiver.from_json(data["quiver"])
+            basis = []
+            for entry in data["basis"]:
+                terms = {}
+                for path_str, scalar_str in entry:
+                    terms[parse_path(quiver, path_str)] = parse_scalar(scalar_str)
+                basis.append(CoElement(quiver, terms))
+        except PathcoalgError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad coalgebra JSON: {exc}") from exc
         return SubCoalgebra(quiver, basis, validate=validate)
 
     def __repr__(self):
@@ -464,6 +470,22 @@ def ext_quiver(coalg):
     return Quiver(gs, arrows)
 
 
+def _delta_over_basis(element, coalg):
+    """Coefficients of delta(element) over basis (x) basis of coalg, keyed by
+    index pairs (i, j), read off the coordinate rows of its engine."""
+    lookup = coalg._engine.crows
+    out = {}
+    for (l, r), c in element.delta_dict().items():
+        cl = lookup.get(l)
+        cr = lookup.get(r)
+        if cl is None or cr is None:
+            continue
+        for i, a in cl.items():
+            for j, b in cr.items():
+                accumulate(out, (i, j), c * a * b)
+    return out
+
+
 class CoalgebraMap:
     """A linear map between subcoalgebras, given by images of the domain basis."""
 
@@ -483,21 +505,6 @@ class CoalgebraMap:
             raise InvalidMorphism("element outside the domain")
         return CoElement.combination(self.codomain.quiver, c, self.images)
 
-    def _delta_in_basis(self, element, coalg):
-        """Coefficients of delta(element) over basis (x) basis of coalg."""
-        dd = element.delta_dict()
-        lookup = coalg._engine.crows
-        out = {}
-        for (l, r), c in dd.items():
-            cl = lookup.get(l)
-            cr = lookup.get(r)
-            if cl is None or cr is None:
-                continue
-            for i, a in cl.items():
-                for j, b in cr.items():
-                    accumulate(out, (i, j), c * a * b)
-        return out
-
     def coalgebra_map_failure(self):
         """None if the map is a coalgebra homomorphism, else a witness."""
         for b, img in zip(self.domain.basis, self.images):
@@ -506,7 +513,7 @@ class CoalgebraMap:
             # delta(pi(b)) must equal (pi (x) pi)(delta(b))
             lhs = img.delta_dict()
             rhs = {}
-            for (i, j), c in self._delta_in_basis(b, self.domain).items():
+            for (i, j), c in _delta_over_basis(b, self.domain).items():
                 for (p, cp) in self.images[i].terms.items():
                     for (q, cq) in self.images[j].terms.items():
                         accumulate(rhs, (p, q), c * cp * cq)
@@ -701,20 +708,10 @@ def dualize(coalg):
     duals of the grouplikes."""
     db = diamond_basis(coalg)
     base = SubCoalgebra(coalg.quiver, [d.element for d in db], validate=False)
-    lookup = base._engine.crows
     structure = {}
     for k, d in enumerate(db):
-        for (l, r), c in d.element.delta_dict().items():
-            cl = lookup.get(l)
-            cr = lookup.get(r)
-            if cl is None or cr is None:
-                continue
-            for i, a in cl.items():
-                for j, b in cr.items():
-                    cell = structure.setdefault((i, j), {})
-                    accumulate(cell, k, c * a * b)
-                    if not cell:
-                        del structure[i, j]
+        for ij, c in _delta_over_basis(d.element, base).items():
+            structure.setdefault(ij, {})[k] = c
     idempotents = [
         (d.source, {k: ONE})
         for k, d in enumerate(db)

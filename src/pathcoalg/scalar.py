@@ -7,7 +7,9 @@ compare and hash equal, so the form changes no result, only its cost.  A
 coordinate is divided only through ``Fraction``: ``1 / c`` on an ``int`` is a
 float.  Mixed conductors are handled by lazy promotion to the lcm; every
 element is kept at its minimal conductor so equality and hashing are
-structural.
+structural.  The two small exact linear problems here, demoting a vector to a
+subfield Q(zeta_d) and inverting an element, are solved by `linalg.SparseBasis`
+on bare rationals, the one elimination kernel of the package.
 
 Text grammar (bit-exact round trip): rationals as ``p/q``, roots of unity as
 ``z<N>^<e>``, products with ``*``, sums with ``+``/``-``, parentheses.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import DivisionByZero, ParseError, SquareRootUnavailable, ZeroInput
 
@@ -118,6 +120,23 @@ def _embed_vec(d, n, j):
         poly = [_ZERO] * e + [_ONE]
         _embed_cache[key] = tuple(_reduce_mod_cyclo(poly, n))
     return _embed_cache[key]
+
+
+_subfield_cache = {}
+
+
+def _subfield_basis(d, n):
+    """The power basis of zeta_d embedded in Q(zeta_n) (d | n), as a
+    coordinate-tracking `SparseBasis` whose generator zeta_d^j is tagged j."""
+    key = (d, n)
+    if key not in _subfield_cache:
+        from .linalg import SparseBasis  # linalg imports this module at load time
+
+        basis = SparseBasis(coords=True)
+        for j in range(phi(d)):
+            basis.add({i: c for i, c in enumerate(_embed_vec(d, n, j)) if c}, j)
+        _subfield_cache[key] = basis
+    return _subfield_cache[key]
 
 
 class CycScalar:
@@ -244,8 +263,16 @@ class CycScalar:
             raise DivisionByZero("division by zero scalar")
         if self.n == 1:
             return CycScalar(1, (_q(1 / Fraction(self.coeffs[0])),))
-        inv = _poly_inverse(list(self.coeffs), self.n)
-        return _canonical(self.n, inv)
+        from .linalg import SparseBasis  # linalg imports this module at load time
+
+        # solve x * y = 1 over the columns x * zeta^j, j < phi(n)
+        n, deg = self.n, phi(self.n)
+        system = SparseBasis(coords=True)
+        for j in range(deg):
+            col = _reduce_mod_cyclo([_ZERO] * j + list(self.coeffs), n)
+            system.add({i: c for i, c in enumerate(col) if c}, j)
+        inv = system.coords({0: _ONE})
+        return _canonical(n, [inv.get(j, _ZERO) for j in range(deg)])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -324,99 +351,14 @@ def _canonical(n, vec):
         return CycScalar(1, tuple(vec))
     if all(c == 0 for c in vec[1:]):
         return CycScalar(1, (vec[0],))
+    sparse = {i: c for i, c in enumerate(vec) if c}
     for d in _divisors(n):
         if d == n:
             break
-        if phi(d) > phi(n):
-            continue
-        sol = _try_express(vec, d, n)
+        sol = _subfield_basis(d, n).coords(sparse)
         if sol is not None:
-            return CycScalar(d, tuple(_q(c) for c in sol))
+            return CycScalar(d, tuple(_q(sol.get(j, _ZERO)) for j in range(phi(d))))
     return CycScalar(n, tuple(vec))
-
-
-def _try_express(vec, d, n):
-    """Solve for coordinates of vec (in the zeta_n basis) over the zeta_d basis,
-    or return None if vec is not in Q(zeta_d)."""
-    cols = [_embed_vec(d, n, j) for j in range(phi(d))]
-    rows = len(vec)
-    ncols = len(cols)
-    # Gaussian elimination on [cols | vec]
-    aug = [[cols[j][i] for j in range(ncols)] + [vec[i]] for i in range(rows)]
-    piv_rows = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, rows):
-            if aug[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_rows.append((r, c))
-        r += 1
-    # consistency: rows beyond rank must have zero rhs
-    for i in range(r, rows):
-        if aug[i][ncols] != 0:
-            return None
-    sol = [_ZERO] * ncols
-    for rr, c in piv_rows:
-        sol[c] = aug[rr][ncols]
-    return sol
-
-
-def _poly_inverse(coeffs, n):
-    """Inverse of coeffs modulo Phi_n via the extended Euclidean algorithm
-    over Q[x]."""
-    mod = [Fraction(c) for c in cyclotomic_poly(n)]
-
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def divmod_poly(a, b):
-        a = list(a)
-        q = [_ZERO] * max(1, len(a) - len(b) + 1)
-        while len(a) >= len(b) and trim(list(a)):
-            if len(a) < len(b):
-                break
-            c = a[-1] / b[-1]
-            k = len(a) - len(b)
-            q[k] += c
-            for j in range(len(b)):
-                a[k + j] -= c * b[j]
-            trim(a)
-        return q, a if a else [_ZERO]
-
-    r0, r1 = mod, trim([Fraction(c) for c in coeffs])
-    s0, s1 = [_ZERO], [_ONE]
-    while trim(list(r1)):
-        q, r = divmod_poly(r0, r1)
-        # s_next = s0 - q*s1
-        prod = [_ZERO] * (len(q) + len(s1) - 1)
-        for i, x in enumerate(q):
-            if x:
-                for j, y in enumerate(s1):
-                    if y:
-                        prod[i + j] += x * y
-        s_next = [
-            (s0[i] if i < len(s0) else _ZERO) - (prod[i] if i < len(prod) else _ZERO)
-            for i in range(max(len(s0), len(prod)))
-        ]
-        r0, r1 = r1, trim(r) or [_ZERO]
-        s0, s1 = s1, s_next
-    # r0 is the gcd, a nonzero constant (Phi_n is irreducible)
-    g = r0[0]
-    inv = [c / g for c in s0]
-    return _reduce_mod_cyclo(inv, n)
 
 
 ZERO = CycScalar(1, (_ZERO,))
@@ -484,8 +426,6 @@ def _rational_sqrt(q):
 
 
 def _isqrt_exact(k):
-    from math import isqrt
-
     r = isqrt(k)
     return r if r * r == k else None
 
@@ -507,7 +447,10 @@ def _tokenize(text):
             break
         pos = m.end()
         if m.group("rat"):
-            tokens.append(("rat", Fraction(m.group("rat"))))
+            try:
+                tokens.append(("rat", Fraction(m.group("rat"))))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {m.group('rat')!r}") from None
         elif m.group("root"):
             body = m.group("root")[1:]
             if "^" in body:

@@ -235,6 +235,28 @@ class TestCovering:
         assert out["report"]["counterexample"] is not None
 
 
+class TestMalformedInput:
+    def test_zero_denominator(self, capsys):
+        code, out = run_cli(capsys, "classify", "-m", "0", "-n", "0", "--s", "1/0", "--t", "1")
+        assert code == 2
+        assert out["error"] == "ParseError"
+
+    @pytest.mark.parametrize("basis", [None, [[["e_1"]]]], ids=["no-basis", "no-scalar"])
+    def test_malformed_coalgebra_file(self, capsys, tmp_path, basis):
+        data = two_loop_subcoalgebra().to_json()
+        if basis is None:
+            del data["basis"]
+        else:
+            data["basis"] = basis
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps(data))
+        mp = tmp_path / "map.json"
+        mp.write_text(json.dumps({"vertex_map": {}, "arrow_map": {}}))
+        code, out = run_cli(capsys, "covering", str(f), str(f), str(mp))
+        assert code == 2
+        assert out["error"] == "ParseError"
+
+
 class TestArguments:
     @pytest.mark.parametrize("separate, attached", [
         ("classify -m 0 -n 0 --s -1/4 --t 1", "classify -m 0 -n 0 --s=-1/4 --t 1"),

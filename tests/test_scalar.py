@@ -62,6 +62,9 @@ class TestBasics:
         # zeta_5 + zeta_5^2 + zeta_5^3 + zeta_5^4 = -1 is rational
         s = zeta(5) + zeta(5, 2) + zeta(5, 3) + zeta(5, 4)
         assert s.is_rational() and s.as_rational() == -1
+        # subfields whose embedded power basis is not a set of coordinates
+        for n, e, minimal in [(15, 5, 3), (60, 12, 5), (20, 5, 4)]:
+            assert zeta(n, e).n == minimal
 
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
@@ -144,7 +147,7 @@ class TestSerialization:
         assert parse_scalar("-(2/3)") == cyc(Fraction(-2, 3))
 
     def test_parse_errors(self):
-        for bad in ["", "1+", "z0^1", "1..2", "(1", "1 1"]:
+        for bad in ["", "1+", "z0^1", "1..2", "(1", "1 1", "1/0"]:
             with pytest.raises(ParseError):
                 parse_scalar(bad)
 
@@ -188,6 +191,34 @@ class TestProperties:
         from pathcoalg.scalar import _canonical
 
         assert _canonical(24, lifted) == a
+
+
+# Q(zeta_5) and the fields Q(zeta_9), Q(zeta_15), Q(zeta_20), whose proper
+# subfields are spanned by reduced vectors such as zeta_9^6 = -1 - zeta_9^3,
+# not by a subset of the power basis
+subfield_scalars = st.builds(
+    lambda n, cs, q: sum((cyc(Fraction(c, q)) * zeta(n, j) for j, c in enumerate(cs)), ZERO),
+    st.sampled_from([5, 9, 15, 20]),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=12),
+    st.integers(min_value=1, max_value=4),
+)
+
+
+class TestSubfieldConductors:
+    @given(subfield_scalars)
+    @settings(max_examples=60, deadline=None)
+    def test_inverse(self, a):
+        if a.is_zero():
+            return
+        assert a * a.inverse() == ONE
+
+    @given(subfield_scalars)
+    @settings(max_examples=60, deadline=None)
+    def test_demotion_from_common_field(self, a):
+        from pathcoalg.scalar import _canonical
+
+        m = 60 if 60 % a.n == 0 else 36
+        assert _canonical(m, a.promote(m)) == a
 
 
 # small coefficients over a few roots of unity, so that sums often cancel
