@@ -297,7 +297,7 @@ class SubCoalgebra:
                 for path_str, scalar_str in entry:
                     terms[parse_path(quiver, path_str)] = parse_scalar(scalar_str)
                 basis.append(CoElement(quiver, terms))
-        except PathcoalgError:
+        except PathcoalgError:  # many are ValueErrors; they keep their own code
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad coalgebra JSON: {exc}") from exc

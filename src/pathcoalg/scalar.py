@@ -134,7 +134,7 @@ def _subfield_basis(d, n):
 
         basis = SparseBasis(coords=True)
         for j in range(phi(d)):
-            basis.add({i: c for i, c in enumerate(_embed_vec(d, n, j)) if c}, j)
+            basis.add(dict(enumerate(_embed_vec(d, n, j))), j)
         _subfield_cache[key] = basis
     return _subfield_cache[key]
 
@@ -270,7 +270,7 @@ class CycScalar:
         system = SparseBasis(coords=True)
         for j in range(deg):
             col = _reduce_mod_cyclo([_ZERO] * j + list(self.coeffs), n)
-            system.add({i: c for i, c in enumerate(col) if c}, j)
+            system.add(dict(enumerate(col)), j)
         inv = system.coords({0: _ONE})
         return _canonical(n, [inv.get(j, _ZERO) for j in range(deg)])
 
@@ -351,7 +351,7 @@ def _canonical(n, vec):
         return CycScalar(1, tuple(vec))
     if all(c == 0 for c in vec[1:]):
         return CycScalar(1, (vec[0],))
-    sparse = {i: c for i, c in enumerate(vec) if c}
+    sparse = dict(enumerate(vec))
     for d in _divisors(n):
         if d == n:
             break
