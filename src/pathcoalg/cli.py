@@ -26,6 +26,7 @@ from .errors import (
     Disconnected,
     InvalidMorphism,
     NotDiscreteParams,
+    ParseError,
     PathcoalgError,
     UsageError,
 )
@@ -208,9 +209,10 @@ def cmd_covering(args):
     cod = _load_coalgebra(args.codomain)
     with open(args.map_file) as handle:
         raw = json.load(handle)
-    fold = QuiverMorphism(
-        dom.quiver, cod.quiver, raw["vertex_map"], raw["arrow_map"]
-    )
+    try:
+        fold = QuiverMorphism(dom.quiver, cod.quiver, raw["vertex_map"], raw["arrow_map"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad map JSON: {exc}") from exc
     if not fold.is_valid():
         raise InvalidMorphism("the map file does not define a quiver morphism")
     _log(f"checking covering {dom!r} -> {cod!r}")

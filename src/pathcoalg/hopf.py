@@ -6,6 +6,11 @@ ax = -xa, bx = -lam^-1*xb, ay = -lam*ya, by = -yb.  Elements are kept in the
 normal form a^i b^j x^p y^q with p, q in {0, 1}, multiplied as a crossed
 product of the group algebra and {1, x, y, xy} (see `_mono_mul`).
 
+Value kind: for rational lam, s, t and k, tables, term dicts and elements
+hold bare int/Fraction values (plus any CycScalar multiplied into an element,
+such as a witness alpha = z4), else CycScalars.  The scalars of `BmnParams`,
+`counit` and the certificate report stay CycScalars.
+
 The module also embeds finite windows of the basis into the grid path
 coalgebra (vertices = canonical group elements) and answers path-membership
 queries there.
@@ -14,6 +19,7 @@ queries there.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from operator import attrgetter
 
 from .coalgebra import SubCoalgebra, _signed_terms, _split_top_level, path_element
@@ -27,9 +33,22 @@ from .errors import (
     ParseError,
     WindowTooSmall,
 )
-from .linalg import SparseElement, accumulate
+from .linalg import SparseElement, accumulate, axpy
 from .quiver import Path, grid_quiver, grid_vertex_label, group_canonical_pair
-from .scalar import ONE, ZERO, cyc, parse_scalar
+from .scalar import ONE, ZERO, CycScalar, _q, cyc, parse_scalar
+
+
+def _rational_coefficient(value):
+    """An element coefficient for rational parameters: a bare rational in the
+    form of `_q`, any other scalar as `cyc` gives it (CycScalars stay boxed)."""
+    if isinstance(value, (int, Fraction)):
+        return _q(value)
+    return cyc(value)
+
+
+def _power(x, e):
+    """x^e, through Fraction for a bare x: an int to a negative power is a float."""
+    return x ** e if isinstance(x, CycScalar) else _q(Fraction(x) ** e)
 
 
 class BmnParams:
@@ -43,6 +62,11 @@ class BmnParams:
         self.t = t
         self.k = k
         self.lam_inv = lam.inverse()
+        # the value kinds of tables (`_value`) and coefficients (`_scalar`)
+        rational = all(v.is_rational() for v in (lam, s, t, k))
+        self._value = CycScalar.as_rational if rational else cyc
+        self._scalar = _rational_coefficient if rational else cyc
+        self._one, self._lam, self._lam_inv = map(self._value, (ONE, lam, self.lam_inv))
         self._mono_cache = {}
         self._tables = {}
 
@@ -60,11 +84,11 @@ class BmnParams:
 
     def sign_x(self, i, j):
         """Scalar from commuting x rightward past a^i b^j."""
-        return (-ONE) ** i * (-self.lam) ** j
+        return (-self._one if i % 2 else self._one) * _power(-self._lam, j)
 
     def sign_y(self, i, j):
         """Scalar from commuting y rightward past a^i b^j."""
-        return (-self.lam_inv) ** i * (-ONE) ** j
+        return _power(-self._lam_inv, i) * (-self._one if j % 2 else self._one)
 
     def as_tuple(self):
         return (self.m, self.n, self.lam, self.s, self.t, self.k)
@@ -148,13 +172,13 @@ def _rule_table(params):
     """x^p y^q * x and x^p y^q * y for p, q in {0, 1}, read off the relations:
     (p, q, letter) -> [(h, p', q', c)], the sum of c * a^h x^p' y^q'.  Moving
     x past a group part h picks up the character sign_x(h)."""
-    s, t, k, li = params.s, params.t, params.k, params.lam_inv
+    one, s, t, k, li = map(params._value, (ONE, params.s, params.t, params.k, params.lam_inv))
     return {
-        (0, 0, "x"): [((0, 0), 1, 0, ONE)],
-        (0, 0, "y"): [((0, 0), 0, 1, ONE)],
+        (0, 0, "x"): [((0, 0), 1, 0, one)],
+        (0, 0, "y"): [((0, 0), 0, 1, one)],
         # x^2 = s(1 - a^2)
         (1, 0, "x"): [((0, 0), 0, 0, s), ((2, 0), 0, 0, -s)],
-        (1, 0, "y"): [((0, 0), 1, 1, ONE)],
+        (1, 0, "y"): [((0, 0), 1, 1, one)],
         # yx = lam^-1 k(1 - ab) - lam^-1 xy
         (0, 1, "x"): [((0, 0), 0, 0, li * k), ((1, 1), 0, 0, -li * k),
                       ((0, 0), 1, 1, -li)],
@@ -192,7 +216,7 @@ def _mono_mul(params, key1, key2):
     if cached is not None:
         return cached
     (g1, p1, q1), (g2, p2, q2) = key1, key2
-    coeff = ONE
+    coeff = params._one
     if p1:
         coeff = coeff * params.sign_x(*g2)
     if q1:
@@ -223,12 +247,24 @@ def _fmt_key(key):
     return "*".join(parts) if parts else "1"
 
 
+def _mul_terms(params, left, right):
+    """The product of two term dicts, monomial pair by monomial pair."""
+    out = {}
+    for k1, c1 in left.items():
+        for k2, c2 in right.items():
+            c = c1 * c2
+            for key, c3 in _mono_mul(params, k1, k2).items():
+                accumulate(out, key, c * c3)
+    return out
+
+
 class BmnElement(SparseElement):
     """A sparse combination of normal-form basis monomials."""
 
     __slots__ = ()
     mismatch = ParamMismatch
     params = property(attrgetter("ambient"))
+    _coercion = staticmethod(attrgetter("_scalar"))
     _format_key = staticmethod(_fmt_key)
 
     def __mul__(self, other):
@@ -242,15 +278,15 @@ def element(params, terms):
 
 
 def unit(params):
-    return BmnElement(params, {(params.canon(0, 0), 0, 0): ONE})
+    return BmnElement(params, {(params.canon(0, 0), 0, 0): params._one})
 
 
 def group_element(params, i, j):
-    return BmnElement(params, {(params.canon(i, j), 0, 0): ONE})
+    return BmnElement(params, {(params.canon(i, j), 0, 0): params._one})
 
 
 def basis_element(params, i, j, p, q):
-    return BmnElement(params, {(params.canon(i, j), p, q): ONE})
+    return BmnElement(params, {(params.canon(i, j), p, q): params._one})
 
 
 def gen_a(params):
@@ -271,21 +307,15 @@ def gen_y(params):
 
 def multiply(u, v):
     u._check(v)
-    out = {}
-    for k1, c1 in u.terms.items():
-        for k2, c2 in v.terms.items():
-            c = c1 * c2
-            for key, c3 in _mono_mul(u.params, k1, k2).items():
-                accumulate(out, key, c * c3)
-    return BmnElement(u.params, out)
+    return BmnElement(u.params, _mul_terms(u.params, u.terms, v.terms))
 
 
 def counit(u):
-    total = ZERO
+    total = 0
     for (g, p, q), c in u.terms.items():
         if p == 0 and q == 0:
             total = total + c
-    return total
+    return cyc(total)
 
 
 class TensorElement(SparseElement):
@@ -294,6 +324,7 @@ class TensorElement(SparseElement):
     __slots__ = ()
     mismatch = ParamMismatch
     params = property(attrgetter("ambient"))
+    _coercion = staticmethod(attrgetter("_scalar"))
 
     @staticmethod
     def _format_key(key):
@@ -321,8 +352,8 @@ def _delta_generators(params):
     b = (params.canon(0, 1), 0, 0)
     x = (params.canon(0, 0), 1, 0)
     y = (params.canon(0, 0), 0, 1)
-    dx = TensorElement(params, {(one, x): ONE, (x, a): ONE})
-    dy = TensorElement(params, {(one, y): ONE, (y, b): ONE})
+    dx = TensorElement(params, {(one, x): params._one, (x, a): params._one})
+    dy = TensorElement(params, {(one, y): params._one, (y, b): params._one})
     return dx, dy
 
 
@@ -331,7 +362,7 @@ def _structure_table(params):
     and S(y)^q S(x)^p, from S(x) = -x a^-1 and S(y) = -y b^-1."""
     dx, dy = _delta_generators(params)
     one = (params.canon(0, 0), 0, 0)
-    d1, u1 = TensorElement(params, {(one, one): ONE}), unit(params)
+    d1, u1 = TensorElement(params, {(one, one): params._one}), unit(params)
     s_x = -(gen_x(params) * group_element(params, -1, 0))
     s_y = -(gen_y(params) * group_element(params, 0, -1))
     return {(p, q): ((d1 * (dx if p else d1) * (dy if q else d1)).terms,
@@ -357,9 +388,7 @@ def antipode(u):
     out = {}
     for (g, p, q), c in u.terms.items():
         g_inv = (params.canon(-g[0], -g[1]), 0, 0)
-        for key, c2 in table[p, q][1].items():
-            for key3, c3 in _mono_mul(params, key, g_inv).items():
-                accumulate(out, key3, c * c2 * c3)
+        axpy(out, c, _mul_terms(params, table[p, q][1], {g_inv: params._one}))
     return BmnElement(params, out)
 
 
@@ -433,7 +462,7 @@ def generator_images(params):
 
 def _delta_key(params, key):
     """Comultiplication of a single basis monomial as a dict."""
-    return comultiply(BmnElement(params, {key: ONE})).terms
+    return comultiply(BmnElement(params, {key: params._one})).terms
 
 
 def _check_generator_laws(params, name, u):
@@ -453,7 +482,7 @@ def _check_generator_laws(params, name, u):
     conv_r = BmnElement(params, {})
     for (l, r), c in du.terms.items():
         el = BmnElement(params, {l: c})
-        er = BmnElement(params, {r: ONE})
+        er = BmnElement(params, {r: params._one})
         left = left + er * counit(el)
         right = right + el * counit(er)
         conv_l = conv_l + antipode(el) * er
@@ -472,13 +501,14 @@ def verify_hopf_axioms(params, radius, seed=None):
 
     1. Associativity, by Bergman's diamond lemma.  `multiply` computes
        (g1 u)(g2 v) as a character of g2, a shift by g1 g2 and the rule table
-       for the letters of v.  Each of the 13 relations is checked as an
-       identity of right-multiplication operators on the four monomials
-       x^p y^q.  A group part enters a product only as that shift, so the
-       identities hold on every monomial by construction of the table, not
-       by assumption.  The normal-form space is then a right module over the
-       algebra the relations present, the monomials a^i b^j x^p y^q are a
-       basis, and `multiply` is its associative product.
+       for the letters of v (`_mono_mul`).  Each of the 13 relations is
+       checked as an identity of right-multiplication operators on the four
+       monomials x^p y^q, on term dicts multiplied by one generator key at a
+       time with `_mono_mul`.  A group part enters a product only as that
+       shift, so the identities hold on every monomial by construction of
+       the table, not by assumption.  The normal-form space is then a right
+       module over the algebra the relations present, the monomials
+       a^i b^j x^p y^q are a basis, and `multiply` is its associative product.
     2. The structure maps are well defined: the values of Delta, epsilon and
        S on the generators send every relation to 0, in H (x) H, in K, and
        in H read as an anti-map.
@@ -501,11 +531,17 @@ def verify_hopf_axioms(params, radius, seed=None):
     rels = relations(params)
     one = unit(params)
     one_key = (params.canon(0, 0), 0, 0)
-    tensor_one = TensorElement(params, {(one_key, one_key): ONE})
+    tensor_one = TensorElement(params, {(one_key, one_key): params._one})
     monos = [basis_element(params, 0, 0, p, q) for p in (0, 1) for q in (0, 1)]
     for name, rel in rels:
         for mono in monos:
-            if not evaluate_relation(rel, gens, mono).is_zero():
+            total = {}
+            for coeff, word in rel:
+                value = mono.terms
+                for gen in word:
+                    value = _mul_terms(params, value, gens[gen].terms)
+                axpy(total, params._value(coeff), value)
+            if total:
                 raise AxiomFailure(
                     f"right multiplication violates {name}", witness=str(mono)
                 )

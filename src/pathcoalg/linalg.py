@@ -3,6 +3,8 @@
 A sparse vector is a dict key -> value that stores no zero.  Its values are
 all `CycScalar`s or all bare rationals (`int` or `Fraction`), never a mix:
 bare rationals are the fast path for systems that are rational throughout.
+Only a `hopf` element may mix them (see there): it never reaches
+`SparseBasis`, and a rational `CycScalar` compares and hashes like its value.
 Zero is tested by truthiness, which both kinds share.  `accumulate` adds into
 one entry and `axpy` adds a multiple of a whole vector; both drop an entry
 that cancels.  `SparseElement` is that format as a value: the base
@@ -59,20 +61,25 @@ def _fmt_scalar(s):
 class SparseElement:
     """A sparse combination of basis keys in an ambient space.
 
-    `terms` is a sparse vector; the constructor coerces each coefficient and
-    drops zeros.  A subclass names its ambient space (`mismatch` is raised
-    when two differ) and prints its keys with `_format_key`.  Sums,
-    differences and equality need the same subclass; the text form is
-    `coeff*key` terms in key order joined by `+`, and `0` when empty."""
+    `terms` is a sparse vector; the constructor coerces each coefficient to
+    the ambient space's value kind (`_coercion`) and drops zeros.  A subclass
+    names its ambient space (`mismatch` is raised when two differ) and
+    prints its keys with `_format_key`.  Sums, differences and equality need
+    the same subclass; the text form is `coeff*key` terms in key order
+    joined by `+`, and `0` when empty."""
 
     __slots__ = ("ambient", "terms")
     mismatch = None  # the error raised for elements of different spaces
 
+    # the map that brings a coefficient to the value kind of an ambient space
+    _coercion = staticmethod(lambda ambient: cyc)
+
     def __init__(self, ambient, terms):
         self.ambient = ambient
+        coerce = self._coercion(ambient)
         clean = {}
         for key, coeff in terms.items():
-            coeff = cyc(coeff)
+            coeff = coerce(coeff)
             if coeff:
                 clean[key] = coeff
         self.terms = clean
@@ -81,8 +88,9 @@ class SparseElement:
     def combination(cls, ambient, coeffs, elements):
         """sum c_i * x_i, summed in one dict."""
         out = cls(ambient, {})
+        coerce = cls._coercion(ambient)
         for c, x in zip(coeffs, elements):
-            c = cyc(c)
+            c = coerce(c)
             if c:
                 out._check(x)
                 axpy(out.terms, c, x.terms)
@@ -113,7 +121,7 @@ class SparseElement:
         return type(self)(self.ambient, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, scalar):
-        s = cyc(scalar)
+        s = self._coercion(self.ambient)(scalar)
         return type(self)(self.ambient, {k: c * s for k, c in self.terms.items()})
 
     __rmul__ = __mul__

@@ -176,7 +176,7 @@ class Quiver:
     def from_json(data):
         try:
             return Quiver(data["vertices"], [tuple(a) for a in data["arrows"]])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad quiver JSON: {exc}") from exc
 
     def __repr__(self):

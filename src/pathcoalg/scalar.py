@@ -7,9 +7,10 @@ compare and hash equal, so the form changes no result, only its cost.  A
 coordinate is divided only through ``Fraction``: ``1 / c`` on an ``int`` is a
 float.  Mixed conductors are handled by lazy promotion to the lcm; every
 element is kept at its minimal conductor so equality and hashing are
-structural.  The two small exact linear problems here, demoting a vector to a
-subfield Q(zeta_d) and inverting an element, are solved by `linalg.SparseBasis`
-on bare rationals, the one elimination kernel of the package.
+structural, and a rational element hashes as its coordinate, which it equals.
+The two small exact linear problems here, demoting a vector to a subfield
+Q(zeta_d) and inverting an element, are solved by `linalg.SparseBasis` on
+bare rationals, the one elimination kernel of the package.
 
 Text grammar (bit-exact round trip): rationals as ``p/q``, roots of unity as
 ``z<N>^<e>``, products with ``*``, sums with ``+``/``-``, parentheses.
@@ -308,7 +309,7 @@ class CycScalar:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.n, self.coeffs))
+            self._hash = hash(self.coeffs[0] if self.n == 1 else (self.n, self.coeffs))
         return self._hash
 
     # -- serialization ------------------------------------------------------

@@ -256,6 +256,22 @@ class TestMalformedInput:
         assert code == 2
         assert out["error"] == "ParseError"
 
+    def test_map_file_without_arrow_map(self, capsys, tmp_path):
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps(two_loop_subcoalgebra().to_json()))
+        mp = tmp_path / "map.json"
+        mp.write_text(json.dumps({"vertex_map": {}}))
+        code, out = run_cli(capsys, "covering", str(f), str(f), str(mp))
+        assert code == 2
+        assert out["error"] == "ParseError"
+
+    def test_quiver_arrow_without_target(self, capsys, tmp_path):
+        f = tmp_path / "q.json"
+        f.write_text(json.dumps({"vertices": ["1"], "arrows": [["al", "1"]]}))
+        code, out = run_cli(capsys, "quiver", str(f))
+        assert code == 2
+        assert out["error"] == "ParseError"
+
 
 class TestArguments:
     @pytest.mark.parametrize("separate, attached", [

@@ -1,8 +1,10 @@
 import gc
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pathcoalg import hopf
 from pathcoalg.coalgebra import coradical_filtration, path_element, skew_primitives
@@ -42,9 +44,9 @@ from pathcoalg.hopf import (
 )
 from pathcoalg.linalg import accumulate
 from pathcoalg.quiver import Path
-from pathcoalg.scalar import ONE, cyc
+from pathcoalg.scalar import ONE, CycScalar, cyc
 
-from test_acceptance import _valid_grid
+from test_acceptance import PAIRS, _valid_grid
 
 
 def params_free(lam="1", s="1", t="1", k="0"):
@@ -441,6 +443,85 @@ class TestFoldedSquares:
         y = gen_y(p)
         assert y * y == element(p, {})
         assert verify_hopf_axioms(p, 1)["ok"]
+
+
+# -- value kinds: bare rationals against boxed ones -------------------------
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def rational_params(draw):
+    """A criterion-1 pair with rational lambda, s, t and k the laws allow."""
+    m, n = draw(st.sampled_from(PAIRS))
+    lam = draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+    s, t, k = draw(rationals), draw(rationals), draw(rationals)
+    if lam == -1:
+        k = 0
+    elif lam != 1:
+        s = t = k = 0
+    try:
+        return validate_params(m, n, lam, s, t, k)
+    except LambdaOrderViolation:
+        assume(False)
+
+
+def is_bare(u):
+    return not any(isinstance(c, CycScalar) for c in u.terms.values())
+
+
+class TestValueKinds:
+    def test_bare_and_boxed_elements_hash_alike(self):
+        p = validate_params(3, 1, 1, 1, 0, 1)
+        key = ((1, 0), 1, 0)
+        bare = basis_element(p, 1, 0, 1, 0) * Fraction(1, 2)
+        boxed = BmnElement(p, {key: cyc("1/2")})
+        assert is_bare(bare) and not is_bare(boxed)
+        assert bare == boxed and hash(bare) == hash(boxed) and str(bare) == str(boxed)
+        assert len({bare, boxed}) == 1
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_bare_and_boxed_agree(self, data):
+        p = data.draw(rational_params())
+        keys = [(g, a, b) for g in p.window(1) for a in (0, 1) for b in (0, 1)]
+        terms = [data.draw(st.dictionaries(st.sampled_from(keys), rationals, max_size=3))
+                 for _ in range(3)]
+        u, v, w = (BmnElement(p, t) for t in terms)
+        bu, bv = (BmnElement(p, {k: cyc(c) for k, c in t.items()}) for t in terms[:2])
+        pairs = [
+            (u * v, bu * bv),
+            (comultiply(u), comultiply(bu)),
+            (antipode(u), antipode(bu)),
+            (counit(u), counit(bu)),
+        ]
+        for bare, boxed in pairs:
+            assert bare == boxed and hash(bare) == hash(boxed) and str(bare) == str(boxed)
+        assert all(is_bare(x) for x in (u, u * v, comultiply(u), antipode(u)))
+        assert isinstance(counit(u), CycScalar)
+        assert (u * v) * w == u * (v * w)
+
+
+class TestWindowEmbedding:
+    @pytest.mark.parametrize("params", _valid_grid() + [
+        validate_params(0, 0, "z4", 0, 0, 0), validate_params(4, 0, "z4", 0, 0, 0),
+    ], ids=repr)
+    def test_iota_is_a_coalgebra_map(self, params):
+        """Delta_path iota(u) = (iota (x) iota) Delta_H(u) on every key of the
+        radius-2 window."""
+        tr = truncate_to_subcoalgebra(params, 2)
+
+        def iota(key):
+            return hopf._image_of_key(params, tr.quiver, key)
+
+        for key, image in tr.images.items():
+            assert image == iota(key)
+            pushed = {}
+            for (l, r), c in comultiply(basis_element(params, *key[0], *key[1:])).terms.items():
+                for pl, cl in iota(l).terms.items():
+                    for pr, cr in iota(r).terms.items():
+                        accumulate(pushed, (pl, pr), c * cl * cr)
+            assert image.delta_dict() == pushed, key
 
 
 # -- the window sweep: reference oracle for the certificate ------------------

@@ -74,6 +74,13 @@ class TestBasics:
         assert hash(zeta(8, 2)) == hash(zeta(4))
         assert len({zeta(8, 2), zeta(4), zeta(12, 3)}) == 1
 
+    @pytest.mark.parametrize("q", [0, 1, -3, Fraction(1, 2), Fraction(-7, 3)])
+    def test_rational_hashes_as_its_coordinate(self, q):
+        # cyc(q) == q, so the eq/hash contract needs equal hashes too
+        assert cyc(q) == q
+        assert hash(cyc(q)) == hash(q)
+        assert len({cyc(q), q}) == 1
+
 
 class TestRootOrder:
     def test_known_orders(self):
