@@ -7,9 +7,12 @@ normal form a^i b^j x^p y^q with p, q in {0, 1}, multiplied as a crossed
 product of the group algebra and {1, x, y, xy} (see `_mono_mul`).
 
 Value kind: for rational lam, s, t and k, tables, term dicts and elements
-hold bare int/Fraction values (plus any CycScalar multiplied into an element,
-such as a witness alpha = z4), else CycScalars.  The scalars of `BmnParams`,
-`counit` and the certificate report stay CycScalars.
+hold bare int/Fraction values (plus an irrational value brought in, such as a
+witness alpha = z4, and any CycScalar multiplied into an element), else
+CycScalars.  The scalars of `BmnParams`, `counit` and the certificate report
+stay CycScalars.  Delta, epsilon and S are term functions that `comultiply`,
+`counit` and `antipode` wrap; the Hopf certificate and the isomorphism
+witness check run on them and on `_evaluate`, without elements.
 
 The module also embeds finite windows of the basis into the grid path
 coalgebra (vertices = canonical group elements) and answers path-membership
@@ -35,7 +38,7 @@ from .errors import (
 )
 from .linalg import SparseElement, accumulate, axpy
 from .quiver import Path, grid_quiver, grid_vertex_label, group_canonical_pair
-from .scalar import ONE, ZERO, CycScalar, _q, cyc, parse_scalar
+from .scalar import ONE, CycScalar, _q, cyc, parse_scalar
 
 
 def _rational_coefficient(value):
@@ -258,6 +261,18 @@ def _mul_terms(params, left, right):
     return out
 
 
+def _tensor_mul(params, left, right):
+    """The product of two term dicts of H (x) H, factor by factor."""
+    out = {}
+    for (l1, r1), c1 in left.items():
+        for (l2, r2), c2 in right.items():
+            c = c1 * c2
+            for kl, cl in _mono_mul(params, l1, l2).items():
+                for kr, cr in _mono_mul(params, r1, r2).items():
+                    accumulate(out, (kl, kr), c * cl * cr)
+    return out
+
+
 class BmnElement(SparseElement):
     """A sparse combination of normal-form basis monomials."""
 
@@ -310,12 +325,17 @@ def multiply(u, v):
     return BmnElement(u.params, _mul_terms(u.params, u.terms, v.terms))
 
 
-def counit(u):
+def _counit_terms(params, terms):
+    """epsilon(u) * 1 as a term dict, from the coefficients on group parts."""
     total = 0
-    for (g, p, q), c in u.terms.items():
+    for (g, p, q), c in terms.items():
         if p == 0 and q == 0:
             total = total + c
-    return cyc(total)
+    return {(params.canon(0, 0), 0, 0): total} if total else {}
+
+
+def counit(u):
+    return cyc(sum(_counit_terms(u.params, u.terms).values()))
 
 
 class TensorElement(SparseElement):
@@ -334,16 +354,7 @@ class TensorElement(SparseElement):
         if not isinstance(other, TensorElement):
             return super().__mul__(other)
         self._check(other)
-        out = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                c = c1 * c2
-                left = _mono_mul(self.params, l1, l2)
-                right = _mono_mul(self.params, r1, r2)
-                for kl, cl in left.items():
-                    for kr, cr in right.items():
-                        accumulate(out, (kl, kr), c * cl * cr)
-        return TensorElement(self.params, out)
+        return TensorElement(self.params, _tensor_mul(self.params, self.terms, other.terms))
 
 
 def _delta_generators(params):
@@ -360,36 +371,42 @@ def _delta_generators(params):
 def _structure_table(params):
     """Delta and S on x^p y^q as term dicts, by (p, q): Delta(x)^p Delta(y)^q
     and S(y)^q S(x)^p, from S(x) = -x a^-1 and S(y) = -y b^-1."""
-    dx, dy = _delta_generators(params)
-    one = (params.canon(0, 0), 0, 0)
-    d1, u1 = TensorElement(params, {(one, one): params._one}), unit(params)
-    s_x = -(gen_x(params) * group_element(params, -1, 0))
-    s_y = -(gen_y(params) * group_element(params, 0, -1))
-    return {(p, q): ((d1 * (dx if p else d1) * (dy if q else d1)).terms,
-                     ((s_y if q else u1) * (s_x if p else u1)).terms)
+    dx, dy = (d.terms for d in _delta_generators(params))
+    e = params.canon(0, 0)
+    d1, u1 = {((e, 0, 0), (e, 0, 0)): params._one}, {(e, 0, 0): params._one}
+    s_x = (-(gen_x(params) * group_element(params, -1, 0))).terms
+    s_y = (-(gen_y(params) * group_element(params, 0, -1))).terms
+    return {(p, q): (_tensor_mul(params, dx if p else d1, dy if q else d1),
+                     _mul_terms(params, s_y if q else u1, s_x if p else u1))
             for p in (0, 1) for q in (0, 1)}
 
 
-def comultiply(u):
+def _comul_terms(params, terms):
     """Delta(g x^p y^q) = (g (x) g) Delta(x^p y^q), a shift of the table."""
-    params = u.params
     table = _table(params, _structure_table)
     out = {}
-    for (g, p, q), c in u.terms.items():
+    for (g, p, q), c in terms.items():
         for (l, r), c2 in table[p, q][0].items():
             accumulate(out, (_shift(params, g, l), _shift(params, g, r)), c * c2)
-    return TensorElement(params, out)
+    return out
+
+
+def _anti_terms(params, terms):
+    """S(g x^p y^q) = S(x^p y^q) g^-1, from the table."""
+    table = _table(params, _structure_table)
+    out = {}
+    for (g, p, q), c in terms.items():
+        g_inv = (params.canon(-g[0], -g[1]), 0, 0)
+        axpy(out, c, _mul_terms(params, table[p, q][1], {g_inv: params._one}))
+    return out
+
+
+def comultiply(u):
+    return TensorElement(u.params, _comul_terms(u.params, u.terms))
 
 
 def antipode(u):
-    """S(g x^p y^q) = S(x^p y^q) g^-1, from the table."""
-    params = u.params
-    table = _table(params, _structure_table)
-    out = {}
-    for (g, p, q), c in u.terms.items():
-        g_inv = (params.canon(-g[0], -g[1]), 0, 0)
-        axpy(out, c, _mul_terms(params, table[p, q][1], {g_inv: params._one}))
-    return BmnElement(params, out)
+    return BmnElement(u.params, _anti_terms(u.params, u.terms))
 
 
 # -- defining relations ------------------------------------------------------
@@ -429,19 +446,24 @@ def relations(params):
     ]
 
 
-def evaluate_relation(relation, images, start, reverse=False):
+def _term_scalar(params, value):
+    """A CycScalar as a term-dict value of params: bare if it is rational and
+    params are, else as `_scalar` keeps it (a witness scale z4 stays boxed)."""
+    return params._scalar(value.as_rational() if value.is_rational() else value)
+
+
+def _evaluate(params, relation, images, start, mul=_mul_terms, reverse=False):
     """sum(c * start * images[w_1] * ... * images[w_l]) over the relation's
-    terms (c, w).  The images may be algebra elements, tensors or scalars.
-    With reverse=True each word is read right to left, which evaluates an
-    anti-homomorphism."""
-    total = start * ZERO
+    terms (c, w), on term dicts of H (mul=_mul_terms) or H (x) H (_tensor_mul).
+    With reverse=True a word is read right to left, for an anti-homomorphism."""
+    total = {}
     for coeff, word in relation:
-        if coeff.is_zero():
+        if not coeff:
             continue
         value = start
         for gen in reversed(word) if reverse else word:
-            value = value * images[gen]
-        total = total + value * coeff
+            value = mul(params, value, images[gen])
+        axpy(total, _term_scalar(params, coeff), value)
     return total
 
 
@@ -460,36 +482,26 @@ def generator_images(params):
 # -- axiom verification ------------------------------------------------------
 
 
-def _delta_key(params, key):
-    """Comultiplication of a single basis monomial as a dict."""
-    return comultiply(BmnElement(params, {key: params._one})).terms
-
-
 def _check_generator_laws(params, name, u):
-    """Coassociativity, both counit laws and both antipode laws on u."""
-    du = comultiply(u)
-    lhs, rhs = {}, {}
-    for (l, r), c in du.terms.items():
-        for (l2, r2), c2 in _delta_key(params, l).items():
-            accumulate(lhs, (l2, r2, r), c * c2)
-        for (l2, r2), c2 in _delta_key(params, r).items():
-            accumulate(rhs, (l, l2, r2), c * c2)
+    """Coassociativity, both counit laws and both antipode laws on the term
+    dict u; epsilon is read as the map u -> epsilon(u) * 1 of H."""
+    one = params._one
+    lhs, rhs, left, right, conv_l, conv_r = {}, {}, {}, {}, {}, {}
+    for (l, r), c in _comul_terms(params, u).items():
+        el, er = {l: c}, {r: one}
+        for (l2, r2), c2 in _comul_terms(params, el).items():
+            accumulate(lhs, (l2, r2, r), c2)
+        for (l2, r2), c2 in _comul_terms(params, {r: c}).items():
+            accumulate(rhs, (l, l2, r2), c2)
+        axpy(left, one, _mul_terms(params, _counit_terms(params, el), er))
+        axpy(right, one, _mul_terms(params, el, _counit_terms(params, er)))
+        axpy(conv_l, one, _mul_terms(params, _anti_terms(params, el), er))
+        axpy(conv_r, one, _mul_terms(params, el, _anti_terms(params, er)))
     if lhs != rhs:
         raise AxiomFailure("coassociativity fails", witness=name)
-    left = BmnElement(params, {})
-    right = BmnElement(params, {})
-    conv_l = BmnElement(params, {})
-    conv_r = BmnElement(params, {})
-    for (l, r), c in du.terms.items():
-        el = BmnElement(params, {l: c})
-        er = BmnElement(params, {r: params._one})
-        left = left + er * counit(el)
-        right = right + el * counit(er)
-        conv_l = conv_l + antipode(el) * er
-        conv_r = conv_r + el * antipode(er)
     if left != u or right != u:
         raise AxiomFailure("counit law fails", witness=name)
-    target = unit(params) * counit(u)
+    target = _counit_terms(params, u)
     if conv_l != target or conv_r != target:
         raise AxiomFailure("antipode law fails", witness=name)
 
@@ -497,20 +509,21 @@ def _check_generator_laws(params, name, u):
 def verify_hopf_axioms(params, radius, seed=None):
     """Prove the Hopf axioms by a finite certificate whose size does not
     depend on the radius.  Raises AxiomFailure with a witness; returns a
-    report dict on success.
+    report dict on success.  All four parts run on term dicts, through
+    `_evaluate` and the term functions behind `comultiply`, `counit` and
+    `antipode`; an element is built only for the text of a failure.
 
     1. Associativity, by Bergman's diamond lemma.  `multiply` computes
        (g1 u)(g2 v) as a character of g2, a shift by g1 g2 and the rule table
        for the letters of v (`_mono_mul`).  Each of the 13 relations is
        checked as an identity of right-multiplication operators on the four
-       monomials x^p y^q, on term dicts multiplied by one generator key at a
-       time with `_mono_mul`.  A group part enters a product only as that
-       shift, so the identities hold on every monomial by construction of
-       the table, not by assumption.  The normal-form space is then a right
+       monomials x^p y^q, one generator at a time.  A group part enters a
+       product only as that shift, so the identities hold on every monomial
+       by construction of the table, not by assumption.  The normal-form space is then a right
        module over the algebra the relations present, the monomials
        a^i b^j x^p y^q are a basis, and `multiply` is its associative product.
     2. The structure maps are well defined: the values of Delta, epsilon and
-       S on the generators send every relation to 0, in H (x) H, in K, and
+       S on the generators send every relation to 0, in H (x) H, in K 1 and
        in H read as an anti-map.
     3. `comultiply`, `counit` and `antipode` agree with the products of
        their generator values on every monomial whose group part is 1,
@@ -527,53 +540,42 @@ def verify_hopf_axioms(params, radius, seed=None):
     benchmark among them, still pass it."""
     if radius < 0:
         raise WindowTooSmall("radius must be nonnegative")
-    gens = generator_images(params)
+    gens = {g: u.terms for g, u in generator_images(params).items()}
     rels = relations(params)
-    one = unit(params)
-    one_key = (params.canon(0, 0), 0, 0)
-    tensor_one = TensorElement(params, {(one_key, one_key): params._one})
-    monos = [basis_element(params, 0, 0, p, q) for p in (0, 1) for q in (0, 1)]
+    e = params.canon(0, 0)
+    one, tensor_one = {(e, 0, 0): params._one}, {((e, 0, 0), (e, 0, 0)): params._one}
+    monos = [{(e, p, q): params._one} for p in (0, 1) for q in (0, 1)]
     for name, rel in rels:
         for mono in monos:
-            total = {}
-            for coeff, word in rel:
-                value = mono.terms
-                for gen in word:
-                    value = _mul_terms(params, value, gens[gen].terms)
-                axpy(total, params._value(coeff), value)
-            if total:
-                raise AxiomFailure(
-                    f"right multiplication violates {name}", witness=str(mono)
-                )
-    delta = {g: comultiply(u) for g, u in gens.items()}
-    eps = {g: counit(u) for g, u in gens.items()}
-    anti = {g: antipode(u) for g, u in gens.items()}
+            if _evaluate(params, rel, gens, mono):
+                raise AxiomFailure(f"right multiplication violates {name}",
+                                   witness=str(BmnElement(params, mono)))
+    delta = {g: _comul_terms(params, u) for g, u in gens.items()}
+    eps = {g: _counit_terms(params, u) for g, u in gens.items()}
+    anti = {g: _anti_terms(params, u) for g, u in gens.items()}
     for name, rel in rels:
-        if not evaluate_relation(rel, delta, tensor_one).is_zero():
+        if _evaluate(params, rel, delta, tensor_one, _tensor_mul):
             raise AxiomFailure("comultiplication does not respect a relation",
                                witness=name)
-        if not evaluate_relation(rel, eps, ONE).is_zero():
+        if _evaluate(params, rel, eps, one):
             raise AxiomFailure("counit does not respect a relation", witness=name)
-        if not evaluate_relation(rel, anti, one, reverse=True).is_zero():
+        if _evaluate(params, rel, anti, one, reverse=True):
             raise AxiomFailure("antipode does not respect a relation", witness=name)
     for g in _TRANSLATES:
         for tail in ("", "x", "y", "xy"):
             # the monomial g * tail and the products of the maps' values
-            if g:
-                mono, d, e, s = gens[g], delta[g], eps[g], anti[g]
-            else:
-                mono, d, e, s = one, tensor_one, ONE, one
-            for letter in tail:
-                mono, d = mono * gens[letter], d * delta[letter]
-                e, s = e * eps[letter], anti[letter] * s
-            if comultiply(mono) != d:
+            word = [(ONE, g + tail)]
+            mono = _evaluate(params, word, gens, one)
+            if _comul_terms(params, mono) != _evaluate(params, word, delta, tensor_one,
+                                                       _tensor_mul):
                 raise AxiomFailure("comultiplication is not multiplicative",
-                                   witness=str(mono))
-            if counit(mono) != e:
-                raise AxiomFailure("counit is not multiplicative", witness=str(mono))
-            if antipode(mono) != s:
+                                   witness=str(BmnElement(params, mono)))
+            if _counit_terms(params, mono) != _evaluate(params, word, eps, one):
+                raise AxiomFailure("counit is not multiplicative",
+                                   witness=str(BmnElement(params, mono)))
+            if _anti_terms(params, mono) != _evaluate(params, word, anti, one, reverse=True):
                 raise AxiomFailure("antipode is not anti-multiplicative",
-                                   witness=str(mono))
+                                   witness=str(BmnElement(params, mono)))
     for g, u in gens.items():
         _check_generator_laws(params, GENERATOR_NAMES[g], u)
     return {

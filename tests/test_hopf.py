@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pathcoalg import hopf
+from pathcoalg.classify import IsoWitness, are_isomorphic, canonical_form, verify_witness
 from pathcoalg.coalgebra import coradical_filtration, path_element, skew_primitives
 from pathcoalg.errors import (
     AxiomFailure,
@@ -44,7 +45,7 @@ from pathcoalg.hopf import (
 )
 from pathcoalg.linalg import accumulate
 from pathcoalg.quiver import Path
-from pathcoalg.scalar import ONE, CycScalar, cyc
+from pathcoalg.scalar import ONE, ZERO, CycScalar, cyc
 
 from test_acceptance import PAIRS, _valid_grid
 
@@ -624,6 +625,127 @@ class TestCertificate:
             assert verify_hopf_axioms(p, 2)["ok"]
 
 
+# -- the term-dict evaluator against element arithmetic ----------------------
+
+
+def evaluate_relation(relation, images, start, reverse=False):
+    """The former element-level evaluator, kept as a reference:
+    sum(c * start * images[w_1] * ... * images[w_l]) over the relation's terms
+    (c, w), with algebra elements or tensors as images.  With reverse=True
+    each word is read right to left."""
+    total = start * ZERO
+    for coeff, word in relation:
+        if coeff.is_zero():
+            continue
+        value = start
+        for gen in reversed(word) if reverse else word:
+            value = value * images[gen]
+        total = total + value * coeff
+    return total
+
+
+def witness_images(w, p2):
+    """The images `verify_witness` gives the generators under w, as elements."""
+    (va, vb), (gx, gy) = ((1, 0), (0, 1)), (gen_x, gen_y)
+    if w.kind == "psi":
+        (va, vb), (gx, gy) = (vb, va), (gy, gx)
+    return {
+        "a": group_element(p2, *va), "A": group_element(p2, -va[0], -va[1]),
+        "b": group_element(p2, *vb), "B": group_element(p2, -vb[0], -vb[1]),
+        "x": gx(p2) * hopf._term_scalar(p2, w.alpha),
+        "y": gy(p2) * hopf._term_scalar(p2, w.beta),
+    }
+
+
+def assert_evaluator_matches(p, relation, images, terms, start, mul=hopf._mul_terms,
+                             reverse=False):
+    """The term-dict evaluator on the term dicts `terms` equals the oracle on
+    the elements `images`, on the relation and on each of its terms alone (a
+    relation sent to 0 would compare only empty dicts).  From bare inputs and
+    rational coefficients it makes a bare result: it re-boxes nothing."""
+    inputs = [c for t in (*terms.values(), start.terms) for c in t.values()]
+    bare = not any(isinstance(c, CycScalar) for c in inputs)
+    for part in [relation] + [[term] for term in relation]:
+        want = evaluate_relation(part, images, start, reverse)
+        got = type(want)(p, hopf._evaluate(p, part, terms, start.terms, mul, reverse))
+        assert got.terms == want.terms and str(got) == str(want), part
+        if bare and all(c.is_rational() for c, _ in part):
+            assert is_bare(got), part
+
+
+EVALUATOR_PARAMS = _valid_grid() + [
+    validate_params(0, 0, "z4", 0, 0, 0), validate_params(4, 0, "z4", 0, 0, 0),
+    validate_params(0, 0, 1, 2, 1, 0), validate_params(2, 0, -1, 3, 5, 0),
+]
+
+
+def witness_cases():
+    """(source, target, witness): canonical forms of the criterion-1 grid,
+    rescalings of non-square s, and z4 sets, one of them reached by alpha = z8
+    from s = z4 onto a rational target."""
+    cases = []
+    for p in _valid_grid() + [validate_params(0, 0, 1, "z4", 0, 0)]:
+        _, canon, w = canonical_form(p)
+        cases.append((p, canon, w))
+    for raw1, raw2 in [((0, 0, 1, 2, 1, 0), (0, 0, 1, 8, 1, 0)),
+                       ((2, 0, -1, 3, 5, 0), (2, 0, -1, 12, 5, 0)),
+                       ((0, 0, "z4", 0, 0, 0), (0, 0, "z4", 0, 0, 0)),
+                       ((4, 0, "z4", 0, 0, 0), (4, 0, "z4", 0, 0, 0))]:
+        p1, p2 = validate_params(*raw1), validate_params(*raw2)
+        cases.append((p1, p2, are_isomorphic(p1, p2)))
+    return cases
+
+
+class TestEvaluator:
+    @pytest.mark.parametrize("p", EVALUATOR_PARAMS, ids=repr)
+    def test_structure_maps_match_oracle(self, p):
+        """Delta, epsilon * 1 and S of the generators, by the public maps for
+        the oracle and by the term functions the certificate reads."""
+        gens = hopf.generator_images(p)
+        one, key = unit(p), (p.canon(0, 0), 0, 0)
+        maps = [
+            (comultiply, hopf._comul_terms, TensorElement(p, {(key, key): 1}),
+             hopf._tensor_mul, False),
+            (lambda u: one * counit(u), hopf._counit_terms, one, hopf._mul_terms, False),
+            (antipode, hopf._anti_terms, one, hopf._mul_terms, True),
+        ]
+        for _, rel in relations(p):
+            assert_evaluator_matches(p, rel, gens, {g: u.terms for g, u in gens.items()}, one)
+            for public, term_map, start, mul, reverse in maps:
+                images = {g: public(u) for g, u in gens.items()}
+                terms = {g: term_map(p, u.terms) for g, u in gens.items()}
+                assert_evaluator_matches(p, rel, images, terms, start, mul, reverse)
+
+    @pytest.mark.parametrize("p1, p2, w", witness_cases(), ids=repr)
+    def test_witness_images_match_oracle(self, p1, p2, w):
+        """The witness and its corruption alpha -> 2 alpha: the evaluator
+        matches the oracle, and since a rescaling always commutes with Delta,
+        epsilon and S, `verify_witness` accepts exactly when the oracle sends
+        every relation to 0."""
+        for alpha in (w.alpha, w.alpha * 2):
+            witness = IsoWitness(w.kind, alpha, w.beta)
+            images = witness_images(witness, p2)
+            terms = {g: u.terms for g, u in images.items()}
+            vanish = True
+            for _, rel in relations(p1):
+                assert_evaluator_matches(p2, rel, images, terms, unit(p2))
+                vanish = vanish and evaluate_relation(rel, images, unit(p2)).is_zero()
+            assert verify_witness(witness, p1, p2) == vanish
+            assert vanish or alpha != w.alpha
+
+    @pytest.mark.parametrize("raw1, raw2", [
+        ((3, 1, 1, 1, 1, 1), (3, 1, 1, 4, 1, 2)),
+        ((0, 0, 1, 2, 1, 0), (0, 0, 1, 8, 1, 0)),
+        ((0, 0, 1, "z4", 0, 0), (0, 0, 1, 1, 0, 0)),
+        ((2, -2, 1, 2, 0, 0), (2, -2, 1, 0, 8, 0)),
+    ])
+    def test_corrupted_witness_is_rejected(self, raw1, raw2):
+        p1, p2 = validate_params(*raw1), validate_params(*raw2)
+        w = are_isomorphic(p1, p2)
+        assert verify_witness(w, p1, p2)
+        assert not verify_witness(IsoWitness(w.kind, w.alpha * 2, w.beta), p1, p2)
+
+
 # -- mutants: each must fail the certificate wherever it fails the sweep -----
 
 
@@ -671,11 +793,11 @@ def delta_variant(x_right=(1, 0), y_right=(0, 1)):
     return delta_generators
 
 
-def comultiply_dy_first(u):
-    params = u.params
+def comul_terms_dy_first(params, terms):
+    """`_comul_terms` with Delta(y) multiplied in on the left."""
     dx, dy = hopf._delta_generators(params)
     out = TensorElement(params, {})
-    for (g, p, q), c in u.terms.items():
+    for (g, p, q), c in terms.items():
         gk = (g, 0, 0)
         t = TensorElement(params, {(gk, gk): c})
         if p:
@@ -683,30 +805,33 @@ def comultiply_dy_first(u):
         if q:
             t = dy * t
         out = out + t
-    return out
+    return out.terms
 
 
 def antipode_variant(reverse=False, s_x_sign=-1):
-    def mutant(u):
-        params = u.params
+    """`_anti_terms` from S(x) = s_x_sign * x a^-1 and S(y) = -y b^-1, with the
+    factors of S(g x^p y^q) in the order S(y) S(x) g^-1, or reversed; the
+    defaults are the original."""
+
+    def mutant(params, terms):
         s_x = gen_x(params) * group_element(params, -1, 0) * s_x_sign
         s_y = -(gen_y(params) * group_element(params, 0, -1))
         out = BmnElement(params, {})
-        for (g, p, q), c in u.terms.items():
+        for (g, p, q), c in terms.items():
             term = group_element(params, -g[0], -g[1])
             for flag, factor in ((p, s_x), (q, s_y)):
                 if flag:
                     term = term * factor if reverse else factor * term
             out = out + term * c
-        return out
+        return out.terms
 
     return mutant
 
 
-def counit_of_x_is_one(u):
-    return sum(
-        (c for (_, p, q), c in u.terms.items() if q == 0), cyc(0)
-    )
+def counit_of_x_is_one(params, terms):
+    """`_counit_terms` that counts x^p, not only the group parts."""
+    total = sum((c for (_, p, q), c in terms.items() if q == 0), 0)
+    return {(params.canon(0, 0), 0, 0): total} if total else {}
 
 
 def sign_x_inverted(self, i, j):
@@ -722,10 +847,10 @@ MUTANTS = {
     "x past b with lam^-1": (hopf.BmnParams, "sign_x", sign_x_inverted),
     "Delta x = 1(x)x + x(x)b": (hopf, "_delta_generators", delta_variant(x_right=(0, 1))),
     "Delta y = 1(x)y + y(x)a": (hopf, "_delta_generators", delta_variant(y_right=(1, 0))),
-    "dy * t in comultiply": (hopf, "comultiply", comultiply_dy_first),
-    "reversed antipode factors": (hopf, "antipode", antipode_variant(reverse=True)),
-    "S(x) = x*a^-1": (hopf, "antipode", antipode_variant(s_x_sign=1)),
-    "epsilon(x) = 1": (hopf, "counit", counit_of_x_is_one),
+    "dy * t in comultiply": (hopf, "_comul_terms", comul_terms_dy_first),
+    "reversed antipode factors": (hopf, "_anti_terms", antipode_variant(reverse=True)),
+    "S(x) = x*a^-1": (hopf, "_anti_terms", antipode_variant(s_x_sign=1)),
+    "epsilon(x) = 1": (hopf, "_counit_terms", counit_of_x_is_one),
 }
 
 
@@ -751,7 +876,7 @@ class TestMutants:
             assert rule_table_variant()(p) == hopf._rule_table(p)
         monkeypatch.setattr(hopf, "_rule_table", rule_table_variant())
         monkeypatch.setattr(hopf, "_delta_generators", delta_variant())
-        monkeypatch.setattr(hopf, "antipode", antipode_variant())
+        monkeypatch.setattr(hopf, "_anti_terms", antipode_variant())
         for p in mutant_params():
             assert sweep_hopf_axioms(p, 1)
             assert verify_hopf_axioms(p, 1)["ok"]
