@@ -667,10 +667,10 @@ def assert_evaluator_matches(p, relation, images, terms, start, mul=hopf._mul_te
     bare = not any(isinstance(c, CycScalar) for c in inputs)
     for part in [relation] + [[term] for term in relation]:
         want = evaluate_relation(part, images, start, reverse)
-        got = type(want)(p, hopf._evaluate(p, part, terms, start.terms, mul, reverse))
-        assert got.terms == want.terms and str(got) == str(want), part
+        got = hopf._evaluate(p, part, terms, start.terms, mul, reverse)
+        assert got == want.terms and str(type(want)(p, got)) == str(want), part
         if bare and all(c.is_rational() for c, _ in part):
-            assert is_bare(got), part
+            assert not any(isinstance(c, CycScalar) for c in got.values()), part
 
 
 EVALUATOR_PARAMS = _valid_grid() + [
