@@ -23,7 +23,7 @@ from .hopf import (
     _counit_terms,
     _evaluate,
     _mul_terms,
-    _term_scalar,
+    _term_relation,
     gen_x,
     gen_y,
     group_element,
@@ -156,7 +156,7 @@ def verify_witness(w, p1, p2):
     relation and commutes with the comultiplication, counit, and antipode."""
     if w.alpha.is_zero() or w.beta.is_zero():
         return False
-    alpha, beta = _term_scalar(p2, w.alpha), _term_scalar(p2, w.beta)
+    alpha, beta = p2._scalar(w.alpha), p2._scalar(w.beta)
     if w.kind == "phi":
         va, vb = (1, 0), (0, 1)
         img_x, img_y = gen_x(p2) * alpha, gen_y(p2) * beta
@@ -172,7 +172,7 @@ def verify_witness(w, p1, p2):
         "y": img_y,
     }.items()}
     one = unit(p2).terms
-    if any(_evaluate(p2, rel, images, one) for _, rel in relations(p1)):
+    if any(_evaluate(p2, _term_relation(p2, rel), images, one) for _, rel in relations(p1)):
         return False
     # comultiplication, counit, antipode on the generators
     for g in (images["a"], images["b"]):

@@ -1,8 +1,9 @@
 """Finite-dimensional pointed subcoalgebras of path coalgebras.
 
-Elements are sparse linear combinations of paths; comultiplication splits
-paths.  The module provides diamond bases, skew-primitive spaces, Ext-quivers,
-the coradical filtration, covering-map verification, dual algebras,
+Elements are sparse linear combinations of paths, with bare rational or
+CycScalar coefficients (see `CoElement`); comultiplication splits paths.
+The module provides diamond bases, skew-primitive spaces, Ext-quivers, the
+coradical filtration, covering-map verification, dual algebras,
 separability-element checks, and localization of dual algebras.
 """
 
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .linalg import SparseBasis, SparseElement, accumulate, axpy, nullspace
 from .quiver import Path, Quiver
-from .scalar import ONE, ZERO, cyc, parse_scalar
+from .scalar import ONE, bare, cyc, parse_scalar
 
 
 def _fmt_path(path):
@@ -37,18 +38,21 @@ def _fmt_path(path):
 
 
 class CoElement(SparseElement):
-    """A sparse linear combination of paths in a fixed ambient quiver."""
+    """A sparse linear combination of paths in a fixed ambient quiver.  A
+    coefficient is stored as `bare` gives it (a CycScalar only if irrational);
+    `coefficient` and `counit` return CycScalars."""
 
     __slots__ = ()
     mismatch = AmbientMismatch
     quiver = property(attrgetter("ambient"))
+    _coercion = staticmethod(lambda ambient: bare)
     _format_key = staticmethod(_fmt_path)
 
     def support(self):
         return sorted(self.terms)
 
     def coefficient(self, path):
-        return self.terms.get(path, ZERO)
+        return cyc(self.terms.get(path, 0))
 
     def delta(self):
         """Comultiplication: list of (left path, right path, coefficient).
@@ -65,17 +69,13 @@ class CoElement(SparseElement):
         return {(l, r): c for l, r, c in self.delta()}
 
     def counit(self):
-        total = ZERO
-        for path, coeff in self.terms.items():
-            if path.length == 0:
-                total = total + coeff
-        return total
+        return cyc(sum(c for path, c in self.terms.items() if path.length == 0))
 
 
 def path_element(quiver, path, coeff=1):
     if not path.is_valid(quiver):
         raise InvalidDescription(f"path {path!r} is not valid in the quiver")
-    return CoElement(quiver, {path: cyc(coeff)})
+    return CoElement(quiver, {path: coeff})
 
 
 def grouplike(quiver, v):
@@ -165,7 +165,7 @@ def parse_coelement(quiver, text):
         if not (path_str.startswith("e_") or path_str.startswith("(")):
             raise ParseError(f"missing path in term {chunk!r}")
         path = parse_path(quiver, path_str)
-        coeff = sign if scalar_str is None else sign * parse_scalar(scalar_str)
+        coeff = sign if scalar_str is None else sign * bare(scalar_str)
         accumulate(terms, path, coeff)
     return CoElement(quiver, terms)
 
@@ -235,7 +235,7 @@ class SubCoalgebra:
         comb = self._engine.coords(element.terms)
         if comb is None:
             return None
-        return [comb.get(i, ZERO) for i in range(self.dim)]
+        return [cyc(comb.get(i, 0)) for i in range(self.dim)]
 
     def from_coords(self, coeffs):
         return CoElement.combination(self.quiver, coeffs, self.basis)

@@ -77,7 +77,7 @@ class Comodule:
             for p, coeff in self.coaction[i][i].terms.items():
                 if p.length == 0:
                     accumulate(out, p.start, coeff)
-        return out
+        return {v: cyc(c) for v, c in out.items()}
 
     def to_json(self):
         return {
@@ -135,18 +135,15 @@ def hom(m1, m2):
 
     One unknown per entry of the matrix f and one equation per (l, j, path).
     Most equations have one term and force their unknown to 0; `nullspace`
-    settles those before it eliminates the rest.  When every coaction
-    coefficient is rational, the equations are built on bare int/Fraction
-    values and the basis is boxed with `cyc` on the way out."""
+    settles those before it eliminates the rest.  The equations carry the
+    coaction coefficients as stored, bare rationals unless irrational, and
+    the basis is boxed with `cyc` on the way out."""
     _check_ambient(m1, m2)
     dm, dn = m1.dim, m2.dim
-    bare = all(c.is_rational() for m in (m1, m2) for row in m.coaction for e in row
-               for c in e.terms.values())
     ids = {}  # paths are numbered once, so the equation loop hashes small ints
 
     def terms(e):
-        return [(ids.setdefault(p, len(ids)), c.coeffs[0] if bare else c)
-                for p, c in e.terms.items()]
+        return [(ids.setdefault(p, len(ids)), c) for p, c in e.terms.items()]
 
     # unknown f[r][c] is column r * dm + c
     out2 = [[(k * dm, p, c) for k, e in enumerate(row) for p, c in terms(e)]
@@ -265,7 +262,7 @@ def _quotient_comodule(mod, sub_vectors):
                 continue
             for ii, knew in enumerate(keep):
                 w = proj[i].get(knew)
-                if w is not None and not w.is_zero():
+                if w:
                     c[ii][jj] = c[ii][jj] + entry * w
     labels = [mod.labels[i] for i in keep]
     return Comodule(mod.coalgebra, c, labels, validate=False)

@@ -7,16 +7,16 @@ normal form a^i b^j x^p y^q with p, q in {0, 1}, multiplied as a crossed
 product of the group algebra and {1, x, y, xy} (see `_mono_mul`).
 
 Value kind: for rational lam, s, t and k, tables, term dicts and elements
-hold bare int/Fraction values (plus an irrational value brought in, such as a
-witness alpha = z4, and any CycScalar multiplied into an element), else
-CycScalars.  The scalars of `BmnParams`, `counit` and the certificate report
-stay CycScalars.  Delta, epsilon and S are term functions that `comultiply`,
-`counit` and `antipode` wrap; the Hopf certificate and the isomorphism
-witness check run on them and on `_evaluate`, without elements.
+hold values as `scalar.bare` gives them (a CycScalar only for an irrational
+value brought in, such as a witness alpha = z4), else CycScalars.  The
+scalars of `BmnParams`, `counit` and the certificate report stay CycScalars.
+Delta, epsilon and S are term functions that `comultiply`, `counit` and
+`antipode` wrap; the Hopf certificate and the isomorphism witness check run
+on them and on `_evaluate`, without elements.
 
 The module also embeds finite windows of the basis into the grid path
-coalgebra (vertices = canonical group elements) and answers path-membership
-queries there.
+coalgebra (vertices = canonical group elements), certifies that the embedding
+is an injective coalgebra map, and answers path-membership queries there.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .errors import (
     ConstraintViolation,
     ForbiddenPair,
     LambdaOrderViolation,
+    NotClosedUnderDelta,
     ParamMismatch,
     ParityViolation,
     ParseError,
@@ -38,15 +39,7 @@ from .errors import (
 )
 from .linalg import SparseElement, accumulate, axpy
 from .quiver import Path, grid_quiver, grid_vertex_label, group_canonical_pair
-from .scalar import ONE, CycScalar, _q, cyc, parse_scalar
-
-
-def _rational_coefficient(value):
-    """An element coefficient for rational parameters: a bare rational in the
-    form of `_q`, any other scalar as `cyc` gives it (CycScalars stay boxed)."""
-    if isinstance(value, (int, Fraction)):
-        return _q(value)
-    return cyc(value)
+from .scalar import ONE, CycScalar, _q, bare, cyc, parse_scalar
 
 
 def _power(x, e):
@@ -68,7 +61,7 @@ class BmnParams:
         # the value kinds of tables (`_value`) and coefficients (`_scalar`)
         rational = all(v.is_rational() for v in (lam, s, t, k))
         self._value = CycScalar.as_rational if rational else cyc
-        self._scalar = _rational_coefficient if rational else cyc
+        self._scalar = bare if rational else cyc
         self._one, self._lam, self._lam_inv = map(self._value, (ONE, lam, self.lam_inv))
         self._mono_cache = {}
         self._tables = {}
@@ -446,24 +439,23 @@ def relations(params):
     ]
 
 
-def _term_scalar(params, value):
-    """A CycScalar as a term-dict value of params: bare if it is rational and
-    params are, else as `_scalar` keeps it (a witness scale z4 stays boxed)."""
-    return params._scalar(value.as_rational() if value.is_rational() else value)
+def _term_relation(params, relation):
+    """The relation with its coefficients as term-dict values of params
+    (`_scalar`) and its zero terms dropped, for `_evaluate`."""
+    return [(params._scalar(c), word) for c, word in relation if c]
 
 
 def _evaluate(params, relation, images, start, mul=_mul_terms, reverse=False):
-    """sum(c * start * images[w_1] * ... * images[w_l]) over the relation's
-    terms (c, w), on term dicts of H (mul=_mul_terms) or H (x) H (_tensor_mul).
-    With reverse=True a word is read right to left, for an anti-homomorphism."""
+    """sum(c * start * images[w_1] * ... * images[w_l]) over the terms (c, w)
+    of a relation from `_term_relation`, on term dicts of H (mul=_mul_terms)
+    or H (x) H (_tensor_mul).  With reverse=True a word is read right to
+    left, for an anti-homomorphism."""
     total = {}
     for coeff, word in relation:
-        if not coeff:
-            continue
         value = start
         for gen in reversed(word) if reverse else word:
             value = mul(params, value, images[gen])
-        axpy(total, _term_scalar(params, coeff), value)
+        axpy(total, coeff, value)
     return total
 
 
@@ -541,7 +533,7 @@ def verify_hopf_axioms(params, radius, seed=None):
     if radius < 0:
         raise WindowTooSmall("radius must be nonnegative")
     gens = {g: u.terms for g, u in generator_images(params).items()}
-    rels = relations(params)
+    rels = [(name, _term_relation(params, rel)) for name, rel in relations(params)]
     e = params.canon(0, 0)
     one, tensor_one = {(e, 0, 0): params._one}, {((e, 0, 0), (e, 0, 0)): params._one}
     monos = [{(e, p, q): params._one} for p in (0, 1) for q in (0, 1)]
@@ -564,7 +556,7 @@ def verify_hopf_axioms(params, radius, seed=None):
     for g in _TRANSLATES:
         for tail in ("", "x", "y", "xy"):
             # the monomial g * tail and the products of the maps' values
-            word = [(ONE, g + tail)]
+            word = [(params._one, g + tail)]
             mono = _evaluate(params, word, gens, one)
             if _comul_terms(params, mono) != _evaluate(params, word, delta, tensor_one,
                                                        _tensor_mul):
@@ -601,9 +593,10 @@ class Truncation:
 
     coalgebra: the smallest closed subcoalgebra containing the window images;
     images: basis key -> CoElement for every key with group part in the window;
-    rank: dimension of the span of those images."""
+    rank: dimension of the span of those images;
+    certificate: the sizes `_certify_embedding` checked."""
 
-    def __init__(self, params, radius, quiver, coalgebra, images, window):
+    def __init__(self, params, radius, quiver, coalgebra, images, window, certificate):
         self.params = params
         self.radius = radius
         self.quiver = quiver
@@ -611,6 +604,7 @@ class Truncation:
         self.images = images
         self.window = window
         self.rank = len(images)
+        self.certificate = certificate
 
     def image_of(self, i, j, p, q):
         key = (self.params.canon(i, j), p, q)
@@ -636,12 +630,47 @@ def _image_of_key(params, quiver, key):
     )
 
 
+def _certify_embedding(params, images):
+    """Certify that iota: key -> images[key] is an injective coalgebra map:
+    the images are nonzero with pairwise disjoint supports, Delta_H of every
+    key (read off `_structure_table`) lands on keys, and Delta_path iota(u) =
+    (iota (x) iota) Delta_H(u) for every key u, one dict comparison each.  So
+    the span of the images is a subcoalgebra, and it holds e_v for every
+    vertex v its paths start or end at.  Raises NotClosedUnderDelta naming
+    the first key that fails; returns the sizes checked."""
+    owner = {}
+    for key, img in images.items():
+        if not img.terms:
+            raise NotClosedUnderDelta(f"iota({_fmt_key(key)}) is zero")
+        for path in img.terms:
+            other = owner.setdefault(path, key)
+            if other != key:
+                raise NotClosedUnderDelta(
+                    f"iota({_fmt_key(key)}) and iota({_fmt_key(other)}) share a path")
+    compared = 0
+    for key, img in images.items():
+        name, expected = _fmt_key(key), {}
+        for (l, r), c in _comul_terms(params, {key: params._one}).items():
+            if l not in images or r not in images:
+                raise NotClosedUnderDelta(
+                    f"Delta({name}) leaves the keys at {_fmt_key(l)} (x) {_fmt_key(r)}")
+            for p, cp in images[l].terms.items():
+                for q, cq in images[r].terms.items():
+                    accumulate(expected, (p, q), c * cp * cq)
+        if img.delta_dict() != expected:
+            raise NotClosedUnderDelta(
+                f"Delta(iota({name})) differs from (iota (x) iota) Delta({name})")
+        compared += len(expected)
+    return {"keys": len(images), "coproduct_terms": compared, "paths": len(owner)}
+
+
 def truncate_to_subcoalgebra(params, radius):
     """Embed the window-indexed basis into the grid path coalgebra.
 
     Returns a Truncation whose coalgebra is spanned by the images of
     a^i b^j x^p y^q for (i, j) in the window, completed at the boundary so the
-    span is closed under comultiplication."""
+    span is closed under comultiplication, which `_certify_embedding` proves
+    in place of the SubCoalgebra's elimination check."""
     if radius < 0:
         raise WindowTooSmall("radius must be nonnegative")
     window = params.window(radius)
@@ -653,17 +682,13 @@ def truncate_to_subcoalgebra(params, radius):
     y_groups = sorted(set(window) | shift_a)
     ambient = max(abs(c) for g in groups for c in g)
     quiver = grid_quiver(params.m, params.n, ambient)
-    basis = [_image_of_key(params, quiver, (g, 0, 0)) for g in groups]
-    basis += [_image_of_key(params, quiver, (g, 1, 0)) for g in x_groups]
-    basis += [_image_of_key(params, quiver, (g, 0, 1)) for g in y_groups]
-    basis += [_image_of_key(params, quiver, (g, 1, 1)) for g in window]
-    coalg = SubCoalgebra(quiver, basis)
-    images = {}
-    for g in window:
-        for p in (0, 1):
-            for q in (0, 1):
-                images[(g, p, q)] = _image_of_key(params, quiver, (g, p, q))
-    return Truncation(params, radius, quiver, coalg, images, window)
+    keys = [(g, 0, 0) for g in groups] + [(g, 1, 0) for g in x_groups]
+    keys += [(g, 0, 1) for g in y_groups] + [(g, 1, 1) for g in window]
+    basis = {key: _image_of_key(params, quiver, key) for key in keys}
+    certificate = _certify_embedding(params, basis)
+    coalg = SubCoalgebra(quiver, basis.values(), validate=False)
+    images = {(g, p, q): basis[g, p, q] for g in window for p in (0, 1) for q in (0, 1)}
+    return Truncation(params, radius, quiver, coalg, images, window, certificate)
 
 
 def contains_path_combination(params, radius, i, j, c1, c2, truncation=None):

@@ -1,11 +1,11 @@
 """Exact sparse linear algebra over the cyclotomic scalars.
 
-A sparse vector is a dict key -> value that stores no zero.  Its values are
-all `CycScalar`s or all bare rationals (`int` or `Fraction`), never a mix:
-bare rationals are the fast path for systems that are rational throughout.
-Only a `hopf` element may mix them (see there): it never reaches
-`SparseBasis`, and a rational `CycScalar` compares and hashes like its value.
-Zero is tested by truthiness, which both kinds share.  `accumulate` adds into
+A sparse vector is a dict key -> value that stores no zero.  A value is a
+`CycScalar` or a bare rational (`int` or `Fraction`), and one vector may mix
+the two kinds: a path element stores rationals bare and irrationals boxed,
+so on a cyclotomic window one `SparseBasis` holds both.  That is sound
+because a rational `CycScalar` compares and hashes like its value, and zero
+is tested by truthiness, which both kinds share.  `accumulate` adds into
 one entry and `axpy` adds a multiple of a whole vector; both drop an entry
 that cancels.  `SparseElement` is that format as a value: the base
 of the path-coalgebra elements, the algebra elements of B(m, n; lambda, s, t,

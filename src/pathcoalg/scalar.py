@@ -364,7 +364,6 @@ def _canonical(n, vec):
 
 ZERO = CycScalar(1, (_ZERO,))
 ONE = CycScalar(1, (_ONE,))
-MINUS_ONE = CycScalar(1, (-1,))
 
 
 def cyc(value):
@@ -376,6 +375,24 @@ def cyc(value):
     if isinstance(value, str):
         return parse_scalar(value)
     raise TypeError(f"cannot coerce {value!r} to a scalar")
+
+
+def bare(value):
+    """A coefficient as a value: a rational as a bare int or Fraction in the
+    normal form of `_q`, anything else as the CycScalar `cyc` gives.  A
+    string that is one rational literal, an optional minus and digits with an
+    optional ``/`` and digits (``-3``, ``2/5``) and no whitespace, goes
+    straight to Fraction; any other string goes through `parse_scalar`."""
+    if isinstance(value, CycScalar):
+        return value.coeffs[0] if value.n == 1 else value
+    if isinstance(value, (int, Fraction)):
+        return _q(value)
+    if isinstance(value, str) and _RATIONAL_LITERAL.fullmatch(value):
+        try:
+            return _q(Fraction(value))
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {value!r}") from None
+    return bare(cyc(value))
 
 
 def root_of_unity_order(a):
@@ -433,6 +450,7 @@ def _isqrt_exact(k):
 
 # -- parser -----------------------------------------------------------------
 
+_RATIONAL_LITERAL = re.compile(r"-?\d+(?:/\d+)?")
 _TOKEN = re.compile(
     r"\s*(?:(?P<rat>\d+(?:/\d+)?)|(?P<root>z\d+(?:\^-?\d+)?)|(?P<op>[-+*()]))"
 )

@@ -41,7 +41,7 @@ from pathcoalg.errors import (
 from pathcoalg.hopf import truncate_to_subcoalgebra, validate_params
 from pathcoalg.linalg import SparseBasis, accumulate, nullspace
 from pathcoalg.quiver import Path, Quiver, QuiverMorphism, graph_class, grid_quiver, quotient
-from pathcoalg.scalar import ONE, ZERO, cyc
+from pathcoalg.scalar import ONE, ZERO, CycScalar, cyc
 
 
 def square_tilde():
@@ -143,6 +143,26 @@ class TestDelta:
             assert {k: v for k, v in lhs.items() if not v.is_zero()} == {
                 k: v for k, v in rhs.items() if not v.is_zero()
             }
+
+
+class TestValueKinds:
+    def test_stored_bare_and_returned_boxed(self):
+        """Rational coefficients are stored bare and irrational ones boxed,
+        also in one element; `coefficient`, `counit` and `coords` return
+        CycScalars."""
+        tr = truncate_to_subcoalgebra(validate_params(0, 0, "z3", 0, 0, 0), 1)
+        xy = tr.image_of(0, 0, 1, 1)
+        kinds = {type(c) for c in xy.terms.values()}
+        assert kinds == {int, CycScalar}
+        assert all(not c.is_rational() for c in xy.terms.values() if isinstance(c, CycScalar))
+        e = tr.image_of(0, 0, 0, 0) * "2/3" + xy
+        paths = sorted(e.terms)
+        assert e.terms[Path("a0b0")] == Fraction(2, 3)
+        for value in [e.coefficient(p) for p in paths] + [e.counit()] + tr.coalgebra.coords(e):
+            assert isinstance(value, CycScalar)
+        assert e.coefficient(Path("a0b0")) == cyc("2/3") and e.counit() == cyc("2/3")
+        assert [c for c in tr.coalgebra.coords(e) if c] == [cyc("2/3"), ONE]
+        assert isinstance(e.coefficient(Path("a1b1")), CycScalar)
 
 
 class TestSubCoalgebra:
@@ -253,7 +273,7 @@ class TestSkewPrimitives:
                     for p, coeff in x.terms.items():
                         for key in ((pg, p), (p, ph)):
                             val = out.get(key, ZERO) - coeff
-                            if val.is_zero():
+                            if val == 0:
                                 out.pop(key, None)
                             else:
                                 out[key] = val

@@ -8,12 +8,20 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pathcoalg import hopf
 from pathcoalg.classify import IsoWitness, are_isomorphic, canonical_form, verify_witness
-from pathcoalg.coalgebra import coradical_filtration, path_element, skew_primitives
+from pathcoalg.coalgebra import (
+    CoElement,
+    coradical_filtration,
+    ext_quiver,
+    path_element,
+    skew_primitives,
+    span_subcoalgebra,
+)
 from pathcoalg.errors import (
     AxiomFailure,
     ConstraintViolation,
     ForbiddenPair,
     LambdaOrderViolation,
+    NotClosedUnderDelta,
     ParamMismatch,
     ParityViolation,
     ParseError,
@@ -44,7 +52,7 @@ from pathcoalg.hopf import (
     verify_hopf_axioms,
 )
 from pathcoalg.linalg import accumulate
-from pathcoalg.quiver import Path
+from pathcoalg.quiver import Path, grid_vertex_label
 from pathcoalg.scalar import ONE, ZERO, CycScalar, cyc
 
 from test_acceptance import PAIRS, _valid_grid
@@ -341,6 +349,31 @@ class TestPathMembership:
                 got = contains_path_combination(p, 1, i, j, c1, c2, truncation=tr)
                 assert got == expected
 
+    @pytest.mark.parametrize("lam", ["1", "-1", "z3", "z4"])
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_bare_and_boxed_windows_agree(self, monkeypatch, lam, radius):
+        """A truncation whose path elements keep every value a CycScalar gives
+        the same probe verdicts and Ext-quiver arrows as the one on bare
+        rationals."""
+        p = validate_params(0, 0, lam, 0, 0, 0)
+        on = [(1, -p.lam), ("2/3", str(-p.lam * cyc("2/3"))), (cyc("z3"), -p.lam * cyc("z3"))]
+        off = [("1", "0"), ("-5", "5 "), (" 2", "2"), ("z4", 1), ("1+z3", "-1/2")]
+
+        def outcomes():
+            tr = truncate_to_subcoalgebra(p, radius)
+            verdicts = [contains_path_combination(p, radius, i, j, c1, c2, truncation=tr)
+                        for i, j in p.window(radius) for c1, c2 in on + off]
+            values = [c for b in tr.coalgebra.basis for c in b.terms.values()]
+            return values, verdicts, ext_quiver(tr.coalgebra).arrows
+
+        bare_values, *bare = outcomes()
+        monkeypatch.setattr(CoElement, "_coercion", staticmethod(lambda ambient: cyc))
+        boxed_values, *boxed = outcomes()
+        assert not any(isinstance(c, CycScalar) and c.is_rational() for c in bare_values)
+        assert all(isinstance(c, CycScalar) for c in boxed_values)
+        assert bare == boxed
+        assert set(bare[0]) == {True, False} and bare[1]
+
     def test_single_paths_rejected(self):
         p = params_free()
         tr = truncate_to_subcoalgebra(p, 1)
@@ -476,7 +509,11 @@ class TestValueKinds:
         p = validate_params(3, 1, 1, 1, 0, 1)
         key = ((1, 0), 1, 0)
         bare = basis_element(p, 1, 0, 1, 0) * Fraction(1, 2)
-        boxed = BmnElement(p, {key: cyc("1/2")})
+        # the constructor unboxes a rational CycScalar; set the boxed value
+        # directly, as a term dict of mixed kinds holds it
+        assert is_bare(BmnElement(p, {key: cyc("1/2")}))
+        boxed = BmnElement(p, {})
+        boxed.terms = {key: cyc("1/2")}
         assert is_bare(bare) and not is_bare(boxed)
         assert bare == boxed and hash(bare) == hash(boxed) and str(bare) == str(boxed)
         assert len({bare, boxed}) == 1
@@ -523,6 +560,134 @@ class TestWindowEmbedding:
                     for pr, cr in iota(r).terms.items():
                         accumulate(pushed, (pl, pr), c * cl * cr)
             assert image.delta_dict() == pushed, key
+
+    def test_certificate_is_stored(self):
+        p = params_free(k="5")
+        tr = truncate_to_subcoalgebra(p, 1)
+        cert = tr.certificate
+        assert cert["keys"] == tr.coalgebra.dim == 49
+        assert cert["paths"] == sum(len(b.terms) for b in tr.coalgebra.basis)
+        assert cert["coproduct_terms"] == sum(len(b.delta_dict()) for b in tr.coalgebra.basis)
+
+
+# -- mutants of the window embedding: each must fail the certificate ---------
+
+
+def image_of_key_variant(lam_power=1, swap=False, drop=None):
+    """`_image_of_key` with lam^lam_power for lam on the yx path of the xy
+    image, with the x and y arrows of the degree-one images swapped wherever
+    the other arrow exists, or with the image of the key `drop` replaced by
+    0; the defaults are the original."""
+    original = hopf._image_of_key
+
+    def image_of_key(params, quiver, key):
+        (i, j), p, q = key
+        g = grid_vertex_label(i, j)
+        if key == drop:
+            return CoElement(quiver, {})
+        if swap and p + q == 1 and f"{'y' if p else 'x'}@{g}" in quiver.arrow_by_id:
+            return original(params, quiver, ((i, j), q, p))
+        img = original(params, quiver, key)
+        if p and q:
+            gb = grid_vertex_label(*params.canon(i, j + 1))
+            yx = Path(g, (f"y@{g}", f"x@{gb}"))
+            img = img + path_element(quiver, yx, params.lam - params.lam ** lam_power)
+        return img
+
+    return image_of_key
+
+
+def truncation_keys(params, radius):
+    """The basis keys of the truncation, in its basis order: group parts of
+    the window and its a-, b- and ab-shifts, x on the window and its
+    b-shift, y on the window and its a-shift, xy on the window."""
+    window = params.window(radius)
+
+    def shifted(di, dj):
+        return {params.canon(i + di, j + dj) for i, j in window}
+
+    keys = [(g, 0, 0) for g in sorted(set(window) | shifted(1, 0) | shifted(0, 1)
+                                       | shifted(1, 1))]
+    keys += [(g, 1, 0) for g in sorted(set(window) | shifted(0, 1))]
+    keys += [(g, 0, 1) for g in sorted(set(window) | shifted(1, 0))]
+    return keys + [(g, 1, 1) for g in window]
+
+
+def boundary_group(params, radius):
+    """The smallest group part of the truncation keys outside the window."""
+    window = params.window(radius)
+    corners = {params.canon(i + 1, j + 1) for i, j in window}
+    return min(corners - set(window))
+
+
+EMBEDDING_MUTANT_PARAMS = [
+    validate_params(0, 0, -1, 1, 1, 0), validate_params(2, 0, -1, 0, 0, 0),
+    validate_params(0, 0, "z3", 0, 0, 0), validate_params(4, 0, "z4", 0, 0, 0),
+]
+
+
+class TestEmbeddingMutants:
+    @pytest.mark.parametrize("params", EMBEDDING_MUTANT_PARAMS, ids=repr)
+    @pytest.mark.parametrize("radius", [1, 2])
+    @pytest.mark.parametrize("name", ["lam^2 on xy", "swapped arrows",
+                                      "dropped boundary group"])
+    def test_certificate_names_the_key(self, monkeypatch, params, radius, name):
+        """Each mutant raises NotClosedUnderDelta naming a key whose image it
+        changed.  SubCoalgebra(validate=True) sees only the span of the
+        images.  It rejects the dropped group, whose span misses a grouplike,
+        and accepts lam^2, since the span is a subcoalgebra whatever scalar
+        the yx path carries.  It rejects the swap only where an arrow kept at
+        the boundary changes the span (here on (4, 0, z4) at radius 2); a
+        swap that permutes the arrows keeps it.  The certificate checks iota
+        against Delta_H and rejects all three."""
+        mutant = {
+            "lam^2 on xy": image_of_key_variant(lam_power=2),
+            "swapped arrows": image_of_key_variant(swap=True),
+            "dropped boundary group": image_of_key_variant(
+                drop=(boundary_group(params, radius), 0, 0)),
+        }[name]
+        tr = truncate_to_subcoalgebra(params, radius)
+        keys = truncation_keys(params, radius)
+        assert tr.coalgebra.basis == [hopf._image_of_key(params, tr.quiver, k) for k in keys]
+        images = [mutant(params, tr.quiver, k) for k in keys]
+        changed = [k for k, img, old in zip(keys, images, tr.coalgebra.basis) if img != old]
+        assert changed
+        monkeypatch.setattr(hopf, "_image_of_key", mutant)
+        with pytest.raises(NotClosedUnderDelta) as info:
+            truncate_to_subcoalgebra(params, radius)
+        message = str(info.value)
+        assert any(f"({hopf._fmt_key(k)})" in message for k in changed), message
+        if name == "dropped boundary group":
+            with pytest.raises(NotClosedUnderDelta):
+                span_subcoalgebra(tr.quiver, images, validate=True)
+        elif name == "lam^2 on xy":
+            assert span_subcoalgebra(tr.quiver, images, validate=True).dim == len(images)
+
+    def test_each_check_rejects_alone(self):
+        """Each check of `_certify_embedding` rejects a corrupted image dict
+        before the others see it, with its own message."""
+        p = validate_params(0, 0, -1, 1, 1, 0)
+        tr = truncate_to_subcoalgebra(p, 1)
+        images = dict(zip(truncation_keys(p, 1), tr.coalgebra.basis))
+        x, y, ab = ((0, 0), 1, 0), ((0, 0), 0, 1), ((1, 1), 0, 0)
+        cases = [
+            ({**images, x: CoElement(tr.quiver, {})}, r"iota\(x\) is zero"),
+            ({**images, y: images[x]}, r"iota\(y\) and iota\(x\) share a path"),
+            ({k: v for k, v in images.items() if k != ab},
+             r"Delta\(b\*x\) leaves the keys at b\*x \(x\) a\*b"),
+            ({**images, x: images[x] * 2}, r"Delta\(iota\(b\^-1\*x\*y\)\) differs"),
+        ]
+        assert hopf._certify_embedding(p, images) == tr.certificate
+        for corrupted, message in cases:
+            with pytest.raises(NotClosedUnderDelta, match=message):
+                hopf._certify_embedding(p, corrupted)
+
+    def test_unmutated_variant_passes(self, monkeypatch):
+        monkeypatch.setattr(hopf, "_image_of_key", image_of_key_variant())
+        for params in EMBEDDING_MUTANT_PARAMS:
+            for radius in (1, 2):
+                tr = truncate_to_subcoalgebra(params, radius)
+                assert tr.certificate["keys"] == tr.coalgebra.dim
 
 
 # -- the window sweep: reference oracle for the certificate ------------------
@@ -652,8 +817,8 @@ def witness_images(w, p2):
     return {
         "a": group_element(p2, *va), "A": group_element(p2, -va[0], -va[1]),
         "b": group_element(p2, *vb), "B": group_element(p2, -vb[0], -vb[1]),
-        "x": gx(p2) * hopf._term_scalar(p2, w.alpha),
-        "y": gy(p2) * hopf._term_scalar(p2, w.beta),
+        "x": gx(p2) * p2._scalar(w.alpha),
+        "y": gy(p2) * p2._scalar(w.beta),
     }
 
 
@@ -667,7 +832,8 @@ def assert_evaluator_matches(p, relation, images, terms, start, mul=hopf._mul_te
     bare = not any(isinstance(c, CycScalar) for c in inputs)
     for part in [relation] + [[term] for term in relation]:
         want = evaluate_relation(part, images, start, reverse)
-        got = hopf._evaluate(p, part, terms, start.terms, mul, reverse)
+        got = hopf._evaluate(p, hopf._term_relation(p, part), terms, start.terms, mul,
+                             reverse)
         assert got == want.terms and str(type(want)(p, got)) == str(want), part
         if bare and all(c.is_rational() for c, _ in part):
             assert not any(isinstance(c, CycScalar) for c in got.values()), part
@@ -834,6 +1000,13 @@ def counit_of_x_is_one(params, terms):
     return {(params.canon(0, 0), 0, 0): total} if total else {}
 
 
+def comul_terms_left_unit(params, terms):
+    """`_comul_terms` as Delta(u) = 1 (x) u: an algebra map that is
+    coassociative and obeys the left counit law, but not the right one."""
+    one = (params.canon(0, 0), 0, 0)
+    return {(one, key): c for key, c in terms.items()}
+
+
 def sign_x_inverted(self, i, j):
     return (-ONE) ** i * (-self.lam_inv) ** j
 
@@ -880,6 +1053,15 @@ class TestMutants:
         for p in mutant_params():
             assert sweep_hopf_axioms(p, 1)
             assert verify_hopf_axioms(p, 1)["ok"]
+
+    def test_right_counit_law_is_checked(self, monkeypatch):
+        """Delta(u) = 1 (x) u passes parts 1-3, coassociativity and the left
+        counit law, so only the right counit law can reject it (the antipode
+        laws, checked after it, would too, with another message)."""
+        monkeypatch.setattr(hopf, "_comul_terms", comul_terms_left_unit)
+        for p in mutant_params():
+            with pytest.raises(AxiomFailure, match="counit law fails"):
+                verify_hopf_axioms(p, 1)
 
     @pytest.mark.parametrize("name", sorted(MUTANTS))
     def test_certificate_rejects_what_sweep_rejects(self, monkeypatch, name):

@@ -235,7 +235,8 @@ KINDS = {
 
 
 def _stores_no_zero(x):
-    return all(not c.is_zero() for c in x.terms.values())
+    # a value is a bare rational or a CycScalar; both compare with 0
+    return all(c != 0 for c in x.terms.values())
 
 
 class TestSparseElement:

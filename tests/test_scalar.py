@@ -1,13 +1,19 @@
-import pytest
+import contextlib
+import re
 from fractions import Fraction
+from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+import pytest
 
+from hypothesis import assume, given, settings, strategies as st
+
+from pathcoalg import scalar
 from pathcoalg.errors import DivisionByZero, ParseError, SquareRootUnavailable, ZeroInput
 from pathcoalg.scalar import (
     ONE,
     ZERO,
     CycScalar,
+    bare,
     cyc,
     cyclotomic_poly,
     parse_scalar,
@@ -332,3 +338,68 @@ class TestExactness:
         value = make()
         assert str(value) == text
         assert parse_scalar(text) == value
+
+
+class TestBareCoercion:
+    """`bare`: rationals unboxed in the normal form of `_q`, a rational
+    literal straight to Fraction, every other string through the parser."""
+
+    def test_values(self):
+        assert bare(cyc(Fraction(4, 2))) == 2 and type(bare(cyc(Fraction(4, 2)))) is int
+        assert bare(Fraction(-2, 3)) == Fraction(-2, 3)
+        assert type(bare(Fraction(6, 3))) is int and bare(True) == 1
+        z = zeta(4)
+        assert bare(z) is z
+        with pytest.raises(TypeError):
+            bare(0.5)
+
+    @given(st.from_regex(r"-?\d+(/\d+)?", fullmatch=True))
+    @settings(max_examples=200, deadline=None)
+    def test_literal_fast_path_equals_parser(self, text):
+        """A literal never reaches the parser, and gives its value, or a
+        ParseError for a zero denominator, as the parser does."""
+        den = text.partition("/")[2]
+        zero_den = bool(den) and int(den) == 0
+        with mock.patch.object(scalar, "parse_scalar", wraps=parse_scalar) as spy:
+            with pytest.raises(ParseError) if zero_den else contextlib.nullcontext():
+                value = bare(text)
+        assert spy.call_count == 0
+        if zero_den:
+            with pytest.raises(ParseError):
+                parse_scalar(text)
+        else:
+            assert type(value) in (int, Fraction) and value == parse_scalar(text)
+            assert type(value) is int or value.denominator > 1
+
+    @given(st.lists(st.sampled_from(
+        [" ", "-", "+", "/", "*", "(", ")", "^", "0", "1", "7", "2/3", "z3", "z4^1"]),
+        max_size=7).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_other_strings_fall_through(self, text):
+        """Any other string, spaces and parser rejects among them, goes
+        through the parser once and gives its verdict."""
+        assume(scalar._RATIONAL_LITERAL.fullmatch(text) is None)
+        assume(re.search(r"z\d{3}", text) is None)  # keep conductors small
+        try:
+            want = parse_scalar(text)
+        except ParseError:
+            want = None
+        with mock.patch.object(scalar, "parse_scalar", wraps=parse_scalar) as spy:
+            try:
+                got = bare(text)
+            except ParseError:
+                got = None
+        assert spy.call_count == 1
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got == want and not (isinstance(got, CycScalar) and got.is_rational())
+
+    @pytest.mark.parametrize("text", ["1/0", "-3/0", " 1", "1 ", "- 1", "+1", "1/-2", "--1"])
+    def test_edge_literals(self, text):
+        try:
+            want = parse_scalar(text)
+        except ParseError:
+            with pytest.raises(ParseError):
+                bare(text)
+        else:
+            assert bare(text) == want
