@@ -26,7 +26,7 @@ from .errors import (
     PathcoalgError,
     UnknownVertex,
 )
-from .linalg import SparseBasis, SparseElement, accumulate, axpy, nullspace
+from .linalg import SparseBasis, SparseElement, accumulate, axpy, nullspace, tensor_axpy
 from .quiver import Path, Quiver
 from .scalar import ONE, bare, cyc, parse_scalar
 
@@ -45,7 +45,6 @@ class CoElement(SparseElement):
     __slots__ = ()
     mismatch = AmbientMismatch
     quiver = property(attrgetter("ambient"))
-    _coercion = staticmethod(lambda ambient: bare)
     _format_key = staticmethod(_fmt_path)
 
     def support(self):
@@ -478,11 +477,8 @@ def _delta_over_basis(element, coalg):
     for (l, r), c in element.delta_dict().items():
         cl = lookup.get(l)
         cr = lookup.get(r)
-        if cl is None or cr is None:
-            continue
-        for i, a in cl.items():
-            for j, b in cr.items():
-                accumulate(out, (i, j), c * a * b)
+        if cl is not None and cr is not None:
+            tensor_axpy(out, c, cl, cr)
     return out
 
 
@@ -514,9 +510,7 @@ class CoalgebraMap:
             lhs = img.delta_dict()
             rhs = {}
             for (i, j), c in _delta_over_basis(b, self.domain).items():
-                for (p, cp) in self.images[i].terms.items():
-                    for (q, cq) in self.images[j].terms.items():
-                        accumulate(rhs, (p, q), c * cp * cq)
+                tensor_axpy(rhs, c, self.images[i].terms, self.images[j].terms)
             if lhs != rhs:
                 return {"element": str(b), "axiom": "comultiplication"}
         return None
@@ -821,12 +815,8 @@ def separability_check(pi, capacity=40):
     for x in range(d):
         diff = {}
         for g in idems:
-            for k, v in mul({x: ONE}, g).items():
-                for l, w in g.items():
-                    accumulate(diff, (k, l), v * w)
-            for l, v in mul(g, {x: ONE}).items():
-                for k, w in g.items():
-                    accumulate(diff, (k, l), -(w * v))
+            tensor_axpy(diff, 1, mul({x: ONE}, g), g)
+            tensor_axpy(diff, -1, g, mul(g, {x: ONE}))
         res, _ = relations.residue(diff)
         if res:
             return False

@@ -21,8 +21,8 @@ from .errors import (
     RequiresMEqualsN,
     WindowTooSmall,
 )
-from .hopf import truncate_to_subcoalgebra
-from .linalg import SparseBasis, accumulate, nullspace
+from .hopf import _parse_grid_label, truncate_to_subcoalgebra
+from .linalg import SparseBasis, accumulate, nullspace, tensor_axpy
 from .quiver import Path, grid_vertex_label
 from .scalar import ONE, ZERO, cyc
 
@@ -56,16 +56,10 @@ class Comodule:
                     raise InvalidDescription(
                         f"counit law fails at entry ({i},{j})"
                     )
-                lhs = entry.delta_dict()
                 rhs = {}
                 for l in range(self.dim):
-                    left, right = c[i][l], c[l][j]
-                    if left.is_zero() or right.is_zero():
-                        continue
-                    for p, cp in left.terms.items():
-                        for q, cq in right.terms.items():
-                            accumulate(rhs, (p, q), cp * cq)
-                if lhs != rhs:
+                    tensor_axpy(rhs, 1, c[i][l].terms, c[l][j].terms)
+                if entry.delta_dict() != rhs:
                     raise InvalidDescription(
                         f"comatrix identity fails at entry ({i},{j})"
                     )
@@ -506,8 +500,6 @@ def enumerate_indecomposables(params, radius, max_total_dim, truncation=None):
 
 
 def _label_in_window(label, window):
-    from .hopf import _parse_grid_label
-
     return _parse_grid_label(label) in window
 
 

@@ -112,10 +112,6 @@ class AxiomFailure(PathcoalgError, AssertionError):
         self.witness = witness
 
 
-class InvalidParams(PathcoalgError, ValueError):
-    code = "InvalidParams"
-
-
 # comodules
 class AmbientMismatch(PathcoalgError, ValueError):
     code = "AmbientMismatch"

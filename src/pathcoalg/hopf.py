@@ -6,10 +6,12 @@ ax = -xa, bx = -lam^-1*xb, ay = -lam*ya, by = -yb.  Elements are kept in the
 normal form a^i b^j x^p y^q with p, q in {0, 1}, multiplied as a crossed
 product of the group algebra and {1, x, y, xy} (see `_mono_mul`).
 
-Value kind: for rational lam, s, t and k, tables, term dicts and elements
-hold values as `scalar.bare` gives them (a CycScalar only for an irrational
-value brought in, such as a witness alpha = z4), else CycScalars.  The
-scalars of `BmnParams`, `counit` and the certificate report stay CycScalars.
+Value kind: for every parameter set, tables, relations and elements store
+values as `scalar.bare` gives them, a rational bare and an irrational (z3,
+a witness alpha = z4) as a CycScalar.  A product of irrationals may be a
+rational CycScalar inside a term dict (lam * lam^-1); an element stores it
+bare again.  The scalars of `BmnParams`, `counit` and the certificate report
+stay CycScalars.
 Delta, epsilon and S are term functions that `comultiply`, `counit` and
 `antipode` wrap; the Hopf certificate and the isomorphism witness check run
 on them and on `_evaluate`, without elements.
@@ -25,11 +27,12 @@ import math
 from fractions import Fraction
 from operator import attrgetter
 
-from .coalgebra import SubCoalgebra, _signed_terms, _split_top_level, path_element
+from .coalgebra import CoElement, SubCoalgebra, _signed_terms, _split_top_level, path_element
 from .errors import (
     AxiomFailure,
     ConstraintViolation,
     ForbiddenPair,
+    InvalidDescription,
     LambdaOrderViolation,
     NotClosedUnderDelta,
     ParamMismatch,
@@ -37,7 +40,7 @@ from .errors import (
     ParseError,
     WindowTooSmall,
 )
-from .linalg import SparseElement, accumulate, axpy
+from .linalg import SparseElement, accumulate, axpy, tensor_axpy
 from .quiver import Path, grid_quiver, grid_vertex_label, group_canonical_pair
 from .scalar import ONE, CycScalar, _q, bare, cyc, parse_scalar
 
@@ -58,11 +61,7 @@ class BmnParams:
         self.t = t
         self.k = k
         self.lam_inv = lam.inverse()
-        # the value kinds of tables (`_value`) and coefficients (`_scalar`)
-        rational = all(v.is_rational() for v in (lam, s, t, k))
-        self._value = CycScalar.as_rational if rational else cyc
-        self._scalar = bare if rational else cyc
-        self._one, self._lam, self._lam_inv = map(self._value, (ONE, lam, self.lam_inv))
+        self._lam, self._lam_inv = bare(lam), bare(self.lam_inv)
         self._mono_cache = {}
         self._tables = {}
 
@@ -80,11 +79,13 @@ class BmnParams:
 
     def sign_x(self, i, j):
         """Scalar from commuting x rightward past a^i b^j."""
-        return (-self._one if i % 2 else self._one) * _power(-self._lam, j)
+        c = _power(-self._lam, j)
+        return -c if i % 2 else c
 
     def sign_y(self, i, j):
         """Scalar from commuting y rightward past a^i b^j."""
-        return _power(-self._lam_inv, i) * (-self._one if j % 2 else self._one)
+        c = _power(-self._lam_inv, i)
+        return -c if j % 2 else c
 
     def as_tuple(self):
         return (self.m, self.n, self.lam, self.s, self.t, self.k)
@@ -168,13 +169,13 @@ def _rule_table(params):
     """x^p y^q * x and x^p y^q * y for p, q in {0, 1}, read off the relations:
     (p, q, letter) -> [(h, p', q', c)], the sum of c * a^h x^p' y^q'.  Moving
     x past a group part h picks up the character sign_x(h)."""
-    one, s, t, k, li = map(params._value, (ONE, params.s, params.t, params.k, params.lam_inv))
+    s, t, k, li = map(bare, (params.s, params.t, params.k, params.lam_inv))
     return {
-        (0, 0, "x"): [((0, 0), 1, 0, one)],
-        (0, 0, "y"): [((0, 0), 0, 1, one)],
+        (0, 0, "x"): [((0, 0), 1, 0, 1)],
+        (0, 0, "y"): [((0, 0), 0, 1, 1)],
         # x^2 = s(1 - a^2)
         (1, 0, "x"): [((0, 0), 0, 0, s), ((2, 0), 0, 0, -s)],
-        (1, 0, "y"): [((0, 0), 1, 1, one)],
+        (1, 0, "y"): [((0, 0), 1, 1, 1)],
         # yx = lam^-1 k(1 - ab) - lam^-1 xy
         (0, 1, "x"): [((0, 0), 0, 0, li * k), ((1, 1), 0, 0, -li * k),
                       ((0, 0), 1, 1, -li)],
@@ -212,9 +213,7 @@ def _mono_mul(params, key1, key2):
     if cached is not None:
         return cached
     (g1, p1, q1), (g2, p2, q2) = key1, key2
-    coeff = params._one
-    if p1:
-        coeff = coeff * params.sign_x(*g2)
+    coeff = params.sign_x(*g2) if p1 else 1
     if q1:
         coeff = coeff * params.sign_y(*g2)
     terms = {_shift(params, g1, (g2, p1, q1)): coeff}
@@ -272,7 +271,6 @@ class BmnElement(SparseElement):
     __slots__ = ()
     mismatch = ParamMismatch
     params = property(attrgetter("ambient"))
-    _coercion = staticmethod(attrgetter("_scalar"))
     _format_key = staticmethod(_fmt_key)
 
     def __mul__(self, other):
@@ -286,15 +284,15 @@ def element(params, terms):
 
 
 def unit(params):
-    return BmnElement(params, {(params.canon(0, 0), 0, 0): params._one})
+    return BmnElement(params, {(params.canon(0, 0), 0, 0): 1})
 
 
 def group_element(params, i, j):
-    return BmnElement(params, {(params.canon(i, j), 0, 0): params._one})
+    return BmnElement(params, {(params.canon(i, j), 0, 0): 1})
 
 
 def basis_element(params, i, j, p, q):
-    return BmnElement(params, {(params.canon(i, j), p, q): params._one})
+    return BmnElement(params, {(params.canon(i, j), p, q): 1})
 
 
 def gen_a(params):
@@ -337,7 +335,6 @@ class TensorElement(SparseElement):
     __slots__ = ()
     mismatch = ParamMismatch
     params = property(attrgetter("ambient"))
-    _coercion = staticmethod(attrgetter("_scalar"))
 
     @staticmethod
     def _format_key(key):
@@ -356,8 +353,8 @@ def _delta_generators(params):
     b = (params.canon(0, 1), 0, 0)
     x = (params.canon(0, 0), 1, 0)
     y = (params.canon(0, 0), 0, 1)
-    dx = TensorElement(params, {(one, x): params._one, (x, a): params._one})
-    dy = TensorElement(params, {(one, y): params._one, (y, b): params._one})
+    dx = TensorElement(params, {(one, x): 1, (x, a): 1})
+    dy = TensorElement(params, {(one, y): 1, (y, b): 1})
     return dx, dy
 
 
@@ -366,7 +363,7 @@ def _structure_table(params):
     and S(y)^q S(x)^p, from S(x) = -x a^-1 and S(y) = -y b^-1."""
     dx, dy = (d.terms for d in _delta_generators(params))
     e = params.canon(0, 0)
-    d1, u1 = {((e, 0, 0), (e, 0, 0)): params._one}, {(e, 0, 0): params._one}
+    d1, u1 = {((e, 0, 0), (e, 0, 0)): 1}, {(e, 0, 0): 1}
     s_x = (-(gen_x(params) * group_element(params, -1, 0))).terms
     s_y = (-(gen_y(params) * group_element(params, 0, -1))).terms
     return {(p, q): (_tensor_mul(params, dx if p else d1, dy if q else d1),
@@ -390,7 +387,7 @@ def _anti_terms(params, terms):
     out = {}
     for (g, p, q), c in terms.items():
         g_inv = (params.canon(-g[0], -g[1]), 0, 0)
-        axpy(out, c, _mul_terms(params, table[p, q][1], {g_inv: params._one}))
+        axpy(out, c, _mul_terms(params, table[p, q][1], {g_inv: 1}))
     return out
 
 
@@ -440,9 +437,9 @@ def relations(params):
 
 
 def _term_relation(params, relation):
-    """The relation with its coefficients as term-dict values of params
-    (`_scalar`) and its zero terms dropped, for `_evaluate`."""
-    return [(params._scalar(c), word) for c, word in relation if c]
+    """The relation with its coefficients as term-dict values (`bare`) and
+    its zero terms dropped, for `_evaluate`."""
+    return [(bare(c), word) for c, word in relation if c]
 
 
 def _evaluate(params, relation, images, start, mul=_mul_terms, reverse=False):
@@ -477,18 +474,17 @@ def generator_images(params):
 def _check_generator_laws(params, name, u):
     """Coassociativity, both counit laws and both antipode laws on the term
     dict u; epsilon is read as the map u -> epsilon(u) * 1 of H."""
-    one = params._one
     lhs, rhs, left, right, conv_l, conv_r = {}, {}, {}, {}, {}, {}
     for (l, r), c in _comul_terms(params, u).items():
-        el, er = {l: c}, {r: one}
+        el, er = {l: c}, {r: 1}
         for (l2, r2), c2 in _comul_terms(params, el).items():
             accumulate(lhs, (l2, r2, r), c2)
         for (l2, r2), c2 in _comul_terms(params, {r: c}).items():
             accumulate(rhs, (l, l2, r2), c2)
-        axpy(left, one, _mul_terms(params, _counit_terms(params, el), er))
-        axpy(right, one, _mul_terms(params, el, _counit_terms(params, er)))
-        axpy(conv_l, one, _mul_terms(params, _anti_terms(params, el), er))
-        axpy(conv_r, one, _mul_terms(params, el, _anti_terms(params, er)))
+        axpy(left, 1, _mul_terms(params, _counit_terms(params, el), er))
+        axpy(right, 1, _mul_terms(params, el, _counit_terms(params, er)))
+        axpy(conv_l, 1, _mul_terms(params, _anti_terms(params, el), er))
+        axpy(conv_r, 1, _mul_terms(params, el, _anti_terms(params, er)))
     if lhs != rhs:
         raise AxiomFailure("coassociativity fails", witness=name)
     if left != u or right != u:
@@ -535,8 +531,8 @@ def verify_hopf_axioms(params, radius, seed=None):
     gens = {g: u.terms for g, u in generator_images(params).items()}
     rels = [(name, _term_relation(params, rel)) for name, rel in relations(params)]
     e = params.canon(0, 0)
-    one, tensor_one = {(e, 0, 0): params._one}, {((e, 0, 0), (e, 0, 0)): params._one}
-    monos = [{(e, p, q): params._one} for p in (0, 1) for q in (0, 1)]
+    one, tensor_one = {(e, 0, 0): 1}, {((e, 0, 0), (e, 0, 0)): 1}
+    monos = [{(e, p, q): 1} for p in (0, 1) for q in (0, 1)]
     for name, rel in rels:
         for mono in monos:
             if _evaluate(params, rel, gens, mono):
@@ -556,7 +552,7 @@ def verify_hopf_axioms(params, radius, seed=None):
     for g in _TRANSLATES:
         for tail in ("", "x", "y", "xy"):
             # the monomial g * tail and the products of the maps' values
-            word = [(params._one, g + tail)]
+            word = [(1, g + tail)]
             mono = _evaluate(params, word, gens, one)
             if _comul_terms(params, mono) != _evaluate(params, word, delta, tensor_one,
                                                        _tensor_mul):
@@ -650,13 +646,11 @@ def _certify_embedding(params, images):
     compared = 0
     for key, img in images.items():
         name, expected = _fmt_key(key), {}
-        for (l, r), c in _comul_terms(params, {key: params._one}).items():
+        for (l, r), c in _comul_terms(params, {key: 1}).items():
             if l not in images or r not in images:
                 raise NotClosedUnderDelta(
                     f"Delta({name}) leaves the keys at {_fmt_key(l)} (x) {_fmt_key(r)}")
-            for p, cp in images[l].terms.items():
-                for q, cq in images[r].terms.items():
-                    accumulate(expected, (p, q), c * cp * cq)
+            tensor_axpy(expected, c, images[l].terms, images[r].terms)
         if img.delta_dict() != expected:
             raise NotClosedUnderDelta(
                 f"Delta(iota({name})) differs from (iota (x) iota) Delta({name})")
@@ -702,10 +696,11 @@ def contains_path_combination(params, radius, i, j, c1, c2, truncation=None):
     v = grid_vertex_label(*g)
     ga = grid_vertex_label(*params.canon(g[0] + 1, g[1]))
     gb = grid_vertex_label(*params.canon(g[0], g[1] + 1))
-    probe = path_element(quiver, Path(v, (f"x@{v}", f"y@{ga}")), c1) + path_element(
-        quiver, Path(v, (f"y@{v}", f"x@{gb}")), c2
-    )
-    return trunc.coalgebra.contains(probe)
+    xy, yx = Path(v, (f"x@{v}", f"y@{ga}")), Path(v, (f"y@{v}", f"x@{gb}"))
+    for path in (xy, yx):
+        if not path.is_valid(quiver):
+            raise InvalidDescription(f"path {path!r} is not valid in the quiver")
+    return trunc.coalgebra.contains(CoElement(quiver, {xy: c1, yx: c2}))
 
 
 def translate(params, quiver, shift, path):

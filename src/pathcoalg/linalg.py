@@ -2,14 +2,16 @@
 
 A sparse vector is a dict key -> value that stores no zero.  A value is a
 `CycScalar` or a bare rational (`int` or `Fraction`), and one vector may mix
-the two kinds: a path element stores rationals bare and irrationals boxed,
-so on a cyclotomic window one `SparseBasis` holds both.  That is sound
+the two kinds.  A stored value follows one rule, `scalar.bare`: a rational
+is bare and only an irrational is a `CycScalar`.  Arithmetic may still make
+a rational `CycScalar` (z3 * z3^-1) inside a computation; that is sound
 because a rational `CycScalar` compares and hashes like its value, and zero
 is tested by truthiness, which both kinds share.  `accumulate` adds into
-one entry and `axpy` adds a multiple of a whole vector; both drop an entry
-that cancels.  `SparseElement` is that format as a value: the base
-of the path-coalgebra elements, the algebra elements of B(m, n; lambda, s, t,
-k) and their tensor square, which add only an ambient space and products.
+one entry, `axpy` adds a multiple of a whole vector and `tensor_axpy` a
+multiple of a tensor product of two; all drop an entry that cancels.
+`SparseElement` is that format as a value: the base of the path-coalgebra
+elements, the algebra elements of B(m, n; lambda, s, t, k) and their tensor
+square, which add only an ambient space and products.
 
 One elimination kernel, `SparseBasis`, serves every caller.  Its keys are
 totally ordered.  The basis is kept fully reduced: each row has coefficient
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalar import ONE, ZERO, CycScalar, _q, cyc
+from .scalar import ZERO, CycScalar, _q, bare
 
 
 def accumulate(target, key, value):
@@ -44,6 +46,15 @@ def axpy(target, coeff, source):
             target.pop(k, None)
 
 
+def tensor_axpy(target, coeff, left, right):
+    """target[(k, l)] += coeff * left[k] * right[l], dropping entries that
+    cancel."""
+    for k, a in left.items():
+        a = coeff * a
+        for l, b in right.items():
+            accumulate(target, (k, l), a * b)
+
+
 def _inverse(value):
     """1 / value for a nonzero CycScalar or bare rational, of the same kind."""
     if isinstance(value, CycScalar):
@@ -61,40 +72,37 @@ def _fmt_scalar(s):
 class SparseElement:
     """A sparse combination of basis keys in an ambient space.
 
-    `terms` is a sparse vector; the constructor coerces each coefficient to
-    the ambient space's value kind (`_coercion`) and drops zeros.  A subclass
-    names its ambient space (`mismatch` is raised when two differ) and
-    prints its keys with `_format_key`.  Sums, differences and equality need
-    the same subclass; the text form is `coeff*key` terms in key order
-    joined by `+`, and `0` when empty."""
+    `terms` is a sparse vector; the constructor stores each coefficient as
+    `scalar.bare` gives it and drops zeros, and sums, multiples and
+    `combination` go through it.  A subclass names its ambient space
+    (`mismatch` is raised when two differ) and prints its keys with
+    `_format_key`.  Sums, differences and equality need the same subclass;
+    the text form is `coeff*key` terms in key order joined by `+`, and `0`
+    when empty."""
 
     __slots__ = ("ambient", "terms")
     mismatch = None  # the error raised for elements of different spaces
 
-    # the map that brings a coefficient to the value kind of an ambient space
-    _coercion = staticmethod(lambda ambient: cyc)
-
     def __init__(self, ambient, terms):
         self.ambient = ambient
-        coerce = self._coercion(ambient)
         clean = {}
         for key, coeff in terms.items():
-            coeff = coerce(coeff)
+            coeff = bare(coeff)
             if coeff:
                 clean[key] = coeff
         self.terms = clean
 
     @classmethod
     def combination(cls, ambient, coeffs, elements):
-        """sum c_i * x_i, summed in one dict."""
+        """sum c_i * x_i, summed in one dict; a product of irrationals that
+        is rational ends up bare."""
         out = cls(ambient, {})
-        coerce = cls._coercion(ambient)
         for c, x in zip(coeffs, elements):
-            c = coerce(c)
+            c = bare(c)
             if c:
                 out._check(x)
                 axpy(out.terms, c, x.terms)
-        return out
+        return cls(ambient, out.terms)
 
     def _check(self, other):
         if self.ambient is not other.ambient and self.ambient != other.ambient:
@@ -121,7 +129,7 @@ class SparseElement:
         return type(self)(self.ambient, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, scalar):
-        s = self._coercion(self.ambient)(scalar)
+        s = bare(scalar)
         return type(self)(self.ambient, {k: c * s for k, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -242,8 +250,9 @@ def nullspace(rows, ncols):
     Zero entries are dropped first.  A row left with one entry forces its
     column to 0, a pivot with a unit row, so only the longer rows, with the
     forced columns removed, go through `SparseBasis`; by the uniqueness of
-    the reduced form the result is what full elimination gives.  Entries are
-    bare rationals if the rows hold bare rationals, else `CycScalar`s.
+    the reduced form the result is what full elimination gives.  The 0 and 1
+    entries are bare ints, by the rule of `scalar.bare`; the others are
+    reduced-row entries, negated, of the kind elimination leaves them.
 
     One vector per free (non-pivot) column f, in increasing order of f: 1 at
     f, -row_p[f] at each pivot p, 0 elsewhere."""
@@ -260,10 +269,8 @@ def nullspace(rows, ncols):
         if row:
             engine.add(row)
     pivot_rows = engine.rows
-    sample = next((v for row in (*long_rows, forced) for v in row.values()), ONE)
-    zero, one = (ZERO, ONE) if isinstance(sample, CycScalar) else (0, 1)
     vecs = {
-        f: [one if c == f else zero for c in range(ncols)]
+        f: [1 if c == f else 0 for c in range(ncols)]
         for f in range(ncols) if f not in pivot_rows and f not in forced
     }
     # a reduced row is zero at every other pivot, so its other keys are free

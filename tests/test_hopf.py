@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pathcoalg import hopf
+from pathcoalg import classify, hopf, linalg
 from pathcoalg.classify import IsoWitness, are_isomorphic, canonical_form, verify_witness
 from pathcoalg.coalgebra import (
     CoElement,
@@ -53,7 +53,7 @@ from pathcoalg.hopf import (
 )
 from pathcoalg.linalg import accumulate
 from pathcoalg.quiver import Path, grid_vertex_label
-from pathcoalg.scalar import ONE, ZERO, CycScalar, cyc
+from pathcoalg.scalar import ONE, ZERO, CycScalar, bare, cyc
 
 from test_acceptance import PAIRS, _valid_grid
 
@@ -367,7 +367,7 @@ class TestPathMembership:
             return values, verdicts, ext_quiver(tr.coalgebra).arrows
 
         bare_values, *bare = outcomes()
-        monkeypatch.setattr(CoElement, "_coercion", staticmethod(lambda ambient: cyc))
+        monkeypatch.setattr(linalg, "bare", cyc)
         boxed_values, *boxed = outcomes()
         assert not any(isinstance(c, CycScalar) and c.is_rational() for c in bare_values)
         assert all(isinstance(c, CycScalar) for c in boxed_values)
@@ -538,6 +538,59 @@ class TestValueKinds:
         assert all(is_bare(x) for x in (u, u * v, comultiply(u), antipode(u)))
         assert isinstance(counit(u), CycScalar)
         assert (u * v) * w == u * (v * w)
+
+
+def _cyclotomic_sets():
+    """lambda in {z3, z4, -z4}, and s = z4 at lambda = 1, on every (m, n) the
+    laws allow."""
+    out = []
+    for rest in [("z3", 0, 0, 0), ("z4", 0, 0, 0), ("-z4", 0, 0, 0), (1, "z4", "1/2", 1)]:
+        for m, n in PAIRS + [(3, 3), (4, 0), (4, 4), (6, 0)]:
+            try:
+                validate_params(m, n, *rest)
+            except LambdaOrderViolation:
+                continue
+            out.append((m, n, *rest))
+    return out
+
+
+class TestMixedAgainstBoxed:
+    """On a cyclotomic parameter set elements store rationals bare and
+    irrationals boxed.  The oracle keeps every stored value a CycScalar: it
+    patches the one coercion, `bare`, to `cyc` and builds its own BmnParams."""
+
+    @pytest.mark.parametrize("raw", _cyclotomic_sets(), ids=repr)
+    def test_mixed_path_equals_all_boxed(self, monkeypatch, raw):
+        values = [1, -2, Fraction(1, 2), "z3", "z4", "-z4", "1+z4", "2/3-z3"]
+        rng = random.Random(repr(raw))
+        keys = [(g, a, b) for g in validate_params(*raw).window(1) for a in (0, 1) for b in (0, 1)]
+        terms = [{rng.choice(keys): rng.choice(values) for _ in range(3)} for _ in range(4)]
+        witnesses = [("phi", 1, 1), ("phi", -1, -1), ("phi", 2, 1), ("phi", "z4", 1),
+                     ("phi", 1, "z8"), ("psi", 1, 1)]
+
+        def run():
+            p = validate_params(*raw)
+            u, v, w, x = (BmnElement(p, t) for t in terms)
+            elements = [u * v, v * w, (u * v) * x, comultiply(u), comultiply(w),
+                        antipode(v), antipode(x)]
+            scalars = [counit(t) for t in (u, v, w, x)]
+            report = verify_hopf_axioms(p, 2)
+            verdicts = [verify_witness(IsoWitness(*wt), p, p) for wt in witnesses]
+            return elements, scalars, report, verdicts
+
+        mixed = run()
+        with monkeypatch.context() as patch:
+            for module in (linalg, hopf, classify):
+                patch.setattr(module, "bare", cyc)
+            boxed = run()
+        stored = [c for e in mixed[0] for c in e.terms.values()]
+        assert not any(isinstance(c, CycScalar) and c.is_rational() for c in stored)
+        assert any(isinstance(c, CycScalar) for c in stored)
+        assert all(isinstance(c, CycScalar) for e in boxed[0] for c in e.terms.values())
+        for got, want in zip(mixed[0] + mixed[1], boxed[0] + boxed[1]):
+            assert got == want and hash(got) == hash(want) and str(got) == str(want)
+        assert mixed[2] == boxed[2] and str(mixed[2]) == str(boxed[2])
+        assert mixed[3] == boxed[3] and mixed[3][0]
 
 
 class TestWindowEmbedding:
@@ -817,8 +870,8 @@ def witness_images(w, p2):
     return {
         "a": group_element(p2, *va), "A": group_element(p2, -va[0], -va[1]),
         "b": group_element(p2, *vb), "B": group_element(p2, -vb[0], -vb[1]),
-        "x": gx(p2) * p2._scalar(w.alpha),
-        "y": gy(p2) * p2._scalar(w.beta),
+        "x": gx(p2) * bare(w.alpha),
+        "y": gy(p2) * bare(w.beta),
     }
 
 
@@ -826,10 +879,13 @@ def assert_evaluator_matches(p, relation, images, terms, start, mul=hopf._mul_te
                              reverse=False):
     """The term-dict evaluator on the term dicts `terms` equals the oracle on
     the elements `images`, on the relation and on each of its terms alone (a
-    relation sent to 0 would compare only empty dicts).  From bare inputs and
-    rational coefficients it makes a bare result: it re-boxes nothing."""
+    relation sent to 0 would compare only empty dicts).  From bare inputs,
+    rational coefficients and rational lam, s, t and k it makes a bare result:
+    it re-boxes nothing.  (On lam = z3 the table product lam * lam^-1 is a
+    rational CycScalar.)"""
     inputs = [c for t in (*terms.values(), start.terms) for c in t.values()]
-    bare = not any(isinstance(c, CycScalar) for c in inputs)
+    bare = (not any(isinstance(c, CycScalar) for c in inputs)
+            and all(v.is_rational() for v in (p.lam, p.s, p.t, p.k)))
     for part in [relation] + [[term] for term in relation]:
         want = evaluate_relation(part, images, start, reverse)
         got = hopf._evaluate(p, hopf._term_relation(p, part), terms, start.terms, mul,

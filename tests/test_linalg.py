@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from pathcoalg.coalgebra import CoElement, parse_coelement
 from pathcoalg.hopf import BmnElement, TensorElement, parse_bmn_element, validate_params
-from pathcoalg.linalg import SparseBasis, nullspace, rref
+from pathcoalg.linalg import SparseBasis, nullspace, rref, tensor_axpy
 from pathcoalg.quiver import Quiver
 from pathcoalg.scalar import ONE, ZERO, CycScalar, cyc
 
@@ -246,8 +246,12 @@ class TestSparseElement:
     def test_combination_rules(self, kind, data):
         a, b = data.draw(KINDS[kind]), data.draw(KINDS[kind])
         c = data.draw(coefficients)
-        for x in (a, a + b, a - b, -a, a * c, c * a):
+        for x in (a, a + b, a - b, -a, a * c, c * a,
+                  type(a).combination(a.ambient, [c, 2], [a, b])):
             assert _stores_no_zero(x)
+            # one value rule for every kind: a rational is stored bare
+            assert not any(isinstance(v, CycScalar) and v.is_rational()
+                           for v in x.terms.values())
         assert (a + (-a)).is_zero()
         assert (a + b) - b == a
         assert hash((a + b) - b) == hash(a)
@@ -311,6 +315,12 @@ class TestKernelFastPaths:
             [ZERO, ONE, ZERO, ZERO], [ZERO, ZERO, ONE, ZERO], [ZERO, ZERO, ZERO, ONE]
         ]
 
+    def test_zero_and_one_entries_are_bare(self):
+        # whatever kind the rows hold; the pivot entry -1 comes from a boxed row
+        vecs = nullspace([{0: ONE, 1: ONE}, {3: cyc("z3")}], 4)
+        assert vecs == [[-ONE, ONE, ZERO, ZERO], [ZERO, ZERO, ONE, ZERO]]
+        assert [[type(x) for x in vec[1:]] for vec in vecs] == [[int] * 3] * 2
+
     def test_forced_column_reaches_longer_rows(self):
         # x1 = 0 turns x0 + x1 = 0 into x0 = 0 and x0 + x1 + x2 into x2 = 0
         rows = [{0: ONE, 1: ONE}, {1: cyc(5)}, {0: ONE, 1: ONE, 2: ONE}]
@@ -332,3 +342,27 @@ class TestKernelFastPaths:
         assert [[cyc(x) for x in vec] for vec in bare_kernel] == nullspace(
             [as_cyc(r) for r in rows], ncols
         )
+
+
+class TestTensorAxpy:
+    @given(
+        target=st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), coefficients),
+        coeff=coefficients,
+        left=st.dictionaries(st.integers(0, 2), coefficients, max_size=3),
+        right=st.dictionaries(st.integers(0, 2), coefficients, max_size=3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_double_loop(self, target, coeff, left, right):
+        target = {k: v for k, v in target.items() if v}
+        expected = dict(target)
+        for k, a in left.items():
+            for l, b in right.items():
+                expected[k, l] = expected.get((k, l), ZERO) + coeff * a * b
+        got = dict(target)
+        tensor_axpy(got, coeff, left, right)
+        assert got == {k: v for k, v in expected.items() if v}
+
+    def test_cancelled_entry_is_dropped(self):
+        target = {(0, 1): 6, (1, 1): 1}
+        tensor_axpy(target, -2, {0: 3}, {1: Fraction(1), 2: cyc("z4")})
+        assert target == {(1, 1): 1, (0, 2): -6 * cyc("z4")}
