@@ -47,6 +47,10 @@ class InvalidDescription(PathcoalgError, ValueError):
 
 
 class ForbiddenPair(PathcoalgError, ValueError):
+    """(m, n) = +/-(1, 1), where a = b makes x and y parallel arrows g -> ga of
+    the grid quiver.  The Hopf axioms hold there with lambda = 1, so the
+    exclusion is an assumption of the classification, not an axiom law."""
+
     code = "ForbiddenPair"
 
 

@@ -14,7 +14,8 @@ bare again.  The scalars of `BmnParams`, `counit` and the certificate report
 stay CycScalars.
 Delta, epsilon and S are term functions that `comultiply`, `counit` and
 `antipode` wrap; the Hopf certificate and the isomorphism witness check run
-on them and on `_evaluate`, without elements.
+on them and on `_evaluate`, without elements.  The certificate runs once per
+(m, n) over Q[lam^+-1, s, t, k] and is specialized per query.
 
 The module also embeds finite windows of the basis into the grid path
 coalgebra (vertices = canonical group elements), certifies that the embedding
@@ -23,6 +24,7 @@ is an injective coalgebra map, and answers path-membership queries there.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from operator import attrgetter
@@ -42,12 +44,12 @@ from .errors import (
 )
 from .linalg import SparseElement, accumulate, axpy, tensor_axpy
 from .quiver import Path, grid_quiver, grid_vertex_label, group_canonical_pair
-from .scalar import ONE, CycScalar, _q, bare, cyc, parse_scalar
+from .scalar import ONE, CycScalar, Laurent, _q, bare, cyc, parse_scalar
 
 
 def _power(x, e):
     """x^e, through Fraction for a bare x: an int to a negative power is a float."""
-    return x ** e if isinstance(x, CycScalar) else _q(Fraction(x) ** e)
+    return x ** e if isinstance(x, (CycScalar, Laurent)) else _q(Fraction(x) ** e)
 
 
 class BmnParams:
@@ -128,7 +130,13 @@ class BmnParams:
 
 def validate_params(m, n, lam, s, t, k):
     """Check the parameter laws and sign-normalize (m, n) so that m >= 0
-    (and n >= 0 when m = 0)."""
+    (and n >= 0 when m = 0).  The laws are where the residues of part 1 of
+    `family_certificate(m, n)` vanish.  Away from +/-(1, 1), a*a^-1 = 1 and
+    a^m = b^n leave (-1)^(m+n) lam^n - 1 on x and (-1)^(m+n) lam^-m - 1 on y
+    (times a power of lam): lam^gcd(m, n) = 1 and m + n is even.  On y,
+    x^2 = s(1 - a^2) leaves (lam^2 - 1)s and xy + lam*yx = k(1 - ab) leaves
+    (lam^2 - 1)t and (lam - 1)k: lam = 1, or lam = -1 with k = 0, or
+    k = s = t = 0.  ForbiddenPair is no such law (see its docstring)."""
     lam, s, t, k = cyc(lam), cyc(s), cyc(t), cyc(k)
     if m < 0 or (m == 0 and n < 0):
         m, n = -m, -n
@@ -471,35 +479,89 @@ def generator_images(params):
 # -- axiom verification ------------------------------------------------------
 
 
-def _check_generator_laws(params, name, u):
-    """Coassociativity, both counit laws and both antipode laws on the term
-    dict u; epsilon is read as the map u -> epsilon(u) * 1 of H."""
-    lhs, rhs, left, right, conv_l, conv_r = {}, {}, {}, {}, {}, {}
-    for (l, r), c in _comul_terms(params, u).items():
-        el, er = {l: c}, {r: 1}
-        for (l2, r2), c2 in _comul_terms(params, el).items():
-            accumulate(lhs, (l2, r2, r), c2)
-        for (l2, r2), c2 in _comul_terms(params, {r: c}).items():
-            accumulate(rhs, (l, l2, r2), c2)
-        axpy(left, 1, _mul_terms(params, _counit_terms(params, el), er))
-        axpy(right, 1, _mul_terms(params, el, _counit_terms(params, er)))
-        axpy(conv_l, 1, _mul_terms(params, _anti_terms(params, el), er))
-        axpy(conv_r, 1, _mul_terms(params, el, _anti_terms(params, er)))
-    if lhs != rhs:
-        raise AxiomFailure("coassociativity fails", witness=name)
-    if left != u or right != u:
-        raise AxiomFailure("counit law fails", witness=name)
-    target = _counit_terms(params, u)
-    if conv_l != target or conv_r != target:
-        raise AxiomFailure("antipode law fails", witness=name)
+def _residues(params):
+    """Every check of `verify_hopf_axioms`, in order, as (message, witness,
+    residue): it passes iff the residue, a term dict (lhs - rhs in parts 3
+    and 4), is empty.  The witness is a name or the term dict of a monomial."""
+    gens = {g: u.terms for g, u in generator_images(params).items()}
+    rels = [(name, _term_relation(params, rel)) for name, rel in relations(params)]
+    e = params.canon(0, 0)
+    one, tensor_one = {(e, 0, 0): 1}, {((e, 0, 0), (e, 0, 0)): 1}
+    monos = [{(e, p, q): 1} for p in (0, 1) for q in (0, 1)]
+    for name, rel in rels:
+        for mono in monos:
+            yield f"right multiplication violates {name}", mono, _evaluate(params, rel, gens, mono)
+    # each structure map: its name, its term function, and how its values multiply
+    maps = [("comultiplication", _comul_terms, tensor_one, _tensor_mul, False),
+            ("counit", _counit_terms, one, _mul_terms, False),
+            ("antipode", _anti_terms, one, _mul_terms, True)]
+    images = [{g: term_map(params, u) for g, u in gens.items()} for _, term_map, *_ in maps]
+    for name, rel in rels:
+        for (label, _, start, mul, reverse), imgs in zip(maps, images):
+            yield (f"{label} does not respect a relation", name,
+                   _evaluate(params, rel, imgs, start, mul, reverse))
+    for g in _TRANSLATES:
+        for tail in ("", "x", "y", "xy"):
+            # the monomial g * tail and the products of the maps' values
+            word = [(1, g + tail)]
+            mono = _evaluate(params, word, gens, one)
+            for (label, term_map, start, mul, reverse), imgs in zip(maps, images):
+                residue = term_map(params, mono)
+                axpy(residue, -1, _evaluate(params, word, imgs, start, mul, reverse))
+                anti = "anti-" if reverse else ""
+                yield f"{label} is not {anti}multiplicative", mono, residue
+    for g, u in gens.items():
+        lhs, rhs, left, right, conv_l, conv_r = {}, {}, {}, {}, {}, {}
+        for (l, r), c in _comul_terms(params, u).items():
+            el, er = {l: c}, {r: 1}
+            for (l2, r2), c2 in _comul_terms(params, el).items():
+                accumulate(lhs, (l2, r2, r), c2)
+            for (l2, r2), c2 in _comul_terms(params, {r: c}).items():
+                accumulate(rhs, (l, l2, r2), c2)
+            axpy(left, 1, _mul_terms(params, _counit_terms(params, el), er))
+            axpy(right, 1, _mul_terms(params, el, _counit_terms(params, er)))
+            axpy(conv_l, 1, _mul_terms(params, _anti_terms(params, el), er))
+            axpy(conv_r, 1, _mul_terms(params, el, _anti_terms(params, er)))
+        target = _counit_terms(params, u)
+        for message, side, other in [
+                ("coassociativity fails", lhs, rhs), ("counit law fails", left, u),
+                ("counit law fails", right, u), ("antipode law fails", conv_l, target),
+                ("antipode law fails", conv_r, target)]:
+            axpy(side, -1, other)
+            yield message, GENERATOR_NAMES[g], side
+
+
+@functools.lru_cache(maxsize=64)
+def family_certificate(m, n):
+    """`_residues` of B(m, n; lam, s, t, k) on generic parameters, over
+    Q[lam^+-1, s, t, k]: the relation names, and as (message, witness,
+    coefficients) each check whose residue is not the zero polynomial."""
+    generic = BmnParams(m, n, *(Laurent({(0,) * i + (1,) + (0,) * (3 - i): 1}) for i in range(4)))
+    checks = [(msg, witness, tuple(r.values())) for msg, witness, r in _residues(generic) if r]
+    return tuple(name for name, _ in relations(generic)), tuple(checks)
+
+
+def _specializer(params):
+    """c -> c at the (lam, s, t, k) of params, with each power memoized."""
+    point = [bare(v) for v in (params.lam, params.s, params.t, params.k)]
+    power = functools.cache(lambda var, e: _power(point[var], e))
+
+    def value(c):
+        if not isinstance(c, Laurent):
+            return c
+        return sum((math.prod((power(v, e) for v, e in enumerate(exps) if e), start=coeff)
+                    for exps, coeff in c.terms.items()), 0)
+
+    return value
 
 
 def verify_hopf_axioms(params, radius, seed=None):
     """Prove the Hopf axioms by a finite certificate whose size does not
     depend on the radius.  Raises AxiomFailure with a witness; returns a
-    report dict on success.  All four parts run on term dicts, through
+    report dict on success.  The four parts run on term dicts, through
     `_evaluate` and the term functions behind `comultiply`, `counit` and
-    `antipode`; an element is built only for the text of a failure.
+    `antipode`, once per (m, n) over Q[lam^+-1, s, t, k] (`family_certificate`).
+    A query specializes their nonzero residues: ring operations commute with it.
 
     1. Associativity, by Bergman's diamond lemma.  `multiply` computes
        (g1 u)(g2 v) as a character of g2, a shift by g1 g2 and the rule table
@@ -528,51 +590,20 @@ def verify_hopf_axioms(params, radius, seed=None):
     benchmark among them, still pass it."""
     if radius < 0:
         raise WindowTooSmall("radius must be nonnegative")
-    gens = {g: u.terms for g, u in generator_images(params).items()}
-    rels = [(name, _term_relation(params, rel)) for name, rel in relations(params)]
-    e = params.canon(0, 0)
-    one, tensor_one = {(e, 0, 0): 1}, {((e, 0, 0), (e, 0, 0)): 1}
-    monos = [{(e, p, q): 1} for p in (0, 1) for q in (0, 1)]
-    for name, rel in rels:
-        for mono in monos:
-            if _evaluate(params, rel, gens, mono):
-                raise AxiomFailure(f"right multiplication violates {name}",
-                                   witness=str(BmnElement(params, mono)))
-    delta = {g: _comul_terms(params, u) for g, u in gens.items()}
-    eps = {g: _counit_terms(params, u) for g, u in gens.items()}
-    anti = {g: _anti_terms(params, u) for g, u in gens.items()}
-    for name, rel in rels:
-        if _evaluate(params, rel, delta, tensor_one, _tensor_mul):
-            raise AxiomFailure("comultiplication does not respect a relation",
-                               witness=name)
-        if _evaluate(params, rel, eps, one):
-            raise AxiomFailure("counit does not respect a relation", witness=name)
-        if _evaluate(params, rel, anti, one, reverse=True):
-            raise AxiomFailure("antipode does not respect a relation", witness=name)
-    for g in _TRANSLATES:
-        for tail in ("", "x", "y", "xy"):
-            # the monomial g * tail and the products of the maps' values
-            word = [(1, g + tail)]
-            mono = _evaluate(params, word, gens, one)
-            if _comul_terms(params, mono) != _evaluate(params, word, delta, tensor_one,
-                                                       _tensor_mul):
-                raise AxiomFailure("comultiplication is not multiplicative",
-                                   witness=str(BmnElement(params, mono)))
-            if _counit_terms(params, mono) != _evaluate(params, word, eps, one):
-                raise AxiomFailure("counit is not multiplicative",
-                                   witness=str(BmnElement(params, mono)))
-            if _anti_terms(params, mono) != _evaluate(params, word, anti, one, reverse=True):
-                raise AxiomFailure("antipode is not anti-multiplicative",
-                                   witness=str(BmnElement(params, mono)))
-    for g, u in gens.items():
-        _check_generator_laws(params, GENERATOR_NAMES[g], u)
+    names, checks = family_certificate(params.m, params.n)
+    value = _specializer(params)
+    for message, witness, residue in checks:
+        if any(value(c) for c in residue):
+            if not isinstance(witness, str):
+                witness = str(BmnElement(params, {k: value(c) for k, c in witness.items()}))
+            raise AxiomFailure(message, witness=witness)
     return {
         "params": params.to_json(),
         "window_radius": radius,
         "basis_checked": 4 * len(params.window(radius)),
         "product_pairs": 0,
         "certificate": {
-            "relations": [name for name, _ in rels],
+            "relations": list(names),
             "generators": list(GENERATOR_NAMES.values()),
             "translates": [GENERATOR_NAMES.get(g, "1") for g in _TRANSLATES],
         },

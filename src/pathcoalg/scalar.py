@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
+from operator import add
 
 from .errors import DivisionByZero, ParseError, SquareRootUnavailable, ZeroInput
 
@@ -379,20 +380,93 @@ def cyc(value):
 
 def bare(value):
     """A coefficient as a value: a rational as a bare int or Fraction in the
-    normal form of `_q`, anything else as the CycScalar `cyc` gives.  A
-    string that is one rational literal, an optional minus and digits with an
-    optional ``/`` and digits (``-3``, ``2/5``) and no whitespace, goes
-    straight to Fraction; any other string goes through `parse_scalar`."""
+    normal form of `_q`, a `Laurent` as itself unless constant, anything
+    else as the CycScalar `cyc` gives.  A string that is one rational
+    literal, an optional minus and digits with an optional ``/`` and digits
+    (``-3``, ``2/5``) and no whitespace, goes straight to Fraction; any
+    other string goes through `parse_scalar`."""
     if isinstance(value, CycScalar):
         return value.coeffs[0] if value.n == 1 else value
     if isinstance(value, (int, Fraction)):
         return _q(value)
+    if isinstance(value, Laurent):
+        return value if value.terms.keys() - {_UNIT} else value.terms.get(_UNIT, 0)
     if isinstance(value, str) and _RATIONAL_LITERAL.fullmatch(value):
         try:
             return _q(Fraction(value))
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in {value!r}") from None
     return bare(cyc(value))
+
+
+_UNIT = (0, 0, 0, 0)
+
+
+class Laurent:
+    """A Laurent polynomial in Q[lam^+-1, s, t, k]: `terms` maps exponent
+    4-tuples to nonzero bare rationals.  +, - and * take bare rationals and
+    rational CycScalars too; a negative power of a polynomial that is no
+    monomial raises ValueError; truth value is "not the zero polynomial"."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    @staticmethod
+    def _collect(items):
+        out = {}
+        for e, c in items:
+            c = out.pop(e, 0) + c
+            if c:
+                out[e] = c
+        return Laurent(out)
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, (int, Fraction)) or isinstance(other, CycScalar) and other.n == 1:
+            return {_UNIT: bare(other)} if other else {}
+        return other.terms if isinstance(other, Laurent) else None
+
+    def __add__(self, other):
+        terms = self._coerce(other)
+        return NotImplemented if terms is None else self._collect(
+            [*self.terms.items(), *terms.items()])
+
+    def __mul__(self, other):
+        terms = self._coerce(other)
+        return NotImplemented if terms is None else self._collect(
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items() for e2, c2 in terms.items())
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return Laurent({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __pow__(self, e):
+        if len(self.terms) == 1:
+            ((exps, c),) = self.terms.items()
+            return Laurent({tuple(x * e for x in exps): _q(Fraction(c) ** e)})
+        if e < 0:
+            raise ValueError("a negative power of a Laurent polynomial that is no monomial")
+        return prod([self] * e, start=Laurent({_UNIT: 1}))
+
+    def inverse(self):
+        return self ** -1
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        terms = self._coerce(other)
+        return NotImplemented if terms is None else self.terms == terms
 
 
 def root_of_unity_order(a):
