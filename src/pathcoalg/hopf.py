@@ -561,7 +561,7 @@ def verify_hopf_axioms(params, radius, seed=None):
     report dict on success.  The four parts run on term dicts, through
     `_evaluate` and the term functions behind `comultiply`, `counit` and
     `antipode`, once per (m, n) over Q[lam^+-1, s, t, k] (`family_certificate`).
-    A query specializes their nonzero residues: ring operations commute with it.
+    Each query evaluates the nonzero residues, sound since evaluation is a ring map.
 
     1. Associativity, by Bergman's diamond lemma.  `multiply` computes
        (g1 u)(g2 v) as a character of g2, a shift by g1 g2 and the rule table
