@@ -14,8 +14,8 @@ bare again.  The scalars of `BmnParams`, `counit` and the certificate report
 stay CycScalars.
 Delta, epsilon and S are term functions that `comultiply`, `counit` and
 `antipode` wrap; the Hopf certificate and the isomorphism witness check run
-on them and on `_evaluate`, without elements.  The certificate runs once per
-(m, n) over Q[lam^+-1, s, t, k] and is specialized per query.
+on them and on `_evaluate`, without elements.  Both run once per family over
+Q[lam^+-1, s, t, k] (an (m, n), or two and a witness kind), specialized per query.
 
 The module also embeds finite windows of the basis into the grid path
 coalgebra (vertices = canonical group elements), certifies that the embedding
@@ -531,26 +531,31 @@ def _residues(params):
             yield message, GENERATOR_NAMES[g], side
 
 
+def _generic_params(m, n):
+    """B(m, n) with the variables of Q[lam^+-1, s, t, k] as parameters, unvalidated."""
+    return BmnParams(m, n, *(Laurent({(0,) * i + (1,) + (0,) * (3 - i): 1}) for i in range(4)))
+
+
 @functools.lru_cache(maxsize=64)
 def family_certificate(m, n):
     """`_residues` of B(m, n; lam, s, t, k) on generic parameters, over
     Q[lam^+-1, s, t, k]: the relation names, and as (message, witness,
     coefficients) each check whose residue is not the zero polynomial."""
-    generic = BmnParams(m, n, *(Laurent({(0,) * i + (1,) + (0,) * (3 - i): 1}) for i in range(4)))
+    generic = _generic_params(m, n)
     checks = [(msg, witness, tuple(r.values())) for msg, witness, r in _residues(generic) if r]
     return tuple(name for name, _ in relations(generic)), tuple(checks)
 
 
 def _specializer(params):
-    """c -> c at the (lam, s, t, k) of params, with each power memoized."""
+    """c -> c at the (lam, s, t, k) of params, with each monomial memoized."""
     point = [bare(v) for v in (params.lam, params.s, params.t, params.k)]
-    power = functools.cache(lambda var, e: _power(point[var], e))
+    monomial = functools.cache(
+        lambda exps: math.prod(_power(point[v], e) for v, e in enumerate(exps) if e))
 
     def value(c):
         if not isinstance(c, Laurent):
             return c
-        return sum((math.prod((power(v, e) for v, e in enumerate(exps) if e), start=coeff)
-                    for exps, coeff in c.terms.items()), 0)
+        return sum((coeff * monomial(exps) for exps, coeff in c.terms.items()), 0)
 
     return value
 

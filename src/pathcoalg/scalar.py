@@ -434,7 +434,14 @@ class Laurent:
             [*self.terms.items(), *terms.items()])
 
     def __mul__(self, other):
+        # a bare rational or a monomial factor lets no two terms collide
+        if isinstance(other, (int, Fraction)):
+            return Laurent({e: c * other for e, c in self.terms.items()} if other else {})
         terms = self._coerce(other)
+        if terms is not None and 1 in (len(self.terms), len(terms)):
+            one, many = (terms, self.terms) if len(terms) == 1 else (self.terms, terms)
+            ((e2, c2),) = one.items()
+            return Laurent({tuple(map(add, e, e2)): c * c2 for e, c in many.items()})
         return NotImplemented if terms is None else self._collect(
             (tuple(map(add, e1, e2)), c1 * c2)
             for e1, c1 in self.terms.items() for e2, c2 in terms.items())

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pathcoalg import classify, hopf
 from pathcoalg.classify import (
     IsoWitness,
     are_isomorphic,
@@ -118,6 +119,32 @@ class TestVerifyWitness:
         p = P(2, -2, -1, 0, 0, 0)
         assert verify_witness(IsoWitness("psi", 1, 1), p, p)
         assert are_isomorphic(P(2, -2, -1, 0, 1, 0), P(2, -2, -1, 1, 0, 0)) is None
+
+    def test_witness_family_is_built_once_per_key(self, monkeypatch):
+        calls = []
+        build = hopf._generic_params
+
+        def counting(m, n):
+            calls.append((m, n))
+            return build(m, n)
+
+        monkeypatch.setattr(hopf, "_generic_params", counting)
+        p1, p2 = P(3, 1, 1, 1, 1, 1), P(3, 1, 1, 4, 1, 2)
+        assert verify_witness(IsoWitness("phi", 1, 1), p1, p1)
+        assert calls == [(3, 1), (3, 1)]
+        assert verify_witness(are_isomorphic(p1, p2), p1, p2)
+        assert not verify_witness(IsoWitness("phi", 3, 1), p1, p2)
+        assert not verify_witness(IsoWitness("phi", "z4", 1), P(3, 1, 1, 0, 0, 0), p2)
+        assert len(calls) == 2
+        q = P(2, -2, 1, 1, 0, 0)
+        assert verify_witness(IsoWitness("psi", 1, 1), q, P(2, -2, 1, 0, 1, 0))
+        assert not verify_witness(IsoWitness("phi", 1, 1), q, P(2, -2, 1, 0, 1, 0))
+        assert not verify_witness(IsoWitness("phi", 1, 1), p1, q)
+        assert calls == [(3, 1)] * 2 + [(2, -2)] * 4 + [(3, 1), (2, -2)]
+        for kind in ("phi", "psi"):
+            verify_witness(IsoWitness(kind, 2, -1), q, q)
+        assert len(calls) == 8
+        assert classify._witness_family.cache_info().currsize == 4
 
     def test_psi_fails_at_mismatched_skewing(self):
         p1 = P(4, -4, "z4", 0, 0, 0)

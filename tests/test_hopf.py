@@ -25,6 +25,7 @@ from pathcoalg.errors import (
     ParamMismatch,
     ParityViolation,
     ParseError,
+    PathcoalgError,
     WindowTooSmall,
 )
 from pathcoalg.hopf import (
@@ -576,13 +577,21 @@ class TestMixedAgainstBoxed:
             scalars = [counit(t) for t in (u, v, w, x)]
             report = verify_hopf_axioms(p, 2)
             verdicts = [verify_witness(IsoWitness(*wt), p, p) for wt in witnesses]
-            return elements, scalars, report, verdicts
+            # the cached families above are built once, on the mixed run; the
+            # numeric certificate and the element oracle build nothing cached
+            residues = list(hopf._residues(p))
+            oracle = [relations_vanish(IsoWitness(*wt), p, p) for wt in witnesses]
+            return elements, scalars, report, verdicts, residues, oracle
 
         mixed = run()
         with monkeypatch.context() as patch:
             for module in (linalg, hopf, classify):
                 patch.setattr(module, "bare", cyc)
             boxed = run()
+        assert len(mixed[4]) == len(boxed[4])
+        for (message, witness, residue), want in zip(mixed[4], boxed[4]):
+            assert (message, witness, residue) == want
+        assert boxed[3] == boxed[5] == mixed[5]
         stored = [c for e in mixed[0] for c in e.terms.values()]
         assert not any(isinstance(c, CycScalar) and c.is_rational() for c in stored)
         assert any(isinstance(c, CycScalar) for c in stored)
@@ -875,6 +884,42 @@ def witness_images(w, p2):
     }
 
 
+def numeric_witness(w, p1, p2):
+    """The former `verify_witness`, kept as the oracle of the family route:
+    the relations of p1 and the structure maps multiplied out in the concrete
+    target p2.  It looks the term functions up on `hopf` at each call, so a
+    monkeypatched mutant reaches it."""
+    if w.alpha.is_zero() or w.beta.is_zero():
+        return False
+    images = {g: u.terms for g, u in witness_images(w, p2).items()}
+    one = unit(p2).terms
+    if any(hopf._evaluate(p2, hopf._term_relation(p2, rel), images, one)
+           for _, rel in relations(p1)):
+        return False
+    for g in (images["a"], images["b"]):
+        g_tensor_g = {}
+        linalg.tensor_axpy(g_tensor_g, 1, g, g)
+        if hopf._comul_terms(p2, g) != g_tensor_g or hopf._counit_terms(p2, g) != one:
+            return False
+    for skew, grouplike, inv in (("x", "a", "A"), ("y", "b", "B")):
+        skew, grouplike, inv = images[skew], images[grouplike], images[inv]
+        expected = {}
+        linalg.tensor_axpy(expected, 1, one, skew)
+        linalg.tensor_axpy(expected, 1, skew, grouplike)
+        if hopf._comul_terms(p2, skew) != expected or hopf._counit_terms(p2, skew):
+            return False
+        if hopf._anti_terms(p2, skew) != hopf._mul_terms(p2, skew, {k: -c for k, c in inv.items()}):
+            return False
+    return True
+
+
+def relations_vanish(w, p1, p2):
+    """The element oracle: w sends every relation of p1 to 0 in p2 (a
+    rescaling always commutes with Delta, epsilon and S)."""
+    images = witness_images(w, p2)
+    return all(evaluate_relation(rel, images, unit(p2)).is_zero() for _, rel in relations(p1))
+
+
 def assert_evaluator_matches(p, relation, images, terms, start, mul=hopf._mul_terms,
                              reverse=False):
     """The term-dict evaluator on the term dicts `terms` equals the oracle on
@@ -918,6 +963,12 @@ def witness_cases():
     return cases
 
 
+WITNESS_SOURCES = _valid_grid() + [
+    validate_params(*raw) for raw in [(0, 0, 1, 2, 1, 0), (2, 0, -1, 3, 5, 0), (0, 0, "z4", 0, 0, 0),
+                                      (4, 0, "z4", 0, 0, 0), (0, 0, 1, "z4", 0, 0)]]
+witness_scales = st.one_of(rationals.filter(bool), st.sampled_from(["z4", "z8", "-z4"]))
+
+
 class TestEvaluator:
     @pytest.mark.parametrize("p", EVALUATOR_PARAMS, ids=repr)
     def test_structure_maps_match_oracle(self, p):
@@ -953,7 +1004,28 @@ class TestEvaluator:
                 assert_evaluator_matches(p2, rel, images, terms, unit(p2))
                 vanish = vanish and evaluate_relation(rel, images, unit(p2)).is_zero()
             assert verify_witness(witness, p1, p2) == vanish
+            assert verify_witness(witness, p1, p2) == numeric_witness(witness, p1, p2)
             assert vanish or alpha != w.alpha
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_family_route_equals_numeric_witness(self, data):
+        """A random source, a random witness of either kind with scales from
+        the nonzero rationals and z4, z8, -z4, and as target the source, the
+        image of the source under the witness, or another source."""
+        p1 = data.draw(st.sampled_from(WITNESS_SOURCES))
+        kind = data.draw(st.sampled_from(["phi", "psi"]))
+        alpha, beta = data.draw(witness_scales), data.draw(witness_scales)
+        targets = [p1, data.draw(st.sampled_from(WITNESS_SOURCES))]
+        lam, s, t, k = p1.lam, p1.s / cyc(alpha) ** 2, p1.t / cyc(beta) ** 2, p1.k / (cyc(alpha) * cyc(beta))
+        try:
+            targets.append(validate_params(p1.m, p1.n, lam, s, t, k) if kind == "phi"
+                           else validate_params(p1.n, p1.m, lam, t, s, k))
+        except PathcoalgError:
+            pass
+        p2 = data.draw(st.sampled_from(targets))
+        w = IsoWitness(kind, alpha, beta)
+        assert verify_witness(w, p1, p2) == numeric_witness(w, p1, p2)
 
     @pytest.mark.parametrize("raw1, raw2", [
         ((3, 1, 1, 1, 1, 1), (3, 1, 1, 4, 1, 2)),
@@ -1083,6 +1155,27 @@ MUTANTS = {
 }
 
 
+def counit_doubled(params, terms):
+    """`_counit_terms` times 2: epsilon(g) = 2 on a group element g."""
+    total = sum((2 * c for (_, p, q), c in terms.items() if p == q == 0), 0)
+    return {(params.canon(0, 0), 0, 0): total} if total else {}
+
+
+def comul_doubled_on_group(params, terms, comul=hopf._comul_terms):
+    """`_comul_terms` with Delta(g) = 2 g (x) g on a group element g != 1."""
+    e = (params.canon(0, 0), 0, 0)
+    return {(l, r): 2 * c if l == r != e and l[1:] == (0, 0) else c
+            for (l, r), c in comul(params, terms).items()}
+
+
+WITNESS_MUTANTS = {**MUTANTS, "Delta(u) = 1 (x) u": (hopf, "_comul_terms", comul_terms_left_unit),
+                   "epsilon(g) = 2": (hopf, "_counit_terms", counit_doubled),
+                   "Delta(g) = 2 g (x) g": (hopf, "_comul_terms", comul_doubled_on_group)}
+# These change Delta or S only on products, and the witness check applies them
+# to the generator images only, so no witness verdict changes.
+WITNESS_BLIND = {"dy * t in comultiply", "reversed antipode factors"}
+
+
 # These mutants present B(m, n; lam, -s, t, k), B(m, n; lam, s, -t, k) and
 # B(m, n; lam, s, t, -k): Hopf algebras again, so the sweep accepts them, and
 # only the relation table of the certificate tells them from the parameters.
@@ -1132,3 +1225,20 @@ class TestMutants:
             certified += by_certificate
         assert certified
         assert (swept > 0) == (name not in SWEEP_BLIND)
+
+    @pytest.mark.parametrize("name", sorted(WITNESS_MUTANTS))
+    def test_witness_family_follows_mutant(self, monkeypatch, name):
+        """Each mutant reaches `verify_witness` through its cached family,
+        which agrees with the numeric oracle on every witness case and its
+        corruption; fresh parameters keep cached products out of the check."""
+        cases = [(validate_params(*p1.as_tuple()), validate_params(*p2.as_tuple()),
+                  IsoWitness(w.kind, alpha, w.beta))
+                 for p1, p2, w in witness_cases() for alpha in (w.alpha, w.alpha * 2)]
+        unmutated = [verify_witness(w, p1, p2) for p1, p2, w in cases]
+        owner, attr, mutant = WITNESS_MUTANTS[name]
+        monkeypatch.setattr(owner, attr, mutant)
+        classify._witness_family.cache_clear()
+        cases = [tuple(validate_params(*p.as_tuple()) for p in (p1, p2)) + (w,) for p1, p2, w in cases]
+        verdicts = [verify_witness(w, p1, p2) for p1, p2, w in cases]
+        assert verdicts == [numeric_witness(w, p1, p2) for p1, p2, w in cases]
+        assert (verdicts != unmutated) == (name not in WITNESS_BLIND)

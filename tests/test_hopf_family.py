@@ -147,6 +147,23 @@ class TestLaurent:
         with pytest.raises(TypeError):
             S * CycScalar.root_of_unity(3)
 
+    def test_products_without_collection(self):
+        """A monomial or bare rational factor: the terms cannot collide."""
+        mono = 2 * LAMBDA * S
+        assert (mono * (Fraction(1, 2) * LAMBDA ** -1 * K)).terms == {(0, 1, 0, 1): 1}
+        assert (mono * mono).terms == {(2, 2, 0, 0): 4}
+        p = LAMBDA * S - 2 * K + 1
+        assert (LAMBDA * p).terms == (p * LAMBDA).terms == {
+            (2, 1, 0, 0): 1, (1, 0, 0, 1): -2, (1, 0, 0, 0): 1}
+        for zero in (p * 0, 0 * p, mono * 0):
+            assert zero.terms == {} and not zero and zero == 0
+        assert (p * Fraction(2, 3)).terms == (Fraction(2, 3) * p).terms == {
+            (1, 1, 0, 0): Fraction(2, 3), (0, 0, 0, 1): Fraction(-4, 3), (0, 0, 0, 0): Fraction(2, 3)}
+        # a product that cancels: to the zero polynomial, and in its cross terms
+        zero = S - S
+        assert (zero * mono).terms == (p * zero).terms == (zero * zero).terms == {}
+        assert ((S + T) * (S - T)).terms == {(0, 2, 0, 0): 1, (0, 0, 2, 0): -1}
+
     def test_bare_keeps_polynomials_and_unboxes_constants(self):
         from pathcoalg.scalar import bare
 
