@@ -589,8 +589,8 @@ class TestMixedAgainstBoxed:
                 patch.setattr(module, "bare", cyc)
             boxed = run()
         assert len(mixed[4]) == len(boxed[4])
-        for (message, witness, residue), want in zip(mixed[4], boxed[4]):
-            assert (message, witness, residue) == want
+        for got, want in zip(mixed[4], boxed[4]):
+            assert got == want
         assert boxed[3] == boxed[5] == mixed[5]
         stored = [c for e in mixed[0] for c in e.terms.values()]
         assert not any(isinstance(c, CycScalar) and c.is_rational() for c in stored)
@@ -908,7 +908,8 @@ def numeric_witness(w, p1, p2):
         linalg.tensor_axpy(expected, 1, skew, grouplike)
         if hopf._comul_terms(p2, skew) != expected or hopf._counit_terms(p2, skew):
             return False
-        if hopf._anti_terms(p2, skew) != hopf._mul_terms(p2, skew, {k: -c for k, c in inv.items()}):
+        minus_inv = {k: -c for k, c in inv.items()}
+        if hopf._anti_terms(p2, skew) != hopf._mul_terms(p2, skew, minus_inv):
             return False
     return True
 
@@ -963,9 +964,9 @@ def witness_cases():
     return cases
 
 
-WITNESS_SOURCES = _valid_grid() + [
-    validate_params(*raw) for raw in [(0, 0, 1, 2, 1, 0), (2, 0, -1, 3, 5, 0), (0, 0, "z4", 0, 0, 0),
-                                      (4, 0, "z4", 0, 0, 0), (0, 0, 1, "z4", 0, 0)]]
+WITNESS_SOURCES = _valid_grid() + [validate_params(*raw) for raw in [
+    (0, 0, 1, 2, 1, 0), (2, 0, -1, 3, 5, 0), (0, 0, "z4", 0, 0, 0), (4, 0, "z4", 0, 0, 0),
+    (0, 0, 1, "z4", 0, 0)]]
 witness_scales = st.one_of(rationals.filter(bool), st.sampled_from(["z4", "z8", "-z4"]))
 
 
@@ -1017,7 +1018,8 @@ class TestEvaluator:
         kind = data.draw(st.sampled_from(["phi", "psi"]))
         alpha, beta = data.draw(witness_scales), data.draw(witness_scales)
         targets = [p1, data.draw(st.sampled_from(WITNESS_SOURCES))]
-        lam, s, t, k = p1.lam, p1.s / cyc(alpha) ** 2, p1.t / cyc(beta) ** 2, p1.k / (cyc(alpha) * cyc(beta))
+        a, b = cyc(alpha), cyc(beta)
+        lam, s, t, k = p1.lam, p1.s / (a * a), p1.t / (b * b), p1.k / (a * b)
         try:
             targets.append(validate_params(p1.m, p1.n, lam, s, t, k) if kind == "phi"
                            else validate_params(p1.n, p1.m, lam, t, s, k))
@@ -1231,14 +1233,14 @@ class TestMutants:
         """Each mutant reaches `verify_witness` through its cached family,
         which agrees with the numeric oracle on every witness case and its
         corruption; fresh parameters keep cached products out of the check."""
-        cases = [(validate_params(*p1.as_tuple()), validate_params(*p2.as_tuple()),
-                  IsoWitness(w.kind, alpha, w.beta))
+        cases = [(p1, p2, IsoWitness(w.kind, alpha, w.beta))
                  for p1, p2, w in witness_cases() for alpha in (w.alpha, w.alpha * 2)]
         unmutated = [verify_witness(w, p1, p2) for p1, p2, w in cases]
         owner, attr, mutant = WITNESS_MUTANTS[name]
         monkeypatch.setattr(owner, attr, mutant)
         classify._witness_family.cache_clear()
-        cases = [tuple(validate_params(*p.as_tuple()) for p in (p1, p2)) + (w,) for p1, p2, w in cases]
+        cases = [(validate_params(*p1.as_tuple()), validate_params(*p2.as_tuple()), w)
+                 for p1, p2, w in cases]
         verdicts = [verify_witness(w, p1, p2) for p1, p2, w in cases]
         assert verdicts == [numeric_witness(w, p1, p2) for p1, p2, w in cases]
         assert (verdicts != unmutated) == (name not in WITNESS_BLIND)

@@ -157,8 +157,9 @@ class TestLaurent:
             (2, 1, 0, 0): 1, (1, 0, 0, 1): -2, (1, 0, 0, 0): 1}
         for zero in (p * 0, 0 * p, mono * 0):
             assert zero.terms == {} and not zero and zero == 0
-        assert (p * Fraction(2, 3)).terms == (Fraction(2, 3) * p).terms == {
-            (1, 1, 0, 0): Fraction(2, 3), (0, 0, 0, 1): Fraction(-4, 3), (0, 0, 0, 0): Fraction(2, 3)}
+        third = Fraction(1, 3)
+        assert (p * 2 * third).terms == (2 * third * p).terms == {
+            (1, 1, 0, 0): 2 * third, (0, 0, 0, 1): -4 * third, (0, 0, 0, 0): 2 * third}
         # a product that cancels: to the zero polynomial, and in its cross terms
         zero = S - S
         assert (zero * mono).terms == (p * zero).terms == (zero * zero).terms == {}
