@@ -5,10 +5,16 @@ CycScalar coefficients (see `CoElement`); comultiplication splits paths.
 The module provides diamond bases, skew-primitive spaces, Ext-quivers, the
 coradical filtration, covering-map verification, dual algebras,
 separability-element checks, and localization of dual algebras.
+
+The coradical filtration of a subcoalgebra C of a path coalgebra is C
+intersected with the path-length filtration (Montgomery, *Hopf algebras and
+their actions on rings*, 1993, 5.2), so both it and the Ext-quiver are read
+off one elimination of C that pivots each row on its longest path.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import attrgetter
 
 from .errors import (
@@ -410,63 +416,56 @@ def skew_primitives(coalg, g, h):
     return _solve_combination(coalg, candidates, condition)
 
 
+def _rows_by_length(coalg):
+    """{n: [(pivot, row)]} in pivot order for the rows, pivoting on length n,
+    of one fully reduced basis of C keyed by (-length, path).  A row's other
+    paths are no longer than its pivot, and a combination of rows contains
+    the longest pivot it uses, so the rows of length <= n span C intersected
+    with the paths of length <= n.  Raises NotPointed unless those of length
+    0 are single vertices, that is unless grouplikes span that intersection."""
+    engine = SparseBasis()
+    for b in coalg.basis:
+        engine.add({(-p.length, p): c for p, c in b.terms.items()})
+    levels = {}
+    for (_, pivot), row in sorted(engine.rows.items(), key=lambda item: item[0][1]):
+        element = CoElement(coalg.quiver, {p: c for (_, p), c in row.items()})
+        levels.setdefault(pivot.length, []).append((pivot, element))
+    if not levels.get(0) or any(len(row.terms) != 1 for _, row in levels[0]):
+        raise NotPointed("the coradical is not spanned by grouplikes")
+    return levels
+
+
 def coradical_filtration(coalg):
     """The chain C_0 <= C_1 <= ... ending at C; returns (chain, loewy_length).
 
-    C_0 is the grouplike span; C_{i+1} = {x : delta(x) in C_i (x) C + C (x) C_0}.
-    Raises NotPointed if the chain stabilizes strictly below C."""
-    gs = coalg.grouplikes()
-    if not gs:
-        raise NotPointed("no grouplikes found")
-    quiver = coalg.quiver
-    level = SparseBasis()
-    for v in gs:
-        level.add({Path(v): ONE})
-    chain = [SubCoalgebra(quiver, [grouplike(quiver, v) for v in gs], validate=False)]
-    if chain[0].dim == coalg.dim:
-        return chain, 1
-    while True:
-        current = level
-        rows_by_key = {}
-        for i, b in enumerate(coalg.basis):
-            cols = {}
-            for (l, r), c in b.delta_dict().items():
-                if r.length > 0:
-                    cols.setdefault(r, {})[l] = c
-            for q, col in cols.items():
-                res, _ = current.residue(col)
-                for p, c in res.items():
-                    rows_by_key.setdefault((q, p), {})[i] = c
-        sols = nullspace(rows_by_key.values(), coalg.dim)
-        members = []
-        nxt = SparseBasis()
-        for c in sols:
-            x = coalg.from_coords(c)
-            if not x.is_zero() and nxt.add(dict(x.terms)):
-                members.append(x)
-        if nxt.dim <= current.dim:
-            raise NotPointed("coradical filtration stalls below the coalgebra")
-        chain.append(SubCoalgebra(quiver, members, validate=False))
-        level = nxt
-        if nxt.dim == coalg.dim:
-            return chain, len(chain)
+    C_n = {x : delta(x) in C_{n-1} (x) C + C (x) C_0} is C intersected with
+    the paths of length <= n (Montgomery 1993, 5.2), the span of the rows of
+    `_rows_by_length` up to length n; the Loewy length is the longest row
+    length + 1.  Raises NotPointed when grouplikes do not span C_0."""
+    levels = _rows_by_length(coalg)
+    top = max(levels)
+    chain, members = [], []
+    for n in range(top + 1):
+        members += [row for _, row in levels.get(n, ())]
+        chain.append(SubCoalgebra(coalg.quiver, members, validate=False))
+    return chain, top + 1
 
 
 def ext_quiver(coalg):
     """The quiver with vertices the grouplikes and dim P(g,h) - [g != h]
-    arrows g -> h.  Requires the coalgebra to be pointed."""
-    coradical_filtration(coalg)  # raises NotPointed when not pointed
-    gs = coalg.grouplikes()
-    pairs = {(g, g) for g in gs}
-    for d in diamond_basis(coalg):
-        pairs.add((d.source, d.sink))
-    arrows = []
-    for g, h in sorted(pairs):
-        dim_p = len(skew_primitives(coalg, g, h))
-        count = dim_p - (1 if g != h else 0)
-        for k in range(count):
-            arrows.append((f"p{k}@{g}>{h}", g, h))
-    return Quiver(gs, arrows)
+    arrows g -> h, the Gabriel quiver of the dual algebra (Chin-Montgomery,
+    "Basic coalgebras", 1997); raises NotPointed as `coradical_filtration`.
+
+    P(g, h) is e_g - e_h (g != h) plus the combinations of arrows g -> h in
+    C, as many as `_rows_by_length` rows pivoting on an arrow g -> h: the
+    (g, h)-block of such a row lies in C, and without its e_g term it is
+    (g, h)-primitive; the rows are independent at their pivots, and a
+    combination of arrows in C uses only rows with arrow pivots."""
+    levels = _rows_by_length(coalg)
+    counts = Counter((p.start, p.target(coalg.quiver)) for p, _ in levels.get(1, ()))
+    arrows = [(f"p{k}@{g}>{h}", g, h)
+              for (g, h), count in sorted(counts.items()) for k in range(count)]
+    return Quiver([p.start for p, _ in levels[0]], arrows)
 
 
 def _delta_over_basis(element, coalg):

@@ -549,8 +549,9 @@ def family_certificate(m, n):
 def _specializer(params):
     """c -> c at the (lam, s, t, k) of params, with each monomial memoized."""
     point = [bare(v) for v in (params.lam, params.s, params.t, params.k)]
-    monomial = functools.cache(
-        lambda exps: math.prod(_power(point[v], e) for v, e in enumerate(exps) if e))
+    lam_inv = bare(params.lam_inv)  # only lam has negative exponents
+    monomial = functools.cache(lambda exps: math.prod(
+        _power(point[v], e) if e > 0 else _power(lam_inv, -e) for v, e in enumerate(exps) if e))
 
     def value(c):
         if not isinstance(c, Laurent):

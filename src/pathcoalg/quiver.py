@@ -523,7 +523,7 @@ def quotient(quiver, partition):
 # -- bipartite non-Dynkin covers --------------------------------------------
 
 
-def _is_nondynkin_bipartite(vert_images, cover_arrows):
+def _is_nondynkin_bipartite(vertices, cover_arrows):
     """Classify the partial cover's underlying graph; loops are impossible by
     construction (sources and sinks are disjoint)."""
     pair_seen = set()
@@ -532,11 +532,11 @@ def _is_nondynkin_bipartite(vert_images, cover_arrows):
         if key in pair_seen:
             return True  # parallel edge: contains a Kronecker subgraph
         pair_seen.add(key)
-    nv, ne = len(vert_images), len(cover_arrows)
+    nv, ne = len(vertices), len(cover_arrows)
     if ne >= nv:
         return True  # connected with a cycle
     q = Quiver(
-        list(vert_images),
+        list(vertices),
         [(f"c{i}", u, w) for i, (_, u, w) in enumerate(cover_arrows)],
     )
     return not graph_class(q).is_dynkin
@@ -546,91 +546,58 @@ def find_nondynkin_cover(qtarget, size_bound):
     """Search for a connected bipartite quiver with non-Dynkin underlying graph,
     at most size_bound vertices, and a vertex-gluing morphism onto a subquiver
     of qtarget (arrows map injectively).  Returns (Quiver, QuiverMorphism) or
-    None; the search is exhaustive up to the bound."""
+    None; the search is exhaustive up to the bound.
+
+    A state is the sorted tuple of cover arrows (target arrow id, source,
+    sink) and the tuple of images of the cover vertices 0, 1, ...; a cover
+    vertex is a source iff it is the source of one of its arrows.  The search
+    is breadth-first, and of two states equal up to renumbering the cover
+    vertices only the first is queued."""
     target_arrows = sorted(qtarget.arrows)
-    if not target_arrows:
-        return None
+    queue, seen = deque(), set()
 
-    # state: tuple of cover arrows (target_arrow_id, src_idx, dst_idx) plus the
-    # image vertex of every cover vertex index; sides: even trick not needed --
-    # a vertex is a source or sink by which ends it appears on.
-    def canonical(state_arrows, images):
-        # relabel vertices by first appearance in the sorted arrow list
+    def push(cover_arrows, images):
+        # number the vertices by first appearance in the sorted arrow list
         order = {}
-        out = []
-        for aid, u, w in sorted(state_arrows):
-            for v in (u, w):
-                if v not in order:
-                    order[v] = len(order)
-            out.append((aid, order[u], order[w]))
-        img = tuple(images[v] for v in sorted(order, key=order.get))
-        return (tuple(out), img)
-
-    start_states = []
-    for aid, src, dst in target_arrows:
-        start_states.append(((aid, 0, 1), {0: src, 1: dst}, {0: "src", 1: "dst"}))
-
-    queue = deque()
-    seen = set()
-    for arrow, images, sides in start_states:
-        state = ((arrow,), tuple(sorted(images.items())), tuple(sorted(sides.items())))
-        key = canonical([arrow], images)
+        for _, u, w in cover_arrows:
+            order.setdefault(u, len(order))
+            order.setdefault(w, len(order))
+        key = (tuple((aid, order[u], order[w]) for aid, u, w in cover_arrows),
+               tuple(images[v] for v in order))
         if key not in seen:
             seen.add(key)
-            queue.append(state)
+            queue.append((cover_arrows, images))
 
-    def build_result(cover_arrows, images):
-        verts = [f"v{i}" for i in sorted(images)]
-        ars = [(f"{aid}#{i}", f"v{u}", f"v{w}") for i, (aid, u, w) in enumerate(cover_arrows)]
-        cover = Quiver(verts, ars)
-        vmap = {f"v{i}": images[i] for i in images}
-        amap = {f"{aid}#{i}": aid for i, (aid, u, w) in enumerate(cover_arrows)}
-        return cover, QuiverMorphism(cover, qtarget, vmap, amap)
-
+    for aid, src, dst in target_arrows:
+        push(((aid, 0, 1),), (src, dst))
     while queue:
-        cover_arrows, images_t, sides_t = queue.popleft()
-        images = dict(images_t)
-        sides = dict(sides_t)
-        if _is_nondynkin_bipartite(images, cover_arrows):
-            return build_result(list(cover_arrows), images)
+        cover_arrows, images = queue.popleft()
+        vertices = range(len(images))
+        if _is_nondynkin_bipartite(vertices, cover_arrows):
+            cover = Quiver([f"v{i}" for i in vertices],
+                           [(f"{aid}#{i}", f"v{u}", f"v{w}")
+                            for i, (aid, u, w) in enumerate(cover_arrows)])
+            return cover, QuiverMorphism(
+                cover, qtarget, {f"v{i}": img for i, img in enumerate(images)},
+                {f"{aid}#{i}": aid for i, (aid, _, _) in enumerate(cover_arrows)})
         used = {aid for aid, _, _ in cover_arrows}
-        next_vertex = max(images) + 1
+        sources = {u for _, u, _ in cover_arrows}
+        new = len(images)
         for aid, src, dst in target_arrows:
             if aid in used:
                 continue
-            # attach at an existing source-side vertex whose image is src
-            src_hosts = [v for v in images if images[v] == src and sides[v] == "src"]
-            dst_hosts = [v for v in images if images[v] == dst and sides[v] == "dst"]
+            # (source, sink, images) in the order that fixes the cover returned
+            src_hosts = [v for v in vertices if images[v] == src and v in sources]
+            dst_hosts = [v for v in vertices if images[v] == dst and v not in sources]
             candidates = []
             for u in src_hosts:
-                for w in dst_hosts:
-                    candidates.append((u, w, None))
-                if len(images) < size_bound:
-                    candidates.append((u, next_vertex, "dst"))
-            for w in dst_hosts:
-                if len(images) < size_bound:
-                    candidates.append((next_vertex, w, "src"))
-            for u, w, new_side in candidates:
-                new_images = dict(images)
-                new_sides = dict(sides)
-                if new_side == "dst":
-                    new_images[w] = dst
-                    new_sides[w] = "dst"
-                elif new_side == "src":
-                    new_images[u] = src
-                    new_sides[u] = "src"
-                new_arrows = tuple(sorted(cover_arrows + ((aid, u, w),)))
-                key = canonical(list(new_arrows), new_images)
-                if key in seen:
-                    continue
-                seen.add(key)
-                queue.append(
-                    (
-                        new_arrows,
-                        tuple(sorted(new_images.items())),
-                        tuple(sorted(new_sides.items())),
-                    )
-                )
+                candidates += [(u, w, images) for w in dst_hosts]
+                if new < size_bound:
+                    candidates.append((u, new, images + (dst,)))
+            if new < size_bound:
+                candidates += [(new, w, images + (src,)) for w in dst_hosts]
+            for u, w, grown in candidates:
+                push(tuple(sorted(cover_arrows + ((aid, u, w),))), grown)
     return None
 
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -796,3 +797,178 @@ class TestGrammar:
         for bad in ["", "e_9", "(zz)", "(gt|bt)", "2*", "(bt)+"]:
             with pytest.raises(ParseError):
                 parse_coelement(q, bad)
+
+
+# -- the coradical filtration and the Ext-quiver against the iterative route --
+
+
+def reference_coradical_filtration(coalg):
+    """The filtration by its definition, one nullspace per level, as the
+    library computed it before it read the levels off path lengths: C_0 is
+    the grouplike span and C_{i+1} = {x : delta(x) in C_i (x) C + C (x) C_0}.
+    Raises NotPointed if there is no grouplike or the chain stalls below C."""
+    gs = coalg.grouplikes()
+    if not gs:
+        raise NotPointed("no grouplikes found")
+    quiver = coalg.quiver
+    level = SparseBasis()
+    for v in gs:
+        level.add({Path(v): ONE})
+    chain = [SubCoalgebra(quiver, [grouplike(quiver, v) for v in gs], validate=False)]
+    if chain[0].dim == coalg.dim:
+        return chain, 1
+    while True:
+        current = level
+        rows_by_key = {}
+        for i, b in enumerate(coalg.basis):
+            cols = {}
+            for (l, r), c in b.delta_dict().items():
+                if r.length > 0:
+                    cols.setdefault(r, {})[l] = c
+            for q, col in cols.items():
+                res, _ = current.residue(col)
+                for p, c in res.items():
+                    rows_by_key.setdefault((q, p), {})[i] = c
+        sols = nullspace(rows_by_key.values(), coalg.dim)
+        members = []
+        nxt = SparseBasis()
+        for c in sols:
+            x = coalg.from_coords(c)
+            if not x.is_zero() and nxt.add(dict(x.terms)):
+                members.append(x)
+        if nxt.dim <= current.dim:
+            raise NotPointed("coradical filtration stalls below the coalgebra")
+        chain.append(SubCoalgebra(quiver, members, validate=False))
+        level = nxt
+        if nxt.dim == coalg.dim:
+            return chain, len(chain)
+
+
+def reference_ext_quiver(coalg):
+    """dim P(g, h) - [g != h] arrows g -> h from one skew-primitive system per
+    pair of grouplikes that a diamond joins, as the library computed it before
+    it counted the length-1 rows of one elimination."""
+    reference_coradical_filtration(coalg)  # raises NotPointed when not pointed
+    gs = coalg.grouplikes()
+    pairs = {(g, g) for g in gs}
+    for d in diamond_basis(coalg):
+        pairs.add((d.source, d.sink))
+    arrows = []
+    for g, h in sorted(pairs):
+        count = len(skew_primitives(coalg, g, h)) - (1 if g != h else 0)
+        for k in range(count):
+            arrows.append((f"p{k}@{g}>{h}", g, h))
+    return Quiver(gs, arrows)
+
+
+def assert_matches_reference(coalg):
+    ext, ref = ext_quiver(coalg), reference_ext_quiver(coalg)
+    assert (ext.vertices, ext.arrows) == (ref.vertices, ref.arrows)
+    chain, loewy = coradical_filtration(coalg)
+    ref_chain, ref_loewy = reference_coradical_filtration(coalg)
+    assert loewy == ref_loewy == len(chain) == len(ref_chain)
+    assert chain[-1].dim == coalg.dim
+    for level, ref in zip(chain, ref_chain):
+        assert level.dim == ref.dim
+        assert all(level.contains(b) for b in ref.basis)
+        assert all(ref.contains(b) for b in level.basis)
+    return ext
+
+
+# z4 sets and non-square lambda = -1 and lambda = 1 sets beside the
+# criterion-1 grid, which already holds z3 and lambda = -1 at s = t = 0
+EXTRA_WINDOW_PARAMS = [(0, 0, "z4", 0, 0, 0), (4, 0, "z4", 0, 0, 0),
+                       (2, 0, -1, 3, 5, 0), (0, 0, 1, 2, 1, 0)]
+
+PATH_QUIVERS = [
+    square_tilde,
+    two_loop_quiver,
+    bipartite_six_cycle,
+    lambda: grid_quiver(2, 0, 1),
+    lambda: Quiver(["u", "v"], [("a", "u", "v"), ("b", "u", "v"), ("c", "v", "u")]),
+    lambda: Quiver(["v"], [("a", "v", "v"), ("b", "v", "v")]),
+]
+
+
+def window_corpus(radius, ms=None):
+    import test_acceptance  # imports this module, so not at load time
+
+    sets = test_acceptance._valid_grid() + [validate_params(*raw) for raw in EXTRA_WINDOW_PARAMS]
+    return [truncate_to_subcoalgebra(p, radius).coalgebra
+            for p in sets if ms is None or p.m in ms]
+
+
+# name -> () -> coalgebras
+REFERENCE_CORPUS = {
+    "windows-R1": lambda: window_corpus(1),
+    "windows-R2": lambda: window_corpus(2),
+    "windows-R3-m0-m2": lambda: window_corpus(3, ms=(0, 2)),
+    "path-coalgebras": lambda: [path_coalgebra(make(), length)
+                                for make in PATH_QUIVERS for length in range(4)],
+    "localization": lambda: [localization_example(lam)
+                             for lam in (1, -2, Fraction(1, 2), "z3")],
+    "covering": lambda: list(covering_example()[:2]),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CORPUS))
+def test_filtration_and_ext_quiver_match_reference(name):
+    """Same Ext-quiver vertices and arrow list, and the same levels, as the
+    iterative filtration and the skew-primitive systems."""
+    for coalg in REFERENCE_CORPUS[name]():
+        assert_matches_reference(coalg)
+
+
+@st.composite
+def recombined_path_spans(draw):
+    """(coalgebra, closed paths): the span of a random set of paths closed
+    under subpaths, a subcoalgebra, in a basis recombined by a random
+    invertible upper-triangular rational matrix."""
+    vertices = [str(i) for i in range(draw(st.integers(1, 4)))]
+    ends = st.sampled_from(vertices)
+    pairs = draw(st.lists(st.tuples(ends, ends), min_size=1, max_size=5))
+    q = Quiver(vertices, [(f"a{i}", s, t) for i, (s, t) in enumerate(pairs)])
+    closed = set()
+    nontrivial = [p for p in q.paths_up_to(3) if p.length]
+    for p in draw(st.lists(st.sampled_from(nontrivial), min_size=1, max_size=4)):
+        starts = [p.start] + [q.arrow(a)[2] for a in p.arrows]
+        for i in range(p.length + 1):
+            for j in range(i, p.length + 1):
+                closed.add(Path(starts[i], p.arrows[i:j]))
+    paths = draw(st.permutations(sorted(closed)))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3)])
+    basis = []
+    for j in range(len(paths)):
+        coeffs = [draw(entries) for _ in range(j)] + [draw(entries.filter(bool))]
+        basis.append(CoElement.combination(q, coeffs, [path_element(q, p) for p in paths]))
+    return SubCoalgebra(q, basis), paths
+
+
+@settings(max_examples=60, deadline=None)
+@given(recombined_path_spans())
+def test_recombined_path_spans_match_reference(case):
+    coalg, paths = case
+    ext = assert_matches_reference(coalg)
+    assert ext.vertices == sorted(p.start for p in paths if p.length == 0)
+    quiver = coalg.quiver
+    assert Counter((src, dst) for _, src, dst in ext.arrows) == Counter(
+        (p.start, p.target(quiver)) for p in paths if p.length == 1
+    )
+
+
+NOT_POINTED = {
+    "empty": lambda q: [],
+    "vertex-sum": lambda q: [grouplike(q, "1") + grouplike(q, "2")],
+}
+
+
+@pytest.mark.parametrize(
+    "f", [coradical_filtration, ext_quiver, reference_coradical_filtration, reference_ext_quiver]
+)
+@pytest.mark.parametrize("case", list(NOT_POINTED))
+def test_not_pointed(case, f):
+    """An unvalidated span whose coradical is not spanned by grouplikes: the
+    empty one and span{e_1 + e_2}."""
+    q = square_tilde()
+    with pytest.raises(NotPointed):
+        f(SubCoalgebra(q, NOT_POINTED[case](q), validate=False))

@@ -191,7 +191,9 @@ def law_components(m, n):
 
 
 def specialize(c, point):
-    return hopf._specializer(SimpleNamespace(**dict(zip(["lam", "s", "t", "k"], point))))(c)
+    params = SimpleNamespace(**dict(zip(["lam", "s", "t", "k"], point)))
+    params.lam_inv = hopf._power(point[0], -1)
+    return hopf._specializer(params)(c)
 
 
 def up_to_unit(c):
