@@ -2,6 +2,10 @@
 
 Elements are sparse linear combinations of paths, with bare rational or
 CycScalar coefficients (see `CoElement`); comultiplication splits paths.
+Every vector, structure constant and constant here is the value
+`scalar.bare` gives, a CycScalar only if irrational; `cyc` boxes a scalar
+only where a public function returns one: `CoElement.coefficient` and
+`counit` and `SubCoalgebra.coords`.
 The module provides diamond bases, skew-primitive spaces, Ext-quivers, the
 coradical filtration, covering-map verification, dual algebras,
 separability-element checks, and localization of dual algebras.
@@ -34,7 +38,7 @@ from .errors import (
 )
 from .linalg import SparseBasis, SparseElement, accumulate, axpy, nullspace, tensor_axpy
 from .quiver import Path, Quiver
-from .scalar import ONE, bare, cyc, parse_scalar
+from .scalar import bare, cyc, parse_scalar
 
 
 def _fmt_path(path):
@@ -145,7 +149,7 @@ def _signed_terms(text):
     out = []
     for chunk in _split_top_level(text, "+-"):
         body = chunk.strip()
-        sign = -ONE if body[0] == "-" else ONE
+        sign = -1 if body[0] == "-" else 1
         body = body[1:].strip() if body[0] in "+-" else body
         if not body:
             raise ParseError(f"dangling sign in {text!r}")
@@ -293,7 +297,7 @@ class SubCoalgebra:
         }
 
     @staticmethod
-    def from_json(data, validate=True):
+    def from_json(data):
         try:
             quiver = Quiver.from_json(data["quiver"])
             basis = []
@@ -306,7 +310,7 @@ class SubCoalgebra:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad coalgebra JSON: {exc}") from exc
-        return SubCoalgebra(quiver, basis, validate=validate)
+        return SubCoalgebra(quiver, basis)
 
     def __repr__(self):
         return f"SubCoalgebra(dim {self.dim} in {self.quiver!r})"
@@ -503,7 +507,7 @@ class CoalgebraMap:
     def coalgebra_map_failure(self):
         """None if the map is a coalgebra homomorphism, else a witness."""
         for b, img in zip(self.domain.basis, self.images):
-            if not (b.counit() - img.counit()).is_zero():
+            if b.counit() != img.counit():
                 return {"element": str(b), "axiom": "counit"}
             # delta(pi(b)) must equal (pi (x) pi)(delta(b))
             lhs = img.delta_dict()
@@ -632,10 +636,10 @@ class DualAlgebra:
     def __init__(self, dim, structure, idempotents):
         self.dim = dim
         self.structure = structure
-        # (label, vector) pairs, each vector {k: ONE}
+        # (label, vector) pairs, each vector {k: 1}
         self.idempotents = list(idempotents)
         for label, vec in self.idempotents:
-            if list(vec.values()) != [ONE]:
+            if list(vec.values()) != [1]:
                 raise InvalidDescription(
                     f"idempotent {label!r} is not a single basis vector"
                 )
@@ -653,12 +657,12 @@ class DualAlgebra:
     def unit(self):
         out = {}
         for _, vec in self.idempotents:
-            axpy(out, ONE, vec)
+            axpy(out, 1, vec)
         return out
 
     def is_associative(self):
         mul = self.multiply
-        basis = [{i: ONE} for i in range(self.dim)]
+        basis = [{i: 1} for i in range(self.dim)]
         return all(
             mul(mul(a, b), c) == mul(a, mul(b, c)) for a in basis for b in basis for c in basis
         )
@@ -666,7 +670,7 @@ class DualAlgebra:
     def is_unital(self):
         one = self.unit()
         return all(
-            self.multiply(one, {i: ONE}) == {i: ONE} == self.multiply({i: ONE}, one)
+            self.multiply(one, {i: 1}) == {i: 1} == self.multiply({i: 1}, one)
             for i in range(self.dim)
         )
 
@@ -674,7 +678,7 @@ class DualAlgebra:
         """Basis of the Jacobson radical: the basis vectors that are not
         idempotents (see the class docstring)."""
         idempotent = {k for _, vec in self.idempotents for k in vec}
-        return [{k: ONE} for k in range(self.dim) if k not in idempotent]
+        return [{k: 1} for k in range(self.dim) if k not in idempotent]
 
     def radical_chain(self):
         """Radical powers rad >= rad^2 >= ... as lists of vectors."""
@@ -706,7 +710,7 @@ def dualize(coalg):
         for ij, c in _delta_over_basis(d.element, base).items():
             structure.setdefault(ij, {})[k] = c
     idempotents = [
-        (d.source, {k: ONE})
+        (d.source, {k: 1})
         for k, d in enumerate(db)
         if d.source == d.sink and Path(d.source) in d.element.terms
     ]
@@ -724,11 +728,11 @@ def localize(algebra, idempotent_labels):
         raise UnknownVertex(f"unknown idempotents {missing!r}")
     e = {}
     for l in chosen:
-        axpy(e, ONE, by_label[l])
+        axpy(e, 1, by_label[l])
     engine = SparseBasis(coords=True)
     basis = []
     for k in range(algebra.dim):
-        w = algebra.multiply(algebra.multiply(e, {k: ONE}), e)
+        w = algebra.multiply(algebra.multiply(e, {k: 1}), e)
         if engine.add(w, len(basis)):
             basis.append(w)
     dim = len(basis)
@@ -793,11 +797,11 @@ def separability_check(pi, capacity=40):
         for j, v in cod_base._engine.coords(pi.apply(dia.element).terms).items():
             subgens[j][i] = v
     # relations (e_a s_j) (x) e_c - e_a (x) (s_j e_c) of the tensor product over D*
-    right_of = [[mul(s, {c: ONE}) for c in range(d)] for s in subgens]
+    right_of = [[mul(s, {c: 1}) for c in range(d)] for s in subgens]
     relations = SparseBasis()
     for a in range(d):
         for s, s_right in zip(subgens, right_of):
-            s_left = mul({a: ONE}, s)
+            s_left = mul({a: 1}, s)
             for c in range(d):
                 rel = {(k, c): v for k, v in s_left.items()}
                 for l, v in s_right[c].items():
@@ -808,14 +812,14 @@ def separability_check(pi, capacity=40):
     idems = [g for _, g in cstar.idempotents]
     u_of_e = {}
     for g in idems:
-        axpy(u_of_e, ONE, mul(g, g))
+        axpy(u_of_e, 1, mul(g, g))
     if u_of_e != cstar.unit():
         return False
     for x in range(d):
         diff = {}
         for g in idems:
-            tensor_axpy(diff, 1, mul({x: ONE}, g), g)
-            tensor_axpy(diff, -1, g, mul(g, {x: ONE}))
+            tensor_axpy(diff, 1, mul({x: 1}, g), g)
+            tensor_axpy(diff, -1, g, mul(g, {x: 1}))
         res, _ = relations.residue(diff)
         if res:
             return False

@@ -8,6 +8,10 @@ The module builds the simple / string / diamond / band comodules over the
 grid-window coalgebras, computes Hom spaces and endomorphism rings exactly,
 decides indecomposability, and settles discreteness of the corepresentation
 type.
+
+Coaction coefficients, Hom matrices, traces and constants are the values
+`scalar.bare` gives, a CycScalar only if irrational; `cyc` boxes only the
+public returns `Comodule.dimension_vector` and `HomSpace.basis`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .errors import (
 from .hopf import _parse_grid_label, truncate_to_subcoalgebra
 from .linalg import SparseBasis, accumulate, nullspace, tensor_axpy
 from .quiver import Path, grid_vertex_label
-from .scalar import ONE, ZERO, cyc
+from .scalar import bare, cyc
 
 
 class Comodule:
@@ -50,9 +54,7 @@ class Comodule:
                     raise InvalidDescription(
                         f"coaction entry ({i},{j}) leaves the coalgebra"
                     )
-                eps = entry.counit()
-                expected = ONE if i == j else ZERO
-                if not (eps - expected).is_zero():
+                if entry.counit() != (1 if i == j else 0):
                     raise InvalidDescription(
                         f"counit law fails at entry ({i},{j})"
                     )
@@ -111,17 +113,22 @@ def _check_ambient(m1, m2):
 
 
 class HomSpace:
-    """Basis of comodule morphisms M -> N, as dim(N) x dim(M) scalar
-    matrices."""
+    """Basis of comodule morphisms M -> N, as dim(N) x dim(M) matrices:
+    `matrices` holds them bare, as `nullspace` gives them, and `basis`
+    boxes every entry with `cyc`."""
 
-    def __init__(self, source, target, basis):
+    def __init__(self, source, target, matrices):
         self.source = source
         self.target = target
-        self.basis = basis
+        self.matrices = matrices
+
+    @property
+    def basis(self):
+        return [[[cyc(x) for x in row] for row in f] for f in self.matrices]
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.matrices)
 
 
 def hom(m1, m2):
@@ -131,7 +138,7 @@ def hom(m1, m2):
     Most equations have one term and force their unknown to 0; `nullspace`
     settles those before it eliminates the rest.  The equations carry the
     coaction coefficients as stored, bare rationals unless irrational, and
-    the basis is boxed with `cyc` on the way out."""
+    so do the matrices of the result."""
     _check_ambient(m1, m2)
     dm, dn = m1.dim, m2.dim
     ids = {}  # paths are numbered once, so the equation loop hashes small ints
@@ -155,8 +162,7 @@ def hom(m1, m2):
                 accumulate(per_path.setdefault(p, {}), l * dm + i, c)
             rows.extend(row for row in per_path.values() if row)
     return HomSpace(m1, m2, [
-        [[cyc(x) for x in vec[r * dm:(r + 1) * dm]] for r in range(dn)]
-        for vec in nullspace(rows, dn * dm)
+        [vec[r * dm:(r + 1) * dm] for r in range(dn)] for vec in nullspace(rows, dn * dm)
     ])
 
 
@@ -172,14 +178,14 @@ def _trace_rank(fs, gs):
     engine = SparseBasis()
     for f in fs:
         entries = [(a, b, x) for a, row in enumerate(f) for b, x in enumerate(row) if x]
-        traces = [sum((x * g[b][a] for a, b, x in entries if g[b][a]), ZERO) for g in gs]
+        traces = [sum((x * g[b][a] for a, b, x in entries if g[b][a]), 0) for g in gs]
         engine.add(dict(enumerate(traces)))
     return engine.dim
 
 
 def is_indecomposable(mod):
     """True iff End(M) is local, via the trace-form radical (char 0)."""
-    end = hom(mod, mod).basis
+    end = hom(mod, mod).matrices
     return _trace_rank(end, end) == 1
 
 
@@ -200,23 +206,22 @@ def are_isomorphic(m1, m2):
     invariant."""
     if m1.dim != m2.dim:
         return False
-    forth = hom(m1, m2).basis
-    combo = [[ZERO] * m1.dim for _ in range(m1.dim)]
+    forth = hom(m1, m2).matrices
+    combo = [[0] * m1.dim for _ in range(m1.dim)]
     for idx, f in enumerate(forth):
         if _mat_rank(f) == m1.dim:
             return True
-        w = cyc(idx + 1)
         for r, row in enumerate(f):
             for c, x in enumerate(row):
-                if not x.is_zero():
-                    combo[r][c] = combo[r][c] + x * w
+                if x:
+                    combo[r][c] = combo[r][c] + x * (idx + 1)
     if _mat_rank(combo) == m1.dim:
         return True
-    pairing = _trace_rank(forth, hom(m2, m1).basis) if forth else 0
-    end1 = hom(m1, m1).basis
+    pairing = _trace_rank(forth, hom(m2, m1).matrices) if forth else 0
+    end1 = hom(m1, m1).matrices
     if _trace_rank(end1, end1) != pairing:
         return False
-    end2 = hom(m2, m2).basis
+    end2 = hom(m2, m2).matrices
     return _trace_rank(end2, end2) == pairing
 
 
@@ -245,7 +250,7 @@ def _quotient_comodule(mod, sub_vectors):
     # residues of the unit vectors give the projection onto the complement
     proj = []
     for i in range(mod.dim):
-        res, _ = engine.residue({i: ONE})
+        res, _ = engine.residue({i: 1})
         proj.append(res)
     zero = CoElement(mod.coalgebra.quiver, {})
     c = [[zero] * len(keep) for _ in range(len(keep))]
@@ -406,7 +411,7 @@ def build_diamond(trunc, i, j):
     c[0][2] = _grid_arrow(trunc, "y", g)
     c[0][3] = p_elem
     c[1][3] = _grid_arrow(trunc, "y", ga)
-    c[2][3] = _grid_arrow(trunc, "x", gb) * (-params.lam)
+    c[2][3] = _grid_arrow(trunc, "x", gb) * -bare(params.lam)
     labels = [grid_vertex_label(*v) for v in (g, ga, gb, gab)]
     return Comodule(trunc.coalgebra, c, labels)
 
@@ -420,7 +425,7 @@ def build_band_family(params, length, mus, truncation=None):
     if length % n != 0 or length <= 0:
         raise InvalidSpec(f"band period must be a positive multiple of {n}")
     for mu in mus:
-        if cyc(mu).is_zero():
+        if not bare(mu):
             raise InvalidSpec("band parameter mu must be nonzero")
     trunc = truncation or truncate_to_subcoalgebra(params, n)
     # peaks (t, -t); the closing valley uses a^n = b^n
@@ -428,7 +433,7 @@ def build_band_family(params, length, mus, truncation=None):
     valleys = [params.canon(t + 1, -t) for t in range(length)]
     out = []
     for mu in mus:
-        mu = cyc(mu)
+        mu = bare(mu)
         zero = CoElement(trunc.quiver, {})
         d = 2 * length
         c = [[zero] * d for _ in range(d)]

@@ -6,7 +6,10 @@ the two kinds.  A stored value follows one rule, `scalar.bare`: a rational
 is bare and only an irrational is a `CycScalar`.  Arithmetic may still make
 a rational `CycScalar` (z3 * z3^-1) inside a computation; that is sound
 because a rational `CycScalar` compares and hashes like its value, and zero
-is tested by truthiness, which both kinds share.  `accumulate` adds into
+is tested by truthiness, which both kinds share.  Nothing here boxes a
+value: `rref`, `nullspace` and the rows of `SparseBasis` hold what
+elimination leaves, with bare 0 and 1; `cyc` is applied only where
+`coalgebra` and `comodules` return a scalar.  `accumulate` adds into
 one entry, `axpy` adds a multiple of a whole vector and `tensor_axpy` a
 multiple of a tensor product of two; all drop an entry that cancels.
 `SparseElement` is that format as a value: the base of the path-coalgebra
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalar import ZERO, CycScalar, _q, bare
+from .scalar import CycScalar, _q, bare
 
 
 def accumulate(target, key, value):
@@ -234,13 +237,14 @@ class SparseBasis:
 
 def rref(matrix):
     """Reduced row echelon form of a dense matrix.  Returns (rows,
-    pivot_columns) with the rows sorted by pivot; zero rows are dropped."""
+    pivot_columns) with the rows sorted by pivot; zero rows are dropped and
+    a zero entry is the bare int 0."""
     engine = SparseBasis()
     for row in matrix:
         engine.add(dict(enumerate(row)))
     ncols = len(matrix[0]) if matrix else 0
     pivots = sorted(engine.rows)
-    return [[engine.rows[p].get(c, ZERO) for c in range(ncols)] for p in pivots], pivots
+    return [[engine.rows[p].get(c, 0) for c in range(ncols)] for p in pivots], pivots
 
 
 def nullspace(rows, ncols):

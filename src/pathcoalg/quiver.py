@@ -9,7 +9,7 @@ bounded exhaustive search for bipartite non-Dynkin covers.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from operator import itemgetter
 
 from .errors import (
@@ -287,44 +287,30 @@ def _star_signature(quiver, v):
 def _stars_isomorphic(s1, c1, s2, c2):
     """Digraph isomorphism of two star quivers fixing center -> center.
 
-    Returns a vertex map or None.  Arrow multiplicities must match.
+    Returns a vertex map or None.  A star has no arrow between two neighbors,
+    so the stars are isomorphic iff their loop counts and their multisets of
+    neighbor profiles (arrows to, arrows from) agree; each neighbor of s1, in
+    order, is then paired with the first unused neighbor of s2 of its profile.
     """
 
-    def profile(q, center, w):
-        to_w = sum(1 for _, s, t in q.arrows if s == center and t == w)
-        from_w = sum(1 for _, s, t in q.arrows if s == w and t == center)
-        return (to_w, from_w)
+    def shape(q, center):
+        """The loop count and {neighbor: profile}, in vertex order."""
+        out = {w: [0, 0] for w in q.vertices if w != center}
+        for _, s, t in q.arrows:
+            if s != t:
+                out[t if s == center else s][s != center] += 1
+        return sum(s == t for _, s, t in q.arrows), {w: tuple(p) for w, p in out.items()}
 
-    n1 = [w for w in s1.vertices if w != c1]
-    n2 = [w for w in s2.vertices if w != c2]
-    if len(n1) != len(n2):
+    (loops1, p1), (loops2, p2) = shape(s1, c1), shape(s2, c2)
+    if loops1 != loops2 or Counter(p1.values()) != Counter(p2.values()):
         return None
-    if sum(1 for _, s, t in s1.arrows if s == t) != sum(
-        1 for _, s, t in s2.arrows if s == t
-    ):
-        return None
-    # match neighbors by (in, out) multiplicity profile
     by_profile = {}
-    for w in n2:
-        by_profile.setdefault(profile(s2, c2, w), []).append(w)
+    for w, p in p2.items():
+        by_profile.setdefault(p, []).append(w)
     mapping = {c1: c2}
-    used = set()
-
-    def assign(idx):
-        if idx == len(n1):
-            return True
-        w = n1[idx]
-        for cand in by_profile.get(profile(s1, c1, w), []):
-            if cand not in used:
-                used.add(cand)
-                mapping[w] = cand
-                if assign(idx + 1):
-                    return True
-                used.discard(cand)
-                del mapping[w]
-        return False
-
-    return dict(mapping) if assign(0) else None
+    for w, p in p1.items():
+        mapping[w] = by_profile[p].pop(0)
+    return mapping
 
 
 def check_homogeneous(quiver, vertices=None):

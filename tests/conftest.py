@@ -1,6 +1,7 @@
 import pytest
 
 from pathcoalg import classify, hopf
+from pathcoalg.scalar import CycScalar
 
 FAMILY_CACHES = (hopf.family_certificate, classify._witness_family)
 
@@ -17,3 +18,26 @@ def fresh_family_certificates():
     yield
     for cache in FAMILY_CACHES:
         cache.cache_clear()
+
+
+# the CycScalar arithmetic that the benchmark's tracer counts as scalar.ops
+SCALAR_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__neg__", "__truediv__", "__rtruediv__", "__pow__", "inverse")
+
+
+@pytest.fixture
+def forbid_boxed_arithmetic(monkeypatch):
+    """A function that, once called, makes every CycScalar arithmetic method
+    raise for the rest of the test: what runs after it must stay on bare
+    values.  Build inputs that need boxed arithmetic before calling it."""
+
+    def refuse(name):
+        def method(self, *args):
+            raise AssertionError(f"CycScalar.{name} on a bare-valued path")
+        return method
+
+    def forbid():
+        for name in SCALAR_OPS:
+            monkeypatch.setattr(CycScalar, name, refuse(name))
+
+    return forbid

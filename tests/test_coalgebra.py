@@ -165,6 +165,25 @@ class TestValueKinds:
         assert [c for c in tr.coalgebra.coords(e) if c] == [cyc("2/3"), ONE]
         assert isinstance(e.coefficient(Path("a1b1")), CycScalar)
 
+    def test_rational_work_makes_no_boxed_arithmetic(self, forbid_boxed_arithmetic):
+        """Dual algebras, corners, coverings and separability run on bare
+        values when every coefficient is rational."""
+        window = truncate_to_subcoalgebra(validate_params(3, 1, 1, 0, 0, 0), 2).coalgebra
+        forbid_boxed_arithmetic()
+        assert len(coradical_filtration(window)[0]) == 3
+        assert ext_quiver(window).vertices == gabriel_quiver(dualize(window)).vertices
+        q = two_loop_quiver()
+        assert parse_coelement(q, "-1/2*(al|be)+3*(be)-(be)").terms == {
+            Path("1", ("al", "be")): Fraction(-1, 2), Path("1", ("be",)): 2,
+        }
+        _, _, pi = covering_example()
+        assert verify_covering(pi, diamond_basis(pi.domain), diamond_basis(pi.codomain))[0]
+        assert separability_check(pi) and separability_check(six_cycle_covering())
+        alg = dualize(localization_example(lam="3/2"))
+        corner = localize(alg, [l for l, _ in alg.idempotents if l not in ("a", "b")])
+        assert corner.is_associative() and corner.is_unital()
+        assert str(graph_class(gabriel_quiver(corner))) == "D~7"
+
 
 class TestSubCoalgebra:
     def test_valid_construction(self):
@@ -492,9 +511,9 @@ def dense_separability(pi):
     subgens = [[pmat[i][j] for i in range(d)] for j in range(dprime)]
 
     def tensor_add(target, vec_left, vec_right, sign=1):
-        right = [(l, b * sign) for l, b in enumerate(vec_right) if not b.is_zero()]
+        right = [(l, b * sign) for l, b in enumerate(vec_right) if b]
         for k, a in enumerate(vec_left):
-            if a.is_zero():
+            if not a:
                 continue
             for l, b in right:
                 accumulate(target, (k, l), a * b)

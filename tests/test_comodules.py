@@ -445,3 +445,42 @@ class TestDecideDiscrete:
         assert w["all_indecomposable"]
         assert w["dimension_vectors_equal"]
         assert len(w["modules"]) == 3
+
+
+class TestValueKinds:
+    """Comodules and their Hom spaces are computed on the values
+    `scalar.bare` gives; `cyc` boxes only the public returns."""
+
+    def test_rational_work_makes_no_boxed_arithmetic(self, forbid_boxed_arithmetic):
+        trunc = truncate_to_subcoalgebra(validate_params(0, 0, 1, 0, 0, 0), 2)
+        params = validate_params(2, 2, 1, 1, 1, 0)
+        band_trunc = truncate_to_subcoalgebra(params, 2)
+        forbid_boxed_arithmetic()
+        s = build_simple(trunc, 0, 0)
+        d = build_diamond(trunc, 0, 0)
+        m = build_string(trunc, StringSpec((0, 0), "x", 3))
+        n = _conjugate(d, random.Random(0))  # a validated rational coaction
+        ds = direct_sum(d, s)
+        assert (hom(ds, ds).dim, hom(d, m).dim, hom(m, d).dim) == (3, 0, 1)
+        assert is_indecomposable(d) and is_indecomposable(m)
+        assert not is_indecomposable(ds)
+        assert are_isomorphic(d, n) and are_isomorphic(direct_sum(s, n), ds)
+        assert not are_isomorphic(d, build_diamond(trunc, -1, 0))
+        split = direct_sum(s, build_simple(trunc, 1, 0))
+        assert not are_isomorphic(split, build_string(trunc, StringSpec((0, 0), "x", 1)))
+        assert socle_series_dims(d) == [1, 2, 1]
+        bands = build_band_family(params, 2, [1, 2, "1/3"], truncation=band_trunc)
+        assert all(is_indecomposable(b) for b in bands)
+        assert hom(bands[0], bands[2]).dim == 0
+        assert d.dimension_vector() == {v: ONE for v in ("a0b0", "a1b0", "a0b1", "a1b1")}
+
+    def test_rational_hom_basis_is_boxed(self, free_trunc):
+        d = build_diamond(free_trunc, 0, 0)
+        s = build_simple(free_trunc, 0, 0)
+        ds = direct_sum(d, s)
+        for space in (hom(ds, ds), hom(_conjugate(d, random.Random(1)), d)):
+            assert space.dim and len(space.basis) == space.dim
+            assert all(type(x) is CycScalar for f in space.basis for row in f for x in row)
+            bare = [x for f in space.matrices for row in f for x in row]
+            assert all(type(x) in (int, Fraction) for x in bare)
+            assert space.basis == space.matrices

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,6 +19,7 @@ from pathcoalg.quiver import (
     GraphClass,
     Path,
     Quiver,
+    _stars_isomorphic,
     check_homogeneous,
     classify_link_component,
     find_nondynkin_cover,
@@ -203,6 +205,92 @@ class TestHomogeneous:
         assert report["is_homogeneous"]
         assert report["out_degree"] == 1
         assert all(w is not None for w in report["star_iso_witnesses"].values())
+
+    def test_circulant_with_parallel_arrow(self):
+        # v_i -> v_{i+1}, ..., v_{i+6} mod 20 and a second v19 -> v00: the
+        # stars of v00 and v19 differ from the others in one profile, which
+        # the former backtracking refuted by trying every pairing
+        names = [f"v{i:02d}" for i in range(20)]
+        arrows = [(f"a{i}_{d}", names[i], names[(i + d) % 20])
+                  for i in range(20) for d in range(1, 7)]
+        q = Quiver(names, arrows + [("extra", "v19", "v00")])
+        start = time.perf_counter()
+        report = check_homogeneous(q)
+        assert time.perf_counter() - start < 2
+        assert not report["is_homogeneous"]
+        witnesses = report["star_iso_witnesses"]
+        assert witnesses["v00"] == {v: v for v in star(q, "v00").vertices}
+        assert all(witnesses[v] is None for v in names[1:])
+
+
+def backtracking_stars_isomorphic(s1, c1, s2, c2):
+    """The former `_stars_isomorphic`: pairs the neighbors of s1, in order,
+    with unused neighbors of s2 of equal profile, backtracking on failure."""
+
+    def profile(q, center, w):
+        to_w = sum(1 for _, s, t in q.arrows if s == center and t == w)
+        from_w = sum(1 for _, s, t in q.arrows if s == w and t == center)
+        return (to_w, from_w)
+
+    n1 = [w for w in s1.vertices if w != c1]
+    n2 = [w for w in s2.vertices if w != c2]
+    if len(n1) != len(n2):
+        return None
+    if sum(1 for _, s, t in s1.arrows if s == t) != sum(1 for _, s, t in s2.arrows if s == t):
+        return None
+    by_profile = {}
+    for w in n2:
+        by_profile.setdefault(profile(s2, c2, w), []).append(w)
+    mapping = {c1: c2}
+    used = set()
+
+    def assign(idx):
+        if idx == len(n1):
+            return True
+        w = n1[idx]
+        for cand in by_profile.get(profile(s1, c1, w), []):
+            if cand not in used:
+                used.add(cand)
+                mapping[w] = cand
+                if assign(idx + 1):
+                    return True
+                used.discard(cand)
+                del mapping[w]
+        return False
+
+    return dict(mapping) if assign(0) else None
+
+
+NEIGHBOR_PROFILE = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any)
+
+
+@st.composite
+def star_pairs(draw):
+    """Two stars of at most 6 neighbors, each neighbor named at random and
+    given a profile (arrows to it, arrows from it); the second permutes the
+    first's profiles and may change one profile or the loop count."""
+    first = draw(st.lists(NEIGHBOR_PROFILE, max_size=6))
+    second = draw(st.permutations(first))
+    if second and draw(st.booleans()):
+        second[draw(st.integers(0, len(second) - 1))] = draw(NEIGHBOR_PROFILE)
+    loops = draw(st.integers(0, 2))
+    stars = []
+    other_loops = draw(st.sampled_from([loops, 1]))
+    for center, profiles, nloops in (("c", first, loops), ("d", second, other_loops)):
+        names = draw(st.permutations("pqrstu"))[: len(profiles)]
+        arrows = [(f"{center}l{i}", center, center) for i in range(nloops)]
+        for w, (to_w, from_w) in zip(names, profiles):
+            arrows += [(f"{center}{w}t{i}", center, w) for i in range(to_w)]
+            arrows += [(f"{center}{w}f{i}", w, center) for i in range(from_w)]
+        stars.append((star(Quiver([center, *names], arrows), center), center))
+    return stars
+
+
+@settings(max_examples=300, deadline=None)
+@given(star_pairs())
+def test_stars_isomorphic_matches_backtracking(pair):
+    (s1, c1), (s2, c2) = pair
+    assert _stars_isomorphic(s1, c1, s2, c2) == backtracking_stars_isomorphic(s1, c1, s2, c2)
 
 
 def path_quiver(n):
