@@ -4,6 +4,13 @@ A comodule is stored by its coaction matrix: rho(m_j) = sum_i m_i (x) c[i][j]
 with entries in a fixed SubCoalgebra, satisfying the comatrix identities
 Delta(c_ij) = sum_l c_il (x) c_lj and eps(c_ij) = delta_ij.
 
+The vertex duals e_g* are orthogonal idempotents summing to 1 on a comodule,
+so M is the sum of its blocks M_g and comodule maps preserve them (Chin and
+Montgomery, Basic coalgebras, 1997).  Every builder's basis is adapted: the
+length-0 part of its coaction is the diagonal of trivial paths e_g with
+coefficient 1.  `hom` then solves only for same-vertex entries; a basis that
+is not adapted, such as a user's, is solved whole as one block.
+
 The module builds the simple / string / diamond / band comodules over the
 grid-window coalgebras, computes Hom spaces and endomorphism rings exactly,
 decides indecomposability, and settles discreteness of the corepresentation
@@ -15,6 +22,9 @@ public returns `Comodule.dimension_vector` and `HomSpace.basis`.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
+from itertools import count
 
 from .coalgebra import CoElement, path_element, span_subcoalgebra
 from .errors import (
@@ -45,6 +55,18 @@ class Comodule:
         if validate:
             self._validate()
 
+    @cached_property
+    def weights(self):
+        """The vertex g of each basis vector if the basis is adapted (the length-0
+        part of the coaction is the diagonal of trivial paths e_g, each with
+        coefficient 1), else None."""
+        trivial = [[{p.start: c for p, c in e.terms.items() if p.length == 0} for e in row]
+                   for row in self.coaction]
+        w = [next(iter(row[i]), None) for i, row in enumerate(trivial)]
+        adapted = all(t == ({w[i]: 1} if i == j else {})
+                      for i, row in enumerate(trivial) for j, t in enumerate(row))
+        return w if adapted else None
+
     def _validate(self):
         c = self.coaction
         for i in range(self.dim):
@@ -56,15 +78,16 @@ class Comodule:
                     )
                 if entry.counit() != (1 if i == j else 0):
                     raise InvalidDescription(
-                        f"counit law fails at entry ({i},{j})"
-                    )
+                        f"counit law fails at entry ({i},{j}): eps = {entry.counit()}")
                 rhs = {}
                 for l in range(self.dim):
                     tensor_axpy(rhs, 1, c[i][l].terms, c[l][j].terms)
-                if entry.delta_dict() != rhs:
+                lhs = entry.delta_dict()
+                if lhs != rhs:
+                    k = min(x for x in lhs.keys() | rhs.keys() if lhs.get(x) != rhs.get(x))
                     raise InvalidDescription(
-                        f"comatrix identity fails at entry ({i},{j})"
-                    )
+                        f"comatrix identity fails at entry ({i},{j}): at ({k[0]}, {k[1]}) "
+                        f"Delta gives {lhs.get(k, 0)}, sum_l c_il (x) c_lj gives {rhs.get(k, 0)}")
 
     def dimension_vector(self):
         """Composition multiplicities, keyed by grouplike vertex."""
@@ -98,7 +121,9 @@ def direct_sum(m1, m2):
         for j in range(d2):
             c[d1 + i][d1 + j] = m2.coaction[i][j]
     labels = [f"l.{x}" for x in m1.labels] + [f"r.{x}" for x in m2.labels]
-    return Comodule(m1.coalgebra, c, labels, validate=False)
+    out = Comodule(m1.coalgebra, c, labels, validate=False)
+    out.weights = None if None in (m1.weights, m2.weights) else m1.weights + m2.weights
+    return out
 
 
 def coefficient_coalgebra(mod):
@@ -132,37 +157,44 @@ class HomSpace:
 
 
 def hom(m1, m2):
-    """All f with rho_N(f(m)) = (f (x) id)(rho_M(m)).
+    """All f with rho_N(f(m)) = (f (x) id)(rho_M(m)), solved on vertex blocks.
 
-    One unknown per entry of the matrix f and one equation per (l, j, path).
-    Most equations have one term and force their unknown to 0; `nullspace`
-    settles those before it eliminates the rest.  The equations carry the
-    coaction coefficients as stored, bare rationals unless irrational, and
-    so do the matrices of the result."""
+    On adapted bases (`Comodule.weights`) f[r][c] is an unknown only where N's
+    vector r and M's vector c lie over one vertex, as the length-0 equations
+    force the other entries to 0; otherwise every entry is.  With the unknowns
+    in the order of r * dim M + c, one equation per (l, j, path) gives the full
+    system's free columns and basis, in the coaction's values as stored."""
     _check_ambient(m1, m2)
     dm, dn = m1.dim, m2.dim
-    ids = {}  # paths are numbered once, so the equation loop hashes small ints
-
-    def terms(e):
-        return [(ids.setdefault(p, len(ids)), c) for p, c in e.terms.items()]
-
-    # unknown f[r][c] is column r * dm + c
-    out2 = [[(k * dm, p, c) for k, e in enumerate(row) for p, c in terms(e)]
-            for row in m2.coaction]
-    in1 = [[(i, p, -c) for i, row in enumerate(m1.coaction) for p, c in terms(row[j])]
-           for j in range(dm)]
+    w1, w2 = m1.weights, m2.weights
+    if w1 is None or w2 is None:  # one block: every entry is an unknown
+        w1, w2 = [0] * dm, [0] * dn
+    number = count()  # col[r][c] is the number of the unknown f[r][c], or None
+    col = [[next(number) if g == h else None for h in w1] for g in w2]
+    # out2[l][g] lists (col[k], path, c) over the terms of N's c_lk with k over g,
+    # in1[j][g] lists (i, path, -c) over the terms of M's c_ij with i over g
+    out2, in1 = [{} for _ in range(dn)], [{} for _ in range(dm)]
+    for l, row in enumerate(m2.coaction):
+        for k, e in enumerate(row):
+            for p, c in e.terms.items():
+                out2[l].setdefault(w2[k], []).append((col[k], p, c))
+    for i, row in enumerate(m1.coaction):
+        for j, e in enumerate(row):
+            for p, c in e.terms.items():
+                in1[j].setdefault(w1[i], []).append((i, p, -c))
     rows = []
-    for l in range(dn):
-        for j in range(dm):
+    for l, g in enumerate(w2):
+        for j, h in enumerate(w1):
             per_path = {}
             # each (k, path) is met once, so these entries are new
-            for k, p, c in out2[l]:
-                per_path.setdefault(p, {})[k + j] = c
-            for i, p, c in in1[j]:
-                accumulate(per_path.setdefault(p, {}), l * dm + i, c)
+            for col_k, p, c in out2[l].get(h, ()):
+                per_path.setdefault(p, {})[col_k[j]] = c
+            for i, p, c in in1[j].get(g, ()):
+                accumulate(per_path.setdefault(p, {}), col[l][i], c)
             rows.extend(row for row in per_path.values() if row)
     return HomSpace(m1, m2, [
-        [vec[r * dm:(r + 1) * dm] for r in range(dn)] for vec in nullspace(rows, dn * dm)
+        [[0 if x is None else vec[x] for x in row] for row in col]
+        for vec in nullspace(rows, next(number))
     ])
 
 
@@ -482,17 +514,13 @@ def enumerate_indecomposables(params, radius, max_total_dim, truncation=None):
             for first in ("x", "y"):
                 for up_first in (False, True):
                     for length in range(1, max_total_dim):
-                        if length + 1 > max_total_dim:
-                            break
                         spec = StringSpec(g, first, length, up_first)
                         try:
                             mod = build_string(trunc, spec)
                         except (WindowTooSmall, InvalidSpec):
                             break
                         nodes = frozenset(mod.labels)
-                        if not all(
-                            _label_in_window(lbl, window) for lbl in mod.labels
-                        ):
+                        if not all(_parse_grid_label(lbl) in window for lbl in mod.labels):
                             break
                         key = ("string", nodes, _support_key(mod))
                         if key not in seen:
@@ -502,10 +530,6 @@ def enumerate_indecomposables(params, radius, max_total_dim, truncation=None):
         {"kind": kind, "support": support, "module": mod}
         for kind, support, mod in out
     ]
-
-
-def _label_in_window(label, window):
-    return _parse_grid_label(label) in window
 
 
 def _support_key(mod):

@@ -165,10 +165,6 @@ def validate_params(m, n, lam, s, t, k):
     return BmnParams(m, n, lam, s, t, k)
 
 
-def group_canonical(params, i, j):
-    return params.canon(i, j)
-
-
 # -- elements and normal-form arithmetic -------------------------------------
 # basis key: ((i, j), p, q) for a^i b^j x^p y^q
 

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathcoalg import comodules
 from pathcoalg.comodules import (
     Comodule,
+    HomSpace,
     StringSpec,
     are_isomorphic,
     build_band_family,
@@ -30,6 +32,7 @@ from pathcoalg.errors import (
     WindowTooSmall,
 )
 from pathcoalg.hopf import truncate_to_subcoalgebra, validate_params
+from pathcoalg.linalg import accumulate, nullspace
 from pathcoalg.scalar import ONE, ZERO, CycScalar, cyc
 
 
@@ -106,6 +109,34 @@ class TestConstruction:
                [t.coaction[0][0], t.coaction[0][0]]]
         with pytest.raises(InvalidDescription):
             Comodule(free_trunc.coalgebra, bad)
+
+    def test_counit_failure_names_the_value(self, free_trunc):
+        e = build_simple(free_trunc, 0, 0).coaction[0][0]
+        with pytest.raises(InvalidDescription) as info:
+            Comodule(free_trunc.coalgebra, [[e * 2]])
+        assert str(info.value) == "counit law fails at entry (0,0): eps = 2"
+        with pytest.raises(InvalidDescription) as info:
+            Comodule(free_trunc.coalgebra, [[e, e], [e * 0, e]])
+        assert str(info.value) == "counit law fails at entry (0,1): eps = 1"
+
+    def test_comatrix_failure_names_the_first_difference(self, free_trunc):
+        # Delta(e + x) = e(x)e + e(x)x + x(x)e_t, while (e + x)(x)(e + x) has
+        # e(x)e + e(x)x + x(x)e + x(x)x: they differ at (x, e), (x, e_t) and
+        # (x, x), and paths order shortest first, then by start vertex
+        e = build_simple(free_trunc, 0, 0).coaction[0][0]
+        x = build_string(free_trunc, StringSpec((0, 0), "x", 1)).coaction[0][1]
+        with pytest.raises(InvalidDescription) as info:
+            Comodule(free_trunc.coalgebra, [[e + x]])
+        assert str(info.value) == (
+            "comatrix identity fails at entry (0,0): at ((x@a0b0), e_a0b0) "
+            "Delta gives 0, sum_l c_il (x) c_lj gives 1"
+        )
+        with pytest.raises(InvalidDescription) as info:
+            Comodule(free_trunc.coalgebra, [[e - x * Fraction(1, 2)]])
+        assert str(info.value) == (
+            "comatrix identity fails at entry (0,0): at ((x@a0b0), e_a0b0) "
+            "Delta gives 0, sum_l c_il (x) c_lj gives -1/2"
+        )
 
     def test_json_round_trip_shape(self, free_trunc):
         d = build_diamond(free_trunc, -1, 0)
@@ -283,6 +314,126 @@ def _sum(mods):
     for m in mods[1:]:
         out = direct_sum(out, m)
     return out
+
+
+def _hom_full(m1, m2):
+    """The Hom oracle: one unknown per entry of the dim N x dim M matrix f,
+    unknown f[r][c] in column r * dim M + c, and one equation per
+    (l, j, path), whatever the bases."""
+    comodules._check_ambient(m1, m2)
+    dm, dn = m1.dim, m2.dim
+    ids = {}
+
+    def terms(e):
+        return [(ids.setdefault(p, len(ids)), c) for p, c in e.terms.items()]
+
+    out2 = [[(k * dm, p, c) for k, e in enumerate(row) for p, c in terms(e)]
+            for row in m2.coaction]
+    in1 = [[(i, p, -c) for i, row in enumerate(m1.coaction) for p, c in terms(row[j])]
+           for j in range(dm)]
+    rows = []
+    for l in range(dn):
+        for j in range(dm):
+            per_path = {}
+            for k, p, c in out2[l]:
+                per_path.setdefault(p, {})[k + j] = c
+            for i, p, c in in1[j]:
+                accumulate(per_path.setdefault(p, {}), l * dm + i, c)
+            rows.extend(row for row in per_path.values() if row)
+    return HomSpace(m1, m2, [
+        [vec[r * dm:(r + 1) * dm] for r in range(dn)] for vec in nullspace(rows, dn * dm)
+    ])
+
+
+def _exact(matrices):
+    """The matrices with each entry's type, so that 0 and Fraction(0) differ."""
+    return [[[(type(x), x) for x in row] for row in f] for f in matrices]
+
+
+def _assert_hom_matches_oracle(m1, m2):
+    assert _exact(hom(m1, m2).matrices) == _exact(_hom_full(m1, m2).matrices)
+
+
+# the comodule-hom benchmark's inventories: (parameters, radius, dimension bound)
+HOM_INVENTORIES = [
+    ((0, 0, 1, 0, 0, 0), 2, 8),
+    ((2, 0, -1, 0, 0, 0), 2, 6),
+    ((3, 1, 1, 0, 0, 0), 2, 6),
+]
+
+
+class TestHomBlocks:
+    """`hom` solves only for same-vertex entries on adapted bases and for
+    every entry otherwise; either way its matrices are the full system's."""
+
+    @pytest.mark.parametrize("raw, radius, max_dim", HOM_INVENTORIES)
+    def test_inventory_matches_full_system(self, raw, radius, max_dim):
+        found = enumerate_indecomposables(validate_params(*raw), radius, max_dim)
+        mods = [item["module"] for item in found]
+        assert all(m.weights is not None for m in mods)
+        for m1 in mods:
+            for m2 in mods:
+                _assert_hom_matches_oracle(m1, m2)
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_bands_match_full_system(self, m):
+        bands = build_band_family(validate_params(m, m, 1, 0, 0, 0), m, [1, 2, 3])
+        for b1 in bands:
+            for b2 in bands:
+                _assert_hom_matches_oracle(b1, b2)
+
+    def test_unknowns_are_same_vertex_pairs(self, free_trunc, monkeypatch):
+        ncols = []
+
+        def recording(rows, n):
+            ncols.append(n)
+            return nullspace(rows, n)
+
+        monkeypatch.setattr(comodules, "nullspace", recording)
+        d = build_diamond(free_trunc, 0, 0)
+        s = build_simple(free_trunc, 0, 0)
+        conj = _conjugate(d, random.Random(3))
+        assert d.weights == ["a0b0", "a1b0", "a0b1", "a1b1"]
+        assert conj.weights is None
+        assert hom(d, d).dim == 1 and ncols == [4]
+        assert hom(s, d).dim == 1 and ncols[-1] == 1
+        for m1, m2 in ((conj, d), (d, conj), (conj, conj)):
+            assert hom(m1, m2).dim == 1 and ncols[-1] == 16
+
+    def test_weights_and_direct_sums(self, free_trunc):
+        d = build_diamond(free_trunc, 0, 0)
+        s = build_simple(free_trunc, 1, 1)
+        ds = direct_sum(d, s)
+        # the counit law makes a validated diagonal coefficient 1
+        assert Comodule(d.coalgebra, [[s.coaction[0][0] * 2]], validate=False).weights is None
+        # filled from the summands, not by scanning the sum's coaction
+        assert vars(ds)["weights"] == d.weights + s.weights
+        assert direct_sum(_conjugate(d, random.Random(1)), s).weights is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_property_matches_full_system(self, free_trunc, data):
+        # builder modules, conjugated (generally non-adapted) copies and
+        # direct sums mixing the two kinds, in both argument orders
+        pool = [build_simple(free_trunc, *g) for g in ((0, 0), (1, 0), (1, 1))]
+        pool += [
+            build_string(free_trunc, StringSpec((0, 0), "x", 1)),
+            build_string(free_trunc, StringSpec((0, 0), "x", 2)),
+            build_string(free_trunc, StringSpec((1, 0), "x", 2, up_first=True)),
+            build_diamond(free_trunc, 0, 0),
+        ]
+        summand = st.tuples(st.sampled_from(range(len(pool))), st.booleans(),
+                            st.integers(0, 2**16))
+
+        def module():
+            parts = []
+            for idx, conj, seed in data.draw(st.lists(summand, min_size=1, max_size=2)):
+                parts.append(_conjugate(pool[idx], random.Random(seed)) if conj else pool[idx])
+            return _sum(parts)
+
+        m1, m2 = module(), module()
+        _assert_hom_matches_oracle(m1, m2)
+        _assert_hom_matches_oracle(m2, m1)
 
 
 class TestIsomorphism:

@@ -41,7 +41,6 @@ from pathcoalg.hopf import (
     gen_b,
     gen_x,
     gen_y,
-    group_canonical,
     group_element,
     multiply,
     parse_bmn_element,
@@ -109,18 +108,18 @@ class TestValidateParams:
 class TestGroupCanonical:
     def test_examples(self):
         p31 = validate_params(3, 1, 1, 0, 0, 0)
-        assert group_canonical(p31, 4, 0) == (1, 1)
+        assert p31.canon(4, 0) == (1, 1)
         pfree = params_free()
-        assert group_canonical(pfree, -2, 5) == (-2, 5)
+        assert pfree.canon(-2, 5) == (-2, 5)
         p22 = validate_params(2, 2, 1, 1, 1, 0)
-        assert group_canonical(p22, 3, 0) == (1, 2)
+        assert p22.canon(3, 0) == (1, 2)
 
     def test_idempotent(self):
         p = validate_params(4, 2, -1, 1, 1, 0)
         for i in range(-5, 6):
             for j in range(-5, 6):
-                c = group_canonical(p, i, j)
-                assert group_canonical(p, *c) == c
+                c = p.canon(i, j)
+                assert p.canon(*c) == c
 
 
 class TestMultiply:
