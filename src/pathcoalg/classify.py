@@ -211,8 +211,8 @@ def _prefer_sign(value):
 
 
 def canonical_form(params):
-    """The table representative of the isomorphism class, with the witness
-    used to reach it."""
+    """The table representative of the isomorphism class (`params` itself
+    when its scalars are the representative's), with the witness reaching it."""
     if params.m == params.n and params.m != 0:
         raise NotDiscreteParams("canonical forms cover m != n or m = n = 0")
     lam, s, t, k = params.lam, params.s, params.t, params.k
@@ -254,7 +254,7 @@ def canonical_form(params):
             tag, rep, alpha = "7'", (1, 0, 1, 1), k / beta
     else:  # only k nonzero
         tag, rep, alpha, beta = "8", (1, 0, 0, 1), ONE, k
-    canonical = validate_params(params.m, params.n, *rep)
+    canonical = params if (lam, s, t, k) == rep else validate_params(params.m, params.n, *rep)
     return tag, canonical, IsoWitness(kind, alpha, beta)
 
 

@@ -14,8 +14,9 @@ bare again.  The scalars of `BmnParams`, `counit` and the certificate report
 stay CycScalars.
 Delta, epsilon and S are term functions that `comultiply`, `counit` and
 `antipode` wrap; the Hopf certificate and the isomorphism witness check run
-on them and on `_evaluate`, without elements.  Both run once per family over
-Q[lam^+-1, s, t, k] (an (m, n), or two and a witness kind), specialized per query.
+on them and on `_evaluate`, without elements, over Q[lam^+-1, s, t, k],
+specialized per query: the certificate once, on B(0, 0), whose quotients by
+central Hopf ideals are the B(m, n), the witness check per two families and kind.
 
 The module also embeds finite windows of the basis into the grid path
 coalgebra (vertices = canonical group elements), certifies that the embedding
@@ -25,6 +26,7 @@ is an injective coalgebra map, and answers path-membership queries there.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from operator import attrgetter
@@ -52,6 +54,9 @@ def _power(x, e):
     return x ** e if isinstance(x, (CycScalar, Laurent)) else _q(Fraction(x) ** e)
 
 
+_SCALAR_NAMES = ("lambda", "s", "t", "k")
+
+
 class BmnParams:
     """Validated, sign-normalized parameters (m, n, lam, s, t, k)."""
 
@@ -72,12 +77,8 @@ class BmnParams:
 
     def window(self, radius):
         """Canonical group exponent pairs within the box |i|, |j| <= radius."""
-        out = []
-        for i in range(-radius, radius + 1):
-            for j in range(-radius, radius + 1):
-                if self.canon(i, j) == (i, j):
-                    out.append((i, j))
-        return out
+        box = itertools.product(range(-radius, radius + 1), repeat=2)
+        return [g for g in box if self.canon(*g) == g]
 
     def sign_x(self, i, j):
         """Scalar from commuting x rightward past a^i b^j."""
@@ -101,25 +102,13 @@ class BmnParams:
         return hash(self.as_tuple())
 
     def to_json(self):
-        return {
-            "m": self.m,
-            "n": self.n,
-            "lambda": str(self.lam),
-            "s": str(self.s),
-            "t": str(self.t),
-            "k": str(self.k),
-        }
+        scalars = zip(_SCALAR_NAMES, (self.lam, self.s, self.t, self.k))
+        return {"m": self.m, "n": self.n, **{name: str(v) for name, v in scalars}}
 
     @staticmethod
     def from_json(data):
-        return validate_params(
-            int(data["m"]),
-            int(data["n"]),
-            parse_scalar(str(data["lambda"])),
-            parse_scalar(str(data["s"])),
-            parse_scalar(str(data["t"])),
-            parse_scalar(str(data["k"])),
-        )
+        return validate_params(int(data["m"]), int(data["n"]),
+                               *(parse_scalar(str(data[name])) for name in _SCALAR_NAMES))
 
     def __repr__(self):
         return (
@@ -130,13 +119,12 @@ class BmnParams:
 
 def validate_params(m, n, lam, s, t, k):
     """Check the parameter laws and sign-normalize (m, n) so that m >= 0
-    (and n >= 0 when m = 0).  The laws are where the residues of part 1 of
-    `family_certificate(m, n)` vanish.  Away from +/-(1, 1), a*a^-1 = 1 and
-    a^m = b^n leave (-1)^(m+n) lam^n - 1 on x and (-1)^(m+n) lam^-m - 1 on y
-    (times a power of lam): lam^gcd(m, n) = 1 and m + n is even.  On y,
-    x^2 = s(1 - a^2) leaves (lam^2 - 1)s and xy + lam*yx = k(1 - ab) leaves
-    (lam^2 - 1)t and (lam - 1)k: lam = 1, or lam = -1 with k = 0, or
-    k = s = t = 0.  ForbiddenPair is no such law (see its docstring)."""
+    (and n >= 0 when m = 0).  The laws are where `verify_hopf_axioms` passes.
+    Its check (b), that the characters (-1)^(m+n) lam^-n and (-1)^(m+n) lam^-m
+    of a^m b^-n are 1, gives lam^gcd(m, n) = 1 and m + n even.  On y, part 1
+    of `family_certificate()` leaves (lam^2 - 1)s from x^2 = s(1 - a^2), and
+    (lam^2 - 1)t and (lam - 1)k from xy + lam*yx = k(1 - ab): lam = 1, or
+    lam = -1 with k = 0, or k = s = t = 0.  ForbiddenPair is no such law."""
     lam, s, t, k = cyc(lam), cyc(s), cyc(t), cyc(k)
     if m < 0 or (m == 0 and n < 0):
         m, n = -m, -n
@@ -152,13 +140,7 @@ def validate_params(m, n, lam, s, t, k):
             raise LambdaOrderViolation(
                 f"lambda^gcd(m, n) = lambda^{d} must equal 1"
             )
-    if lam == ONE:
-        pass
-    elif lam == -ONE and k.is_zero():
-        pass
-    elif k.is_zero() and s.is_zero() and t.is_zero():
-        pass
-    else:
+    if not (lam == ONE or k.is_zero() and (lam == -ONE or s.is_zero() and t.is_zero())):
         raise ConstraintViolation(
             "need lambda = 1, or lambda = -1 with k = 0, or k = s = t = 0"
         )
@@ -234,16 +216,8 @@ def _mono_mul(params, key1, key2):
 
 def _fmt_key(key):
     (i, j), p, q = key
-    parts = []
-    if i:
-        parts.append(f"a^{i}" if i != 1 else "a")
-    if j:
-        parts.append(f"b^{j}" if j != 1 else "b")
-    if p:
-        parts.append("x")
-    if q:
-        parts.append("y")
-    return "*".join(parts) if parts else "1"
+    parts = [f"{g}^{e}" if e != 1 else g for g, e in (("a", i), ("b", j)) if e]
+    return "*".join(parts + ["x"] * p + ["y"] * q) or "1"
 
 
 def _mul_terms(params, left, right):
@@ -352,14 +326,10 @@ class TensorElement(SparseElement):
 
 
 def _delta_generators(params):
-    one = (params.canon(0, 0), 0, 0)
-    a = (params.canon(1, 0), 0, 0)
-    b = (params.canon(0, 1), 0, 0)
-    x = (params.canon(0, 0), 1, 0)
-    y = (params.canon(0, 0), 0, 1)
-    dx = TensorElement(params, {(one, x): 1, (x, a): 1})
-    dy = TensorElement(params, {(one, y): 1, (y, b): 1})
-    return dx, dy
+    one, x, y = ((params.canon(0, 0), p, q) for p, q in ((0, 0), (1, 0), (0, 1)))
+    a, b = (params.canon(1, 0), 0, 0), (params.canon(0, 1), 0, 0)
+    return (TensorElement(params, {(one, x): 1, (x, a): 1}),
+            TensorElement(params, {(one, y): 1, (y, b): 1}))
 
 
 def _structure_table(params):
@@ -462,14 +432,9 @@ def _evaluate(params, relation, images, start, mul=_mul_terms, reverse=False):
 
 def generator_images(params):
     """The generators a, a^-1, b, b^-1, x, y as elements, by relation letter."""
-    return {
-        "a": group_element(params, 1, 0),
-        "A": group_element(params, -1, 0),
-        "b": group_element(params, 0, 1),
-        "B": group_element(params, 0, -1),
-        "x": gen_x(params),
-        "y": gen_y(params),
-    }
+    steps = {"a": (1, 0), "A": (-1, 0), "b": (0, 1), "B": (0, -1)}
+    return {**{g: group_element(params, *e) for g, e in steps.items()},
+            "x": gen_x(params), "y": gen_y(params)}
 
 
 # -- axiom verification ------------------------------------------------------
@@ -532,14 +497,35 @@ def _generic_params(m, n):
     return BmnParams(m, n, *(Laurent({(0,) * i + (1,) + (0,) * (3 - i): 1}) for i in range(4)))
 
 
-@functools.lru_cache(maxsize=64)
-def family_certificate(m, n):
-    """`_residues` of B(m, n; lam, s, t, k) on generic parameters, over
+@functools.lru_cache(maxsize=1)
+def family_certificate():
+    """`_residues` of B(0, 0; lam, s, t, k) on generic parameters, over
     Q[lam^+-1, s, t, k]: the relation names, and as (message, witness,
     coefficients) each check whose residue is not the zero polynomial."""
-    generic = _generic_params(m, n)
+    generic = _generic_params(0, 0)
     checks = [(msg, witness, tuple(r.values())) for msg, witness, r in _residues(generic) if r]
     return tuple(name for name, _ in relations(generic)), tuple(checks)
+
+
+@functools.lru_cache(maxsize=64)
+def _certify_quotient_map(m, n):
+    """Check by integer arithmetic, on the box |i|, |j| <= max(|m|, |n|, 2),
+    that `BmnParams.canon` is the quotient map Z^2 -> Z^2/<(m, -n)>: it sends
+    (m, -n) to canon(0, 0), it is idempotent, and canon(canon(i, j) + e) =
+    canon((i, j) + e) for the four generator steps e.  Raises AxiomFailure
+    naming the failing check, with the group pair as witness."""
+    canon, r = _generic_params(m, n).canon, max(abs(m), abs(n), 2)
+    failure = f"canon is not the quotient map of B({m}, {n}): "
+    if canon(m, -n) != canon(0, 0):
+        raise AxiomFailure(failure + "a^m b^-n is not 1", witness=f"({m}, {-n})")
+    for i, j in itertools.product(range(-r, r + 1), repeat=2):
+        g = canon(i, j)
+        if canon(*g) != g:
+            raise AxiomFailure(failure + "it is not idempotent", witness=f"({i}, {j})")
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            if canon(g[0] + di, g[1] + dj) != canon(i + di, j + dj):
+                raise AxiomFailure(failure + "it is not additive",
+                                   witness=f"({i}, {j}) + ({di}, {dj})")
 
 
 def _specializer(params):
@@ -560,10 +546,21 @@ def _specializer(params):
 def verify_hopf_axioms(params, radius, seed=None):
     """Prove the Hopf axioms by a finite certificate whose size does not
     depend on the radius.  Raises AxiomFailure with a witness; returns a
-    report dict on success.  The four parts run on term dicts, through
+    report dict on success.  The four parts below run on term dicts, through
     `_evaluate` and the term functions behind `comultiply`, `counit` and
-    `antipode`, once per (m, n) over Q[lam^+-1, s, t, k] (`family_certificate`).
-    Each query evaluates the nonzero residues, sound since evaluation is a ring map.
+    `antipode`, once, on B(0, 0) over Q[lam^+-1, s, t, k] (`family_certificate`).
+
+    B(m, n) = B(0, 0)/(g - 1) with g = a^m b^-n, and (g - 1) is a Hopf ideal
+    when g is central (Delta(g - 1) = (g - 1) (x) g + 1 (x) (g - 1),
+    epsilon(g - 1) = 0, S(g - 1) = -g^-1 (g - 1)), so B(m, n) is a Hopf
+    algebra when B(0, 0) is.  `_mono_mul` and the structure tables see group
+    parts only through `canon` and the characters sign_x, sign_y, so a query
+    checks: (a) `canon` is the quotient map Z^2 -> Z^2/<(m, -n)>
+    (`_certify_quotient_map`, cached per (m, n)); (b) g is central,
+    sign_x(m, -n) = sign_y(m, -n) = 1; (c) the nonzero B(0, 0) residues
+    vanish at its parameters, sound since evaluation is a ring map.  If (b)
+    or (c) fails, the first nonzero residue of `_residues` on the query's own
+    parameters is raised.
 
     1. Associativity, by Bergman's diamond lemma.  `multiply` computes
        (g1 u)(g2 v) as a character of g2, a shift by g1 g2 and the rule table
@@ -592,13 +589,16 @@ def verify_hopf_axioms(params, radius, seed=None):
     benchmark among them, still pass it."""
     if radius < 0:
         raise WindowTooSmall("radius must be nonnegative")
-    names, checks = family_certificate(params.m, params.n)
-    value = _specializer(params)
-    for message, witness, residue in checks:
-        if any(value(c) for c in residue):
-            if not isinstance(witness, str):
-                witness = str(BmnElement(params, {k: value(c) for k, c in witness.items()}))
-            raise AxiomFailure(message, witness=witness)
+    _certify_quotient_map(params.m, params.n)
+    names, checks = family_certificate()
+    value, g = _specializer(params), (params.m, -params.n)
+    if params.sign_x(*g) != 1 or params.sign_y(*g) != 1 or any(
+            value(c) for _, _, residue in checks for c in residue):
+        for message, witness, residue in _residues(params):
+            if residue:
+                text = witness if isinstance(witness, str) else str(BmnElement(params, witness))
+                raise AxiomFailure(message, witness=text)
+        raise RuntimeError(f"the B(0, 0) certificate rejects {params}, its own residues do not")
     return {
         "params": params.to_json(),
         "window_radius": radius,

@@ -3,16 +3,18 @@ import pytest
 from pathcoalg import classify, hopf
 from pathcoalg.scalar import CycScalar
 
-FAMILY_CACHES = (hopf.family_certificate, classify._witness_family)
+FAMILY_CACHES = (hopf.family_certificate, hopf._certify_quotient_map, classify._witness_family)
 
 
 @pytest.fixture(autouse=True)
 def fresh_family_certificates():
-    """`hopf.family_certificate` caches one certificate per (m, n), and
+    """`hopf.family_certificate` caches the one certificate of B(0, 0),
+    `hopf._certify_quotient_map` the check of `canon` per (m, n), and
     `classify._witness_family` one witness check per (m1, n1, m2, n2, kind),
-    across calls.  Clearing both around each test makes a test that
-    monkeypatches a term function see its mutant in `verify_hopf_axioms` and
-    in `verify_witness`, and keeps a mutant's family out of later tests."""
+    across calls.  Clearing all three around each test makes a test that
+    monkeypatches a term function or `canon` see its mutant in
+    `verify_hopf_axioms` and in `verify_witness`, and keeps a mutant's
+    results out of later tests."""
     for cache in FAMILY_CACHES:
         cache.cache_clear()
     yield

@@ -37,6 +37,7 @@ from pathcoalg.errors import (
     ConstraintViolation,
     ForbiddenPair,
     LambdaOrderViolation,
+    NotCanonical,
     ParityViolation,
     PathcoalgError,
 )
@@ -108,6 +109,21 @@ def test_criterion_1_hopf_axiom_suite():
         assert report["ok"] is True
         assert report["basis_checked"] == 4 * len(params.window(2))
     assert time.monotonic() - start < 60
+
+
+def test_criterion_1_representatives_are_their_own_canonical_form():
+    """`canonical_form` hands a representative back as the very object, with
+    no validated copy; any other input gets a fresh validated one, which
+    `automorphism_group` still refuses to take it for."""
+    for params in _valid_grid():
+        assert canonical_form(params)[1] is params
+        assert automorphism_group(params).family[0] == canonical_form(params)[0][0]
+    params = validate_params(0, 0, 1, 4, 1, 0)
+    _, canon, _ = canonical_form(params)
+    assert canon is not params and canon == validate_params(0, 0, 1, 1, 1, 0)
+    assert canonical_form(canon)[1] is canon
+    with pytest.raises(NotCanonical):
+        automorphism_group(params)
 
 
 def test_criterion_2_truncation_rank():

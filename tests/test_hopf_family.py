@@ -1,14 +1,21 @@
-"""The Hopf certificate run once per (m, n) over Q[lam^+-1, s, t, k].
+"""The Hopf certificate run once, on B(0, 0) over Q[lam^+-1, s, t, k], with
+every B(m, n) checked as its quotient by (a^m b^-n - 1).
 
 `hopf._residues` on concrete parameters is the numeric certificate and the
 oracle here: `verify_hopf_axioms` must name the same first failing check, with
 the same witness text, as the first nonzero residue of the oracle, and return
-the same report where none is nonzero.  The residues cached by
-`family_certificate` must also cut out exactly the laws of `validate_params`.
+the same report where none is nonzero.  `_residues` on generic B(m, n), the
+former per-(m, n) certificate (`_family_residues`), is the oracle of the
+quotient route: the B(0, 0) residues and the two characters of a^m b^-n must
+cut out exactly the laws of `validate_params`, as its residues do, and the
+route must pass exactly where they vanish.  Mutants of `canon` must fail the
+check that trusts it.
 """
 
+import functools
 import itertools
 import math
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -17,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from pathcoalg import hopf
 from pathcoalg.errors import AxiomFailure, ForbiddenPair, PathcoalgError
+from pathcoalg.classify import IsoWitness, verify_witness
 from pathcoalg.hopf import (
     GENERATOR_NAMES,
     BmnElement,
@@ -26,6 +34,8 @@ from pathcoalg.hopf import (
     validate_params,
     verify_hopf_axioms,
 )
+from pathcoalg.linalg import accumulate
+from pathcoalg.quiver import group_canonical_pair
 from pathcoalg.scalar import CycScalar, Laurent, cyc
 
 import test_hopf
@@ -177,6 +187,33 @@ class TestLaurent:
 # -- the parameter laws: where the cached residues vanish --------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _family_residues(m, n):
+    """The oracle for the quotient route: `_residues` of B(m, n) itself on
+    generic parameters over Q[lam^+-1, s, t, k], as (message, witness,
+    coefficients) for each residue that is not the zero polynomial.  Only
+    unmutated tests read it, so its cache outlives them."""
+    generic = hopf._generic_params(m, n)
+    return tuple((message, witness, tuple(r.values()))
+                 for message, witness, r in hopf._residues(generic) if r)
+
+
+def character_residues(m, n):
+    """sign_x(m, -n) - 1 and sign_y(m, -n) - 1 on generic parameters: both
+    vanish iff g = a^m b^-n is central, check (b) of `verify_hopf_axioms`."""
+    generic = hopf._generic_params(m, n)
+    return [generic.sign_x(m, -n) - 1, generic.sign_y(m, -n) - 1]
+
+
+def quotient_residues(m, n):
+    """The coefficients the quotient route specializes for B(m, n): those
+    of the B(0, 0) certificate (as (message, coefficients)) and the two
+    character residues of g."""
+    _, checks = family_certificate()
+    return [(message, residue) for message, _, residue in checks] + [
+        ("g is not central", tuple(character_residues(m, n)))]
+
+
 def law_components(m, n):
     """The components of the `validate_params` laws for (m, n), as points
     (lam, s, t, k) whose entries may be the generic variables."""
@@ -205,16 +242,23 @@ def up_to_unit(c):
     return frozenset((e, Fraction(q) / lead) for e, q in terms.items())
 
 
+def part_1(checks):
+    """The coefficients of the right-multiplication residues among checks."""
+    return [c for message, *_, residue in checks
+            if message.startswith("right multiplication") for c in residue]
+
+
 LAW_PAIRS = SWEEP_PAIRS + [(0, 2), (0, -4), (3, 3), (5, 1), (6, 0), (-2, 4)]
 
 
 class TestParameterLaws:
     @pytest.mark.parametrize("m, n", LAW_PAIRS)
     def test_residues_vanish_on_every_law_component(self, m, n):
-        _, checks = family_certificate(m, n)
-        assert checks
+        """Both the quotient route's residues and the oracle's vanish on the laws."""
+        assert family_certificate()[1] and _family_residues(m, n)
         for point in law_components(m, n):
-            for message, _, residue in checks:
+            for message, residue in quotient_residues(m, n) + [
+                    (message, residue) for message, _, residue in _family_residues(m, n)]:
                 assert not any(specialize(c, point) for c in residue), (point, message)
 
     @pytest.mark.parametrize("m, n", LAW_PAIRS)
@@ -233,18 +277,20 @@ class TestParameterLaws:
                 params = validate_params(m, n, lam, s, t, k)
             assert verify_hopf_axioms(params, 1)["ok"]
 
-    @pytest.mark.parametrize("m, n", [pair for pair in LAW_PAIRS if pair != (1, 1)])
+    @pytest.mark.parametrize("m, n", LAW_PAIRS)
     def test_laws_cite_their_residues(self, m, n):
-        """The residues the `validate_params` docstring names are among those
-        part 1 leaves, up to a unit +/- lam^j."""
+        """The residues the `validate_params` docstring names: the characters
+        of g, which are part-1 residues of the oracle away from (1, 1) (up to
+        a unit +/- lam^j), and three part-1 residues of B(0, 0)."""
         sign = -1 if (m + n) % 2 else 1
-        named = [sign * LAMBDA ** n - 1, sign * LAMBDA ** -m - 1,
-                 (LAMBDA * LAMBDA - 1) * S, (LAMBDA * LAMBDA - 1) * T, (LAMBDA - 1) * K]
-        _, checks = family_certificate(m, n)
-        part_1 = {up_to_unit(c) for message, _, residue in checks
-                  if message.startswith("right multiplication") for c in residue}
-        for c in named:
-            assert not c or up_to_unit(c) in part_1, c
+        characters = [sign * LAMBDA ** -n - 1, sign * LAMBDA ** -m - 1]
+        assert character_residues(m, n) == characters
+        if (m, n) != (1, 1):
+            oracle = {up_to_unit(c) for c in part_1(_family_residues(m, n))}
+            assert all(not c or up_to_unit(c) in oracle for c in characters)
+        named = [(LAMBDA * LAMBDA - 1) * S, (LAMBDA * LAMBDA - 1) * T, (LAMBDA - 1) * K]
+        free = {up_to_unit(c) for c in part_1(family_certificate()[1])}
+        assert all(up_to_unit(c) in free for c in named)
 
     def test_forbidden_pair_is_no_axiom_law(self):
         """At (m, n) = +/-(1, 1) the axioms hold with lambda = 1 and fail
@@ -258,13 +304,16 @@ class TestParameterLaws:
 
 
 class TestResiduesCutOutTheLaws:
-    """Conversely, the part-1 residues alone have no common zero with lam != 0
-    off the laws: each generator f of the ideal of the law set lies in the
-    radical of the residues and lam*u - 1 (Rabinowitsch: 1 is in the ideal
-    with 1 - z*f added).  So the laws are exactly where all residues vanish."""
+    """Conversely, the part-1 residues of B(0, 0) and the two character
+    residues of g alone have no common zero with lam != 0 off the laws: each
+    generator f of the ideal of the law set lies in the radical of those
+    residues and lam*u - 1 (Rabinowitsch: 1 is in the ideal with 1 - z*f
+    added).  So the laws are exactly where the quotient route's residues
+    vanish.  The oracle's part-1 residues cut out the same set."""
 
     @pytest.mark.parametrize("m, n", LAW_PAIRS)
-    def test_no_common_zero_off_the_laws(self, m, n):
+    @pytest.mark.parametrize("route", ["quotient", "oracle"])
+    def test_no_common_zero_off_the_laws(self, m, n, route):
         sympy = pytest.importorskip("sympy")
         lam, s, t, k, u, z = sympy.symbols("lam s t k u z")
 
@@ -279,9 +328,11 @@ class TestResiduesCutOutTheLaws:
             basis = sympy.groebner(ideal + [1 - z * f], lam, s, t, k, u, z, order="grevlex")
             return basis.exprs == [1]
 
-        _, checks = family_certificate(m, n)
-        ideal = sorted({poly(c) for message, _, residue in checks
-                        if message.startswith("right multiplication") for c in residue},
+        if route == "quotient":
+            residues = part_1(family_certificate()[1]) + character_residues(m, n)
+        else:
+            residues = part_1(_family_residues(m, n))
+        ideal = sorted({poly(c) for c in residues if c},
                        key=sympy.default_sort_key) + [lam * u - 1]
         d = math.gcd(m, n)
         if (m + n) % 2:
@@ -295,3 +346,112 @@ class TestResiduesCutOutTheLaws:
             # controls: lam = 1 with s free, and lam != 1 where d != 1, are zeros
             assert not in_radical(s, ideal)
             assert d == 1 or not in_radical(lam - 1, ideal)
+
+
+# -- the quotient route: B(m, n) from B(0, 0) ---------------------------------
+
+
+class TestQuotientRoute:
+    @given(
+        m=st.integers(-8, 8),
+        n=st.integers(-8, 8),
+        lam=st.one_of(
+            st.sampled_from(["1", "-1", "z3", "z4", "-z4", "z6", "z8", "-z8"]),
+            st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+        ),
+        stk=st.lists(st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2)]), min_size=3, max_size=3),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_passes_iff_the_oracle_has_no_nonzero_residue(self, m, n, lam, stk):
+        params = BmnParams(m, n, cyc(lam), *map(cyc, stk))
+        value = hopf._specializer(params)
+        oracle = not any(value(c) for _, _, residue in _family_residues(m, n) for c in residue)
+        try:
+            passed = verify_hopf_axioms(params, 1)["ok"]
+        except AxiomFailure:
+            passed = False
+        assert passed == oracle, params
+
+    def test_certificate_is_built_once_for_every_family(self, monkeypatch):
+        """One generic `_residues` run, on B(0, 0), serves every (m, n), and
+        the witness families, which build their own generic parameters, add
+        none.  A failing query runs `_residues` on its own parameters."""
+        runs, residues = [], hopf._residues
+
+        def counting(params):
+            runs.append(params)
+            return residues(params)
+
+        monkeypatch.setattr(hopf, "_residues", counting)
+        failed = 0
+        for (m, n), lam in itertools.product(SWEEP_PAIRS, ["1", "-1", "z3"]):
+            params = BmnParams(m, n, cyc(lam), cyc(1), cyc(0), cyc(1))
+            verify_witness(IsoWitness("phi", 1, 1), params, params)
+            try:
+                verify_hopf_axioms(params, 1)
+            except AxiomFailure:
+                failed += 1
+        generic = [(p.m, p.n) for p in runs if isinstance(p.lam, Laurent)]
+        assert generic == [(0, 0)] and 0 < failed == len(runs) - 1
+        assert family_certificate.cache_info().misses == 1
+
+    @pytest.mark.parametrize("m, n", SWEEP_PAIRS)
+    def test_products_are_the_quotient_of_b00_products(self, m, n):
+        """On generic parameters, `_mono_mul` at (m, n) is `canon` applied to
+        the B(0, 0) product, for group parts in the radius-1 box and (m, -n):
+        the multiplication reaches (m, n) only through `canon`."""
+        quotient, free = hopf._generic_params(m, n), hopf._generic_params(0, 0)
+        groups = list(itertools.product(range(-1, 2), repeat=2)) + [(m, -n)]
+        keys = [(g, p, q) for g in groups for p in (0, 1) for q in (0, 1)]
+        for key1, key2 in itertools.product(keys, repeat=2):
+            expected = {}
+            for (g, p, q), c in hopf._mono_mul(free, key1, key2).items():
+                accumulate(expected, (quotient.canon(*g), p, q), c)
+            assert hopf._mono_mul(quotient, key1, key2) == expected, (key1, key2)
+
+
+def canon_not_additive(self, i, j):
+    """The quotient map with the class of a sent to the class of 1: it is
+    idempotent and sends (m, -n) to canon(0, 0), but moving by b after a
+    differs from moving by ab."""
+    g = group_canonical_pair(self.m, self.n, i, j)
+    one = group_canonical_pair(self.m, self.n, 0, 0)
+    return one if g == group_canonical_pair(self.m, self.n, 1, 0) else g
+
+
+def canon_not_idempotent(self, i, j):
+    """The quotient map after a shift by a: it respects the classes, but
+    applied twice it shifts twice."""
+    return group_canonical_pair(self.m, self.n, i + 1, j)
+
+
+def canon_identity(self, i, j):
+    """No quotient at all: idempotent and additive, but a^m b^-n is not 1."""
+    return (i, j)
+
+
+CANON_MUTANTS = {
+    "it is not additive": canon_not_additive,
+    "it is not idempotent": canon_not_idempotent,
+    "a^m b^-n is not 1": canon_identity,
+}
+
+
+class TestCanonMutants:
+    """The quotient route trusts `canon` only after checking it, so each
+    mutant of `BmnParams.canon` fails the certificate with its own check."""
+
+    @pytest.mark.parametrize("check", sorted(CANON_MUTANTS))
+    def test_mutant_names_its_check(self, monkeypatch, check):
+        cases = [p for p in test_hopf.mutant_params() + [validate_params(6, 2, 1, 1, 0, 0)]
+                 if (p.m, p.n) != (0, 0) or check != "a^m b^-n is not 1"]
+        monkeypatch.setattr(BmnParams, "canon", CANON_MUTANTS[check])
+        for params in cases:
+            message = f"canon is not the quotient map of B({params.m}, {params.n}): {check}"
+            with pytest.raises(AxiomFailure, match=re.escape(message)) as failure:
+                verify_hopf_axioms(params, 1)
+            assert failure.value.witness.startswith("(")
+
+    def test_unmutated_canon_passes_on_every_pair(self):
+        for m, n in itertools.product(range(-8, 9), repeat=2):
+            hopf._certify_quotient_map(m, n)
