@@ -36,7 +36,6 @@ from .errors import (
     AxiomFailure,
     ConstraintViolation,
     ForbiddenPair,
-    InvalidDescription,
     LambdaOrderViolation,
     NotClosedUnderDelta,
     ParamMismatch,
@@ -723,17 +722,12 @@ def contains_path_combination(params, radius, i, j, c1, c2, truncation=None):
     lies in the embedded subcoalgebra."""
     trunc = truncation or truncate_to_subcoalgebra(params, radius)
     g = params.canon(i, j)
-    if (g, 0, 0) not in trunc.images:
+    if (g, 1, 1) not in trunc.images:
         raise WindowTooSmall(f"group part {g} outside the window")
-    quiver = trunc.quiver
-    v = grid_vertex_label(*g)
-    ga = grid_vertex_label(*params.canon(g[0] + 1, g[1]))
-    gb = grid_vertex_label(*params.canon(g[0], g[1] + 1))
-    xy, yx = Path(v, (f"x@{v}", f"y@{ga}")), Path(v, (f"y@{v}", f"x@{gb}"))
-    for path in (xy, yx):
-        if not path.is_valid(quiver):
-            raise InvalidDescription(f"path {path!r} is not valid in the quiver")
-    return trunc.coalgebra.contains(CoElement(quiver, {xy: c1, yx: c2}))
+    # the certified image of (g, 1, 1) is xy - lam*yx on exactly those two
+    # paths; paths of one start and length order by arrow ids, so xy is first
+    xy, yx = sorted(trunc.images[g, 1, 1].terms)
+    return trunc.coalgebra.contains(CoElement(trunc.quiver, {xy: c1, yx: c2}))
 
 
 def translate(params, quiver, shift, path):

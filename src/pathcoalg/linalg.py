@@ -20,7 +20,8 @@ One elimination kernel, `SparseBasis`, serves every caller.  Its keys are
 totally ordered.  The basis is kept fully reduced: each row has coefficient
 1 at its pivot (its smallest key) and 0 at every other row's pivot.  That is
 the unique reduced row echelon form of the span, so `rref` and `nullspace` do
-not depend on the order the rows arrive in.
+not depend on the order the rows arrive in.  No row is scanned for a new
+pivot that no row has ever held, so disjoint supports need no back-elimination.
 """
 
 from __future__ import annotations
@@ -163,13 +164,15 @@ class SparseBasis:
     `rows` maps each pivot to its reduced row.  With ``coords=True`` the engine
     also records, per pivot, the row as a combination of the inserted
     generators (`crows`), so membership tests yield coordinates in terms of
-    the generators; without it `coords` raises.
+    the generators; without it `coords` raises.  `add` skips the scan for a new
+    pivot no row has held (`_held`): no row holds it, so the form is unchanged.
     """
 
     def __init__(self, coords=False):
         self.rows = {}  # pivot -> row dict, coefficient 1 at the pivot
         self.crows = {} if coords else None  # pivot -> {tag: coeff}
         self._adds = 0
+        self._held = set()  # a superset of the keys the rows hold
 
     @property
     def dim(self):
@@ -222,13 +225,15 @@ class SparseBasis:
         if comb is not None:
             crow = {tag: inv}
             axpy(crow, -inv, comb)
-        # eliminate the new pivot from the existing rows
-        for p, r in self.rows.items():
-            c = r.get(pivot)
-            if c is not None:
-                axpy(r, -c, row)
-                if crow is not None:
-                    axpy(self.crows[p], -c, crow)
+        # eliminate the new pivot from the existing rows, if one can hold it
+        if pivot in self._held:
+            for p, r in self.rows.items():
+                c = r.get(pivot)
+                if c is not None:
+                    axpy(r, -c, row)
+                    if crow is not None:
+                        axpy(self.crows[p], -c, crow)
+        self._held.update(row)
         self.rows[pivot] = row
         if crow is not None:
             self.crows[pivot] = crow

@@ -510,22 +510,23 @@ def quotient(quiver, partition):
 
 
 def _is_nondynkin_bipartite(vertices, cover_arrows):
-    """Classify the partial cover's underlying graph; loops are impossible by
-    construction (sources and sinks are disjoint)."""
-    pair_seen = set()
+    """Whether the partial cover's underlying graph is not Dynkin.  The cover
+    is connected and loopless, so |E| >= |V| means a cycle or a parallel edge.
+    A tree is Dynkin iff it is a path or has one branch vertex, of degree 3,
+    whose arms of p, q, r vertices (the branch vertex counted: an edge count
+    from `_arm_lengths` plus 1) satisfy 1/p + 1/q + 1/r > 1 (Bernstein-
+    Gelfand-Ponomarev, Russian Math. Surveys 28, 1973)."""
+    if len(cover_arrows) >= len(vertices):
+        return True
+    adj = {v: [] for v in vertices}
     for _, u, w in cover_arrows:
-        key = (u, w)
-        if key in pair_seen:
-            return True  # parallel edge: contains a Kronecker subgraph
-        pair_seen.add(key)
-    nv, ne = len(vertices), len(cover_arrows)
-    if ne >= nv:
-        return True  # connected with a cycle
-    q = Quiver(
-        list(vertices),
-        [(f"c{i}", u, w) for i, (_, u, w) in enumerate(cover_arrows)],
-    )
-    return not graph_class(q).is_dynkin
+        adj[u].append(w)
+        adj[w].append(u)
+    branch = [v for v in vertices if len(adj[v]) > 2]
+    if len(branch) != 1 or len(adj[branch[0]]) > 3:
+        return bool(branch)  # a path is Dynkin, two branch vertices or degree 4 not
+    p, q, r = (arm + 1 for arm in _arm_lengths(adj, branch[0]))
+    return q * r + p * r + p * q <= p * q * r
 
 
 def find_nondynkin_cover(qtarget, size_bound):

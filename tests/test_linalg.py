@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from pathcoalg.coalgebra import CoElement, parse_coelement
 from pathcoalg.hopf import BmnElement, TensorElement, parse_bmn_element, validate_params
-from pathcoalg.linalg import SparseBasis, nullspace, rref, tensor_axpy
+from pathcoalg.linalg import SparseBasis, _inverse, axpy, nullspace, rref, tensor_axpy
 from pathcoalg.quiver import Quiver
 from pathcoalg.scalar import ONE, ZERO, CycScalar, cyc
 
@@ -201,6 +201,72 @@ class TestSparseBasis:
         engine.add({0: ONE})
         with pytest.raises(RuntimeError):
             engine.coords({0: ONE})
+
+
+
+class FullScanBasis(SparseBasis):
+    """Reference kernel: `add` scans every stored row for the new pivot."""
+
+    def add(self, vec, tag=None):
+        if tag is None:
+            tag = self._adds
+        self._adds += 1
+        res, comb = self.residue(vec)
+        if not res:
+            return False
+        pivot = min(res)
+        inv = _inverse(res[pivot])
+        row = {k: v * inv for k, v in res.items()}
+        crow = None
+        if comb is not None:
+            crow = {tag: inv}
+            axpy(crow, -inv, comb)
+        for p, r in self.rows.items():
+            c = r.get(pivot)
+            if c is not None:
+                axpy(r, -c, row)
+                if crow is not None:
+                    axpy(self.crows[p], -c, crow)
+        self.rows[pivot] = row
+        if crow is not None:
+            self.crows[pivot] = crow
+        return True
+
+
+def assert_same_as_full_scan(vectors):
+    engine, ref = SparseBasis(coords=True), FullScanBasis(coords=True)
+    for vec in vectors:
+        assert engine.add(dict(vec)) == ref.add(dict(vec))
+    assert list(engine.rows.items()) == list(ref.rows.items())
+    assert list(engine.crows.items()) == list(ref.crows.items())
+
+
+# sparse rational vectors on six keys, so that a later pivot often sits in an
+# earlier row
+small_vectors = st.dictionaries(st.integers(0, 5), entries.filter(bool), max_size=4)
+
+
+class TestSkippedBackElimination:
+    @given(st.lists(small_vectors, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_scan(self, vectors):
+        assert_same_as_full_scan(vectors)
+
+    @given(st.lists(small_vectors, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_disjoint_supports(self, vectors):
+        # the same vectors moved onto pairwise disjoint supports
+        assert_same_as_full_scan(
+            [{(i, k): v for k, v in vec.items()} for i, vec in enumerate(vectors)])
+
+    def test_later_pivot_in_earlier_row(self):
+        # the second pivot, key 1, is held by the first row and must leave it
+        assert_same_as_full_scan([{0: 1, 1: 2, 2: 3}, {1: 1, 2: 1}])
+
+    def test_cyclotomic(self):
+        z3 = cyc("z3")
+        assert_same_as_full_scan([{0: z3, 2: ONE}, {1: ONE, 2: z3 * z3}, {2: 1 + z3},
+                                  {0: ONE, 1: ONE, 3: z3}])
 
 
 # -- the sparse-combination base of the three element types -----------------

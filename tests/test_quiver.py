@@ -1,12 +1,14 @@
 import copy
 import pickle
+import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pathcoalg import quiver as quiver_module
 from pathcoalg.errors import (
     Disconnected,
     ForbiddenPair,
@@ -19,6 +21,7 @@ from pathcoalg.quiver import (
     GraphClass,
     Path,
     Quiver,
+    _is_nondynkin_bipartite,
     _stars_isomorphic,
     check_homogeneous,
     classify_link_component,
@@ -510,6 +513,170 @@ class TestNonDynkinCover:
     def test_a3_tree_has_none(self):
         q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "3", "2")])
         assert find_nondynkin_cover(q, 6) is None
+
+
+
+# -- the closed-form Dynkin test of the cover search -------------------------
+
+
+def graph_class_nondynkin(vertices, cover_arrows):
+    """Reference for `_is_nondynkin_bipartite`: build the partial cover as a
+    `Quiver` and run the full `graph_class`."""
+    pair_seen = set()
+    for _, u, w in cover_arrows:
+        if (u, w) in pair_seen:
+            return True  # parallel edge: contains a Kronecker subgraph
+        pair_seen.add((u, w))
+    if len(cover_arrows) >= len(vertices):
+        return True  # connected with a cycle
+    q = Quiver(
+        list(vertices),
+        [(f"c{i}", u, w) for i, (_, u, w) in enumerate(cover_arrows)],
+    )
+    return not graph_class(q).is_dynkin
+
+
+def prufer_tree(seq):
+    """Edges of the labelled tree on 0..len(seq)+1 with Prufer sequence seq."""
+    n = len(seq) + 2
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = min(u for u in range(n) if degree[u] == 1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    u, w = (x for x in range(n) if degree[x] == 1)
+    return edges + [(u, w)]
+
+
+def oriented(edges, flips):
+    """Cover arrows (id, source, sink) of the edges, edge i reversed when
+    flips[i]."""
+    return [(f"e{i}", w, u) if flip else (f"e{i}", u, w)
+            for i, ((u, w), flip) in enumerate(zip(edges, flips))]
+
+
+def assert_rule_matches(n, arrows):
+    expected = graph_class_nondynkin(range(n), arrows)
+    assert _is_nondynkin_bipartite(range(n), arrows) == expected, arrows
+
+
+@st.composite
+def trees(draw, max_vertices=12):
+    """(n, arrows): a random labelled tree with a random orientation."""
+    n = draw(st.integers(1, max_vertices))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    return n, oriented(edges, draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)))
+
+
+def star_target(arms):
+    """A tree with one branch vertex c and arms of the given edge counts,
+    oriented bipartitely: each arrow leaves the vertex nearer to c at even
+    distance from c."""
+    vertices, arrows = ["c"], []
+    for a, length in enumerate(arms):
+        prev = "c"
+        for k in range(1, length + 1):
+            v = f"{a}.{k}"
+            vertices.append(v)
+            src, dst = (prev, v) if k % 2 else (v, prev)
+            arrows.append((f"e{a}.{k}", src, dst))
+            prev = v
+    return Quiver(vertices, arrows)
+
+
+# arm lengths (edge counts) of the stars on either side of the Dynkin boundary
+STAR_ARMS = {"D5": (1, 1, 2), "E6": (1, 2, 2), "E7": (1, 2, 3), "E8": (1, 2, 4),
+             "D~4": (1, 1, 1, 1), "E~6": (2, 2, 2), "E~7": (1, 3, 3), "E~8": (1, 2, 5)}
+
+
+class TestDynkinRule:
+    def test_every_small_labelled_tree(self):
+        # every labelled tree on up to 7 vertices, each with a random orientation
+        rng = random.Random(5)
+        assert_rule_matches(1, [])
+        for n in range(2, 8):
+            for seq in product(range(n), repeat=n - 2):
+                edges = prufer_tree(seq)
+                assert_rule_matches(n, oriented(edges, [rng.random() < 0.5 for _ in edges]))
+
+    def test_prufer_decoding_gives_trees(self):
+        for seq in product(range(5), repeat=3):
+            q = Quiver([str(v) for v in range(5)],
+                       [(f"e{i}", str(u), str(w)) for i, (u, w) in enumerate(prufer_tree(seq))])
+            assert len(q.arrows) == 4 and q.is_connected()
+
+    @given(trees())
+    @settings(max_examples=300, deadline=None)
+    def test_random_trees(self, tree):
+        assert_rule_matches(*tree)
+
+    @given(trees(max_vertices=8), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_parallel_edge_or_cycle(self, tree, data):
+        n, arrows = tree
+        if n < 2:
+            return
+        # one more arrow, parallel to an existing one or closing a cycle
+        if data.draw(st.booleans()):
+            _, u, w = data.draw(st.sampled_from(arrows))
+        else:
+            u, w = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                      unique=True))
+        assert_rule_matches(n, arrows + [("extra", u, w)])
+
+    @pytest.mark.parametrize("name", ["D5", "E6", "E7", "E8"])
+    def test_dynkin_stars_have_no_cover(self, name):
+        target = star_target(STAR_ARMS[name])
+        assert str(graph_class(target)) == name
+        assert find_nondynkin_cover(target, len(target.vertices) + 2) is None
+
+    @pytest.mark.parametrize("name", ["D~4", "E~6", "E~7", "E~8"])
+    def test_euclidean_stars_cover_themselves(self, name):
+        target = star_target(STAR_ARMS[name])
+        nv = len(target.vertices)
+        assert str(graph_class(target)) == name
+        assert find_nondynkin_cover(target, nv - 1) is None
+        for bound in (nv, nv + 2):
+            cover, phi = find_nondynkin_cover(target, bound)
+            assert phi.is_valid()
+            assert str(graph_class(cover)) == name
+
+
+def random_target(rng):
+    """A quiver on at most 4 vertices with at most 6 arrows, loops allowed."""
+    vertices = [str(v) for v in range(rng.randint(1, 4))]
+    arrows = [(f"a{i}", rng.choice(vertices), rng.choice(vertices))
+              for i in range(rng.randint(1, 6))]
+    return Quiver(vertices, arrows)
+
+
+def cover_json(found):
+    if found is None:
+        return None
+    cover, phi = found
+    return cover.to_json(), phi.to_json()
+
+
+class TestCoverAnswerIdentity:
+    """The closed-form test returns the covers the `graph_class` test did."""
+
+    def cases(self):
+        rng = random.Random(28)
+        cases = [(square_with_loops(), bound) for bound in (4, 5, 6)]
+        return cases + [(random_target(rng), rng.randint(4, 6)) for _ in range(1500)]
+
+    def test_covers_and_morphisms_unchanged(self, monkeypatch):
+        cases = self.cases()
+        got = [cover_json(find_nondynkin_cover(q, bound)) for q, bound in cases]
+        monkeypatch.setattr(quiver_module, "_is_nondynkin_bipartite", graph_class_nondynkin)
+        expected = [cover_json(find_nondynkin_cover(q, bound)) for q, bound in cases]
+        assert got == expected
+        assert any(g is not None for g in got) and any(g is None for g in got)
+
 
 
 class TestLinkComponent:
