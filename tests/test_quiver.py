@@ -560,22 +560,21 @@ def oriented(edges, flips):
 
 
 def assert_rule_matches(n, arrows):
-    expected = graph_class_nondynkin(range(n), arrows)
+    expected = not graph_class(Quiver(list(range(n)), arrows)).is_dynkin
     assert _is_nondynkin_bipartite(range(n), arrows) == expected, arrows
 
 
 @st.composite
-def trees(draw, max_vertices=12):
+def trees(draw, min_vertices=1, max_vertices=12):
     """(n, arrows): a random labelled tree with a random orientation."""
-    n = draw(st.integers(1, max_vertices))
+    n = draw(st.integers(min_vertices, max_vertices))
     edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     return n, oriented(edges, draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)))
 
 
 def star_target(arms):
     """A tree with one branch vertex c and arms of the given edge counts,
-    oriented bipartitely: each arrow leaves the vertex nearer to c at even
-    distance from c."""
+    oriented bipartitely: every arrow leaves its end at even distance from c."""
     vertices, arrows = ["c"], []
     for a, length in enumerate(arms):
         prev = "c"
@@ -603,23 +602,15 @@ class TestDynkinRule:
                 edges = prufer_tree(seq)
                 assert_rule_matches(n, oriented(edges, [rng.random() < 0.5 for _ in edges]))
 
-    def test_prufer_decoding_gives_trees(self):
-        for seq in product(range(5), repeat=3):
-            q = Quiver([str(v) for v in range(5)],
-                       [(f"e{i}", str(u), str(w)) for i, (u, w) in enumerate(prufer_tree(seq))])
-            assert len(q.arrows) == 4 and q.is_connected()
-
     @given(trees())
     @settings(max_examples=300, deadline=None)
     def test_random_trees(self, tree):
         assert_rule_matches(*tree)
 
-    @given(trees(max_vertices=8), st.data())
+    @given(trees(min_vertices=2, max_vertices=8), st.data())
     @settings(max_examples=150, deadline=None)
     def test_parallel_edge_or_cycle(self, tree, data):
         n, arrows = tree
-        if n < 2:
-            return
         # one more arrow, parallel to an existing one or closing a cycle
         if data.draw(st.booleans()):
             _, u, w = data.draw(st.sampled_from(arrows))
@@ -664,13 +655,10 @@ def cover_json(found):
 class TestCoverAnswerIdentity:
     """The closed-form test returns the covers the `graph_class` test did."""
 
-    def cases(self):
+    def test_covers_and_morphisms_unchanged(self, monkeypatch):
         rng = random.Random(28)
         cases = [(square_with_loops(), bound) for bound in (4, 5, 6)]
-        return cases + [(random_target(rng), rng.randint(4, 6)) for _ in range(1500)]
-
-    def test_covers_and_morphisms_unchanged(self, monkeypatch):
-        cases = self.cases()
+        cases += [(random_target(rng), rng.randint(4, 6)) for _ in range(1500)]
         got = [cover_json(find_nondynkin_cover(q, bound)) for q, bound in cases]
         monkeypatch.setattr(quiver_module, "_is_nondynkin_bipartite", graph_class_nondynkin)
         expected = [cover_json(find_nondynkin_cover(q, bound)) for q, bound in cases]
