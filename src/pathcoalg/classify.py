@@ -305,6 +305,11 @@ class AutDescription:
         return f"AutDescription({self.family}, {self.group_name})"
 
 
+def family_label(tag, canonical):
+    """The family of a canonical form: tag 5 splits into 5A (k = 0) and 5B."""
+    return tag if tag != "5" else "5A" if canonical.k.is_zero() else "5B"
+
+
 def automorphism_group(params):
     """The automorphism group of a canonical representative, as generator
     constraints plus the structured group name from the tables."""
@@ -320,12 +325,9 @@ def automorphism_group(params):
         and params.lam == ONE
         and s0 == t0
     )
-    family = tag
-    if tag == "5":
-        family = "5A" if k0 else "5B"
     name = _GROUP_NAMES[(alpha_sign, beta_sign, product_one, swap)]
     return AutDescription(
-        family,
+        family_label(tag, canonical),
         name,
         _SIGN if alpha_sign else _GENERIC,
         _SIGN if beta_sign else _GENERIC,

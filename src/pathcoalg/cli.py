@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .classify import are_isomorphic, automorphism_group, canonical_form
+from .classify import are_isomorphic, automorphism_group, canonical_form, family_label
 from .coalgebra import (
     CoalgebraMap,
     SubCoalgebra,
@@ -104,7 +104,6 @@ def cmd_verify_hopf(args):
         report = verify_hopf_axioms(params, args.radius)
     except AxiomFailure as exc:
         return {"ok": False, "detail": exc.detail, "witness": exc.witness}, False
-    report["params"] = params.to_json()
     return report, bool(report["ok"])
 
 
@@ -112,11 +111,8 @@ def cmd_classify(args):
     params = _params_from(args)
     _log(f"classifying {params}")
     tag, canonical, witness = canonical_form(params)
-    family = tag
-    if tag == "5":
-        family = "5A" if canonical.k.is_zero() else "5B"
     return {
-        "family": family,
+        "family": family_label(tag, canonical),
         "canonical_params": canonical.to_json(),
         "witness": witness.to_json(),
     }, True

@@ -14,7 +14,9 @@ is not adapted, such as a user's, is solved whole as one block.
 The module builds the simple / string / diamond / band comodules over the
 grid-window coalgebras, computes Hom spaces and endomorphism rings exactly,
 decides indecomposability, and settles discreteness of the corepresentation
-type.
+type.  Strings and bands are alternating walks (`_zigzag`); every builder
+fills its coaction with the truncation's certified images
+(`Truncation.image_of`), so only `Comodule` validation tests membership.
 
 Coaction coefficients, Hom matrices, traces and constants are the values
 `scalar.bare` gives, a CycScalar only if irrational; `cyc` boxes only the
@@ -26,18 +28,17 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import count
 
-from .coalgebra import CoElement, path_element, span_subcoalgebra
+from .coalgebra import CoElement, span_subcoalgebra
 from .errors import (
     AmbientMismatch,
     InvalidDescription,
     InvalidSpec,
     NotDiscreteParams,
     RequiresMEqualsN,
-    WindowTooSmall,
 )
-from .hopf import _parse_grid_label, truncate_to_subcoalgebra
+from .hopf import truncate_to_subcoalgebra
 from .linalg import SparseBasis, accumulate, nullspace, tensor_axpy
-from .quiver import Path, grid_vertex_label
+from .quiver import grid_vertex_label
 from .scalar import bare, cyc
 
 
@@ -346,43 +347,44 @@ class StringSpec:
         )
 
 
-def _step(letter):
-    if letter == "x":
-        return (1, 0)
-    if letter == "y":
-        return (0, 1)
-    raise InvalidSpec(f"unknown step letter {letter!r}")
+# the grid step of each arrow letter, which is also the (p, q) of its image key
+_LETTERS = {"x": (1, 0), "y": (0, 1)}
 
 
-def _grid_arrow(trunc, letter, g):
-    label = grid_vertex_label(*g)
-    try:
-        elem = path_element(trunc.quiver, Path(label, (f"{letter}@{label}",)))
-    except InvalidDescription:
-        raise WindowTooSmall(f"arrow {letter}@{label} outside the window")
-    if not trunc.coalgebra.contains(elem):
-        raise WindowTooSmall(f"arrow {letter}@{label} outside the window")
-    return elem
+def _zigzag(params, start, letter, length, up_first):
+    """The alternating walk of `length` arrows from `start`: its canonical
+    nodes and its arrows as coaction entries (source index, target index,
+    (p, q), 1).  A descending step follows its arrow, an ascending one runs
+    against it; the letters and the directions alternate."""
+    if letter not in _LETTERS:
+        raise InvalidSpec(f"unknown step letter {letter!r}")
+    nodes, arrows, down = [params.canon(*start)], [], not up_first
+    for k in range(length):
+        (i, j), (di, dj) = nodes[-1], _LETTERS[letter]
+        sign = 1 if down else -1
+        nodes.append(params.canon(i + sign * di, j + sign * dj))
+        arrows.append((k, k + 1, (di, dj), 1) if down else (k + 1, k, (di, dj), 1))
+        down, letter = not down, "y" if letter == "x" else "x"
+    return nodes, arrows
 
 
-def _grid_vertex(trunc, g):
-    label = grid_vertex_label(*g)
-    try:
-        elem = path_element(trunc.quiver, Path(label))
-    except InvalidDescription:
-        raise WindowTooSmall(f"vertex {label} outside the window")
-    if not trunc.coalgebra.contains(elem):
-        raise WindowTooSmall(f"vertex {label} outside the window")
-    return elem
+def _comodule(trunc, nodes, entries, labels=None):
+    """The comodule with one basis vector per node g, e_g on the diagonal,
+    and c times the image of nodes[r] x^p y^q added at (r, col) for each
+    entry (r, col, (p, q), c); the labels default to the nodes' vertex
+    labels.  Every value is a certified image of the truncation, so the
+    builders run no membership test of their own."""
+    zero = CoElement(trunc.quiver, {})
+    c = [[zero] * len(nodes) for _ in nodes]
+    for r, g in enumerate(nodes):
+        c[r][r] = trunc.image_of(*g, 0, 0)
+    for r, col, (p, q), coeff in entries:
+        c[r][col] = c[r][col] + trunc.image_of(*nodes[r], p, q) * coeff
+    return Comodule(trunc.coalgebra, c, labels or [grid_vertex_label(*g) for g in nodes])
 
 
 def build_simple(trunc, i, j):
-    g = trunc.params.canon(i, j)
-    return Comodule(
-        trunc.coalgebra,
-        [[_grid_vertex(trunc, g)]],
-        labels=[grid_vertex_label(*g)],
-    )
+    return _comodule(trunc, [trunc.params.canon(i, j)], [])
 
 
 def build_string(trunc, spec):
@@ -392,65 +394,29 @@ def build_string(trunc, spec):
     m_u (x) arrow to the coaction of the node at w."""
     if spec.length < 1:
         raise InvalidSpec("string needs at least one arrow")
-    params = trunc.params
-    letter = spec.first_letter
-    if letter not in ("x", "y"):
-        raise InvalidSpec(f"unknown step letter {letter!r}")
-    down = not spec.up_first
-    nodes = [params.canon(*spec.start)]
-    arrows = []  # (source_node_index, target_node_index, letter, source_pos)
-    for _ in range(spec.length):
-        cur = nodes[-1]
-        di, dj = _step(letter)
-        if down:
-            nxt = params.canon(cur[0] + di, cur[1] + dj)
-            arrows.append((len(nodes) - 1, len(nodes), letter, cur))
-        else:
-            nxt = params.canon(cur[0] - di, cur[1] - dj)
-            arrows.append((len(nodes), len(nodes) - 1, letter, nxt))
-        nodes.append(nxt)
-        down = not down
-        letter = "y" if letter == "x" else "x"
+    nodes, arrows = _zigzag(trunc.params, spec.start, spec.first_letter, spec.length,
+                            spec.up_first)
     if len(set(nodes)) != len(nodes):
         raise InvalidSpec("walk revisits a node; use a band instead")
-    zero = CoElement(trunc.quiver, {})
-    d = len(nodes)
-    c = [[zero] * d for _ in range(d)]
-    for idx, g in enumerate(nodes):
-        c[idx][idx] = _grid_vertex(trunc, g)
-    for src, tgt, let, pos in arrows:
-        c[src][tgt] = c[src][tgt] + _grid_arrow(trunc, let, pos)
-    labels = [grid_vertex_label(*g) for g in nodes]
-    return Comodule(trunc.coalgebra, c, labels)
+    return _comodule(trunc, nodes, arrows)
 
 
 def build_diamond(trunc, i, j):
     """The 4-dimensional comodule with socle at a^i b^j and top at
     a^{i+1} b^{j+1}."""
     params = trunc.params
-    g = params.canon(i, j)
-    ga = params.canon(g[0] + 1, g[1])
-    gb = params.canon(g[0], g[1] + 1)
-    gab = params.canon(g[0] + 1, g[1] + 1)
-    p_elem = trunc.image_of(g[0], g[1], 1, 1)
-    zero = CoElement(trunc.quiver, {})
-    c = [[zero] * 4 for _ in range(4)]
-    c[0][0] = _grid_vertex(trunc, g)
-    c[1][1] = _grid_vertex(trunc, ga)
-    c[2][2] = _grid_vertex(trunc, gb)
-    c[3][3] = _grid_vertex(trunc, gab)
-    c[0][1] = _grid_arrow(trunc, "x", g)
-    c[0][2] = _grid_arrow(trunc, "y", g)
-    c[0][3] = p_elem
-    c[1][3] = _grid_arrow(trunc, "y", ga)
-    c[2][3] = _grid_arrow(trunc, "x", gb) * -bare(params.lam)
-    labels = [grid_vertex_label(*v) for v in (g, ga, gb, gab)]
-    return Comodule(trunc.coalgebra, c, labels)
+    i, j = params.canon(i, j)
+    nodes = [(i, j)] + [params.canon(i + di, j + dj) for di, dj in ((1, 0), (0, 1), (1, 1))]
+    entries = [(0, 1, (1, 0), 1), (0, 2, (0, 1), 1), (0, 3, (1, 1), 1),
+               (1, 3, (0, 1), 1), (2, 3, (1, 0), -bare(params.lam))]
+    return _comodule(trunc, nodes, entries)
 
 
 def build_band_family(params, length, mus, truncation=None):
-    """Band comodules for m = n != 0: the closed zig-zag of the given period
-    with the scalar mu on the closing edge."""
+    """Band comodules for m = n != 0: the closed zig-zag of 2 * length arrows
+    from (0, 0), peaks (t, -t) and valleys (t + 1, -t), which closes as
+    a^n = b^n.  The basis lists the peaks, then the valleys, and the scalar
+    mu sits on the closing arrow."""
     if params.m != params.n or params.m == 0:
         raise RequiresMEqualsN("bands exist only for m = n != 0")
     n = params.n
@@ -460,28 +426,17 @@ def build_band_family(params, length, mus, truncation=None):
         if not bare(mu):
             raise InvalidSpec("band parameter mu must be nonzero")
     trunc = truncation or truncate_to_subcoalgebra(params, n)
-    # peaks (t, -t); the closing valley uses a^n = b^n
-    peaks = [params.canon(t, -t) for t in range(length)]
-    valleys = [params.canon(t + 1, -t) for t in range(length)]
-    out = []
-    for mu in mus:
-        mu = bare(mu)
-        zero = CoElement(trunc.quiver, {})
-        d = 2 * length
-        c = [[zero] * d for _ in range(d)]
-        for t in range(length):
-            c[t][t] = _grid_vertex(trunc, peaks[t])
-            vt = length + t
-            c[vt][vt] = _grid_vertex(trunc, valleys[t])
-            c[t][vt] = _grid_arrow(trunc, "x", peaks[t])
-            nxt = (t + 1) % length
-            ya = _grid_arrow(trunc, "y", peaks[nxt])
-            if nxt == 0:
-                ya = ya * mu
-            c[nxt][vt] = c[nxt][vt] + ya
-        labels = [f"p{t}" for t in range(length)] + [f"v{t}" for t in range(length)]
-        out.append(Comodule(trunc.coalgebra, c, labels))
-    return out
+    nodes, arrows = _zigzag(params, (0, 0), "x", 2 * length, False)
+    # walk node k is peak k / 2 (the last one is peak 0) or valley (k - 1) / 2
+    slot = [k // 2 % length if k % 2 == 0 else length + k // 2 for k in range(len(nodes))]
+    labels = [f"p{t}" for t in range(length)] + [f"v{t}" for t in range(length)]
+    return [
+        _comodule(trunc, nodes[0:-1:2] + nodes[1::2], [
+            (slot[src], slot[tgt], pq, bare(mu) if src == 2 * length else 1)
+            for src, tgt, pq, _ in arrows
+        ], labels)
+        for mu in mus
+    ]
 
 
 # -- enumeration and discreteness --------------------------------------------
@@ -489,13 +444,19 @@ def build_band_family(params, length, mus, truncation=None):
 
 def enumerate_indecomposables(params, radius, max_total_dim, truncation=None):
     """All simples, strings, and diamonds fully supported in the window, up to
-    the total-dimension bound, pairwise non-isomorphic."""
+    the total-dimension bound, pairwise non-isomorphic.
+
+    The string modules of a walk w and of its reverse are isomorphic, and no
+    others are (Butler and Ringel, Comm. Algebra 15, 1987).  Both ends of a
+    string supported in the window start a walk of the loop below, so each
+    string is kept from the end met first: where (start, first letter,
+    up_first) of w sorts before that of its reverse.  The two starts are the
+    walk's distinct end nodes, so they alone decide."""
     if params.m == params.n and params.m != 0:
         raise NotDiscreteParams("enumeration requires m != n or m = n = 0")
     trunc = truncation or truncate_to_subcoalgebra(params, radius)
     window = set(trunc.window)
     out = []
-    seen = set()
     if max_total_dim >= 1:
         for g in sorted(window):
             out.append(("simple", (g,), build_simple(trunc, *g)))
@@ -509,35 +470,21 @@ def enumerate_indecomposables(params, radius, max_total_dim, truncation=None):
             )
             if all(v in window for v in corners) and len(set(corners)) == 4:
                 out.append(("diamond", (g,), build_diamond(trunc, *g)))
-    if max_total_dim >= 2:
-        for g in sorted(window):
-            for first in ("x", "y"):
-                for up_first in (False, True):
-                    for length in range(1, max_total_dim):
-                        spec = StringSpec(g, first, length, up_first)
-                        try:
-                            mod = build_string(trunc, spec)
-                        except (WindowTooSmall, InvalidSpec):
-                            break
-                        nodes = frozenset(mod.labels)
-                        if not all(_parse_grid_label(lbl) in window for lbl in mod.labels):
-                            break
-                        key = ("string", nodes, _support_key(mod))
-                        if key not in seen:
-                            seen.add(key)
-                            out.append(("string", nodes, mod))
+    for g in sorted(window):
+        for first in ("x", "y"):
+            for up_first in (False, True):
+                nodes, arrows = _zigzag(params, g, first, max_total_dim - 1, up_first)
+                for length in range(1, max_total_dim):
+                    end = nodes[length]
+                    if end not in window or end in nodes[:length]:
+                        break
+                    if g < end:
+                        mod = _comodule(trunc, nodes[:length + 1], arrows[:length])
+                        out.append(("string", frozenset(mod.labels), mod))
     return [
         {"kind": kind, "support": support, "module": mod}
         for kind, support, mod in out
     ]
-
-
-def _support_key(mod):
-    paths = set()
-    for row in mod.coaction:
-        for e in row:
-            paths.update(e.terms)
-    return frozenset(paths)
 
 
 def decide_discrete(params, band_mus=(1, 2, 3)):

@@ -20,7 +20,8 @@ central Hopf ideals are the B(m, n), the witness check per two families and kind
 
 The module also embeds finite windows of the basis into the grid path
 coalgebra (vertices = canonical group elements), certifies that the embedding
-is an injective coalgebra map, and answers path-membership queries there.
+is an injective coalgebra map, and answers path-membership queries there off
+the certified images, without elimination.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 from fractions import Fraction
 from operator import attrgetter
 
-from .coalgebra import CoElement, SubCoalgebra, _signed_terms, _split_top_level, path_element
+from .coalgebra import SubCoalgebra, _signed_terms, _split_top_level, path_element
 from .errors import (
     AxiomFailure,
     ConstraintViolation,
@@ -620,25 +621,29 @@ class Truncation:
     coalgebra.
 
     coalgebra: the smallest closed subcoalgebra containing the window images;
-    images: basis key -> CoElement for every key with group part in the window;
+    iota: basis key -> certified image for every key of that coalgebra's
+    basis, the boundary keys that close it under Delta included;
+    images: iota on the keys with group part in the window, in window order;
     rank: dimension of the span of those images;
     certificate: the sizes `_certify_embedding` checked."""
 
-    def __init__(self, params, radius, quiver, coalgebra, images, window, certificate):
+    def __init__(self, params, radius, quiver, coalgebra, iota, window, certificate):
         self.params = params
         self.radius = radius
         self.quiver = quiver
         self.coalgebra = coalgebra
-        self.images = images
+        self.iota = iota
+        self.images = {(g, p, q): iota[g, p, q] for g in window for p in (0, 1) for q in (0, 1)}
         self.window = window
-        self.rank = len(images)
+        self.rank = len(self.images)
         self.certificate = certificate
 
     def image_of(self, i, j, p, q):
+        """The certified image of a^i b^j x^p y^q, boundary keys included."""
         key = (self.params.canon(i, j), p, q)
-        img = self.images.get(key)
+        img = self.iota.get(key)
         if img is None:
-            raise WindowTooSmall(f"group part {key[0]} outside the window")
+            raise WindowTooSmall(f"{_fmt_key(key)} has no image in the window")
         return img
 
 
@@ -713,21 +718,24 @@ def truncate_to_subcoalgebra(params, radius):
     basis = {key: _image_of_key(params, quiver, key) for key in keys}
     certificate = _certify_embedding(params, basis)
     coalg = SubCoalgebra(quiver, basis.values(), validate=False)
-    images = {(g, p, q): basis[g, p, q] for g in window for p in (0, 1) for q in (0, 1)}
-    return Truncation(params, radius, quiver, coalg, images, window, certificate)
+    return Truncation(params, radius, quiver, coalg, basis, window, certificate)
 
 
 def contains_path_combination(params, radius, i, j, c1, c2, truncation=None):
     """Whether c1*(a^i b^j x | a^{i+1} b^j y) + c2*(a^i b^j y | a^i b^{j+1} x)
-    lies in the embedded subcoalgebra."""
+    lies in the embedded subcoalgebra.
+
+    The certified image of (g, 1, 1) is xy - lam*yx, and no other image meets
+    those two paths, as the images have disjoint supports.  So the
+    combination lies in the span iff it is a multiple of that image:
+    c1*img[yx] == c2*img[xy]."""
     trunc = truncation or truncate_to_subcoalgebra(params, radius)
     g = params.canon(i, j)
     if (g, 1, 1) not in trunc.images:
         raise WindowTooSmall(f"group part {g} outside the window")
-    # the certified image of (g, 1, 1) is xy - lam*yx on exactly those two
-    # paths; paths of one start and length order by arrow ids, so xy is first
-    xy, yx = sorted(trunc.images[g, 1, 1].terms)
-    return trunc.coalgebra.contains(CoElement(trunc.quiver, {xy: c1, yx: c2}))
+    # paths of one start and length order by arrow ids, so xy is first
+    (xy, at_xy), (yx, at_yx) = sorted(trunc.images[g, 1, 1].terms.items())
+    return bare(c1) * at_yx == bare(c2) * at_xy
 
 
 def translate(params, quiver, shift, path):

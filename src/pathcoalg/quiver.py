@@ -329,6 +329,7 @@ def check_homogeneous(quiver, vertices=None):
             "loops": 0,
             "is_homogeneous": True,
             "star_iso_witnesses": {},
+            "per_vertex": {},
         }
     sigs = {v: _star_signature(quiver, v) for v in checked}
     uniform = len(set(sigs.values())) == 1

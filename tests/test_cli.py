@@ -166,6 +166,18 @@ class TestQuiver:
         assert out["nondynkin_cover"] is not None
         assert out["verdict"] == "infinite type"
 
+    @pytest.mark.parametrize("name, text", [("empty.quiver", ""),
+                                            ("empty.json", '{"vertices": [], "arrows": []}')])
+    def test_no_vertices(self, capsys, tmp_path, name, text):
+        # check_homogeneous once returned no per_vertex key on an empty
+        # quiver, and the command died with a KeyError traceback
+        f = tmp_path / name
+        f.write_text(text)
+        code, out = run_cli(capsys, "quiver", str(f))
+        assert code == 0
+        assert out == {"graph_class": "Disconnected", "is_homogeneous": True, "degrees": {},
+                       "nondynkin_cover": None, "verdict": "no obstruction found"}
+
     def test_parse_error(self, capsys, tmp_path):
         f = tmp_path / "bad.quiver"
         f.write_text("vertex oops\n")

@@ -31,8 +31,10 @@ from pathcoalg.errors import (
     RequiresMEqualsN,
     WindowTooSmall,
 )
-from pathcoalg.hopf import truncate_to_subcoalgebra, validate_params
+from pathcoalg.coalgebra import CoElement, SubCoalgebra, path_element
+from pathcoalg.hopf import _parse_grid_label, truncate_to_subcoalgebra, validate_params
 from pathcoalg.linalg import accumulate, nullspace
+from pathcoalg.quiver import Path, grid_vertex_label
 from pathcoalg.scalar import ONE, ZERO, CycScalar, cyc
 
 
@@ -547,6 +549,219 @@ class TestEnumeration:
         simples = [f for f in found if f["kind"] == "simple"]
         trunc = truncate_to_subcoalgebra(params, 1)
         assert len(simples) == len(trunc.window)
+
+
+# -- the former builders and enumeration, kept as oracles --------------------
+# They rebuilt every coaction entry as a path from vertex and arrow labels and
+# tested it by elimination (`SubCoalgebra.contains`), built every walk met by
+# the enumeration loop, and kept the first string of each (node set, path
+# support) pair.
+
+
+def _old_path(trunc, label, arrows=()):
+    try:
+        elem = path_element(trunc.quiver, Path(label, arrows))
+    except InvalidDescription:
+        raise WindowTooSmall(f"{label} {arrows} outside the window")
+    if not trunc.coalgebra.contains(elem):
+        raise WindowTooSmall(f"{label} {arrows} outside the window")
+    return elem
+
+
+def _old_vertex(trunc, g):
+    return _old_path(trunc, grid_vertex_label(*g))
+
+
+def _old_simple(trunc, i, j):
+    g = trunc.params.canon(i, j)
+    return Comodule(trunc.coalgebra, [[_old_vertex(trunc, g)]], [grid_vertex_label(*g)])
+
+
+def _old_arrow(trunc, letter, g):
+    label = grid_vertex_label(*g)
+    return _old_path(trunc, label, (f"{letter}@{label}",))
+
+
+def _old_string(trunc, spec):
+    if spec.length < 1:
+        raise InvalidSpec("string needs at least one arrow")
+    params, letter, down = trunc.params, spec.first_letter, not spec.up_first
+    if letter not in ("x", "y"):
+        raise InvalidSpec(f"unknown step letter {letter!r}")
+    nodes, arrows = [params.canon(*spec.start)], []
+    for _ in range(spec.length):
+        cur = nodes[-1]
+        di, dj = (1, 0) if letter == "x" else (0, 1)
+        if down:
+            nxt = params.canon(cur[0] + di, cur[1] + dj)
+            arrows.append((len(nodes) - 1, len(nodes), letter, cur))
+        else:
+            nxt = params.canon(cur[0] - di, cur[1] - dj)
+            arrows.append((len(nodes), len(nodes) - 1, letter, nxt))
+        nodes.append(nxt)
+        down, letter = not down, "y" if letter == "x" else "x"
+    if len(set(nodes)) != len(nodes):
+        raise InvalidSpec("walk revisits a node; use a band instead")
+    zero = CoElement(trunc.quiver, {})
+    c = [[zero] * len(nodes) for _ in nodes]
+    for idx, g in enumerate(nodes):
+        c[idx][idx] = _old_vertex(trunc, g)
+    for src, tgt, let, pos in arrows:
+        c[src][tgt] = c[src][tgt] + _old_arrow(trunc, let, pos)
+    return Comodule(trunc.coalgebra, c, [grid_vertex_label(*g) for g in nodes])
+
+
+def _old_diamond(trunc, i, j):
+    params = trunc.params
+    g = params.canon(i, j)
+    ga, gb = params.canon(g[0] + 1, g[1]), params.canon(g[0], g[1] + 1)
+    gab = params.canon(g[0] + 1, g[1] + 1)
+    zero = CoElement(trunc.quiver, {})
+    c = [[zero] * 4 for _ in range(4)]
+    for idx, v in enumerate((g, ga, gb, gab)):
+        c[idx][idx] = _old_vertex(trunc, v)
+    c[0][1], c[0][2] = _old_arrow(trunc, "x", g), _old_arrow(trunc, "y", g)
+    c[0][3] = trunc.image_of(g[0], g[1], 1, 1)
+    c[1][3] = _old_arrow(trunc, "y", ga)
+    c[2][3] = _old_arrow(trunc, "x", gb) * -params.lam
+    return Comodule(trunc.coalgebra, c, [grid_vertex_label(*v) for v in (g, ga, gb, gab)])
+
+
+def _old_bands(params, length, mus, trunc):
+    peaks = [params.canon(t, -t) for t in range(length)]
+    valleys = [params.canon(t + 1, -t) for t in range(length)]
+    out = []
+    for mu in mus:
+        zero = CoElement(trunc.quiver, {})
+        c = [[zero] * (2 * length) for _ in range(2 * length)]
+        for t in range(length):
+            vt, nxt = length + t, (t + 1) % length
+            c[t][t] = _old_vertex(trunc, peaks[t])
+            c[vt][vt] = _old_vertex(trunc, valleys[t])
+            c[t][vt] = _old_arrow(trunc, "x", peaks[t])
+            ya = _old_arrow(trunc, "y", peaks[nxt])
+            c[nxt][vt] = c[nxt][vt] + (ya * mu if nxt == 0 else ya)
+        labels = [f"p{t}" for t in range(length)] + [f"v{t}" for t in range(length)]
+        out.append(Comodule(trunc.coalgebra, c, labels))
+    return out
+
+
+def _old_enumerate(params, radius, max_total_dim):
+    trunc = truncate_to_subcoalgebra(params, radius)
+    window = set(trunc.window)
+    out, seen = [], set()
+    if max_total_dim >= 1:
+        out += [("simple", (g,), _old_simple(trunc, *g)) for g in sorted(window)]
+    if max_total_dim >= 4:
+        for g in sorted(window):
+            corners = (g, params.canon(g[0] + 1, g[1]), params.canon(g[0], g[1] + 1),
+                       params.canon(g[0] + 1, g[1] + 1))
+            if all(v in window for v in corners) and len(set(corners)) == 4:
+                out.append(("diamond", (g,), _old_diamond(trunc, *g)))
+    if max_total_dim >= 2:
+        for g in sorted(window):
+            for first in ("x", "y"):
+                for up_first in (False, True):
+                    for length in range(1, max_total_dim):
+                        try:
+                            mod = _old_string(trunc, StringSpec(g, first, length, up_first))
+                        except (WindowTooSmall, InvalidSpec):
+                            break
+                        if not all(_parse_grid_label(lbl) in window for lbl in mod.labels):
+                            break
+                        nodes = frozenset(mod.labels)
+                        key = (nodes, frozenset(p for row in mod.coaction for e in row
+                                                for p in e.terms))
+                        if key not in seen:
+                            seen.add(key)
+                            out.append(("string", nodes, mod))
+    return out
+
+
+def _text(mod):
+    return mod.labels, [[str(e) for e in row] for row in mod.coaction]
+
+
+class TestFormerRoutes:
+    """The builders fill each coaction from one walk and the certified images,
+    and the enumeration keeps each string from the end its loop meets first;
+    kinds, supports, labels, coaction text and order are the former
+    routes'."""
+
+    @pytest.mark.parametrize("raw, radius, max_dim", HOM_INVENTORIES + [
+        ((0, 0, 1, 0, 0, 0), 2, 6),  # the CI `enumerate` cases
+        ((2, 0, -1, 0, 0, 0), 2, 4),
+        ((0, 0, "z4", 0, 0, 0), 2, 6),
+    ])
+    def test_enumeration(self, raw, radius, max_dim):
+        params = validate_params(*raw)
+        got = enumerate_indecomposables(params, radius, max_dim)
+        want = _old_enumerate(params, radius, max_dim)
+        assert [(f["kind"], f["support"], _text(f["module"])) for f in got] == [
+            (kind, support, _text(mod)) for kind, support, mod in want]
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_band_families(self, m):
+        params = validate_params(m, m, 1, 0, 0, 0)
+        trunc = truncate_to_subcoalgebra(params, m)
+        mus = [1, 2, 3, "z4"]
+        for length in (m, 2 * m):
+            got = build_band_family(params, length, mus, truncation=trunc)
+            want = _old_bands(params, length, [cyc(mu) for mu in mus], trunc)
+            assert [_text(b) for b in got] == [_text(b) for b in want]
+
+    def test_not_discrete_witness(self):
+        # the third CI `enumerate` case prints this witness
+        params = validate_params(2, 2, 1, 0, 0, 0)
+        bands = _old_bands(params, 2, [cyc(mu) for mu in (1, 2, 3)],
+                           truncate_to_subcoalgebra(params, 2))
+        assert decide_discrete(params)["witness"]["modules"] == [b.to_json() for b in bands]
+
+    @pytest.mark.parametrize("raw", [(0, 0, 1, 0, 0, 0), (0, 0, "z4", 0, 0, 0),
+                                     (3, 1, 1, 0, 0, 0)])
+    def test_builders_on_every_spec(self, raw):
+        """Every string spec from the window and its boundary, each diamond
+        and simple: the same module or the same error type."""
+        params = validate_params(*raw)
+        trunc = truncate_to_subcoalgebra(params, 1)
+        groups = sorted({g for g, _, _ in trunc.iota} | {(3, 3)})
+
+        def outcome(build, *args):
+            try:
+                return _text(build(trunc, *args))
+            except (WindowTooSmall, InvalidSpec) as exc:
+                return type(exc)
+
+        cases = [(build_simple, _old_simple, g) for g in groups]
+        cases += [(build_diamond, _old_diamond, g) for g in groups]
+        for new, old, g in cases:
+            assert outcome(new, *g) == outcome(old, *g), g
+        kinds = set()
+        for g in groups:
+            for spec in (StringSpec(g, letter, length, up) for letter in ("x", "y", "z")
+                         for length in range(5) for up in (False, True)):
+                got = outcome(build_string, spec)
+                assert got == outcome(_old_string, spec), spec
+                kinds.add(got if isinstance(got, type) else "module")
+        assert kinds == {"module", WindowTooSmall, InvalidSpec}
+
+    def test_builders_run_no_membership_test(self, monkeypatch):
+        """Only `Comodule` validation tests membership; the builders read
+        certified images."""
+        free = truncate_to_subcoalgebra(validate_params(0, 0, 1, 0, 0, 0), 1)
+        params = validate_params(2, 2, 1, 0, 0, 0)
+        band_trunc = truncate_to_subcoalgebra(params, 2)
+
+        def forbidden(self, element):
+            raise AssertionError("SubCoalgebra.contains called")
+
+        monkeypatch.setattr(SubCoalgebra, "contains", forbidden)
+        monkeypatch.setattr(Comodule, "_validate", lambda self: None)
+        build_simple(free, 0, 0)
+        build_diamond(free, 0, 0)
+        build_string(free, StringSpec((0, 0), "x", 3))
+        build_band_family(params, 2, [1, 2], truncation=band_trunc)
+        enumerate_indecomposables(validate_params(0, 0, 1, 0, 0, 0), 1, 4, truncation=free)
 
 
 class TestBands:

@@ -330,6 +330,22 @@ class TestTruncation:
         with pytest.raises(WindowTooSmall):
             tr.image_of(5, 5, 0, 0)
 
+    def test_boundary_keys(self):
+        """`image_of` reads every key of the coalgebra's basis, the boundary
+        keys that close it under Delta included; `images` and `rank` keep
+        the window's keys only."""
+        p = params_free()
+        tr = truncate_to_subcoalgebra(p, 1)
+        assert list(tr.iota) == truncation_keys(p, 1)
+        assert list(tr.iota.values()) == tr.coalgebra.basis
+        assert ((1, 2), 1, 0) not in tr.images
+        assert tr.image_of(1, 2, 1, 0) == path_element(tr.quiver, Path("a1b2", ("x@a1b2",)))
+        assert tr.image_of(2, 2, 0, 0) == path_element(tr.quiver, Path("a2b2"))
+        for key in [(2, 2, 1, 0), (2, 2, 0, 1), (1, 2, 0, 1), (1, 2, 1, 1)]:
+            with pytest.raises(WindowTooSmall):
+                tr.image_of(*key)
+        assert list(tr.images) == [(g, a, b) for g in tr.window for a in (0, 1) for b in (0, 1)]
+
 
 class TestPathMembership:
     @pytest.mark.parametrize("lam_str,extras", [("1", ("1", "1", "0")), ("-1", ("1", "1", "0")), ("z4^1", ("0", "0", "0"))])
@@ -373,6 +389,29 @@ class TestPathMembership:
         assert all(isinstance(c, CycScalar) for c in boxed_values)
         assert bare == boxed
         assert set(bare[0]) == {True, False} and bare[1]
+
+    @pytest.mark.parametrize("lam", ["1", "-1", "z3", "z4"])
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_closed_form_matches_elimination(self, lam, radius):
+        """The verdict read off the certified (g, 1, 1) image is the
+        subcoalgebra's elimination test on the probe element."""
+        p = validate_params(0, 0, lam, 0, 0, 0)
+        tr = truncate_to_subcoalgebra(p, radius)
+        rng = random.Random(radius)
+        coeffs = [0, 1, -p.lam, cyc("z4"), -p.lam * cyc("z4"), Fraction(-2, 3),
+                  -p.lam * Fraction(-2, 3)]
+        coeffs += [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
+        coeffs += [cyc("z4") * rng.randint(-3, 3) + rng.randint(-3, 3) for _ in range(2)]
+        seen = set()
+        for i, j in p.window(radius):
+            xy, yx = sorted(tr.images[(i, j), 1, 1].terms)
+            for c1 in coeffs:
+                for c2 in coeffs:
+                    want = tr.coalgebra.contains(CoElement(tr.quiver, {xy: c1, yx: c2}))
+                    got = contains_path_combination(p, radius, i, j, c1, c2, truncation=tr)
+                    assert got is want, (i, j, c1, c2)
+                    seen.add(got)
+        assert seen == {True, False}
 
     def test_single_paths_rejected(self):
         p = params_free()

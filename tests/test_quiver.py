@@ -195,6 +195,14 @@ class TestHomogeneous:
         assert report["out_degree"] == 2
         assert report["loops"] == 0
 
+    def test_same_keys_in_every_case(self):
+        q = Quiver(["1", "2", "3"], [("u", "1", "2"), ("v", "2", "3")])
+        keys = set(check_homogeneous(q))
+        assert "per_vertex" in keys
+        assert set(check_homogeneous(Quiver([], []))) == keys
+        assert set(check_homogeneous(q, vertices=[])) == keys
+        assert check_homogeneous(q, vertices=[])["per_vertex"] == {}
+
     def test_path_not_homogeneous(self):
         q = Quiver(["1", "2", "3"], [("u", "1", "2"), ("v", "2", "3")])
         assert not check_homogeneous(q)["is_homogeneous"]
