@@ -17,12 +17,7 @@ from __future__ import annotations
 import functools
 
 from . import hopf
-from .errors import (
-    NotCanonical,
-    NotClosed,
-    NotDiscreteParams,
-    SquareRootUnavailable,
-)
+from .errors import NotCanonical, NotClosed, NotDiscreteParams
 from .hopf import validate_params
 from .linalg import axpy, tensor_axpy
 from .scalar import ONE, ZERO, bare, cyc, sqrt

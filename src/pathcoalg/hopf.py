@@ -8,10 +8,8 @@ product of the group algebra and {1, x, y, xy} (see `_mono_mul`).
 
 Value kind: for every parameter set, tables, relations and elements store
 values as `scalar.bare` gives them, a rational bare and an irrational (z3,
-a witness alpha = z4) as a CycScalar.  A product of irrationals may be a
-rational CycScalar inside a term dict (lam * lam^-1); an element stores it
-bare again.  The scalars of `BmnParams`, `counit` and the certificate report
-stay CycScalars.
+a witness alpha = z4) as a CycScalar.  The scalars of `BmnParams`, `counit`
+and the certificate report stay CycScalars.
 Delta, epsilon and S are term functions that `comultiply`, `counit` and
 `antipode` wrap; the Hopf certificate and the isomorphism witness check run
 on them and on `_evaluate`, without elements, over Q[lam^+-1, s, t, k],
@@ -45,13 +43,13 @@ from .errors import (
     WindowTooSmall,
 )
 from .linalg import SparseElement, accumulate, axpy, tensor_axpy
-from .quiver import Path, grid_quiver, grid_vertex_label, group_canonical_pair
+from .quiver import Path, grid_quiver, grid_vertex_label, grid_window, group_canonical_pair
 from .scalar import ONE, CycScalar, Laurent, _q, bare, cyc, parse_scalar
 
 
 def _power(x, e):
-    """x^e, through Fraction for a bare x: an int to a negative power is a float."""
-    return x ** e if isinstance(x, (CycScalar, Laurent)) else _q(Fraction(x) ** e)
+    """x^e as a value; a bare x goes through Fraction (an int to a negative power is a float)."""
+    return bare(x ** e) if isinstance(x, (CycScalar, Laurent)) else _q(Fraction(x) ** e)
 
 
 _SCALAR_NAMES = ("lambda", "s", "t", "k")
@@ -77,8 +75,7 @@ class BmnParams:
 
     def window(self, radius):
         """Canonical group exponent pairs within the box |i|, |j| <= radius."""
-        box = itertools.product(range(-radius, radius + 1), repeat=2)
-        return [g for g in box if self.canon(*g) == g]
+        return grid_window(self.m, self.n, radius)
 
     def sign_x(self, i, j):
         """Scalar from commuting x rightward past a^i b^j."""
@@ -153,10 +150,10 @@ def validate_params(m, n, lam, s, t, k):
 
 def _rule_table(params):
     """x^p y^q * x and x^p y^q * y for p, q in {0, 1}, read off the relations:
-    (p, q, letter) -> [(h, p', q', c)], the sum of c * a^h x^p' y^q'.  Moving
-    x past a group part h picks up the character sign_x(h)."""
+    (p, q, letter) -> [(h, p', q', c)], the sum of c * a^h x^p' y^q', each c a
+    nonzero value (`bare`).  Moving x past h picks up the character sign_x(h)."""
     s, t, k, li = map(bare, (params.s, params.t, params.k, params.lam_inv))
-    return {
+    rules = {
         (0, 0, "x"): [((0, 0), 1, 0, 1)],
         (0, 0, "y"): [((0, 0), 0, 1, 1)],
         # x^2 = s(1 - a^2)
@@ -174,6 +171,8 @@ def _rule_table(params):
         # x y^2 = x t(1 - b^2)
         (1, 1, "y"): [((0, 0), 1, 0, t), ((0, 2), 1, 0, -t * params.sign_x(0, 2))],
     }
+    return {key: [(h, p, q, bare(c)) for h, p, q, c in terms if c]
+            for key, terms in rules.items()}
 
 
 def _table(params, build):
@@ -190,6 +189,11 @@ def _shift(params, g, key):
     """g * key for a group part g: left multiplication is a pure shift."""
     (i, j), p, q = key
     return params.canon(g[0] + i, g[1] + j), p, q
+
+
+def _bare_terms(terms):
+    """A term dict with its coefficients as values (`bare`)."""
+    return {key: bare(c) for key, c in terms.items()}
 
 
 def _mono_mul(params, key1, key2):
@@ -210,7 +214,7 @@ def _mono_mul(params, key1, key2):
             for h, p, q, c2 in rules[key[1], key[2], letter]:
                 accumulate(nxt, _shift(params, key[0], (h, p, q)), c * c2)
         terms = nxt
-    params._mono_cache[(key1, key2)] = terms
+    terms = params._mono_cache[(key1, key2)] = _bare_terms(terms)
     return terms
 
 
@@ -340,8 +344,8 @@ def _structure_table(params):
     d1, u1 = {((e, 0, 0), (e, 0, 0)): 1}, {(e, 0, 0): 1}
     s_x = (-(gen_x(params) * group_element(params, -1, 0))).terms
     s_y = (-(gen_y(params) * group_element(params, 0, -1))).terms
-    return {(p, q): (_tensor_mul(params, dx if p else d1, dy if q else d1),
-                     _mul_terms(params, s_y if q else u1, s_x if p else u1))
+    return {(p, q): (_bare_terms(_tensor_mul(params, dx if p else d1, dy if q else d1)),
+                     _bare_terms(_mul_terms(params, s_y if q else u1, s_x if p else u1)))
             for p in (0, 1) for q in (0, 1)}
 
 

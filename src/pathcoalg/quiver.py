@@ -2,14 +2,16 @@
 
 Quivers are finite directed multigraphs with labeled vertices and identified
 arrows.  This module provides the folded grid quivers attached to the abelian
-groups <a, b | ab=ba, a^m=b^n>, star quivers, homogeneity checks, the
-Dynkin/Euclidean graph classifier, quotient (vertex-gluing) morphisms, and a
-bounded exhaustive search for bipartite non-Dynkin covers.
+groups <a, b | ab=ba, a^m=b^n>, star quivers, homogeneity checks, quotient
+(vertex-gluing) morphisms, and one Dynkin/Euclidean classifier, by the arm
+rule, for `graph_class` and a bounded exhaustive search for bipartite
+non-Dynkin covers.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
+from itertools import product
 from operator import itemgetter
 
 from .errors import (
@@ -238,6 +240,13 @@ def grid_vertex_label(i, j):
     return f"a{i}b{j}"
 
 
+def grid_window(m, n, radius):
+    """The canonical exponent pairs (i, j) of the box |i|, |j| <= radius,
+    row by row."""
+    box = product(range(-radius, radius + 1), repeat=2)
+    return [g for g in box if group_canonical_pair(m, n, *g) == g]
+
+
 def grid_quiver(m, n, radius):
     """The finite window of the folded grid quiver: canonical vertices a^i b^j
     with |i|, |j| <= radius, an a-arrow and a b-arrow out of each vertex when
@@ -246,11 +255,7 @@ def grid_quiver(m, n, radius):
         raise ForbiddenPair("(m, n) = +/-(1, 1) has no grid quiver")
     if radius < 0:
         raise InvalidDescription("radius must be nonnegative")
-    coords = []
-    for i in range(-radius, radius + 1):
-        for j in range(-radius, radius + 1):
-            if group_canonical_pair(m, n, i, j) == (i, j):
-                coords.append((i, j))
+    coords = grid_window(m, n, radius)
     coord_set = set(coords)
     vertices = [grid_vertex_label(i, j) for i, j in coords]
     arrows = []
@@ -277,31 +282,30 @@ def star(quiver, v):
     return Quiver(verts, incident)
 
 
-def _star_signature(quiver, v):
-    out = {t for _, s, t in quiver.arrows if s == v and t != v}
-    inn = {s for _, s, t in quiver.arrows if t == v and s != v}
-    loops = sum(1 for _, s, t in quiver.arrows if s == v and t == v)
-    return len(out), len(inn), loops
+def _star_records(quiver):
+    """One pass over the arrows: vertex -> (loop count, {neighbor: (arrows
+    to it, arrows from it)}), the neighbors in sorted order."""
+    loops = dict.fromkeys(quiver.vertices, 0)
+    near = {v: {} for v in quiver.vertices}
+    for _, s, t in quiver.arrows:
+        if s == t:
+            loops[s] += 1
+        else:
+            near[s].setdefault(t, [0, 0])[0] += 1
+            near[t].setdefault(s, [0, 0])[1] += 1
+    return {v: (loops[v], {w: tuple(p) for w, p in sorted(near[v].items())})
+            for v in quiver.vertices}
 
 
 def _stars_isomorphic(s1, c1, s2, c2):
-    """Digraph isomorphism of two star quivers fixing center -> center.
+    """Digraph isomorphism c1 -> c2 of two stars given as `_star_records` values.
 
     Returns a vertex map or None.  A star has no arrow between two neighbors,
     so the stars are isomorphic iff their loop counts and their multisets of
-    neighbor profiles (arrows to, arrows from) agree; each neighbor of s1, in
-    order, is then paired with the first unused neighbor of s2 of its profile.
+    neighbor profiles (arrows to, arrows from) agree; each neighbor of c1, in
+    order, is then paired with the first unused neighbor of c2 of its profile.
     """
-
-    def shape(q, center):
-        """The loop count and {neighbor: profile}, in vertex order."""
-        out = {w: [0, 0] for w in q.vertices if w != center}
-        for _, s, t in q.arrows:
-            if s != t:
-                out[t if s == center else s][s != center] += 1
-        return sum(s == t for _, s, t in q.arrows), {w: tuple(p) for w, p in out.items()}
-
-    (loops1, p1), (loops2, p2) = shape(s1, c1), shape(s2, c2)
+    (loops1, p1), (loops2, p2) = s1, s2
     if loops1 != loops2 or Counter(p1.values()) != Counter(p2.values()):
         return None
     by_profile = {}
@@ -322,32 +326,17 @@ def check_homogeneous(quiver, vertices=None):
     ]
     if vertices is not None and len(checked) != len(set(vertices)):
         raise UnknownVertex("vertex restriction contains unknown vertices")
-    if not checked:
-        return {
-            "out_degree": 0,
-            "in_degree": 0,
-            "loops": 0,
-            "is_homogeneous": True,
-            "star_iso_witnesses": {},
-            "per_vertex": {},
-        }
-    sigs = {v: _star_signature(quiver, v) for v in checked}
-    uniform = len(set(sigs.values())) == 1
-    base = checked[0]
-    base_star = star(quiver, base)
-    witnesses = {}
-    all_iso = True
+    records = _star_records(quiver)
+    sigs = {}
     for v in checked:
-        if not uniform:
-            witnesses[v] = None
-            all_iso = False
-            continue
-        w = _stars_isomorphic(base_star, base, star(quiver, v), v)
-        witnesses[v] = w
-        if w is None:
-            all_iso = False
-    homogeneous = uniform and all_iso
-    out_d, in_d, loops = sigs[base]
+        loops, profiles = records[v]
+        sigs[v] = (sum(1 for to, _ in profiles.values() if to),
+                   sum(1 for _, frm in profiles.values() if frm), loops)
+    uniform = len(set(sigs.values())) <= 1
+    witnesses = {v: _stars_isomorphic(records[checked[0]], checked[0], records[v], v)
+                 if uniform else None for v in checked}
+    homogeneous = uniform and None not in witnesses.values()
+    out_d, in_d, loops = next(iter(sigs.values()), (0, 0, 0))
     return {
         "out_degree": out_d if homogeneous else None,
         "in_degree": in_d if homogeneous else None,
@@ -413,73 +402,49 @@ def _arm_lengths(adj, center):
     return sorted(arms)
 
 
+def _underlying_class(vertices, edges):
+    """The class of the connected loopless multigraph on `vertices` with the
+    (u, w) pairs `edges`, by the arm rule (Bernstein-Gelfand-Ponomarev,
+    Russian Math. Surveys 28, 1973).  |E| >= |V| means a cycle or a parallel
+    edge.  A lone branch vertex of degree 3 with arms of p, q, r vertices
+    (each an `_arm_lengths` edge count plus 1) is Dynkin when 1/p + 1/q + 1/r
+    > 1 and Euclidean when it is 1."""
+    adj = {v: [] for v in vertices}
+    for u, w in edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    nv = len(adj)
+    if len(edges) >= nv:
+        cycle = all(len(ws) == 2 for ws in adj.values())
+        return GraphClass("Euclidean", "A", nv - 1) if cycle else OTHER
+    branch = [v for v, ws in adj.items() if len(ws) > 2]
+    if not branch:
+        return GraphClass("Dynkin", "A", nv)
+    if len(branch) == 2 and all(
+            len(adj[b]) == 3 and sum(len(adj[w]) == 1 for w in adj[b]) == 2 for b in branch):
+        return GraphClass("Euclidean", "D", nv - 1)
+    arms = _arm_lengths(adj, branch[0]) if len(branch) == 1 else ()
+    if arms == [1, 1, 1, 1]:
+        return GraphClass("Euclidean", "D", 4)
+    if len(arms) != 3:
+        return OTHER
+    p, q, r = (arm + 1 for arm in arms)
+    family = "D" if p == q == 2 else "E"
+    total, pqr = q * r + p * r + p * q, p * q * r  # total = pqr (1/p + 1/q + 1/r)
+    if total == pqr:
+        return GraphClass("Euclidean", family, nv - 1)
+    return GraphClass("Dynkin", family, nv) if total > pqr else OTHER
+
+
 def graph_class(quiver):
     """Classify the underlying multigraph (orientation ignored)."""
     if not quiver.is_connected():
         raise Disconnected("graph classification needs a connected quiver")
-    nv = len(quiver.vertices)
-    if nv == 0:
+    if not quiver.vertices:
         raise Disconnected("empty quiver")
     if any(s == t for _, s, t in quiver.arrows):
         return OTHER
-    edges = [(s, t) for _, s, t in quiver.arrows]
-    ne = len(edges)
-    # parallel edges
-    pair_counts = {}
-    for s, t in edges:
-        key = frozenset((s, t))
-        pair_counts[key] = pair_counts.get(key, 0) + 1
-    if any(c > 1 for c in pair_counts.values()):
-        if nv == 2 and ne == 2:
-            return GraphClass("Euclidean", "A", 1)
-        return OTHER
-    adj = quiver.undirected_adjacency()
-    degrees = {v: len(adj[v]) for v in quiver.vertices}
-    if ne == nv:
-        # connected with |E| = |V| and no multi-edges: a single cycle iff 2-regular
-        if all(d == 2 for d in degrees.values()):
-            return GraphClass("Euclidean", "A", nv - 1)
-        return OTHER
-    if ne != nv - 1:
-        return OTHER
-    # tree
-    branch = [v for v in quiver.vertices if degrees[v] >= 3]
-    if not branch:
-        return GraphClass("Dynkin", "A", nv)
-    if len(branch) == 1:
-        c = branch[0]
-        arms = _arm_lengths(adj, c)
-        if degrees[c] == 4:
-            return GraphClass("Euclidean", "D", 4) if arms == [1, 1, 1, 1] else OTHER
-        if degrees[c] > 4:
-            return OTHER
-        p, q, r = arms
-        if p == 1 and q == 1:
-            return GraphClass("Dynkin", "D", nv)
-        if arms == [2, 2, 2]:
-            return GraphClass("Euclidean", "E", 6)
-        if arms == [1, 2, 2]:
-            return GraphClass("Dynkin", "E", 6)
-        if arms == [1, 2, 3]:
-            return GraphClass("Dynkin", "E", 7)
-        if arms == [1, 3, 3]:
-            return GraphClass("Euclidean", "E", 7)
-        if arms == [1, 2, 4]:
-            return GraphClass("Dynkin", "E", 8)
-        if arms == [1, 2, 5]:
-            return GraphClass("Euclidean", "E", 8)
-        return OTHER
-    if len(branch) == 2:
-        b1, b2 = branch
-        if degrees[b1] == degrees[b2] == 3:
-            # double fork: both branch vertices carry two leaves plus the
-            # connecting path
-            leaves1 = sum(1 for w in adj[b1] if degrees[w] == 1)
-            leaves2 = sum(1 for w in adj[b2] if degrees[w] == 1)
-            if leaves1 == 2 and leaves2 == 2:
-                return GraphClass("Euclidean", "D", nv - 1)
-        return OTHER
-    return OTHER
+    return _underlying_class(quiver.vertices, [(s, t) for _, s, t in quiver.arrows])
 
 
 # -- quotients --------------------------------------------------------------
@@ -508,26 +473,6 @@ def quotient(quiver, partition):
 
 
 # -- bipartite non-Dynkin covers --------------------------------------------
-
-
-def _is_nondynkin_bipartite(vertices, cover_arrows):
-    """Whether the partial cover's underlying graph is not Dynkin.  The cover
-    is connected and loopless, so |E| >= |V| means a cycle or a parallel edge.
-    A tree is Dynkin iff it is a path or has one branch vertex, of degree 3,
-    whose arms of p, q, r vertices (the branch vertex counted: an edge count
-    from `_arm_lengths` plus 1) satisfy 1/p + 1/q + 1/r > 1 (Bernstein-
-    Gelfand-Ponomarev, Russian Math. Surveys 28, 1973)."""
-    if len(cover_arrows) >= len(vertices):
-        return True
-    adj = {v: [] for v in vertices}
-    for _, u, w in cover_arrows:
-        adj[u].append(w)
-        adj[w].append(u)
-    branch = [v for v in vertices if len(adj[v]) > 2]
-    if len(branch) != 1 or len(adj[branch[0]]) > 3:
-        return bool(branch)  # a path is Dynkin, two branch vertices or degree 4 not
-    p, q, r = (arm + 1 for arm in _arm_lengths(adj, branch[0]))
-    return q * r + p * r + p * q <= p * q * r
 
 
 def find_nondynkin_cover(qtarget, size_bound):
@@ -561,7 +506,9 @@ def find_nondynkin_cover(qtarget, size_bound):
     while queue:
         cover_arrows, images = queue.popleft()
         vertices = range(len(images))
-        if _is_nondynkin_bipartite(vertices, cover_arrows):
+        # connected and loopless, so |E| >= |V| means a cycle or a parallel edge
+        if len(cover_arrows) >= len(images) or not _underlying_class(
+                vertices, [(u, w) for _, u, w in cover_arrows]).is_dynkin:
             cover = Quiver([f"v{i}" for i in vertices],
                            [(f"{aid}#{i}", f"v{u}", f"v{w}")
                             for i, (aid, u, w) in enumerate(cover_arrows)])

@@ -640,6 +640,36 @@ class TestMixedAgainstBoxed:
         assert mixed[3] == boxed[3] and mixed[3][0]
 
 
+def cycscalars(value):
+    """The CycScalars anywhere in nested dicts, lists and tuples."""
+    if isinstance(value, CycScalar):
+        return [value]
+    if isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    if isinstance(value, (list, tuple)):
+        return [c for item in value for c in cycscalars(item)]
+    return []
+
+
+class TestTablesStoreValues:
+    """The rule and structure tables, the monomial cache, the window images
+    and Delta of every window key store a rational bare, products of
+    irrationals such as lam * lam^-1 included (279 rational CycScalars on
+    B(0, 0; z3) at radius 3 while the tables kept their products boxed)."""
+
+    @pytest.mark.parametrize("raw", [(0, 0, lam, 0, 0, 0) for lam in ("z3", "z4", "z6", "z12")]
+                             + [(6, 0, "z3", 0, 0, 0), (4, 0, "z4", 0, 0, 0)], ids=repr)
+    def test_no_rational_cycscalar(self, raw):
+        for radius in (1, 2, 3):
+            params = validate_params(*raw)
+            trunc = truncate_to_subcoalgebra(params, radius)
+            stored = [params._tables, params._mono_cache,
+                      [image.terms for image in trunc.iota.values()],
+                      [hopf._comul_terms(params, {key: 1}) for key in trunc.iota]]
+            found = cycscalars(stored)
+            assert found and [c for c in found if c.is_rational()] == []
+
+
 class TestWindowEmbedding:
     @pytest.mark.parametrize("params", _valid_grid() + [
         validate_params(0, 0, "z4", 0, 0, 0), validate_params(4, 0, "z4", 0, 0, 0),
@@ -1087,12 +1117,13 @@ def rule_table_variant(square=1, commute=1, k_term=1, shifted=1, y_square=1):
     """`_rule_table` with a sign factor on some of its terms; all 1 is the
     original.  `square` is on x*x = s(1 - a^2) wherever the table uses it,
     `commute` on the -lam^-1 xy of yx, `k_term` on both k-terms of yx and
-    `shifted` on the ab one, and `y_square` on y*y = t(1 - b^2)."""
+    `shifted` on the ab one, and `y_square` on y*y = t(1 - b^2).  Like the
+    original, it drops zero terms."""
 
     def rule_table(params):
         s, t, li = params.s * square, params.t * y_square, params.lam_inv
         lk = li * params.k * k_term
-        return {
+        rules = {
             (0, 0, "x"): [((0, 0), 1, 0, ONE)],
             (0, 0, "y"): [((0, 0), 0, 1, ONE)],
             (1, 0, "x"): [((0, 0), 0, 0, s), ((2, 0), 0, 0, -s)],
@@ -1106,6 +1137,7 @@ def rule_table_variant(square=1, commute=1, k_term=1, shifted=1, y_square=1):
                           ((2, 0), 0, 1, li * s * commute)],
             (1, 1, "y"): [((0, 0), 1, 0, t), ((0, 2), 1, 0, -t * params.sign_x(0, 2))],
         }
+        return {key: [term for term in terms if term[3]] for key, terms in rules.items()}
 
     return rule_table
 

@@ -1,8 +1,10 @@
 import copy
+import json
 import pickle
 import random
 import time
 from fractions import Fraction
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -20,8 +22,11 @@ from pathcoalg.errors import (
 from pathcoalg.quiver import (
     GraphClass,
     Path,
+    OTHER,
     Quiver,
-    _is_nondynkin_bipartite,
+    _arm_lengths,
+    _underlying_class,
+    _star_records,
     _stars_isomorphic,
     check_homogeneous,
     classify_link_component,
@@ -234,6 +239,111 @@ class TestHomogeneous:
         assert all(witnesses[v] is None for v in names[1:])
 
 
+# -- the former star-quiver route of check_homogeneous, kept as a reference --
+
+
+def reference_star_signature(quiver, v):
+    out = {t for _, s, t in quiver.arrows if s == v and t != v}
+    inn = {s for _, s, t in quiver.arrows if t == v and s != v}
+    loops = sum(1 for _, s, t in quiver.arrows if s == v and t == v)
+    return len(out), len(inn), loops
+
+
+def reference_stars_isomorphic(s1, c1, s2, c2):
+    """The former `_stars_isomorphic` on two star quivers."""
+
+    def shape(q, center):
+        out = {w: [0, 0] for w in q.vertices if w != center}
+        for _, s, t in q.arrows:
+            if s != t:
+                out[t if s == center else s][s != center] += 1
+        return sum(s == t for _, s, t in q.arrows), {w: tuple(p) for w, p in out.items()}
+
+    (loops1, p1), (loops2, p2) = shape(s1, c1), shape(s2, c2)
+    if loops1 != loops2 or Counter(p1.values()) != Counter(p2.values()):
+        return None
+    by_profile = {}
+    for w, p in p2.items():
+        by_profile.setdefault(p, []).append(w)
+    mapping = {c1: c2}
+    for w, p in p1.items():
+        mapping[w] = by_profile[p].pop(0)
+    return mapping
+
+
+def reference_check_homogeneous(quiver, vertices=None):
+    """The former `check_homogeneous`: a signature pass and a `star` quiver
+    per vertex."""
+    checked = list(quiver.vertices) if vertices is None else [
+        v for v in quiver.vertices if v in set(vertices)
+    ]
+    if not checked:
+        return {"out_degree": 0, "in_degree": 0, "loops": 0, "is_homogeneous": True,
+                "star_iso_witnesses": {}, "per_vertex": {}}
+    sigs = {v: reference_star_signature(quiver, v) for v in checked}
+    uniform = len(set(sigs.values())) == 1
+    base = checked[0]
+    base_star = star(quiver, base)
+    witnesses = {v: reference_stars_isomorphic(base_star, base, star(quiver, v), v)
+                 if uniform else None for v in checked}
+    homogeneous = uniform and all(w is not None for w in witnesses.values())
+    out_d, in_d, loops = sigs[base]
+    return {
+        "out_degree": out_d if homogeneous else None,
+        "in_degree": in_d if homogeneous else None,
+        "loops": loops if homogeneous else None,
+        "is_homogeneous": homogeneous,
+        "star_iso_witnesses": witnesses,
+        "per_vertex": {v: {"out": s[0], "in": s[1], "loops": s[2]} for v, s in sigs.items()},
+    }
+
+
+def random_homogeneity_case(rng):
+    """A quiver on at most 6 vertices with at most 10 arrows, loops and
+    parallel arrows allowed, or a circulant with an optional extra arrow;
+    with a vertex subset, possibly empty, a third of the time."""
+    names = [f"v{i}" for i in range(rng.randint(0, 6))]
+    rng.shuffle(names)
+    if names and rng.random() < 0.2:
+        steps = rng.sample(range(1, len(names) + 1), rng.randint(1, min(3, len(names))))
+        arrows = [(f"c{i}_{d}", names[i], names[(i + d) % len(names)])
+                  for i in range(len(names)) for d in steps]
+        if rng.random() < 0.5:
+            arrows.append(("extra", rng.choice(names), rng.choice(names)))
+    else:
+        arrows = [(f"a{i}", rng.choice(names), rng.choice(names))
+                  for i in range(rng.randint(0, 10) if names else 0)]
+    subset = rng.sample(names, rng.randint(0, len(names))) if rng.random() < 0.3 else None
+    return Quiver(names, arrows), subset
+
+
+def circulant(n, steps, extra=()):
+    """v_i -> v_{i+d} mod n for each step d (0 gives loops), plus extra arrows."""
+    names = [f"w{i}" for i in range(n)]
+    arrows = [(f"c{i}_{k}", names[i], names[(i + d) % n])
+              for i in range(n) for k, d in enumerate(steps)]
+    return Quiver(names, arrows + [(f"x{k}", names[u], names[w]) for k, (u, w) in enumerate(extra)])
+
+
+class TestHomogeneityIdentity:
+    """One pass over the arrows gives the dicts the star-quiver route gave."""
+
+    def test_random_quivers(self):
+        rng = random.Random(30)
+        cases = [(Quiver([], []), None), (Quiver([], []), [])]
+        cases += [(circulant(n, steps, extra), None) for n in range(1, 9)
+                  for steps in ((1,), (1, 2), (0, 3), (1, n - 1)) for extra in ((), ((0, n - 1),))]
+        cases += [random_homogeneity_case(rng) for _ in range(2500)]
+        homogeneous = 0
+        for q, subset in cases:
+            got = check_homogeneous(q, subset)
+            # the witness maps and per-vertex entries keep their order too
+            assert json.dumps(got) == json.dumps(reference_check_homogeneous(q, subset)), (
+                q.to_text(), subset)
+            homogeneous += got["is_homogeneous"] and bool(got["star_iso_witnesses"])
+        assert homogeneous > 100
+
+
 def backtracking_stars_isomorphic(s1, c1, s2, c2):
     """The former `_stars_isomorphic`: pairs the neighbors of s1, in order,
     with unused neighbors of s2 of equal profile, backtracking on failure."""
@@ -301,7 +411,8 @@ def star_pairs(draw):
 @given(star_pairs())
 def test_stars_isomorphic_matches_backtracking(pair):
     (s1, c1), (s2, c2) = pair
-    assert _stars_isomorphic(s1, c1, s2, c2) == backtracking_stars_isomorphic(s1, c1, s2, c2)
+    got = _stars_isomorphic(_star_records(s1)[c1], c1, _star_records(s2)[c2], c2)
+    assert got == backtracking_stars_isomorphic(s1, c1, s2, c2)
 
 
 def path_quiver(n):
@@ -524,24 +635,67 @@ class TestNonDynkinCover:
 
 
 
-# -- the closed-form Dynkin test of the cover search -------------------------
+# -- the one arm-rule classifier of graph_class and the cover search ---------
 
 
-def graph_class_nondynkin(vertices, cover_arrows):
-    """Reference for `_is_nondynkin_bipartite`: build the partial cover as a
-    `Quiver` and run the full `graph_class`."""
-    pair_seen = set()
-    for _, u, w in cover_arrows:
-        if (u, w) in pair_seen:
-            return True  # parallel edge: contains a Kronecker subgraph
-        pair_seen.add((u, w))
-    if len(cover_arrows) >= len(vertices):
-        return True  # connected with a cycle
-    q = Quiver(
-        list(vertices),
-        [(f"c{i}", u, w) for i, (_, u, w) in enumerate(cover_arrows)],
-    )
-    return not graph_class(q).is_dynkin
+def reference_underlying_class(vertices, edges):
+    """The former table-based `graph_class` on a connected loopless
+    multigraph: parallel edges counted pair by pair, trees read off a
+    hand-written table of arm patterns."""
+    nv, ne = len(vertices), len(edges)
+    if len({frozenset(e) for e in edges}) < ne:  # a pair of vertices joined twice
+        return GraphClass("Euclidean", "A", 1) if nv == 2 and ne == 2 else OTHER
+    adj = {v: [] for v in vertices}
+    for u, w in edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    degrees = {v: len(adj[v]) for v in vertices}
+    if ne == nv:
+        if all(d == 2 for d in degrees.values()):
+            return GraphClass("Euclidean", "A", nv - 1)
+        return OTHER
+    if ne != nv - 1:
+        return OTHER
+    branch = [v for v in vertices if degrees[v] >= 3]
+    if not branch:
+        return GraphClass("Dynkin", "A", nv)
+    if len(branch) == 1:
+        c = branch[0]
+        arms = _arm_lengths(adj, c)
+        if degrees[c] == 4:
+            return GraphClass("Euclidean", "D", 4) if arms == [1, 1, 1, 1] else OTHER
+        if degrees[c] > 4:
+            return OTHER
+        if arms[0] == 1 and arms[1] == 1:
+            return GraphClass("Dynkin", "D", nv)
+        table = {(2, 2, 2): ("Euclidean", "E", 6), (1, 2, 2): ("Dynkin", "E", 6),
+                 (1, 2, 3): ("Dynkin", "E", 7), (1, 3, 3): ("Euclidean", "E", 7),
+                 (1, 2, 4): ("Dynkin", "E", 8), (1, 2, 5): ("Euclidean", "E", 8)}
+        return GraphClass(*table[tuple(arms)]) if tuple(arms) in table else OTHER
+    if len(branch) == 2:
+        b1, b2 = branch
+        if degrees[b1] == degrees[b2] == 3:
+            leaves1 = sum(1 for w in adj[b1] if degrees[w] == 1)
+            leaves2 = sum(1 for w in adj[b2] if degrees[w] == 1)
+            if leaves1 == 2 and leaves2 == 2:
+                return GraphClass("Euclidean", "D", nv - 1)
+    return OTHER
+
+
+def reference_graph_class(quiver):
+    """The former `graph_class`: its checks, then the table."""
+    if not quiver.is_connected() or not quiver.vertices:
+        raise Disconnected("reference")
+    if any(s == t for _, s, t in quiver.arrows):
+        return OTHER
+    return reference_underlying_class(quiver.vertices, [(s, t) for _, s, t in quiver.arrows])
+
+
+def reference_on_cover(vertices, edges):
+    """`reference_graph_class` in the classifier's place: the partial cover
+    built as a `Quiver`."""
+    q = Quiver(list(vertices), [(f"c{i}", u, w) for i, (u, w) in enumerate(edges)])
+    return reference_graph_class(q)
 
 
 def prufer_tree(seq):
@@ -550,14 +704,17 @@ def prufer_tree(seq):
     degree = [1] * n
     for v in seq:
         degree[v] += 1
-    edges = []
+    edges, leaf = [], degree.index(1)
+    ptr = leaf
     for v in seq:
-        leaf = min(u for u in range(n) if degree[u] == 1)
         edges.append((leaf, v))
-        degree[leaf] -= 1
         degree[v] -= 1
-    u, w = (x for x in range(n) if degree[x] == 1)
-    return edges + [(u, w)]
+        if v < ptr and degree[v] == 1:
+            leaf = v
+        else:
+            ptr = degree.index(1, ptr + 1)
+            leaf = ptr
+    return edges + [(leaf, n - 1)]
 
 
 def oriented(edges, flips):
@@ -567,9 +724,10 @@ def oriented(edges, flips):
             for i, ((u, w), flip) in enumerate(zip(edges, flips))]
 
 
-def assert_rule_matches(n, arrows):
-    expected = not graph_class(Quiver(list(range(n)), arrows)).is_dynkin
-    assert _is_nondynkin_bipartite(range(n), arrows) == expected, arrows
+def assert_class_matches(q):
+    got, expected = graph_class(q), reference_graph_class(q)
+    assert (got.kind, got.family, got.index) == (expected.kind, expected.family,
+                                                 expected.index), q.arrows
 
 
 @st.composite
@@ -601,19 +759,43 @@ STAR_ARMS = {"D5": (1, 1, 2), "E6": (1, 2, 2), "E7": (1, 2, 3), "E8": (1, 2, 4),
 
 
 class TestDynkinRule:
+    """The arm rule gives exactly the classes of the former table."""
+
+    def test_prufer_trees_are_every_labelled_tree(self):
+        for n in range(2, 7):
+            seen = {frozenset(map(frozenset, prufer_tree(seq)))
+                    for seq in product(range(n), repeat=n - 2)}
+            assert len(seen) == n ** (n - 2)
+            assert all(len(t) == n - 1 for t in seen)
+
     def test_every_small_labelled_tree(self):
-        # every labelled tree on up to 7 vertices, each with a random orientation
-        rng = random.Random(5)
-        assert_rule_matches(1, [])
-        for n in range(2, 8):
-            for seq in product(range(n), repeat=n - 2):
+        # every labelled tree on up to 8 vertices, with one extra edge that
+        # closes a cycle and with one edge doubled
+        rng = random.Random(30)
+        assert _underlying_class([0], []) == reference_underlying_class([0], [])
+        seen = Counter()
+        for n in range(2, 9):
+            vertices = range(n)
+            for seq in product(vertices, repeat=n - 2):
                 edges = prufer_tree(seq)
-                assert_rule_matches(n, oriented(edges, [rng.random() < 0.5 for _ in edges]))
+                u = int(rng.random() * n)
+                w = (u + 1 + int(rng.random() * (n - 1))) % n
+                for graph in (edges, edges + [(u, w)], edges + [edges[u % (n - 1)]]):
+                    got = _underlying_class(vertices, graph)
+                    expected = reference_underlying_class(vertices, graph)
+                    assert (got.kind, got.family, got.index) == (
+                        expected.kind, expected.family, expected.index), graph
+                    seen[str(got)] += 1
+        # every family on both sides of the boundary occurs
+        for name in ("A8", "D8", "E6", "E7", "E8", "A~1", "A~7", "D~4", "D~7",
+                     "E~6", "E~7", "Other"):
+            assert seen[name], name
 
     @given(trees())
     @settings(max_examples=300, deadline=None)
     def test_random_trees(self, tree):
-        assert_rule_matches(*tree)
+        n, arrows = tree
+        assert_class_matches(Quiver(range(n), arrows))
 
     @given(trees(min_vertices=2, max_vertices=8), st.data())
     @settings(max_examples=150, deadline=None)
@@ -625,19 +807,25 @@ class TestDynkinRule:
         else:
             u, w = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
                                       unique=True))
-        assert_rule_matches(n, arrows + [("extra", u, w)])
+        assert_class_matches(Quiver(range(n), arrows + [("extra", u, w)]))
+
+    @pytest.mark.parametrize("name", list(STAR_ARMS))
+    def test_star_targets(self, name):
+        target = star_target(STAR_ARMS[name])
+        assert_class_matches(target)
+        assert str(graph_class(target)) == name
+        reversed_target = Quiver(target.vertices, [(a, t, s) for a, s, t in target.arrows])
+        assert str(graph_class(reversed_target)) == name
 
     @pytest.mark.parametrize("name", ["D5", "E6", "E7", "E8"])
     def test_dynkin_stars_have_no_cover(self, name):
         target = star_target(STAR_ARMS[name])
-        assert str(graph_class(target)) == name
         assert find_nondynkin_cover(target, len(target.vertices) + 2) is None
 
     @pytest.mark.parametrize("name", ["D~4", "E~6", "E~7", "E~8"])
     def test_euclidean_stars_cover_themselves(self, name):
         target = star_target(STAR_ARMS[name])
         nv = len(target.vertices)
-        assert str(graph_class(target)) == name
         assert find_nondynkin_cover(target, nv - 1) is None
         for bound in (nv, nv + 2):
             cover, phi = find_nondynkin_cover(target, bound)
@@ -661,14 +849,14 @@ def cover_json(found):
 
 
 class TestCoverAnswerIdentity:
-    """The closed-form test returns the covers the `graph_class` test did."""
+    """The arm-rule classifier returns the covers the former table did."""
 
     def test_covers_and_morphisms_unchanged(self, monkeypatch):
         rng = random.Random(28)
         cases = [(square_with_loops(), bound) for bound in (4, 5, 6)]
         cases += [(random_target(rng), rng.randint(4, 6)) for _ in range(1500)]
         got = [cover_json(find_nondynkin_cover(q, bound)) for q, bound in cases]
-        monkeypatch.setattr(quiver_module, "_is_nondynkin_bipartite", graph_class_nondynkin)
+        monkeypatch.setattr(quiver_module, "_underlying_class", reference_on_cover)
         expected = [cover_json(find_nondynkin_cover(q, bound)) for q, bound in cases]
         assert got == expected
         assert any(g is not None for g in got) and any(g is None for g in got)
