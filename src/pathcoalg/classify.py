@@ -17,10 +17,10 @@ from __future__ import annotations
 import functools
 
 from . import hopf
-from .errors import NotCanonical, NotClosed, NotDiscreteParams
+from .errors import NotCanonical, NotDiscreteParams
 from .hopf import validate_params
 from .linalg import axpy, tensor_axpy
-from .scalar import ONE, ZERO, bare, cyc, sqrt
+from .scalar import ONE, bare, cyc, sqrt
 
 
 class IsoWitness:
@@ -33,11 +33,6 @@ class IsoWitness:
         self.kind = kind
         self.alpha = cyc(alpha)
         self.beta = cyc(beta)
-
-    def matrix(self):
-        if self.kind == "phi":
-            return [[self.alpha, ZERO], [ZERO, self.beta]]
-        return [[ZERO, self.alpha], [self.beta, ZERO]]
 
     def to_json(self):
         return {
@@ -57,34 +52,6 @@ class IsoWitness:
 
     def __repr__(self):
         return f"IsoWitness({self.kind}, {self.alpha}, {self.beta})"
-
-
-def witness_from_matrix(mat):
-    """Inverse of IsoWitness.matrix; None when the matrix is neither diagonal
-    nor antidiagonal with nonzero entries."""
-    a, b = mat[0][0], mat[0][1]
-    c, d = mat[1][0], mat[1][1]
-    if b.is_zero() and c.is_zero() and not a.is_zero() and not d.is_zero():
-        return IsoWitness("phi", a, d)
-    if a.is_zero() and d.is_zero() and not b.is_zero() and not c.is_zero():
-        return IsoWitness("psi", b, c)
-    return None
-
-
-def compose(w1, w2):
-    """Composition through the 2x2 representation."""
-    m1, m2 = w1.matrix(), w2.matrix()
-    prod = [
-        [
-            m1[i][0] * m2[0][j] + m1[i][1] * m2[1][j]
-            for j in range(2)
-        ]
-        for i in range(2)
-    ]
-    out = witness_from_matrix(prod)
-    if out is None:
-        raise NotClosed("composition left the witness shapes")
-    return out
 
 
 def _pair_matches_swapped(p1, p2):
@@ -329,26 +296,3 @@ def automorphism_group(params):
         _PRODUCT if product_one else None,
         swap,
     )
-
-
-def rho_representation(witnesses):
-    """2x2 matrices of the grouplike-action representation; checks that the
-    image is multiplicatively closed in shape."""
-    mats = [w.matrix() for w in witnesses]
-    for w1 in witnesses:
-        for w2 in witnesses:
-            compose(w1, w2)  # raises NotClosed on shape failure
-    return mats
-
-
-def centralizer_index(witnesses):
-    """Index of the swap-free subset; the set must be closed under
-    composition."""
-    for w1 in witnesses:
-        for w2 in witnesses:
-            prod = compose(w1, w2)
-            if not any(prod == w for w in witnesses):
-                raise NotClosed(f"{w1} * {w2} = {prod} missing from the set")
-    index = 2 if any(w.kind == "psi" for w in witnesses) else 1
-    assert index <= 2
-    return index

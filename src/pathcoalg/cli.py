@@ -15,8 +15,7 @@ from .coalgebra import (
     CoalgebraMap,
     SubCoalgebra,
     diamond_basis,
-    map_path,
-    path_element,
+    push_forward,
     separability_check,
     verify_covering,
 )
@@ -212,14 +211,7 @@ def cmd_covering(args):
     if not fold.is_valid():
         raise InvalidMorphism("the map file does not define a quiver morphism")
     _log(f"checking covering {dom!r} -> {cod!r}")
-    images = []
-    for b in dom.basis:
-        img = None
-        for p, coeff in sorted(b.terms.items()):
-            term = path_element(cod.quiver, map_path(fold, p), coeff)
-            img = term if img is None else img + term
-        images.append(img)
-    pi = CoalgebraMap(dom, cod, images)
+    pi = CoalgebraMap(dom, cod, push_forward(dom, fold))
     ok, report = verify_covering(pi, diamond_basis(dom), diamond_basis(cod))
     result = {"covering": ok, "report": report}
     overall = ok

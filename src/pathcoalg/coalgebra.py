@@ -38,7 +38,7 @@ from .errors import (
 )
 from .linalg import SparseBasis, SparseElement, accumulate, axpy, nullspace, tensor_axpy
 from .quiver import Path, Quiver
-from .scalar import bare, cyc, parse_scalar
+from .scalar import cyc, parse_scalar
 
 
 def _fmt_path(path):
@@ -112,73 +112,6 @@ def parse_path(quiver, text):
     raise ParseError(f"bad path syntax {text!r}")
 
 
-def _split_top_level(text, seps):
-    """Split at top-level (depth-0) occurrences of characters in seps,
-    keeping the separators.  A sign right after '^', '*', '+', '-', '(' or
-    '/' belongs to an exponent or a scalar, so it is never a split point."""
-    chunks, depth, cur, last = [], 0, "", ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced parentheses in {text!r}")
-        if depth == 0 and ch in seps and cur and not (ch in "+-" and last in "^*+-(/"):
-            chunks.append(cur)
-            cur = ch
-        else:
-            cur += ch
-        if not ch.isspace():
-            last = ch
-    if depth != 0:
-        raise ParseError(f"unbalanced parentheses in {text!r}")
-    if cur:
-        chunks.append(cur)
-    return chunks
-
-
-def _signed_terms(text):
-    """The terms of an element's text, joined by + and -, as (sign, body,
-    term) triples; none for "0"."""
-    text = text.strip()
-    if not text:
-        raise ParseError("empty element")
-    if text == "0":
-        return []
-    out = []
-    for chunk in _split_top_level(text, "+-"):
-        body = chunk.strip()
-        sign = -1 if body[0] == "-" else 1
-        body = body[1:].strip() if body[0] in "+-" else body
-        if not body:
-            raise ParseError(f"dangling sign in {text!r}")
-        out.append((sign, body, chunk))
-    return out
-
-
-def parse_coelement(quiver, text):
-    """Parse the element grammar: `<scalar>*<path>` terms joined by +/-."""
-    terms = {}
-    for sign, body, chunk in _signed_terms(text):
-        # split scalar factor from the trailing path at the last top-level '*'
-        pieces = _split_top_level(body, "*")
-        # pieces alternate: first piece plain, later pieces start with '*'
-        path_str = pieces[-1]
-        if path_str.startswith("*"):
-            path_str = path_str[1:]
-            scalar_str = "".join(pieces[:-1])
-        else:
-            scalar_str = None
-        path_str = path_str.strip()
-        if not (path_str.startswith("e_") or path_str.startswith("(")):
-            raise ParseError(f"missing path in term {chunk!r}")
-        path = parse_path(quiver, path_str)
-        coeff = sign if scalar_str is None else sign * bare(scalar_str)
-        accumulate(terms, path, coeff)
-    return CoElement(quiver, terms)
-
-
 class Diamond:
     """A basis element whose supported paths share a source and a sink."""
 
@@ -246,9 +179,6 @@ class SubCoalgebra:
             return None
         return [cyc(comb.get(i, 0)) for i in range(self.dim)]
 
-    def from_coords(self, coeffs):
-        return CoElement.combination(self.quiver, coeffs, self.basis)
-
     def vertices_used(self):
         vs = set()
         for b in self.basis:
@@ -304,7 +234,10 @@ class SubCoalgebra:
             for entry in data["basis"]:
                 terms = {}
                 for path_str, scalar_str in entry:
-                    terms[parse_path(quiver, path_str)] = parse_scalar(scalar_str)
+                    path = parse_path(quiver, path_str)
+                    if path in terms:
+                        raise ParseError(f"path {path_str!r} listed twice in a basis element")
+                    terms[path] = parse_scalar(scalar_str)
                 basis.append(CoElement(quiver, terms))
         except PathcoalgError:  # many are ValueErrors; they keep their own code
             raise
@@ -518,9 +451,6 @@ class CoalgebraMap:
                 return {"element": str(b), "axiom": "comultiplication"}
         return None
 
-    def is_coalgebra_map(self):
-        return self.coalgebra_map_failure() is None
-
     @staticmethod
     def identity(coalg):
         return CoalgebraMap(coalg, coalg, list(coalg.basis))
@@ -599,27 +529,16 @@ def map_path(morphism, path):
     return Path(v, tuple(morphism.arrow_map[a] for a in path.arrows))
 
 
-def induced_quotient_covering(coalg, morphism):
-    """Push a subcoalgebra along a vertex-gluing quiver morphism; returns the
-    image subcoalgebra and the covering map onto it."""
-    if morphism.domain != coalg.quiver:
-        raise InvalidMorphism("morphism domain must be the ambient quiver")
-    if not morphism.is_valid():
-        raise InvalidMorphism("not a quiver morphism")
-    arrow_imgs = list(morphism.arrow_map.values())
-    if len(arrow_imgs) != len(set(arrow_imgs)) or set(arrow_imgs) != set(
-        morphism.codomain.arrow_by_id
-    ):
-        raise InvalidMorphism("morphism must biject arrows (vertex gluing)")
-    target = morphism.codomain
+def push_forward(coalg, morphism):
+    """The images of the basis of `coalg` under the map of path coalgebras
+    that a valid quiver morphism induces, path by path."""
     images = []
     for b in coalg.basis:
         terms = {}
         for p, c in b.terms.items():
             accumulate(terms, map_path(morphism, p), c)
-        images.append(CoElement(target, terms))
-    image_coalg = span_subcoalgebra(target, images, validate=False)
-    return image_coalg, CoalgebraMap(coalg, image_coalg, images)
+        images.append(CoElement(morphism.codomain, terms))
+    return images
 
 
 class DualAlgebra:
@@ -659,20 +578,6 @@ class DualAlgebra:
         for _, vec in self.idempotents:
             axpy(out, 1, vec)
         return out
-
-    def is_associative(self):
-        mul = self.multiply
-        basis = [{i: 1} for i in range(self.dim)]
-        return all(
-            mul(mul(a, b), c) == mul(a, mul(b, c)) for a in basis for b in basis for c in basis
-        )
-
-    def is_unital(self):
-        one = self.unit()
-        return all(
-            self.multiply(one, {i: 1}) == {i: 1} == self.multiply({i: 1}, one)
-            for i in range(self.dim)
-        )
 
     def radical_basis(self):
         """Basis of the Jacobson radical: the basis vectors that are not

@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import count
 
-from .coalgebra import CoElement, span_subcoalgebra
+from .coalgebra import CoElement
 from .errors import (
     AmbientMismatch,
     InvalidDescription,
@@ -53,6 +53,9 @@ class Comodule:
             if len(row) != self.dim:
                 raise InvalidDescription("coaction matrix must be square")
         self.labels = list(labels) if labels else [f"m{i}" for i in range(self.dim)]
+        if len(self.labels) != self.dim:
+            raise InvalidDescription(
+                f"{len(self.labels)} labels for a comodule of dimension {self.dim}")
         if validate:
             self._validate()
 
@@ -125,12 +128,6 @@ def direct_sum(m1, m2):
     out = Comodule(m1.coalgebra, c, labels, validate=False)
     out.weights = None if None in (m1.weights, m2.weights) else m1.weights + m2.weights
     return out
-
-
-def coefficient_coalgebra(mod):
-    """Span of the coaction entries; closed by the comatrix identity."""
-    entries = [e for row in mod.coaction for e in row if not e.is_zero()]
-    return span_subcoalgebra(mod.coalgebra.quiver, entries)
 
 
 def _check_ambient(m1, m2):
@@ -319,13 +316,6 @@ def loewy_length(mod):
     return len(socle_series_dims(mod))
 
 
-def is_uniserial(mod):
-    """True iff every socle layer is simple (1-dimensional)."""
-    if mod.dim == 0:
-        return False
-    return all(d == 1 for d in socle_series_dims(mod))
-
-
 # -- constructions over grid windows -----------------------------------------
 
 
@@ -487,20 +477,24 @@ def enumerate_indecomposables(params, radius, max_total_dim, truncation=None):
     ]
 
 
-def decide_discrete(params, band_mus=(1, 2, 3)):
+# the band parameters mu of the witness family
+BAND_MUS = (1, 2, 3)
+
+
+def decide_discrete(params):
     """Discrete iff m != n or m = n = 0; otherwise returns a band-family
     witness of pairwise hom-orthogonal equal-dimension-vector
     indecomposables."""
     if params.m != params.n or params.m == 0:
         return {"discrete": True, "witness": None}
-    mods = build_band_family(params, params.n, list(band_mus))
+    mods = build_band_family(params, params.n, list(BAND_MUS))
     pairwise = True
     for i in range(len(mods)):
         for j in range(len(mods)):
             if i != j and hom(mods[i], mods[j]).dim != 0:
                 pairwise = False
     witness = {
-        "band_parameters": [str(cyc(mu)) for mu in band_mus],
+        "band_parameters": [str(cyc(mu)) for mu in BAND_MUS],
         "dimension": mods[0].dim,
         "dimension_vectors_equal": all(
             m.dimension_vector() == mods[0].dimension_vector() for m in mods

@@ -138,10 +138,6 @@ class NotCanonical(PathcoalgError, ValueError):
     code = "NotCanonical"
 
 
-class NotClosed(PathcoalgError, ValueError):
-    code = "NotClosed"
-
-
 # cli
 class UsageError(PathcoalgError, ValueError):
     code = "UsageError"

@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from operator import attrgetter
 
-from .coalgebra import SubCoalgebra, _signed_terms, _split_top_level, path_element
+from .coalgebra import SubCoalgebra, path_element
 from .errors import (
     AxiomFailure,
     ConstraintViolation,
@@ -39,7 +39,6 @@ from .errors import (
     NotClosedUnderDelta,
     ParamMismatch,
     ParityViolation,
-    ParseError,
     WindowTooSmall,
 )
 from .linalg import SparseElement, accumulate, axpy, tensor_axpy
@@ -275,14 +274,6 @@ def group_element(params, i, j):
 
 def basis_element(params, i, j, p, q):
     return BmnElement(params, {(params.canon(i, j), p, q): 1})
-
-
-def gen_a(params):
-    return group_element(params, 1, 0)
-
-
-def gen_b(params):
-    return group_element(params, 0, 1)
 
 
 def gen_x(params):
@@ -741,76 +732,3 @@ def contains_path_combination(params, radius, i, j, c1, c2, truncation=None):
     (xy, at_xy), (yx, at_yx) = sorted(trunc.images[g, 1, 1].terms.items())
     return bare(c1) * at_yx == bare(c2) * at_xy
 
-
-def translate(params, quiver, shift, path):
-    """Translate a grid path by a group element (di, dj)."""
-    di, dj = shift
-    i, j = _parse_grid_label(path.start)
-    start = grid_vertex_label(*params.canon(i + di, j + dj))
-    if start not in quiver.vertex_set:
-        raise WindowTooSmall(f"translated vertex {start} outside the window")
-    arrows = []
-    for aid in path.arrows:
-        kind, _, label = aid.partition("@")
-        ai, aj = _parse_grid_label(label)
-        new_label = grid_vertex_label(*params.canon(ai + di, aj + dj))
-        new_id = f"{kind}@{new_label}"
-        if new_id not in quiver.arrow_by_id:
-            raise WindowTooSmall(f"translated arrow {new_id} outside the window")
-        arrows.append(new_id)
-    out = Path(start, tuple(arrows))
-    if not out.is_valid(quiver):
-        raise WindowTooSmall("translated path leaves the window")
-    return out
-
-
-def _parse_grid_label(label):
-    if not label.startswith("a") or "b" not in label:
-        raise ParseError(f"not a grid vertex label: {label!r}")
-    body = label[1:]
-    i_str, _, j_str = body.partition("b")
-    try:
-        return int(i_str), int(j_str)
-    except ValueError as exc:
-        raise ParseError(f"not a grid vertex label: {label!r}") from exc
-
-
-# -- element grammar ---------------------------------------------------------
-
-
-def _gen_factor(params, name, exponent):
-    if name == "a":
-        return group_element(params, exponent, 0)
-    if name == "b":
-        return group_element(params, 0, exponent)
-    if exponent < 0:
-        raise ParseError(f"{name} is not invertible")
-    base = gen_x(params) if name == "x" else gen_y(params)
-    out = unit(params)
-    for _ in range(exponent):
-        out = out * base
-    return out
-
-
-def parse_bmn_element(params, text):
-    """Parse products of a, b, x, y (with integer exponents on a, b) and
-    scalar literals, joined by + and -."""
-    total = BmnElement(params, {})
-    for sign, body, chunk in _signed_terms(text):
-        term = unit(params) * sign
-        # every factor after the first keeps the '*' it was split at
-        for n, factor in enumerate(_split_top_level(body, "*")):
-            factor = (factor[1:] if n else factor).strip()
-            if not factor:
-                raise ParseError(f"empty factor in {chunk!r}")
-            name, sep, exp_str = factor.partition("^")
-            if name in ("a", "b", "x", "y"):
-                try:
-                    exponent = int(exp_str) if sep else 1
-                except ValueError:
-                    raise ParseError(f"bad exponent in {factor!r}") from None
-                term = term * _gen_factor(params, name, exponent)
-            else:
-                term = term * parse_scalar(factor)
-        total = total + term
-    return total

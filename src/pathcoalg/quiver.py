@@ -101,9 +101,6 @@ class Quiver:
     def out_arrows(self, v):
         return [a for a in self.arrows if a[1] == v]
 
-    def in_arrows(self, v):
-        return [a for a in self.arrows if a[2] == v]
-
     def trivial_path(self, v):
         if v not in self.vertex_set:
             raise UnknownVertex(f"unknown vertex {v!r}")
@@ -149,11 +146,6 @@ class Quiver:
         return len(seen) == len(self.vertices)
 
     # -- serialization ------------------------------------------------------
-
-    def to_text(self):
-        lines = [f"v {v}" for v in self.vertices]
-        lines += [f"a {aid} {src} {dst}" for aid, src, dst in self.arrows]
-        return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_text(text):

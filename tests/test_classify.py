@@ -8,15 +8,11 @@ from pathcoalg.classify import (
     are_isomorphic,
     automorphism_group,
     canonical_form,
-    centralizer_index,
-    compose,
-    rho_representation,
     verify_witness,
-    witness_from_matrix,
 )
-from pathcoalg.errors import NotCanonical, NotClosed, NotDiscreteParams
+from pathcoalg.errors import NotCanonical, NotDiscreteParams
 from pathcoalg.hopf import validate_params
-from pathcoalg.scalar import ONE, ZERO, cyc
+from pathcoalg.scalar import cyc
 
 
 def P(m, n, lam, s, t, k):
@@ -282,52 +278,3 @@ def _d4_elements():
                 out.append(IsoWitness(kind, a, b))
     return out
 
-
-class TestRhoRepresentation:
-    def test_phi_diagonal(self):
-        (mat,) = rho_representation([IsoWitness("phi", 2, 3)])
-        assert mat == [[cyc(2), ZERO], [ZERO, cyc(3)]]
-
-    def test_psi_antidiagonal(self):
-        (mat,) = rho_representation([IsoWitness("psi", 2, 3)])
-        assert mat == [[ZERO, cyc(2)], [cyc(3), ZERO]]
-
-    def test_identity(self):
-        (mat,) = rho_representation([IsoWitness("phi", 1, 1)])
-        assert mat == [[ONE, ZERO], [ZERO, ONE]]
-
-    def test_composition_swaps(self):
-        w = compose(IsoWitness("psi", 1, 1), IsoWitness("phi", 2, 3))
-        assert w.kind == "psi"
-        back = compose(w, IsoWitness("psi", 1, 1))
-        assert back.kind == "phi"
-        # conjugation by the swap exchanges the diagonal entries
-        conj = compose(compose(IsoWitness("psi", 1, 1), IsoWitness("phi", 2, 3)),
-                       IsoWitness("psi", 1, 1))
-        assert conj == IsoWitness("phi", 3, 2)
-
-    def test_two_psi_compose_to_phi(self):
-        w = compose(IsoWitness("psi", "a", 2) if False else IsoWitness("psi", 5, 2),
-                    IsoWitness("psi", 3, 7))
-        assert w.kind == "phi"
-        assert (w.alpha, w.beta) == (cyc(35), cyc(6))
-
-    def test_witness_from_matrix_rejects_mixed(self):
-        assert witness_from_matrix([[ONE, ONE], [ZERO, ONE]]) is None
-
-    def test_d4_multiplicative(self):
-        mats = rho_representation(_d4_elements())
-        assert len(mats) == 8
-
-
-class TestCentralizerIndex:
-    def test_all_phi(self):
-        ws = [IsoWitness("phi", a, b) for a in (1, -1) for b in (1, -1)]
-        assert centralizer_index(ws) == 1
-
-    def test_with_swap(self):
-        assert centralizer_index(_d4_elements()) == 2
-
-    def test_not_closed(self):
-        with pytest.raises(NotClosed):
-            centralizer_index([IsoWitness("phi", 1, 1), IsoWitness("phi", 2, 1)])

@@ -253,7 +253,8 @@ class TestMalformedInput:
         assert code == 2
         assert out["error"] == "ParseError"
 
-    @pytest.mark.parametrize("basis", [None, [[["e_1"]]]], ids=["no-basis", "no-scalar"])
+    @pytest.mark.parametrize("basis", [None, [[["e_1"]]], [[["e_1", "1"], ["e_1", "2"]]]],
+                             ids=["no-basis", "no-scalar", "path-twice"])
     def test_malformed_coalgebra_file(self, capsys, tmp_path, basis):
         data = two_loop_subcoalgebra().to_json()
         if basis is None:

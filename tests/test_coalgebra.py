@@ -8,7 +8,6 @@ from pathcoalg import coalgebra
 from pathcoalg.coalgebra import (
     CoalgebraMap,
     CoElement,
-    Diamond,
     DualAlgebra,
     SubCoalgebra,
     _solve_combination,
@@ -18,13 +17,10 @@ from pathcoalg.coalgebra import (
     ext_quiver,
     gabriel_quiver,
     grouplike,
-    induced_quotient_covering,
     localize,
-    map_path,
-    parse_coelement,
-    parse_path,
     path_coalgebra,
     path_element,
+    push_forward,
     separability_check,
     skew_primitives,
     span_subcoalgebra,
@@ -83,11 +79,31 @@ def covering_example():
         {"1": "1", "2": "2", "3": "1", "4": "2"},
         {"bt": "be", "gt": "ga", "at": "al", "dt": "be"},
     )
-    images = []
-    for b in c.basis:
-        (p, coeff), = b.terms.items()
-        images.append(path_element(d.quiver, map_path(fold, p), coeff))
-    return c, d, CoalgebraMap(c, d, images)
+    return c, d, CoalgebraMap(c, d, push_forward(c, fold))
+
+
+def quotient_covering(coalg, morphism):
+    """The map of `coalg` onto the span of its images under a vertex-gluing
+    quiver morphism: the image subcoalgebra and the map."""
+    images = push_forward(coalg, morphism)
+    image = span_subcoalgebra(morphism.codomain, images)
+    return image, CoalgebraMap(coalg, image, images)
+
+
+def is_associative(alg):
+    mul = alg.multiply
+    basis = [{i: 1} for i in range(alg.dim)]
+    return all(
+        mul(mul(a, b), c) == mul(a, mul(b, c)) for a in basis for b in basis for c in basis
+    )
+
+
+def is_unital(alg):
+    one = alg.unit()
+    return all(
+        alg.multiply(one, {i: 1}) == {i: 1} == alg.multiply({i: 1}, one)
+        for i in range(alg.dim)
+    )
 
 
 class TestDelta:
@@ -172,16 +188,12 @@ class TestValueKinds:
         forbid_boxed_arithmetic()
         assert len(coradical_filtration(window)[0]) == 3
         assert ext_quiver(window).vertices == gabriel_quiver(dualize(window)).vertices
-        q = two_loop_quiver()
-        assert parse_coelement(q, "-1/2*(al|be)+3*(be)-(be)").terms == {
-            Path("1", ("al", "be")): Fraction(-1, 2), Path("1", ("be",)): 2,
-        }
         _, _, pi = covering_example()
         assert verify_covering(pi, diamond_basis(pi.domain), diamond_basis(pi.codomain))[0]
         assert separability_check(pi) and separability_check(six_cycle_covering())
         alg = dualize(localization_example(lam="3/2"))
         corner = localize(alg, [l for l, _ in alg.idempotents if l not in ("a", "b")])
-        assert corner.is_associative() and corner.is_unital()
+        assert is_associative(corner) and is_unital(corner)
         assert str(graph_class(gabriel_quiver(corner))) == "D~7"
 
 
@@ -210,6 +222,14 @@ class TestSubCoalgebra:
         c2 = SubCoalgebra.from_json(c.to_json())
         assert c2.dim == c.dim
         assert all(c2.contains(b) for b in c.basis)
+
+    def test_json_path_listed_twice(self):
+        # a repeated path is an error, not a silent overwrite by its last coefficient
+        data = two_loop_subcoalgebra().to_json()
+        data["basis"][2] = [["(al)", "1"], ["(al)", "2"]]
+        with pytest.raises(ParseError) as info:
+            SubCoalgebra.from_json(data)
+        assert "'(al)'" in str(info.value)
 
 
 class TestDiamondBasis:
@@ -344,7 +364,7 @@ class TestCoradicalFiltration:
 class TestCovering:
     def test_square_covers_two_loops(self):
         c, d, pi = covering_example()
-        assert pi.is_coalgebra_map()
+        assert pi.coalgebra_map_failure() is None
         ok, report = verify_covering(pi, diamond_basis(c), diamond_basis(d))
         assert ok
         assert report["counterexample"] is None
@@ -399,7 +419,7 @@ class TestQuotientCovering:
         q = bipartite_six_cycle()
         c = path_coalgebra(q, 1)
         _, morph = quotient(q, [["1"], ["2", "2x"], ["3", "3x"], ["4"]])
-        image, pi = induced_quotient_covering(c, morph)
+        image, pi = quotient_covering(c, morph)
         assert image.dim == 10  # 4 glued vertices + 6 arrows
         ok, _ = verify_covering(pi, diamond_basis(c), diamond_basis(image))
         assert ok
@@ -409,7 +429,7 @@ class TestQuotientCovering:
         q = square_tilde()
         c = path_coalgebra(q, 2)
         _, morph = quotient(q, [[v] for v in q.vertices])
-        image, pi = induced_quotient_covering(c, morph)
+        image, pi = quotient_covering(c, morph)
         assert image.dim == c.dim
         ok, _ = verify_covering(pi, diamond_basis(c), diamond_basis(image))
         assert ok
@@ -421,7 +441,7 @@ class TestQuotientCovering:
         )
         c = path_coalgebra(q, 1)
         _, morph = quotient(q, [["1", "3"], ["2", "4"]])
-        image, pi = induced_quotient_covering(c, morph)
+        image, pi = quotient_covering(c, morph)
         ok, _ = verify_covering(pi, diamond_basis(c), diamond_basis(image))
         assert ok
         assert separability_check(pi)
@@ -432,8 +452,8 @@ class TestDualAlgebra:
         q = Quiver(["1", "2"], [("a", "1", "2")])
         alg = dualize(path_coalgebra(q, 1))
         assert alg.dim == 3
-        assert alg.is_associative()
-        assert alg.is_unital()
+        assert is_associative(alg)
+        assert is_unital(alg)
         # idempotent duals are orthogonal
         e1 = dict(alg.idempotents)["1"]
         e2 = dict(alg.idempotents)["2"]
@@ -552,7 +572,7 @@ def dense_separability(pi):
 def six_cycle_covering():
     q = bipartite_six_cycle()
     _, morph = quotient(q, [["1"], ["2", "2x"], ["3", "3x"], ["4"]])
-    return induced_quotient_covering(path_coalgebra(q, 1), morph)[1]
+    return quotient_covering(path_coalgebra(q, 1), morph)[1]
 
 
 def four_cycle_covering():
@@ -561,7 +581,7 @@ def four_cycle_covering():
         [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"), ("d", "4", "1")],
     )
     _, morph = quotient(q, [["1", "3"], ["2", "4"]])
-    return induced_quotient_covering(path_coalgebra(q, 1), morph)[1]
+    return quotient_covering(path_coalgebra(q, 1), morph)[1]
 
 
 class TestSeparabilityReference:
@@ -652,7 +672,7 @@ class TestLocalization:
         inner = [l for l, _ in alg.idempotents if l not in ("a", "b")]
         corner = localize(alg, inner)
         assert corner.dim == 19
-        assert corner.is_associative() and corner.is_unital()
+        assert is_associative(corner) and is_unital(corner)
         gq = gabriel_quiver(corner)
         assert len(gq.vertices) == 8
         assert len(gq.arrows) == 7
@@ -784,38 +804,15 @@ def test_ext_quiver_is_gabriel_quiver_of_dual(m, n, radius):
     )
 
 
-class TestGrammar:
-    def test_round_trip(self):
+class TestText:
+    def test_text_form(self):
         q = square_tilde()
         x = (
             path_element(q, Path("1", ("bt", "gt")), cyc("1+z3^1"))
             - path_element(q, Path("1", ("at",)), cyc(Fraction(2, 3)))
             + grouplike(q, "4")
         )
-        assert parse_coelement(q, str(x)) == x
-
-    def test_forms(self):
-        q = square_tilde()
-        assert parse_coelement(q, "e_1") == grouplike(q, "1")
-        assert parse_coelement(q, "-(bt)") == path_element(q, Path("1", ("bt",)), -1)
-        assert parse_coelement(q, "2*(bt|gt)") == path_element(
-            q, Path("1", ("bt", "gt")), 2
-        )
-        assert parse_coelement(q, "0").is_zero()
-
-    def test_sign_inside_a_term(self):
-        # a sign right after '*' or '^' belongs to the scalar, not a new term
-        q = square_tilde()
-        assert parse_coelement(q, "3*-z4*e_1") == grouplike(q, "1") * cyc("-3*z4")
-        assert parse_coelement(q, "z4^-1*(bt)-2*-1*e_1") == (
-            path_element(q, Path("1", ("bt",)), cyc("-z4")) + grouplike(q, "1") * 2
-        )
-
-    def test_errors(self):
-        q = square_tilde()
-        for bad in ["", "e_9", "(zz)", "(gt|bt)", "2*", "(bt)+"]:
-            with pytest.raises(ParseError):
-                parse_coelement(q, bad)
+        assert str(x) == "1*e_4+(-2/3)*(at)+(1+z3^1)*(bt|gt)"
 
 
 # -- the coradical filtration and the Ext-quiver against the iterative route --
@@ -852,7 +849,7 @@ def reference_coradical_filtration(coalg):
         members = []
         nxt = SparseBasis()
         for c in sols:
-            x = coalg.from_coords(c)
+            x = CoElement.combination(quiver, c, coalg.basis)
             if not x.is_zero() and nxt.add(dict(x.terms)):
                 members.append(x)
         if nxt.dim <= current.dim:

@@ -14,13 +14,11 @@ from pathcoalg.comodules import (
     build_diamond,
     build_simple,
     build_string,
-    coefficient_coalgebra,
     decide_discrete,
     direct_sum,
     enumerate_indecomposables,
     hom,
     is_indecomposable,
-    is_uniserial,
     loewy_length,
     socle_series_dims,
 )
@@ -32,7 +30,7 @@ from pathcoalg.errors import (
     WindowTooSmall,
 )
 from pathcoalg.coalgebra import CoElement, SubCoalgebra, path_element
-from pathcoalg.hopf import _parse_grid_label, truncate_to_subcoalgebra, validate_params
+from pathcoalg.hopf import truncate_to_subcoalgebra, validate_params
 from pathcoalg.linalg import accumulate, nullspace
 from pathcoalg.quiver import Path, grid_vertex_label
 from pathcoalg.scalar import ONE, ZERO, CycScalar, cyc
@@ -140,28 +138,18 @@ class TestConstruction:
             "Delta gives 0, sum_l c_il (x) c_lj gives -1/2"
         )
 
+    def test_label_count_must_match_dimension(self, free_trunc):
+        e = build_simple(free_trunc, 0, 0).coaction[0][0]
+        with pytest.raises(InvalidDescription) as info:
+            Comodule(free_trunc.coalgebra, [[e]], ["p", "q", "r"])
+        assert str(info.value) == "3 labels for a comodule of dimension 1"
+        assert Comodule(free_trunc.coalgebra, [[e]], ["p"]).to_json()["labels"] == ["p"]
+
     def test_json_round_trip_shape(self, free_trunc):
         d = build_diamond(free_trunc, -1, 0)
         data = d.to_json()
         assert data["dimension"] == 4
         assert len(data["coaction"]) == 4
-
-
-class TestCoefficientCoalgebra:
-    def test_simple(self, free_trunc):
-        c = coefficient_coalgebra(build_simple(free_trunc, 0, 1))
-        assert c.dim == 1
-
-    def test_diamond(self, free_trunc):
-        # 4 grouplikes + 4 arrows + the length-2 combination
-        c = coefficient_coalgebra(build_diamond(free_trunc, 0, 0))
-        assert c.dim == 9
-
-    def test_string(self, free_trunc):
-        c = coefficient_coalgebra(
-            build_string(free_trunc, StringSpec((0, 0), "x", 2))
-        )
-        assert c.dim == 5
 
 
 class TestHom:
@@ -489,24 +477,19 @@ class TestIsomorphism:
             assert are_isomorphic(m, n) == (sorted(left) == sorted(right))
 
 
-class TestSocleAndUniserial:
-    def test_simple_uniserial(self, free_trunc):
+class TestSocleSeries:
+    def test_simple(self, free_trunc):
         s = build_simple(free_trunc, 0, 0)
-        assert is_uniserial(s)
+        assert socle_series_dims(s) == [1]
         assert loewy_length(s) == 1
 
-    def test_single_arrow_string_uniserial(self, free_trunc):
+    def test_single_arrow_string(self, free_trunc):
         m = build_string(free_trunc, StringSpec((0, 0), "x", 1))
-        assert is_uniserial(m)
+        assert socle_series_dims(m) == [1, 1]
         assert loewy_length(m) == 2
 
-    def test_valley_string_not_uniserial(self, free_trunc):
-        m = build_string(free_trunc, StringSpec((0, 0), "x", 2))
-        assert not is_uniserial(m)
-
-    def test_diamond_not_uniserial(self, free_trunc):
+    def test_diamond(self, free_trunc):
         d = build_diamond(free_trunc, 0, 0)
-        assert not is_uniserial(d)
         assert socle_series_dims(d) == [1, 2, 1]
         assert loewy_length(d) == 3
 
@@ -649,6 +632,7 @@ def _old_bands(params, length, mus, trunc):
 def _old_enumerate(params, radius, max_total_dim):
     trunc = truncate_to_subcoalgebra(params, radius)
     window = set(trunc.window)
+    window_labels = {grid_vertex_label(*g) for g in window}
     out, seen = [], set()
     if max_total_dim >= 1:
         out += [("simple", (g,), _old_simple(trunc, *g)) for g in sorted(window)]
@@ -667,7 +651,7 @@ def _old_enumerate(params, radius, max_total_dim):
                             mod = _old_string(trunc, StringSpec(g, first, length, up_first))
                         except (WindowTooSmall, InvalidSpec):
                             break
-                        if not all(_parse_grid_label(lbl) in window for lbl in mod.labels):
+                        if not set(mod.labels) <= window_labels:
                             break
                         nodes = frozenset(mod.labels)
                         key = (nodes, frozenset(p for row in mod.coaction for e in row

@@ -39,6 +39,10 @@ from pathcoalg.quiver import (
 )
 
 
+def in_arrows(q, v):
+    return [a for a in q.arrows if a[2] == v]
+
+
 class TestGridQuiver:
     def test_free_grid_counts(self):
         q = grid_quiver(0, 0, 1)
@@ -82,7 +86,7 @@ class TestGridQuiver:
         interior = {f"a{i}b{j}" for i in range(-2, 3) for j in range(-2, 3)}
         for v in interior:
             assert len(q.out_arrows(v)) == 2
-            assert len(q.in_arrows(v)) == 2
+            assert len(in_arrows(q, v)) == 2
 
 
 class TestPath:
@@ -174,7 +178,7 @@ class TestStar:
         q = grid_quiver(0, 0, 2)
         s = star(q, "a0b0")
         assert len(s.vertices) == 5
-        assert len(s.in_arrows("a0b0")) == 2
+        assert len(in_arrows(s, "a0b0")) == 2
         assert len(s.out_arrows("a0b0")) == 2
 
     def test_single_vertex(self):
@@ -339,7 +343,7 @@ class TestHomogeneityIdentity:
             got = check_homogeneous(q, subset)
             # the witness maps and per-vertex entries keep their order too
             assert json.dumps(got) == json.dumps(reference_check_homogeneous(q, subset)), (
-                q.to_text(), subset)
+                q.to_json(), subset)
             homogeneous += got["is_homogeneous"] and bool(got["star_iso_witnesses"])
         assert homogeneous > 100
 
@@ -612,7 +616,7 @@ class TestNonDynkinCover:
         assert not graph_class(cover).is_dynkin
         # bipartite: every vertex is a pure source or a pure sink
         for v in cover.vertices:
-            assert not (cover.out_arrows(v) and cover.in_arrows(v))
+            assert not (cover.out_arrows(v) and in_arrows(cover, v))
         # arrow map injective (vertex-gluing morphisms keep arrows distinct)
         imgs = list(phi.arrow_map.values())
         assert len(imgs) == len(set(imgs))
@@ -880,11 +884,10 @@ class TestLinkComponent:
 
 
 class TestSerialization:
-    def test_text_round_trip(self):
-        q = grid_quiver(2, 0, 1)
-        q2 = Quiver.from_text(q.to_text())
-        assert q2.vertices == q.vertices
-        assert q2.arrows == q.arrows
+    def test_text_format(self):
+        q = Quiver.from_text("# two vertices\nv 1\nv 2\n\na al 1 2\n  a be 2 2\n")
+        assert q.vertices == ["1", "2"]
+        assert q.arrows == [("al", "1", "2"), ("be", "2", "2")]
 
     def test_json_round_trip(self):
         q = square_with_loops()
