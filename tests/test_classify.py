@@ -269,6 +269,30 @@ class TestAutomorphismGroup:
         for w in elements:
             assert verify_witness(w, p, p)
 
+    @pytest.mark.parametrize("raw,family,name,swap", TABLE_I + TABLE_II)
+    def test_constraints_match_witnesses(self, raw, family, name, swap):
+        # phi(alpha, beta) is an automorphism iff alpha and beta meet the
+        # row's constraints; psi is one on the same scalars iff the row has
+        # the swap (at skewing scalar -1 the relation check also admits psi,
+        # see TestVerifyWitness)
+        p = P(*raw)
+        constraints = automorphism_group(p).to_json()["constraints"]
+        scalars = [cyc(c) for c in (1, -1, 2, "1/2", "z4", "z4^3")]
+
+        def allowed(alpha, beta):
+            square = {"any": lambda c: True, "square is 1": lambda c: c * c == cyc(1)}
+            return (square[constraints["alpha"]](alpha) and square[constraints["beta"]](beta)
+                    and (constraints["alpha_beta"] is None or alpha * beta == cyc(1)))
+
+        for alpha in scalars:
+            for beta in scalars:
+                assert verify_witness(IsoWitness("phi", alpha, beta), p, p) == allowed(alpha, beta)
+                psi = verify_witness(IsoWitness("psi", alpha, beta), p, p)
+                if swap:
+                    assert psi == allowed(alpha, beta)
+                elif p.lam == cyc(1):
+                    assert not psi
+
 
 def _d4_elements():
     out = []
@@ -278,3 +302,52 @@ def _d4_elements():
                 out.append(IsoWitness(kind, a, b))
     return out
 
+
+
+def compose(second, first):
+    """The witness `second` after `first`: each generator's image under
+    `first`, scaled, then mapped by `second` (phi fixes x and y, psi swaps
+    them; alpha scales the image of x and beta that of y)."""
+    def image(w, gen):
+        target = gen if w.kind == "phi" else {"x": "y", "y": "x"}[gen]
+        return target, w.alpha if gen == "x" else w.beta
+
+    scaled = {}
+    for gen in ("x", "y"):
+        mid, c = image(first, gen)
+        target, d = image(second, mid)
+        scaled[gen] = (target, c * d)
+    kind = "phi" if scaled["x"][0] == "x" else "psi"
+    return IsoWitness(kind, scaled["x"][1], scaled["y"][1])
+
+
+class TestWitnessComposition:
+    def test_automorphisms_closed_under_composition(self):
+        for p, elements in [
+            (P(0, 0, 1, 1, 1, 0), _d4_elements()),
+            (P(2, -2, 1, 0, 0, 1), [IsoWitness(kind, c, cyc(c).inverse())
+                                    for kind in ("phi", "psi") for c in (1, -1, 2, "z4")]),
+        ]:
+            assert all(verify_witness(w, p, p) for w in elements)
+            for w1 in elements:
+                for w2 in elements:
+                    assert verify_witness(compose(w1, w2), p, p)
+
+    def test_two_swaps_compose_to_phi(self):
+        w = compose(IsoWitness("psi", 5, 2), IsoWitness("psi", 3, 7))
+        assert w == IsoWitness("phi", 6, 35)
+        assert compose(IsoWitness("psi", 1, 1), IsoWitness("phi", 2, 3)) == IsoWitness("psi", 2, 3)
+        # conjugation by the swap exchanges the scalars
+        conj = compose(IsoWitness("psi", 1, 1),
+                       compose(IsoWitness("phi", 2, 3), IsoWitness("psi", 1, 1)))
+        assert conj == IsoWitness("phi", 3, 2)
+
+    def test_isomorphisms_compose(self):
+        # B(3, 1) -> B(1, 3) by a swap, then a rescaling of s inside B(1, 3)
+        p1, p2, p3 = P(3, 1, 1, 1, 1, 0), P(1, 3, 1, 1, 1, 0), P(1, 3, 1, 4, 1, 0)
+        w12, w23 = are_isomorphic(p1, p2), are_isomorphic(p2, p3)
+        assert w12.kind == "psi" and w23.kind == "phi"
+        assert verify_witness(compose(w23, w12), p1, p3)
+        # the order matters: the rescaling first scales the wrong generator
+        assert not verify_witness(compose(w12, w23), p1, p3)
+        assert not verify_witness(compose(w23, w12), p1, p2)

@@ -18,6 +18,8 @@ from pathcoalg.coalgebra import (
     gabriel_quiver,
     grouplike,
     localize,
+    map_path,
+    parse_path,
     path_coalgebra,
     path_element,
     push_forward,
@@ -802,6 +804,58 @@ def test_ext_quiver_is_gabriel_quiver_of_dual(m, n, radius):
     assert sorted((src, dst) for _, src, dst in ext.arrows) == sorted(
         (src, dst) for _, src, dst in gab.arrows
     )
+
+
+class TestParsePath:
+    """The path syntax of coalgebra files: e_v for a vertex, (a|b|...) for a
+    composable arrow sequence."""
+
+    def test_forms(self):
+        q = square_tilde()
+        assert parse_path(q, "e_1") == Path("1")
+        assert parse_path(q, "(bt)") == Path("1", ("bt",))
+        assert parse_path(q, " ( bt | gt ) ") == Path("1", ("bt", "gt"))
+
+    def test_errors(self):
+        q = square_tilde()
+        for bad in ["", "e_9", "(zz)", "(gt|bt)", "()", "(bt|)", "bt", "1", "(bt"]:
+            with pytest.raises(ParseError):
+                parse_path(q, bad)
+
+
+class TestPushForward:
+    def test_identity_morphism(self):
+        q = square_tilde()
+        c = path_coalgebra(q, 2)
+        ident = QuiverMorphism(q, q, {v: v for v in q.vertices},
+                               {a: a for a, _, _ in q.arrows})
+        assert push_forward(c, ident) == list(c.basis)
+
+    def test_maps_path_by_path(self):
+        c, d, _ = covering_example()
+        fold = QuiverMorphism(
+            square_tilde(), d.quiver,
+            {"1": "1", "2": "2", "3": "1", "4": "2"},
+            {"bt": "be", "gt": "ga", "at": "al", "dt": "be"},
+        )
+        expected = []
+        for b in c.basis:
+            (p, coeff), = b.terms.items()
+            expected.append(path_element(d.quiver, map_path(fold, p), coeff))
+        assert push_forward(c, fold) == expected
+
+    def test_coefficients_add_on_one_image(self):
+        # both sides of the square go to the one path (u|v), so the diamond
+        # (bt|gt) - (at|dt) goes to 0 and (bt|gt) + 2*(at|dt) to 3*(u|v)
+        q = square_tilde()
+        line = Quiver(["1", "2", "4"], [("u", "1", "2"), ("v", "2", "4")])
+        squash = QuiverMorphism(q, line, {"1": "1", "2": "2", "3": "2", "4": "4"},
+                                {"bt": "u", "at": "u", "gt": "v", "dt": "v"})
+        top, bottom = path_element(q, Path("1", ("bt", "gt"))), path_element(q, Path("1", ("at", "dt")))
+        c = SubCoalgebra(q, [top - bottom, top + bottom * 2], validate=False)
+        zero, three = push_forward(c, squash)
+        assert zero.is_zero()
+        assert three == path_element(line, Path("1", ("u", "v")), 3)
 
 
 class TestText:

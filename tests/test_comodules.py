@@ -29,7 +29,7 @@ from pathcoalg.errors import (
     RequiresMEqualsN,
     WindowTooSmall,
 )
-from pathcoalg.coalgebra import CoElement, SubCoalgebra, path_element
+from pathcoalg.coalgebra import CoElement, SubCoalgebra, path_element, span_subcoalgebra
 from pathcoalg.hopf import truncate_to_subcoalgebra, validate_params
 from pathcoalg.linalg import accumulate, nullspace
 from pathcoalg.quiver import Path, grid_vertex_label
@@ -150,6 +150,29 @@ class TestConstruction:
         data = d.to_json()
         assert data["dimension"] == 4
         assert len(data["coaction"]) == 4
+
+
+class TestCoefficientCoalgebra:
+    """The coaction entries of a comodule span a subcoalgebra (the comatrix
+    identity Delta(c_ij) = sum_l c_il (x) c_lj), the coefficient coalgebra."""
+
+    @staticmethod
+    def coefficients(mod):
+        entries = [e for row in mod.coaction for e in row if not e.is_zero()]
+        span = span_subcoalgebra(mod.coalgebra.quiver, entries)
+        assert all(span.contains(e) for e in entries)
+        return span
+
+    def test_simple(self, free_trunc):
+        assert self.coefficients(build_simple(free_trunc, 0, 1)).dim == 1
+
+    def test_diamond(self, free_trunc):
+        # 4 grouplikes + 4 arrows + the length-2 combination
+        assert self.coefficients(build_diamond(free_trunc, 0, 0)).dim == 9
+
+    def test_string(self, free_trunc):
+        m = build_string(free_trunc, StringSpec((0, 0), "x", 2))
+        assert self.coefficients(m).dim == 5
 
 
 class TestHom:
@@ -486,6 +509,12 @@ class TestSocleSeries:
     def test_single_arrow_string(self, free_trunc):
         m = build_string(free_trunc, StringSpec((0, 0), "x", 1))
         assert socle_series_dims(m) == [1, 1]
+        assert loewy_length(m) == 2
+
+    def test_valley_string(self, free_trunc):
+        # two arrows into or out of one middle vertex: a two-dimensional layer
+        m = build_string(free_trunc, StringSpec((0, 0), "x", 2))
+        assert socle_series_dims(m) == [2, 1]
         assert loewy_length(m) == 2
 
     def test_diamond(self, free_trunc):

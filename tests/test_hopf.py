@@ -436,6 +436,52 @@ class TestPathMembership:
                 contains_path_combination(p, 1, i, j, ONE, -p.lam, truncation=tr)
 
 
+class TestTranslate:
+    """Left multiplication by a group element translates the grid: it shifts
+    every basis monomial and, in the truncation, every path."""
+
+    def test_examples(self):
+        p = params_free()
+        tr = truncate_to_subcoalgebra(p, 2)
+        u = basis_element(p, 0, 0, 1, 1)
+        assert group_element(p, 1, 0) * u == basis_element(p, 1, 0, 1, 1)
+        assert group_element(p, 0, 0) * u == u
+        assert tr.image_of(0, 0, 1, 1).support() == [
+            Path("a0b0", ("x@a0b0", "y@a1b0")), Path("a0b0", ("y@a0b0", "x@a0b1"))]
+        assert tr.image_of(1, 0, 1, 1).support() == [
+            Path("a1b0", ("x@a1b0", "y@a2b0")), Path("a1b0", ("y@a1b0", "x@a1b1"))]
+        assert tr.image_of(0, 1, 0, 1).support() == [Path("a0b1", ("y@a0b1",))]
+
+    def test_folding(self):
+        p = validate_params(3, 1, 1, 0, 0, 0)
+        tr = truncate_to_subcoalgebra(p, 2)
+        # shifting a^2 by a wraps to (0, 1)
+        assert group_element(p, 1, 0) * group_element(p, 2, 0) == group_element(p, 0, 1)
+        assert tr.image_of(3, 0, 0, 0) == tr.image_of(0, 1, 0, 0) == path_element(
+            tr.quiver, Path("a0b1"))
+
+    def test_leaves_window(self):
+        p = params_free()
+        tr = truncate_to_subcoalgebra(p, 1)
+        assert group_element(p, 10, 0) * unit(p) == group_element(p, 10, 0)
+        with pytest.raises(WindowTooSmall):
+            tr.image_of(10, 0, 0, 0)
+
+    @pytest.mark.parametrize("shift", [(1, 0), (0, 1), (-2, 3)])
+    def test_shift_commutes_with_comultiply(self, shift):
+        # Delta(g u) = (g (x) g) Delta(u) for a grouplike g
+        p = params_free(k="5")
+        g = group_element(p, *shift)
+
+        def moved(key):
+            (i, j), a, b = key
+            return p.canon(i + shift[0], j + shift[1]), a, b
+
+        for u in (basis_element(p, 0, 0, 1, 1), basis_element(p, -1, 2, 1, 0), unit(p)):
+            assert comultiply(g * u).terms == {
+                (moved(l), moved(r)): c for (l, r), c in comultiply(u).terms.items()}
+
+
 class TestText:
     def test_text_form(self):
         p = params_free(k="5")
