@@ -122,15 +122,6 @@ class Diamond:
         self.source = source
         self.sink = sink
 
-    @staticmethod
-    def from_element(element):
-        quiver = element.quiver
-        sources = {p.start for p in element.terms}
-        sinks = {p.target(quiver) for p in element.terms}
-        if len(sources) != 1 or len(sinks) != 1:
-            raise BasisNotDiamond(f"element {element} is not a diamond")
-        return Diamond(element, sources.pop(), sinks.pop())
-
     def __eq__(self, other):
         if not isinstance(other, Diamond):
             return NotImplemented
@@ -186,14 +177,6 @@ class SubCoalgebra:
                 vs.add(p.start)
                 vs.add(p.target(self.quiver))
         return sorted(vs)
-
-    def grouplikes(self):
-        """Vertices v with e_v in the subcoalgebra."""
-        out = []
-        for v in self.vertices_used():
-            if self.contains(grouplike(self.quiver, v)):
-                out.append(v)
-        return out
 
     def _validate(self):
         for b in self.basis:
@@ -255,14 +238,15 @@ def path_coalgebra(quiver, max_length):
     return SubCoalgebra(quiver, basis, validate=False)
 
 
-def span_subcoalgebra(quiver, elements, validate=True):
-    """Subcoalgebra spanned by the given elements (dependencies dropped)."""
+def span_subcoalgebra(quiver, elements):
+    """Subcoalgebra spanned by the given elements (dependencies dropped),
+    validated."""
     engine = SparseBasis()
     basis = []
     for e in elements:
         if not e.is_zero() and engine.add(dict(e.terms)):
             basis.append(e)
-    return SubCoalgebra(quiver, basis, validate=validate)
+    return SubCoalgebra(quiver, basis)
 
 
 def diamond_basis(coalg):
@@ -451,27 +435,15 @@ class CoalgebraMap:
                 return {"element": str(b), "axiom": "comultiplication"}
         return None
 
-    @staticmethod
-    def identity(coalg):
-        return CoalgebraMap(coalg, coalg, list(coalg.basis))
-
-
-def _as_diamonds(basis):
-    out = []
-    for b in basis:
-        out.append(b if isinstance(b, Diamond) else Diamond.from_element(b))
-    return out
-
 
 def verify_covering(pi, basis_dom, basis_cod):
-    """Check the covering conditions for pi with the given diamond bases.
+    """Check the covering conditions for pi with the given diamond bases,
+    lists of `Diamond`s such as `diamond_basis` gives.
 
     Returns (ok, report); on failure the report carries a counterexample."""
-    bd = _as_diamonds(basis_dom)
-    bc = _as_diamonds(basis_cod)
     report = {
-        "domain_basis_size": len(bd),
-        "codomain_basis_size": len(bc),
+        "domain_basis_size": len(basis_dom),
+        "codomain_basis_size": len(basis_cod),
         "counterexample": None,
     }
 
@@ -480,7 +452,8 @@ def verify_covering(pi, basis_dom, basis_cod):
         report["is_covering"] = False
         return False, report
 
-    for coalg, basis, name in ((pi.domain, bd, "domain"), (pi.codomain, bc, "codomain")):
+    for coalg, basis, name in ((pi.domain, basis_dom, "domain"),
+                               (pi.codomain, basis_cod, "codomain")):
         engine = SparseBasis()
         for d in basis:
             if not coalg.contains(d.element):
@@ -502,9 +475,9 @@ def verify_covering(pi, basis_dom, basis_cod):
     if witness is not None:
         return fail("not a coalgebra map", witness)
 
-    cod_elems = {d.element for d in bc}
+    cod_elems = {d.element for d in basis_cod}
     images = {}
-    for d in bd:
+    for d in basis_dom:
         img = pi.apply(d.element)
         if img not in cod_elems:
             return fail("image of a basis diamond is not a basis diamond", str(d.element))
@@ -512,8 +485,8 @@ def verify_covering(pi, basis_dom, basis_cod):
     if {i for i in images.values()} != cod_elems:
         return fail("basis image does not cover the codomain basis")
 
-    for i, d1 in enumerate(bd):
-        for d2 in bd[i + 1 :]:
+    for i, d1 in enumerate(basis_dom):
+        for d2 in basis_dom[i + 1 :]:
             if d1.source == d2.source or d1.sink == d2.sink:
                 if images[d1] == images[d2]:
                     return fail(
@@ -623,7 +596,13 @@ def dualize(coalg):
 
 
 def localize(algebra, idempotent_labels):
-    """The corner algebra eAe for e the sum of the chosen vertex idempotents."""
+    """The corner algebra eAe for e the sum of the chosen vertex idempotents.
+
+    The algebra is pointed in its basis, so e d_k e is d_k or 0 (see
+    `DualAlgebra`): eAe is spanned by the d_k with e d_k e = d_k, and for
+    two of them d_i d_j = e d_i d_j e lies in that span.  The corner keeps
+    those d_k in their order and renumbers the structure cells and the
+    idempotents among them; any other e d_k e raises InvalidDescription."""
     chosen = list(idempotent_labels)
     if not chosen:
         raise EmptySubset("need at least one idempotent")
@@ -631,31 +610,28 @@ def localize(algebra, idempotent_labels):
     missing = [l for l in chosen if l not in by_label]
     if missing:
         raise UnknownVertex(f"unknown idempotents {missing!r}")
+    repeated = sorted({l for l in chosen if chosen.count(l) > 1})
+    if repeated:
+        raise InvalidDescription(f"idempotents chosen more than once: {repeated!r}")
     e = {}
     for l in chosen:
         axpy(e, 1, by_label[l])
-    engine = SparseBasis(coords=True)
-    basis = []
+    new = {}  # kept index k -> its number in the corner
     for k in range(algebra.dim):
         w = algebra.multiply(algebra.multiply(e, {k: 1}), e)
-        if engine.add(w, len(basis)):
-            basis.append(w)
-    dim = len(basis)
+        if w == {k: 1}:
+            new[k] = len(new)
+        elif w:
+            raise InvalidDescription(f"e d_{k} e is neither d_{k} nor 0")
 
-    def coords(vec):
-        comb = engine.coords(vec)
-        if comb is None:
-            raise InvalidDescription("product escaped the corner algebra")
-        return comb
+    def renumber(vec):
+        return {new[k]: c for k, c in vec.items()}
 
-    structure = {}
-    for i in range(dim):
-        for j in range(dim):
-            cell = coords(algebra.multiply(basis[i], basis[j]))
-            if cell:
-                structure[(i, j)] = cell
-    idempotents = [(l, coords(by_label[l])) for l in chosen]
-    return DualAlgebra(dim, structure, idempotents)
+    structure = {(new[i], new[j]): renumber(cell)
+                 for (i, j), cell in algebra.structure.items()
+                 if cell and i in new and j in new}
+    idempotents = [(l, renumber(by_label[l])) for l in chosen]
+    return DualAlgebra(len(new), structure, idempotents)
 
 
 def gabriel_quiver(algebra):

@@ -258,57 +258,34 @@ def are_isomorphic(m1, m2):
 # -- socle series ------------------------------------------------------------
 
 
-def _socle_vectors(mod):
-    """Vectors v with rho(v) in M (x) C_0."""
-    rows = []
-    for i in range(mod.dim):
-        per_path = {}
-        for j in range(mod.dim):
-            for p, coeff in mod.coaction[i][j].terms.items():
-                if p.length > 0:
-                    per_path.setdefault(p, {})
-                    accumulate(per_path[p], j, coeff)
-        rows.extend(row for row in per_path.values() if row)
-    return nullspace(rows, mod.dim)
-
-
-def _quotient_comodule(mod, sub_vectors):
-    engine = SparseBasis()
-    for v in sub_vectors:
-        engine.add(dict(enumerate(v)))
-    keep = [i for i in range(mod.dim) if i not in engine.rows]
-    # residues of the unit vectors give the projection onto the complement
-    proj = []
-    for i in range(mod.dim):
-        res, _ = engine.residue({i: 1})
-        proj.append(res)
-    zero = CoElement(mod.coalgebra.quiver, {})
-    c = [[zero] * len(keep) for _ in range(len(keep))]
-    for jj, j in enumerate(keep):
-        for i in range(mod.dim):
-            entry = mod.coaction[i][j]
-            if entry.is_zero():
-                continue
-            for ii, knew in enumerate(keep):
-                w = proj[i].get(knew)
-                if w:
-                    c[ii][jj] = c[ii][jj] + entry * w
-    labels = [mod.labels[i] for i in keep]
-    return Comodule(mod.coalgebra, c, labels, validate=False)
-
-
 def socle_series_dims(mod):
-    """Dimensions of the socle layers, bottom first."""
-    dims = []
-    current = mod
-    while current.dim > 0:
-        soc = _socle_vectors(current)
-        if not soc:
-            raise InvalidDescription("socle vanished on a nonzero comodule")
-        dims.append(len(soc))
-        if len(soc) == current.dim:
+    """Dimensions of the socle layers, bottom first.
+
+    soc^n M = rho^-1(M (x) C_{n-1}), and C_{n-1} is C intersected with the
+    paths of length < n (Montgomery 1993, 5.2).  So v lies in soc^n M iff
+    sum_j v_j c_ij has no path of length >= n for every i, and dim soc^n M
+    is dim M minus the rank of the rows {j: c_ij[p]} with p of length >= n,
+    read off one elimination that adds the rows longest first."""
+    rows = {}  # length n -> {(i, p): {j: c_ij[p]}} over the paths p of length n
+    for i, row in enumerate(mod.coaction):
+        for j, entry in enumerate(row):
+            for p, coeff in entry.terms.items():
+                if p.length > 0:
+                    rows.setdefault(p.length, {}).setdefault((i, p), {})[j] = coeff
+    engine = SparseBasis()
+    socles = [mod.dim]  # dim soc^n M for n = top + 1 down to 1
+    for n in range(max(rows, default=0), 0, -1):
+        for r in rows.get(n, {}).values():
+            engine.add(r)
+        socles.append(mod.dim - engine.dim)
+    dims, below = [], 0
+    for soc in reversed(socles):
+        if below == mod.dim:
             break
-        current = _quotient_comodule(current, soc)
+        if soc == below:
+            raise InvalidDescription("socle vanished on a nonzero comodule")
+        dims.append(soc - below)
+        below = soc
     return dims
 
 

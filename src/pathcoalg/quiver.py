@@ -2,7 +2,7 @@
 
 Quivers are finite directed multigraphs with labeled vertices and identified
 arrows.  This module provides the folded grid quivers attached to the abelian
-groups <a, b | ab=ba, a^m=b^n>, star quivers, homogeneity checks, quotient
+groups <a, b | ab=ba, a^m=b^n>, homogeneity checks, quotient
 (vertex-gluing) morphisms, and one Dynkin/Euclidean classifier, by the arm
 rule, for `graph_class` and a bounded exhaustive search for bipartite
 non-Dynkin covers.
@@ -263,15 +263,6 @@ def grid_quiver(m, n, radius):
 
 
 # -- stars and homogeneity --------------------------------------------------
-
-
-def star(quiver, v):
-    """Subquiver on v, its neighbors, and all arrows incident to v."""
-    if v not in quiver.vertex_set:
-        raise UnknownVertex(f"unknown vertex {v!r}")
-    incident = [a for a in quiver.arrows if a[1] == v or a[2] == v]
-    verts = [v] + sorted({w for _, s, t in incident for w in (s, t) if w != v})
-    return Quiver(verts, incident)
 
 
 def _star_records(quiver):

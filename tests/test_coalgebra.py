@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from pathcoalg.errors import (
     ParseError,
 )
 from pathcoalg.hopf import truncate_to_subcoalgebra, validate_params
-from pathcoalg.linalg import SparseBasis, accumulate, nullspace
+from pathcoalg.linalg import SparseBasis, accumulate, axpy, nullspace
 from pathcoalg.quiver import Path, Quiver, QuiverMorphism, graph_class, grid_quiver, quotient
 from pathcoalg.scalar import ONE, ZERO, CycScalar, cyc
 
@@ -90,6 +91,11 @@ def quotient_covering(coalg, morphism):
     images = push_forward(coalg, morphism)
     image = span_subcoalgebra(morphism.codomain, images)
     return image, CoalgebraMap(coalg, image, images)
+
+
+def identity_map(coalg):
+    """The identity of a subcoalgebra, a covering of itself."""
+    return CoalgebraMap(coalg, coalg, list(coalg.basis))
 
 
 def is_associative(alg):
@@ -203,7 +209,7 @@ class TestSubCoalgebra:
     def test_valid_construction(self):
         c = two_loop_subcoalgebra()
         assert c.dim == 7
-        assert c.grouplikes() == ["1", "2"]
+        assert grouplikes(c) == ["1", "2"]
 
     def test_not_closed(self):
         q = square_tilde()
@@ -373,7 +379,7 @@ class TestCovering:
 
     def test_identity_covering(self):
         c = two_loop_subcoalgebra()
-        pi = CoalgebraMap.identity(c)
+        pi = identity_map(c)
         ok, _ = verify_covering(pi, diamond_basis(c), diamond_basis(c))
         assert ok
 
@@ -397,7 +403,7 @@ class TestCovering:
 
     def test_basis_preconditions(self):
         c = two_loop_subcoalgebra()
-        pi = CoalgebraMap.identity(c)
+        pi = identity_map(c)
         with pytest.raises(BasisNotDiamond):
             verify_covering(pi, diamond_basis(c)[1:], diamond_basis(c))
 
@@ -697,6 +703,90 @@ class TestLocalization:
         with pytest.raises(EmptySubset):
             localize(alg, [])
 
+    def test_repeated_label(self, monkeypatch):
+        # refused before any product: e would be 2 e_1, not an idempotent
+        alg = dualize(two_loop_subcoalgebra())
+
+        def forbidden(self, u, v):
+            raise AssertionError("product computed")
+
+        monkeypatch.setattr(DualAlgebra, "multiply", forbidden)
+        with pytest.raises(InvalidDescription, match="'1'"):
+            localize(alg, ["1", "2", "1"])
+
+    def test_corner_not_spanned_by_basis_vectors(self):
+        # e d_1 e = 2 d_1 for e = d_0: the basis is not pointed
+        alg = DualAlgebra(2, {(0, 0): {0: 1}, (0, 1): {1: 2}, (1, 0): {1: 1}},
+                          [("1", {0: 1})])
+        with pytest.raises(InvalidDescription):
+            localize(alg, ["1"])
+
+
+# -- corners against the former eliminating route --
+
+
+def reference_localize(algebra, labels):
+    """The former `localize`: eAe spanned by the products e d_k e, kept where
+    they enlarge one elimination, with every product solved for coordinates
+    in them."""
+    by_label = dict(algebra.idempotents)
+    e = {}
+    for l in labels:
+        axpy(e, 1, by_label[l])
+    engine = SparseBasis(coords=True)
+    basis = []
+    for k in range(algebra.dim):
+        w = algebra.multiply(algebra.multiply(e, {k: 1}), e)
+        if engine.add(w, len(basis)):
+            basis.append(w)
+
+    def coords(vec):
+        comb = engine.coords(vec)
+        if comb is None:
+            raise InvalidDescription("product escaped the corner algebra")
+        return comb
+
+    structure = {}
+    for i, u in enumerate(basis):
+        for j, v in enumerate(basis):
+            cell = coords(algebra.multiply(u, v))
+            if cell:
+                structure[(i, j)] = cell
+    return DualAlgebra(len(basis), structure, [(l, coords(by_label[l])) for l in labels])
+
+
+# name -> () -> dual algebras whose corners are checked
+CORNER_CORPUS = {
+    "localization": lambda: [dualize(localization_example(lam)) for lam in (1, -1, 2, "z3")],
+    "truncations": lambda: [
+        dualize(truncate_to_subcoalgebra(validate_params(*raw), 1).coalgebra)
+        for raw in [(0, 0, 1, 0, 0, 0), (2, 0, -1, 0, 0, 0), (0, 0, "z3", 0, 0, 0),
+                    (3, 1, 1, 0, 0, 0), (2, -2, 1, 0, 0, 0)]
+    ],
+    "coverings": lambda: [
+        dualize(c) for pi in (covering_example()[2], six_cycle_covering(), four_cycle_covering())
+        for c in (pi.domain, pi.codomain)
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(CORNER_CORPUS))
+def test_corners_match_reference(name):
+    """Every label set in turn, the full one and eight random subsets of
+    each algebra give the reference's dimension, structure, idempotents and
+    Gabriel quiver."""
+    rng = random.Random(name)
+    for alg in CORNER_CORPUS[name]():
+        labels = [l for l, _ in alg.idempotents]
+        subsets = [[l] for l in labels] + [labels]
+        subsets += [rng.sample(labels, rng.randint(1, len(labels))) for _ in range(8)]
+        for chosen in subsets:
+            corner, ref = localize(alg, chosen), reference_localize(alg, chosen)
+            assert (corner.dim, corner.structure, corner.idempotents) == (
+                ref.dim, ref.structure, ref.idempotents)
+            gq, ref_gq = gabriel_quiver(corner), gabriel_quiver(ref)
+            assert (gq.vertices, gq.arrows) == (ref_gq.vertices, ref_gq.arrows)
+
 
 def reference_radical_basis(alg):
     """The trace-form radical from the Gram matrix tr(L_i L_j) of the dense
@@ -872,12 +962,17 @@ class TestText:
 # -- the coradical filtration and the Ext-quiver against the iterative route --
 
 
+def grouplikes(coalg):
+    """The vertices v with e_v in the subcoalgebra."""
+    return [v for v in coalg.vertices_used() if coalg.contains(grouplike(coalg.quiver, v))]
+
+
 def reference_coradical_filtration(coalg):
     """The filtration by its definition, one nullspace per level, as the
     library computed it before it read the levels off path lengths: C_0 is
     the grouplike span and C_{i+1} = {x : delta(x) in C_i (x) C + C (x) C_0}.
     Raises NotPointed if there is no grouplike or the chain stalls below C."""
-    gs = coalg.grouplikes()
+    gs = grouplikes(coalg)
     if not gs:
         raise NotPointed("no grouplikes found")
     quiver = coalg.quiver
@@ -919,7 +1014,7 @@ def reference_ext_quiver(coalg):
     pair of grouplikes that a diamond joins, as the library computed it before
     it counted the length-1 rows of one elimination."""
     reference_coradical_filtration(coalg)  # raises NotPointed when not pointed
-    gs = coalg.grouplikes()
+    gs = grouplikes(coalg)
     pairs = {(g, g) for g in gs}
     for d in diamond_basis(coalg):
         pairs.add((d.source, d.sink))

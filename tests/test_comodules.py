@@ -31,7 +31,7 @@ from pathcoalg.errors import (
 )
 from pathcoalg.coalgebra import CoElement, SubCoalgebra, path_element, span_subcoalgebra
 from pathcoalg.hopf import truncate_to_subcoalgebra, validate_params
-from pathcoalg.linalg import accumulate, nullspace
+from pathcoalg.linalg import SparseBasis, accumulate, nullspace
 from pathcoalg.quiver import Path, grid_vertex_label
 from pathcoalg.scalar import ONE, ZERO, CycScalar, cyc
 
@@ -526,6 +526,105 @@ class TestSocleSeries:
         s = build_simple(free_trunc, 0, 0)
         t = build_simple(free_trunc, 1, 0)
         assert socle_series_dims(direct_sum(s, t)) == [2]
+
+    def test_vanishing_socle(self, free_trunc):
+        # rho(m0) = m0 (x) x, with no length-0 part, never lies in M (x) C_0
+        m = build_string(free_trunc, StringSpec((0, 0), "x", 1))
+        (arrow,) = [e for row in m.coaction for e in row if e.terms and e.counit() == 0]
+        bad = Comodule(free_trunc.coalgebra, [[arrow]], validate=False)
+        for f in (socle_series_dims, reference_socle_series_dims):
+            with pytest.raises(InvalidDescription):
+                f(bad)
+
+
+# -- the socle series against the former quotient-comodule route --
+
+
+def reference_socle_series_dims(mod):
+    """The former `socle_series_dims`: soc M = {v : rho(v) in M (x) C_0} by
+    one nullspace, then the same on the quotient comodule M / soc M, layer
+    after layer."""
+    dims = []
+    current = mod
+    while current.dim > 0:
+        rows = []
+        for i in range(current.dim):
+            per_path = {}
+            for j in range(current.dim):
+                for p, coeff in current.coaction[i][j].terms.items():
+                    if p.length > 0:
+                        accumulate(per_path.setdefault(p, {}), j, coeff)
+            rows.extend(row for row in per_path.values() if row)
+        soc = nullspace(rows, current.dim)
+        if not soc:
+            raise InvalidDescription("socle vanished on a nonzero comodule")
+        dims.append(len(soc))
+        if len(soc) == current.dim:
+            break
+        current = _quotient_comodule(current, soc)
+    return dims
+
+
+def _quotient_comodule(mod, sub_vectors):
+    """M / span(sub_vectors) on the unit vectors that are no pivot of the
+    subspace's reduced basis."""
+    engine = SparseBasis()
+    for v in sub_vectors:
+        engine.add(dict(enumerate(v)))
+    keep = [i for i in range(mod.dim) if i not in engine.rows]
+    # residues of the unit vectors give the projection onto the complement
+    proj = [engine.residue({i: 1})[0] for i in range(mod.dim)]
+    zero = CoElement(mod.coalgebra.quiver, {})
+    c = [[zero] * len(keep) for _ in range(len(keep))]
+    for jj, j in enumerate(keep):
+        for i in range(mod.dim):
+            entry = mod.coaction[i][j]
+            if entry.is_zero():
+                continue
+            for ii, knew in enumerate(keep):
+                w = proj[i].get(knew)
+                if w:
+                    c[ii][jj] = c[ii][jj] + entry * w
+    return Comodule(mod.coalgebra, c, [mod.labels[i] for i in keep], validate=False)
+
+
+def _assert_socles_match(mods):
+    for m in mods:
+        assert socle_series_dims(m) == reference_socle_series_dims(m)
+
+
+@pytest.fixture(scope="module")
+def socle_pool(free_trunc):
+    return [item["module"] for item in enumerate_indecomposables(
+        free_trunc.params, 1, 4, truncation=free_trunc)]
+
+
+class TestSocleReference:
+    """`socle_series_dims` gives the quotient-comodule route's layers."""
+
+    @pytest.mark.parametrize("raw, radius, max_dim", HOM_INVENTORIES + [
+        ((4, 2, 1, 0, 0, 0), 2, 6),
+        ((0, 0, "z3", 0, 0, 0), 2, 6),
+    ])
+    def test_inventory(self, raw, radius, max_dim):
+        found = enumerate_indecomposables(validate_params(*raw), radius, max_dim)
+        _assert_socles_match([item["module"] for item in found])
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_bands(self, m):
+        _assert_socles_match(build_band_family(validate_params(m, m, 1, 0, 0, 0), m, [1, 2, 3]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_property_sums_and_conjugates(self, socle_pool, data):
+        summand = st.tuples(st.sampled_from(range(len(socle_pool))), st.booleans(),
+                            st.integers(0, 2**16))
+        parts = []
+        for idx, conj, seed in data.draw(st.lists(summand, min_size=1, max_size=2)):
+            mod = socle_pool[idx]
+            parts.append(_conjugate(mod, random.Random(seed)) if conj else mod)
+        mod = _sum(parts)
+        _assert_socles_match([mod, _conjugate(mod, random.Random(len(parts)))])
 
 
 class TestEnumeration:

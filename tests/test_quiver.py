@@ -17,7 +17,6 @@ from pathcoalg.errors import (
     InvalidDescription,
     InvalidPartition,
     ParseError,
-    UnknownVertex,
 )
 from pathcoalg.quiver import (
     GraphClass,
@@ -35,7 +34,6 @@ from pathcoalg.quiver import (
     grid_quiver,
     group_canonical_pair,
     quotient,
-    star,
 )
 
 
@@ -173,28 +171,6 @@ class TestPathValue:
         assert repr([e, p]) == "[Path(e_a0b0), Path(a0b0:x@a0b0|y@a1b0)]"
 
 
-class TestStar:
-    def test_grid_star(self):
-        q = grid_quiver(0, 0, 2)
-        s = star(q, "a0b0")
-        assert len(s.vertices) == 5
-        assert len(in_arrows(s, "a0b0")) == 2
-        assert len(s.out_arrows("a0b0")) == 2
-
-    def test_single_vertex(self):
-        q = Quiver(["p"], [])
-        assert star(q, "p") == q
-
-    def test_loop_included(self):
-        q = grid_quiver(1, 0, 1)
-        s = star(q, "a0b0")
-        assert any(a[1] == a[2] == "a0b0" for a in s.arrows)
-
-    def test_unknown_vertex(self):
-        with pytest.raises(UnknownVertex):
-            star(grid_quiver(0, 0, 1), "nope")
-
-
 class TestHomogeneous:
     def test_grid_interior(self):
         q = grid_quiver(0, 0, 5)
@@ -244,6 +220,14 @@ class TestHomogeneous:
 
 
 # -- the former star-quiver route of check_homogeneous, kept as a reference --
+
+
+def star(quiver, v):
+    """The former `quiver.star`: the subquiver on v, its neighbors and all
+    arrows incident to v."""
+    incident = [a for a in quiver.arrows if a[1] == v or a[2] == v]
+    verts = [v] + sorted({w for _, s, t in incident for w in (s, t) if w != v})
+    return Quiver(verts, incident)
 
 
 def reference_star_signature(quiver, v):
