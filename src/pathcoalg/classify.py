@@ -44,11 +44,7 @@ class IsoWitness:
     def __eq__(self, other):
         if not isinstance(other, IsoWitness):
             return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.alpha == other.alpha
-            and self.beta == other.beta
-        )
+        return (self.kind, self.alpha, self.beta) == (other.kind, other.alpha, other.beta)
 
     def __repr__(self):
         return f"IsoWitness({self.kind}, {self.alpha}, {self.beta})"
@@ -108,7 +104,7 @@ def _witness_family(m1, n1, m2, n2, kind):
     """`verify_witness` for witnesses of `kind` from B(m1, n1) to B(m2, n2) on
     generic parameters over Q[lam^+-1, s, t, k]: the source's relations as
     (coefficient, word) tuples; each word w as (#x, #y, phi_1(w)) in the
-    target; and the coefficients of each nonzero residue of Delta(g) = g (x) g,
+    target; and `hopf._span_rows` of the residues of Delta(g) = g (x) g,
     epsilon(g) = 1, Delta(u) = 1 (x) u + u (x) g, epsilon(u) = 0 and
     S(u) = -u g^-1 on the images g of a, b and u of x, y under phi_1."""
     source, target = hopf._generic_params(m1, n1), hopf._generic_params(m2, n2)
@@ -130,7 +126,7 @@ def _witness_family(m1, n1, m2, n2, kind):
         tensor_axpy(delta_u, -1, u, g)
         axpy(anti_u, 1, hopf._mul_terms(target, u, g_inv))
         residues += [delta_g, eps_g, delta_u, hopf._counit_terms(target, u), anti_u]
-    return rels, words, tuple(tuple(r.values()) for r in residues if r)
+    return rels, words, hopf._span_rows(c for r in residues for c in r.values())
 
 
 def verify_witness(w, p1, p2):
@@ -143,12 +139,13 @@ def verify_witness(w, p1, p2):
     phi(w) = alpha^#x(w) beta^#y(w) phi_1(w), phi_1 the witness with alpha =
     beta = 1: a relation sum c_i w_i of p1 goes to sum c_i(p1) alpha^#x(w_i)
     beta^#y(w_i) phi_1(w_i)(p2).  The structure-map residues are linear in
-    the nonzero alpha and beta, so they vanish at p2 iff those of phi_1 do."""
+    the nonzero alpha and beta: they vanish at p2 iff phi_1's `_span_rows` do."""
     if w.alpha.is_zero() or w.beta.is_zero():
         return False
-    rels, words, checks = _witness_family(p1.m, p1.n, p2.m, p2.n, w.kind)
-    at_p1, at_p2 = hopf._specializer(p1), hopf._specializer(p2)
-    if any(at_p2(c) for residue in checks for c in residue):
+    rels, words, rows = _witness_family(p1.m, p1.n, p2.m, p2.n, w.kind)
+    at_p2 = hopf._specializer(p2)
+    at_p1 = at_p2 if p2 is p1 else hopf._specializer(p1)
+    if any(map(at_p2, rows)):
         return False
     alpha, beta = bare(w.alpha), bare(w.beta)
     values = {word: (alpha ** nx * beta ** ny, {key: at_p2(c) for key, c in image.items()})
@@ -166,10 +163,7 @@ def verify_witness(w, p1, p2):
 def _prefer_sign(value):
     """Deterministic pick between value and -value (shortest printed form,
     ties broken lexicographically)."""
-    a, b = value, -value
-    ka = (len(str(a)), str(a))
-    kb = (len(str(b)), str(b))
-    return a if ka <= kb else b
+    return min(value, -value, key=lambda v: (len(str(v)), str(v)))
 
 
 def canonical_form(params):

@@ -55,6 +55,7 @@ from pathcoalg.quiver import (
     find_nondynkin_cover,
     graph_class,
     grid_vertex_label,
+    grid_window,
 )
 from pathcoalg.scalar import ONE, ZERO, cyc
 
@@ -107,7 +108,7 @@ def test_criterion_1_hopf_axiom_suite():
     for params in grid:
         report = verify_hopf_axioms(params, 2)
         assert report["ok"] is True
-        assert report["basis_checked"] == 4 * len(params.window(2))
+        assert report["basis_checked"] == 4 * len(grid_window(params.m, params.n, 2))
     assert time.monotonic() - start < 60
 
 
@@ -274,7 +275,7 @@ def test_criterion_7_ext_quiver_constraints():
         for _, src, dst in quiver.arrows:
             assert (src, dst) not in seen  # Schurian: no parallel arrows
             seen.add((src, dst))
-        interior = sorted(grid_vertex_label(i, j) for i, j in params.window(1))
+        interior = sorted(grid_vertex_label(i, j) for i, j in grid_window(params.m, params.n, 1))
         report = check_homogeneous(quiver, vertices=interior)
         assert report["is_homogeneous"] is True
         assert report["out_degree"] == 2
@@ -401,7 +402,7 @@ def test_criterion_8_enumeration_oracle():
     by_dim = {}
     for item in inventory:
         by_dim.setdefault(item["module"].dim, []).append(item["module"])
-    window = sorted(params.window(1))
+    window = sorted(grid_window(params.m, params.n, 1))
     column_cache = {
         grid_vertex_label(i, j): _top_column_basis(
             trunc.coalgebra, grid_vertex_label(i, j)

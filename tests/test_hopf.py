@@ -47,7 +47,7 @@ from pathcoalg.hopf import (
     verify_hopf_axioms,
 )
 from pathcoalg.linalg import accumulate
-from pathcoalg.quiver import Path, grid_vertex_label
+from pathcoalg.quiver import Path, grid_vertex_label, grid_window
 from pathcoalg.scalar import ONE, ZERO, CycScalar, bare, cyc
 
 from test_acceptance import PAIRS, _valid_grid
@@ -176,7 +176,7 @@ class TestMultiply:
         for p in (params_free(k="5"), validate_params(3, 1, 1, 2, 3, 1)):
             keys = [
                 ((i, j), pp, qq)
-                for (i, j) in p.window(2)
+                for (i, j) in grid_window(p.m, p.n, 2)
                 for pp in (0, 1)
                 for qq in (0, 1)
             ]
@@ -291,7 +291,7 @@ class TestTruncation:
     def test_rank_folded(self):
         p = validate_params(3, 1, 1, 1, 1, 0)
         tr = truncate_to_subcoalgebra(p, 1)
-        assert tr.rank == 4 * len(p.window(1))
+        assert tr.rank == 4 * len(grid_window(p.m, p.n, 1))
 
     def test_loewy_length_three(self):
         p = params_free()
@@ -373,7 +373,7 @@ class TestPathMembership:
         def outcomes():
             tr = truncate_to_subcoalgebra(p, radius)
             verdicts = [contains_path_combination(p, radius, i, j, c1, c2, truncation=tr)
-                        for i, j in p.window(radius) for c1, c2 in on + off]
+                        for i, j in grid_window(p.m, p.n, radius) for c1, c2 in on + off]
             values = [c for b in tr.coalgebra.basis for c in b.terms.values()]
             return values, verdicts, ext_quiver(tr.coalgebra).arrows
 
@@ -398,7 +398,7 @@ class TestPathMembership:
         coeffs += [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
         coeffs += [cyc("z4") * rng.randint(-3, 3) + rng.randint(-3, 3) for _ in range(2)]
         seen = set()
-        for i, j in p.window(radius):
+        for i, j in grid_window(p.m, p.n, radius):
             xy, yx = sorted(tr.images[(i, j), 1, 1].terms)
             for c1 in coeffs:
                 for c2 in coeffs:
@@ -565,7 +565,7 @@ class TestValueKinds:
     @settings(max_examples=40, deadline=None)
     def test_bare_and_boxed_agree(self, data):
         p = data.draw(rational_params())
-        keys = [(g, a, b) for g in p.window(1) for a in (0, 1) for b in (0, 1)]
+        keys = [(g, a, b) for g in grid_window(p.m, p.n, 1) for a in (0, 1) for b in (0, 1)]
         terms = [data.draw(st.dictionaries(st.sampled_from(keys), rationals, max_size=3))
                  for _ in range(3)]
         u, v, w = (BmnElement(p, t) for t in terms)
@@ -606,7 +606,7 @@ class TestMixedAgainstBoxed:
     def test_mixed_path_equals_all_boxed(self, monkeypatch, raw):
         values = [1, -2, Fraction(1, 2), "z3", "z4", "-z4", "1+z4", "2/3-z3"]
         rng = random.Random(repr(raw))
-        keys = [(g, a, b) for g in validate_params(*raw).window(1) for a in (0, 1) for b in (0, 1)]
+        keys = [(g, a, b) for g in grid_window(*raw[:2], 1) for a in (0, 1) for b in (0, 1)]
         terms = [{rng.choice(keys): rng.choice(values) for _ in range(3)} for _ in range(4)]
         witnesses = [("phi", 1, 1), ("phi", -1, -1), ("phi", 2, 1), ("phi", "z4", 1),
                      ("phi", 1, "z8"), ("psi", 1, 1)]
@@ -735,7 +735,7 @@ def truncation_keys(params, radius):
     """The basis keys of the truncation, in its basis order: group parts of
     the window and its a-, b- and ab-shifts, x on the window and its
     b-shift, y on the window and its a-shift, xy on the window."""
-    window = params.window(radius)
+    window = grid_window(params.m, params.n, radius)
 
     def shifted(di, dj):
         return {params.canon(i + di, j + dj) for i, j in window}
@@ -749,7 +749,7 @@ def truncation_keys(params, radius):
 
 def boundary_group(params, radius):
     """The smallest group part of the truncation keys outside the window."""
-    window = params.window(radius)
+    window = grid_window(params.m, params.n, radius)
     corners = {params.canon(i + 1, j + 1) for i, j in window}
     return min(corners - set(window))
 
@@ -834,7 +834,7 @@ def sweep_hopf_axioms(params, radius, product_pairs=12, seed=0):
     that monkeypatched mutants are seen."""
     keys = [
         ((i, j), p, q)
-        for (i, j) in params.window(radius)
+        for (i, j) in grid_window(params.m, params.n, radius)
         for p in (0, 1)
         for q in (0, 1)
     ]
@@ -906,7 +906,7 @@ class TestCertificate:
             report = verify_hopf_axioms(p, radius, seed=5)
             assert report["ok"] is True
             assert report["window_radius"] == radius
-            assert report["basis_checked"] == 4 * len(p.window(radius))
+            assert report["basis_checked"] == 4 * len(grid_window(p.m, p.n, radius))
             assert report["product_pairs"] == 0
         cert = report["certificate"]
         assert len(cert["relations"]) == len(relations(p)) == 13

@@ -20,9 +20,9 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from pathcoalg import hopf
+from pathcoalg import classify, hopf
 from pathcoalg.errors import AxiomFailure, ForbiddenPair, PathcoalgError
 from pathcoalg.classify import IsoWitness, verify_witness
 from pathcoalg.hopf import (
@@ -34,9 +34,9 @@ from pathcoalg.hopf import (
     validate_params,
     verify_hopf_axioms,
 )
-from pathcoalg.linalg import accumulate
-from pathcoalg.quiver import group_canonical_pair
-from pathcoalg.scalar import CycScalar, Laurent, cyc
+from pathcoalg.linalg import SparseBasis, accumulate, axpy, tensor_axpy
+from pathcoalg.quiver import grid_window, group_canonical_pair
+from pathcoalg.scalar import CycScalar, Laurent, bare, cyc
 
 import test_hopf
 
@@ -45,18 +45,29 @@ SWEEP_LAMBDAS = ["1", "-1", "2", "z3", "z4", "-z4", "1/2"]
 LAMBDA, S, T, K = (Laurent({(0,) * i + (1,) + (0,) * (3 - i): 1}) for i in range(4))
 
 
-def numeric_verdict(params, radius):
-    """What the certificate run on the concrete parameters says: the first
-    nonzero residue as (message, witness text), or the report."""
+def first_failure(params):
+    """The first nonzero residue of the certificate run on the concrete
+    parameters, as (message, witness text), or None."""
     for message, witness, residue in hopf._residues(params):
         if residue:
             if not isinstance(witness, str):
                 witness = str(BmnElement(params, witness))
             return message, witness
+    return None
+
+
+def numeric_verdict(params, radius):
+    """What the certificate run on the concrete parameters says: the first
+    nonzero residue as (message, witness text), or the report."""
+    return first_failure(params) or listed_report(params, radius)
+
+
+def listed_report(params, radius):
+    """The success report, with the window listed to count its monomials."""
     return {
         "params": params.to_json(),
         "window_radius": radius,
-        "basis_checked": 4 * len(params.window(radius)),
+        "basis_checked": 4 * len(grid_window(params.m, params.n, radius)),
         "product_pairs": 0,
         "certificate": {
             "relations": [name for name, _ in relations(params)],
@@ -206,12 +217,11 @@ def character_residues(m, n):
 
 
 def quotient_residues(m, n):
-    """The coefficients the quotient route specializes for B(m, n): those
-    of the B(0, 0) certificate (as (message, coefficients)) and the two
+    """The coefficients the quotient route specializes for B(m, n), as
+    (message, coefficients): the rows of the B(0, 0) certificate and the two
     character residues of g."""
-    _, checks = family_certificate()
-    return [(message, residue) for message, _, residue in checks] + [
-        ("g is not central", tuple(character_residues(m, n)))]
+    return [("B(0, 0) certificate row", family_certificate()[1]),
+            ("g is not central", tuple(character_residues(m, n)))]
 
 
 def law_components(m, n):
@@ -289,7 +299,7 @@ class TestParameterLaws:
             oracle = {up_to_unit(c) for c in part_1(_family_residues(m, n))}
             assert all(not c or up_to_unit(c) in oracle for c in characters)
         named = [(LAMBDA * LAMBDA - 1) * S, (LAMBDA * LAMBDA - 1) * T, (LAMBDA - 1) * K]
-        free = {up_to_unit(c) for c in part_1(family_certificate()[1])}
+        free = {up_to_unit(c) for c in part_1(_family_residues(0, 0))}
         assert all(up_to_unit(c) in free for c in named)
 
     def test_forbidden_pair_is_no_axiom_law(self):
@@ -329,7 +339,7 @@ class TestResiduesCutOutTheLaws:
             return basis.exprs == [1]
 
         if route == "quotient":
-            residues = part_1(family_certificate()[1]) + character_residues(m, n)
+            residues = part_1(_family_residues(0, 0)) + character_residues(m, n)
         else:
             residues = part_1(_family_residues(m, n))
         ideal = sorted({poly(c) for c in residues if c},
@@ -455,3 +465,190 @@ class TestCanonMutants:
     def test_unmutated_canon_passes_on_every_pair(self):
         for m, n in itertools.product(range(-8, 9), repeat=2):
             hopf._certify_quotient_map(m, n)
+
+
+# -- the span gate: the certificates evaluate the rows of their residues -----
+
+
+def per_residue_verdict(params, radius):
+    """The former gate of `verify_hopf_axioms`, kept as the reference of the
+    span gate: it specializes every coefficient of every B(0, 0) residue, not
+    their `_span_rows`, and lists the window to count it."""
+    hopf._certify_quotient_map(params.m, params.n)
+    value, g = hopf._specializer(params), (params.m, -params.n)
+    if params.sign_x(*g) != 1 or params.sign_y(*g) != 1 or any(
+            value(c) for _, _, residue in _family_residues(0, 0) for c in residue):
+        failure = first_failure(params)
+        assert failure is not None, params
+        return failure
+    return listed_report(params, radius)
+
+
+def witness_residues(m1, n1, m2, n2, kind):
+    """The coefficients of the structure-map residues of `_witness_family`,
+    one tuple per nonzero residue: the former gate of `verify_witness`."""
+    target = hopf._generic_params(m2, n2)
+    gens = {g: u.terms for g, u in hopf.generator_images(target).items()}
+    images = gens if kind == "phi" else {g: gens[h] for g, h in zip("aAbBxy", "bBaAyx")}
+    one = {(target.canon(0, 0), 0, 0): 1}
+    residues = []
+    for g, u, g_inv in (("a", "x", "A"), ("b", "y", "B")):
+        g, u, g_inv = images[g], images[u], images[g_inv]
+        delta_g, eps_g = dict(hopf._comul_terms(target, g)), dict(hopf._counit_terms(target, g))
+        delta_u, anti_u = dict(hopf._comul_terms(target, u)), dict(hopf._anti_terms(target, u))
+        tensor_axpy(delta_g, -1, g, g)
+        axpy(eps_g, -1, one)
+        tensor_axpy(delta_u, -1, one, u)
+        tensor_axpy(delta_u, -1, u, g)
+        axpy(anti_u, 1, hopf._mul_terms(target, u, g_inv))
+        residues += [delta_g, eps_g, delta_u, hopf._counit_terms(target, u), anti_u]
+    return tuple(tuple(r.values()) for r in residues if r)
+
+
+def per_residue_witness(w, p1, p2):
+    """The former `verify_witness`, kept as the reference of the span gate:
+    every residue coefficient specialized, and a specializer per side."""
+    if w.alpha.is_zero() or w.beta.is_zero():
+        return False
+    rels, words, _ = classify._witness_family(p1.m, p1.n, p2.m, p2.n, w.kind)
+    at_p1, at_p2 = hopf._specializer(p1), hopf._specializer(p2)
+    residues = witness_residues(p1.m, p1.n, p2.m, p2.n, w.kind)
+    if any(at_p2(c) for residue in residues for c in residue):
+        return False
+    alpha, beta = bare(w.alpha), bare(w.beta)
+    values = {word: (alpha ** nx * beta ** ny, {key: at_p2(c) for key, c in image.items()})
+              for word, (nx, ny, image) in words.items()}
+    for rel in rels:
+        total = {}
+        for c, word in rel:
+            scale, image = values[word]
+            axpy(total, at_p1(c) * scale, image)
+        if total:
+            return False
+    return True
+
+
+def assert_rows_span(coefficients, rows):
+    """The rows are linearly independent and span every coefficient over Q,
+    so each coefficient vanishes at a point iff every row does."""
+    span = SparseBasis()
+    assert all(span.add(row.terms) for row in rows), "dependent rows"
+    for c in coefficients:
+        terms = c.terms if isinstance(c, Laurent) else {(0, 0, 0, 0): c}
+        assert span.contains(terms), f"{terms} lies outside the span of the rows"
+
+
+POINT_SCALARS = st.sampled_from(["0", "1", "2", "z4"])
+
+
+@st.composite
+def points(draw):
+    """A parameter set on or off the laws, validated when the laws allow."""
+    m, n = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    raw = (draw(st.sampled_from(["1", "-1", "2", "-2", "z3", "z4"])),
+           draw(POINT_SCALARS), draw(POINT_SCALARS), draw(POINT_SCALARS))
+    if draw(st.booleans()):
+        try:
+            return validate_params(m, n, *raw)
+        except PathcoalgError:
+            pass
+    return BmnParams(m, n, *map(cyc, raw))
+
+
+class TestSpanGate:
+    def test_hopf_rows(self):
+        """30 coefficients, 13 independent binomial rows in 19 monomials."""
+        names, rows = family_certificate()
+        coefficients = [c for *_, residue in _family_residues(0, 0) for c in residue]
+        assert len(coefficients) == 30 and len(rows) == 13
+        assert all(len(row.terms) == 2 for row in rows)
+        assert len({e for row in rows for e in row.terms}) == 19
+        assert_rows_span(coefficients, rows)
+
+    @pytest.mark.parametrize("name", ["epsilon(g) = 2", "Delta(u) = 1 (x) u"])
+    def test_witness_rows(self, monkeypatch, name):
+        """Unmutated, the structure-map residues vanish identically; a mutant
+        of the structure maps leaves residues whose rows span them."""
+        keys = [(0, 0, 0, 0, "phi"), (2, -2, 2, -2, "psi"), (3, 1, 1, 3, "psi"), (4, 2, 4, 2, "phi")]
+        for key in keys:
+            assert classify._witness_family(*key)[2] == () == witness_residues(*key)
+        monkeypatch.setattr(*test_hopf.WITNESS_MUTANTS[name])
+        classify._witness_family.cache_clear()
+        for key in keys:
+            residues = witness_residues(*key)
+            rows = classify._witness_family(*key)[2]
+            assert residues and rows
+            assert_rows_span([c for residue in residues for c in residue], rows)
+
+    @pytest.mark.parametrize("dropped", range(13))
+    def test_a_dropped_row_is_caught(self, monkeypatch, dropped):
+        """A certificate that forgets one row no longer spans its residues.
+        No parameter point tells it apart (each row has a partner up to a
+        unit lam^j, with the same zeros), so the span check is what fails."""
+        span_rows = hopf._span_rows
+
+        def mutant(coefficients):
+            rows = span_rows(coefficients)
+            return rows[:dropped] + rows[dropped + 1:]
+
+        monkeypatch.setattr(hopf, "_span_rows", mutant)
+        coefficients = [c for *_, residue in _family_residues(0, 0) for c in residue]
+        with pytest.raises(AssertionError, match="outside the span"):
+            assert_rows_span(coefficients, family_certificate()[1])
+
+    @given(params=points(), radius=st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_hopf_gate_matches_per_residue_gate(self, params, radius):
+        assert parametric_verdict(params, radius) == per_residue_verdict(params, radius)
+
+    @given(p1=points(), p2=points(), same=st.booleans(), kind=st.sampled_from(["phi", "psi"]),
+           alpha=st.sampled_from([1, -1, 2, "z4"]), beta=st.sampled_from([1, -1, 2, "z4"]))
+    @settings(max_examples=150, deadline=None)
+    def test_witness_gate_matches_per_residue_gate(self, p1, p2, same, kind, alpha, beta):
+        p2 = p1 if same else p2
+        w = IsoWitness(kind, alpha, beta)
+        assert verify_witness(w, p1, p2) == per_residue_witness(w, p1, p2)
+
+    def test_witness_verdicts_on_canonical_forms(self):
+        """The benchmark's route: the canonical form is often the parameter
+        set itself, and the witness reaching it must hold on both gates."""
+        for p1, p2, w in test_hopf.witness_cases():
+            assert verify_witness(w, p1, p2) is per_residue_witness(w, p1, p2) is True
+
+
+class TestClosedFormCount:
+    @pytest.mark.parametrize("radius", range(9))
+    def test_basis_checked_counts_the_window(self, radius):
+        """Every (m, n) with |m|, |n| <= 6 on which the axioms can hold."""
+        for m, n in itertools.product(range(-6, 7), repeat=2):
+            if (m + n) % 2 == 0:
+                report = verify_hopf_axioms(BmnParams(m, n, *map(cyc, (1, 0, 0, 0))), radius)
+                assert report["basis_checked"] == 4 * len(grid_window(m, n, radius)), (m, n)
+
+    def test_huge_radius_lists_no_window(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the window was listed")
+
+        monkeypatch.setattr(hopf, "grid_window", refuse)
+        side = 2 * 10 ** 6 + 1
+        for (m, n), width in [((0, 0), side), ((4, 2), 4), ((0, 6), 6), ((2, -2), 2)]:
+            report = verify_hopf_axioms(validate_params(m, n, 1, 0, 0, 0), 10 ** 6)
+            assert report["basis_checked"] == 4 * side * width
+
+
+class TestPower:
+    @given(x=st.one_of(st.integers(-5, 5), st.fractions(max_denominator=4)),
+           e=st.integers(-4, 6))
+    def test_exact_values_in_normal_form(self, x, e):
+        """An int or Fraction to any power is an int, or a Fraction that is
+        not integral; never a float."""
+        assume(x or e >= 0)
+        got = hopf._power(x, e)
+        assert type(got) in (int, Fraction) and got == Fraction(x) ** e
+        assert type(got) is int or got.denominator != 1
+
+    def test_boxed_and_polynomial_bases(self):
+        z4 = CycScalar.root_of_unity(4)
+        assert hopf._power(z4, 2) == -1 and type(hopf._power(z4, 2)) is int
+        assert hopf._power(z4, -1) == -z4
+        assert hopf._power(LAMBDA, -2) == LAMBDA.inverse() * LAMBDA.inverse()

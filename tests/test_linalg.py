@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from pathcoalg.coalgebra import CoElement
 from pathcoalg.hopf import BmnElement, TensorElement, validate_params
 from pathcoalg.linalg import SparseBasis, _inverse, axpy, nullspace, rref, tensor_axpy
-from pathcoalg.quiver import Path, Quiver
+from pathcoalg.quiver import Path, Quiver, grid_window
 from pathcoalg.scalar import ONE, ZERO, CycScalar, cyc
 
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -274,7 +274,8 @@ class TestSkippedBackElimination:
 QUIVER = Quiver(["1", "2", "3"], [("u", "1", "2"), ("v", "2", "3"), ("w", "1", "3")])
 PARAMS = validate_params(3, 1, 1, 1, 0, 1)
 PATHS = QUIVER.paths_up_to(2)
-MONOMIALS = [(g, p, q) for g in PARAMS.window(1) for p in (0, 1) for q in (0, 1)]
+MONOMIALS = [(g, p, q) for g in grid_window(PARAMS.m, PARAMS.n, 1)
+             for p in (0, 1) for q in (0, 1)]
 
 # integral, fractional and cyclotomic coefficients, zero among them
 coefficients = st.builds(
