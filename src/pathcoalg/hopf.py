@@ -530,7 +530,7 @@ def _certify_quotient_map(m, n):
 
 
 def _specializer(params):
-    """c -> c at the (lam, s, t, k) of params, each power and monomial computed once."""
+    """Evaluation at the (lam, s, t, k) of params, a Q-linear ring map; powers computed once."""
     point = [bare(v) for v in (params.lam, params.s, params.t, params.k)]
     lam_inv = bare(params.lam_inv)  # only lam has negative exponents
     power = functools.cache(lambda v, e: _power(point[v], e) if e > 0 else _power(lam_inv, -e))
