@@ -36,7 +36,7 @@ from .errors import (
     NotDiscreteParams,
     RequiresMEqualsN,
 )
-from .hopf import truncate_to_subcoalgebra
+from .hopf import _truncation
 from .linalg import SparseBasis, accumulate, nullspace, tensor_axpy
 from .quiver import grid_vertex_label
 from .scalar import bare, cyc
@@ -392,7 +392,7 @@ def build_band_family(params, length, mus, truncation=None):
     for mu in mus:
         if not bare(mu):
             raise InvalidSpec("band parameter mu must be nonzero")
-    trunc = truncation or truncate_to_subcoalgebra(params, n)
+    trunc = _truncation(params, n, truncation, any_radius=True)
     nodes, arrows = _zigzag(params, (0, 0), "x", 2 * length, False)
     # walk node k is peak k / 2 (the last one is peak 0) or valley (k - 1) / 2
     slot = [k // 2 % length if k % 2 == 0 else length + k // 2 for k in range(len(nodes))]
@@ -421,7 +421,7 @@ def enumerate_indecomposables(params, radius, max_total_dim, truncation=None):
     walk's distinct end nodes, so they alone decide."""
     if params.m == params.n and params.m != 0:
         raise NotDiscreteParams("enumeration requires m != n or m = n = 0")
-    trunc = truncation or truncate_to_subcoalgebra(params, radius)
+    trunc = _truncation(params, radius, truncation)
     window = set(trunc.window)
     out = []
     if max_total_dim >= 1:

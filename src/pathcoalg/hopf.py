@@ -626,7 +626,8 @@ class Truncation:
     basis, the boundary keys that close it under Delta included;
     images: iota on the keys with group part in the window, in window order;
     rank: dimension of the span of those images;
-    certificate: the sizes `_certify_embedding` checked."""
+    certificate: the sizes `_certify_embedding` checked (keys, representatives,
+    the coproduct terms compared on them, paths)."""
 
     def __init__(self, params, radius, quiver, coalgebra, iota, window, certificate):
         self.params = params
@@ -665,13 +666,22 @@ def _image_of_key(params, quiver, key):
 
 
 def _certify_embedding(params, images):
-    """Certify that iota: key -> images[key] is an injective coalgebra map:
-    the images are nonzero with pairwise disjoint supports, Delta_H of every
-    key (read off `_structure_table`) lands on keys, and Delta_path iota(u) =
-    (iota (x) iota) Delta_H(u) for every key u, one dict comparison each.  So
-    the span of the images is a subcoalgebra, and it holds e_v for every
-    vertex v its paths start or end at.  Raises NotClosedUnderDelta naming
-    the first key that fails; returns the sizes checked."""
+    """Certify that iota: key -> images[key] is an injective coalgebra map,
+    comparing Delta on the representatives r = (canon(0, 0), p, q) alone.  The
+    images are nonzero with pairwise disjoint supports.  For each key u = g r,
+    the g-shifts of the keys of Delta_H(r) are keys, and iota(u) = tau_g
+    iota(r), tau_g moving each vertex v of a path (its start, each arrow's
+    source) to canon(g + v).  Then Delta_path iota(u) = (iota (x) iota)
+    Delta_H(u): (1) iota is equivariant, by that check and (2); (2) canon is
+    the quotient map Z^2 -> Z^2/<(m, -n)> (`_certify_quotient_map`), so tau is
+    an action by automorphisms of the folded grid quiver, each tau_g a
+    coalgebra map of its path coalgebra; (3) the identity holds on r, one dict
+    comparison each; (4) the keys of Delta_H(u) are keys (closure); (5)
+    Delta_H(g r) = (g (x) g) Delta_H(r), a shift of the table (`_comul_terms`),
+    so (iota (x) iota) Delta_H(u) = (tau_g (x) tau_g) Delta_path iota(r) =
+    Delta_path iota(u).  So the span of the images is a subcoalgebra holding e_v
+    for each vertex v its paths start or end at.  Raises NotClosedUnderDelta
+    naming the first key that fails; returns the sizes."""
     owner = {}
     for key, img in images.items():
         if not img.terms:
@@ -681,19 +691,34 @@ def _certify_embedding(params, images):
             if other != key:
                 raise NotClosedUnderDelta(
                     f"iota({_fmt_key(key)}) and iota({_fmt_key(other)}) share a path")
-    compared = 0
+    _certify_quotient_map(params.m, params.n)
+    table, e = _table(params, _structure_table), params.canon(0, 0)
+    needed = {pq: {key for pair in delta for key in pair} for pq, (delta, _) in table.items()}
     for key, img in images.items():
-        name, expected = _fmt_key(key), {}
-        for (l, r), c in _comul_terms(params, {key: 1}).items():
-            if l not in images or r not in images:
+        g, p, q = key
+        for shifted in (_shift(params, g, k) for k in needed[p, q]):
+            if shifted not in images:
                 raise NotClosedUnderDelta(
-                    f"Delta({name}) leaves the keys at {_fmt_key(l)} (x) {_fmt_key(r)}")
+                    f"Delta({_fmt_key(key)}) leaves the keys at {_fmt_key(shifted)}")
+        def move(label):  # tau_g on the vertex a{i}b{j}
+            i, j = label[1:].split("b")
+            return grid_vertex_label(*params.canon(g[0] + int(i), g[1] + int(j)))
+        rep = images.get((e, p, q))
+        if rep is None or img.terms != {Path(move(v), [a[:2] + move(a[2:]) for a in arrows]): c
+                                        for (_, v, arrows), c in rep.terms.items()}:
+            raise NotClosedUnderDelta(f"iota({_fmt_key(key)}) is not iota({_fmt_key((e, p, q))}) "
+                                      f"translated by {_fmt_key((g, 0, 0))}")
+    compared = 0
+    for rep in ((e, p, q) for p, q in table):
+        name, expected = _fmt_key(rep), {}
+        for (l, r), c in _comul_terms(params, {rep: 1}).items():
             tensor_axpy(expected, c, images[l].terms, images[r].terms)
-        if img.delta_dict() != expected:
+        if images[rep].delta_dict() != expected:
             raise NotClosedUnderDelta(
                 f"Delta(iota({name})) differs from (iota (x) iota) Delta({name})")
         compared += len(expected)
-    return {"keys": len(images), "coproduct_terms": compared, "paths": len(owner)}
+    return {"keys": len(images), "representatives": len(table), "coproduct_terms": compared,
+            "paths": len(owner)}
 
 
 def truncate_to_subcoalgebra(params, radius):
@@ -702,7 +727,7 @@ def truncate_to_subcoalgebra(params, radius):
     Returns a Truncation whose coalgebra is spanned by the images of
     a^i b^j x^p y^q for (i, j) in the window, completed at the boundary so the
     span is closed under comultiplication, which `_certify_embedding` proves
-    in place of the SubCoalgebra's elimination check."""
+    by translation in place of the SubCoalgebra's elimination check."""
     if radius < 0:
         raise WindowTooSmall("radius must be nonnegative")
     window = grid_window(params.m, params.n, radius)
@@ -722,6 +747,17 @@ def truncate_to_subcoalgebra(params, radius):
     return Truncation(params, radius, quiver, coalg, basis, window, certificate)
 
 
+def _truncation(params, radius, truncation, any_radius=False):
+    """truncation, or a new one at radius if it is None.  Raises ParamMismatch
+    if it was built for other params or, unless any_radius, another radius."""
+    if truncation is None:
+        return truncate_to_subcoalgebra(params, radius)
+    if truncation.params is not params and truncation.params != params or (
+            truncation.radius != radius and not any_radius):
+        raise ParamMismatch(f"truncation of {truncation.params} at radius {truncation.radius}")
+    return truncation
+
+
 def contains_path_combination(params, radius, i, j, c1, c2, truncation=None):
     """Whether c1*(a^i b^j x | a^{i+1} b^j y) + c2*(a^i b^j y | a^i b^{j+1} x)
     lies in the embedded subcoalgebra.
@@ -730,7 +766,7 @@ def contains_path_combination(params, radius, i, j, c1, c2, truncation=None):
     those two paths, as the images have disjoint supports.  So the
     combination lies in the span iff it is a multiple of that image:
     c1*img[yx] == c2*img[xy]."""
-    trunc = truncation or truncate_to_subcoalgebra(params, radius)
+    trunc = _truncation(params, radius, truncation)
     g = params.canon(i, j)
     if (g, 1, 1) not in trunc.images:
         raise WindowTooSmall(f"group part {g} outside the window")

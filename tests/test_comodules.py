@@ -26,6 +26,7 @@ from pathcoalg.errors import (
     InvalidDescription,
     InvalidSpec,
     NotDiscreteParams,
+    ParamMismatch,
     RequiresMEqualsN,
     WindowTooSmall,
 )
@@ -654,6 +655,18 @@ class TestEnumeration:
         with pytest.raises(NotDiscreteParams):
             enumerate_indecomposables(params, 1, 2)
 
+    def test_truncation_of_other_radius_refused(self):
+        """The enumeration reads its window off the truncation, so one at
+        another radius would answer for that radius: 21 modules at radius 1
+        for the 133 of radius 3.  It raises ParamMismatch, as one built for
+        other parameters does."""
+        params = validate_params(0, 0, 1, 0, 0, 0)
+        assert len(enumerate_indecomposables(params, 3, 2)) == 133
+        for trunc in (truncate_to_subcoalgebra(params, 1),
+                      truncate_to_subcoalgebra(validate_params(0, 0, -1, 0, 0, 0), 3)):
+            with pytest.raises(ParamMismatch):
+                enumerate_indecomposables(params, 3, 2, truncation=trunc)
+
     def test_folded_window(self):
         params = validate_params(3, 1, 1, 1, 1, 0)
         found = enumerate_indecomposables(params, 1, 2)
@@ -901,6 +914,18 @@ class TestBands:
             for j in range(3):
                 if i != j:
                     assert hom(mods[i], mods[j]).dim == 0
+
+    def test_truncation_of_other_params_refused(self):
+        """A band family built on a truncation of other parameters would live
+        in the window of their lambda: ParamMismatch.  A truncation of equal
+        parameters at a larger radius serves."""
+        params = validate_params(2, 2, 1, 0, 0, 0)
+        with pytest.raises(ParamMismatch):
+            build_band_family(params, 2, [1], truncation=truncate_to_subcoalgebra(
+                validate_params(2, 2, -1, 0, 0, 0), 2))
+        wide = truncate_to_subcoalgebra(validate_params(2, 2, 1, 0, 0, 0), 3)
+        assert [m.to_json() for m in build_band_family(params, 2, [2], truncation=wide)] == [
+            m.to_json() for m in build_band_family(params, 2, [2])]
 
     def test_equal_parameter_isomorphic(self):
         params = validate_params(2, 2, 1, 1, 1, 0)

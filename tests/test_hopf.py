@@ -1,3 +1,4 @@
+import functools
 import gc
 import random
 import weakref
@@ -408,6 +409,19 @@ class TestPathMembership:
                     seen.add(got)
         assert seen == {True, False}
 
+    def test_truncation_of_other_params_refused(self):
+        """At lam = 1, 1*xy - 1*yx lies in the window; the image xy + yx of a
+        lam = -1 truncation would say it does not.  A truncation built for
+        other parameters or at another radius raises ParamMismatch; one built
+        for equal parameters is used."""
+        p, other = params_free(lam="1"), params_free(lam="-1")
+        assert contains_path_combination(p, 1, 0, 0, 1, -1)
+        for trunc in (truncate_to_subcoalgebra(other, 1), truncate_to_subcoalgebra(p, 2)):
+            with pytest.raises(ParamMismatch):
+                contains_path_combination(p, 1, 0, 0, 1, -1, truncation=trunc)
+        same = truncate_to_subcoalgebra(params_free(lam="1"), 1)
+        assert contains_path_combination(p, 1, 0, 0, 1, -1, truncation=same)
+
     def test_single_paths_rejected(self):
         p = params_free()
         tr = truncate_to_subcoalgebra(p, 1)
@@ -674,10 +688,14 @@ class TestTablesStoreValues:
             assert found and [c for c in found if c.is_rational()] == []
 
 
+WINDOW_PARAMS = _valid_grid() + [
+    validate_params(0, 0, "z3", 0, 0, 0), validate_params(0, 0, "z4", 0, 0, 0),
+    validate_params(4, 0, "z4", 0, 0, 0),
+]
+
+
 class TestWindowEmbedding:
-    @pytest.mark.parametrize("params", _valid_grid() + [
-        validate_params(0, 0, "z4", 0, 0, 0), validate_params(4, 0, "z4", 0, 0, 0),
-    ], ids=repr)
+    @pytest.mark.parametrize("params", WINDOW_PARAMS, ids=repr)
     def test_iota_is_a_coalgebra_map(self, params):
         """Delta_path iota(u) = (iota (x) iota) Delta_H(u) on every key of the
         radius-2 window."""
@@ -695,23 +713,66 @@ class TestWindowEmbedding:
                         accumulate(pushed, (pl, pr), c * cl * cr)
             assert image.delta_dict() == pushed, key
 
+    @pytest.mark.parametrize("params", WINDOW_PARAMS, ids=repr)
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_both_certificates_accept(self, params, radius):
+        """The translation certificate and the per-key reference accept
+        every window."""
+        tr = truncate_to_subcoalgebra(params, radius)
+        assert reference_certify_embedding(params, tr.iota)["keys"] == len(tr.iota)
+        assert hopf._certify_embedding(params, tr.iota) == tr.certificate
+
     def test_certificate_is_stored(self):
+        """The certificate counts every key and path, and the coproduct terms
+        of the four representatives x^p y^q, where alone it compares Delta."""
         p = params_free(k="5")
         tr = truncate_to_subcoalgebra(p, 1)
-        cert = tr.certificate
-        assert cert["keys"] == tr.coalgebra.dim == 49
-        assert cert["paths"] == sum(len(b.terms) for b in tr.coalgebra.basis)
-        assert cert["coproduct_terms"] == sum(len(b.delta_dict()) for b in tr.coalgebra.basis)
+        reps = [tr.image_of(0, 0, a, b) for a in (0, 1) for b in (0, 1)]
+        assert tr.certificate == {
+            "keys": tr.coalgebra.dim, "representatives": 4,
+            "coproduct_terms": sum(len(b.delta_dict()) for b in reps),
+            "paths": sum(len(b.terms) for b in tr.coalgebra.basis)}
+        assert (tr.coalgebra.dim, tr.certificate["coproduct_terms"]) == (49, 11)
 
 
 # -- mutants of the window embedding: each must fail the certificate ---------
 
 
-def image_of_key_variant(lam_power=1, swap=False, drop=None):
+def reference_certify_embedding(params, images):
+    """The former per-key certificate, kept as the reference: the images are
+    nonzero with pairwise disjoint supports, Delta_H of every key lands on
+    keys, and Delta_path iota(u) = (iota (x) iota) Delta_H(u) for every key u,
+    one dict comparison each."""
+    owner = {}
+    for key, img in images.items():
+        if not img.terms:
+            raise NotClosedUnderDelta(f"iota({hopf._fmt_key(key)}) is zero")
+        for path in img.terms:
+            other = owner.setdefault(path, key)
+            if other != key:
+                raise NotClosedUnderDelta(f"iota({hopf._fmt_key(key)}) and "
+                                          f"iota({hopf._fmt_key(other)}) share a path")
+    compared = 0
+    for key, img in images.items():
+        name, expected = hopf._fmt_key(key), {}
+        for (l, r), c in hopf._comul_terms(params, {key: 1}).items():
+            if l not in images or r not in images:
+                raise NotClosedUnderDelta(f"Delta({name}) leaves the keys at "
+                                          f"{hopf._fmt_key(l)} (x) {hopf._fmt_key(r)}")
+            linalg.tensor_axpy(expected, c, images[l].terms, images[r].terms)
+        if img.delta_dict() != expected:
+            raise NotClosedUnderDelta(
+                f"Delta(iota({name})) differs from (iota (x) iota) Delta({name})")
+        compared += len(expected)
+    return {"keys": len(images), "coproduct_terms": compared, "paths": len(owner)}
+
+
+def image_of_key_variant(lam_power=1, swap=False, drop=None, only=None):
     """`_image_of_key` with lam^lam_power for lam on the yx path of the xy
-    image, with the x and y arrows of the degree-one images swapped wherever
-    the other arrow exists, or with the image of the key `drop` replaced by
-    0; the defaults are the original."""
+    image (of group part `only` alone, if given), with the x and y arrows of
+    the degree-one images swapped wherever the other arrow exists, or with
+    the image of the key `drop` replaced by 0; the defaults are the
+    original."""
     original = hopf._image_of_key
 
     def image_of_key(params, quiver, key):
@@ -722,7 +783,7 @@ def image_of_key_variant(lam_power=1, swap=False, drop=None):
         if swap and p + q == 1 and f"{'y' if p else 'x'}@{g}" in quiver.arrow_by_id:
             return original(params, quiver, ((i, j), q, p))
         img = original(params, quiver, key)
-        if p and q:
+        if p and q and only in (None, (i, j)):
             gb = grid_vertex_label(*params.canon(i, j + 1))
             yx = Path(g, (f"y@{g}", f"x@{gb}"))
             img = img + path_element(quiver, yx, params.lam - params.lam ** lam_power)
@@ -760,22 +821,33 @@ EMBEDDING_MUTANT_PARAMS = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def certified_window(index, radius):
+    """EMBEDDING_MUTANT_PARAMS[index] and the image dict of its truncation at
+    radius, built once for the hypothesis examples."""
+    params = EMBEDDING_MUTANT_PARAMS[index]
+    return params, dict(truncate_to_subcoalgebra(params, radius).iota)
+
+
 class TestEmbeddingMutants:
     @pytest.mark.parametrize("params", EMBEDDING_MUTANT_PARAMS, ids=repr)
     @pytest.mark.parametrize("radius", [1, 2])
-    @pytest.mark.parametrize("name", ["lam^2 on xy", "swapped arrows",
+    @pytest.mark.parametrize("name", ["lam^2 on xy", "lam^2 on one xy", "swapped arrows",
                                       "dropped boundary group"])
     def test_certificate_names_the_key(self, monkeypatch, params, radius, name):
         """Each mutant raises NotClosedUnderDelta naming a key whose image it
-        changed.  SubCoalgebra(validate=True) sees only the span of the
-        images.  It rejects the dropped group, whose span misses a grouplike,
-        and accepts lam^2, since the span is a subcoalgebra whatever scalar
-        the yx path carries.  It rejects the swap only where an arrow kept at
-        the boundary changes the span (here on (4, 0, z4) at radius 2); a
-        swap that permutes the arrows keeps it.  The certificate checks iota
-        against Delta_H and rejects all three."""
+        changed, and the per-key reference rejects it too.
+        SubCoalgebra(validate=True) sees only the span of the images.  It
+        rejects the dropped group, whose span misses a grouplike, and accepts
+        lam^2, since the span is a subcoalgebra whatever scalar the yx path
+        carries.  It rejects the swap only where an arrow kept at the
+        boundary changes the span (here on (4, 0, z4) at radius 2); a swap
+        that permutes the arrows keeps it.  lam^2 on the xy image of one
+        group part a leaves every representative and every key of Delta_H as
+        they were, so only the translation check sees it."""
         mutant = {
             "lam^2 on xy": image_of_key_variant(lam_power=2),
+            "lam^2 on one xy": image_of_key_variant(lam_power=2, only=params.canon(1, 0)),
             "swapped arrows": image_of_key_variant(swap=True),
             "dropped boundary group": image_of_key_variant(
                 drop=(boundary_group(params, radius), 0, 0)),
@@ -786,35 +858,69 @@ class TestEmbeddingMutants:
         images = [mutant(params, tr.quiver, k) for k in keys]
         changed = [k for k, img, old in zip(keys, images, tr.coalgebra.basis) if img != old]
         assert changed
+        if name == "lam^2 on one xy":
+            assert changed == [(params.canon(1, 0), 1, 1)] != [(params.canon(0, 0), 1, 1)]
+        with pytest.raises(NotClosedUnderDelta):
+            reference_certify_embedding(params, dict(zip(keys, images)))
         monkeypatch.setattr(hopf, "_image_of_key", mutant)
         with pytest.raises(NotClosedUnderDelta) as info:
             truncate_to_subcoalgebra(params, radius)
         message = str(info.value)
-        assert any(f"({hopf._fmt_key(k)})" in message for k in changed), message
+        assert any(f"iota({hopf._fmt_key(k)})" in message for k in changed), message
         if name == "dropped boundary group":
             with pytest.raises(NotClosedUnderDelta):
                 span_subcoalgebra(tr.quiver, images)
-        elif name == "lam^2 on xy":
+        elif name.startswith("lam^2"):
             assert span_subcoalgebra(tr.quiver, images).dim == len(images)
 
     def test_each_check_rejects_alone(self):
         """Each check of `_certify_embedding` rejects a corrupted image dict
-        before the others see it, with its own message."""
+        before the others see it, with its own message; the per-key reference
+        rejects each with its message, except a dict without a
+        representative, which holds no key whose Delta is wrong."""
         p = validate_params(0, 0, -1, 1, 1, 0)
         tr = truncate_to_subcoalgebra(p, 1)
         images = dict(zip(truncation_keys(p, 1), tr.coalgebra.basis))
-        x, y, ab = ((0, 0), 1, 0), ((0, 0), 0, 1), ((1, 1), 0, 0)
+        x, y, xy, ab = ((0, 0), 1, 0), ((0, 0), 0, 1), ((0, 0), 1, 1), ((1, 1), 0, 0)
         cases = [
-            ({**images, x: CoElement(tr.quiver, {})}, r"iota\(x\) is zero"),
-            ({**images, y: images[x]}, r"iota\(y\) and iota\(x\) share a path"),
+            ({**images, x: CoElement(tr.quiver, {})}, r"iota\(x\) is zero", r"iota\(x\) is zero"),
+            ({**images, y: images[x]}, r"iota\(y\) and iota\(x\) share a path",
+             r"iota\(y\) and iota\(x\) share a path"),
             ({k: v for k, v in images.items() if k != ab},
+             r"Delta\(b\*x\) leaves the keys at a\*b$",
              r"Delta\(b\*x\) leaves the keys at b\*x \(x\) a\*b"),
-            ({**images, x: images[x] * 2}, r"Delta\(iota\(b\^-1\*x\*y\)\) differs"),
+            ({**images, x: images[x] * 2},
+             r"iota\(a\^-1\*b\^-1\*x\) is not iota\(x\) translated by a\^-1\*b\^-1",
+             r"Delta\(iota\(b\^-1\*x\*y\)\) differs"),
+            ({k: v * 2 if k[1:] == (1, 0) else v for k, v in images.items()},
+             r"Delta\(iota\(x\*y\)\) differs",
+             r"Delta\(iota\(a\^-1\*b\^-1\*x\*y\)\) differs"),
+            ({k: v for k, v in images.items() if k != xy},
+             r"iota\(a\^-1\*b\^-1\*x\*y\) is not iota\(x\*y\)", None),
         ]
         assert hopf._certify_embedding(p, images) == tr.certificate
-        for corrupted, message in cases:
+        assert reference_certify_embedding(p, images)["keys"] == len(images)
+        for corrupted, message, reference in cases:
             with pytest.raises(NotClosedUnderDelta, match=message):
                 hopf._certify_embedding(p, corrupted)
+            if reference is None:
+                assert reference_certify_embedding(p, corrupted)["keys"] == len(images) - 1
+                continue
+            with pytest.raises(NotClosedUnderDelta, match=reference):
+                reference_certify_embedding(p, corrupted)
+
+    @settings(max_examples=80, deadline=None)
+    @given(index=st.integers(0, len(EMBEDDING_MUTANT_PARAMS) - 1), radius=st.integers(1, 2),
+           data=st.data())
+    def test_doubling_one_image_names_its_key(self, index, radius, data):
+        """Twice the image of any one key raises NotClosedUnderDelta naming
+        that key: the translation check of the key itself, or, for a
+        representative, of the first key translated from it."""
+        params, images = certified_window(index, radius)
+        key = data.draw(st.sampled_from(sorted(images)))
+        with pytest.raises(NotClosedUnderDelta) as info:
+            hopf._certify_embedding(params, {**images, key: images[key] * 2})
+        assert f"iota({hopf._fmt_key(key)})" in str(info.value), str(info.value)
 
     def test_unmutated_variant_passes(self, monkeypatch):
         monkeypatch.setattr(hopf, "_image_of_key", image_of_key_variant())
