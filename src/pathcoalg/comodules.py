@@ -161,7 +161,10 @@ def hom(m1, m2):
     vector r and M's vector c lie over one vertex, as the length-0 equations
     force the other entries to 0; otherwise every entry is.  With the unknowns
     in the order of r * dim M + c, one equation per (l, j, path) gives the full
-    system's free columns and basis, in the coaction's values as stored."""
+    system's free columns and basis, in the coaction's values as stored.  The
+    equations are built from the nonzero coaction terms alone, each feeding
+    the (l, j) whose unknown it meets, and reach `nullspace` in (l, j) order,
+    as a loop over every pair of basis vectors would build them."""
     _check_ambient(m1, m2)
     dm, dn = m1.dim, m2.dim
     w1, w2 = m1.weights, m2.weights
@@ -169,27 +172,28 @@ def hom(m1, m2):
         w1, w2 = [0] * dm, [0] * dn
     number = count()  # col[r][c] is the number of the unknown f[r][c], or None
     col = [[next(number) if g == h else None for h in w1] for g in w2]
-    # out2[l][g] lists (col[k], path, c) over the terms of N's c_lk with k over g,
-    # in1[j][g] lists (i, path, -c) over the terms of M's c_ij with i over g
-    out2, in1 = [{} for _ in range(dn)], [{} for _ in range(dm)]
+    over1, over2 = {}, {}  # vertex -> the basis vectors of M, of N over it
+    for over, w in ((over1, w1), (over2, w2)):
+        for r, g in enumerate(w):
+            over.setdefault(g, []).append(r)
+    eqs = {}  # (l, j) -> path -> that equation's row
+    # a term of N's c_lk meets f[k][j], an unknown only for j over k's vertex;
+    # each (k, path) is met once per (l, j), so these entries are new
     for l, row in enumerate(m2.coaction):
         for k, e in enumerate(row):
-            for p, c in e.terms.items():
-                out2[l].setdefault(w2[k], []).append((col[k], p, c))
+            for j in over1.get(w2[k], ()) if e.terms else ():
+                per_path = eqs.setdefault((l, j), {})
+                for p, c in e.terms.items():
+                    per_path.setdefault(p, {})[col[k][j]] = c
+    # a term of M's c_ij meets f[l][i], an unknown only for l over i's vertex
     for i, row in enumerate(m1.coaction):
         for j, e in enumerate(row):
-            for p, c in e.terms.items():
-                in1[j].setdefault(w1[i], []).append((i, p, -c))
-    rows = []
-    for l, g in enumerate(w2):
-        for j, h in enumerate(w1):
-            per_path = {}
-            # each (k, path) is met once, so these entries are new
-            for col_k, p, c in out2[l].get(h, ()):
-                per_path.setdefault(p, {})[col_k[j]] = c
-            for i, p, c in in1[j].get(g, ()):
-                accumulate(per_path.setdefault(p, {}), col[l][i], c)
-            rows.extend(row for row in per_path.values() if row)
+            for l in over2.get(w1[i], ()) if e.terms else ():
+                per_path = eqs.setdefault((l, j), {})
+                for p, c in e.terms.items():
+                    accumulate(per_path.setdefault(p, {}), col[l][i], -c)
+    # in (l, j) order, the rows of the all-pairs loop: those that meet a term
+    rows = [row for lj in sorted(eqs) for row in eqs[lj].values() if row]
     return HomSpace(m1, m2, [
         [[0 if x is None else vec[x] for x in row] for row in col]
         for vec in nullspace(rows, next(number))

@@ -219,8 +219,10 @@ class SparseBasis:
         if not res:
             return False
         pivot = min(res)
-        inv = _inverse(res[pivot])
-        row = {k: v * inv for k, v in res.items()}
+        row, inv = res, res[pivot]
+        if inv.__class__ is not int or inv != 1:  # an int 1 pivot is kept as is
+            inv = _inverse(inv)
+            row = {k: v * inv for k, v in res.items()}
         crow = None
         if comb is not None:
             crow = {tag: inv}

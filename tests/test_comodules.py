@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -359,13 +360,64 @@ def _hom_full(m1, m2):
     ])
 
 
+def _hom_rows_all_pairs(m1, m2):
+    """The equations of `hom` by its former assembly, as (rows, number of
+    unknowns): a loop over every pair (l, j) of basis vectors of N and M, in
+    order, writing one row per path.  The unknowns are `hom`'s: f[r][c] for
+    the same-vertex pairs on adapted bases, every entry otherwise, numbered
+    in the order of r * dim M + c."""
+    dm, dn = m1.dim, m2.dim
+    w1, w2 = m1.weights, m2.weights
+    if w1 is None or w2 is None:
+        w1, w2 = [0] * dm, [0] * dn
+    number = count()
+    col = [[next(number) if g == h else None for h in w1] for g in w2]
+    out2, in1 = [{} for _ in range(dn)], [{} for _ in range(dm)]
+    for l, row in enumerate(m2.coaction):
+        for k, e in enumerate(row):
+            for p, c in e.terms.items():
+                out2[l].setdefault(w2[k], []).append((col[k], p, c))
+    for i, row in enumerate(m1.coaction):
+        for j, e in enumerate(row):
+            for p, c in e.terms.items():
+                in1[j].setdefault(w1[i], []).append((i, p, -c))
+    rows = []
+    for l, g in enumerate(w2):
+        for j, h in enumerate(w1):
+            per_path = {}
+            for col_k, p, c in out2[l].get(h, ()):
+                per_path.setdefault(p, {})[col_k[j]] = c
+            for i, p, c in in1[j].get(g, ()):
+                accumulate(per_path.setdefault(p, {}), col[l][i], c)
+            rows.extend(row for row in per_path.values() if row)
+    return rows, next(number)
+
+
 def _exact(matrices):
     """The matrices with each entry's type, so that 0 and Fraction(0) differ."""
     return [[[(type(x), x) for x in row] for row in f] for f in matrices]
 
 
+def _exact_rows(rows):
+    """The rows as (key, type, value) lists, in their key order."""
+    return [[(k, type(v), v) for k, v in row.items()] for row in rows]
+
+
 def _assert_hom_matches_oracle(m1, m2):
-    assert _exact(hom(m1, m2).matrices) == _exact(_hom_full(m1, m2).matrices)
+    """`hom` hands `nullspace` the all-pairs loop's rows, the same rows in the
+    same order, and its matrices are the full system's."""
+    handed = []
+
+    def recording(rows, n):
+        handed.append((_exact_rows(rows), n))
+        return nullspace(rows, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(comodules, "nullspace", recording)
+        got = hom(m1, m2)
+    rows, n = _hom_rows_all_pairs(m1, m2)
+    assert handed == [(_exact_rows(rows), n)]
+    assert _exact(got.matrices) == _exact(_hom_full(m1, m2).matrices)
 
 
 # the comodule-hom benchmark's inventories: (parameters, radius, dimension bound)
@@ -378,7 +430,8 @@ HOM_INVENTORIES = [
 
 class TestHomBlocks:
     """`hom` solves only for same-vertex entries on adapted bases and for
-    every entry otherwise; either way its matrices are the full system's."""
+    every entry otherwise; either way its matrices are the full system's, and
+    the rows it hands `nullspace` are those of the all-pairs loop."""
 
     @pytest.mark.parametrize("raw, radius, max_dim", HOM_INVENTORIES)
     def test_inventory_matches_full_system(self, raw, radius, max_dim):
