@@ -361,9 +361,9 @@ def _hom_full(m1, m2):
 
 
 def _hom_rows_all_pairs(m1, m2):
-    """The equations of `hom` by its former assembly, as (rows, number of
-    unknowns): a loop over every pair (l, j) of basis vectors of N and M, in
-    order, writing one row per path.  The unknowns are `hom`'s: f[r][c] for
+    """The equations of `hom` as (rows, number of unknowns), assembled by a
+    loop over every pair (l, j) of basis vectors of N and M, in order,
+    writing one row per path.  The unknowns are `hom`'s: f[r][c] for
     the same-vertex pairs on adapted bases, every entry otherwise, numbered
     in the order of r * dim M + c."""
     dm, dn = m1.dim, m2.dim
