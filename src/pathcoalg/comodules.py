@@ -80,7 +80,7 @@ class Comodule:
                     raise InvalidDescription(
                         f"coaction entry ({i},{j}) leaves the coalgebra"
                     )
-                if entry.counit() != (1 if i == j else 0):
+                if sum(c for p, c in entry.terms.items() if p.length == 0) != (1 if i == j else 0):
                     raise InvalidDescription(
                         f"counit law fails at entry ({i},{j}): eps = {entry.counit()}")
                 rhs = {}

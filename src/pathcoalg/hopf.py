@@ -43,7 +43,7 @@ from .errors import (
 )
 from .linalg import SparseElement, accumulate, axpy, tensor_axpy
 from .quiver import Path, grid_quiver, grid_vertex_label, grid_window, group_canonical_pair
-from .scalar import _UNIT, ONE, CycScalar, Laurent, _q, bare, cyc, parse_scalar
+from .scalar import _UNIT, ONE, CycScalar, Laurent, _q, bare, cyc
 
 
 def _power(x, e):
@@ -96,11 +96,6 @@ class BmnParams:
     def to_json(self):
         scalars = zip(_SCALAR_NAMES, (self.lam, self.s, self.t, self.k))
         return {"m": self.m, "n": self.n, **{name: str(v) for name, v in scalars}}
-
-    @staticmethod
-    def from_json(data):
-        return validate_params(int(data["m"]), int(data["n"]),
-                               *(parse_scalar(str(data[name])) for name in _SCALAR_NAMES))
 
     def __repr__(self):
         return (
@@ -254,14 +249,6 @@ class BmnElement(SparseElement):
         if isinstance(other, BmnElement):
             return multiply(self, other)
         return super().__mul__(other)
-
-
-def element(params, terms):
-    return BmnElement(params, terms)
-
-
-def unit(params):
-    return BmnElement(params, {(params.canon(0, 0), 0, 0): 1})
 
 
 def group_element(params, i, j):

@@ -63,7 +63,7 @@ def _inverse(value):
     """1 / value for a nonzero CycScalar or bare rational, of the same kind."""
     if isinstance(value, CycScalar):
         return value.inverse()
-    return _q(Fraction(1, value))
+    return value if value in (1, -1) else _q(Fraction(1, value))
 
 
 def _fmt_scalar(s):

@@ -5,12 +5,13 @@ the N-th cyclotomic polynomial.  Rational coordinates have one normal form
 (``_q``): an ``int`` when integral, a reduced ``Fraction`` otherwise.  The two
 compare and hash equal, so the form changes no result, only its cost.  A
 coordinate is divided only through ``Fraction``: ``1 / c`` on an ``int`` is a
-float.  Mixed conductors are handled by lazy promotion to the lcm; every
-element is kept at its minimal conductor so equality and hashing are
+float.  Mixed conductors are handled by lazy promotion to the lcm.  Every
+element is kept at its minimal conductor, so equality and hashing are
 structural, and a rational element hashes as its coordinate, which it equals.
-The two small exact linear problems here, demoting a vector to a subfield
-Q(zeta_d) and inverting an element, are solved by `linalg.SparseBasis` on
-bare rationals, the one elimination kernel of the package.
+v + q, q * v (q != 0) and 1 / v generate the field of v, so only a sum or
+product of two irrationals and a root of unity are demoted to a subfield
+Q(zeta_d); that and inverting an element are small exact linear problems,
+solved on bare rationals by `linalg.SparseBasis`, the one elimination kernel.
 
 Text grammar (bit-exact round trip): rationals as ``p/q``, roots of unity as
 ``z<N>^<e>``, products with ``*``, sums with ``+``/``-``, parentheses.
@@ -164,9 +165,8 @@ class CycScalar:
     # -- basic predicates ---------------------------------------------------
 
     def is_zero(self):
-        """Every element is kept at its minimal conductor, and `_canonical`
-        turns zero into (1, (0,)), so zero is the one element with n == 1 and
-        a zero constant coordinate."""
+        """Zero is kept at its minimal conductor, 1, like every element: it
+        is the one element with n == 1 and a zero constant coordinate."""
         return self.n == 1 and not self.coeffs[0]
 
     def is_rational(self):
@@ -209,8 +209,10 @@ class CycScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.n == 1 and other.n == 1:
-            return CycScalar(1, (_q(self.coeffs[0] + other.coeffs[0]),))
+        if self.n == 1:
+            self, other = other, self
+        if other.n == 1:
+            return CycScalar(self.n, (_q(self.coeffs[0] + other.coeffs[0]), *self.coeffs[1:]))
         n = _lcm(self.n, other.n)
         a, b = self.promote(n), other.promote(n)
         return _canonical(n, [x + y for x, y in zip(a, b)])
@@ -236,18 +238,13 @@ class CycScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.n == 1 and other.n == 1:
-            return CycScalar(1, (_q(self.coeffs[0] * other.coeffs[0]),))
         if self.n == 1:
-            q = self.coeffs[0]
-            if q == 0:
-                return ZERO
-            return _canonical(other.n, [q * c for c in other.coeffs])
+            self, other = other, self
         if other.n == 1:
             q = other.coeffs[0]
-            if q == 0:
+            if not q:
                 return ZERO
-            return _canonical(self.n, [q * c for c in self.coeffs])
+            return CycScalar(self.n, [_q(q * c) for c in self.coeffs])
         n = _lcm(self.n, other.n)
         a, b = self.promote(n), other.promote(n)
         prod = [_ZERO] * (len(a) + len(b) - 1)
@@ -274,7 +271,7 @@ class CycScalar:
             col = _reduce_mod_cyclo([_ZERO] * j + list(self.coeffs), n)
             system.add(dict(enumerate(col)), j)
         inv = system.coords({0: _ONE})
-        return _canonical(n, [inv.get(j, _ZERO) for j in range(deg)])
+        return CycScalar(n, [_q(inv.get(j, _ZERO)) for j in range(deg)])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -349,8 +346,6 @@ def _fmt_rational(q):
 def _canonical(n, vec):
     """Demote (n, vec) to the minimal conductor representation."""
     vec = [_q(c) for c in vec]
-    if n == 1:
-        return CycScalar(1, tuple(vec))
     if all(c == 0 for c in vec[1:]):
         return CycScalar(1, (vec[0],))
     sparse = dict(enumerate(vec))

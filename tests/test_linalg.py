@@ -259,9 +259,21 @@ class TestSkippedBackElimination:
         assert_same_as_full_scan(
             [{(i, k): v for k, v in vec.items()} for i, vec in enumerate(vectors)])
 
-    def test_later_pivot_in_earlier_row(self):
-        # the second pivot, key 1, is held by the first row and must leave it
-        assert_same_as_full_scan([{0: 1, 1: 2, 2: 3}, {1: 1, 2: 1}])
+    @pytest.mark.parametrize("lead, rows, crows", [
+        (1, {0: {0: 1, 2: 1}, 1: {1: 1, 2: 1}}, {0: {0: 1, 1: -2}, 1: {1: 1}}),
+        (-1, {0: {0: 1, 2: -5}, 1: {1: 1, 2: -1}}, {0: {0: -1, 1: -2}, 1: {1: -1}}),
+    ])
+    def test_later_pivot_in_earlier_row(self, lead, rows, crows):
+        # the second pivot, key 1, is held by the first row and must leave it;
+        # a unit pivot, 1 or -1, leaves every value a bare int
+        vectors = [{0: lead, 1: 2, 2: 3}, {1: lead, 2: 1}]
+        assert_same_as_full_scan(vectors)
+        engine = SparseBasis(coords=True)
+        for vec in vectors:
+            engine.add(vec)
+        assert (engine.rows, engine.crows) == (rows, crows)
+        stored = [*engine.rows.values(), *engine.crows.values()]
+        assert {type(v) for vec in stored for v in vec.values()} == {int}
 
     def test_cyclotomic(self):
         z3 = cyc("z3")
