@@ -28,7 +28,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, le
 
 from .coalgebra import SubCoalgebra, path_element
 from .errors import (
@@ -310,36 +310,41 @@ def _delta_generators(params):
             TensorElement(params, {(one, y): 1, (y, b): 1}))
 
 
-def _structure_table(params):
-    """Delta and S on x^p y^q as term dicts, by (p, q): Delta(x)^p Delta(y)^q
-    and S(y)^q S(x)^p, from S(x) = -x a^-1 and S(y) = -y b^-1."""
+def _delta_table(params):
+    """Delta on x^p y^q as term dicts, by (p, q): Delta(x)^p Delta(y)^q."""
     dx, dy = (d.terms for d in _delta_generators(params))
     e = params.canon(0, 0)
-    d1, u1 = {((e, 0, 0), (e, 0, 0)): 1}, {(e, 0, 0): 1}
+    d1 = {((e, 0, 0), (e, 0, 0)): 1}
+    return {(p, q): _bare_terms(_tensor_mul(params, dx if p else d1, dy if q else d1))
+            for p in (0, 1) for q in (0, 1)}
+
+
+def _antipode_table(params):
+    """S on x^p y^q as term dicts, by (p, q): S(y)^q S(x)^p, S(x) = -x a^-1, S(y) = -y b^-1."""
+    u1 = {(params.canon(0, 0), 0, 0): 1}
     s_x = (-(gen_x(params) * group_element(params, -1, 0))).terms
     s_y = (-(gen_y(params) * group_element(params, 0, -1))).terms
-    return {(p, q): (_bare_terms(_tensor_mul(params, dx if p else d1, dy if q else d1)),
-                     _bare_terms(_mul_terms(params, s_y if q else u1, s_x if p else u1)))
+    return {(p, q): _bare_terms(_mul_terms(params, s_y if q else u1, s_x if p else u1))
             for p in (0, 1) for q in (0, 1)}
 
 
 def _comul_terms(params, terms):
     """Delta(g x^p y^q) = (g (x) g) Delta(x^p y^q), a shift of the table."""
-    table = _table(params, _structure_table)
+    table = _table(params, _delta_table)
     out = {}
     for (g, p, q), c in terms.items():
-        for (l, r), c2 in table[p, q][0].items():
+        for (l, r), c2 in table[p, q].items():
             accumulate(out, (_shift(params, g, l), _shift(params, g, r)), c * c2)
     return out
 
 
 def _anti_terms(params, terms):
     """S(g x^p y^q) = S(x^p y^q) g^-1, from the table."""
-    table = _table(params, _structure_table)
+    table = _table(params, _antipode_table)
     out = {}
     for (g, p, q), c in terms.items():
         g_inv = (params.canon(-g[0], -g[1]), 0, 0)
-        axpy(out, c, _mul_terms(params, table[p, q][1], {g_inv: 1}))
+        axpy(out, c, _mul_terms(params, table[p, q], {g_inv: 1}))
     return out
 
 
@@ -488,10 +493,21 @@ def _span_rows(coefficients):
 @functools.lru_cache(maxsize=1)
 def family_certificate():
     """`_residues` of B(0, 0; lam, s, t, k) on generic parameters, over
-    Q[lam^+-1, s, t, k]: the relation names, and `_span_rows` of the residues'
-    coefficients, 13 independent binomials in 19 monomials from 30."""
-    generic = _generic_params(0, 0)
-    rows = _span_rows(c for _, _, residue in _residues(generic) for c in residue.values())
+    Q[lam^+-1, s, t, k]: the relation names, and the `_span_rows` of the
+    residues' coefficients up to the unit lam^j, less each binomial row
+    M(1 - lam^v), M a monomial in s, t, k, that another one M'(1 - lam^v')
+    divides (M' | M, v' | v), as it vanishes wherever its divisor does.  The
+    30 coefficients give 3 rows, k(1 - lam), s(1 - lam^2) and t(1 - lam^2)."""
+    generic, rows = _generic_params(0, 0), {}
+    for row in _span_rows(c for _, _, residue in _residues(generic) for c in residue.values()):
+        low = min(e[0] for e in row.terms)
+        rows.setdefault(tuple(sorted(((e[0] - low, *e[1:]), q) for e, q in row.terms.items())))
+    # (M, v) for each row M(1 - lam^v): its first term is M, at lam^0
+    binomials = {row: (row[0][0][1:], row[1][0][0]) for row in rows
+                 if len(row) == 2 and row[0][0][1:] == row[1][0][1:] and row[1][1] == -1}
+    divided = {row for row, (m, v) in binomials.items() for m2, v2 in binomials.values()
+               if (m2, v2) != (m, v) and v % v2 == 0 and all(map(le, m2, m))}
+    rows = tuple(Laurent(dict(row)) for row in rows if row not in divided)
     return tuple(name for name, _ in relations(generic)), rows
 
 
@@ -517,16 +533,21 @@ def _certify_quotient_map(m, n):
 
 
 def _specializer(params):
-    """Evaluation at the (lam, s, t, k) of params, a Q-linear ring map; powers computed once."""
+    """Evaluation at the (lam, s, t, k) of params, a Q-linear ring map; each monomial computed once."""
     point = [bare(v) for v in (params.lam, params.s, params.t, params.k)]
     lam_inv = bare(params.lam_inv)  # only lam has negative exponents
-    power = functools.cache(lambda v, e: _power(point[v], e) if e > 0 else _power(lam_inv, -e))
-    monomial = functools.cache(lambda exps: math.prod(power(v, e) for v, e in enumerate(exps) if e))
+    monomials = {}
 
     def value(c):
         if not isinstance(c, Laurent):
             return c
-        return sum((coeff * monomial(exps) for exps, coeff in c.terms.items()), 0)
+        total = 0
+        for exps, coeff in c.terms.items():
+            if exps not in monomials:
+                monomials[exps] = math.prod(_power(point[v], e) if e > 0 else _power(lam_inv, -e)
+                                            for v, e in enumerate(exps) if e)
+            total = total + coeff * monomials[exps]
+        return total
 
     return value
 
@@ -547,8 +568,8 @@ def verify_hopf_axioms(params, radius, seed=None):
     (`_certify_quotient_map`, cached per (m, n)); (b) g is central,
     sign_x(m, -n) = sign_y(m, -n) = 1; (c) the nonzero B(0, 0) residues
     vanish at its parameters, sound since evaluation is a ring map, and read
-    off their 13 `_span_rows`.  If (b) or (c) fails, the first nonzero
-    residue of `_residues` on the query's own parameters is raised.
+    off the 3 rows of `family_certificate`.  If (b) or (c) fails, the first
+    nonzero residue of `_residues` on the query's own parameters is raised.
 
     1. Associativity, by Bergman's diamond lemma.  `multiply` computes
        (g1 u)(g2 v) as a character of g2, a shift by g1 g2 and the rule table
@@ -679,8 +700,8 @@ def _certify_embedding(params, images):
                 raise NotClosedUnderDelta(
                     f"iota({_fmt_key(key)}) and iota({_fmt_key(other)}) share a path")
     _certify_quotient_map(params.m, params.n)
-    table, e = _table(params, _structure_table), params.canon(0, 0)
-    needed = {pq: {key for pair in delta for key in pair} for pq, (delta, _) in table.items()}
+    table, e = _table(params, _delta_table), params.canon(0, 0)
+    needed = {pq: {key for pair in delta for key in pair} for pq, delta in table.items()}
     for key, img in images.items():
         g, p, q = key
         for shifted in (_shift(params, g, k) for k in needed[p, q]):

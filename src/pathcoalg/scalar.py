@@ -349,9 +349,9 @@ def _canonical(n, vec):
     if all(c == 0 for c in vec[1:]):
         return CycScalar(1, (vec[0],))
     sparse = dict(enumerate(vec))
-    for d in _divisors(n):
-        if d == n:
-            break
+    for d in _divisors(n)[:-1]:
+        if d <= 2:  # Q(zeta_1) = Q(zeta_2) = Q, ruled out above
+            continue
         sol = _subfield_basis(d, n).coords(sparse)
         if sol is not None:
             return CycScalar(d, tuple(_q(sol.get(j, _ZERO)) for j in range(phi(d))))
@@ -362,36 +362,39 @@ ZERO = CycScalar(1, (_ZERO,))
 ONE = CycScalar(1, (_ONE,))
 
 
+def _parse(text):
+    """A rational literal (``-3``, ``2/5``, no whitespace) straight to its `_q`
+    value, any other string through `parse_scalar`."""
+    if not _RATIONAL_LITERAL.fullmatch(text):
+        return parse_scalar(text)
+    try:
+        return _q(Fraction(text))
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}") from None
+
+
 def cyc(value):
-    """Coerce an int, Fraction, str (scalar grammar), or CycScalar."""
+    """Coerce an int, Fraction, str (scalar grammar, see `_parse`), or CycScalar."""
     if isinstance(value, CycScalar):
         return value
     if isinstance(value, (int, Fraction)):
         return CycScalar(1, (_q(value),))
     if isinstance(value, str):
-        return parse_scalar(value)
+        return cyc(_parse(value))
     raise TypeError(f"cannot coerce {value!r} to a scalar")
 
 
 def bare(value):
     """A coefficient as a value: a rational as a bare int or Fraction in the
     normal form of `_q`, a `Laurent` as itself unless constant, anything
-    else as the CycScalar `cyc` gives.  A string that is one rational
-    literal, an optional minus and digits with an optional ``/`` and digits
-    (``-3``, ``2/5``) and no whitespace, goes straight to Fraction; any
-    other string goes through `parse_scalar`."""
+    else as the CycScalar `cyc` gives; a string as `_parse` reads it."""
     if isinstance(value, CycScalar):
         return value.coeffs[0] if value.n == 1 else value
     if isinstance(value, (int, Fraction)):
         return _q(value)
     if isinstance(value, Laurent):
         return value if value.terms.keys() - {_UNIT} else value.terms.get(_UNIT, 0)
-    if isinstance(value, str) and _RATIONAL_LITERAL.fullmatch(value):
-        try:
-            return _q(Fraction(value))
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {value!r}") from None
-    return bare(cyc(value))
+    return bare(_parse(value) if isinstance(value, str) else cyc(value))
 
 
 _UNIT = (0, 0, 0, 0)

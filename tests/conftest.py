@@ -11,12 +11,12 @@ def fresh_family_certificates():
     """`hopf.family_certificate` caches the one certificate of B(0, 0),
     `hopf._certify_quotient_map` the check of `canon` per (m, n), and
     `classify._witness_family` one witness check per (m1, n1, m2, n2, kind),
-    across calls; the two certificates keep the `_span_rows` of their
-    residues, which are all `verify_hopf_axioms` and `verify_witness`
-    evaluate.  Clearing all three around each test makes a test that
-    monkeypatches a term function, `canon` or `_span_rows` see its mutant in
-    both, rather than stale rows, and keeps a mutant's results out of later
-    tests."""
+    across calls; the two certificates keep the rows of their residues, and
+    the witness check the relations that can fail, which are all
+    `verify_hopf_axioms` and `verify_witness` evaluate.  Clearing all three
+    around each test makes a test that monkeypatches a term function,
+    `canon` or `sign_x` see its mutant in both, rather than stale rows, and
+    keeps a mutant's results out of later tests."""
     for cache in FAMILY_CACHES:
         cache.cache_clear()
     yield

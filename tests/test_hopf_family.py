@@ -484,13 +484,19 @@ def per_residue_verdict(params, radius):
     return listed_report(params, radius)
 
 
-def witness_residues(m1, n1, m2, n2, kind):
-    """The coefficients of the structure-map residues of `_witness_family`,
-    one tuple per nonzero residue: the former gate of `verify_witness`."""
+def generic_images(m2, n2, kind):
+    """The generic target B(m2, n2), phi_1's images of the generators there
+    by relation letter, and its unit."""
     target = hopf._generic_params(m2, n2)
     gens = {g: u.terms for g, u in hopf.generator_images(target).items()}
     images = gens if kind == "phi" else {g: gens[h] for g, h in zip("aAbBxy", "bBaAyx")}
-    one = {(target.canon(0, 0), 0, 0): 1}
+    return target, images, {(target.canon(0, 0), 0, 0): 1}
+
+
+def witness_residues(m1, n1, m2, n2, kind):
+    """The coefficients of the structure-map residues of `_witness_family`,
+    one tuple per nonzero residue: the former gate of `verify_witness`."""
+    target, images, one = generic_images(m2, n2, kind)
     residues = []
     for g, u, g_inv in (("a", "x", "A"), ("b", "y", "B")):
         g, u, g_inv = images[g], images[u], images[g_inv]
@@ -506,11 +512,18 @@ def witness_residues(m1, n1, m2, n2, kind):
 
 
 def per_residue_witness(w, p1, p2):
-    """The former `verify_witness`, kept as the reference of the span gate:
-    every residue coefficient specialized, and a specializer per side."""
+    """The former `verify_witness`, kept as the reference of the span gate
+    and of the relations `_witness_family` drops: every relation of
+    `hopf.relations` and every residue coefficient specialized, and a
+    specializer per side."""
     if w.alpha.is_zero() or w.beta.is_zero():
         return False
-    rels, words, _ = classify._witness_family(p1.m, p1.n, p2.m, p2.n, w.kind)
+    source = hopf._generic_params(p1.m, p1.n)
+    target, images, one = generic_images(p2.m, p2.n, w.kind)
+    rels = [hopf._term_relation(source, rel) for _, rel in hopf.relations(source)]
+    words = {word: (word.count("x"), word.count("y"),
+                    hopf._evaluate(target, [(1, word)], images, one))
+             for rel in rels for _, word in rel}
     at_p1, at_p2 = hopf._specializer(p1), hopf._specializer(p2)
     residues = witness_residues(p1.m, p1.n, p2.m, p2.n, w.kind)
     if any(at_p2(c) for residue in residues for c in residue):
@@ -526,6 +539,27 @@ def per_residue_witness(w, p1, p2):
         if total:
             return False
     return True
+
+
+def is_laurent_multiple(c, row):
+    """Whether c is a Laurent multiple of row, a binomial whose two terms
+    share their exponents of s, t and k: long division from the least term,
+    each step cancelling it against a multiple of row's least term, until
+    c is 0 or its least term lies past c's top power of lam or off row's
+    monomial of s, t, k."""
+    (low, lead), _ = sorted(row.terms.items())
+    top = max(e[0] for e in c.terms)
+    while c:
+        e, q = min(c.terms.items())
+        if e[0] > top or any(a < b for a, b in zip(e[1:], low[1:])):
+            return False
+        c = c - row * Laurent({tuple(a - b for a, b in zip(e, low)): Fraction(q) / lead})
+    return True
+
+
+def sign_x_commutes_with_a(self, i, j):
+    """`BmnParams.sign_x` with the wrong sign for xa: x commutes with a."""
+    return hopf._power(-self._lam, j)
 
 
 def assert_rows_span(coefficients, rows):
@@ -557,13 +591,20 @@ def points(draw):
 
 class TestSpanGate:
     def test_hopf_rows(self):
-        """30 coefficients, 13 independent binomial rows in 19 monomials."""
+        """30 coefficients, 3 rows: k(1 - lam), s(1 - lam^2) and t(1 - lam^2)
+        up to a unit, and each coefficient a Laurent multiple of one of them."""
         rows = family_certificate()[1]
         coefficients = [c for *_, residue in _family_residues(0, 0) for c in residue]
-        assert len(coefficients) == 30 and len(rows) == 13
-        assert all(len(row.terms) == 2 for row in rows)
-        assert len({e for row in rows for e in row.terms}) == 19
-        assert_rows_span(coefficients, rows)
+        laws = [(1 - LAMBDA) * K, (1 - LAMBDA ** 2) * S, (1 - LAMBDA ** 2) * T]
+        assert len(coefficients) == 30 and len(rows) == 3
+        assert {up_to_unit(row) for row in rows} == {up_to_unit(law) for law in laws}
+        for c in coefficients:
+            assert any(is_laurent_multiple(c, row) for row in rows), c.terms
+        # the division fails off the multiples
+        assert is_laurent_multiple((LAMBDA ** -1 - LAMBDA ** 3) * K * S, laws[1])
+        assert not is_laurent_multiple((1 - LAMBDA) * S, laws[1])
+        assert not is_laurent_multiple((1 - LAMBDA ** 3) * K * S, laws[1])
+        assert not is_laurent_multiple(LAMBDA - LAMBDA ** 3, laws[1])
 
     @pytest.mark.parametrize("name", ["epsilon(g) = 2", "Delta(u) = 1 (x) u"])
     def test_witness_rows(self, monkeypatch, name):
@@ -581,21 +622,68 @@ class TestSpanGate:
             assert residues and rows
             assert_rows_span([c for residue in residues for c in residue], rows)
 
-    @pytest.mark.parametrize("dropped", range(13))
-    def test_a_dropped_row_is_caught(self, monkeypatch, dropped):
-        """A certificate that forgets one row no longer spans its residues.
-        No parameter point tells it apart (each row has a partner up to a
-        unit lam^j, with the same zeros), so the span check is what fails."""
-        span_rows = hopf._span_rows
+    @pytest.mark.parametrize("point", [(-1, 0, 0, 1), (2, 1, 0, 0), (2, 0, 1, 0)])
+    def test_a_dropped_row_is_caught(self, monkeypatch, point):
+        """Each row is the only one nonzero at its point (lam, s, t, k), so a
+        certificate without it passes B(0, 0) there, where the per-residue
+        gate, like the whole certificate, names a failure."""
+        params = BmnParams(0, 0, *map(cyc, point))
+        names, rows = family_certificate()
+        assert parametric_verdict(params, 1) == per_residue_verdict(params, 1)
+        kept = tuple(row for row in rows if not specialize(row, point))
+        assert len(kept) == 2
+        monkeypatch.setattr(hopf, "family_certificate", lambda: (names, kept))
+        assert isinstance(per_residue_verdict(params, 1), tuple)
+        assert parametric_verdict(params, 1) != per_residue_verdict(params, 1)
 
-        def mutant(coefficients):
-            rows = span_rows(coefficients)
-            return rows[:dropped] + rows[dropped + 1:]
+    @pytest.mark.parametrize("given_rows, kept", [
+        # no divisor: lam^2 - 1 does not divide lam^3 - 1, nor s divide t
+        ([(1 - LAMBDA ** 2) * S, (1 - LAMBDA ** 3) * S * T], [0, 1]),
+        ([(1 - LAMBDA ** 2) * S, (1 - LAMBDA ** 4) * T], [0, 1]),
+        # a divisor up to a unit lam^j, in either order
+        ([LAMBDA ** -1 * K - K, LAMBDA ** 2 * K * S - LAMBDA ** 5 * K * S], [0]),
+        ([(1 - LAMBDA ** 6) * S * T * K, (1 - LAMBDA ** 3) * T], [1]),
+        # two rows equal up to a unit are kept once
+        ([K - LAMBDA * K, LAMBDA ** -1 * K - K], [0]),
+        # 1 + lam and a row that is no binomial at one monomial divide nothing
+        ([S + LAMBDA * S, (1 - LAMBDA ** 2) * S * T, T - S, (T - S) * (1 - LAMBDA)], [0, 1, 2, 3]),
+    ])
+    def test_row_reduction_rule(self, monkeypatch, given_rows, kept):
+        """`family_certificate` keeps rows up to lam^j and drops a binomial
+        M(1 - lam^v) only for a divisor M'(1 - lam^v'), M' | M and v' | v."""
+        monkeypatch.setattr(hopf, "_span_rows", lambda coefficients: tuple(given_rows))
+        rows = family_certificate()[1]
+        assert len(rows) == len(kept)
+        assert {up_to_unit(row) for row in rows} == {up_to_unit(given_rows[i]) for i in kept}
 
-        monkeypatch.setattr(hopf, "_span_rows", mutant)
+    @pytest.mark.parametrize("index", range(13))
+    def test_every_span_row_vanishes_with_the_certificate(self, index):
+        """Each of the 13 rows of the residues' Q-span vanishes wherever the 3
+        certificate rows do, on 576 points (lam, s, t, k), lam among 1, -1,
+        2, -2, z3, z4, 1/2, z6 and z8 and s, t, k among 0, 1, 2 and z4."""
         coefficients = [c for *_, residue in _family_residues(0, 0) for c in residue]
-        with pytest.raises(AssertionError, match="outside the span"):
-            assert_rows_span(coefficients, family_certificate()[1])
+        span = hopf._span_rows(coefficients)
+        assert len(span) == 13
+        rows, scalars = family_certificate()[1], [cyc(v) for v in ("0", "1", "2", "z4")]
+        for lam in ("1", "-1", "2", "-2", "z3", "z4", "1/2", "z6", "z8"):
+            for stk in itertools.product(scalars, repeat=3):
+                point = (cyc(lam), *stk)
+                if not any(specialize(row, point) for row in rows):
+                    assert not specialize(span[index], point), point
+
+    def test_a_wrong_sign_for_xa_keeps_its_relation(self, monkeypatch):
+        """The witness family drops "ax = -xa" only while its generic residue
+        ax + xa is 0: with x commuting with a it stays, and the witness fails."""
+        key, ax = (0, 0, 0, 0, "phi"), ((1, "ax"), (1, "xa"))
+        rels, words, _ = classify._witness_family(*key)
+        assert len(rels) == 5 and len(words) == 12 and ax not in rels
+        monkeypatch.setattr(BmnParams, "sign_x", sign_x_commutes_with_a)
+        classify._witness_family.cache_clear()
+        rels, words, _ = classify._witness_family(*key)
+        assert ax in rels and {"ax", "xa"} <= words.keys()
+        params, w = BmnParams(0, 0, *map(cyc, (1, 0, 0, 0))), IsoWitness("phi", 1, 1)
+        assert not verify_witness(w, params, params)
+        assert not per_residue_witness(w, params, params)
 
     @given(params=points(), radius=st.integers(0, 3))
     @settings(max_examples=150, deadline=None)

@@ -374,6 +374,23 @@ class TestBareCoercion:
             assert type(value) in (int, Fraction) and value == parse_scalar(text)
             assert type(value) is int or value.denominator > 1
 
+    @given(st.from_regex(r"-?\d+(/\d+)?", fullmatch=True))
+    @settings(max_examples=200, deadline=None)
+    def test_cyc_takes_the_literal_fast_path(self, text):
+        """`cyc` of a literal never reaches the parser either, and gives the
+        parser's value, or its ParseError for a zero denominator."""
+        try:
+            want = parse_scalar(text)
+        except ParseError:
+            want = None
+        with mock.patch.object(scalar, "parse_scalar", wraps=parse_scalar) as spy:
+            with pytest.raises(ParseError) if want is None else contextlib.nullcontext():
+                value = cyc(text)
+        assert spy.call_count == 0
+        if want is not None:
+            assert isinstance(value, CycScalar) and value == want and value.n == 1
+            assert str(value) == str(want) and hash(value) == hash(want)
+
     @given(st.lists(st.sampled_from(
         [" ", "-", "+", "/", "*", "(", ")", "^", "0", "1", "7", "2/3", "z3", "z4^1"]),
         max_size=7).map("".join))
