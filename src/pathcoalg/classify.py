@@ -117,8 +117,8 @@ def _witness_family(m1, n1, m2, n2, kind):
     words = {word: (word.count("x"), word.count("y"),
                     hopf._evaluate(target, [(1, word)], images, one))
              for rel in rels for _, word in rel}
-    rels = tuple(rel for rel in rels if any(isinstance(c, Laurent) for c, _ in rel)
-                 or len({words[w][:2] for _, w in rel}) > 1 or hopf._evaluate(target, rel, images, one))
+    rels = tuple(rel for rel in rels if any(isinstance(c, Laurent) for c, _ in rel) or len(
+        {words[w][:2] for _, w in rel}) > 1 or hopf._evaluate(target, rel, images, one))
     words = {word: words[word] for rel in rels for _, word in rel}
     residues = []
     for g, u, g_inv in (("a", "x", "A"), ("b", "y", "B")):

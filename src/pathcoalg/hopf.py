@@ -481,8 +481,8 @@ def _generic_params(m, n):
 
 
 def _span_rows(coefficients):
-    """The nonzero coefficients up to a rational factor, each once, as Laurents with
-    1 at their least exponent: all vanish at a point iff all rows do (Q-linearity)."""
+    """The nonzero coefficients up to a rational factor, each once, as Laurents with 1 at
+    their least exponent: all vanish iff all rows do; `family_certificate` prunes them."""
     rows = {}
     for c in coefficients:
         terms = sorted(c.terms.items()) if isinstance(c, Laurent) else [(_UNIT, 1)]
@@ -533,7 +533,7 @@ def _certify_quotient_map(m, n):
 
 
 def _specializer(params):
-    """Evaluation at the (lam, s, t, k) of params, a Q-linear ring map; each monomial computed once."""
+    """Evaluation at the (lam, s, t, k) of params, a Q-linear ring map; monomials computed once."""
     point = [bare(v) for v in (params.lam, params.s, params.t, params.k)]
     lam_inv = bare(params.lam_inv)  # only lam has negative exponents
     monomials = {}
