@@ -226,14 +226,14 @@ def is_indecomposable(mod):
 def are_isomorphic(m1, m2):
     """Exact isomorphism test (characteristic 0).
 
-    Positive proofs come first: a Hom(M, N) basis element of full rank, or
-    the fixed combination sum_i (i + 1) f_i.  Otherwise the trace pairings
-    decide.  For S = End(M + N)/rad and e, e' the projections onto M and N,
-    the pairings (f, g) -> tr(f g) on End(M), on Hom(M, N) x Hom(N, M) and on
-    End(N) have ranks dim eSe, dim eSe' and dim e'Se'.  Over the simple
-    blocks M_n(D) of S, where e and e' have ranks r and r', these are the
-    sums of r^2, r r' and r'^2 times dim D.  If they agree, the sum of
-    (r - r')^2 dim D vanishes, so e ~ e' in S.  Equivalence of idempotents
+    One positive proof comes first: sum_i (i + 1) f_i over the Hom(M, N)
+    basis, f_0 itself when Hom has dimension 1, of full rank.  Otherwise the
+    trace pairings decide.  For S = End(M + N)/rad and e, e' the projections
+    onto M and N, the pairings (f, g) -> tr(f g) on End(M), on Hom(M, N) x
+    Hom(N, M) and on End(N) have ranks dim eSe, dim eSe' and dim e'Se'.  Over
+    the simple blocks M_n(D) of S, where e and e' have ranks r and r', these
+    are the sums of r^2, r r' and r'^2 times dim D.  If they agree, the sum
+    of (r - r')^2 dim D vanishes, so e ~ e' in S.  Equivalence of idempotents
     lifts modulo the radical (Lam, A First Course in Noncommutative Rings,
     section 21), and e ~ e' in End(M + N) means M is isomorphic to N.
     Differing dimensions are answered first, as dimension is an isomorphism
@@ -243,8 +243,6 @@ def are_isomorphic(m1, m2):
     forth = hom(m1, m2).matrices
     combo = [[0] * m1.dim for _ in range(m1.dim)]
     for idx, f in enumerate(forth):
-        if _mat_rank(f) == m1.dim:
-            return True
         for r, row in enumerate(f):
             for c, x in enumerate(row):
                 if x:

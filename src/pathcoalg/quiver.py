@@ -462,13 +462,15 @@ def find_nondynkin_cover(qtarget, size_bound):
     """Search for a connected bipartite quiver with non-Dynkin underlying graph,
     at most size_bound vertices, and a vertex-gluing morphism onto a subquiver
     of qtarget (arrows map injectively).  Returns (Quiver, QuiverMorphism) or
-    None; the search is exhaustive up to the bound.
+    None; the search is exhaustive up to the bound, and below 2 finds none.
 
     A state is the sorted tuple of cover arrows (target arrow id, source,
     sink) and the tuple of images of the cover vertices 0, 1, ...; a cover
     vertex is a source iff it is the source of one of its arrows.  The search
     is breadth-first, and of two states equal up to renumbering the cover
     vertices only the first is queued."""
+    if size_bound < 2:  # every state holds an arrow, so two vertices
+        return None
     target_arrows = sorted(qtarget.arrows)
     queue, seen = deque(), set()
 

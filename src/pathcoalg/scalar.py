@@ -145,14 +145,13 @@ def _subfield_basis(d, n):
 class CycScalar:
     """An element of a cyclotomic field Q(zeta_n), immutable."""
 
-    __slots__ = ("n", "coeffs", "_hash")
+    __slots__ = ("n", "coeffs")
 
     def __init__(self, n, coeffs):
         # assumes coeffs already reduced mod Phi_n, at minimal conductor and in
         # the normal form of _q (int when integral); use the constructors below
         self.n = n
         self.coeffs = tuple(coeffs)
-        self._hash = None
 
     # -- constructors -------------------------------------------------------
 
@@ -306,9 +305,7 @@ class CycScalar:
         return self.n == other.n and self.coeffs == other.coeffs
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.coeffs[0] if self.n == 1 else (self.n, self.coeffs))
-        return self._hash
+        return hash(self.coeffs[0] if self.n == 1 else (self.n, self.coeffs))
 
     # -- serialization ------------------------------------------------------
 

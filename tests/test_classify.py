@@ -71,6 +71,21 @@ class TestAreIsomorphic:
         assert w is not None and w.kind == "psi" and w.beta == cyc(3)
         assert verify_witness(w, p1, p2)
 
+    @pytest.mark.parametrize("raw1, raw2, witness", [
+        ((0, 0, 1, 1, 0, 1), (0, 0, 1, 4, 0, 2), ("phi", "1/2", 1)),  # t = 0: beta = k/alpha
+        ((0, 0, 1, 0, 1, 1), (0, 0, 1, 0, 9, 3), ("phi", 1, "1/3")),  # s = 0: alpha = k/beta
+        ((0, 0, 1, 0, 0, 1), (0, 0, 1, 0, 0, 5), ("phi", 1, "1/5")),  # s = t = 0
+        ((0, 0, 1, 0, 4, "z4"), (0, 0, 1, 0, 1, 1), ("phi", "1/2*z4", 2)),
+        ((2, -2, 1, 1, 0, 1), (2, -2, 1, 0, 4, 2), ("psi", "1/2", 1)),
+    ])
+    def test_k_with_a_zero_skew_parameter(self, raw1, raw2, witness):
+        # k != 0 with s2 or t2 zero: the scale with no square root is read off k
+        p1, p2 = P(*raw1), P(*raw2)
+        kind, alpha, beta = witness
+        w = are_isomorphic(p1, p2)
+        assert w == IsoWitness(kind, cyc(alpha), cyc(beta))
+        assert verify_witness(w, p1, p2)
+
     def test_symmetric_and_transitive_sample(self):
         rng = random.Random(7)
         squares = [1, 4, 9, "1/4"]

@@ -157,6 +157,18 @@ class TestQuiver:
         assert code == 0
         assert out["graph_class"] == "A~1"
 
+    @pytest.mark.parametrize("bound, verdict", [("0", "no obstruction found"),
+                                                ("1", "no obstruction found"),
+                                                ("2", "infinite type")])
+    def test_kronecker_cover_bound(self, capsys, tmp_path, bound, verdict):
+        # the cover has two vertices, so bounds 0 and 1 find none
+        f = tmp_path / "kron.quiver"
+        f.write_text("v 1\nv 2\na a 1 2\na b 1 2\n")
+        code, out = run_cli(capsys, "quiver", str(f), "--bound", bound)
+        assert code == 0
+        assert out["verdict"] == verdict
+        assert (out["nondynkin_cover"] is None) == (bound != "2")
+
     def test_three_arrows_cover(self, capsys, tmp_path):
         # one vertex, three loops: a cover with non-Dynkin underlying graph
         f = tmp_path / "loops.quiver"

@@ -9,6 +9,7 @@ from pathcoalg import coalgebra
 from pathcoalg.coalgebra import (
     CoalgebraMap,
     CoElement,
+    Diamond,
     DualAlgebra,
     SubCoalgebra,
     _solve_combination,
@@ -31,8 +32,10 @@ from pathcoalg.coalgebra import (
 )
 from pathcoalg.errors import (
     BasisNotDiamond,
+    CapacityExceeded,
     EmptySubset,
     InvalidDescription,
+    NotACovering,
     NotClosedUnderDelta,
     NotGrouplike,
     NotPointed,
@@ -407,6 +410,62 @@ class TestCovering:
         with pytest.raises(BasisNotDiamond):
             verify_covering(pi, diamond_basis(c)[1:], diamond_basis(c))
 
+    def test_arrow_onto_two_parallel_arrows(self):
+        # a -> b + c is a coalgebra map, but b + c is no basis diamond
+        dom_q = Quiver(["1", "2"], [("a", "1", "2")])
+        cod_q = Quiver(["1", "2"], [("b", "1", "2"), ("c", "1", "2")])
+        dom, cod = path_coalgebra(dom_q, 1), path_coalgebra(cod_q, 1)
+        b, c = (path_element(cod_q, Path("1", (aid,))) for aid in "bc")
+        images = {Path("1"): grouplike(cod_q, "1"), Path("2"): grouplike(cod_q, "2"),
+                  Path("1", ("a",)): b + c}
+        pi = CoalgebraMap(dom, cod, [images[x.support()[0]] for x in dom.basis])
+        assert pi.coalgebra_map_failure() is None
+        ok, report = verify_covering(pi, diamond_basis(dom), diamond_basis(cod))
+        assert not ok
+        assert report["counterexample"] == {
+            "reason": "image of a basis diamond is not a basis diamond",
+            "witness": "1*(a)"}
+        with pytest.raises(NotACovering):
+            separability_check(pi)
+
+    def test_swapped_vertices_are_not_a_coalgebra_map(self):
+        q = Quiver(["1", "2"], [("a", "1", "2")])
+        c = path_coalgebra(q, 1)
+        swap = {Path("1"): grouplike(q, "2"), Path("2"): grouplike(q, "1")}
+        pi = CoalgebraMap(c, c, [swap.get(x.support()[0], x) for x in c.basis])
+        ok, report = verify_covering(pi, diamond_basis(c), diamond_basis(c))
+        assert not ok
+        assert report["counterexample"] == {
+            "reason": "not a coalgebra map",
+            "witness": {"element": "1*(a)", "axiom": "comultiplication"}}
+
+    @pytest.mark.parametrize("side", ["domain", "codomain"])
+    @pytest.mark.parametrize("how, message", [
+        ("outside", "basis element outside the coalgebra"),
+        ("repeated", "basis is linearly dependent"),
+        ("short", "basis does not span"),
+        ("vertex", "basis must contain every vertex"),
+        ("arrow", "basis must contain every arrow"),
+    ])
+    def test_basis_not_diamond(self, side, how, message):
+        q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+        c = path_coalgebra(q, 1)
+        e1, e2, e3, a, b, ab = (path_element(q, p) for p in (
+            Path("1"), Path("2"), Path("3"), Path("1", ("a",)), Path("2", ("b",)),
+            Path("1", ("a", "b"))))
+        basis = {
+            "outside": [e1, e2, e3, a, b, ab],
+            "repeated": [e1, e2, e3, a, b, b],
+            "short": [e1, e2, e3, a],
+            "vertex": [e1 + a, e2, e3, a, b],
+            "arrow": [e1, e2, e3, a * 2, b],
+        }[how]
+        bad = [Diamond(x, p.start, p.target(q)) for x in basis for p in x.support()[:1]]
+        good = diamond_basis(c)
+        args = (bad, good) if side == "domain" else (good, bad)
+        with pytest.raises(BasisNotDiamond, match=f"^{side} {message}$"):
+            verify_covering(identity_map(c), *args)
+
 
 def bipartite_six_cycle():
     return Quiver(
@@ -486,6 +545,12 @@ class TestDualAlgebra:
     def test_separability_example(self):
         _, _, pi = covering_example()
         assert separability_check(pi)
+
+    def test_separability_capacity(self):
+        _, _, pi = covering_example()
+        with pytest.raises(CapacityExceeded):
+            separability_check(pi, capacity=pi.domain.dim - 1)
+        assert separability_check(pi, capacity=pi.domain.dim)
 
 
 class DenseView:
@@ -786,6 +851,50 @@ def test_corners_match_reference(name):
                 ref.dim, ref.structure, ref.idempotents)
             gq, ref_gq = gabriel_quiver(corner), gabriel_quiver(ref)
             assert (gq.vertices, gq.arrows) == (ref_gq.vertices, ref_gq.arrows)
+
+
+def reference_dualize(coalg):
+    """The former `dualize`: the structure constants over a fresh
+    SubCoalgebra of the diamonds, which eliminates them a second time."""
+    db = diamond_basis(coalg)
+    base = SubCoalgebra(coalg.quiver, [d.element for d in db], validate=False)
+    structure = {}
+    for k, d in enumerate(db):
+        for ij, c in coalgebra._delta_over_basis(d.element, base._engine).items():
+            structure.setdefault(ij, {})[k] = c
+    idempotents = [(d.source, {k: 1}) for k, d in enumerate(db)
+                   if d.source == d.sink and Path(d.source) in d.element.terms]
+    return structure, idempotents
+
+
+def mixed_bidegree_coalgebra():
+    """A basis whose elements meet two bidegrees, so the diamond elimination
+    meets a dependent component and skips a tag."""
+    q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("c", "2", "3")])
+    e1, e2, e3, a, c = (path_element(q, p) for p in (
+        Path("1"), Path("2"), Path("3"), Path("1", ("a",)), Path("2", ("c",))))
+    return SubCoalgebra(q, [e1, e2, e3, a + c, a - c * 2])
+
+
+def kinds(structure):
+    return {ij: {k: type(c) for k, c in cell.items()} for ij, cell in structure.items()}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: [c for pi in (covering_example()[2], six_cycle_covering(), four_cycle_covering())
+             for c in (pi.domain, pi.codomain)],
+    lambda: [localization_example(lam) for lam in (1, -1, "3/2", "z3")],
+    lambda: [mixed_bidegree_coalgebra()],
+], ids=["coverings", "localization", "mixed"])
+def test_dualize_matches_fresh_subcoalgebra(make):
+    """`dualize` reads the elimination `diamond_basis` keeps and gives the
+    structure constants, of the same kinds, and the idempotents of the
+    former route."""
+    for coalg in make():
+        alg = dualize(coalg)
+        structure, idempotents = reference_dualize(coalg)
+        assert alg.structure == structure and kinds(alg.structure) == kinds(structure)
+        assert alg.idempotents == idempotents
 
 
 def reference_radical_basis(alg):

@@ -528,7 +528,7 @@ class TestIsomorphism:
     def test_krull_schmidt(self, free_trunc, seed, shortcuts, monkeypatch):
         # pairwise non-isomorphic indecomposables: M + ... is isomorphic to
         # N + ... iff the multisets of summands agree; without the positive
-        # shortcuts the trace-rank criterion answers every case alone
+        # proof the trace-rank criterion answers every case alone
         if not shortcuts:
             monkeypatch.setattr(comodules, "_mat_rank", lambda mat: -1)
         pool = [build_simple(free_trunc, *g) for g in ((0, 0), (1, 0), (0, 1), (1, 1))]

@@ -320,6 +320,12 @@ class TestTruncation:
         assert len(skew_primitives(c, "a1b0", "a0b0")) == 1
         assert len(skew_primitives(c, "a0b0", "a0b0")) == 0
 
+    def test_negative_radius(self):
+        p = params_free()
+        with pytest.raises(WindowTooSmall, match="radius must be nonnegative"):
+            truncate_to_subcoalgebra(p, -1)
+        assert truncate_to_subcoalgebra(p, 0).window == [(0, 0)]
+
     def test_window_too_small(self):
         p = params_free()
         tr = truncate_to_subcoalgebra(p, 1)

@@ -617,6 +617,15 @@ class TestNonDynkinCover:
         assert len(cover.vertices) == 2
         assert str(graph_class(cover)) == "A~1"
 
+    @pytest.mark.parametrize("bound", [-1, 0, 1])
+    def test_bound_below_two_has_none(self, bound):
+        # every cover has an arrow and so two vertices; a bound below 2 used
+        # to be ignored and the Kronecker quiver returned its 2-vertex cover
+        q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
+        assert find_nondynkin_cover(q, bound) is None
+        loops = Quiver(["1"], [("x", "1", "1"), ("y", "1", "1"), ("z", "1", "1")])
+        assert find_nondynkin_cover(loops, bound) is None
+
     def test_a3_tree_has_none(self):
         q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "3", "2")])
         assert find_nondynkin_cover(q, 6) is None
