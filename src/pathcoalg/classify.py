@@ -5,22 +5,17 @@ Two parameter tuples give isomorphic algebras iff a generator rescaling
 (a,b,x,y) -> (a',b',alpha x',beta y') matches the parameters
 (lambda,s,t,k) = (lambda', alpha^2 s', beta^2 t', alpha beta k'), or the
 same with a<->b and x<->y swapped (requires the grid pair to swap and
-lambda = lambda' = 1).  Witnesses are verified at the level of defining
-relations and the Hopf structure maps, once per pair of families and witness
-kind over Q[lambda^+-1, s, t, k] and specialized per query: a rescaling
-sends a word w to alpha^#x(w) beta^#y(w) times its image under the witness
-with alpha = beta = 1 (see `verify_witness`).
+lambda = lambda' = 1).  `verify_witness` decides a witness in closed form:
+it carries one grouplike lattice onto the other, the target's characters
+obey the source's commutation rules, and it rescales (lambda, s, t, k) onto
+the target's, each relation going to a multiple of one basis monomial.
 """
 
 from __future__ import annotations
 
-import functools
-
-from . import hopf
 from .errors import NotCanonical, NotDiscreteParams
 from .hopf import validate_params
-from .linalg import axpy, tensor_axpy
-from .scalar import ONE, Laurent, bare, cyc, sqrt
+from .scalar import ONE, bare, cyc, sqrt
 
 
 class IsoWitness:
@@ -50,12 +45,13 @@ class IsoWitness:
         return f"IsoWitness({self.kind}, {self.alpha}, {self.beta})"
 
 
-def _pair_matches_swapped(p1, p2):
-    """(m1,n1) = +-(n2,m2) after the sign normalization both params carry."""
-    m, n = p2.n, p2.m
-    if m < 0 or (m == 0 and n < 0):
-        m, n = -m, -n
-    return (p1.m, p1.n) == (m, n)
+def _lattices_match(p1, p2, kind):
+    """Whether the witness kind carries the lattice <(m1, -n1)> of p1 onto
+    the lattice <(m2, -n2)> of p2: phi fixes Z^2, psi swaps its coordinates.
+    Each lattice vector, moved, is 1 under the other side's `canon`."""
+    e1, e2 = p1.canon(0, 0), p2.canon(0, 0)
+    v1, v2 = ((p.m, -p.n) if kind == "phi" else (-p.n, p.m) for p in (p1, p2))
+    return p2.canon(*v1) == e2 and p1.canon(*v2) == e1
 
 
 def _solve_rescaling(s, t, k, s2, t2, k2):
@@ -84,86 +80,63 @@ def _solve_rescaling(s, t, k, s2, t2, k2):
 
 def are_isomorphic(p1, p2):
     """A witness mapping the first algebra onto the second, or None."""
-    if (p1.m, p1.n) == (p2.m, p2.n) and p1.lam == p2.lam:
+    if _lattices_match(p1, p2, "phi") and p1.lam == p2.lam:
         sol = _solve_rescaling(p1.s, p1.t, p1.k, p2.s, p2.t, p2.k)
         if sol is not None:
             return IsoWitness("phi", sol[0], sol[1])
-    if (
-        _pair_matches_swapped(p1, p2)
-        and p1.lam == ONE
-        and p2.lam == ONE
-    ):
+    if _lattices_match(p1, p2, "psi") and p1.lam == ONE and p2.lam == ONE:
         sol = _solve_rescaling(p1.s, p1.t, p1.k, p2.t, p2.s, p2.k)
         if sol is not None:
             return IsoWitness("psi", sol[0], sol[1])
     return None
 
 
-@functools.lru_cache(maxsize=256)
-def _witness_family(m1, n1, m2, n2, kind):
-    """`verify_witness` for witnesses of `kind` from B(m1, n1) to B(m2, n2) on
-    generic parameters over Q[lam^+-1, s, t, k]: the source's relations that
-    can fail as (coefficient, word) tuples, their words w as (#x, #y, phi_1(w))
-    in the target, and `hopf._span_rows` of the residues of Delta(g) = g (x) g,
-    epsilon(g) = 1, Delta(u) = 1 (x) u + u (x) g, epsilon(u) = 0 and S(u) =
-    -u g^-1 on the images g of a, b and u of x, y under phi_1.  A relation with
-    rational coefficients and one (#x, #y) goes to alpha^#x beta^#y times its
-    generic residue sum c phi_1(w), so it is dropped where that is 0 (8 of 13)."""
-    source, target = hopf._generic_params(m1, n1), hopf._generic_params(m2, n2)
-    gens = {g: u.terms for g, u in hopf.generator_images(target).items()}
-    images = gens if kind == "phi" else {g: gens[h] for g, h in zip("aAbBxy", "bBaAyx")}
-    one = {(target.canon(0, 0), 0, 0): 1}
-    rels = [tuple(hopf._term_relation(source, rel)) for _, rel in hopf.relations(source)]
-    words = {word: (word.count("x"), word.count("y"),
-                    hopf._evaluate(target, [(1, word)], images, one))
-             for rel in rels for _, word in rel}
-    rels = tuple(rel for rel in rels if any(isinstance(c, Laurent) for c, _ in rel) or len(
-        {words[w][:2] for _, w in rel}) > 1 or hopf._evaluate(target, rel, images, one))
-    words = {word: words[word] for rel in rels for _, word in rel}
-    residues = []
-    for g, u, g_inv in (("a", "x", "A"), ("b", "y", "B")):
-        g, u, g_inv = images[g], images[u], images[g_inv]
-        delta_g, eps_g = dict(hopf._comul_terms(target, g)), dict(hopf._counit_terms(target, g))
-        delta_u, anti_u = dict(hopf._comul_terms(target, u)), dict(hopf._anti_terms(target, u))
-        tensor_axpy(delta_g, -1, g, g)
-        axpy(eps_g, -1, one)
-        tensor_axpy(delta_u, -1, one, u)
-        tensor_axpy(delta_u, -1, u, g)
-        axpy(anti_u, 1, hopf._mul_terms(target, u, g_inv))
-        residues += [delta_g, eps_g, delta_u, hopf._counit_terms(target, u), anti_u]
-    return rels, words, hopf._span_rows(c for r in residues for c in r.values())
-
-
 def verify_witness(w, p1, p2):
-    """Check that the generator assignment sends every defining relation to a
-    relation and commutes with the comultiplication, counit, and antipode.
+    """Whether the witness is an isomorphism of Hopf algebras B(p1) -> B(p2),
+    decided in closed form on the parameters.
 
-    Runs once per (m1, n1, m2, n2, kind) on generic parameters
-    (`_witness_family`), specialized per call as in `verify_hopf_axioms`.  phi
-    is multiplicative and sends a, b to group elements with no scalar, so
-    phi(w) = alpha^#x(w) beta^#y(w) phi_1(w), phi_1 the witness with alpha =
-    beta = 1: a relation sum c_i w_i of p1 goes to sum c_i(p1) alpha^#x(w_i)
-    beta^#y(w_i) phi_1(w_i)(p2).  The structure-map residues are linear in
-    the nonzero alpha and beta: they vanish at p2 iff phi_1's `_span_rows` do.
-    Only the relations that can fail are checked (see `_witness_family`)."""
-    if w.alpha.is_zero() or w.beta.is_zero():
+    The images a', b' of a, b are the target's group elements (swapped for
+    psi), x', y' the scaled skew-primitives alpha x'', beta y'' (x'', y''
+    the target's y, x for psi).  Every relation of `hopf.relations` goes to
+    a multiple of one normal-form monomial of B(p2), and these monomials are
+    a basis (Bergman's diamond lemma, part 1 of `verify_hopf_axioms`), so it
+    holds iff that multiple is 0:
+    - the group relations hold, and a^m1 = b^n1 iff the image of (m1, -n1)
+      lies in the lattice of p2 (`_lattices_match`);
+    - each commutation rule goes to (c + chi(g)) g x'' or g y'', g = a' or
+      b' and chi the target's character of x'' or y'' (`sign_x`, `sign_y`),
+      so chi(a') = -1 and chi(b') = -lam1 for x'', lam1 chi(a') = -1 and
+      chi(b') = -1 for y'';
+    - x^2 = s1(1 - a^2) goes to (alpha^2 s'' - s1)(1 - a'^2), s'' = s2 (t2
+      for psi), and y^2 the same with beta, t'' = t2 (s2);
+    - xy + lam1 yx = k1(1 - ab) goes to alpha beta c xy + (alpha beta k''
+      - k1)(1 - a'b') by yx = (k2(1 - ab) - xy)/lam2 in B(p2), with c = 1 -
+      lam1/lam2 and k'' = lam1 k2/lam2 for phi, c = lam1 - 1/lam2 and k'' =
+      k2/lam2 for psi: lam1 = lam2 (phi) or lam1 lam2 = 1 (psi), and then
+      k1 = alpha beta k2 (phi) or alpha beta k2/lam2 (psi).
+    A term times 1 - g is void where g = 1 in B(p2), and there its equation
+    is waived.  The map is then a surjective algebra map, and injective iff
+    it is bijective on the group parts: iff the lattices are equal.  It
+    commutes with Delta, epsilon and S, as it sends group elements to group
+    elements and x, y to skew-primitives with the same grouplikes, scaled.
+    On parameters off the laws the same identities are decided in the
+    normal-form space.  Only bare values are compared (`scalar.bare`)."""
+    if w.alpha.is_zero() or w.beta.is_zero() or not _lattices_match(p1, p2, w.kind):
         return False
-    rels, words, rows = _witness_family(p1.m, p1.n, p2.m, p2.n, w.kind)
-    at_p2 = hopf._specializer(p2)
-    at_p1 = at_p2 if p2 is p1 else hopf._specializer(p1)
-    if any(map(at_p2, rows)):
-        return False
-    alpha, beta = bare(w.alpha), bare(w.beta)
-    values = {word: (alpha ** nx * beta ** ny, {key: at_p2(c) for key, c in image.items()})
-              for word, (nx, ny, image) in words.items()}
-    for rel in rels:
-        total = {}
-        for c, word in rel:
-            scale, image = values[word]
-            axpy(total, at_p1(c) * scale, image)
-        if total:
-            return False
-    return True
+    alpha, beta, lam1 = bare(w.alpha), bare(w.beta), p1._lam
+    s1, t1, k1 = bare(p1.s), bare(p1.t), bare(p1.k)
+    a, b, e = p2.canon(1, 0), p2.canon(0, 1), p2.canon(0, 0)
+    chi_x, chi_y, s2, t2, k2 = p2.sign_x, p2.sign_y, bare(p2.s), bare(p2.t), bare(p2.k)
+    if w.kind == "phi":
+        lam_ok = lam1 == p2._lam
+    else:
+        a, b, chi_x, chi_y, s2, t2 = b, a, chi_y, chi_x, t2, s2
+        lam_ok, k2 = lam1 == p2._lam_inv, k2 * p2._lam_inv
+    return (lam_ok and chi_x(*a) == -1 and chi_x(*b) == -lam1
+            and chi_y(*a) * lam1 == -1 and chi_y(*b) == -1
+            and (p2.canon(2 * a[0], 2 * a[1]) == e or s1 == alpha * alpha * s2)
+            and (p2.canon(2 * b[0], 2 * b[1]) == e or t1 == beta * beta * t2)
+            and (p2.canon(1, 1) == e or k1 == alpha * beta * k2))
 
 
 def _prefer_sign(value):

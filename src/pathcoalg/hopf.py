@@ -11,10 +11,9 @@ values as `scalar.bare` gives them, a rational bare and an irrational (z3,
 a witness alpha = z4) as a CycScalar.  The scalars of `BmnParams`, `counit`
 and the certificate report stay CycScalars.
 Delta, epsilon and S are term functions that `comultiply`, `counit` and
-`antipode` wrap; the Hopf certificate and the isomorphism witness check run
-on them and on `_evaluate`, without elements, over Q[lam^+-1, s, t, k],
-specialized per query: the certificate once, on B(0, 0), whose quotients by
-central Hopf ideals are the B(m, n), the witness check per two families and kind.
+`antipode` wrap; the Hopf certificate runs on them and on `_evaluate`,
+without elements, once, on B(0, 0) over Q[lam^+-1, s, t, k], whose quotients
+by central Hopf ideals are the B(m, n), and is specialized per query.
 
 The module also embeds finite windows of the basis into the grid path
 coalgebra (vertices = canonical group elements), certifies that the embedding

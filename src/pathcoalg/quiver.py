@@ -303,7 +303,11 @@ def _stars_isomorphic(s1, c1, s2, c2):
 def check_homogeneous(quiver, vertices=None):
     """Report whether every vertex looks alike: same out/in/loop counts and
     pairwise isomorphic stars.  An optional vertex subset restricts which
-    vertices are compared; their stars are still taken in the full quiver."""
+    vertices are compared; their stars are still taken in the full quiver.
+    `out_degree`, `in_degree` and `per_vertex` count neighbours, not arrows:
+    two arrows 1 -> 2 give vertex 1 out-degree 1.  The star comparison
+    counts arrows, so parallel arrows still decide homogeneity; `loops`
+    counts arrows."""
     checked = list(quiver.vertices) if vertices is None else [
         v for v in quiver.vertices if v in set(vertices)
     ]

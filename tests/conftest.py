@@ -1,22 +1,19 @@
 import pytest
 
-from pathcoalg import classify, hopf
+from pathcoalg import hopf
 from pathcoalg.scalar import CycScalar
 
-FAMILY_CACHES = (hopf.family_certificate, hopf._certify_quotient_map, classify._witness_family)
+FAMILY_CACHES = (hopf.family_certificate, hopf._certify_quotient_map)
 
 
 @pytest.fixture(autouse=True)
 def fresh_family_certificates():
-    """`hopf.family_certificate` caches the one certificate of B(0, 0),
-    `hopf._certify_quotient_map` the check of `canon` per (m, n), and
-    `classify._witness_family` one witness check per (m1, n1, m2, n2, kind),
-    across calls; the two certificates keep the rows of their residues, and
-    the witness check the relations that can fail, which are all
-    `verify_hopf_axioms` and `verify_witness` evaluate.  Clearing all three
-    around each test makes a test that monkeypatches a term function,
-    `canon` or `sign_x` see its mutant in both, rather than stale rows, and
-    keeps a mutant's results out of later tests."""
+    """`hopf.family_certificate` caches the one certificate of B(0, 0) and
+    `hopf._certify_quotient_map` the check of `canon` per (m, n), across
+    calls; the certificate keeps the rows of its residues, which are all
+    `verify_hopf_axioms` evaluates.  Clearing both around each test makes a
+    test that monkeypatches a term function or `canon` see its mutant, rather
+    than stale rows, and keeps a mutant's results out of later tests."""
     for cache in FAMILY_CACHES:
         cache.cache_clear()
     yield

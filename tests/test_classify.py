@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pathcoalg import classify, hopf
+from pathcoalg import hopf
 from pathcoalg.classify import (
     IsoWitness,
     are_isomorphic,
@@ -131,31 +131,39 @@ class TestVerifyWitness:
         assert verify_witness(IsoWitness("psi", 1, 1), p, p)
         assert are_isomorphic(P(2, -2, -1, 0, 1, 0), P(2, -2, -1, 1, 0, 0)) is None
 
-    def test_witness_family_is_built_once_per_key(self, monkeypatch):
-        calls = []
-        build = hopf._generic_params
+    @pytest.mark.parametrize("kind, pair1, pair2", [
+        ("phi", (4, 0), (2, 0)),
+        ("phi", (0, 0), (2, 0)),
+        ("phi", (2, 0), (4, 0)),
+        ("phi", (6, 2), (3, 1)),
+        ("psi", (0, 0), (0, 2)),
+        ("psi", (6, 2), (1, 3)),
+    ])
+    def test_rejects_a_quotient_map(self, kind, pair1, pair2):
+        # Each map but B(2, 0) -> B(4, 0), where a^2 = 1 fails, sends every
+        # relation of the source to 0: it maps the grouplike group (Z/4 x Z
+        # for B(4, 0), Z^2 for B(0, 0)) onto a proper quotient (Z/2 x Z for
+        # B(2, 0)), so it is no isomorphism
+        p1, p2 = P(*pair1, 1, 0, 0, 0), P(*pair2, 1, 0, 0, 0)
+        assert not verify_witness(IsoWitness(kind, 1, 1), p1, p2)
+        assert are_isomorphic(p1, p2) is None
 
-        def counting(m, n):
-            calls.append((m, n))
-            return build(m, n)
+    @pytest.mark.parametrize("kind, raw1, raw2", [
+        ("phi", (2, 0, 1, 1, 0, 0), (2, 0, 1, 0, 0, 0)),  # s(1 - a^2), a^2 = 1
+        ("phi", (0, 2, 1, 1, 1, 0), (0, 2, 1, 1, 0, 0)),  # t(1 - b^2), b^2 = 1
+        ("phi", (1, -1, 1, 1, 1, 1), (1, -1, 1, 1, 1, 0)),  # k(1 - ab), ab = 1
+        ("psi", (2, 0, 1, 1, 0, 0), (0, 2, 1, 0, 0, 0)),  # x -> y, y^2 = t(1 - b^2) void
+    ])
+    def test_void_term_is_waived(self, kind, raw1, raw2):
+        # the term is 0 in the target, so the parameter in front of it is free
+        assert verify_witness(IsoWitness(kind, 1, 1), P(*raw1), P(*raw2))
 
-        monkeypatch.setattr(hopf, "_generic_params", counting)
-        p1, p2 = P(3, 1, 1, 1, 1, 1), P(3, 1, 1, 4, 1, 2)
-        assert verify_witness(IsoWitness("phi", 1, 1), p1, p1)
-        assert calls == [(3, 1), (3, 1)]
-        assert verify_witness(are_isomorphic(p1, p2), p1, p2)
-        assert not verify_witness(IsoWitness("phi", 3, 1), p1, p2)
-        assert not verify_witness(IsoWitness("phi", "z4", 1), P(3, 1, 1, 0, 0, 0), p2)
-        assert len(calls) == 2
-        q = P(2, -2, 1, 1, 0, 0)
-        assert verify_witness(IsoWitness("psi", 1, 1), q, P(2, -2, 1, 0, 1, 0))
-        assert not verify_witness(IsoWitness("phi", 1, 1), q, P(2, -2, 1, 0, 1, 0))
-        assert not verify_witness(IsoWitness("phi", 1, 1), p1, q)
-        assert calls == [(3, 1)] * 2 + [(2, -2)] * 4 + [(3, 1), (2, -2)]
-        for kind in ("phi", "psi"):
-            verify_witness(IsoWitness(kind, 2, -1), q, q)
-        assert len(calls) == 8
-        assert classify._witness_family.cache_info().currsize == 4
+    def test_same_lattice_other_generator(self):
+        # (m, n) and (-m, -n) span one lattice, as do (m, n) and (n, m) for psi
+        p = P(2, -2, 1, 0, 0, 0)
+        q = hopf.BmnParams(-2, 2, *map(cyc, (1, 0, 0, 0)))
+        assert verify_witness(IsoWitness("phi", 1, 1), p, q)
+        assert verify_witness(IsoWitness("psi", 1, 1), P(3, 1, 1, 0, 0, 0), P(1, 3, 1, 0, 0, 0))
 
     def test_psi_fails_at_mismatched_skewing(self):
         p1 = P(4, -4, "z4", 0, 0, 0)

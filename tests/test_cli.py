@@ -156,6 +156,9 @@ class TestQuiver:
         code, out = run_cli(capsys, "quiver", str(f))
         assert code == 0
         assert out["graph_class"] == "A~1"
+        # degrees count neighbours, not arrows
+        assert out["degrees"] == {"1": {"out": 1, "in": 0, "loops": 0},
+                                  "2": {"out": 0, "in": 1, "loops": 0}}
 
     @pytest.mark.parametrize("bound, verdict", [("0", "no obstruction found"),
                                                 ("1", "no obstruction found"),

@@ -640,7 +640,7 @@ class TestMixedAgainstBoxed:
             scalars = [counit(t) for t in (u, v, w, x)]
             report = verify_hopf_axioms(p, 2)
             verdicts = [verify_witness(IsoWitness(*wt), p, p) for wt in witnesses]
-            # the cached families above are built once, on the mixed run; the
+            # the cached certificate above is built once, on the mixed run; the
             # numeric certificate and the element oracle build nothing cached
             residues = list(hopf._residues(p))
             oracle = [relations_vanish(IsoWitness(*wt), p, p) for wt in witnesses]
@@ -1076,11 +1076,20 @@ def witness_images(w, p2):
     }
 
 
+def lattices_equal(w, p1, p2):
+    """Whether w is bijective on the group parts: (m1, -n1) and the image
+    under w^-1 of (m2, -n2) generate one subgroup of Z^2, that is (m1, n1) =
+    +-(m2, n2) for phi and +-(n2, m2) for psi."""
+    m2, n2 = (p2.m, p2.n) if w.kind == "phi" else (p2.n, p2.m)
+    return (p1.m, p1.n) in ((m2, n2), (-m2, -n2))
+
+
 def numeric_witness(w, p1, p2):
-    """The former `verify_witness`, kept as the oracle of the family route:
+    """An earlier `verify_witness`, kept as the oracle of the closed form:
     the relations of p1 and the structure maps multiplied out in the concrete
     target p2.  It looks the term functions up on `hopf` at each call, so a
-    monkeypatched mutant reaches it."""
+    monkeypatched mutant reaches it.  It checks that w is a well-defined
+    algebra map, not that it is bijective (`lattices_equal`)."""
     if w.alpha.is_zero() or w.beta.is_zero():
         return False
     images = {g: u.terms for g, u in witness_images(w, p2).items()}
@@ -1198,13 +1207,15 @@ class TestEvaluator:
             for _, rel in relations(p1):
                 assert_evaluator_matches(p2, rel, images, terms, one)
                 vanish = vanish and evaluate_relation(rel, images, one).is_zero()
-            assert verify_witness(witness, p1, p2) == vanish
-            assert verify_witness(witness, p1, p2) == numeric_witness(witness, p1, p2)
-            assert vanish or alpha != w.alpha
+            bijective = lattices_equal(witness, p1, p2)
+            assert verify_witness(witness, p1, p2) == (vanish and bijective)
+            assert verify_witness(witness, p1, p2) == (
+                numeric_witness(witness, p1, p2) and bijective)
+            assert vanish and bijective or alpha != w.alpha
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
-    def test_family_route_equals_numeric_witness(self, data):
+    def test_closed_form_equals_numeric_witness(self, data):
         """A random source, a random witness of either kind with scales from
         the nonzero rationals and z4, z8, -z4, and as target the source, the
         image of the source under the witness, or another source."""
@@ -1221,7 +1232,8 @@ class TestEvaluator:
             pass
         p2 = data.draw(st.sampled_from(targets))
         w = IsoWitness(kind, alpha, beta)
-        assert verify_witness(w, p1, p2) == numeric_witness(w, p1, p2)
+        assert verify_witness(w, p1, p2) == (
+            numeric_witness(w, p1, p2) and lattices_equal(w, p1, p2))
 
     @pytest.mark.parametrize("raw1, raw2", [
         ((3, 1, 1, 1, 1, 1), (3, 1, 1, 4, 1, 2)),
@@ -1369,9 +1381,6 @@ def comul_doubled_on_group(params, terms, comul=hopf._comul_terms):
 WITNESS_MUTANTS = {**MUTANTS, "Delta(u) = 1 (x) u": (hopf, "_comul_terms", comul_terms_left_unit),
                    "epsilon(g) = 2": (hopf, "_counit_terms", counit_doubled),
                    "Delta(g) = 2 g (x) g": (hopf, "_comul_terms", comul_doubled_on_group)}
-# These change Delta or S only on products, and the witness check applies them
-# to the generator images only, so no witness verdict changes.
-WITNESS_BLIND = {"dy * t in comultiply", "reversed antipode factors"}
 
 
 # These mutants present B(m, n; lam, -s, t, k), B(m, n; lam, s, -t, k) and
@@ -1425,18 +1434,14 @@ class TestMutants:
         assert (swept > 0) == (name not in SWEEP_BLIND)
 
     @pytest.mark.parametrize("name", sorted(WITNESS_MUTANTS))
-    def test_witness_family_follows_mutant(self, monkeypatch, name):
-        """Each mutant reaches `verify_witness` through its cached family,
-        which agrees with the numeric oracle on every witness case and its
-        corruption; fresh parameters keep cached products out of the check."""
-        cases = [(p1, p2, IsoWitness(w.kind, alpha, w.beta))
-                 for p1, p2, w in witness_cases() for alpha in (w.alpha, w.alpha * 2)]
-        unmutated = [verify_witness(w, p1, p2) for p1, p2, w in cases]
+    def test_certificate_rejects_witness_mutant(self, monkeypatch, name):
+        """`verify_witness` trusts that the normal-form monomials are a basis
+        and that Delta, epsilon and S are the maps on the generators that a
+        rescaling commutes with; the Hopf certificate checks both, so it
+        rejects each mutant on some source or target of the witness cases.
+        Fresh parameters keep cached tables out of the check."""
+        cases = {p for p1, p2, _ in witness_cases() for p in (p1, p2)}
         owner, attr, mutant = WITNESS_MUTANTS[name]
         monkeypatch.setattr(owner, attr, mutant)
-        classify._witness_family.cache_clear()
-        cases = [(validate_params(*p1.as_tuple()), validate_params(*p2.as_tuple()), w)
-                 for p1, p2, w in cases]
-        verdicts = [verify_witness(w, p1, p2) for p1, p2, w in cases]
-        assert verdicts == [numeric_witness(w, p1, p2) for p1, p2, w in cases]
-        assert (verdicts != unmutated) == (name not in WITNESS_BLIND)
+        cases = [validate_params(*p.as_tuple()) for p in cases]
+        assert any(rejects(lambda q: verify_hopf_axioms(q, 1), p) for p in cases)
