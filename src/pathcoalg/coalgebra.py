@@ -413,10 +413,14 @@ class CoalgebraMap:
                 raise InvalidMorphism("image leaves the codomain")
 
     def apply(self, element):
-        c = self.domain.coords(element)
-        if c is None:
+        """The images summed over the element's bare coordinates, as the
+        domain's engine gives them; raises InvalidMorphism outside the domain."""
+        comb = self.domain._engine.coords(element.terms)
+        if comb is None:
             raise InvalidMorphism("element outside the domain")
-        return CoElement.combination(self.codomain.quiver, c, self.images)
+        tags = sorted(comb)
+        return CoElement.combination(self.codomain.quiver, [comb[i] for i in tags],
+                                     [self.images[i] for i in tags])
 
     def coalgebra_map_failure(self):
         """None if the map is a coalgebra homomorphism, else a witness."""

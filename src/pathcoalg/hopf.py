@@ -678,7 +678,8 @@ def _certify_embedding(params, images):
     images are nonzero with pairwise disjoint supports.  For each key u = g r,
     the g-shifts of the keys of Delta_H(r) are keys, and iota(u) = tau_g
     iota(r), tau_g moving each vertex v of a path (its start, each arrow's
-    source) to canon(g + v).  Then Delta_path iota(u) = (iota (x) iota)
+    source) to canon(g + v), a label computed once per (g, v) as the four
+    letter parts at g share it.  Then Delta_path iota(u) = (iota (x) iota)
     Delta_H(u): (1) iota is equivariant, by that check and (2); (2) canon is
     the quotient map Z^2 -> Z^2/<(m, -n)> (`_certify_quotient_map`), so tau is
     an action by automorphisms of the folded grid quiver, each tau_g a
@@ -701,18 +702,21 @@ def _certify_embedding(params, images):
     _certify_quotient_map(params.m, params.n)
     table, e = _table(params, _delta_table), params.canon(0, 0)
     needed = {pq: {key for pair in delta for key in pair} for pq, delta in table.items()}
+    moved = {}  # (g, vertex label) -> tau_g on it
+    def move(g, label):  # tau_g on the vertex a{i}b{j}: the label of canon(g + (i, j))
+        if (g, label) not in moved:
+            i, j = label[1:].split("b")
+            moved[g, label] = grid_vertex_label(*params.canon(g[0] + int(i), g[1] + int(j)))
+        return moved[g, label]
     for key, img in images.items():
         g, p, q = key
         for shifted in (_shift(params, g, k) for k in needed[p, q]):
             if shifted not in images:
                 raise NotClosedUnderDelta(
                     f"Delta({_fmt_key(key)}) leaves the keys at {_fmt_key(shifted)}")
-        def move(label):  # tau_g on the vertex a{i}b{j}
-            i, j = label[1:].split("b")
-            return grid_vertex_label(*params.canon(g[0] + int(i), g[1] + int(j)))
         rep = images.get((e, p, q))
-        if rep is None or img.terms != {Path(move(v), [a[:2] + move(a[2:]) for a in arrows]): c
-                                        for (_, v, arrows), c in rep.terms.items()}:
+        if rep is None or img.terms != {Path(move(g, v), [a[:2] + move(g, a[2:]) for a in arrows]):
+                                        c for (_, v, arrows), c in rep.terms.items()}:
             raise NotClosedUnderDelta(f"iota({_fmt_key(key)}) is not iota({_fmt_key((e, p, q))}) "
                                       f"translated by {_fmt_key((g, 0, 0))}")
     compared = 0

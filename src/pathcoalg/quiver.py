@@ -471,57 +471,62 @@ def find_nondynkin_cover(qtarget, size_bound):
     A state is the sorted tuple of cover arrows (target arrow id, source,
     sink) and the tuple of images of the cover vertices 0, 1, ...; a cover
     vertex is a source iff it is the source of one of its arrows.  The search
-    is breadth-first, and of two states equal up to renumbering the cover
-    vertices only the first is queued."""
+    is breadth-first and keys a state by its renumbered arrows alone (every
+    cover vertex ends an arrow, so the arrows fix the images); of two states
+    with one key only the first is queued.  A state is tested when queued:
+    states leave the queue in the order they enter it, so the first
+    non-Dynkin state queued is the one a test at dequeue time finds, and the
+    early test saves expanding the rest of its level."""
     if size_bound < 2:  # every state holds an arrow, so two vertices
         return None
     target_arrows = sorted(qtarget.arrows)
     queue, seen = deque(), set()
 
-    def push(cover_arrows, images):
+    def states():  # single arrows, then the growths of each queued state
+        for aid, src, dst in target_arrows:
+            yield ((aid, 0, 1),), (src, dst)
+        while queue:
+            cover_arrows, images = queue.popleft()
+            vertices = range(len(images))
+            used = {aid for aid, _, _ in cover_arrows}
+            sources = {u for _, u, _ in cover_arrows}
+            new = len(images)
+            for aid, src, dst in target_arrows:
+                if aid in used:
+                    continue
+                # (source, sink, images) in the order that fixes the cover returned
+                src_hosts = [v for v in vertices if images[v] == src and v in sources]
+                dst_hosts = [v for v in vertices if images[v] == dst and v not in sources]
+                candidates = []
+                for u in src_hosts:
+                    candidates += [(u, w, images) for w in dst_hosts]
+                    if new < size_bound:
+                        candidates.append((u, new, images + (dst,)))
+                if new < size_bound:
+                    candidates += [(new, w, images + (src,)) for w in dst_hosts]
+                for u, w, grown in candidates:
+                    yield tuple(sorted(cover_arrows + ((aid, u, w),))), grown
+
+    for cover_arrows, images in states():
         # number the vertices by first appearance in the sorted arrow list
         order = {}
         for _, u, w in cover_arrows:
             order.setdefault(u, len(order))
             order.setdefault(w, len(order))
-        key = (tuple((aid, order[u], order[w]) for aid, u, w in cover_arrows),
-               tuple(images[v] for v in order))
-        if key not in seen:
-            seen.add(key)
-            queue.append((cover_arrows, images))
-
-    for aid, src, dst in target_arrows:
-        push(((aid, 0, 1),), (src, dst))
-    while queue:
-        cover_arrows, images = queue.popleft()
-        vertices = range(len(images))
+        key = tuple((aid, order[u], order[w]) for aid, u, w in cover_arrows)
+        if key in seen:
+            continue
+        seen.add(key)
         # connected and loopless, so |E| >= |V| means a cycle or a parallel edge
         if len(cover_arrows) >= len(images) or not _underlying_class(
-                vertices, [(u, w) for _, u, w in cover_arrows]).is_dynkin:
-            cover = Quiver([f"v{i}" for i in vertices],
+                range(len(images)), [(u, w) for _, u, w in cover_arrows]).is_dynkin:
+            cover = Quiver([f"v{i}" for i in range(len(images))],
                            [(f"{aid}#{i}", f"v{u}", f"v{w}")
                             for i, (aid, u, w) in enumerate(cover_arrows)])
             return cover, QuiverMorphism(
                 cover, qtarget, {f"v{i}": img for i, img in enumerate(images)},
                 {f"{aid}#{i}": aid for i, (aid, _, _) in enumerate(cover_arrows)})
-        used = {aid for aid, _, _ in cover_arrows}
-        sources = {u for _, u, _ in cover_arrows}
-        new = len(images)
-        for aid, src, dst in target_arrows:
-            if aid in used:
-                continue
-            # (source, sink, images) in the order that fixes the cover returned
-            src_hosts = [v for v in vertices if images[v] == src and v in sources]
-            dst_hosts = [v for v in vertices if images[v] == dst and v not in sources]
-            candidates = []
-            for u in src_hosts:
-                candidates += [(u, w, images) for w in dst_hosts]
-                if new < size_bound:
-                    candidates.append((u, new, images + (dst,)))
-            if new < size_bound:
-                candidates += [(new, w, images + (src,)) for w in dst_hosts]
-            for u, w, grown in candidates:
-                push(tuple(sorted(cover_arrows + ((aid, u, w),))), grown)
+        queue.append((cover_arrows, images))
     return None
 
 

@@ -361,13 +361,22 @@ ONE = CycScalar(1, (_ONE,))
 
 def _parse(text):
     """A rational literal (``-3``, ``2/5``, no whitespace) straight to its `_q`
-    value, any other string through `parse_scalar`."""
-    if not _RATIONAL_LITERAL.fullmatch(text):
-        return parse_scalar(text)
+    value through `_literal`, any other string through `parse_scalar`."""
+    m = _RATIONAL_LITERAL.fullmatch(text)
+    return parse_scalar(text) if m is None else _literal(text, *m.groups())
+
+
+def _literal(text, p, q=None):
+    """A literal its regex has matched, read once off its digit groups:
+    ``int(p)``, or ``_q(Fraction(int(p), int(q)))``.  Raises ParseError naming
+    it for a zero denominator or more digits than int() reads (Python caps
+    them at sys.get_int_max_str_digits())."""
     try:
-        return _q(Fraction(text))
+        return int(p) if q is None else _q(Fraction(int(p), int(q)))
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise ParseError(f"too many digits in {text!r}") from None
 
 
 def cyc(value):
@@ -526,10 +535,9 @@ def _isqrt_exact(k):
 
 # -- parser -----------------------------------------------------------------
 
-_RATIONAL_LITERAL = re.compile(r"-?\d+(?:/\d+)?")
-_TOKEN = re.compile(
-    r"\s*(?:(?P<rat>\d+(?:/\d+)?)|(?P<root>z\d+(?:\^-?\d+)?)|(?P<op>[-+*()]))"
-)
+_RATIONAL_LITERAL = re.compile(r"(-?\d+)(?:/(\d+))?")
+_TOKEN = re.compile(r"\s*(?:(?P<rat>(\d+)(?:/(\d+))?)|(?P<root>z(\d+)(?:\^(-?\d+))?)"
+                    r"|(?P<op>[-+*()]))")
 
 
 def _tokenize(text):
@@ -541,20 +549,13 @@ def _tokenize(text):
                 raise ParseError(f"bad scalar syntax at {text[pos:]!r}")
             break
         pos = m.end()
-        if m.group("rat"):
-            try:
-                tokens.append(("rat", Fraction(m.group("rat"))))
-            except ZeroDivisionError:
-                raise ParseError(f"zero denominator in {m.group('rat')!r}") from None
-        elif m.group("root"):
-            body = m.group("root")[1:]
-            if "^" in body:
-                nn, ee = body.split("^")
-            else:
-                nn, ee = body, "1"
-            tokens.append(("root", (int(nn), int(ee))))
+        rat, p, q, root, n, e, op = m.groups()
+        if rat:
+            tokens.append(("rat", _literal(rat, p, q)))
+        elif root:
+            tokens.append(("root", (_literal(root, n), _literal(root, e or "1"))))
         else:
-            tokens.append((m.group("op"), None))
+            tokens.append((op, None))
     return tokens
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -6,6 +7,9 @@ from pathcoalg.cli import main
 from pathcoalg.coalgebra import path_coalgebra
 
 from test_coalgebra import covering_example, square_tilde, two_loop_subcoalgebra
+
+# Python caps int() at this many digits; 0 means no cap
+INT_DIGIT_CAP = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def run_cli(capsys, *argv):
@@ -267,6 +271,17 @@ class TestMalformedInput:
         code, out = run_cli(capsys, "classify", "-m", "0", "-n", "0", "--s", "1/0", "--t", "1")
         assert code == 2
         assert out["error"] == "ParseError"
+
+    @pytest.mark.skipif(not INT_DIGIT_CAP, reason="int() has no digit cap here")
+    @pytest.mark.parametrize("scalar", ["1" * 5000, "z4^" + "1" * 5000],
+                             ids=["rational", "root-exponent"])
+    def test_over_long_literal(self, capsys, scalar):
+        # int() refuses it; this was a traceback and exit 1, a "no" verdict's code
+        scalar += "1" * max(0, INT_DIGIT_CAP + 1 - 5000)
+        code, out = run_cli(capsys, "classify", "-m", "0", "-n", "0", "--s", scalar, "--t", "1")
+        assert code == 2
+        assert out["error"] == "ParseError"
+        assert out["detail"].startswith("too many digits in '")
 
     @pytest.mark.parametrize("basis", [None, [[["e_1"]]], [[["e_1", "1"], ["e_1", "2"]]]],
                              ids=["no-basis", "no-scalar", "path-twice"])

@@ -35,6 +35,7 @@ from pathcoalg.errors import (
     CapacityExceeded,
     EmptySubset,
     InvalidDescription,
+    InvalidMorphism,
     NotACovering,
     NotClosedUnderDelta,
     NotGrouplike,
@@ -512,6 +513,55 @@ class TestQuotientCovering:
         ok, _ = verify_covering(pi, diamond_basis(c), diamond_basis(image))
         assert ok
         assert separability_check(pi)
+
+
+def former_apply(pi, element):
+    """The former `CoalgebraMap.apply`: the coordinates boxed by
+    `SubCoalgebra.coords`, then unboxed again by `CoElement.combination`."""
+    coords = pi.domain.coords(element)
+    if coords is None:
+        raise InvalidMorphism("element outside the domain")
+    return CoElement.combination(pi.codomain.quiver, coords, pi.images)
+
+
+def z4_scaled_map():
+    """A map of the two-loop subcoalgebra into itself that scales the basis
+    by z4 and -3/2 in turn."""
+    c = two_loop_subcoalgebra()
+    z4 = CycScalar.root_of_unity(4)
+    return CoalgebraMap(c, c, [b * (z4 if i % 2 else Fraction(-3, 2))
+                               for i, b in enumerate(c.basis)])
+
+
+class TestMapApply:
+    """`apply` sums the images over the domain engine's bare coordinates and
+    gives the former route's element, coefficient types included."""
+
+    @staticmethod
+    def maps():
+        return [covering_example()[2], six_cycle_covering(),
+                identity_map(localization_example(CycScalar.root_of_unity(3))),
+                z4_scaled_map()]
+
+    @pytest.mark.parametrize("index", range(4), ids=["square", "six-cycle", "local-z3", "z4"])
+    def test_equals_former_route(self, index):
+        pi = self.maps()[index]
+        z4 = CycScalar.root_of_unity(4)
+        basis = pi.domain.basis
+        elements = [*basis, *(d.element for d in diamond_basis(pi.domain))]
+        elements += [basis[0] * z4 + basis[-1] * Fraction(2, 3), basis[1] - basis[1]]
+        for x in elements:
+            got, want = pi.apply(x), former_apply(pi, x)
+            assert got == want and got.quiver is want.quiver
+            assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+            assert list(got.terms) == list(want.terms)
+
+    def test_element_outside_the_domain(self):
+        pi = z4_scaled_map()
+        outside = path_element(pi.domain.quiver, Path("1", ("al", "al")))
+        for route in (pi.apply, lambda x: former_apply(pi, x)):
+            with pytest.raises(InvalidMorphism, match="element outside the domain"):
+                route(outside)
 
 
 class TestDualAlgebra:

@@ -4,7 +4,7 @@ import pickle
 import random
 import time
 from fractions import Fraction
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations, product
 
 import pytest
@@ -23,6 +23,7 @@ from pathcoalg.quiver import (
     Path,
     OTHER,
     Quiver,
+    QuiverMorphism,
     _arm_lengths,
     _underlying_class,
     _star_records,
@@ -857,6 +858,101 @@ class TestCoverAnswerIdentity:
         expected = [cover_json(find_nondynkin_cover(q, bound)) for q, bound in cases]
         assert got == expected
         assert any(g is not None for g in got) and any(g is None for g in got)
+
+
+def former_find_nondynkin_cover(qtarget, size_bound):
+    """The former cover search: a state keyed by its renumbered arrows and
+    its images, tested when it leaves the queue."""
+    if size_bound < 2:
+        return None
+    target_arrows = sorted(qtarget.arrows)
+    queue, seen = deque(), set()
+
+    def push(cover_arrows, images):
+        order = {}
+        for _, u, w in cover_arrows:
+            order.setdefault(u, len(order))
+            order.setdefault(w, len(order))
+        key = (tuple((aid, order[u], order[w]) for aid, u, w in cover_arrows),
+               tuple(images[v] for v in order))
+        if key not in seen:
+            seen.add(key)
+            queue.append((cover_arrows, images))
+
+    for aid, src, dst in target_arrows:
+        push(((aid, 0, 1),), (src, dst))
+    while queue:
+        cover_arrows, images = queue.popleft()
+        vertices = range(len(images))
+        if len(cover_arrows) >= len(images) or not _underlying_class(
+                vertices, [(u, w) for _, u, w in cover_arrows]).is_dynkin:
+            cover = Quiver([f"v{i}" for i in vertices],
+                           [(f"{aid}#{i}", f"v{u}", f"v{w}")
+                            for i, (aid, u, w) in enumerate(cover_arrows)])
+            return cover, QuiverMorphism(
+                cover, qtarget, {f"v{i}": img for i, img in enumerate(images)},
+                {f"{aid}#{i}": aid for i, (aid, _, _) in enumerate(cover_arrows)})
+        used = {aid for aid, _, _ in cover_arrows}
+        sources = {u for _, u, _ in cover_arrows}
+        new = len(images)
+        for aid, src, dst in target_arrows:
+            if aid in used:
+                continue
+            src_hosts = [v for v in vertices if images[v] == src and v in sources]
+            dst_hosts = [v for v in vertices if images[v] == dst and v not in sources]
+            candidates = []
+            for u in src_hosts:
+                candidates += [(u, w, images) for w in dst_hosts]
+                if new < size_bound:
+                    candidates.append((u, new, images + (dst,)))
+            if new < size_bound:
+                candidates += [(new, w, images + (src,)) for w in dst_hosts]
+            for u, w, grown in candidates:
+                push(tuple(sorted(cover_arrows + ((aid, u, w),))), grown)
+    return None
+
+
+def relabelled_square_with_loops(rng):
+    """`square_with_loops` under random vertex and arrow names, as the
+    benchmark's cover queries draw it (the names reorder the search)."""
+    names = {old: f"q{x}" for old, x in zip("1234", rng.sample(range(100), 4))}
+    ids = rng.sample(range(100), 6)
+    return Quiver([names[v] for v in "1234"],
+                  [(f"e{i}", names[s], names[t])
+                   for i, (_, s, t) in zip(ids, square_with_loops().arrows)])
+
+
+class TestCoverSearchOrder:
+    """The search that tests a state when it is queued, keyed by its arrows
+    alone, returns the cover of the former search, which tested a state when
+    it left the queue and keyed it by its images too."""
+
+    def test_answer_identity_targets(self):
+        rng = random.Random(28)
+        cases = [(square_with_loops(), bound) for bound in (4, 5, 6)]
+        cases += [(random_target(rng), rng.randint(4, 6)) for _ in range(1500)]
+        for q, bound in cases:
+            assert cover_json(find_nondynkin_cover(q, bound)) == cover_json(
+                former_find_nondynkin_cover(q, bound)), (q.arrows, bound)
+
+    def test_random_targets_at_bounds_two_to_seven(self):
+        rng = random.Random(40)
+        found = 0
+        for _ in range(1200):
+            q, bound = random_target(rng), rng.randint(2, 7)
+            got = cover_json(find_nondynkin_cover(q, bound))
+            assert got == cover_json(former_find_nondynkin_cover(q, bound)), (q.arrows, bound)
+            found += got is not None
+        assert 0 < found < 1200
+
+    def test_relabelled_squares_with_loops(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            q = relabelled_square_with_loops(rng)
+            for bound in (5, 6, 7):
+                got = cover_json(find_nondynkin_cover(q, bound))
+                assert got == cover_json(former_find_nondynkin_cover(q, bound))
+            assert got is not None
 
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import re
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -423,3 +424,69 @@ class TestBareCoercion:
                 bare(text)
         else:
             assert bare(text) == want
+
+
+# decimal digit sets that both `\d` and int() read: ASCII, Arabic-Indic,
+# Devanagari and fullwidth
+DIGIT_ZEROS = ("0", "٠", "०", "０")
+# Python caps int() at this many digits; 0 means no cap
+INT_DIGIT_CAP = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def spell(value, zero="0", leading=0, minus=False):
+    """|value| in the digit set whose zero is `zero`, after `leading` zeros,
+    signed if value < 0 or minus."""
+    digits = "0" * leading + str(abs(value))
+    sign = "-" if value < 0 or minus else ""
+    return sign + digits.translate({ord("0") + i: ord(zero) + i for i in range(10)})
+
+
+class TestLiteralReader:
+    """`_parse` and `_tokenize` read each matched literal once, off its digit
+    groups; value and type are those of `_q(Fraction(n, d))`."""
+
+    @given(n=st.integers(-10 ** 40, 10 ** 40) | st.integers(-20, 20),
+           d=st.integers(1, 10 ** 40) | st.integers(1, 12), e=st.integers(-9, 9),
+           zero=st.sampled_from(DIGIT_ZEROS), leading=st.integers(0, 3),
+           minus_zero=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_values_and_types(self, n, d, e, zero, leading, minus_zero):
+        num, den = spell(n, zero, leading, minus_zero and n == 0), spell(d, zero, leading)
+        for text, want in ((f"{num}/{den}", scalar._q(Fraction(n, d))), (num, n)):
+            got = scalar._parse(text)
+            assert got == want and type(got) is type(want)
+        assert parse_scalar(f"-({num}/{den})*z4^1") == cyc(-Fraction(n, d)) * zeta(4)
+        assert parse_scalar(f"z{spell(8, zero, leading)}^{spell(e, zero)}") == zeta(8, e)
+
+    @given(n=st.integers(-10 ** 40, 10 ** 40), zero=st.sampled_from(DIGIT_ZEROS),
+           leading=st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_zero_denominator(self, n, zero, leading):
+        den = spell(0, zero, leading)
+        for text in (f"{spell(n, zero)}/{den}", f"-({spell(n, zero)}/{den})*z4^1"):
+            with pytest.raises(ParseError, match="zero denominator"):
+                scalar._parse(text)
+
+    @pytest.mark.parametrize("text, want", [("+3", 3), (" 3", 3), ("1_000", None),
+                                            ("3/-2", None)])
+    def test_outside_the_literal_grammar(self, text, want):
+        """Strings the literal regex does not match keep the parser's verdict."""
+        if want is None:
+            with pytest.raises(ParseError, match="bad scalar syntax"):
+                scalar._parse(text)
+        else:
+            got = scalar._parse(text)
+            assert isinstance(got, CycScalar) and got == cyc(want)
+
+    @pytest.mark.skipif(not INT_DIGIT_CAP, reason="int() has no digit cap here")
+    @pytest.mark.parametrize("before, digits, after", [
+        ("", "1", ""), ("-", "7", ""), ("3/", "2", ""), ("", "9", "/4"),
+        ("z4^", "1", ""), ("z", "1", "^2"), ("1+(2/", "3", ")*z4^1")])
+    def test_over_long_literal_is_a_parse_error(self, before, digits, after):
+        """A literal longer than int() reads raises ParseError naming it, as
+        `bare`, `cyc` and `parse_scalar` see it; it was a bare ValueError."""
+        run = digits * (INT_DIGIT_CAP + 1)
+        for read in (bare, cyc, parse_scalar):
+            with pytest.raises(ParseError, match="^too many digits in '") as info:
+                read(before + run + after)
+            assert run in str(info.value)
