@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pathcoalg import scalar
 from pathcoalg.errors import DivisionByZero, ParseError, SquareRootUnavailable, ZeroInput
@@ -449,6 +449,9 @@ class TestLiteralReader:
            d=st.integers(1, 10 ** 40) | st.integers(1, 12), e=st.integers(-9, 9),
            zero=st.sampled_from(DIGIT_ZEROS), leading=st.integers(0, 3),
            minus_zero=st.booleans())
+    @example(n=3, d=4, e=1, zero="٠", leading=0, minus_zero=False)  # "٣/٤" is 3/4
+    @example(n=0, d=7, e=0, zero="0", leading=2, minus_zero=True)  # "-000/007"
+    @example(n=-10 ** 39 - 7, d=10 ** 39 + 3, e=-9, zero="０", leading=1, minus_zero=False)
     @settings(max_examples=300, deadline=None)
     def test_values_and_types(self, n, d, e, zero, leading, minus_zero):
         num, den = spell(n, zero, leading, minus_zero and n == 0), spell(d, zero, leading)
