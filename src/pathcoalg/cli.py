@@ -241,18 +241,14 @@ def build_parser():
     )
     p.set_defaults(func=cmd_verify_hopf)
 
-    p = subs.add_parser("classify", help="canonical form and family tag")
-    _add_param_flags(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = subs.add_parser("iso", help="isomorphism test between two parameter sets")
-    _add_param_flags(p)
-    _add_param_flags(p, "2")
-    p.set_defaults(func=cmd_iso)
-
-    p = subs.add_parser("aut", help="automorphism group of a canonical form")
-    _add_param_flags(p)
-    p.set_defaults(func=cmd_aut)
+    for name, func, text, suffixes in (
+            ("classify", cmd_classify, "canonical form and family tag", [""]),
+            ("iso", cmd_iso, "isomorphism test between two parameter sets", ["", "2"]),
+            ("aut", cmd_aut, "automorphism group of a canonical form", [""])):
+        p = subs.add_parser(name, help=text)
+        for suffix in suffixes:
+            _add_param_flags(p, suffix)
+        p.set_defaults(func=func)
 
     p = subs.add_parser("enumerate", help="indecomposable comodule inventory")
     _add_param_flags(p)

@@ -295,13 +295,9 @@ def _solve_combination(coalg, candidates, condition):
     for i, cand in enumerate(candidates):
         for k, c in condition(cand).items():
             rows.setdefault(k, {})[i] = c
-    sols = nullspace(rows.values(), len(candidates))
-    out = []
-    for c in sols:
-        x = CoElement.combination(coalg.quiver, c, candidates)
-        if not x.is_zero():
-            out.append(x)
-    return out
+    sols = (CoElement.combination(coalg.quiver, c, candidates)
+            for c in nullspace(rows.values(), len(candidates)))
+    return [x for x in sols if not x.is_zero()]
 
 
 def skew_primitives(coalg, g, h):

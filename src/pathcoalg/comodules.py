@@ -16,7 +16,8 @@ grid-window coalgebras, computes Hom spaces and endomorphism rings exactly,
 decides indecomposability, and settles discreteness of the corepresentation
 type.  Strings and bands are alternating walks (`_zigzag`); every builder
 fills its coaction with the truncation's certified images
-(`Truncation.image_of`), so only `Comodule` validation tests membership.
+(`Truncation.image_of`), and `_comodule` proves the comodule axioms of what
+it builds, so validation runs only on a coaction given to `Comodule`.
 
 Coaction coefficients, Hom matrices, traces and constants are the values
 `scalar.bare` gives, a CycScalar only if irrational; `cyc` boxes only the
@@ -26,7 +27,7 @@ public returns `Comodule.dimension_vector` and `HomSpace.basis`.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import count
+from itertools import count, permutations
 
 from .coalgebra import CoElement
 from .errors import (
@@ -49,9 +50,8 @@ class Comodule:
         self.coalgebra = coalgebra
         self.coaction = [list(row) for row in coaction]
         self.dim = len(self.coaction)
-        for row in self.coaction:
-            if len(row) != self.dim:
-                raise InvalidDescription("coaction matrix must be square")
+        if any(len(row) != self.dim for row in self.coaction):
+            raise InvalidDescription("coaction matrix must be square")
         self.labels = list(labels) if labels else [f"m{i}" for i in range(self.dim)]
         if len(self.labels) != self.dim:
             raise InvalidDescription(
@@ -118,12 +118,10 @@ def direct_sum(m1, m2):
     d1, d2 = m1.dim, m2.dim
     zero = CoElement(m1.coalgebra.quiver, {})
     c = [[zero] * (d1 + d2) for _ in range(d1 + d2)]
-    for i in range(d1):
-        for j in range(d1):
-            c[i][j] = m1.coaction[i][j]
-    for i in range(d2):
-        for j in range(d2):
-            c[d1 + i][d1 + j] = m2.coaction[i][j]
+    for i, row in enumerate(m1.coaction):
+        c[i][:d1] = row
+    for i, row in enumerate(m2.coaction):
+        c[d1 + i][d1:] = row
     labels = [f"l.{x}" for x in m1.labels] + [f"r.{x}" for x in m2.labels]
     out = Comodule(m1.coalgebra, c, labels, validate=False)
     out.weights = None if None in (m1.weights, m2.weights) else m1.weights + m2.weights
@@ -241,12 +239,8 @@ def are_isomorphic(m1, m2):
     if m1.dim != m2.dim:
         return False
     forth = hom(m1, m2).matrices
-    combo = [[0] * m1.dim for _ in range(m1.dim)]
-    for idx, f in enumerate(forth):
-        for r, row in enumerate(f):
-            for c, x in enumerate(row):
-                if x:
-                    combo[r][c] = combo[r][c] + x * (idx + 1)
+    combo = [[sum((f[r][c] * (idx + 1) for idx, f in enumerate(forth) if f[r][c]), 0)
+              for c in range(m1.dim)] for r in range(m1.dim)]
     if _mat_rank(combo) == m1.dim:
         return True
     pairing = _trace_rank(forth, hom(m2, m1).matrices) if forth else 0
@@ -338,18 +332,26 @@ def _zigzag(params, start, letter, length, up_first):
 
 
 def _comodule(trunc, nodes, entries, labels=None):
-    """The comodule with one basis vector per node g, e_g on the diagonal,
-    and c times the image of nodes[r] x^p y^q added at (r, col) for each
-    entry (r, col, (p, q), c); the labels default to the nodes' vertex
-    labels.  Every value is a certified image of the truncation, so the
-    builders run no membership test of their own."""
+    """The comodule with one basis vector (slot) per node g, e_g on the
+    diagonal, and c times the image of nodes[r] x^p y^q added at (r, col) for
+    each entry (r, col, (p, q), c); the labels default to the nodes' vertex
+    labels.  Built unvalidated: every entry is a sum of certified images, e_g
+    has counit 1 and a longer path 0, and the comatrix identity holds.  The
+    arrow at nodes[r] ends at nodes[col], as canon is the quotient map
+    (`group_canonical_pair`).  On a string or band each off-diagonal c_ij
+    is a combination of such arrows, i a source slot and j a sink slot, no slot
+    being both, so c_il (x) c_lj = 0 for l not in {i, j} and Delta(c_ij) = c_ii (x)
+    c_ij + c_ij (x) c_jj, 0 where c_ij = 0.  A diamond is upper triangular
+    with c12 = 0, which gives the same on its arrows, and Delta(xy - lam*yx)
+    adds x (x) y - lam*y (x) x = c01 (x) c13 + c02 (x) c23 to it."""
     zero = CoElement(trunc.quiver, {})
     c = [[zero] * len(nodes) for _ in nodes]
     for r, g in enumerate(nodes):
         c[r][r] = trunc.image_of(*g, 0, 0)
     for r, col, (p, q), coeff in entries:
         c[r][col] = c[r][col] + trunc.image_of(*nodes[r], p, q) * coeff
-    return Comodule(trunc.coalgebra, c, labels or [grid_vertex_label(*g) for g in nodes])
+    return Comodule(trunc.coalgebra, c, labels or [grid_vertex_label(*g) for g in nodes],
+                    validate=False)
 
 
 def build_simple(trunc, i, j):
@@ -391,9 +393,8 @@ def build_band_family(params, length, mus, truncation=None):
     n = params.n
     if length % n != 0 or length <= 0:
         raise InvalidSpec(f"band period must be a positive multiple of {n}")
-    for mu in mus:
-        if not bare(mu):
-            raise InvalidSpec("band parameter mu must be nonzero")
+    if not all(map(bare, mus)):
+        raise InvalidSpec("band parameter mu must be nonzero")
     trunc = _truncation(params, n, truncation, any_radius=True)
     nodes, arrows = _zigzag(params, (0, 0), "x", 2 * length, False)
     # walk node k is peak k / 2 (the last one is peak 0) or valley (k - 1) / 2
@@ -431,12 +432,8 @@ def enumerate_indecomposables(params, radius, max_total_dim, truncation=None):
             out.append(("simple", (g,), build_simple(trunc, *g)))
     if max_total_dim >= 4:
         for g in sorted(window):
-            corners = (
-                g,
-                params.canon(g[0] + 1, g[1]),
-                params.canon(g[0], g[1] + 1),
-                params.canon(g[0] + 1, g[1] + 1),
-            )
+            corners = [g] + [params.canon(g[0] + di, g[1] + dj)
+                             for di, dj in ((1, 0), (0, 1), (1, 1))]
             if all(v in window for v in corners) and len(set(corners)) == 4:
                 out.append(("diamond", (g,), build_diamond(trunc, *g)))
     for g in sorted(window):
@@ -467,11 +464,7 @@ def decide_discrete(params):
     if params.m != params.n or params.m == 0:
         return {"discrete": True, "witness": None}
     mods = build_band_family(params, params.n, list(BAND_MUS))
-    pairwise = True
-    for i in range(len(mods)):
-        for j in range(len(mods)):
-            if i != j and hom(mods[i], mods[j]).dim != 0:
-                pairwise = False
+    pairwise = all(hom(a, b).dim == 0 for a, b in permutations(mods, 2))
     witness = {
         "band_parameters": [str(cyc(mu)) for mu in BAND_MUS],
         "dimension": mods[0].dim,

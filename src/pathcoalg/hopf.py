@@ -24,7 +24,6 @@ the certified images, without elimination.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 from operator import attrgetter, le
@@ -273,10 +272,7 @@ def multiply(u, v):
 
 def _counit_terms(params, terms):
     """epsilon(u) * 1 as a term dict, from the coefficients on group parts."""
-    total = 0
-    for (g, p, q), c in terms.items():
-        if p == 0 and q == 0:
-            total = total + c
+    total = sum((c for (_, p, q), c in terms.items() if p == 0 and q == 0), 0)
     return {(params.canon(0, 0), 0, 0): total} if total else {}
 
 
@@ -510,23 +506,27 @@ def family_certificate():
     return tuple(name for name, _ in relations(generic)), rows
 
 
-@functools.lru_cache(maxsize=64)
-def _certify_quotient_map(m, n):
-    """Check by integer arithmetic, on the box |i|, |j| <= max(|m|, |n|, 2),
-    that `BmnParams.canon` is the quotient map Z^2 -> Z^2/<(m, -n)>: it sends
-    (m, -n) to canon(0, 0), it is idempotent, and canon(canon(i, j) + e) =
-    canon((i, j) + e) for the four generator steps e.  Raises AxiomFailure
-    naming the failing check, with the group pair as witness."""
-    canon, r = _generic_params(m, n).canon, max(abs(m), abs(n), 2)
+def _certify_quotient_map(params):
+    """Check, by a constant number of integer checks, that `params.canon` is
+    the quotient map Z^2 -> Z^2/<(m, -n)> that `group_canonical_pair` proves
+    it to be: canon(m, -n) = canon(0, 0); and at the branch edges g = (i, 0),
+    i in {-1, 0, p - 1, p}, p = |m| (g = (0, j) and p = |n| if m = 0), canon
+    fixes canon(g) and canon(canon(g) + canon(e)) = canon(g + e) for the
+    generators e = (1, 0), (0, 1); from -1 and p - 1, a crosses both branch
+    edges.  Raises AxiomFailure naming the failing check, with the group pair
+    as witness."""
+    m, n, canon = params.m, params.n, params.canon
     failure = f"canon is not the quotient map of B({m}, {n}): "
     if canon(m, -n) != canon(0, 0):
         raise AxiomFailure(failure + "a^m b^-n is not 1", witness=f"({m}, {-n})")
-    for i, j in itertools.product(range(-r, r + 1), repeat=2):
+    steps = {e: canon(*e) for e in ((1, 0), (0, 1))}
+    period = abs(m or n)
+    for i, j in ((c, 0) if m else (0, c) for c in sorted({-1, 0, period - 1, period})):
         g = canon(i, j)
         if canon(*g) != g:
             raise AxiomFailure(failure + "it is not idempotent", witness=f"({i}, {j})")
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            if canon(g[0] + di, g[1] + dj) != canon(i + di, j + dj):
+        for (di, dj), (si, sj) in steps.items():
+            if canon(g[0] + si, g[1] + sj) != canon(i + di, j + dj):
                 raise AxiomFailure(failure + "it is not additive",
                                    witness=f"({i}, {j}) + ({di}, {dj})")
 
@@ -563,8 +563,9 @@ def verify_hopf_axioms(params, radius, seed=None):
     epsilon(g - 1) = 0, S(g - 1) = -g^-1 (g - 1)), so B(m, n) is a Hopf
     algebra when B(0, 0) is.  `_mono_mul` and the structure tables see group
     parts only through `canon` and the characters sign_x, sign_y, so a query
-    checks: (a) `canon` is the quotient map Z^2 -> Z^2/<(m, -n)>
-    (`_certify_quotient_map`, cached per (m, n)); (b) g is central,
+    checks: (a) `canon` is the quotient map Z^2 -> Z^2/<(m, -n)>, proved in
+    `group_canonical_pair` and checked at constant cost by
+    `_certify_quotient_map`; (b) g is central,
     sign_x(m, -n) = sign_y(m, -n) = 1; (c) the nonzero B(0, 0) residues
     vanish at its parameters, sound since evaluation is a ring map, and read
     off the 3 rows of `family_certificate`.  If (b) or (c) fails, the first
@@ -597,7 +598,7 @@ def verify_hopf_axioms(params, radius, seed=None):
     callers of the former sampling verifier, the benchmark among them, pass it."""
     if radius < 0:
         raise WindowTooSmall("radius must be nonnegative")
-    _certify_quotient_map(params.m, params.n)
+    _certify_quotient_map(params)
     names, rows = family_certificate()
     value, g = _specializer(params), (params.m, -params.n)
     if params.sign_x(*g) != 1 or params.sign_y(*g) != 1 or any(map(value, rows)):
@@ -681,7 +682,8 @@ def _certify_embedding(params, images):
     source) to canon(g + v), a label computed once per (g, v) as the four
     letter parts at g share it.  Then Delta_path iota(u) = (iota (x) iota)
     Delta_H(u): (1) iota is equivariant, by that check and (2); (2) canon is
-    the quotient map Z^2 -> Z^2/<(m, -n)> (`_certify_quotient_map`), so tau is
+    the quotient map Z^2 -> Z^2/<(m, -n)> (proved in `group_canonical_pair`,
+    checked by `_certify_quotient_map`), so tau is
     an action by automorphisms of the folded grid quiver, each tau_g a
     coalgebra map of its path coalgebra; (3) the identity holds on r, one dict
     comparison each; (4) the keys of Delta_H(u) are keys (closure); (5)
@@ -699,7 +701,7 @@ def _certify_embedding(params, images):
             if other != key:
                 raise NotClosedUnderDelta(
                     f"iota({_fmt_key(key)}) and iota({_fmt_key(other)}) share a path")
-    _certify_quotient_map(params.m, params.n)
+    _certify_quotient_map(params)
     table, e = _table(params, _delta_table), params.canon(0, 0)
     needed = {pq: {key for pair in delta for key in pair} for pq, delta in table.items()}
     moved = {}  # (g, vertex label) -> tau_g on it

@@ -48,8 +48,7 @@ class Path(tuple):
     def target(self, quiver):
         v = self.start
         for a in self.arrows:
-            _, src, dst = quiver.arrow(a)
-            v = dst
+            v = quiver.arrow(a)[2]
         return v
 
     def is_valid(self, quiver):
@@ -216,7 +215,13 @@ class QuiverMorphism:
 
 
 def group_canonical_pair(m, n, i, j):
-    """Canonical exponent pair for a^i b^j in <a, b | ab=ba, a^m=b^n>."""
+    """Canonical exponent pair for a^i b^j in <a, b | ab=ba, a^m=b^n> =
+    Z^2/L, L = <(m, -n)>, by Hermite normal form.  Negating (m, n) keeps L.
+    For m > 0, k = i // m gives 0 <= i - km < m and (i, j) - canon(i, j) =
+    k(m, -n) in L, and two pairs in [0, m) x Z differ by k(m, -n) only for
+    k = 0: canon picks the unique representative of each coset there, so it
+    is the quotient map.  Likewise in Z x [0, n) for m = 0 < n; at m = n = 0
+    it is the identity."""
     if m < 0 or (m == 0 and n < 0):
         m, n = -m, -n
     if m > 0:

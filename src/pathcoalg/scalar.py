@@ -14,7 +14,8 @@ Q(zeta_d); that and inverting an element are small exact linear problems,
 solved on bare rationals by `linalg.SparseBasis`, the one elimination kernel.
 
 Text grammar (bit-exact round trip): rationals as ``p/q``, roots of unity as
-``z<N>^<e>``, products with ``*``, sums with ``+``/``-``, parentheses.
+``z<N>^<e>`` with N <= MAX_CONDUCTOR, products with ``*``, sums with
+``+``/``-``, parentheses.
 """
 
 from __future__ import annotations
@@ -24,10 +25,13 @@ from fractions import Fraction
 from math import gcd, isqrt, prod
 from operator import add
 
-from .errors import DivisionByZero, ParseError, SquareRootUnavailable, ZeroInput
+from .errors import CapacityExceeded, DivisionByZero, ParseError, SquareRootUnavailable, ZeroInput
 
 _ZERO = 0
 _ONE = 1
+# the largest N a literal z<N> may name: Q(zeta_N) has dimension phi(N), and
+# building Phi_N and reducing modulo it take time quadratic in N and more
+MAX_CONDUCTOR = 1000
 
 
 def _q(x):
@@ -580,6 +584,8 @@ def parse_scalar(text):
             n, e = take()[1]
             if n < 1:
                 raise ParseError("root-of-unity index must be positive")
+            if n > MAX_CONDUCTOR:
+                raise CapacityExceeded(f"root-of-unity index {n} exceeds {MAX_CONDUCTOR}")
             return CycScalar.root_of_unity(n, e % n)
         if kind == "(":
             take()

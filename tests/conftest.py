@@ -3,17 +3,16 @@ import pytest
 from pathcoalg import hopf
 from pathcoalg.scalar import CycScalar
 
-FAMILY_CACHES = (hopf.family_certificate, hopf._certify_quotient_map)
+FAMILY_CACHES = (hopf.family_certificate,)
 
 
 @pytest.fixture(autouse=True)
 def fresh_family_certificates():
-    """`hopf.family_certificate` caches the one certificate of B(0, 0) and
-    `hopf._certify_quotient_map` the check of `canon` per (m, n), across
-    calls; the certificate keeps the rows of its residues, which are all
-    `verify_hopf_axioms` evaluates.  Clearing both around each test makes a
-    test that monkeypatches a term function or `canon` see its mutant, rather
-    than stale rows, and keeps a mutant's results out of later tests."""
+    """`hopf.family_certificate` caches the one certificate of B(0, 0) across
+    calls; it keeps the rows of its residues, which are all
+    `verify_hopf_axioms` evaluates.  Clearing it around each test makes a
+    test that monkeypatches a term function see its mutant, rather than
+    stale rows, and keeps a mutant's results out of later tests."""
     for cache in FAMILY_CACHES:
         cache.cache_clear()
     yield

@@ -272,6 +272,11 @@ class TestMalformedInput:
         assert code == 2
         assert out["error"] == "ParseError"
 
+    def test_conductor_past_the_cap(self, capsys):
+        code, out = run_cli(capsys, "classify", "-m", "0", "-n", "0", "--lambda", "z100000")
+        assert code == 2
+        assert out["error"] == "CapacityExceeded"
+
     @pytest.mark.skipif(not INT_DIGIT_CAP, reason="int() has no digit cap here")
     @pytest.mark.parametrize("scalar", ["1" * 5000, "z4^" + "1" * 5000],
                              ids=["rational", "root-exponent"])

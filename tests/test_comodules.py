@@ -924,22 +924,99 @@ class TestFormerRoutes:
         assert kinds == {"module", WindowTooSmall, InvalidSpec}
 
     def test_builders_run_no_membership_test(self, monkeypatch):
-        """Only `Comodule` validation tests membership; the builders read
-        certified images."""
+        """The builders read certified images and validate nothing: neither
+        a membership test nor `Comodule._validate` runs."""
         free = truncate_to_subcoalgebra(validate_params(0, 0, 1, 0, 0, 0), 1)
         params = validate_params(2, 2, 1, 0, 0, 0)
         band_trunc = truncate_to_subcoalgebra(params, 2)
 
-        def forbidden(self, element):
-            raise AssertionError("SubCoalgebra.contains called")
+        def forbidden(name):
+            def method(self, *args):
+                raise AssertionError(f"{name} called")
+            return method
 
-        monkeypatch.setattr(SubCoalgebra, "contains", forbidden)
-        monkeypatch.setattr(Comodule, "_validate", lambda self: None)
+        monkeypatch.setattr(SubCoalgebra, "contains", forbidden("SubCoalgebra.contains"))
+        monkeypatch.setattr(Comodule, "_validate", forbidden("Comodule._validate"))
         build_simple(free, 0, 0)
         build_diamond(free, 0, 0)
         build_string(free, StringSpec((0, 0), "x", 3))
         build_band_family(params, 2, [1, 2], truncation=band_trunc)
         enumerate_indecomposables(validate_params(0, 0, 1, 0, 0, 0), 1, 4, truncation=free)
+
+
+def revalidated(mod):
+    """The module through the validating constructor, the oracle of the proof
+    in `comodules._comodule`; raises InvalidDescription where it fails."""
+    return Comodule(mod.coalgebra, mod.coaction, mod.labels)
+
+
+def every_spec_module(trunc):
+    """The simples, diamonds and strings that build on every spec of
+    `TestFormerRoutes.test_builders_on_every_spec`."""
+    groups = sorted({g for g, _, _ in trunc.iota} | {(3, 3)})
+    builds = [(build, g) for g in groups for build in (build_simple, build_diamond)]
+    builds += [(build_string, (StringSpec(g, letter, length, up),)) for g in groups
+               for letter in ("x", "y", "z") for length in range(5) for up in (False, True)]
+    for build, args in builds:
+        try:
+            yield build(trunc, *args)
+        except (WindowTooSmall, InvalidSpec):
+            pass
+
+
+def wrong_first_letter(entries):
+    """The first arrow entry with the other letter's image."""
+    (r, col, (p, q), c), *rest = entries
+    return [(r, col, (q, p), c), *rest]
+
+
+def diamond_sign_flipped(entries):
+    """The diamond's -lam entry with its sign flipped; others as they are."""
+    return [(r, col, pq, -c if (r, col) == (2, 3) else c) for r, col, pq, c in entries]
+
+
+class TestBuilderProof:
+    """`comodules._comodule` builds without validation, on the proof in its
+    docstring; `Comodule._validate` is the oracle.  It accepts every builder
+    module and rejects builders that break the proof's premises."""
+
+    @pytest.mark.parametrize("raw, radius, max_dim, size", [
+        (*inventory, size) for inventory, size in zip(HOM_INVENTORIES, (179, 88, 136))])
+    def test_inventories(self, raw, radius, max_dim, size):
+        found = enumerate_indecomposables(validate_params(*raw), radius, max_dim)
+        assert len(found) == size
+        for item in found:
+            revalidated(item["module"])
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_band_families(self, m):
+        for band in build_band_family(validate_params(m, m, 1, 0, 0, 0), m, [1, 2, 3]):
+            revalidated(band)
+
+    @pytest.mark.parametrize("raw", [(0, 0, 1, 0, 0, 0), (0, 0, "z4", 0, 0, 0),
+                                     (3, 1, 1, 0, 0, 0)])
+    def test_every_spec(self, raw):
+        mods = list(every_spec_module(truncate_to_subcoalgebra(validate_params(*raw), 1)))
+        assert {m.dim for m in mods} == {1, 2, 3, 4, 5}
+        for mod in mods:
+            revalidated(mod)
+
+    @pytest.mark.parametrize("mutate", [wrong_first_letter, diamond_sign_flipped])
+    def test_mutant_builders_fail(self, monkeypatch, mutate):
+        free = truncate_to_subcoalgebra(validate_params(0, 0, 1, 0, 0, 0), 1)
+        band_params = validate_params(2, 2, 1, 0, 0, 0)
+        built = comodules._comodule
+        monkeypatch.setattr(comodules, "_comodule",
+                            lambda trunc, nodes, entries, labels=None:
+                            built(trunc, nodes, mutate(entries), labels))
+        mods = [build_diamond(free, 0, 0), build_diamond(free, -1, 0)]
+        if mutate is wrong_first_letter:
+            mods += [build_string(free, StringSpec((0, 0), "x", 3)),
+                     build_string(free, StringSpec((0, 0), "y", 2, up_first=True))]
+            mods += build_band_family(band_params, 2, [1, 3])
+        for mod in mods:
+            with pytest.raises(InvalidDescription, match="comatrix identity fails"):
+                revalidated(mod)
 
 
 class TestBands:

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pathcoalg import hopf
+from pathcoalg import hopf, quiver
 from pathcoalg.errors import AxiomFailure, ForbiddenPair, PathcoalgError
 from pathcoalg.classify import IsoWitness, verify_witness
 from pathcoalg.hopf import (
@@ -448,8 +448,9 @@ CANON_MUTANTS = {
 
 
 class TestCanonMutants:
-    """The quotient route trusts `canon` only after checking it, so each
-    mutant of `BmnParams.canon` fails the certificate with its own check."""
+    """The quotient route trusts `canon` only after its constant checks
+    (`_certify_quotient_map`), so each mutant of `BmnParams.canon` fails the
+    certificate with its own check."""
 
     @pytest.mark.parametrize("check", sorted(CANON_MUTANTS))
     def test_mutant_names_its_check(self, monkeypatch, check):
@@ -464,7 +465,129 @@ class TestCanonMutants:
 
     def test_unmutated_canon_passes_on_every_pair(self):
         for m, n in itertools.product(range(-8, 9), repeat=2):
-            hopf._certify_quotient_map(m, n)
+            hopf._certify_quotient_map(hopf._generic_params(m, n))
+
+
+GENERATOR_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+BIG = st.integers(-10**6, 10**6)
+
+
+def box_check(canon, m, n):
+    """The former runtime check of `canon`, the reference of the laws below:
+    on the box |i|, |j| <= max(|m|, |n|, 2), canon sends (m, -n) to canon(0,
+    0), is idempotent, and canon(canon(g) + e) = canon(g + e) for the four
+    generator steps e.  Its cost grows as (m, n)^2."""
+    r = max(abs(m), abs(n), 2)
+    if canon(m, -n) != canon(0, 0):
+        return False
+    for i, j in itertools.product(range(-r, r + 1), repeat=2):
+        g = canon(i, j)
+        if canon(*g) != g or any(canon(g[0] + di, g[1] + dj) != canon(i + di, j + dj)
+                                 for di, dj in GENERATOR_STEPS):
+            return False
+    return True
+
+
+def canon_laws_hold(canon, m, n, i, j, k):
+    """The laws the proof in `group_canonical_pair` gives, at one pair and one
+    lattice multiple: (i, j) - canon(i, j) lies in L = <(m, -n)>, canon(i, j)
+    lies in [0, |m|) x Z (Z x [0, |n|) if m = 0), and canon(i + km, j - kn) =
+    canon(i, j), so canon picks one representative per coset of L."""
+    r = canon(i, j)
+    di, dj = i - r[0], j - r[1]
+    if m:
+        in_lattice = di % m == 0 and dj == -(di // m) * n
+        in_range = 0 <= r[0] < abs(m)
+    else:
+        in_lattice = di == 0 and (dj % n == 0 if n else dj == 0)
+        in_range = 0 <= r[1] < abs(n) if n else True
+    return in_lattice and in_range and canon(i + k * m, j - k * n) == r
+
+
+@st.composite
+def canon_cases(draw):
+    """(m, n, i, j, k), each at most 10^6 in size; half the pairs lie within
+    one step of a lattice point q(m, -n), where the branches of canon meet."""
+    m, n, i, j, k = (draw(BIG) for _ in range(5))
+    if draw(st.booleans()):
+        q = draw(BIG)
+        i, j = draw(st.integers(-1, 1)) + q * m, draw(st.integers(-1, 1)) - q * n
+    return m, n, i, j, k
+
+
+def mutant_canon(mutant, m, n):
+    return functools.partial(mutant, SimpleNamespace(m=m, n=n))
+
+
+class TestCanonLaws:
+    """`canon` is proved the quotient map in its docstring; these check the
+    proof's laws over |m|, |n| <= 10^6, against the former box check."""
+
+    @settings(max_examples=300)
+    @given(canon_cases())
+    def test_laws_hold(self, case):
+        m, n, *rest = case
+        assert canon_laws_hold(functools.partial(group_canonical_pair, m, n), m, n, *rest)
+
+    @pytest.mark.parametrize("check", sorted(CANON_MUTANTS))
+    def test_each_mutant_fails_the_laws(self, check):
+        mutant = CANON_MUTANTS[check]
+
+        @settings(max_examples=300, derandomize=True, database=None)
+        @given(canon_cases())
+        def laws(case):
+            m, n, *rest = case
+            assert canon_laws_hold(mutant_canon(mutant, m, n), m, n, *rest)
+
+        with pytest.raises(AssertionError):
+            laws()
+
+    def test_box_reference_agrees_on_small_pairs(self):
+        """On |m|, |n| <= 8 the box accepts `group_canonical_pair`, where the
+        laws hold on the whole box, and rejects each mutant wherever the laws
+        fail on it."""
+        for m, n in itertools.product(range(-8, 9), repeat=2):
+            r = max(abs(m), abs(n), 2)
+            box = list(itertools.product(range(-r, r + 1), repeat=2))
+            canons = [functools.partial(group_canonical_pair, m, n)]
+            canons += [mutant_canon(mutant, m, n) for mutant in CANON_MUTANTS.values()]
+            for canon in canons:
+                laws = all(canon_laws_hold(canon, m, n, i, j, k) for i, j in box for k in (-1, 2))
+                assert box_check(canon, m, n) == laws, (m, n, canon)
+            assert box_check(canons[0], m, n)
+
+
+class TestCanonCallCount:
+    """The Hopf certificate and a truncation call `canon` a number of times
+    that depends on the radius, not on (m, n): the constant checks replace the
+    box, which made 5(2 * 10^6 + 1)^2 calls at (10^6, 0)."""
+
+    @staticmethod
+    def canon_calls(m, n, radius):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return group_canonical_pair(*args)
+
+        params = validate_params(m, n, 1, 0, 0, 0)
+        family_certificate()  # built once per process, not per query
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hopf, "group_canonical_pair", counted)
+            patch.setattr(quiver, "group_canonical_pair", counted)
+            verify_hopf_axioms(params, radius)
+            hopf.truncate_to_subcoalgebra(params, radius)
+        return len(calls)
+
+    def test_equal_at_huge_and_small_m(self):
+        # at radius 0 the window (0, 0) and its shifts by a, b and ab wrap
+        # at neither m, so the two runs make the same calls
+        assert self.canon_calls(10**6, 0, 0) == self.canon_calls(2, 0, 0)
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_equal_once_the_window_does_not_wrap(self, radius):
+        assert self.canon_calls(10**6, 0, radius) == self.canon_calls(10, 0, radius)
+        assert self.canon_calls(0, 10**6, radius) == self.canon_calls(0, 10, radius)
 
 
 # -- the span gate: the certificates evaluate the rows of their residues -----
@@ -474,7 +597,7 @@ def per_residue_verdict(params, radius):
     """The former gate of `verify_hopf_axioms`, kept as the reference of the
     span gate: it specializes every coefficient of every B(0, 0) residue, not
     their `_span_rows`, and lists the window to count it."""
-    hopf._certify_quotient_map(params.m, params.n)
+    hopf._certify_quotient_map(params)
     value, g = hopf._specializer(params), (params.m, -params.n)
     if params.sign_x(*g) != 1 or params.sign_y(*g) != 1 or any(
             value(c) for _, _, residue in _family_residues(0, 0) for c in residue):

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from pathcoalg import scalar
-from pathcoalg.errors import DivisionByZero, ParseError, SquareRootUnavailable, ZeroInput
+from pathcoalg.errors import (
+    CapacityExceeded,
+    DivisionByZero,
+    ParseError,
+    SquareRootUnavailable,
+    ZeroInput,
+)
 from pathcoalg.scalar import (
     ONE,
     ZERO,
@@ -164,6 +170,15 @@ class TestSerialization:
         for bad in ["", "1+", "z0^1", "1..2", "(1", "1 1", "1/0"]:
             with pytest.raises(ParseError):
                 parse_scalar(bad)
+
+    def test_conductor_cap(self):
+        """A root-of-unity index past MAX_CONDUCTOR is refused before any
+        field arithmetic: z100000 did not parse in 10 s before the cap."""
+        cap = scalar.MAX_CONDUCTOR
+        assert parse_scalar(f"z{cap}^{cap // 2}") == cyc(-1)
+        for index in (cap + 1, 100000, 10**40):
+            with pytest.raises(CapacityExceeded, match=f"index {index} exceeds {cap}"):
+                parse_scalar(f"1+2*z{index}^3")
 
 
 scalars = st.builds(
