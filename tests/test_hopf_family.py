@@ -515,7 +515,36 @@ def canon_cases(draw):
     return m, n, i, j, k
 
 
+def _normalized(m, n):
+    return (-m, -n) if m < 0 or (m == 0 and n < 0) else (m, n)
+
+
+def canon_k_off_by_one(m, n, i, j):
+    """`group_canonical_pair` with k one too large: i - km lands in [-m, 0)."""
+    m, n = _normalized(m, n)
+    return (i - (i // m + 1) * m, j + (i // m + 1) * n) if m else group_canonical_pair(m, n, i, j)
+
+
+def canon_wrong_sign_of_n(m, n, i, j):
+    """`group_canonical_pair` moving j by -kn: off the coset where kn != 0."""
+    m, n = _normalized(m, n)
+    return (i - i // m * m, j - i // m * n) if m else group_canonical_pair(m, n, i, j)
+
+
+def canon_m0_branch_swapped(m, n, i, j):
+    """`group_canonical_pair` reducing i, not j, by n when m = 0."""
+    m, n = _normalized(m, n)
+    return (i - i // n * n, j) if m == 0 and n else group_canonical_pair(m, n, i, j)
+
+
+# mutants of the formula itself, as (m, n, i, j) -> pair
+FORMULA_MUTANTS = {f.__name__: f for f in (canon_k_off_by_one, canon_wrong_sign_of_n,
+                                           canon_m0_branch_swapped)}
+
+
 def mutant_canon(mutant, m, n):
+    if mutant in FORMULA_MUTANTS.values():
+        return functools.partial(mutant, m, n)
     return functools.partial(mutant, SimpleNamespace(m=m, n=n))
 
 
@@ -529,9 +558,9 @@ class TestCanonLaws:
         m, n, *rest = case
         assert canon_laws_hold(functools.partial(group_canonical_pair, m, n), m, n, *rest)
 
-    @pytest.mark.parametrize("check", sorted(CANON_MUTANTS))
-    def test_each_mutant_fails_the_laws(self, check):
-        mutant = CANON_MUTANTS[check]
+    @pytest.mark.parametrize("name", sorted(CANON_MUTANTS) + sorted(FORMULA_MUTANTS))
+    def test_each_mutant_fails_the_laws(self, name):
+        mutant = {**CANON_MUTANTS, **FORMULA_MUTANTS}[name]
 
         @settings(max_examples=300, derandomize=True, database=None)
         @given(canon_cases())
@@ -542,25 +571,30 @@ class TestCanonLaws:
         with pytest.raises(AssertionError):
             laws()
 
-    def test_box_reference_agrees_on_small_pairs(self):
-        """On |m|, |n| <= 8 the box accepts `group_canonical_pair`, where the
-        laws hold on the whole box, and rejects each mutant wherever the laws
-        fail on it."""
+    def test_box_reference_on_small_pairs(self):
+        """On |m|, |n| <= 8 the former box check accepts `group_canonical_pair`,
+        where the laws hold on the whole box, and agrees with the laws on each
+        mutant but one: `canon_k_off_by_one` is a quotient map with other
+        representatives, which the box accepts and only the range law
+        rejects."""
         for m, n in itertools.product(range(-8, 9), repeat=2):
             r = max(abs(m), abs(n), 2)
             box = list(itertools.product(range(-r, r + 1), repeat=2))
-            canons = [functools.partial(group_canonical_pair, m, n)]
-            canons += [mutant_canon(mutant, m, n) for mutant in CANON_MUTANTS.values()]
-            for canon in canons:
+            mutants = [*CANON_MUTANTS.values(), *FORMULA_MUTANTS.values()]
+            for canon in [functools.partial(group_canonical_pair, m, n),
+                          *(mutant_canon(mutant, m, n) for mutant in mutants)]:
                 laws = all(canon_laws_hold(canon, m, n, i, j, k) for i, j in box for k in (-1, 2))
-                assert box_check(canon, m, n) == laws, (m, n, canon)
-            assert box_check(canons[0], m, n)
+                if canon.func is canon_k_off_by_one:
+                    assert box_check(canon, m, n) and laws == (m == 0)
+                else:
+                    assert box_check(canon, m, n) == laws, (m, n, canon)
+            assert box_check(functools.partial(group_canonical_pair, m, n), m, n)
 
 
 class TestCanonCallCount:
     """The Hopf certificate and a truncation call `canon` a number of times
     that depends on the radius, not on (m, n): the constant checks replace the
-    box, which made 5(2 * 10^6 + 1)^2 calls at (10^6, 0)."""
+    box, which made 10(2 * 10^6 + 1)^2 calls at (10^6, 0)."""
 
     @staticmethod
     def canon_calls(m, n, radius):
