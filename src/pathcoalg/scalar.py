@@ -8,10 +8,11 @@ coordinate is divided only through ``Fraction``: ``1 / c`` on an ``int`` is a
 float.  Mixed conductors are handled by lazy promotion to the lcm.  Every
 element is kept at its minimal conductor, so equality and hashing are
 structural, and a rational element hashes as its coordinate, which it equals.
-v + q, q * v (q != 0) and 1 / v generate the field of v, so only a sum or
-product of two irrationals and a root of unity are demoted to a subfield
-Q(zeta_d); that and inverting an element are small exact linear problems,
-solved on bare rationals by `linalg.SparseBasis`, the one elimination kernel.
+v + q, q * v (q != 0) and 1 / v generate the field of v, and a root of unity
+is built at its minimal conductor in closed form, so only a sum or product of
+two irrationals is demoted to a subfield Q(zeta_d); that and inverting an
+element are small exact linear problems, solved on bare rationals by
+`linalg.SparseBasis`, the one elimination kernel.
 
 Text grammar (bit-exact round trip): rationals as ``p/q``, roots of unity as
 ``z<N>^<e>`` with N <= MAX_CONDUCTOR, products with ``*``, sums with
@@ -30,7 +31,8 @@ from .errors import CapacityExceeded, DivisionByZero, ParseError, SquareRootUnav
 _ZERO = 0
 _ONE = 1
 # the largest N a literal z<N> may name: Q(zeta_N) has dimension phi(N), and
-# building Phi_N and reducing modulo it take time quadratic in N and more
+# building Phi_N and reducing modulo it take time quadratic in N and more;
+# sums and products of irrationals stop at 4 * MAX_CONDUCTOR (`promote`)
 MAX_CONDUCTOR = 1000
 
 
@@ -161,9 +163,21 @@ class CycScalar:
 
     @staticmethod
     def root_of_unity(n, e=1):
-        e %= n
-        vec = _reduce_mod_cyclo([_ZERO] * e + [_ONE], n)
-        return _canonical(n, vec)
+        """zeta_n^e at its minimal conductor, in closed form.
+
+        zeta_n^e = zeta_d^f, d = n / gcd(n, e), f = (e mod n) / gcd(n, e), is a
+        primitive d-th root of unity.  Q(zeta_c) holds exactly the roots of
+        unity of orders dividing lcm(2, c), so the minimal conductor is d,
+        unless d = 2 mod 4.  Then h = d / 2 is odd and it is h:
+        w = -zeta_h^((h+1)/2) has w^2 = zeta_h = zeta_d^2 and w^h = -1 =
+        zeta_d^h != (-zeta_d)^h, so w = zeta_d; f is odd, so
+        zeta_d^f = -zeta_h^(f(h+1)/2).  zeta_c^j is x^j reduced modulo Phi_c."""
+        g = gcd(n, e)
+        d, f, sign = n // g, e % n // g, _ONE
+        if d % 4 == 2:
+            d //= 2
+            f, sign = f * (d + 1) // 2 % d, -_ONE
+        return CycScalar(d, _reduce_mod_cyclo([_ZERO] * f + [sign], d))
 
     # -- basic predicates ---------------------------------------------------
 
@@ -172,14 +186,6 @@ class CycScalar:
         is the one element with n == 1 and a zero constant coordinate."""
         return self.n == 1 and not self.coeffs[0]
 
-    def is_rational(self):
-        return self.n == 1
-
-    def as_rational(self):
-        if self.n != 1:
-            raise ValueError("not rational")
-        return self.coeffs[0]
-
     def __bool__(self):
         return self.n != 1 or bool(self.coeffs[0])
 
@@ -187,7 +193,11 @@ class CycScalar:
 
     def promote(self, n):
         """Re-express in conductor n (self.n must divide n).  Not canonical;
-        internal use for common-field arithmetic."""
+        internal use for common-field arithmetic.  Past n = 4 * MAX_CONDUCTOR,
+        CapacityExceeded: `sqrt` returns roots of conductor up to 4N, and
+        `classify.verify_witness` multiplies them."""
+        if n > 4 * MAX_CONDUCTOR:
+            raise CapacityExceeded(f"conductor {n} exceeds {4 * MAX_CONDUCTOR}")
         if n == self.n:
             return self.coeffs
         vec = [_ZERO] * phi(n)
@@ -485,56 +495,42 @@ class Laurent:
 
 
 def root_of_unity_order(a):
-    """Least d with a^d = 1, or None if a is not a root of unity."""
+    """Least d with a^d = 1, or None if a is not a root of unity.  A primitive
+    d-th root of unity has minimal conductor d, or d / 2 when d = 2 mod 4,
+    so d is a.n or 2 * a.n, and a^(a.n) = 1 or -1 tells which."""
     a = cyc(a)
     if a.is_zero():
         raise ZeroInput("root_of_unity_order of zero")
-    bound = _lcm(2, a.n)
-    for d in _divisors(bound):
-        if (a ** d) == ONE:
-            return d
-    return None
+    power = a ** a.n
+    return a.n if power == ONE else 2 * a.n if power == -ONE else None
 
 
 def sqrt(a):
     """An exact square root when the element is (rational) * zeta_N^e with a
-    +/- perfect-square rational part; raises SquareRootUnavailable otherwise."""
+    +/- perfect-square rational part; raises SquareRootUnavailable otherwise.
+    The coordinates of a are rotated by zeta_n to the least e with
+    a * zeta_n^e = q rational, so a = q * zeta_n^k, k = (n - e) mod n, and a
+    root is sqrt(q) * zeta_2n^k, or sqrt(-q) * zeta_4n^(n + 2k) if q < 0."""
     a = cyc(a)
     if a.is_zero():
         return ZERO
-    n = a.n
+    n, vec = a.n, a.coeffs
     for e in range(n):
-        r = a * CycScalar.root_of_unity(n, e)
-        if r.is_rational():
-            # a = r * zeta_n^(-e) = r * zeta_n^(n - e)
-            q = r.as_rational()
-            root = _rational_sqrt(q)
+        if not any(vec[1:]):
+            q, k = vec[0], (n - e) % n
+            m, j = (2 * n, k) if q > 0 else (4 * n, n + 2 * k)
+            root = _rational_sqrt(abs(q))
             if root is None:
-                root = _rational_sqrt(-q)
-                if root is None:
-                    break
-                root = cyc(root) * CycScalar.root_of_unity(4, 1)
-            else:
-                root = cyc(root)
-            if e % n == 0:
-                return root
-            return root * CycScalar.root_of_unity(2 * n, n - e)
+                break
+            return cyc(root) * CycScalar.root_of_unity(m, j)
+        vec = _reduce_mod_cyclo([_ZERO, *vec], n)
     raise SquareRootUnavailable(f"no constructible square root for {a}")
 
 
 def _rational_sqrt(q):
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = _isqrt_exact(num), _isqrt_exact(den)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
-def _isqrt_exact(k):
-    r = isqrt(k)
-    return r if r * r == k else None
+    """The square root of a rational q > 0, or None if it is irrational."""
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    return Fraction(rn, rd) if rn * rn == q.numerator and rd * rd == q.denominator else None
 
 
 # -- parser -----------------------------------------------------------------

@@ -387,7 +387,7 @@ class TestPathMembership:
         bare_values, *bare = outcomes()
         monkeypatch.setattr(linalg, "bare", cyc)
         boxed_values, *boxed = outcomes()
-        assert not any(isinstance(c, CycScalar) and c.is_rational() for c in bare_values)
+        assert not any(isinstance(c, CycScalar) and c.n == 1 for c in bare_values)
         assert all(isinstance(c, CycScalar) for c in boxed_values)
         assert bare == boxed
         assert set(bare[0]) == {True, False} and bare[1]
@@ -656,7 +656,7 @@ class TestMixedAgainstBoxed:
             assert got == want
         assert boxed[3] == boxed[5] == mixed[5]
         stored = [c for e in mixed[0] for c in e.terms.values()]
-        assert not any(isinstance(c, CycScalar) and c.is_rational() for c in stored)
+        assert not any(isinstance(c, CycScalar) and c.n == 1 for c in stored)
         assert any(isinstance(c, CycScalar) for c in stored)
         assert all(isinstance(c, CycScalar) for e in boxed[0] for c in e.terms.values())
         for got, want in zip(mixed[0] + mixed[1], boxed[0] + boxed[1]):
@@ -692,7 +692,7 @@ class TestTablesStoreValues:
                       [image.terms for image in trunc.iota.values()],
                       [hopf._comul_terms(params, {key: 1}) for key in trunc.iota]]
             found = cycscalars(stored)
-            assert found and [c for c in found if c.is_rational()] == []
+            assert found and [c for c in found if c.n == 1] == []
 
 
 WINDOW_PARAMS = _valid_grid() + [
@@ -1133,13 +1133,13 @@ def assert_evaluator_matches(p, relation, images, terms, start, mul=hopf._mul_te
     rational CycScalar.)"""
     inputs = [c for t in (*terms.values(), start.terms) for c in t.values()]
     bare = (not any(isinstance(c, CycScalar) for c in inputs)
-            and all(v.is_rational() for v in (p.lam, p.s, p.t, p.k)))
+            and all(v.n == 1 for v in (p.lam, p.s, p.t, p.k)))
     for part in [relation] + [[term] for term in relation]:
         want = evaluate_relation(part, images, start, reverse)
         got = hopf._evaluate(p, hopf._term_relation(p, part), terms, start.terms, mul,
                              reverse)
         assert got == want.terms and str(type(want)(p, got)) == str(want), part
-        if bare and all(c.is_rational() for c, _ in part):
+        if bare and all(c.n == 1 for c, _ in part):
             assert not any(isinstance(c, CycScalar) for c in got.values()), part
 
 

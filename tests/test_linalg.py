@@ -329,7 +329,7 @@ class TestSparseElement:
                   type(a).combination(a.ambient, [c, 2], [a, b])):
             assert _stores_no_zero(x)
             # one value rule for every kind: a rational is stored bare
-            assert not any(isinstance(v, CycScalar) and v.is_rational()
+            assert not any(isinstance(v, CycScalar) and v.n == 1
                            for v in x.terms.values())
         assert (a + (-a)).is_zero()
         assert (a + b) - b == a

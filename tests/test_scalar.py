@@ -74,7 +74,7 @@ class TestBasics:
         assert v == zeta(4)
         # zeta_5 + zeta_5^2 + zeta_5^3 + zeta_5^4 = -1 is rational
         s = zeta(5) + zeta(5, 2) + zeta(5, 3) + zeta(5, 4)
-        assert s.is_rational() and s.as_rational() == -1
+        assert s.n == 1 and bare(s) == -1
         # subfields whose embedded power basis is not a set of coordinates
         for n, e, minimal in [(15, 5, 3), (60, 12, 5), (20, 5, 4)]:
             assert zeta(n, e).n == minimal
@@ -146,6 +146,125 @@ class TestSqrt:
             sqrt(ONE + zeta(5))
 
 
+# The former searching routes, kept as references for the closed forms of
+# `CycScalar.root_of_unity`, `sqrt` and `root_of_unity_order`.
+
+
+def root_by_demotion(n, e=1):
+    """zeta_n^e demoted by `_canonical`'s subfield search."""
+    return scalar._canonical(n, scalar._reduce_mod_cyclo([0] * (e % n) + [1], n))
+
+
+def sqrt_by_trial_products(a):
+    """The square root found by up to n field products a * zeta_n^e."""
+    a = cyc(a)
+    if a.is_zero():
+        return ZERO
+    n = a.n
+    for e in range(n):
+        r = a * root_by_demotion(n, e)
+        if r.n == 1:
+            q = bare(r)
+            root = scalar._rational_sqrt(q) if q > 0 else None
+            if root is None:
+                root = scalar._rational_sqrt(-q) if q < 0 else None
+                if root is None:
+                    break
+                root = cyc(root) * root_by_demotion(4, 1)
+            else:
+                root = cyc(root)
+            return root if e == 0 else root * root_by_demotion(2 * n, n - e)
+    raise SquareRootUnavailable(f"no constructible square root for {a}")
+
+
+def order_by_divisor_powers(a):
+    """The least divisor d of lcm(2, n) with a^d = 1."""
+    a = cyc(a)
+    for d in scalar._divisors(scalar._lcm(2, a.n)):
+        if a ** d == ONE:
+            return d
+    return None
+
+
+def kinds(x):
+    """Conductor, coordinates and coordinate types of a scalar."""
+    return x.n, x.coeffs, [type(c) for c in x.coeffs]
+
+
+def sqrt_or_none(sqrt_route, a):
+    try:
+        return kinds(sqrt_route(a))
+    except SquareRootUnavailable:
+        return None
+
+
+SQRT_FACTORS = [1, -1, 4, Fraction(-9, 4), 2, Fraction(-1, 3)]
+
+
+class TestClosedForms:
+    """The closed forms give the former routes' values bit for bit."""
+
+    def test_root_of_unity(self):
+        for n in range(1, 131):
+            for r in range(n):
+                want = kinds(root_by_demotion(n, r))
+                for e in (r - n, r, r + n):
+                    assert kinds(zeta(n, e)) == want, (n, e)
+
+    def test_sqrt(self):
+        inputs = [cyc(q) * zeta(n, e) for n in (*range(1, 13), 15, 16, 20, 24, 30)
+                  for e in range(n) for q in SQRT_FACTORS]
+        inputs += [zeta(n) + zeta(n, 2) for n in range(3, 31)]  # no root of unity
+        inputs += [ONE + zeta(n) for n in range(3, 31)]
+        for a in inputs:
+            assert sqrt_or_none(sqrt, a) == sqrt_or_none(sqrt_by_trial_products, a), a
+
+    def test_order(self):
+        for n in range(1, 61):
+            for e in range(n):
+                values = [zeta(n, e), -zeta(n, e)]
+                if n <= 16:  # the divisor powers of a non-root are slow
+                    values += [2 * zeta(n, e), ONE + zeta(n, e)]
+                for a in values:
+                    if a:
+                        assert root_of_unity_order(a) == order_by_divisor_powers(a), a
+
+    @given(st.integers(1, 200), st.integers(-400, 400), st.sampled_from(SQRT_FACTORS))
+    @settings(max_examples=40, deadline=None)
+    def test_property(self, n, e, q):
+        root = zeta(n, e)
+        assert kinds(root) == kinds(root_by_demotion(n, e))
+        a = cyc(q) * root
+        assert sqrt_or_none(sqrt, a) == sqrt_or_none(sqrt_by_trial_products, a)
+        assert root_of_unity_order(a) == order_by_divisor_powers(a)
+
+    def test_no_search_for_z910(self):
+        """Neither the root nor its square root eliminates or multiplies two
+        irrationals: z910 took 2.4 s through `_canonical` and its square root
+        3.1 s through trial products."""
+        from pathcoalg.linalg import SparseBasis
+
+        irrational_products = []
+        mul = CycScalar.__mul__
+
+        def counted(self, other):
+            if self.n != 1 and isinstance(other, CycScalar) and other.n != 1:
+                irrational_products.append((self, other))
+            return mul(self, other)
+
+        with mock.patch.object(SparseBasis, "add", autospec=True,
+                               side_effect=SparseBasis.add) as add, \
+                mock.patch.object(SparseBasis, "residue", autospec=True,
+                                  side_effect=SparseBasis.residue) as residue, \
+                mock.patch.object(CycScalar, "__mul__", counted), \
+                mock.patch.object(CycScalar, "__rmul__", counted):
+            z = parse_scalar("z910")
+            root = sqrt(z)
+        assert (add.call_count, residue.call_count, irrational_products) == (0, 0, [])
+        # zeta_910 = -zeta_455^228, and sqrt(zeta_910) = zeta_1820^911 = -zeta_1820
+        assert kinds(z) == kinds(-zeta(455, 228)) and kinds(root) == kinds(-zeta(1820))
+
+
 class TestSerialization:
     @pytest.mark.parametrize(
         "text",
@@ -179,6 +298,19 @@ class TestSerialization:
         for index in (cap + 1, 100000, 10**40):
             with pytest.raises(CapacityExceeded, match=f"index {index} exceeds {cap}"):
                 parse_scalar(f"1+2*z{index}^3")
+
+    def test_promotion_cap(self):
+        """A sum or product of two irrationals is promoted to conductor at
+        most 4 * MAX_CONDUCTOR: z97 * z89 and z97 + z89 built conductor
+        8633, and z997 + z991 did not parse in 20 s."""
+        bound = 4 * scalar.MAX_CONDUCTOR
+        for make in (lambda: cyc("z97") * cyc("z89"), lambda: parse_scalar("z97+z89"),
+                     lambda: parse_scalar("z997+z991")):
+            with pytest.raises(CapacityExceeded, match=f"conductor \\d+ exceeds {bound}"):
+                make()
+        assert len(zeta(8).promote(bound)) == scalar.phi(bound)
+        with pytest.raises(CapacityExceeded):
+            zeta(8).promote(2 * bound)
 
 
 scalars = st.builds(
@@ -428,7 +560,7 @@ class TestBareCoercion:
         assert spy.call_count == 1
         assert (got is None) == (want is None)
         if want is not None:
-            assert got == want and not (isinstance(got, CycScalar) and got.is_rational())
+            assert got == want and not (isinstance(got, CycScalar) and got.n == 1)
 
     @pytest.mark.parametrize("text", ["1/0", "-3/0", " 1", "1 ", "- 1", "+1", "1/-2", "--1"])
     def test_edge_literals(self, text):
