@@ -171,12 +171,15 @@ class CycScalar:
         unless d = 2 mod 4.  Then h = d / 2 is odd and it is h:
         w = -zeta_h^((h+1)/2) has w^2 = zeta_h = zeta_d^2 and w^h = -1 =
         zeta_d^h != (-zeta_d)^h, so w = zeta_d; f is odd, so
-        zeta_d^f = -zeta_h^(f(h+1)/2).  zeta_c^j is x^j reduced modulo Phi_c."""
+        zeta_d^f = -zeta_h^(f(h+1)/2).  zeta_c^j is x^j reduced modulo Phi_c.
+        Past conductor 4 * MAX_CONDUCTOR, CapacityExceeded before Phi_c is built."""
         g = gcd(n, e)
         d, f, sign = n // g, e % n // g, _ONE
         if d % 4 == 2:
             d //= 2
             f, sign = f * (d + 1) // 2 % d, -_ONE
+        if d > 4 * MAX_CONDUCTOR:
+            raise CapacityExceeded(f"conductor {d} exceeds {4 * MAX_CONDUCTOR}")
         return CycScalar(d, _reduce_mod_cyclo([_ZERO] * f + [sign], d))
 
     # -- basic predicates ---------------------------------------------------
@@ -194,8 +197,8 @@ class CycScalar:
     def promote(self, n):
         """Re-express in conductor n (self.n must divide n).  Not canonical;
         internal use for common-field arithmetic.  Past n = 4 * MAX_CONDUCTOR,
-        CapacityExceeded: `sqrt` returns roots of conductor up to 4N, and
-        `classify.verify_witness` multiplies them."""
+        CapacityExceeded: `sqrt` returns roots up to this bound (`root_of_unity`
+        refuses the rest), and `classify.verify_witness` multiplies them."""
         if n > 4 * MAX_CONDUCTOR:
             raise CapacityExceeded(f"conductor {n} exceeds {4 * MAX_CONDUCTOR}")
         if n == self.n:

@@ -277,6 +277,13 @@ class TestMalformedInput:
         assert code == 2
         assert out["error"] == "CapacityExceeded"
 
+    def test_square_root_past_the_promotion_bound(self, capsys):
+        # the witness root needs conductor 11964: this exited 0 with a
+        # witness that verify_witness could not multiply
+        code, out = run_cli(capsys, "classify", "-m", "0", "-n", "0", "--s", "-z997*z3")
+        assert code == 2
+        assert out == {"detail": "conductor 11964 exceeds 4000", "error": "CapacityExceeded"}
+
     @pytest.mark.skipif(not INT_DIGIT_CAP, reason="int() has no digit cap here")
     @pytest.mark.parametrize("scalar", ["1" * 5000, "z4^" + "1" * 5000],
                              ids=["rational", "root-exponent"])

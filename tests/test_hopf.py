@@ -1,5 +1,6 @@
 import functools
 import gc
+import itertools
 import random
 import weakref
 from fractions import Fraction
@@ -16,11 +17,13 @@ from pathcoalg.coalgebra import (
     path_element,
     skew_primitives,
     span_subcoalgebra,
+    SubCoalgebra,
 )
 from pathcoalg.errors import (
     AxiomFailure,
     ConstraintViolation,
     ForbiddenPair,
+    InvalidDescription,
     LambdaOrderViolation,
     NotClosedUnderDelta,
     ParamMismatch,
@@ -741,15 +744,47 @@ class TestWindowEmbedding:
             "paths": sum(len(b.terms) for b in tr.coalgebra.basis)}
         assert (tr.coalgebra.dim, tr.certificate["coproduct_terms"]) == (49, 11)
 
+    @staticmethod
+    def certificate_calls(m, n, radius):
+        """`canon` and `delta_dict` calls inside `_certify_embedding` on the
+        truncation of B(m, n; 1, 0, 0, 0) at radius, its tables built."""
+        params = validate_params(m, n, 1, 0, 0, 0)
+        tr = truncate_to_subcoalgebra(params, radius)
+        calls = {"canon": 0, "delta_dict": 0}
+        canon, delta_dict = hopf.group_canonical_pair, CoElement.delta_dict
 
-# -- mutants of the window embedding: each must fail the certificate ---------
+        def counted_canon(*args):
+            calls["canon"] += 1
+            return canon(*args)
+
+        def counted_delta_dict(self):
+            calls["delta_dict"] += 1
+            return delta_dict(self)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hopf, "group_canonical_pair", counted_canon)
+            patch.setattr(CoElement, "delta_dict", counted_delta_dict)
+            assert hopf._certify_embedding(params, tr.iota) == tr.certificate
+        return calls
+
+    def test_certificate_work_is_constant(self):
+        """The certificate compares Delta on the four representatives and
+        checks canon at the branch edges, whatever the window: the per-key
+        closure and translation checks made canon calls per key."""
+        small = self.certificate_calls(0, 0, 1)
+        assert small["delta_dict"] == 4
+        assert small == self.certificate_calls(0, 0, 3)
+        assert self.certificate_calls(2, 0, 1) == self.certificate_calls(100000, 0, 1)
+
+
+# -- the per-key reference: the oracle for the proof, and the mutants it fails
 
 
 def reference_certify_embedding(params, images):
-    """The former per-key certificate, kept as the reference: the images are
-    nonzero with pairwise disjoint supports, Delta_H of every key lands on
-    keys, and Delta_path iota(u) = (iota (x) iota) Delta_H(u) for every key u,
-    one dict comparison each."""
+    """The former per-key certificate, kept as the oracle for the proof in
+    `_certify_embedding`: the images are nonzero with pairwise disjoint
+    supports, Delta_H of every key lands on keys, and Delta_path iota(u) =
+    (iota (x) iota) Delta_H(u) for every key u, one dict comparison each."""
     owner = {}
     for key, img in images.items():
         if not img.terms:
@@ -799,33 +834,94 @@ def image_of_key_variant(lam_power=1, swap=False, drop=None, only=None):
     return image_of_key
 
 
-def truncation_keys(params, radius):
+def truncation_keys(params, radius, group_shifts=((1, 0), (0, 1), (1, 1)), x_shifts=((0, 1),)):
     """The basis keys of the truncation, in its basis order: group parts of
     the window and its a-, b- and ab-shifts, x on the window and its
-    b-shift, y on the window and its a-shift, xy on the window."""
+    b-shift, y on the window and its a-shift, xy on the window.  Fewer
+    group_shifts or x_shifts give the key-set mutants."""
     window = grid_window(params.m, params.n, radius)
 
-    def shifted(di, dj):
-        return {params.canon(i + di, j + dj) for i, j in window}
+    def shifted(*shifts):
+        return sorted(set(window).union(*({params.canon(i + di, j + dj) for i, j in window}
+                                          for di, dj in shifts)))
 
-    keys = [(g, 0, 0) for g in sorted(set(window) | shifted(1, 0) | shifted(0, 1)
-                                       | shifted(1, 1))]
-    keys += [(g, 1, 0) for g in sorted(set(window) | shifted(0, 1))]
-    keys += [(g, 0, 1) for g in sorted(set(window) | shifted(1, 0))]
+    keys = [(g, 0, 0) for g in shifted(*group_shifts)]
+    keys += [(g, 1, 0) for g in shifted(*x_shifts)]
+    keys += [(g, 0, 1) for g in shifted((1, 0))]
     return keys + [(g, 1, 1) for g in window]
 
 
 def boundary_group(params, radius):
-    """The smallest group part of the truncation keys outside the window."""
+    """The smallest group part of the truncation keys outside the window
+    (None if there is none: ab = 1 at (1, -1))."""
     window = grid_window(params.m, params.n, radius)
     corners = {params.canon(i + 1, j + 1) for i, j in window}
-    return min(corners - set(window))
+    return min(corners - set(window), default=None)
 
 
 EMBEDDING_MUTANT_PARAMS = [
     validate_params(0, 0, -1, 1, 1, 0), validate_params(2, 0, -1, 0, 0, 0),
     validate_params(0, 0, "z3", 0, 0, 0), validate_params(4, 0, "z4", 0, 0, 0),
 ]
+
+
+ORACLE_PAIRS = PAIRS + [(1, -1), (3, 3), (6, 0), (0, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_grid():
+    """(params, radius, truncation) on the oracle grid: every parameter set
+    with (m, n) in ORACLE_PAIRS, lam in {1, -1, z3, z4} and (s, t, k) in
+    {0, (1, 1, 0), (1, 1, 1)} that `validate_params` allows, at R = 1..3."""
+    grid = []
+    for (m, n), lam, stk in itertools.product(ORACLE_PAIRS, (1, -1, "z3", "z4"),
+                                              ((0, 0, 0), (1, 1, 0), (1, 1, 1))):
+        try:
+            params = validate_params(m, n, lam, *stk)
+        except PathcoalgError:
+            continue
+        grid += [(params, r, truncate_to_subcoalgebra(params, r)) for r in (1, 2, 3)]
+    return grid
+
+
+def image_mutant(name, params, radius):
+    """The `image_of_key_variant` mutant called name on the window."""
+    return image_of_key_variant(**{
+        "lam^2 on xy": {"lam_power": 2},
+        "lam^2 on one xy": {"lam_power": 2, "only": params.canon(1, 0)},
+        "swapped arrows": {"swap": True},
+        "dropped boundary group": {"drop": (boundary_group(params, radius), 0, 0)},
+    }[name])
+
+
+# the runtime certificate on each image mutant: the error and message it
+# raises, or None where only the per-key reference sees the mutant
+RUNTIME_VERDICTS = {
+    "lam^2 on xy": (NotClosedUnderDelta, r"Delta\(iota\(x\*y\)\) differs"),
+    "lam^2 on one xy": None,
+    "swapped arrows": (NotClosedUnderDelta, r"Delta\(iota\(y\)\) differs"),
+    "dropped boundary group": (InvalidDescription, "zero element in basis"),
+}
+IMAGE_MUTANTS = list(RUNTIME_VERDICTS)
+KEY_SET_MUTANTS = {"no ab-shift of the group parts": {"group_shifts": ((1, 0), (0, 1))},
+                   "no b-shift of the x keys": {"x_shifts": ()}}
+
+
+def mutant_images(name, params, radius, quiver):
+    """The image dict the mutant called name builds on the window."""
+    if name in KEY_SET_MUTANTS:
+        keys = truncation_keys(params, radius, **KEY_SET_MUTANTS[name])
+        return {k: hopf._image_of_key(params, quiver, k) for k in keys}
+    mutant = image_mutant(name, params, radius)
+    return {k: mutant(params, quiver, k) for k in truncation_keys(params, radius)}
+
+
+def reference_rejects(params, images):
+    try:
+        reference_certify_embedding(params, images)
+    except NotClosedUnderDelta:
+        return True
+    return False
 
 
 @functools.lru_cache(maxsize=None)
@@ -837,43 +933,57 @@ def certified_window(index, radius):
 
 
 class TestEmbeddingMutants:
+    def test_reference_accepts_the_oracle_grid(self):
+        """The per-key reference, the oracle for the proof in
+        `_certify_embedding`, accepts all 129 truncations of the grid, and
+        the runtime certificate gives the stored sizes."""
+        grid = oracle_grid()
+        assert len(grid) == 129
+        for params, radius, tr in grid:
+            assert reference_certify_embedding(params, tr.iota)["keys"] == len(tr.iota)
+            assert hopf._certify_embedding(params, tr.iota) == tr.certificate
+
+    @pytest.mark.parametrize("name", IMAGE_MUTANTS + list(KEY_SET_MUTANTS))
+    def test_each_mutant_fails_the_reference_on_the_grid(self, name):
+        """Each image mutant and each key-set mutant of
+        `truncate_to_subcoalgebra` (a boundary shift dropped) fails the
+        per-key reference on some window of the oracle grid."""
+        assert any(reference_rejects(params, mutant_images(name, params, radius, tr.quiver))
+                   for params, radius, tr in oracle_grid()), name
+
     @pytest.mark.parametrize("params", EMBEDDING_MUTANT_PARAMS, ids=repr)
     @pytest.mark.parametrize("radius", [1, 2])
-    @pytest.mark.parametrize("name", ["lam^2 on xy", "lam^2 on one xy", "swapped arrows",
-                                      "dropped boundary group"])
+    @pytest.mark.parametrize("name", IMAGE_MUTANTS)
     def test_certificate_names_the_key(self, monkeypatch, params, radius, name):
-        """Each mutant raises NotClosedUnderDelta naming a key whose image it
-        changed, and the per-key reference rejects it too.
-        SubCoalgebra(validate=True) sees only the span of the images.  It
-        rejects the dropped group, whose span misses a grouplike, and accepts
-        lam^2, since the span is a subcoalgebra whatever scalar the yx path
-        carries.  It rejects the swap only where an arrow kept at the
-        boundary changes the span (here on (4, 0, z4) at radius 2); a swap
-        that permutes the arrows keeps it.  lam^2 on the xy image of one
-        group part a leaves every representative and every key of Delta_H as
-        they were, so only the translation check sees it."""
-        mutant = {
-            "lam^2 on xy": image_of_key_variant(lam_power=2),
-            "lam^2 on one xy": image_of_key_variant(lam_power=2, only=params.canon(1, 0)),
-            "swapped arrows": image_of_key_variant(swap=True),
-            "dropped boundary group": image_of_key_variant(
-                drop=(boundary_group(params, radius), 0, 0)),
-        }[name]
+        """Each mutant fails the per-key reference.  The runtime certificate
+        reads only the representatives and the keys of their Delta_H
+        (`RUNTIME_VERDICTS`): it names the changed x*y under lam^2 and the
+        changed y under the swap; it accepts lam^2 on the xy image of the
+        group part a alone, which leaves all of those as they were; and the
+        dropped boundary group reaches `SubCoalgebra`, which finds a zero
+        in the basis.  SubCoalgebra(validate=True) sees only the span of the
+        images.  It rejects the dropped group, whose span misses a
+        grouplike, and accepts lam^2, since the span is a subcoalgebra
+        whatever scalar the yx path carries."""
         tr = truncate_to_subcoalgebra(params, radius)
         keys = truncation_keys(params, radius)
         assert tr.coalgebra.basis == [hopf._image_of_key(params, tr.quiver, k) for k in keys]
-        images = [mutant(params, tr.quiver, k) for k in keys]
+        images = list(mutant_images(name, params, radius, tr.quiver).values())
         changed = [k for k, img, old in zip(keys, images, tr.coalgebra.basis) if img != old]
         assert changed
         if name == "lam^2 on one xy":
             assert changed == [(params.canon(1, 0), 1, 1)] != [(params.canon(0, 0), 1, 1)]
-        with pytest.raises(NotClosedUnderDelta):
-            reference_certify_embedding(params, dict(zip(keys, images)))
-        monkeypatch.setattr(hopf, "_image_of_key", mutant)
-        with pytest.raises(NotClosedUnderDelta) as info:
-            truncate_to_subcoalgebra(params, radius)
-        message = str(info.value)
-        assert any(f"iota({hopf._fmt_key(k)})" in message for k in changed), message
+        assert reference_rejects(params, dict(zip(keys, images)))
+        monkeypatch.setattr(hopf, "_image_of_key", image_mutant(name, params, radius))
+        verdict = RUNTIME_VERDICTS[name]
+        if verdict is None:
+            assert truncate_to_subcoalgebra(params, radius).coalgebra.basis == images
+        else:
+            with pytest.raises(verdict[0], match=verdict[1]) as info:
+                truncate_to_subcoalgebra(params, radius)
+            message = str(info.value)
+            assert verdict[0] is InvalidDescription or any(
+                f"iota({hopf._fmt_key(k)})" in message for k in changed), message
         if name == "dropped boundary group":
             with pytest.raises(NotClosedUnderDelta):
                 span_subcoalgebra(tr.quiver, images)
@@ -881,45 +991,50 @@ class TestEmbeddingMutants:
             assert span_subcoalgebra(tr.quiver, images).dim == len(images)
 
     def test_each_check_rejects_alone(self):
-        """Each check of `_certify_embedding` rejects a corrupted image dict
-        before the others see it, with its own message; the per-key reference
-        rejects each with its message."""
+        """Each check of the per-key reference rejects a corrupted image dict
+        before the others see it, with its own message.  The runtime
+        certificate does not look at a^-1 b^-1 or at the corner a^2 b^2, so
+        it accepts the corruptions there, and `SubCoalgebra` still refuses
+        the zero and the shared path; it rejects a corruption that reaches a
+        representative."""
         p = validate_params(0, 0, -1, 1, 1, 0)
         tr = truncate_to_subcoalgebra(p, 1)
         images = dict(zip(truncation_keys(p, 1), tr.coalgebra.basis))
-        x, y, ab = ((0, 0), 1, 0), ((0, 0), 0, 1), ((1, 1), 0, 0)
+        x, y, corner = ((-1, -1), 1, 0), ((-1, -1), 0, 1), ((2, 2), 0, 0)
         cases = [
-            ({**images, x: CoElement(tr.quiver, {})}, r"iota\(x\) is zero", r"iota\(x\) is zero"),
-            ({**images, y: images[x]}, r"iota\(y\) and iota\(x\) share a path",
-             r"iota\(y\) and iota\(x\) share a path"),
-            ({k: v for k, v in images.items() if k != ab},
-             r"Delta\(b\*x\) leaves the keys at a\*b$",
-             r"Delta\(b\*x\) leaves the keys at b\*x \(x\) a\*b"),
-            ({**images, x: images[x] * 2},
-             r"iota\(a\^-1\*b\^-1\*x\) is not iota\(x\) translated by a\^-1\*b\^-1",
-             r"Delta\(iota\(b\^-1\*x\*y\)\) differs"),
+            ({**images, x: CoElement(tr.quiver, {})}, r"iota\(a\^-1\*b\^-1\*x\) is zero", None),
+            ({**images, y: images[x]},
+             r"iota\(a\^-1\*b\^-1\*y\) and iota\(a\^-1\*b\^-1\*x\) share a path", None),
+            ({k: v for k, v in images.items() if k != corner},
+             r"Delta\(a\*b\^2\*x\) leaves the keys at a\*b\^2\*x \(x\) a\^2\*b\^2$", None),
+            ({**images, x: images[x] * 2}, r"Delta\(iota\(a\^-1\*b\^-1\*x\*y\)\) differs", None),
             ({k: v * 2 if k[1:] == (1, 0) else v for k, v in images.items()},
-             r"Delta\(iota\(x\*y\)\) differs",
-             r"Delta\(iota\(a\^-1\*b\^-1\*x\*y\)\) differs"),
+             r"Delta\(iota\(a\^-1\*b\^-1\*x\*y\)\) differs", r"Delta\(iota\(x\*y\)\) differs"),
         ]
         assert hopf._certify_embedding(p, images) == tr.certificate
         assert reference_certify_embedding(p, images)["keys"] == len(images)
-        for corrupted, message, reference in cases:
-            with pytest.raises(NotClosedUnderDelta, match=message):
-                hopf._certify_embedding(p, corrupted)
+        for corrupted, reference, runtime in cases:
             with pytest.raises(NotClosedUnderDelta, match=reference):
                 reference_certify_embedding(p, corrupted)
+            if runtime is None:
+                assert hopf._certify_embedding(p, corrupted)["keys"] == len(corrupted)
+            else:
+                with pytest.raises(NotClosedUnderDelta, match=runtime):
+                    hopf._certify_embedding(p, corrupted)
+        for (corrupted, _, _), error in zip(cases, ["zero element", "linearly dependent"]):
+            with pytest.raises(InvalidDescription, match=error):
+                SubCoalgebra(tr.quiver, corrupted.values(), validate=False)
 
     def test_representatives_are_required(self):
-        """A dict without the representative x*y has no image to translate
-        the other xy keys from, so the certificate refuses it.  The per-key
-        reference accepts it: each remaining key's Delta is right, and no
-        other key's Delta reaches x*y."""
+        """A dict without the representative x*y leaves the certificate no
+        image to compare Delta(x*y) on: it reads the representatives, which
+        `truncate_to_subcoalgebra` always builds, so it fails on the lookup.
+        The per-key reference accepts it: each remaining key's Delta is
+        right, and no other key's Delta reaches x*y."""
         p = validate_params(0, 0, -1, 1, 1, 0)
         images = dict(truncate_to_subcoalgebra(p, 1).iota)
         del images[(0, 0), 1, 1]
-        with pytest.raises(NotClosedUnderDelta,
-                           match=r"iota\(a\^-1\*b\^-1\*x\*y\) is not iota\(x\*y\)"):
+        with pytest.raises(KeyError):
             hopf._certify_embedding(p, images)
         assert reference_certify_embedding(p, images)["keys"] == len(images)
 
@@ -927,14 +1042,28 @@ class TestEmbeddingMutants:
     @given(index=st.integers(0, len(EMBEDDING_MUTANT_PARAMS) - 1), radius=st.integers(1, 2),
            data=st.data())
     def test_doubling_one_image_names_its_key(self, index, radius, data):
-        """Twice the image of any one key raises NotClosedUnderDelta naming
-        that key: the translation check of the key itself, or, for a
-        representative, of the first key translated from it."""
+        """Twice the image of any one key makes the per-key reference raise
+        NotClosedUnderDelta naming that key or a key whose Delta_H reaches
+        it (a letter image, doubled on both sides of its own Delta, is seen
+        through an xy key).  The runtime certificate rejects it exactly when
+        the key is one of the images it reads: a representative or a key of
+        a representative's Delta_H."""
         params, images = certified_window(index, radius)
         key = data.draw(st.sampled_from(sorted(images)))
+        doubled = {**images, key: images[key] * 2}
         with pytest.raises(NotClosedUnderDelta) as info:
-            hopf._certify_embedding(params, {**images, key: images[key] * 2})
-        assert f"iota({hopf._fmt_key(key)})" in str(info.value), str(info.value)
+            reference_certify_embedding(params, doubled)
+        reaching = [u for u in images
+                    if key in {k for pair in hopf._comul_terms(params, {u: 1}) for k in pair}]
+        assert any(f"Delta(iota({hopf._fmt_key(u)}))" in str(info.value) for u in reaching), \
+            str(info.value)
+        reps = [(params.canon(0, 0), p, q) for p in (0, 1) for q in (0, 1)]
+        read = {k for r in reps for pair in hopf._comul_terms(params, {r: 1}) for k in pair}
+        if key in read:
+            with pytest.raises(NotClosedUnderDelta):
+                hopf._certify_embedding(params, doubled)
+        else:
+            assert hopf._certify_embedding(params, doubled)["keys"] == len(images)
 
     def test_unmutated_variant_passes(self, monkeypatch):
         monkeypatch.setattr(hopf, "_image_of_key", image_of_key_variant())

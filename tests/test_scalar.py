@@ -312,6 +312,18 @@ class TestSerialization:
         with pytest.raises(CapacityExceeded):
             zeta(8).promote(2 * bound)
 
+    def test_root_past_the_promotion_bound(self):
+        """A root of unity past conductor 4 * MAX_CONDUCTOR is refused before
+        Phi is built, so sqrt(-z997 * z3), of conductor 2991, raises: it
+        returned a root of conductor 11964, and squaring that raised."""
+        bound = 4 * scalar.MAX_CONDUCTOR
+        assert CycScalar.root_of_unity(bound + 2, 1).n == bound // 2 + 1
+        for n, e in ((bound + 1, 1), (2 * bound + 2, 2)):
+            with pytest.raises(CapacityExceeded, match=f"conductor {bound + 1} exceeds {bound}"):
+                CycScalar.root_of_unity(n, e)
+        with pytest.raises(CapacityExceeded, match=f"conductor 11964 exceeds {bound}"):
+            sqrt(parse_scalar("-z997*z3"))
+
 
 scalars = st.builds(
     lambda n, e, p, q: zeta(n, e) * cyc(Fraction(p, q)) + cyc(Fraction(e, q)),
