@@ -167,10 +167,16 @@ class Quiver:
 
     @staticmethod
     def from_json(data):
-        try:
-            return Quiver(data["vertices"], [tuple(a) for a in data["arrows"]])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad quiver JSON: {exc}") from exc
+        """Read {"vertices": [label, ...], "arrows": [[id, source, target], ...]}
+        of strings."""
+        def strings(xs):
+            return isinstance(xs, list) and all(isinstance(x, str) for x in xs)
+        vertices, arrows = (data.get(k) if isinstance(data, dict) else None
+                            for k in ("vertices", "arrows"))
+        if not (strings(vertices) and isinstance(arrows, list)
+                and all(strings(a) and len(a) == 3 for a in arrows)):
+            raise ParseError("bad quiver JSON: want string vertices and string arrow lists")
+        return Quiver(vertices, [tuple(a) for a in arrows])
 
     def __repr__(self):
         return f"Quiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"
@@ -473,65 +479,57 @@ def find_nondynkin_cover(qtarget, size_bound):
     of qtarget (arrows map injectively).  Returns (Quiver, QuiverMorphism) or
     None; the search is exhaustive up to the bound, and below 2 finds none.
 
-    A state is the sorted tuple of cover arrows (target arrow id, source,
-    sink) and the tuple of images of the cover vertices 0, 1, ...; a cover
-    vertex is a source iff it is the source of one of its arrows.  The search
-    is breadth-first and keys a state by its renumbered arrows alone (every
-    cover vertex ends an arrow, so the arrows fix the images); of two states
-    with one key only the first is queued.  A state is tested when queued:
-    states leave the queue in the order they enter it, so the first
-    non-Dynkin state queued is the one a test at dequeue time finds, and the
-    early test saves expanding the rest of its level."""
+    It searches Gabriel's separated quiver (Auslander-Reiten-Smalo, X.2): a
+    source copy (v, "+") and a sink copy (v, "-") of each vertex v, and an
+    edge (u, "+") - (w, "-") per arrow u -> w.  A connected arrow set there,
+    its copies as vertices, is such a cover.  Conversely, gluing the cover
+    vertices of one image and role maps a cover C onto a connected arrow set
+    I with C's edges and no more vertices; I = C, or |E| >= |V(C)| - 1 >=
+    |V(I)| forces a cycle or a parallel edge in I, so I is non-Dynkin if C is.
+
+    A state is its cover arrows (target arrow id, source, sink), sorted, and
+    its copies by first appearance, cover vertex i over copy i.  Breadth-first
+    from the single arrows, a state grows by each unused target arrow, in
+    sorted order, that meets a held copy, appending the other copy if it is
+    not held and the bound allows.  A state is keyed by its arrow ids and
+    tested when queued: the first non-Dynkin state queued is returned."""
     if size_bound < 2:  # every state holds an arrow, so two vertices
         return None
-    target_arrows = sorted(qtarget.arrows)
+    # each target arrow as its id, its source's "+" copy and its sink's "-" copy
+    ends = [(aid, (src, "+"), (dst, "-")) for aid, src, dst in sorted(qtarget.arrows)]
     queue, seen = deque(), set()
 
     def states():  # single arrows, then the growths of each queued state
-        for aid, src, dst in target_arrows:
-            yield ((aid, 0, 1),), (src, dst)
+        for aid, s, t in ends:
+            yield ((aid, 0, 1),), (s, t)
         while queue:
-            cover_arrows, images = queue.popleft()
-            vertices = range(len(images))
+            cover_arrows, copies = queue.popleft()
+            index = {c: i for i, c in enumerate(copies)}
             used = {aid for aid, _, _ in cover_arrows}
-            sources = {u for _, u, _ in cover_arrows}
-            new = len(images)
-            for aid, src, dst in target_arrows:
-                if aid in used:
+            new = len(copies)  # the index of an appended copy
+            for aid, s, t in ends:
+                u, w = index.get(s, new), index.get(t, new)
+                # u == w only when the arrow meets no copy the state holds
+                if aid in used or u == w or new in (u, w) and new == size_bound:
                     continue
-                # (source, sink, images) in the order that fixes the cover returned
-                src_hosts = [v for v in vertices if images[v] == src and v in sources]
-                dst_hosts = [v for v in vertices if images[v] == dst and v not in sources]
-                candidates = []
-                for u in src_hosts:
-                    candidates += [(u, w, images) for w in dst_hosts]
-                    if new < size_bound:
-                        candidates.append((u, new, images + (dst,)))
-                if new < size_bound:
-                    candidates += [(new, w, images + (src,)) for w in dst_hosts]
-                for u, w, grown in candidates:
-                    yield tuple(sorted(cover_arrows + ((aid, u, w),))), grown
+                grown = copies + ((s,) if u == new else (t,) if w == new else ())
+                yield tuple(sorted(cover_arrows + ((aid, u, w),))), grown
 
-    for cover_arrows, images in states():
-        # number the vertices by first appearance in the sorted arrow list
-        order = {}
-        for _, u, w in cover_arrows:
-            order.setdefault(u, len(order))
-            order.setdefault(w, len(order))
-        key = tuple((aid, order[u], order[w]) for aid, u, w in cover_arrows)
+    for cover_arrows, copies in states():
+        key = tuple(aid for aid, _, _ in cover_arrows)
         if key in seen:
             continue
         seen.add(key)
         # connected and loopless, so |E| >= |V| means a cycle or a parallel edge
-        if len(cover_arrows) >= len(images) or not _underlying_class(
-                range(len(images)), [(u, w) for _, u, w in cover_arrows]).is_dynkin:
-            cover = Quiver([f"v{i}" for i in range(len(images))],
+        if len(cover_arrows) >= len(copies) or not _underlying_class(
+                range(len(copies)), [(u, w) for _, u, w in cover_arrows]).is_dynkin:
+            cover = Quiver([f"v{i}" for i in range(len(copies))],
                            [(f"{aid}#{i}", f"v{u}", f"v{w}")
                             for i, (aid, u, w) in enumerate(cover_arrows)])
             return cover, QuiverMorphism(
-                cover, qtarget, {f"v{i}": img for i, img in enumerate(images)},
+                cover, qtarget, {f"v{i}": v for i, (v, _) in enumerate(copies)},
                 {f"{aid}#{i}": aid for i, (aid, _, _) in enumerate(cover_arrows)})
-        queue.append((cover_arrows, images))
+        queue.append((cover_arrows, copies))
     return None
 
 

@@ -320,6 +320,21 @@ class TestMalformedInput:
         assert code == 2
         assert out["error"] == "ParseError"
 
+    @pytest.mark.parametrize("data", [
+        {"vertices": ["a", "b"], "arrows": [[1, "a", "b"], ["x", "b", "a"]]},
+        {"vertices": [1, "b"], "arrows": [["p", 1, "b"], ["q", "b", 1]]},
+        {"vertices": "ab", "arrows": [["p", "a", "b"]]},
+        {"vertices": ["a", "b"], "arrows": ["pab"]},
+    ], ids=["int-arrow-id", "int-vertex", "vertex-string", "arrow-string"])
+    def test_quiver_field_types(self, capsys, tmp_path, data):
+        # integer labels were a TypeError traceback and exit 1, a "no"
+        # verdict's code; strings were read as lists of characters, exit 0
+        f = tmp_path / "q.json"
+        f.write_text(json.dumps(data))
+        code, out = run_cli(capsys, "quiver", str(f))
+        assert code == 2
+        assert out["error"] == "ParseError"
+
     def test_quiver_arrow_without_target(self, capsys, tmp_path):
         f = tmp_path / "q.json"
         f.write_text(json.dumps({"vertices": ["1"], "arrows": [["al", "1"]]}))

@@ -831,11 +831,12 @@ class TestDynkinRule:
             assert str(graph_class(cover)) == name
 
 
-def random_target(rng):
-    """A quiver on at most 4 vertices with at most 6 arrows, loops allowed."""
-    vertices = [str(v) for v in range(rng.randint(1, 4))]
+def random_target(rng, max_vertices=4, max_arrows=6):
+    """A quiver on at most max_vertices vertices with at most max_arrows
+    arrows, loops allowed."""
+    vertices = [str(v) for v in range(rng.randint(1, max_vertices))]
     arrows = [(f"a{i}", rng.choice(vertices), rng.choice(vertices))
-              for i in range(rng.randint(1, 6))]
+              for i in range(rng.randint(1, max_arrows))]
     return Quiver(vertices, arrows)
 
 
@@ -935,15 +936,18 @@ class TestCoverSearchOrder:
             assert cover_json(find_nondynkin_cover(q, bound)) == cover_json(
                 former_find_nondynkin_cover(q, bound)), (q.arrows, bound)
 
-    def test_random_targets_at_bounds_two_to_seven(self):
-        rng = random.Random(40)
+    @pytest.mark.parametrize("seed, max_vertices, max_arrows, max_bound, count", [
+        (40, 4, 6, 7, 1200), (44, 7, 10, 8, 3000)], ids=["4v-6a-bound7", "7v-10a-bound8"])
+    def test_random_targets(self, seed, max_vertices, max_arrows, max_bound, count):
+        rng = random.Random(seed)
         found = 0
-        for _ in range(1200):
-            q, bound = random_target(rng), rng.randint(2, 7)
+        for _ in range(count):
+            q = random_target(rng, max_vertices, max_arrows)
+            bound = rng.randint(2, max_bound)
             got = cover_json(find_nondynkin_cover(q, bound))
             assert got == cover_json(former_find_nondynkin_cover(q, bound)), (q.arrows, bound)
             found += got is not None
-        assert 0 < found < 1200
+        assert 0 < found < count
 
     def test_relabelled_squares_with_loops(self):
         rng = random.Random(13)
@@ -986,6 +990,21 @@ class TestSerialization:
     def test_parse_error(self):
         with pytest.raises(ParseError):
             Quiver.from_text("vertex 1\n")
+        for data in ({"vertices": ["1"]}, ["1"]):
+            with pytest.raises(ParseError):
+                Quiver.from_json(data)
+
+    @pytest.mark.parametrize("data", [
+        {"vertices": ["a", "b"], "arrows": [[1, "a", "b"], ["x", "b", "a"]]},
+        {"vertices": [1, "b"], "arrows": [["p", 1, "b"], ["q", "b", 1]]},
+        {"vertices": "ab", "arrows": [["p", "a", "b"]]},
+        {"vertices": ["a", "b"], "arrows": ["pab"]},
+    ], ids=["int-arrow-id", "int-vertex", "vertex-string", "arrow-string"])
+    def test_json_field_types(self, data):
+        # an integer label once died in sorting with a TypeError, and a string
+        # was read as the list of its characters
+        with pytest.raises(ParseError):
+            Quiver.from_json(data)
 
     def test_duplicate_arrow_id(self):
         with pytest.raises(InvalidDescription):
