@@ -495,7 +495,6 @@ def find_nondynkin_cover(qtarget, size_bound):
     tested when queued: the first non-Dynkin state queued is returned."""
     if size_bound < 2:  # every state holds an arrow, so two vertices
         return None
-    # each target arrow as its id, its source's "+" copy and its sink's "-" copy
     ends = [(aid, (src, "+"), (dst, "-")) for aid, src, dst in sorted(qtarget.arrows)]
     queue, seen = deque(), set()
 
