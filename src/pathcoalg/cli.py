@@ -204,22 +204,19 @@ def cmd_covering(args):
     cod = _load_coalgebra(args.codomain)
     with open(args.map_file) as handle:
         raw = json.load(handle)
-    try:
-        fold = QuiverMorphism(dom.quiver, cod.quiver, raw["vertex_map"], raw["arrow_map"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad map JSON: {exc}") from exc
+    maps = [raw.get(k) if isinstance(raw, dict) else None for k in ("vertex_map", "arrow_map")]
+    if not all(isinstance(m, dict) and all(isinstance(x, str) for x in m.values()) for m in maps):
+        raise ParseError("bad map JSON: want vertex_map and arrow_map objects of strings")
+    fold = QuiverMorphism(dom.quiver, cod.quiver, *maps)
     if not fold.is_valid():
         raise InvalidMorphism("the map file does not define a quiver morphism")
     _log(f"checking covering {dom!r} -> {cod!r}")
     pi = CoalgebraMap(dom, cod, push_forward(dom, fold))
     ok, report = verify_covering(pi, diamond_basis(dom), diamond_basis(cod))
     result = {"covering": ok, "report": report}
-    overall = ok
     if args.separability and ok:
-        sep = separability_check(pi, capacity=args.capacity)
-        result["separability"] = sep
-        overall = overall and sep
-    return result, overall
+        result["separability"] = separability_check(pi)
+    return result, ok
 
 
 def build_parser():
@@ -266,7 +263,6 @@ def build_parser():
     p.add_argument("codomain")
     p.add_argument("map_file")
     p.add_argument("--separability", action="store_true")
-    p.add_argument("--capacity", type=int, default=40)
     p.set_defaults(func=cmd_covering)
     return parser
 

@@ -24,7 +24,6 @@ from operator import attrgetter
 from .errors import (
     AmbientMismatch,
     BasisNotDiamond,
-    CapacityExceeded,
     EmptySubset,
     InvalidDescription,
     InvalidMorphism,
@@ -212,6 +211,8 @@ class SubCoalgebra:
             for entry in data["basis"]:
                 terms = {}
                 for path_str, scalar_str in entry:
+                    if not isinstance(path_str, str):
+                        raise ParseError(f"path {path_str!r} is not a string")
                     path = parse_path(quiver, path_str)
                     if path in terms:
                         raise ParseError(f"path {path_str!r} listed twice in a basis element")
@@ -543,12 +544,6 @@ class DualAlgebra:
                     axpy(out, a * b, cell)
         return out
 
-    def unit(self):
-        out = {}
-        for _, vec in self.idempotents:
-            axpy(out, 1, vec)
-        return out
-
     def radical_basis(self):
         """Basis of the Jacobson radical: the basis vectors that are not
         idempotents (see the class docstring)."""
@@ -651,50 +646,28 @@ def gabriel_quiver(algebra):
     return Quiver(labels, arrows)
 
 
-def separability_check(pi, capacity=40):
-    """Verify the separability element e = sum g* (x)_{D*} g* for a covering:
-    u(e) = 1 and e commutes with every dual basis element.  A covering maps
-    each domain diamond onto one codomain diamond (`verify_covering`)."""
+def separability_check(pi):
+    """Whether e = sum_g g* (x)_{D*} g*, g over the grouplikes of C, is a
+    separability element of C* over D* for pi: C -> D.  It is for every map
+    `verify_covering` accepts on the diamond bases, so only that check runs:
+    NotACovering if it fails, else True.  Proof, with (f h)(x) = f(x_1) h(x_2)
+    in C* = `dualize(C)` and d* the dual of a basis diamond d from u to v:
+    (i) Grouplikes come first in `diamond_basis` and the other loop-block
+    diamonds have counit 0, so e_g is the one diamond with a length-0 path
+    and g* is the coefficient of e_g.  Delta(d) = e_u (x) d + d (x) e_v +
+    terms whose two factors both have positive length, so g* d* = [g = u] d*,
+    d* g* = [g = v] d* and g* h* = [g = h] g*; and sum_g g* = counit = 1.
+    (ii) pi is a coalgebra map, so pi* is an algebra map D* -> C*, and pi
+    maps each diamond d_i of C onto a diamond d'_j of D, so pi*(d'_j*) = s_j,
+    the sum of the d_i* over d'_j, and the s_j span pi*(D*).  A covering has
+    at most one diamond in a fibre with a given source, and at most one with
+    a given sink, so u* s_j = d* = s_j v* for d over d'_j by (i).
+    (iii) mu(e) = sum_g g* g* = 1 by (i).  For x = d*,
+    x e - e x = d* (x) v* - u* (x) d* = (u* s_j) (x) v* - u* (x) (s_j v*) by
+    (i) and (ii), a defining relation of the tensor product over D*, so 0;
+    for x = h*, x e = h* (x) h* = e x.  So e commutes with C*.  The relation
+    space, computed densely, stays in the tests as the proof's oracle."""
     ok, _report = verify_covering(pi, diamond_basis(pi.domain), diamond_basis(pi.codomain))
     if not ok:
         raise NotACovering("separability check requires a covering map")
-    if pi.domain.dim > capacity:
-        raise CapacityExceeded(
-            f"domain dimension {pi.domain.dim} exceeds capacity {capacity}"
-        )
-    cstar = dualize(pi.domain)
-    mul = cstar.multiply
-    d = cstar.dim
-    # generators of the subalgebra image of the dual map: s_j is the sum of
-    # the c^i with pi(domain diamond i) = codomain diamond j
-    cod_index = {dia.element: j for j, dia in enumerate(diamond_basis(pi.codomain))}
-    subgens = [{} for _ in range(pi.codomain.dim)]
-    for i, dia in enumerate(diamond_basis(pi.domain)):
-        subgens[cod_index[pi.apply(dia.element)]][i] = 1
-    # relations (e_a s_j) (x) e_c - e_a (x) (s_j e_c) of the tensor product over D*
-    right_of = [[mul(s, {c: 1}) for c in range(d)] for s in subgens]
-    relations = SparseBasis()
-    for a in range(d):
-        for s, s_right in zip(subgens, right_of):
-            s_left = mul({a: 1}, s)
-            for c in range(d):
-                rel = {(k, c): v for k, v in s_left.items()}
-                for l, v in s_right[c].items():
-                    accumulate(rel, (a, l), -v)
-                if rel:
-                    relations.add(rel)
-    # e = sum over grouplike duals g* (x) g*
-    idems = [g for _, g in cstar.idempotents]
-    u_of_e = {}
-    for g in idems:
-        axpy(u_of_e, 1, mul(g, g))
-    if u_of_e != cstar.unit():
-        return False
-    for x in range(d):
-        diff = {}
-        for g in idems:
-            tensor_axpy(diff, 1, mul({x: 1}, g), g)
-            tensor_axpy(diff, -1, g, mul(g, {x: 1}))
-        if not relations.contains(diff):
-            return False
     return True

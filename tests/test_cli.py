@@ -295,9 +295,11 @@ class TestMalformedInput:
         assert out["error"] == "ParseError"
         assert out["detail"].startswith("too many digits in '")
 
-    @pytest.mark.parametrize("basis", [None, [[["e_1"]]], [[["e_1", "1"], ["e_1", "2"]]]],
-                             ids=["no-basis", "no-scalar", "path-twice"])
+    @pytest.mark.parametrize("basis", [None, [[["e_1"]]], [[["e_1", "1"], ["e_1", "2"]]],
+                                       [[[5, "1"]]]],
+                             ids=["no-basis", "no-scalar", "path-twice", "path-number"])
     def test_malformed_coalgebra_file(self, capsys, tmp_path, basis):
+        # a number as a path was an AttributeError traceback and exit 1
         data = two_loop_subcoalgebra().to_json()
         if basis is None:
             del data["basis"]
@@ -311,11 +313,20 @@ class TestMalformedInput:
         assert code == 2
         assert out["error"] == "ParseError"
 
-    def test_map_file_without_arrow_map(self, capsys, tmp_path):
+    @pytest.mark.parametrize("fold", [
+        {"vertex_map": {}},
+        {"vertex_map": {"1": ["1"], "2": "2"}, "arrow_map": {"al": "al", "be": "be", "ga": "ga"}},
+        {"vertex_map": {"1": "1", "2": "2"}, "arrow_map": {"al": "al", "be": {"x": 1}, "ga": "ga"}},
+        {"vertex_map": [["1", "1"], ["2", "2"]], "arrow_map": {"al": "al", "be": "be", "ga": "ga"}},
+        [],
+    ], ids=["no-arrow-map", "list-image", "object-image", "vertex-pairs", "not-an-object"])
+    def test_malformed_map_file(self, capsys, tmp_path, fold):
+        # a list or object image was a TypeError traceback and exit 1, a "no"
+        # verdict's code; a vertex_map of pairs was read as a dict, exit 0
         f = tmp_path / "c.json"
         f.write_text(json.dumps(two_loop_subcoalgebra().to_json()))
         mp = tmp_path / "map.json"
-        mp.write_text(json.dumps({"vertex_map": {}}))
+        mp.write_text(json.dumps(fold))
         code, out = run_cli(capsys, "covering", str(f), str(f), str(mp))
         assert code == 2
         assert out["error"] == "ParseError"
