@@ -63,13 +63,12 @@ class Comodule:
     def weights(self):
         """The vertex g of each basis vector if the basis is adapted (the length-0
         part of the coaction is the diagonal of trivial paths e_g, each with
-        coefficient 1), else None."""
-        trivial = [[{p.start: c for p, c in e.terms.items() if p.length == 0} for e in row]
-                   for row in self.coaction]
-        w = [next(iter(row[i]), None) for i, row in enumerate(trivial)]
-        adapted = all(t == ({w[i]: 1} if i == j else {})
-                      for i, row in enumerate(trivial) for j, t in enumerate(row))
-        return w if adapted else None
+        coefficient 1), else None.  Only the terms of nonzero entries are read."""
+        trivial = [(i, j, p.start, c) for i, row in enumerate(self.coaction)
+                   for j, e in enumerate(row) if e.terms
+                   for p, c in e.terms.items() if p.length == 0]
+        adapted = [(i, j, c) for i, j, _, c in trivial] == [(i, i, 1) for i in range(self.dim)]
+        return [g for _, _, g, _ in trivial] if adapted else None
 
     def _validate(self):
         c = self.coaction

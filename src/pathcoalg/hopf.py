@@ -28,11 +28,12 @@ import math
 from fractions import Fraction
 from operator import attrgetter, le
 
-from .coalgebra import SubCoalgebra, path_element
+from .coalgebra import CoElement, SubCoalgebra
 from .errors import (
     AxiomFailure,
     ConstraintViolation,
     ForbiddenPair,
+    InvalidDescription,
     LambdaOrderViolation,
     NotClosedUnderDelta,
     ParamMismatch,
@@ -625,57 +626,134 @@ def verify_hopf_axioms(params, radius, seed=None):
 # -- embedding into the grid path coalgebra ----------------------------------
 
 
+# the shifts s of the window W whose union W + sW carries the group parts of
+# the keys (g, p, q): 1 on W + aW + bW + abW, x on W + bW, y on W + aW, xy on W
+_KEY_SHIFTS = {(0, 0): ((0, 0), (1, 0), (0, 1), (1, 1)), (1, 0): ((0, 0), (0, 1)),
+               (0, 1): ((0, 0), (1, 0)), (1, 1): ((0, 0),)}
+
+
 class Truncation:
     """A finite window of the Hopf algebra realized inside the grid path
-    coalgebra.
+    coalgebra.  Only what is read is built: `image_of` builds one image, once;
+    `window`, `iota`, `images` and the elimination of `coalgebra` are each
+    built in one pass when first read.
 
-    coalgebra: the smallest closed subcoalgebra containing the window images;
+    coalgebra: the smallest closed subcoalgebra containing the window images,
+    a SubCoalgebra on iota's images;
     iota: basis key -> certified image for every key of that coalgebra's
     basis, the boundary keys that close it under Delta included;
     images: iota on the keys with group part in the window, in window order;
-    rank: dimension of the span of those images;
+    rank: dimension of the span of those images, 4 |window|;
     certificate: the sizes of the embedding `_certify_embedding` proves (keys,
     representatives, the coproduct terms compared on them, paths)."""
 
-    def __init__(self, params, radius, quiver, coalgebra, iota, window, certificate):
-        self.params = params
-        self.radius = radius
-        self.quiver = quiver
-        self.coalgebra = coalgebra
-        self.iota = iota
-        self.images = {(g, p, q): iota[g, p, q] for g in window for p in (0, 1) for q in (0, 1)}
-        self.window = window
-        self.rank = len(self.images)
-        self.certificate = certificate
+    def __init__(self, params, radius):
+        self.params, self.radius, (m, n) = params, radius, (params.m, params.n)
+        # the box of the keys' group parts: the b-shift reaches R + 1, and for
+        # 0 < m <= R + 1 the a-shift wraps (m - 1, j) to (0, j + n), |j| <= R
+        self.quiver = grid_quiver(m, n, radius + (max(n + 1, -n) if 0 < m <= radius + 1 else 1))
+        self.coalgebra = _LazySubCoalgebra(self)
+        self._built, self._owner = {}, {}
+        self._compared = _certify_embedding(params, self._image)
+
+    def _image(self, key):
+        """The image of a key, built once.  As `SubCoalgebra` does on a whole
+        basis, it refuses a zero image or one sharing a path with another."""
+        if key not in self._built:
+            img = _image_of_key(self.params, self.quiver, key)
+            if not img.terms:
+                raise InvalidDescription("zero element in basis")
+            for path in img.terms:
+                if self._owner.setdefault(path, key) != key:
+                    raise InvalidDescription("basis is linearly dependent")
+            self._built[key] = img
+        return self._built[key]
 
     def image_of(self, i, j, p, q):
         """The certified image of a^i b^j x^p y^q, boundary keys included."""
-        key = (self.params.canon(i, j), p, q)
-        img = self.iota.get(key)
-        if img is None:
-            raise WindowTooSmall(f"{_fmt_key(key)} has no image in the window")
-        return img
+        canon, radius = self.params.canon, self.radius
+        (i, j) = g = canon(i, j)
+        # (g, p, q) is a key iff canon(g - s) lies in the box for a shift s of it
+        if (g, p, q) not in self._built and not any(max(map(abs, canon(i - di, j - dj))) <= radius
+                                                    for di, dj in _KEY_SHIFTS.get((p, q), ())):
+            raise WindowTooSmall(f"{_fmt_key((g, p, q))} has no image in the window")
+        return self._image((g, p, q))
+
+    def _keys(self):
+        """The keys in basis order: 1, x, y, xy, each on its sorted group parts."""
+        canon, window = self.params.canon, self.window
+        shifted = {s: {canon(i + s[0], j + s[1]) for i, j in window}
+                   for s in _KEY_SHIFTS[0, 0][1:]}
+        shifted[0, 0] = window
+        return [(g, p, q) for (p, q), shifts in _KEY_SHIFTS.items()
+                for g in sorted(set().union(*map(shifted.get, shifts)))]
+
+    @functools.cached_property
+    def window(self):
+        return grid_window(self.params.m, self.params.n, self.radius)
+
+    @functools.cached_property
+    def iota(self):
+        built, params, quiver = self._built, self.params, self.quiver
+        quiver.vertices  # every label is read: list them at once, not one by one
+        self._built = {key: built.get(key) or _image_of_key(params, quiver, key)
+                       for key in self._keys()}
+        return self._built
+
+    @functools.cached_property
+    def images(self):
+        iota = self.iota
+        return {(g, p, q): iota[g, p, q] for g in self.window for p in (0, 1) for q in (0, 1)}
+
+    @property
+    def rank(self):
+        return 4 * len(self.window)
+
+    @functools.cached_property
+    def certificate(self):
+        keys = len(self._keys())  # each image is one path, and xy - lam*yx two
+        return {"keys": keys, "representatives": 4, "coproduct_terms": self._compared,
+                "paths": keys + len(self.window)}
+
+
+class _LazySubCoalgebra(SubCoalgebra):
+    """A truncation's coalgebra.  Its quiver is read at once; on first use of
+    anything else it eliminates its basis, iota's images, and becomes a
+    plain SubCoalgebra."""
+
+    def __init__(self, trunc):
+        self.quiver, self._trunc = trunc.quiver, trunc
+
+    def __getattr__(self, name):  # basis, _engine, _diamonds
+        if name not in ("basis", "_engine", "_diamonds"):
+            raise AttributeError(name)
+        images = self._trunc.iota.values()
+        del self._trunc
+        self.__class__ = SubCoalgebra
+        SubCoalgebra.__init__(self, self.quiver, images, validate=False)
+        return getattr(self, name)
 
 
 def _image_of_key(params, quiver, key):
+    """The image of a^i b^j x^p y^q: its path of word x^p y^q from a^i b^j,
+    and for xy the combination xy - lam*yx."""
     (i, j), p, q = key
     g = grid_vertex_label(i, j)
-    if p == 0 and q == 0:
-        return path_element(quiver, Path(g))
-    if p == 1 and q == 0:
-        return path_element(quiver, Path(g, (f"x@{g}",)))
-    if p == 0 and q == 1:
-        return path_element(quiver, Path(g, (f"y@{g}",)))
-    ga = grid_vertex_label(*params.canon(i + 1, j))
-    gb = grid_vertex_label(*params.canon(i, j + 1))
-    return path_element(quiver, Path(g, (f"x@{g}", f"y@{ga}"))) - path_element(
-        quiver, Path(g, (f"y@{g}", f"x@{gb}")), params.lam
-    )
+    if p and q:
+        ga = grid_vertex_label(*params.canon(i + 1, j))
+        gb = grid_vertex_label(*params.canon(i, j + 1))
+        terms = {Path(g, (f"x@{g}", f"y@{ga}")): 1, Path(g, (f"y@{g}", f"x@{gb}")): -params._lam}
+    else:
+        terms = {Path(g, (f"x@{g}",) * p + (f"y@{g}",) * q): 1}
+    for path in terms:
+        if not path.is_valid(quiver):
+            raise InvalidDescription(f"path {path!r} is not valid in the quiver")
+    return CoElement(quiver, terms)
 
 
-def _certify_embedding(params, images):
-    """Certify that iota: key -> images[key], as `truncate_to_subcoalgebra`
-    builds it on a window W, is a coalgebra map.  Only the checks that read
+def _certify_embedding(params, image):
+    """Certify that iota: key -> image(key), as `Truncation` builds it on a
+    window W, is a coalgebra map.  Only the checks that read
     the input run: `_certify_quotient_map`, and Delta_path iota(r) =
     (iota (x) iota) Delta_H(r) on the representatives r = (canon(0, 0), p, q),
     where lam enters.  The rest is proved once.
@@ -695,22 +773,21 @@ def _certify_embedding(params, images):
     (iota (x) iota) Delta_H(u).  The image of (g, p, q) has coefficient 1 on
     the path from g of word x^p y^q, and its other path, yx, starts at g: the
     images are nonzero with disjoint supports (`paths` counts them), and
-    their span is a subcoalgebra.  `SubCoalgebra` still raises on a zero or
-    dependent image.  Raises NotClosedUnderDelta naming the failing
-    representative; returns the sizes."""
+    their span is a subcoalgebra.  `Truncation._image` and `SubCoalgebra`
+    still raise on a zero or dependent image.  Raises NotClosedUnderDelta
+    naming the failing representative; returns the coproduct terms compared."""
     _certify_quotient_map(params)
     table, e = _table(params, _delta_table), params.canon(0, 0)
     compared = 0
     for rep in ((e, p, q) for p, q in table):
         name, expected = _fmt_key(rep), {}
         for (l, r), c in _comul_terms(params, {rep: 1}).items():
-            tensor_axpy(expected, c, images[l].terms, images[r].terms)
-        if images[rep].delta_dict() != expected:
+            tensor_axpy(expected, c, image(l).terms, image(r).terms)
+        if image(rep).delta_dict() != expected:
             raise NotClosedUnderDelta(
                 f"Delta(iota({name})) differs from (iota (x) iota) Delta({name})")
         compared += len(expected)
-    return {"keys": len(images), "representatives": len(table), "coproduct_terms": compared,
-            "paths": sum(len(img.terms) for img in images.values())}
+    return compared
 
 
 def truncate_to_subcoalgebra(params, radius):
@@ -722,21 +799,7 @@ def truncate_to_subcoalgebra(params, radius):
     docstring of `_certify_embedding` proves it, with no elimination check."""
     if radius < 0:
         raise WindowTooSmall("radius must be nonnegative")
-    window = grid_window(params.m, params.n, radius)
-    shift_a = {params.canon(i + 1, j) for i, j in window}
-    shift_b = {params.canon(i, j + 1) for i, j in window}
-    shift_ab = {params.canon(i + 1, j + 1) for i, j in window}
-    groups = sorted(set(window) | shift_a | shift_b | shift_ab)
-    x_groups = sorted(set(window) | shift_b)
-    y_groups = sorted(set(window) | shift_a)
-    ambient = max(abs(c) for g in groups for c in g)
-    quiver = grid_quiver(params.m, params.n, ambient)
-    keys = [(g, 0, 0) for g in groups] + [(g, 1, 0) for g in x_groups]
-    keys += [(g, 0, 1) for g in y_groups] + [(g, 1, 1) for g in window]
-    basis = {key: _image_of_key(params, quiver, key) for key in keys}
-    certificate = _certify_embedding(params, basis)
-    coalg = SubCoalgebra(quiver, basis.values(), validate=False)
-    return Truncation(params, radius, quiver, coalg, basis, window, certificate)
+    return Truncation(params, radius)
 
 
 def _truncation(params, radius, truncation, any_radius=False):
@@ -757,12 +820,15 @@ def contains_path_combination(params, radius, i, j, c1, c2, truncation=None):
     The certified image of (g, 1, 1) is xy - lam*yx, and no other image meets
     those two paths: `_certify_embedding` proves the supports disjoint.  So the
     combination lies in the span iff it is a multiple of that image:
-    c1*img[yx] == c2*img[xy]."""
+    c1*img[yx] == c2*img[xy].  Only that image is built."""
     trunc = _truncation(params, radius, truncation)
     g = params.canon(i, j)
-    if (g, 1, 1) not in trunc.images:
-        raise WindowTooSmall(f"group part {g} outside the window")
+    img = trunc._built.get((g, 1, 1))
+    if img is None:
+        if max(map(abs, g)) > radius:  # g is canonical: in the window iff in the box
+            raise WindowTooSmall(f"group part {g} outside the window")
+        img = trunc.image_of(*g, 1, 1)
     # paths of one start and length order by arrow ids, so xy is first
-    (xy, at_xy), (yx, at_yx) = sorted(trunc.images[g, 1, 1].terms.items())
+    (xy, at_xy), (yx, at_yx) = sorted(img.terms.items())
     return bare(c1) * at_yx == bare(c2) * at_xy
 

@@ -52,13 +52,14 @@ class Path(tuple):
         return v
 
     def is_valid(self, quiver):
-        if self.start not in quiver.vertex_set:
+        if not quiver._has_vertex(self.start):
             return False
         v = self.start
         for a in self.arrows:
-            if a not in quiver.arrow_by_id:
+            try:
+                _, src, dst = quiver.arrow(a)
+            except UnknownVertex:
                 return False
-            _, src, dst = quiver.arrow(a)
             if src != v:
                 return False
             v = dst
@@ -96,6 +97,9 @@ class Quiver:
         if aid not in self.arrow_by_id:
             raise UnknownVertex(f"unknown arrow id {aid!r}")
         return self.arrow_by_id[aid]
+
+    def _has_vertex(self, v):
+        return v in self.vertex_set
 
     def out_arrows(self, v):
         return [a for a in self.arrows if a[1] == v]
@@ -258,19 +262,65 @@ def grid_quiver(m, n, radius):
         raise ForbiddenPair("(m, n) = +/-(1, 1) has no grid quiver")
     if radius < 0:
         raise InvalidDescription("radius must be nonnegative")
-    coords = grid_window(m, n, radius)
-    coord_set = set(coords)
-    vertices = [grid_vertex_label(i, j) for i, j in coords]
-    arrows = []
-    for i, j in coords:
-        v = grid_vertex_label(i, j)
-        tx = group_canonical_pair(m, n, i + 1, j)
-        if tx in coord_set:
-            arrows.append((f"x@{v}", v, grid_vertex_label(*tx)))
-        ty = group_canonical_pair(m, n, i, j + 1)
-        if ty in coord_set:
-            arrows.append((f"y@{v}", v, grid_vertex_label(*ty)))
-    return Quiver(vertices, arrows)
+    return _GridQuiver(m, n, radius)
+
+
+class _GridQuiver(Quiver):
+    """A `grid_quiver`.  It answers vertex and arrow lookups from the labels,
+    remembering each, until its vertex or arrow lists are first read: then it
+    builds them and becomes a plain Quiver."""
+
+    def __init__(self, m, n, radius):
+        self._shape, self._seen, self._found = (m, n, radius), {}, {}
+
+    def __getattr__(self, name):  # vertices, vertex_set, arrows, arrow_by_id
+        if name not in ("vertices", "vertex_set", "arrows", "arrow_by_id"):
+            raise AttributeError(name)
+        m, n, radius = self._shape
+        coords = grid_window(m, n, radius)
+        coord_set = set(coords)
+        vertices = [grid_vertex_label(i, j) for i, j in coords]
+        arrows = []
+        for i, j in coords:
+            v = grid_vertex_label(i, j)
+            tx = group_canonical_pair(m, n, i + 1, j)
+            if tx in coord_set:
+                arrows.append((f"x@{v}", v, grid_vertex_label(*tx)))
+            ty = group_canonical_pair(m, n, i, j + 1)
+            if ty in coord_set:
+                arrows.append((f"y@{v}", v, grid_vertex_label(*ty)))
+        del self._shape, self._seen, self._found
+        self.__class__ = Quiver
+        Quiver.__init__(self, vertices, arrows)
+        return getattr(self, name)
+
+    def _has_vertex(self, v):
+        """(i, j) if v labels a vertex of the window, else None."""
+        if v not in self._seen:
+            try:
+                g = tuple(map(int, v[1:].split("b")))
+            except (AttributeError, TypeError, ValueError):
+                g = ()
+            m, n, radius = self._shape
+            self._seen[v] = g if len(g) == 2 and group_canonical_pair(m, n, *g) == g and max(
+                map(abs, g)) <= radius and grid_vertex_label(*g) == v else None
+        return self._seen[v]
+
+    def arrow(self, aid):
+        if aid not in self._found:  # x@v and y@v go to canon(v + a) and canon(v + b)
+            x_or_y = isinstance(aid, str) and aid[:2] in ("x@", "y@")
+            g = self._has_vertex(aid[2:]) if x_or_y else None
+            m, n, radius = self._shape
+            t = g and group_canonical_pair(m, n, g[0] + (aid[0] == "x"), g[1] + (aid[0] == "y"))
+            if not t or max(map(abs, t)) > radius:
+                raise UnknownVertex(f"unknown arrow id {aid!r}")
+            self._found[aid] = (aid, aid[2:], grid_vertex_label(*t))
+        return self._found[aid]
+
+    def __eq__(self, other):
+        if self is other or isinstance(other, _GridQuiver) and self._shape == other._shape:
+            return True
+        return super().__eq__(other)
 
 
 # -- stars and homogeneity --------------------------------------------------

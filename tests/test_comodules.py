@@ -5,7 +5,7 @@ from itertools import count
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathcoalg import comodules
+from pathcoalg import comodules, hopf
 from pathcoalg.comodules import (
     Comodule,
     HomSpace,
@@ -1078,6 +1078,56 @@ class TestDecideDiscrete:
         assert w["all_indecomposable"]
         assert w["dimension_vectors_equal"]
         assert len(w["modules"]) == 3
+
+
+def reference_weights(mod):
+    """The former `Comodule.weights`, a dict for every entry."""
+    trivial = [[{p.start: c for p, c in e.terms.items() if p.length == 0} for e in row]
+               for row in mod.coaction]
+    w = [next(iter(row[i]), None) for i, row in enumerate(trivial)]
+    adapted = all(t == ({w[i]: 1} if i == j else {})
+                  for i, row in enumerate(trivial) for j, t in enumerate(row))
+    return w if adapted else None
+
+
+class TestLazyWindows:
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_bands_match_the_eager_truncation(self, n):
+        """The bands built on the lazy truncation print as those built on
+        the former eager one, and have its weights."""
+        from test_hopf import reference_truncation
+        params = validate_params(n, n, 1, 0, 0, 0)
+        lazy = build_band_family(params, n, [1, 2, 3])
+        eager = build_band_family(params, n, [1, 2, 3], truncation=reference_truncation(params, n))
+        assert [m.to_json() for m in lazy] == [m.to_json() for m in eager]
+        assert [m.weights for m in lazy] == [reference_weights(m) for m in eager]
+
+    @pytest.mark.parametrize("n", [40, 160, 320])
+    def test_band_reads_are_linear_in_n(self, monkeypatch, n):
+        """A band family at m = n = N builds at most 5 N key images, and
+        never the window, the grid quiver's lists or the elimination."""
+        calls = count()
+        image_of_key = hopf._image_of_key
+        monkeypatch.setattr(hopf, "_image_of_key", lambda *a: next(calls) and 0 or image_of_key(*a))
+        params = validate_params(n, n, 1, 0, 0, 0)
+        trunc = truncate_to_subcoalgebra(params, n)
+        mods = build_band_family(params, n, [1, 2], truncation=trunc)
+        assert next(calls) <= 5 * n
+        assert mods[0].coalgebra is trunc.coalgebra is mods[1].coalgebra
+        assert "window" not in vars(trunc) and "iota" not in vars(trunc)
+        assert not {"vertices", "vertex_set", "arrows", "arrow_by_id"} & set(vars(trunc.quiver))
+        assert not {"basis", "_engine"} & set(vars(trunc.coalgebra))
+
+    def test_weights_match_the_former_reading(self, free_trunc):
+        """`weights` reads only the nonzero entries and gives the former
+        answers on an inventory, on bands and on sums and conjugates."""
+        inventory = [e["module"] for e in enumerate_indecomposables(
+            validate_params(0, 0, 1, 0, 0, 0), 1, 4, truncation=free_trunc)]
+        bands = build_band_family(validate_params(2, 2, 1, 0, 0, 0), 2, [1, 3])
+        mods = inventory + bands + [direct_sum(inventory[0], inventory[-1]),
+                                    _conjugate(inventory[-1], random.Random(2))]
+        assert [m.weights for m in mods] == [reference_weights(m) for m in mods]
+        assert mods[-1].weights is None and all(w is not None for w in (m.weights for m in mods[:-1]))
 
 
 class TestValueKinds:

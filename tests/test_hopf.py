@@ -29,6 +29,7 @@ from pathcoalg.errors import (
     ParamMismatch,
     ParityViolation,
     PathcoalgError,
+    UnknownVertex,
     WindowTooSmall,
 )
 from pathcoalg.hopf import (
@@ -49,7 +50,7 @@ from pathcoalg.hopf import (
     verify_hopf_axioms,
 )
 from pathcoalg.linalg import accumulate
-from pathcoalg.quiver import Path, grid_vertex_label, grid_window
+from pathcoalg.quiver import Path, Quiver, grid_quiver, grid_vertex_label, grid_window, group_canonical_pair
 from pathcoalg.scalar import ONE, ZERO, CycScalar, bare, cyc
 
 from test_acceptance import PAIRS, _valid_grid
@@ -730,7 +731,7 @@ class TestWindowEmbedding:
         every window."""
         tr = truncate_to_subcoalgebra(params, radius)
         assert reference_certify_embedding(params, tr.iota)["keys"] == len(tr.iota)
-        assert hopf._certify_embedding(params, tr.iota) == tr.certificate
+        assert certify(params, tr.iota) == tr.certificate
 
     def test_certificate_is_stored(self):
         """The certificate counts every key and path, and the coproduct terms
@@ -747,9 +748,12 @@ class TestWindowEmbedding:
     @staticmethod
     def certificate_calls(m, n, radius):
         """`canon` and `delta_dict` calls inside `_certify_embedding` on the
-        truncation of B(m, n; 1, 0, 0, 0) at radius, its tables built."""
+        truncation of B(m, n; 1, 0, 0, 0) at radius, its tables built.  The
+        images and the sizes are read first: building them is not
+        certificate work."""
         params = validate_params(m, n, 1, 0, 0, 0)
         tr = truncate_to_subcoalgebra(params, radius)
+        iota, sizes = tr.iota, tr.certificate
         calls = {"canon": 0, "delta_dict": 0}
         canon, delta_dict = hopf.group_canonical_pair, CoElement.delta_dict
 
@@ -764,7 +768,7 @@ class TestWindowEmbedding:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(hopf, "group_canonical_pair", counted_canon)
             patch.setattr(CoElement, "delta_dict", counted_delta_dict)
-            assert hopf._certify_embedding(params, tr.iota) == tr.certificate
+            assert certify(params, iota) == sizes
         return calls
 
     def test_certificate_work_is_constant(self):
@@ -778,6 +782,14 @@ class TestWindowEmbedding:
 
 
 # -- the per-key reference: the oracle for the proof, and the mutants it fails
+
+
+def certify(params, images):
+    """`_certify_embedding` on an image dict, with the sizes a Truncation
+    reports of its own images as `certificate`."""
+    return {"keys": len(images), "representatives": 4,
+            "coproduct_terms": hopf._certify_embedding(params, images.__getitem__),
+            "paths": sum(len(img.terms) for img in images.values())}
 
 
 def reference_certify_embedding(params, images):
@@ -932,6 +944,143 @@ def certified_window(index, radius):
     return params, dict(truncate_to_subcoalgebra(params, radius).iota)
 
 
+# -- the eager truncation: the oracle for the lazy one ------------------------
+
+
+def reference_grid_quiver(m, n, radius):
+    """The former `grid_quiver`, its lists built at once."""
+    coords = grid_window(m, n, radius)
+    coord_set = set(coords)
+    vertices = [grid_vertex_label(i, j) for i, j in coords]
+    arrows = []
+    for i, j in coords:
+        v = grid_vertex_label(i, j)
+        tx = group_canonical_pair(m, n, i + 1, j)
+        if tx in coord_set:
+            arrows.append((f"x@{v}", v, grid_vertex_label(*tx)))
+        ty = group_canonical_pair(m, n, i, j + 1)
+        if ty in coord_set:
+            arrows.append((f"y@{v}", v, grid_vertex_label(*ty)))
+    return Quiver(vertices, arrows)
+
+
+def reference_image_of_key(params, quiver, key):
+    """The former `_image_of_key`, through `path_element`."""
+    (i, j), p, q = key
+    g = grid_vertex_label(i, j)
+    if (p, q) != (1, 1):
+        return path_element(quiver, Path(g, (f"x@{g}",) * p + (f"y@{g}",) * q))
+    ga = grid_vertex_label(*params.canon(i + 1, j))
+    gb = grid_vertex_label(*params.canon(i, j + 1))
+    return path_element(quiver, Path(g, (f"x@{g}", f"y@{ga}"))) - path_element(
+        quiver, Path(g, (f"y@{g}", f"x@{gb}")), params.lam)
+
+
+class ReferenceTruncation:
+    """The former `Truncation`: everything built by `reference_truncation`."""
+
+    def __init__(self, params, radius, quiver, coalgebra, iota, window, certificate):
+        self.params, self.radius, self.quiver, self.coalgebra = params, radius, quiver, coalgebra
+        self.iota, self.window, self.certificate = iota, window, certificate
+        self.images = {(g, p, q): iota[g, p, q] for g in window for p in (0, 1) for q in (0, 1)}
+        self.rank = len(self.images)
+
+    def image_of(self, i, j, p, q):
+        key = (self.params.canon(i, j), p, q)
+        if key not in self.iota:
+            raise WindowTooSmall(f"{hopf._fmt_key(key)} has no image in the window")
+        return self.iota[key]
+
+
+def reference_truncation(params, radius):
+    """The former eager `truncate_to_subcoalgebra`: every key image, the
+    whole grid quiver of the ambient box and the `SubCoalgebra` elimination,
+    built at once."""
+    window = grid_window(params.m, params.n, radius)
+    shift_a = {params.canon(i + 1, j) for i, j in window}
+    shift_b = {params.canon(i, j + 1) for i, j in window}
+    shift_ab = {params.canon(i + 1, j + 1) for i, j in window}
+    groups = sorted(set(window) | shift_a | shift_b | shift_ab)
+    x_groups = sorted(set(window) | shift_b)
+    y_groups = sorted(set(window) | shift_a)
+    ambient = max(abs(c) for g in groups for c in g)
+    quiver = reference_grid_quiver(params.m, params.n, ambient)
+    keys = [(g, 0, 0) for g in groups] + [(g, 1, 0) for g in x_groups]
+    keys += [(g, 0, 1) for g in y_groups] + [(g, 1, 1) for g in window]
+    basis = {key: reference_image_of_key(params, quiver, key) for key in keys}
+    certificate = certify(params, basis)
+    coalg = SubCoalgebra(quiver, basis.values(), validate=False)
+    return ReferenceTruncation(params, radius, quiver, coalg, basis, window, certificate)
+
+
+class TestLazyTruncation:
+    def test_equals_the_eager_build_on_the_oracle_grid(self):
+        """On all 129 windows, the lazy truncation's full reads give what the
+        eager build gives: iota in key order, images, window, rank,
+        certificate and the coalgebra's JSON, its quiver included."""
+        for params, radius, tr in oracle_grid():
+            ref = reference_truncation(params, radius)
+            assert list(tr.iota.items()) == list(ref.iota.items())
+            assert list(tr.images.items()) == list(ref.images.items())
+            assert (tr.window, tr.rank, tr.certificate) == (ref.window, ref.rank, ref.certificate)
+            assert tr.coalgebra.to_json() == ref.coalgebra.to_json()
+
+    def test_ambient_box_is_the_eager_one(self):
+        """The ambient radius read off (m, n, R) gives the grid quiver of the
+        eager build, which took the largest |coordinate| over all keys."""
+        for m, n in itertools.product(range(0, 7), range(-6, 7)):
+            if (m + n) % 2 or (m, n) == (1, 1) or m == 0 and n < 0:
+                continue
+            params = validate_params(m, n, 1, 0, 0, 0)
+            for radius in range(0, 7):
+                window = grid_window(m, n, radius)
+                groups = set(window).union(*({params.canon(i + di, j + dj) for i, j in window}
+                                             for di, dj in ((1, 0), (0, 1), (1, 1))))
+                ambient = max(abs(c) for g in groups for c in g)
+                assert truncate_to_subcoalgebra(params, radius).quiver.to_json() == \
+                    reference_grid_quiver(m, n, ambient).to_json(), (m, n, radius)
+
+    def test_partial_reads_build_only_what_they_read(self):
+        """A truncation builds the certificate's images and nothing else; an
+        image read builds its key alone, and the window, the grid quiver's
+        lists and the elimination stay unbuilt until read."""
+        params = validate_params(0, 0, 1, 0, 0, 0)
+        tr = truncate_to_subcoalgebra(params, 50)
+        certified = len(tr._built)
+        assert certified == len({k for r in ((params.canon(0, 0), p, q) for p in (0, 1) for q in (0, 1))
+                                 for pair in hopf._comul_terms(params, {r: 1}) for k in pair})
+        assert tr.image_of(50, -50, 1, 1).terms == reference_image_of_key(
+            params, reference_grid_quiver(0, 0, 51), ((50, -50), 1, 1)).terms
+        assert len(tr._built) == certified + 1
+        for name in ("window", "iota", "images"):
+            assert name not in vars(tr)
+        assert not {"vertices", "vertex_set", "arrows", "arrow_by_id"} & set(vars(tr.quiver))
+        assert not {"basis", "_engine"} & set(vars(tr.coalgebra))
+        with pytest.raises(WindowTooSmall, match=r"a\^51\*x\*y has no image"):
+            tr.image_of(51, 0, 1, 1)
+        assert tr.image_of(51, 0, 0, 0).terms == {Path("a51b0"): 1}  # an a-shift of W
+
+    def test_grid_lookups_match_the_lists(self):
+        """Vertex and arrow lookups answered from the labels agree with the
+        lists, for labels in and around the box and malformed ones; two grid
+        quivers of one (m, n, radius) compare equal without their lists."""
+        junk = ["", "a", "ab", "a1b", "a01b0", "a1b2b3", "b1a1", "x@", "x@a0b0b", 7, None, ("a0b0",)]
+        for m, n, radius in [(0, 0, 2), (2, 0, 3), (3, 1, 2), (0, 3, 3), (2, -2, 2), (4, 2, 1)]:
+            lazy, eager = grid_quiver(m, n, radius), reference_grid_quiver(m, n, radius)
+            assert lazy == grid_quiver(m, n, radius) and not vars(lazy).keys() & {"vertices", "arrows"}
+            labels = [grid_vertex_label(i, j) for i in range(-radius - 2, radius + 3)
+                      for j in range(-radius - 2, radius + 3)]
+            for v in labels + junk:
+                assert bool(lazy._has_vertex(v)) == (v in eager.vertex_set), v
+                for aid in ([f"{x}@{v}" for x in "xyz"] if isinstance(v, str) else [v]):
+                    if aid in eager.arrow_by_id:
+                        assert lazy.arrow(aid) == eager.arrow(aid)
+                    else:
+                        with pytest.raises(UnknownVertex):
+                            lazy.arrow(aid)
+            assert lazy.to_json() == eager.to_json() and lazy == eager
+
+
 class TestEmbeddingMutants:
     def test_reference_accepts_the_oracle_grid(self):
         """The per-key reference, the oracle for the proof in
@@ -941,7 +1090,7 @@ class TestEmbeddingMutants:
         assert len(grid) == 129
         for params, radius, tr in grid:
             assert reference_certify_embedding(params, tr.iota)["keys"] == len(tr.iota)
-            assert hopf._certify_embedding(params, tr.iota) == tr.certificate
+            assert certify(params, tr.iota) == tr.certificate
 
     @pytest.mark.parametrize("name", IMAGE_MUTANTS + list(KEY_SET_MUTANTS))
     def test_each_mutant_fails_the_reference_on_the_grid(self, name):
@@ -960,8 +1109,9 @@ class TestEmbeddingMutants:
         (`RUNTIME_VERDICTS`): it names the changed x*y under lam^2 and the
         changed y under the swap; it accepts lam^2 on the xy image of the
         group part a alone, which leaves all of those as they were; and the
-        dropped boundary group reaches `SubCoalgebra`, which finds a zero
-        in the basis.  SubCoalgebra(validate=True) sees only the span of the
+        dropped boundary group is found zero by the read that builds its
+        image: `SubCoalgebra` on a full read, `image_of` on a partial one.
+        SubCoalgebra(validate=True) sees only the span of the
         images.  It rejects the dropped group, whose span misses a
         grouplike, and accepts lam^2, since the span is a subcoalgebra
         whatever scalar the yx path carries."""
@@ -980,11 +1130,15 @@ class TestEmbeddingMutants:
             assert truncate_to_subcoalgebra(params, radius).coalgebra.basis == images
         else:
             with pytest.raises(verdict[0], match=verdict[1]) as info:
-                truncate_to_subcoalgebra(params, radius)
+                truncate_to_subcoalgebra(params, radius).coalgebra.basis
             message = str(info.value)
             assert verdict[0] is InvalidDescription or any(
                 f"iota({hopf._fmt_key(k)})" in message for k in changed), message
         if name == "dropped boundary group":
+            [((i, j), _, _)] = changed
+            lazy = truncate_to_subcoalgebra(params, radius)
+            with pytest.raises(verdict[0], match=verdict[1]):
+                lazy.image_of(i, j, 0, 0)
             with pytest.raises(NotClosedUnderDelta):
                 span_subcoalgebra(tr.quiver, images)
         elif name.startswith("lam^2"):
@@ -1011,16 +1165,16 @@ class TestEmbeddingMutants:
             ({k: v * 2 if k[1:] == (1, 0) else v for k, v in images.items()},
              r"Delta\(iota\(a\^-1\*b\^-1\*x\*y\)\) differs", r"Delta\(iota\(x\*y\)\) differs"),
         ]
-        assert hopf._certify_embedding(p, images) == tr.certificate
+        assert certify(p, images) == tr.certificate
         assert reference_certify_embedding(p, images)["keys"] == len(images)
         for corrupted, reference, runtime in cases:
             with pytest.raises(NotClosedUnderDelta, match=reference):
                 reference_certify_embedding(p, corrupted)
             if runtime is None:
-                assert hopf._certify_embedding(p, corrupted)["keys"] == len(corrupted)
+                assert certify(p, corrupted)["keys"] == len(corrupted)
             else:
                 with pytest.raises(NotClosedUnderDelta, match=runtime):
-                    hopf._certify_embedding(p, corrupted)
+                    certify(p, corrupted)
         for (corrupted, _, _), error in zip(cases, ["zero element", "linearly dependent"]):
             with pytest.raises(InvalidDescription, match=error):
                 SubCoalgebra(tr.quiver, corrupted.values(), validate=False)
@@ -1035,7 +1189,7 @@ class TestEmbeddingMutants:
         images = dict(truncate_to_subcoalgebra(p, 1).iota)
         del images[(0, 0), 1, 1]
         with pytest.raises(KeyError):
-            hopf._certify_embedding(p, images)
+            certify(p, images)
         assert reference_certify_embedding(p, images)["keys"] == len(images)
 
     @settings(max_examples=80, deadline=None)
@@ -1061,9 +1215,9 @@ class TestEmbeddingMutants:
         read = {k for r in reps for pair in hopf._comul_terms(params, {r: 1}) for k in pair}
         if key in read:
             with pytest.raises(NotClosedUnderDelta):
-                hopf._certify_embedding(params, doubled)
+                certify(params, doubled)
         else:
-            assert hopf._certify_embedding(params, doubled)["keys"] == len(images)
+            assert certify(params, doubled)["keys"] == len(images)
 
     def test_unmutated_variant_passes(self, monkeypatch):
         monkeypatch.setattr(hopf, "_image_of_key", image_of_key_variant())
