@@ -277,21 +277,18 @@ class _GridQuiver(Quiver):
         if name not in ("vertices", "vertex_set", "arrows", "arrow_by_id"):
             raise AttributeError(name)
         m, n, radius = self._shape
-        coords = grid_window(m, n, radius)
-        coord_set = set(coords)
-        vertices = [grid_vertex_label(i, j) for i, j in coords]
+        label = {g: grid_vertex_label(*g) for g in grid_window(m, n, radius)}
         arrows = []
-        for i, j in coords:
-            v = grid_vertex_label(i, j)
-            tx = group_canonical_pair(m, n, i + 1, j)
-            if tx in coord_set:
-                arrows.append((f"x@{v}", v, grid_vertex_label(*tx)))
-            ty = group_canonical_pair(m, n, i, j + 1)
-            if ty in coord_set:
-                arrows.append((f"y@{v}", v, grid_vertex_label(*ty)))
+        for (i, j), v in label.items():  # an a-arrow, then a b-arrow, if its target is in
+            w = label.get(group_canonical_pair(m, n, i + 1, j))
+            if w:
+                arrows.append(("x@" + v, v, w))
+            w = label.get(group_canonical_pair(m, n, i, j + 1))
+            if w:
+                arrows.append(("y@" + v, v, w))
         del self._shape, self._seen, self._found
         self.__class__ = Quiver
-        Quiver.__init__(self, vertices, arrows)
+        Quiver.__init__(self, list(label.values()), arrows)
         return getattr(self, name)
 
     def _has_vertex(self, v):
