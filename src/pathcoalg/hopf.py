@@ -632,16 +632,16 @@ _KEY_SHIFTS = {(0, 0): ((0, 0), (1, 0), (0, 1), (1, 1)), (1, 0): ((0, 0), (0, 1)
                (0, 1): ((0, 0), (1, 0)), (1, 1): ((0, 0),)}
 
 
-class Truncation:
+class Truncation(SubCoalgebra):
     """A finite window of the Hopf algebra realized inside the grid path
-    coalgebra.  Only what is read is built: `image_of` builds one image, once;
-    `window`, `iota`, `images` and the elimination of `coalgebra` are each
-    built in one pass when first read.
+    coalgebra, and its own coalgebra: the smallest closed subcoalgebra
+    containing the window images, the SubCoalgebra of iota's images.  Only
+    what is read is built: `image_of` builds one image, once; `window`,
+    `iota` and `images` are each built in one pass when first read, and the
+    elimination on the first read of `basis` (`contains`, `dim`, ...).
 
-    coalgebra: the smallest closed subcoalgebra containing the window images,
-    a SubCoalgebra on iota's images;
-    iota: basis key -> certified image for every key of that coalgebra's
-    basis, the boundary keys that close it under Delta included;
+    iota: basis key -> certified image for every key of the basis, the
+    boundary keys that close it under Delta included;
     images: iota on the keys with group part in the window, in window order;
     rank: dimension of the span of those images, 4 |window|;
     certificate: the sizes of the embedding `_certify_embedding` proves (keys,
@@ -652,9 +652,21 @@ class Truncation:
         # the box of the keys' group parts: the b-shift reaches R + 1, and for
         # 0 < m <= R + 1 the a-shift wraps (m - 1, j) to (0, j + n), |j| <= R
         self.quiver = grid_quiver(m, n, radius + (max(n + 1, -n) if 0 < m <= radius + 1 else 1))
-        self.coalgebra = _LazySubCoalgebra(self)
         self._built, self._owner = {}, {}
         self._compared = _certify_embedding(params, self._image)
+
+    def __getattr__(self, name):  # basis, _engine, _diamonds: eliminate iota's images
+        if name not in ("basis", "_engine", "_diamonds"):
+            raise AttributeError(name)
+        SubCoalgebra.__init__(self, self.quiver, self.iota.values(), validate=False)
+        return getattr(self, name)
+
+    @property
+    def coalgebra(self):
+        return self
+
+    def __repr__(self):
+        return f"Truncation({self.params!r}, radius {self.radius})"
 
     def _image(self, key):
         """The image of a key, built once.  As `SubCoalgebra` does on a whole
@@ -695,7 +707,7 @@ class Truncation:
     @functools.cached_property
     def iota(self):
         built, params, quiver = self._built, self.params, self.quiver
-        quiver.vertices  # every label is read: list them at once, not one by one
+        quiver.arrows  # later reads look arrows up: list them at once, not one by one
         self._built = {key: built.get(key) or _image_of_key(params, quiver, key)
                        for key in self._keys()}
         return self._built
@@ -716,38 +728,24 @@ class Truncation:
                 "paths": keys + len(self.window)}
 
 
-class _LazySubCoalgebra(SubCoalgebra):
-    """A truncation's coalgebra.  Its quiver is read at once; on first use of
-    anything else it eliminates its basis, iota's images, and becomes a
-    plain SubCoalgebra."""
-
-    def __init__(self, trunc):
-        self.quiver, self._trunc = trunc.quiver, trunc
-
-    def __getattr__(self, name):  # basis, _engine, _diamonds
-        if name not in ("basis", "_engine", "_diamonds"):
-            raise AttributeError(name)
-        images = self._trunc.iota.values()
-        del self._trunc
-        self.__class__ = SubCoalgebra
-        SubCoalgebra.__init__(self, self.quiver, images, validate=False)
-        return getattr(self, name)
-
-
 def _image_of_key(params, quiver, key):
     """The image of a^i b^j x^p y^q: its path of word x^p y^q from a^i b^j,
-    and for xy the combination xy - lam*yx."""
+    and for xy the combination xy - lam*yx.  From a canonical g, its paths
+    are valid (`Path.is_valid`) iff the group pairs their words pass lie in
+    the grid quiver's box, since an arrow is there iff its ends are: g, and
+    canon(g + a) for x, canon(g + b) for y, all three with canon(g + ab) for xy."""
     (i, j), p, q = key
-    g = grid_vertex_label(i, j)
+    canon, g = params.canon, grid_vertex_label(i, j)
     if p and q:
-        ga = grid_vertex_label(*params.canon(i + 1, j))
-        gb = grid_vertex_label(*params.canon(i, j + 1))
-        terms = {Path(g, (f"x@{g}", f"y@{ga}")): 1, Path(g, (f"y@{g}", f"x@{gb}")): -params._lam}
+        ga, gb = canon(i + 1, j), canon(i, j + 1)
+        terms = {Path(g, (f"x@{g}", f"y@{grid_vertex_label(*ga)}")): 1,
+                 Path(g, (f"y@{g}", f"x@{grid_vertex_label(*gb)}")): -params._lam}
+        passed = ga + gb + canon(i + 1, j + 1)
     else:
         terms = {Path(g, (f"x@{g}",) * p + (f"y@{g}",) * q): 1}
-    for path in terms:
-        if not path.is_valid(quiver):
-            raise InvalidDescription(f"path {path!r} is not valid in the quiver")
+        passed = canon(i + p, j + q) if p or q else ()
+    if max(map(abs, (i, j) + passed)) > quiver.shape[2]:
+        raise InvalidDescription(f"the image of {_fmt_key(key)} leaves the grid quiver")
     return CoElement(quiver, terms)
 
 

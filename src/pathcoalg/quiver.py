@@ -52,7 +52,7 @@ class Path(tuple):
         return v
 
     def is_valid(self, quiver):
-        if not quiver._has_vertex(self.start):
+        if self.start not in quiver.vertex_set:
             return False
         v = self.start
         for a in self.arrows:
@@ -77,7 +77,9 @@ class Path(tuple):
 
 
 class Quiver:
-    """A finite quiver: vertex labels plus arrows (id, source, target)."""
+    """A finite quiver: vertex labels plus arrows (id, source, target).  The
+    labels are of one type, and so are the ids, since the stars and the
+    cover search sort them."""
 
     def __init__(self, vertices, arrows):
         self.vertices = list(vertices)
@@ -85,6 +87,8 @@ class Quiver:
         if len(self.vertex_set) != len(self.vertices):
             raise InvalidDescription("duplicate vertex labels")
         self.arrows = [tuple(a) for a in arrows]
+        if len(set(map(type, self.vertices))) > 1 or len({type(a[0]) for a in self.arrows}) > 1:
+            raise InvalidDescription("vertex labels, and arrow ids, must each be of one type")
         self.arrow_by_id = {}
         for aid, src, dst in self.arrows:
             if aid in self.arrow_by_id:
@@ -97,9 +101,6 @@ class Quiver:
         if aid not in self.arrow_by_id:
             raise UnknownVertex(f"unknown arrow id {aid!r}")
         return self.arrow_by_id[aid]
-
-    def _has_vertex(self, v):
-        return v in self.vertex_set
 
     def out_arrows(self, v):
         return [a for a in self.arrows if a[1] == v]
@@ -266,17 +267,17 @@ def grid_quiver(m, n, radius):
 
 
 class _GridQuiver(Quiver):
-    """A `grid_quiver`.  It answers vertex and arrow lookups from the labels,
-    remembering each, until its vertex or arrow lists are first read: then it
-    builds them and becomes a plain Quiver."""
+    """A `grid_quiver` of `shape` (m, n, radius).  It answers arrow lookups
+    from the ids, remembering each, until its lists are first read: then it
+    builds them, and its memo is `arrow_by_id`."""
 
     def __init__(self, m, n, radius):
-        self._shape, self._seen, self._found = (m, n, radius), {}, {}
+        self.shape, self._found = (m, n, radius), {}
 
     def __getattr__(self, name):  # vertices, vertex_set, arrows, arrow_by_id
         if name not in ("vertices", "vertex_set", "arrows", "arrow_by_id"):
             raise AttributeError(name)
-        m, n, radius = self._shape
+        m, n, radius = self.shape
         label = {g: grid_vertex_label(*g) for g in grid_window(m, n, radius)}
         arrows = []
         for (i, j), v in label.items():  # an a-arrow, then a b-arrow, if its target is in
@@ -286,36 +287,27 @@ class _GridQuiver(Quiver):
             w = label.get(group_canonical_pair(m, n, i, j + 1))
             if w:
                 arrows.append(("y@" + v, v, w))
-        del self._shape, self._seen, self._found
-        self.__class__ = Quiver
         Quiver.__init__(self, list(label.values()), arrows)
+        self._found = self.arrow_by_id
         return getattr(self, name)
-
-    def _has_vertex(self, v):
-        """(i, j) if v labels a vertex of the window, else None."""
-        if v not in self._seen:
-            try:
-                g = tuple(map(int, v[1:].split("b")))
-            except (AttributeError, TypeError, ValueError):
-                g = ()
-            m, n, radius = self._shape
-            self._seen[v] = g if len(g) == 2 and group_canonical_pair(m, n, *g) == g and max(
-                map(abs, g)) <= radius and grid_vertex_label(*g) == v else None
-        return self._seen[v]
 
     def arrow(self, aid):
         if aid not in self._found:  # x@v and y@v go to canon(v + a) and canon(v + b)
-            x_or_y = isinstance(aid, str) and aid[:2] in ("x@", "y@")
-            g = self._has_vertex(aid[2:]) if x_or_y else None
-            m, n, radius = self._shape
-            t = g and group_canonical_pair(m, n, g[0] + (aid[0] == "x"), g[1] + (aid[0] == "y"))
-            if not t or max(map(abs, t)) > radius:
+            m, n, radius = self.shape
+            try:
+                g = tuple(map(int, aid[3:].split("b"))) if aid[:3] in ("x@a", "y@a") else ()
+            except (TypeError, ValueError):
+                g = ()
+            t = len(g) == 2 and group_canonical_pair(
+                m, n, g[0] + (aid[0] == "x"), g[1] + (aid[0] == "y"))
+            if not t or grid_vertex_label(*g) != aid[2:] or group_canonical_pair(m, n, *g) != g \
+                    or max(map(abs, g + t)) > radius:
                 raise UnknownVertex(f"unknown arrow id {aid!r}")
             self._found[aid] = (aid, aid[2:], grid_vertex_label(*t))
         return self._found[aid]
 
     def __eq__(self, other):
-        if self is other or isinstance(other, _GridQuiver) and self._shape == other._shape:
+        if self is other or isinstance(other, _GridQuiver) and self.shape == other.shape:
             return True
         return super().__eq__(other)
 

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import count
 
@@ -1117,6 +1119,45 @@ class TestLazyWindows:
         assert "window" not in vars(trunc) and "iota" not in vars(trunc)
         assert not {"vertices", "vertex_set", "arrows", "arrow_by_id"} & set(vars(trunc.quiver))
         assert not {"basis", "_engine"} & set(vars(trunc.coalgebra))
+
+    def test_repr_builds_nothing(self, monkeypatch):
+        """A truncation's repr names its params and radius and reads no image:
+        the repr of a SubCoalgebra reads `dim`, which at N = 320 would
+        eliminate all 821 760 images."""
+        params = validate_params(320, 320, 1, 0, 0, 0)
+        trunc = truncate_to_subcoalgebra(params, 320)
+        calls = count()
+        image_of_key = hopf._image_of_key
+        monkeypatch.setattr(hopf, "_image_of_key", lambda *a: next(calls) and 0 or image_of_key(*a))
+        assert repr(trunc.coalgebra) == repr(trunc) == f"Truncation({params!r}, radius 320)"
+        assert next(calls) == 0
+        assert not {"window", "iota", "basis", "_engine"} & set(vars(trunc))
+        assert not {"vertices", "vertex_set", "arrows", "arrow_by_id"} & set(vars(trunc.quiver))
+
+    def test_dropped_truncations_leave_no_cycle(self):
+        """A truncation is its own coalgebra and nothing it holds points back
+        at it: dropped after partial reads (a simple comodule, the m = n = 4
+        band witness) or after a full read, it dies on its last reference and
+        the cycle collector finds nothing.  A lazy coalgebra that kept a
+        reference to its truncation left 390 objects here."""
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            trunc = truncate_to_subcoalgebra(validate_params(0, 0, 1, 0, 0, 0), 2)
+            simple, ref = build_simple(trunc, 1, 0), weakref.ref(trunc)
+            witness = decide_discrete(validate_params(4, 4, 1, 0, 0, 0))
+            assert witness["discrete"] is False and "basis" not in vars(trunc)
+            del trunc, simple, witness
+            assert ref() is None and gc.collect() == 0
+            trunc = truncate_to_subcoalgebra(validate_params(2, 0, -1, 1, 1, 0), 2)
+            ref = weakref.ref(trunc)
+            assert trunc.contains(trunc.image_of(0, 0, 1, 1)) and trunc.dim == len(trunc.iota)
+            del trunc
+            assert ref() is None and gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_weights_match_the_former_reading(self, free_trunc):
         """`weights` reads only the nonzero entries and gives the former

@@ -1043,7 +1043,8 @@ class TestLazyTruncation:
     def test_partial_reads_build_only_what_they_read(self):
         """A truncation builds the certificate's images and nothing else; an
         image read builds its key alone, and the window, the grid quiver's
-        lists and the elimination stay unbuilt until read."""
+        lists and the elimination stay unbuilt until read.  The truncation is
+        its own coalgebra."""
         params = validate_params(0, 0, 1, 0, 0, 0)
         tr = truncate_to_subcoalgebra(params, 50)
         certified = len(tr._built)
@@ -1055,30 +1056,57 @@ class TestLazyTruncation:
         for name in ("window", "iota", "images"):
             assert name not in vars(tr)
         assert not {"vertices", "vertex_set", "arrows", "arrow_by_id"} & set(vars(tr.quiver))
-        assert not {"basis", "_engine"} & set(vars(tr.coalgebra))
+        assert tr.coalgebra is tr and isinstance(tr, SubCoalgebra)
+        assert not {"basis", "_engine"} & set(vars(tr))
         with pytest.raises(WindowTooSmall, match=r"a\^51\*x\*y has no image"):
             tr.image_of(51, 0, 1, 1)
         assert tr.image_of(51, 0, 0, 0).terms == {Path("a51b0"): 1}  # an a-shift of W
 
     def test_grid_lookups_match_the_lists(self):
-        """Vertex and arrow lookups answered from the labels agree with the
-        lists, for labels in and around the box and malformed ones; two grid
-        quivers of one (m, n, radius) compare equal without their lists."""
+        """Arrow lookups answered from the ids agree with the lists, before
+        the lists are built and after, for ids in and around the box and
+        malformed ones; a lookup after the listing adds nothing to them, and
+        two grid quivers of one (m, n, radius) compare equal without them."""
         junk = ["", "a", "ab", "a1b", "a01b0", "a1b2b3", "b1a1", "x@", "x@a0b0b", 7, None, ("a0b0",)]
         for m, n, radius in [(0, 0, 2), (2, 0, 3), (3, 1, 2), (0, 3, 3), (2, -2, 2), (4, 2, 1)]:
             lazy, eager = grid_quiver(m, n, radius), reference_grid_quiver(m, n, radius)
-            assert lazy == grid_quiver(m, n, radius) and not vars(lazy).keys() & {"vertices", "arrows"}
+            assert lazy == grid_quiver(m, n, radius) and lazy.shape == (m, n, radius)
             labels = [grid_vertex_label(i, j) for i in range(-radius - 2, radius + 3)
                       for j in range(-radius - 2, radius + 3)]
-            for v in labels + junk:
-                assert bool(lazy._has_vertex(v)) == (v in eager.vertex_set), v
-                for aid in ([f"{x}@{v}" for x in "xyz"] if isinstance(v, str) else [v]):
+            ids = junk + [f"{x}@{v}" for v in labels + junk if isinstance(v, str) for x in "xyz"]
+            for listed in (False, True):
+                for aid in ids:
                     if aid in eager.arrow_by_id:
                         assert lazy.arrow(aid) == eager.arrow(aid)
                     else:
                         with pytest.raises(UnknownVertex):
                             lazy.arrow(aid)
-            assert lazy.to_json() == eager.to_json() and lazy == eager
+                assert bool(vars(lazy).keys() & {"vertices", "arrows", "arrow_by_id"}) is listed
+                assert lazy.to_json() == eager.to_json() and lazy == eager
+            assert lazy.arrow_by_id == eager.arrow_by_id
+
+    def test_image_validity_is_path_validity(self):
+        """`_image_of_key` decides its paths valid from the group pairs their
+        words pass.  On every key whose group part lies in a window's box,
+        or one step outside it, on all 129 windows, it gives the former
+        image, built through `Path.is_valid` on the eager grid quiver, or
+        raises InvalidDescription naming the key where that one raised; and
+        outside the box it raises."""
+        for params, radius, tr in oracle_grid():
+            m, n, box = tr.quiver.shape
+            eager = reference_grid_quiver(m, n, box)
+            for key in itertools.product(grid_window(m, n, box + 1), (0, 1), (0, 1)):
+                try:
+                    expected = reference_image_of_key(params, eager, key).terms
+                except InvalidDescription:
+                    expected = "invalid"
+                try:
+                    got = hopf._image_of_key(params, tr.quiver, key).terms
+                except InvalidDescription as error:
+                    got = "invalid"
+                    assert f"image of {hopf._fmt_key(key)} leaves" in str(error)
+                assert got == expected, key
+                assert max(map(abs, key[0])) <= box or isinstance(got, str), key
 
 
 class TestEmbeddingMutants:

@@ -977,6 +977,20 @@ class TestLinkComponent:
 
 
 class TestSerialization:
+    def test_mixed_label_types_are_refused(self):
+        """Vertex labels of two types, or arrow ids of two, are refused at
+        construction: `check_homogeneous` and `find_nondynkin_cover` sort
+        them, and raised TypeError on this quiver.  One type each, ints
+        included, stays valid."""
+        with pytest.raises(InvalidDescription, match="one type"):
+            Quiver(["a", 1, "b"], [("p", "a", 1), (2, 1, "a"), ("r", "a", "b")])
+        with pytest.raises(InvalidDescription, match="one type"):
+            Quiver(["a", "b"], [("p", "a", "b"), (2, "b", "a")])
+        assert check_homogeneous(Quiver(range(3), [("p", 0, 1), ("q", 1, 2), ("r", 2, 0)]))[
+            "is_homogeneous"]
+        assert find_nondynkin_cover(Quiver(range(2), [("p", 0, 1), ("q", 0, 1)]), 2)
+        assert Quiver(["a", "b"], [(0, "a", "b"), (1, "b", "a")]).arrow(1) == (1, "b", "a")
+
     def test_text_format(self):
         q = Quiver.from_text("# two vertices\nv 1\nv 2\n\na al 1 2\n  a be 2 2\n")
         assert q.vertices == ["1", "2"]
