@@ -400,11 +400,7 @@ class GraphClass:
     def __eq__(self, other):
         if not isinstance(other, GraphClass):
             return NotImplemented
-        return (self.kind, self.family, self.index) == (
-            other.kind,
-            other.family,
-            other.index,
-        )
+        return (self.kind, self.family, self.index) == (other.kind, other.family, other.index)
 
     def __hash__(self):
         return hash((self.kind, self.family, self.index))
@@ -526,48 +522,52 @@ def find_nondynkin_cover(qtarget, size_bound):
     I with C's edges and no more vertices; I = C, or |E| >= |V(C)| - 1 >=
     |V(I)| forces a cycle or a parallel edge in I, so I is non-Dynkin if C is.
 
-    A state is its cover arrows (target arrow id, source, sink), sorted, and
-    its copies by first appearance, cover vertex i over copy i.  Breadth-first
-    from the single arrows, a state grows by each unused target arrow, in
-    sorted order, that meets a held copy, appending the other copy if it is
-    not held and the bound allows.  A state is keyed by its arrow ids and
-    tested when queued: the first non-Dynkin state queued is returned."""
+    A state is its cover arrows (target arrow id, source, sink), its copies
+    by first appearance, cover vertex i over copy i, and their degrees; its
+    key is the bitmask of its arrows' indices among the sorted target arrows.
+    Breadth-first from the single arrows, a state grows by each unused target
+    arrow, in sorted order, that meets a held copy, appending the other copy
+    if it is not held and the bound allows.  Each new key is tested at once,
+    and the first non-Dynkin state is returned, its arrows sorted by id.
+
+    So a queued state is Dynkin, a tree, and the test is incremental.  A
+    growth between two held copies has |E| = |V|: a cycle or a parallel edge.
+    Else it adds a leaf and raises its held end's degree.  A tree of degrees
+    <= 2 is A_n.  A vertex of degree >= 4 and four neighbours form a D~4; two
+    of degree 3, the path between them and two more neighbours of each form
+    a D~n; a graph holding a Euclidean one is not Dynkin.  Only a tree with
+    one vertex of degree 3 goes to `_underlying_class`, for the arm rule."""
     if size_bound < 2:  # every state holds an arrow, so two vertices
         return None
-    ends = [(aid, (src, "+"), (dst, "-")) for aid, src, dst in sorted(qtarget.arrows)]
-    queue, seen = deque(), set()
-
-    def states():  # single arrows, then the growths of each queued state
-        for aid, s, t in ends:
-            yield ((aid, 0, 1),), (s, t)
-        while queue:
-            cover_arrows, copies = queue.popleft()
-            index = {c: i for i, c in enumerate(copies)}
-            used = {aid for aid, _, _ in cover_arrows}
-            new = len(copies)  # the index of an appended copy
-            for aid, s, t in ends:
-                u, w = index.get(s, new), index.get(t, new)
-                # u == w only when the arrow meets no copy the state holds
-                if aid in used or u == w or new in (u, w) and new == size_bound:
-                    continue
-                grown = copies + ((s,) if u == new else (t,) if w == new else ())
-                yield tuple(sorted(cover_arrows + ((aid, u, w),))), grown
-
-    for cover_arrows, copies in states():
-        key = tuple(aid for aid, _, _ in cover_arrows)
-        if key in seen:
-            continue
-        seen.add(key)
-        # connected and loopless, so |E| >= |V| means a cycle or a parallel edge
-        if len(cover_arrows) >= len(copies) or not _underlying_class(
-                range(len(copies)), [(u, w) for _, u, w in cover_arrows]).is_dynkin:
-            cover = Quiver([f"v{i}" for i in range(len(copies))],
-                           [(f"{aid}#{i}", f"v{u}", f"v{w}")
-                            for i, (aid, u, w) in enumerate(cover_arrows)])
-            return cover, QuiverMorphism(
-                cover, qtarget, {f"v{i}": v for i, (v, _) in enumerate(copies)},
-                {f"{aid}#{i}": aid for i, (aid, _, _) in enumerate(cover_arrows)})
-        queue.append((cover_arrows, copies))
+    ends = [(1 << i, aid, (src, "+"), (dst, "-"))
+            for i, (aid, src, dst) in enumerate(sorted(qtarget.arrows))]
+    queue = deque((bit, ((aid, 0, 1),), (s, t), (1, 1), False) for bit, aid, s, t in ends)
+    seen = {bit for bit, _, _, _ in ends}
+    while queue:
+        mask, cover_arrows, copies, degrees, branched = queue.popleft()
+        index = {c: i for i, c in enumerate(copies)}
+        new = len(copies)  # the index of an appended copy
+        for bit, aid, s, t in ends:
+            u, w = index.get(s, new), index.get(t, new)
+            # u == w only when the arrow meets no copy the state holds
+            if mask & bit or u == w or new in (u, w) and new == size_bound or mask | bit in seen:
+                continue
+            seen.add(mask | bit)
+            held = min(u, w)  # the held end of a leaf, whose degree rises
+            d = degrees[held] + 1
+            grown = cover_arrows + ((aid, u, w),)
+            grown_copies = copies + ((s,) if u == new else (t,) if w == new else ())
+            if new not in (u, w) or d > 3 or d == 3 and branched or (d == 3 or branched) and not \
+                    _underlying_class(range(new + 1), [(p, q) for _, p, q in grown]).is_dynkin:
+                grown = sorted(grown)
+                cover = Quiver([f"v{i}" for i in range(len(grown_copies))],
+                               [(f"{aid}#{i}", f"v{u}", f"v{w}")
+                                for i, (aid, u, w) in enumerate(grown)])
+                return cover, QuiverMorphism(
+                    cover, qtarget, {f"v{i}": v for i, (v, _) in enumerate(grown_copies)},
+                    {f"{aid}#{i}": aid for i, (aid, _, _) in enumerate(grown)})
+            queue.append((mask | bit, grown, grown_copies,
+                          degrees[:held] + (d,) + degrees[held + 1:] + (1,), branched or d == 3))
     return None
 
 

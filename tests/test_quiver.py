@@ -689,13 +689,6 @@ def reference_graph_class(quiver):
     return reference_underlying_class(quiver.vertices, [(s, t) for _, s, t in quiver.arrows])
 
 
-def reference_on_cover(vertices, edges):
-    """`reference_graph_class` in the classifier's place: the partial cover
-    built as a `Quiver`."""
-    q = Quiver(list(vertices), [(f"c{i}", u, w) for i, (u, w) in enumerate(edges)])
-    return reference_graph_class(q)
-
-
 def prufer_tree(seq):
     """Edges of the labelled tree on 0..len(seq)+1 with Prufer sequence seq."""
     n = len(seq) + 2
@@ -848,22 +841,23 @@ def cover_json(found):
 
 
 class TestCoverAnswerIdentity:
-    """The arm-rule classifier returns the covers the former table did."""
+    """The incremental Dynkin test and the arm rule return the covers of the
+    former search classifying every state by the former table."""
 
-    def test_covers_and_morphisms_unchanged(self, monkeypatch):
+    def test_covers_and_morphisms_unchanged(self):
         rng = random.Random(28)
         cases = [(square_with_loops(), bound) for bound in (4, 5, 6)]
         cases += [(random_target(rng), rng.randint(4, 6)) for _ in range(1500)]
         got = [cover_json(find_nondynkin_cover(q, bound)) for q, bound in cases]
-        monkeypatch.setattr(quiver_module, "_underlying_class", reference_on_cover)
-        expected = [cover_json(find_nondynkin_cover(q, bound)) for q, bound in cases]
+        expected = [cover_json(former_find_nondynkin_cover(q, bound, reference_underlying_class))
+                    for q, bound in cases]
         assert got == expected
         assert any(g is not None for g in got) and any(g is None for g in got)
 
 
-def former_find_nondynkin_cover(qtarget, size_bound):
+def former_find_nondynkin_cover(qtarget, size_bound, classify=_underlying_class):
     """The former cover search: a state keyed by its renumbered arrows and
-    its images, tested when it leaves the queue."""
+    its images, tested by `classify` when it leaves the queue."""
     if size_bound < 2:
         return None
     target_arrows = sorted(qtarget.arrows)
@@ -885,7 +879,7 @@ def former_find_nondynkin_cover(qtarget, size_bound):
     while queue:
         cover_arrows, images = queue.popleft()
         vertices = range(len(images))
-        if len(cover_arrows) >= len(images) or not _underlying_class(
+        if len(cover_arrows) >= len(images) or not classify(
                 vertices, [(u, w) for _, u, w in cover_arrows]).is_dynkin:
             cover = Quiver([f"v{i}" for i in vertices],
                            [(f"{aid}#{i}", f"v{u}", f"v{w}")
@@ -959,6 +953,55 @@ class TestCoverSearchOrder:
             assert got is not None
 
 
+
+class TestIncrementalDynkinTest:
+    """The cover search classifies only the trees with one vertex of degree
+    3; it decides paths, cycles, parallel edges and the other trees itself."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = []
+
+        def counted(vertices, edges):
+            degrees = Counter(v for e in edges for v in e)
+            assert len(edges) == len(vertices) - 1 and max(degrees.values()) == 3 \
+                and Counter(degrees.values())[3] == 1, edges
+            calls.append(len(vertices))
+            return _underlying_class(vertices, edges)
+
+        monkeypatch.setattr(quiver_module, "_underlying_class", counted)
+        return calls
+
+    def test_paths_and_the_hexagon_are_not_classified(self, monkeypatch):
+        # the separated quiver of the square with loops is a hexagon, so
+        # every state is a path until the one that closes it
+        calls = self.count_calls(monkeypatch)
+        assert find_nondynkin_cover(square_with_loops(), 6) is not None
+        rng = random.Random(13)
+        for _ in range(200):
+            q = relabelled_square_with_loops(rng)
+            for bound in (5, 6, 7):
+                find_nondynkin_cover(q, bound)
+        assert calls == []
+
+    def test_only_one_branch_trees_are_classified(self, monkeypatch):
+        # random trees, each arrow leaving its end at even depth: the
+        # separated quiver holds the tree, so the search meets trees with a
+        # vertex of degree 4 and trees with two of degree 3
+        calls = self.count_calls(monkeypatch)
+        rng = random.Random(48)
+        covers = [find_nondynkin_cover(star_target(STAR_ARMS["E~6"]), 7)]
+        assert calls and max(calls) == 7  # the star itself went to the arm rule
+        for _ in range(300):
+            n, depth, arrows = rng.randint(5, 9), [0], []
+            for v in range(1, n):
+                p = rng.randrange(v)
+                depth.append(depth[p] + 1)
+                arrows.append((f"e{v}", p, v) if depth[p] % 2 == 0 else (f"e{v}", v, p))
+            covers.append(find_nondynkin_cover(Quiver(range(n), arrows), n))
+        monkeypatch.undo()
+        found = Counter(str(graph_class(cover)) for cover, _ in filter(None, covers))
+        assert found["D~4"] and found["D~5"] and found["E~6"], found
 
 class TestLinkComponent:
     def test_cases(self):
