@@ -40,12 +40,6 @@ from .quiver import Path, Quiver
 from .scalar import cyc, parse_scalar
 
 
-def _fmt_path(path):
-    if path.length == 0:
-        return f"e_{path.start}"
-    return f"({'|'.join(path.arrows)})"
-
-
 class CoElement(SparseElement):
     """A sparse linear combination of paths in a fixed ambient quiver.  A
     coefficient is stored as `bare` gives it (a CycScalar only if irrational);
@@ -54,7 +48,7 @@ class CoElement(SparseElement):
     __slots__ = ()
     mismatch = AmbientMismatch
     quiver = property(attrgetter("ambient"))
-    _format_key = staticmethod(_fmt_path)
+    _format_key = staticmethod(str)
 
     def support(self):
         return sorted(self.terms)
@@ -133,25 +127,33 @@ class Diamond:
         return f"Diamond({self.element}, {self.source}->{self.sink})"
 
 
+def _eliminate(quiver, basis):
+    """An engine of the basis, tagged 0, 1, ...; raises on a zero element,
+    one in another quiver, or a dependent one."""
+    engine = SparseBasis(coords=True)
+    for i, b in enumerate(basis):
+        if b.is_zero():
+            raise InvalidDescription("zero element in basis")
+        if b.quiver != quiver:
+            raise AmbientMismatch("basis element in wrong quiver")
+        if not engine.add(dict(b.terms), i):
+            raise InvalidDescription("basis is linearly dependent")
+    return engine
+
+
 class SubCoalgebra:
     """A finite-dimensional subcoalgebra of a path coalgebra, given by a basis.
 
-    Closure under comultiplication and presence of the relevant grouplikes are
-    verified eagerly at construction.
+    The basis is eliminated at construction (`_eliminate`); with `validate`,
+    closure under comultiplication and the grouplikes are verified too.
     """
+
+    _diamonds = None
 
     def __init__(self, quiver, basis, validate=True):
         self.quiver = quiver
         self.basis = list(basis)
-        self._engine = SparseBasis(coords=True)
-        for i, b in enumerate(self.basis):
-            if b.is_zero():
-                raise InvalidDescription("zero element in basis")
-            if b.quiver != quiver:
-                raise AmbientMismatch("basis element in wrong quiver")
-            if not self._engine.add(dict(b.terms), i):
-                raise InvalidDescription("basis is linearly dependent")
-        self._diamonds = None
+        self._engine = _eliminate(quiver, self.basis)
         if validate:
             self._validate()
 
@@ -199,7 +201,7 @@ class SubCoalgebra:
         return {
             "quiver": self.quiver.to_json(),
             "basis": [
-                [[_fmt_path(p), str(b.terms[p])] for p in b.support()] for b in self.basis
+                [[str(p), str(b.terms[p])] for p in b.support()] for b in self.basis
             ],
         }
 
@@ -268,16 +270,11 @@ def diamond_basis(coalg):
     engine = SparseBasis(coords=True)
     for key in sorted(blocks):
         u, v = key
-        if u == v:
-            e_v = grouplike(quiver, v)
-            if coalg.contains(e_v):
-                if engine.add(dict(e_v.terms), len(diamonds)):
-                    diamonds.append(Diamond(e_v, v, v))
-                members = [c - e_v * c.counit() for c in blocks[key]]
-            else:
-                members = blocks[key]
-        else:
-            members = blocks[key]
+        members, e_v = blocks[key], CoElement(quiver, {Path(v): 1})  # v ends a path: a vertex
+        if u == v and coalg.contains(e_v):
+            if engine.add(dict(e_v.terms), len(diamonds)):
+                diamonds.append(Diamond(e_v, v, v))
+            members = [c - e_v * c.counit() for c in members]
         for comp in members:
             if not comp.is_zero() and engine.add(dict(comp.terms), len(diamonds)):
                 diamonds.append(Diamond(comp, u, v))

@@ -18,7 +18,9 @@ by central Hopf ideals are the B(m, n), and is specialized per query.
 The module also embeds finite windows of the basis into the grid path
 coalgebra (vertices = canonical group elements), certifies that the embedding
 is an injective coalgebra map, and answers path-membership queries there off
-the certified images, without elimination.
+the certified images, without elimination.  A window (`Truncation`) and its
+grid quiver build each part, a cached attribute, when first read, and an
+image records its arrows in the quiver as it is built.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 from fractions import Fraction
 from operator import attrgetter, le
 
-from .coalgebra import CoElement, SubCoalgebra
+from .coalgebra import CoElement, SubCoalgebra, _eliminate
 from .errors import (
     AxiomFailure,
     ConstraintViolation,
@@ -636,9 +638,10 @@ class Truncation(SubCoalgebra):
     """A finite window of the Hopf algebra realized inside the grid path
     coalgebra, and its own coalgebra: the smallest closed subcoalgebra
     containing the window images, the SubCoalgebra of iota's images.  Only
-    what is read is built: `image_of` builds one image, once; `window`,
-    `iota` and `images` are each built in one pass when first read, and the
-    elimination on the first read of `basis` (`contains`, `dim`, ...).
+    what is read is built, each part a cached attribute: `image_of` builds
+    one image, once, through `_image`, as `iota` builds all of them;
+    `window`, `iota`, `images`, `basis` (iota's images) and `_engine` (their
+    elimination, on the first `contains` or `coords`) each when first read.
 
     iota: basis key -> certified image for every key of the basis, the
     boundary keys that close it under Delta included;
@@ -655,11 +658,13 @@ class Truncation(SubCoalgebra):
         self._built, self._owner = {}, {}
         self._compared = _certify_embedding(params, self._image)
 
-    def __getattr__(self, name):  # basis, _engine, _diamonds: eliminate iota's images
-        if name not in ("basis", "_engine", "_diamonds"):
-            raise AttributeError(name)
-        SubCoalgebra.__init__(self, self.quiver, self.iota.values(), validate=False)
-        return getattr(self, name)
+    @functools.cached_property
+    def basis(self):
+        return list(self.iota.values())
+
+    @functools.cached_property
+    def _engine(self):
+        return _eliminate(self.quiver, self.basis)
 
     @property
     def coalgebra(self):
@@ -706,11 +711,7 @@ class Truncation(SubCoalgebra):
 
     @functools.cached_property
     def iota(self):
-        built, params, quiver = self._built, self.params, self.quiver
-        quiver.arrows  # later reads look arrows up: list them at once, not one by one
-        self._built = {key: built.get(key) or _image_of_key(params, quiver, key)
-                       for key in self._keys()}
-        return self._built
+        return {key: self._image(key) for key in self._keys()}
 
     @functools.cached_property
     def images(self):
@@ -733,19 +734,25 @@ def _image_of_key(params, quiver, key):
     and for xy the combination xy - lam*yx.  From a canonical g, its paths
     are valid (`Path.is_valid`) iff the group pairs their words pass lie in
     the grid quiver's box, since an arrow is there iff its ends are: g, and
-    canon(g + a) for x, canon(g + b) for y, all three with canon(g + ab) for xy."""
+    canon(g + a) for x, canon(g + b) for y, all three with canon(g + ab) for xy.
+    It records each arrow of a valid image, (id, source, target), in the grid
+    quiver's `_found`, so looking it up lists no window."""
     (i, j), p, q = key
     canon, g = params.canon, grid_vertex_label(i, j)
     if p and q:
-        ga, gb = canon(i + 1, j), canon(i, j + 1)
-        terms = {Path(g, (f"x@{g}", f"y@{grid_vertex_label(*ga)}")): 1,
-                 Path(g, (f"y@{g}", f"x@{grid_vertex_label(*gb)}")): -params._lam}
-        passed = ga + gb + canon(i + 1, j + 1)
+        ga, gb, gab = canon(i + 1, j), canon(i, j + 1), canon(i + 1, j + 1)
+        a, b, ab = grid_vertex_label(*ga), grid_vertex_label(*gb), grid_vertex_label(*gab)
+        arrows = ((f"x@{g}", g, a), (f"y@{a}", a, ab), (f"y@{g}", g, b), (f"x@{b}", b, ab))
+        terms = {Path(g, (f"x@{g}", f"y@{a}")): 1, Path(g, (f"y@{g}", f"x@{b}")): -params._lam}
+        passed = ga + gb + gab
     else:
-        terms = {Path(g, (f"x@{g}",) * p + (f"y@{g}",) * q): 1}
         passed = canon(i + p, j + q) if p or q else ()
+        arrows = [(f"{'xy'[q]}@{g}", g, grid_vertex_label(*passed))] if passed else []
+        terms = {Path(g, [aid for aid, _, _ in arrows]): 1}
     if max(map(abs, (i, j) + passed)) > quiver.shape[2]:
         raise InvalidDescription(f"the image of {_fmt_key(key)} leaves the grid quiver")
+    for arrow in arrows:
+        quiver._found[arrow[0]] = arrow
     return CoElement(quiver, terms)
 
 

@@ -10,9 +10,10 @@ non-Dynkin covers.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter, deque
 from itertools import product
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import (
     Disconnected,
@@ -267,16 +268,21 @@ def grid_quiver(m, n, radius):
 
 
 class _GridQuiver(Quiver):
-    """A `grid_quiver` of `shape` (m, n, radius).  It answers arrow lookups
-    from the ids, remembering each, until its lists are first read: then it
-    builds them, and its memo is `arrow_by_id`."""
+    """A `grid_quiver` of `shape` (m, n, radius).  `arrow` answers the arrows
+    `hopf._image_of_key` records in `_found` as it builds images; any other
+    lookup, and `vertices`, `vertex_set`, `arrows` and `arrow_by_id`, read
+    `_listing`, the whole window listed once as a plain `Quiver`."""
+
+    vertices = property(attrgetter("_listing.vertices"))
+    vertex_set = property(attrgetter("_listing.vertex_set"))
+    arrows = property(attrgetter("_listing.arrows"))
+    arrow_by_id = property(attrgetter("_listing.arrow_by_id"))
 
     def __init__(self, m, n, radius):
         self.shape, self._found = (m, n, radius), {}
 
-    def __getattr__(self, name):  # vertices, vertex_set, arrows, arrow_by_id
-        if name not in ("vertices", "vertex_set", "arrows", "arrow_by_id"):
-            raise AttributeError(name)
+    @functools.cached_property
+    def _listing(self):
         m, n, radius = self.shape
         label = {g: grid_vertex_label(*g) for g in grid_window(m, n, radius)}
         arrows = []
@@ -287,24 +293,10 @@ class _GridQuiver(Quiver):
             w = label.get(group_canonical_pair(m, n, i, j + 1))
             if w:
                 arrows.append(("y@" + v, v, w))
-        Quiver.__init__(self, list(label.values()), arrows)
-        self._found = self.arrow_by_id
-        return getattr(self, name)
+        return Quiver(list(label.values()), arrows)
 
     def arrow(self, aid):
-        if aid not in self._found:  # x@v and y@v go to canon(v + a) and canon(v + b)
-            m, n, radius = self.shape
-            try:
-                g = tuple(map(int, aid[3:].split("b"))) if aid[:3] in ("x@a", "y@a") else ()
-            except (TypeError, ValueError):
-                g = ()
-            t = len(g) == 2 and group_canonical_pair(
-                m, n, g[0] + (aid[0] == "x"), g[1] + (aid[0] == "y"))
-            if not t or grid_vertex_label(*g) != aid[2:] or group_canonical_pair(m, n, *g) != g \
-                    or max(map(abs, g + t)) > radius:
-                raise UnknownVertex(f"unknown arrow id {aid!r}")
-            self._found[aid] = (aid, aid[2:], grid_vertex_label(*t))
-        return self._found[aid]
+        return self._found.get(aid) or self._listing.arrow(aid)
 
     def __eq__(self, other):
         if self is other or isinstance(other, _GridQuiver) and self.shape == other.shape:

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pathcoalg import classify, hopf, linalg
+from pathcoalg import quiver as quiver_module
 from pathcoalg.classify import IsoWitness, are_isomorphic, canonical_form, verify_witness
 from pathcoalg.coalgebra import (
     CoElement,
     coradical_filtration,
+    diamond_basis,
     ext_quiver,
     path_element,
     skew_primitives,
@@ -947,6 +949,13 @@ def certified_window(index, radius):
 # -- the eager truncation: the oracle for the lazy one ------------------------
 
 
+def forbid_listing(monkeypatch):
+    """Make listing the window of any grid quiver fail the test."""
+    def listing(m, n, radius):
+        raise AssertionError(f"the grid window {(m, n, radius)} was listed")
+    monkeypatch.setattr(quiver_module, "grid_window", listing)
+
+
 def reference_grid_quiver(m, n, radius):
     """The former `grid_quiver`, its lists built at once."""
     coords = grid_window(m, n, radius)
@@ -1055,35 +1064,65 @@ class TestLazyTruncation:
         assert len(tr._built) == certified + 1
         for name in ("window", "iota", "images"):
             assert name not in vars(tr)
-        assert not {"vertices", "vertex_set", "arrows", "arrow_by_id"} & set(vars(tr.quiver))
+        assert "_listing" not in vars(tr.quiver)
         assert tr.coalgebra is tr and isinstance(tr, SubCoalgebra)
         assert not {"basis", "_engine"} & set(vars(tr))
         with pytest.raises(WindowTooSmall, match=r"a\^51\*x\*y has no image"):
             tr.image_of(51, 0, 1, 1)
         assert tr.image_of(51, 0, 0, 0).terms == {Path("a51b0"): 1}  # an a-shift of W
 
-    def test_grid_lookups_match_the_lists(self):
-        """Arrow lookups answered from the ids agree with the lists, before
-        the lists are built and after, for ids in and around the box and
-        malformed ones; a lookup after the listing adds nothing to them, and
-        two grid quivers of one (m, n, radius) compare equal without them."""
+    def test_grid_lookups_match_the_lists(self, monkeypatch):
+        """A grid quiver answers the arrows its images recorded as the eager
+        quiver does, without listing its window, and two grid quivers of one
+        (m, n, radius) compare equal unlisted.  Any other id, in or around
+        the box or malformed, answers as the eager quiver does, on a quiver
+        with records and on a fresh one; so do the lists."""
         junk = ["", "a", "ab", "a1b", "a01b0", "a1b2b3", "b1a1", "x@", "x@a0b0b", 7, None, ("a0b0",)]
-        for m, n, radius in [(0, 0, 2), (2, 0, 3), (3, 1, 2), (0, 3, 3), (2, -2, 2), (4, 2, 1)]:
-            lazy, eager = grid_quiver(m, n, radius), reference_grid_quiver(m, n, radius)
-            assert lazy == grid_quiver(m, n, radius) and lazy.shape == (m, n, radius)
-            labels = [grid_vertex_label(i, j) for i in range(-radius - 2, radius + 3)
-                      for j in range(-radius - 2, radius + 3)]
+        for (m, n), radius in itertools.product(ORACLE_PAIRS, (1, 2)):
+            params = validate_params(m, n, 1, 0, 0, 0)
+            with monkeypatch.context() as patch:
+                forbid_listing(patch)
+                tr = truncate_to_subcoalgebra(params, radius)
+                lazy, box = tr.quiver, tr.quiver.shape[2]
+                eager = reference_grid_quiver(m, n, box)
+                recorded = {a for img in tr.iota.values() for p in img.terms for a in p.arrows}
+                assert recorded and all(lazy.arrow(a) == eager.arrow(a) for a in recorded)
+                assert lazy == grid_quiver(m, n, box) and lazy.shape == (m, n, box)
+            labels = [grid_vertex_label(i, j) for i in range(-box - 2, box + 3)
+                      for j in range(-box - 2, box + 3)]
             ids = junk + [f"{x}@{v}" for v in labels + junk if isinstance(v, str) for x in "xyz"]
-            for listed in (False, True):
+            for quiver in (lazy, grid_quiver(m, n, box)):
                 for aid in ids:
                     if aid in eager.arrow_by_id:
-                        assert lazy.arrow(aid) == eager.arrow(aid)
+                        assert quiver.arrow(aid) == eager.arrow(aid)
                     else:
                         with pytest.raises(UnknownVertex):
-                            lazy.arrow(aid)
-                assert bool(vars(lazy).keys() & {"vertices", "arrows", "arrow_by_id"}) is listed
-                assert lazy.to_json() == eager.to_json() and lazy == eager
-            assert lazy.arrow_by_id == eager.arrow_by_id
+                            quiver.arrow(aid)
+                assert quiver.to_json() == eager.to_json() and quiver == eager
+                assert quiver.arrow_by_id == eager.arrow_by_id
+                assert quiver.vertex_set == eager.vertex_set
+
+    def test_window_reads_list_no_window(self, monkeypatch):
+        """On all 129 windows, a fresh truncation's images, Ext-quiver,
+        diamond basis and membership answers equal the eager build's, and
+        none of them lists the grid quiver's window."""
+        for params, radius, _ in oracle_grid():
+            ref = reference_truncation(params, radius)
+            probes = list(ref.iota.values())  # in the span, and paths and sums that may not be
+            probes += [CoElement(ref.quiver, {min(img.terms): 1})
+                       for img in ref.images.values() if len(img.terms) == 2]
+            probes += [a + b for a, b in zip(probes, probes[1:])]
+            with monkeypatch.context() as patch:
+                forbid_listing(patch)
+                tr = truncate_to_subcoalgebra(params, radius)
+                assert {k: v.terms for k, v in tr.images.items()} == {
+                    k: v.terms for k, v in ref.images.items()}
+                assert ext_quiver(tr).to_json() == ext_quiver(ref.coalgebra).to_json()
+                assert [(str(d.element), d.source, d.sink) for d in diamond_basis(tr)] == [
+                    (str(d.element), d.source, d.sink) for d in diamond_basis(ref.coalgebra)]
+                contained = [tr.contains(CoElement(tr.quiver, e.terms)) for e in probes]
+                assert contained == [ref.coalgebra.contains(e) for e in probes]
+            assert True in contained and False in contained
 
     def test_image_validity_is_path_validity(self):
         """`_image_of_key` decides its paths valid from the group pairs their

@@ -135,3 +135,16 @@ def unreached_public_names():
 def test_every_public_name_is_reached():
     unreached = unreached_public_names()
     assert not unreached, f"public names that nothing outside their unit tests reaches: {unreached}"
+
+
+def test_no_class_defines_getattr():
+    """A lazy attribute is a descriptor such as `functools.cached_property`,
+    not a `__getattr__` hook, which slows every attribute read of its class."""
+    def names(stmt):
+        if isinstance(stmt, ast.FunctionDef):
+            return {stmt.name}
+        return {t.id for t in getattr(stmt, "targets", ()) if isinstance(t, ast.Name)}
+    hooks = [f"{path.stem}.{node.name}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)
+             and any("__getattr__" in names(stmt) for stmt in node.body)]
+    assert not hooks, f"classes with a __getattr__ hook: {hooks}"
