@@ -35,7 +35,7 @@ from .errors import (
     PathcoalgError,
     UnknownVertex,
 )
-from .linalg import SparseBasis, SparseElement, accumulate, axpy, nullspace, tensor_axpy
+from .linalg import SparseBasis, SparseElement, accumulate, axpy, tensor_axpy
 from .quiver import Path, Quiver
 from .scalar import cyc, parse_scalar
 
@@ -284,47 +284,21 @@ def diamond_basis(coalg):
     return diamonds
 
 
-def _solve_combination(coalg, candidates, condition):
-    """Find all combinations x = sum c_i candidates_i with condition(x) == {}.
-
-    condition maps a CoElement to a sparse dict; must be linear.  Returns the
-    list of solution CoElements (a basis of the solution space)."""
-    rows = {}
-    for i, cand in enumerate(candidates):
-        for k, c in condition(cand).items():
-            rows.setdefault(k, {})[i] = c
-    sols = (CoElement.combination(coalg.quiver, c, candidates)
-            for c in nullspace(rows.values(), len(candidates)))
-    return [x for x in sols if not x.is_zero()]
-
-
 def skew_primitives(coalg, g, h):
-    """Basis of P(g,h) = {x : delta(x) = e_g (x) x + x (x) e_h}."""
+    """Basis of P(g,h) = {x : delta(x) = e_g (x) x + x (x) e_h}: e_g - e_h when
+    g != h, then each `_rows_by_length` row pivoting on an arrow g -> h, by
+    the proof `ext_quiver` counts them with.  Such a row is its own (g,
+    h)-block: C is the sum of its blocks, whose supports are disjoint, so a
+    fully reduced row lies in one.  Raises NotGrouplike unless e_g and e_h
+    lie in C, and NotPointed as `coradical_filtration`."""
+    levels = _rows_by_length(coalg)
+    grouplikes = {p.start for p, _ in levels[0]}
     for v in (g, h):
-        if v not in coalg.quiver.vertex_set:
-            raise NotGrouplike(f"{v!r} is not a vertex of the ambient quiver")
-    e_g = grouplike(coalg.quiver, g)
-    e_h = grouplike(coalg.quiver, h)
-    if not coalg.contains(e_g):
-        raise NotGrouplike(f"{g!r} is not grouplike in the subcoalgebra")
-    if not coalg.contains(e_h):
-        raise NotGrouplike(f"{h!r} is not grouplike in the subcoalgebra")
-    pg, ph = Path(g), Path(h)
-    # solutions live in span(e_g, e_h) + the (g, h) bidegree block
-    candidates = [e_g] + ([] if g == h else [e_h])
-    for d in diamond_basis(coalg):
-        if d.source == g and d.sink == h and d.element.terms.get(Path(g)) is None:
-            if not (g == h and d.element == e_g):
-                candidates.append(d.element)
-
-    def condition(x):
-        out = dict(x.delta_dict())
-        for p, c in x.terms.items():
-            accumulate(out, (pg, p), -c)
-            accumulate(out, (p, ph), -c)
-        return out
-
-    return _solve_combination(coalg, candidates, condition)
+        if v not in grouplikes:
+            raise NotGrouplike(f"{v!r} is not grouplike in the subcoalgebra")
+    quiver = coalg.quiver
+    basis = [] if g == h else [CoElement(quiver, {Path(g): 1, Path(h): -1})]
+    return basis + [row for p, row in levels.get(1, ()) if (p.start, p.target(quiver)) == (g, h)]
 
 
 def _rows_by_length(coalg):

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,6 @@ from pathcoalg.coalgebra import (
     Diamond,
     DualAlgebra,
     SubCoalgebra,
-    _solve_combination,
     coradical_filtration,
     diamond_basis,
     dualize,
@@ -42,7 +42,7 @@ from pathcoalg.errors import (
     ParseError,
 )
 from pathcoalg.hopf import truncate_to_subcoalgebra, validate_params
-from pathcoalg.linalg import SparseBasis, accumulate, axpy, nullspace
+from pathcoalg.linalg import SparseBasis, axpy
 from pathcoalg.quiver import (
     Path,
     Quiver,
@@ -54,6 +54,19 @@ from pathcoalg.quiver import (
     quotient,
 )
 from pathcoalg.scalar import ONE, ZERO, CycScalar, cyc
+from reference import (
+    former_apply,
+    grouplikes,
+    reference_coradical_filtration,
+    reference_dualize,
+    reference_ext_quiver,
+    reference_localize,
+    reference_radical_basis,
+    reference_separability,
+    reference_skew_primitives,
+    skew_condition,
+    solve_combination,
+)
 
 
 def square_tilde():
@@ -296,6 +309,13 @@ class TestDiamondBasis:
         assert all(c.contains(d.element) for d in db)
 
 
+def assert_same_span(got, want):
+    """Both lists are independent and span one space."""
+    span = SparseBasis()
+    assert all(span.add(dict(x.terms)) for x in want)
+    assert len(got) == span.dim and all(span.contains(x.terms) for x in got)
+
+
 class TestSkewPrimitives:
     def test_grid_arrow_space(self):
         q = grid_quiver(0, 0, 1)
@@ -322,27 +342,16 @@ class TestSkewPrimitives:
             skew_primitives(c, "1", "zzz")
 
     def test_against_full_solve(self):
-        # oracle: solve the defining linear system over the whole coalgebra
+        # oracle: the defining linear system solved over the whole coalgebra
+        window = truncate_to_subcoalgebra(validate_params(2, 0, -1, 1, 0, 0), 1).coalgebra
         for c, pairs in (
             (two_loop_subcoalgebra(), [("1", "1"), ("1", "2"), ("2", "2")]),
             (path_coalgebra(grid_quiver(1, 0, 1), 2), [("a0b0", "a0b0"), ("a0b0", "a0b1")]),
+            (window, [("a0b0", "a0b0"), ("a0b0", "a1b0"), ("a0b0", "a1b1"), ("a1b0", "a0b0")]),
         ):
             for g, h in pairs:
-                pg, ph = Path(g), Path(h)
-
-                def condition(x):
-                    out = dict(x.delta_dict())
-                    for p, coeff in x.terms.items():
-                        for key in ((pg, p), (p, ph)):
-                            val = out.get(key, ZERO) - coeff
-                            if val == 0:
-                                out.pop(key, None)
-                            else:
-                                out[key] = val
-                    return out
-
-                full = _solve_combination(c, c.basis, condition)
-                assert len(skew_primitives(c, g, h)) == len(full)
+                assert_same_span(skew_primitives(c, g, h),
+                                 solve_combination(c, c.basis, skew_condition(g, h)))
 
 
 class TestExtQuiver:
@@ -417,7 +426,7 @@ class TestCovering:
             "witness": ["1*(a)", "1*(b)"]}
         with pytest.raises(NotACovering):
             separability_check(pi)
-        assert dense_separability(pi) is False
+        assert reference_separability(pi) is False
 
     def test_image_must_cover_the_codomain_basis(self):
         # the inclusion of the arrows of 1 -> 2 -> 3 into its paths misses (a|b)
@@ -541,15 +550,6 @@ class TestQuotientCovering:
         assert separability_check(pi)
 
 
-def former_apply(pi, element):
-    """The former `CoalgebraMap.apply`: the coordinates boxed by
-    `SubCoalgebra.coords`, then unboxed again by `CoElement.combination`."""
-    coords = pi.domain.coords(element)
-    if coords is None:
-        raise InvalidMorphism("element outside the domain")
-    return CoElement.combination(pi.codomain.quiver, coords, pi.images)
-
-
 def z4_scaled_map():
     """A map of the two-loop subcoalgebra into itself that scales the basis
     by z4 and -3/2 in turn."""
@@ -621,95 +621,6 @@ class TestDualAlgebra:
     def test_separability_example(self):
         _, _, pi = covering_example()
         assert separability_check(pi)
-
-
-class DenseView:
-    """Dense vectors (lists indexed by basis number) over a `DualAlgebra`'s
-    structure cells, for the dense references below."""
-
-    def __init__(self, alg):
-        self.dim = alg.dim
-        self.structure = alg.structure
-        self.idempotents = [(l, self.dense(vec)) for l, vec in alg.idempotents]
-
-    def dense(self, vec):
-        return [vec.get(k, ZERO) for k in range(self.dim)]
-
-    def basis_vector(self, i):
-        return [ONE if j == i else ZERO for j in range(self.dim)]
-
-    def multiply(self, u, v):
-        out = [ZERO] * self.dim
-        right = [(j, b) for j, b in enumerate(v) if b]
-        for i, a in enumerate(u):
-            if a:
-                for j, b in right:
-                    for k, c in self.structure.get((i, j), {}).items():
-                        out[k] = out[k] + a * b * c
-        return out
-
-    def unit(self):
-        out = [ZERO] * self.dim
-        for _, vec in self.idempotents:
-            out = [x + y for x, y in zip(out, vec)]
-        return out
-
-
-def dense_separability(pi):
-    """The oracle of separability_check's proof: builds every relation of
-    C* (x)_{D*} C* from dense vector products and tests u(e) = 1 and x e =
-    e x on each dual basis element x, as the library did before it proved
-    the verdict.  The covering precondition is left to the caller."""
-    cstar = DenseView(coalgebra.dualize(pi.domain))
-    dom_db = diamond_basis(pi.domain)
-    cod_base = SubCoalgebra(
-        pi.codomain.quiver, [d.element for d in diamond_basis(pi.codomain)], validate=False
-    )
-    d = cstar.dim
-    dprime = pi.codomain.dim
-    pmat = []
-    for dia in dom_db:
-        comb = cod_base._engine.coords(pi.apply(dia.element).terms)
-        pmat.append([comb.get(j, ZERO) for j in range(dprime)])
-    subgens = [[pmat[i][j] for i in range(d)] for j in range(dprime)]
-
-    def tensor_add(target, vec_left, vec_right, sign=1):
-        right = [(l, b * sign) for l, b in enumerate(vec_right) if b]
-        for k, a in enumerate(vec_left):
-            if not a:
-                continue
-            for l, b in right:
-                accumulate(target, (k, l), a * b)
-
-    relations = SparseBasis()
-    for a in range(d):
-        ua = cstar.basis_vector(a)
-        for j in range(dprime):
-            asj = cstar.multiply(ua, subgens[j])
-            for c in range(d):
-                uc = cstar.basis_vector(c)
-                rel = {}
-                tensor_add(rel, asj, uc)
-                tensor_add(rel, ua, cstar.multiply(subgens[j], uc), sign=-1)
-                if rel:
-                    relations.add(rel)
-    idem_vecs = [vec for _, vec in cstar.idempotents]
-    u_of_e = [ZERO] * d
-    for g in idem_vecs:
-        for k, c in enumerate(cstar.multiply(g, g)):
-            u_of_e[k] = u_of_e[k] + c
-    if u_of_e != cstar.unit():
-        return False
-    for x in range(d):
-        ux = cstar.basis_vector(x)
-        diff = {}
-        for g in idem_vecs:
-            tensor_add(diff, cstar.multiply(ux, g), g)
-            tensor_add(diff, g, cstar.multiply(g, ux), sign=-1)
-        res, _ = relations.residue(diff)
-        if res:
-            return False
-    return True
 
 
 def six_cycle_covering():
@@ -787,8 +698,8 @@ WINDOW_FOLDS = [(lam, radius, m, n) for lam in (1, -1) for radius in (1, 2)
 
 
 class TestSeparabilityReference:
-    """separability_check is proved (see its docstring): it and the dense
-    oracle return True on every covering here.  The oracle also notices a
+    """separability_check is proved (see its docstring): it and the
+    relation-space oracle return True on every covering here.  The oracle also notices a
     perturbed structure cell of the domain's dual algebra (through
     `dualize`), which separability_check does not read."""
 
@@ -813,17 +724,17 @@ class TestSeparabilityReference:
 
             monkeypatch.setattr(coalgebra, "dualize", perturbed)
             assert separability_check(pi) is True
-            out.append(dense_separability(pi))
+            out.append(reference_separability(pi))
         return out
 
     @pytest.mark.parametrize("make", [
         lambda: [covering_example()[2], six_cycle_covering(), four_cycle_covering()],
         lambda: random_coverings(60),
-        lambda: [window_fold(-1, 1, 2, 0)],
+        lambda: [window_fold(*fold) for fold in WINDOW_FOLDS],
     ], ids=["examples", "random-folds", "window-fold"])
     def test_oracle_accepts_every_covering(self, make):
         for pi in make():
-            assert separability_check(pi) is dense_separability(pi) is True
+            assert separability_check(pi) is reference_separability(pi) is True
 
     @pytest.mark.parametrize("lam, radius, m, n", WINDOW_FOLDS)
     def test_window_folds_are_coverings(self, lam, radius, m, n):
@@ -931,36 +842,6 @@ class TestLocalization:
 # -- corners against the former eliminating route --
 
 
-def reference_localize(algebra, labels):
-    """The former `localize`: eAe spanned by the products e d_k e, kept where
-    they enlarge one elimination, with every product solved for coordinates
-    in them."""
-    by_label = dict(algebra.idempotents)
-    e = {}
-    for l in labels:
-        axpy(e, 1, by_label[l])
-    engine = SparseBasis(coords=True)
-    basis = []
-    for k in range(algebra.dim):
-        w = algebra.multiply(algebra.multiply(e, {k: 1}), e)
-        if engine.add(w, len(basis)):
-            basis.append(w)
-
-    def coords(vec):
-        comb = engine.coords(vec)
-        if comb is None:
-            raise InvalidDescription("product escaped the corner algebra")
-        return comb
-
-    structure = {}
-    for i, u in enumerate(basis):
-        for j, v in enumerate(basis):
-            cell = coords(algebra.multiply(u, v))
-            if cell:
-                structure[(i, j)] = cell
-    return DualAlgebra(len(basis), structure, [(l, coords(by_label[l])) for l in labels])
-
-
 # name -> () -> dual algebras whose corners are checked
 CORNER_CORPUS = {
     "localization": lambda: [dualize(localization_example(lam)) for lam in (1, -1, 2, "z3")],
@@ -994,20 +875,6 @@ def test_corners_match_reference(name):
             assert (gq.vertices, gq.arrows) == (ref_gq.vertices, ref_gq.arrows)
 
 
-def reference_dualize(coalg):
-    """The former `dualize`: the structure constants over a fresh
-    SubCoalgebra of the diamonds, which eliminates them a second time."""
-    db = diamond_basis(coalg)
-    base = SubCoalgebra(coalg.quiver, [d.element for d in db], validate=False)
-    structure = {}
-    for k, d in enumerate(db):
-        for ij, c in coalgebra._delta_over_basis(d.element, base._engine).items():
-            structure.setdefault(ij, {})[k] = c
-    idempotents = [(d.source, {k: 1}) for k, d in enumerate(db)
-                   if d.source == d.sink and Path(d.source) in d.element.terms]
-    return structure, idempotents
-
-
 def mixed_bidegree_coalgebra():
     """A basis whose elements meet two bidegrees, so the diamond elimination
     meets a dependent component and skips a tag."""
@@ -1036,32 +903,6 @@ def test_dualize_matches_fresh_subcoalgebra(make):
         structure, idempotents = reference_dualize(coalg)
         assert alg.structure == structure and kinds(alg.structure) == kinds(structure)
         assert alg.idempotents == idempotents
-
-
-def reference_radical_basis(alg):
-    """The trace-form radical from the Gram matrix tr(L_i L_j) of the dense
-    left-multiplication matrices, (L_i)[k][j] = c_ij^k.  O(D^4); it does not
-    use the pointed shape of the basis, which `DualAlgebra.radical_basis`
-    relies on."""
-    d = alg.dim
-    mats = [
-        [[alg.structure.get((i, j), {}).get(k, ZERO) for j in range(d)] for k in range(d)]
-        for i in range(d)
-    ]
-    gram = []
-    for i in range(d):
-        nonzero = [(k, l, x) for k in range(d) for l, x in enumerate(mats[i][k]) if x]
-        row = {}
-        for j in range(d):
-            tr = ZERO
-            for k, l, x in nonzero:
-                y = mats[j][l][k]
-                if y:
-                    tr = tr + x * y
-            if tr:
-                row[j] = tr
-        gram.append(row)
-    return nullspace(gram, d)
 
 
 def _dual_case(coalg, drop=None):
@@ -1099,14 +940,13 @@ class TestRadicalOracle:
     def test_matches_reference(self, name, monkeypatch):
         alg, labels = ORACLE_CASES[name]()
         algebras = [alg] if labels is None else [alg, localize(alg, labels)]
-        for a in algebras:
-            dense = DenseView(a).dense
-            assert [dense(r) for r in a.radical_basis()] == reference_radical_basis(a)
-        quivers = [gabriel_quiver(a) for a in algebras]
 
         def sparse_reference(a):
             return [{k: c for k, c in enumerate(r) if c} for r in reference_radical_basis(a)]
 
+        for a in algebras:
+            assert a.radical_basis() == sparse_reference(a)
+        quivers = [gabriel_quiver(a) for a in algebras]
         monkeypatch.setattr(DualAlgebra, "radical_basis", sparse_reference)
         for a, gq in zip(algebras, quivers):
             ref = gabriel_quiver(a)
@@ -1212,70 +1052,6 @@ class TestText:
 # -- the coradical filtration and the Ext-quiver against the iterative route --
 
 
-def grouplikes(coalg):
-    """The vertices v with e_v in the subcoalgebra."""
-    return [v for v in coalg.vertices_used() if coalg.contains(grouplike(coalg.quiver, v))]
-
-
-def reference_coradical_filtration(coalg):
-    """The filtration by its definition, one nullspace per level, as the
-    library computed it before it read the levels off path lengths: C_0 is
-    the grouplike span and C_{i+1} = {x : delta(x) in C_i (x) C + C (x) C_0}.
-    Raises NotPointed if there is no grouplike or the chain stalls below C."""
-    gs = grouplikes(coalg)
-    if not gs:
-        raise NotPointed("no grouplikes found")
-    quiver = coalg.quiver
-    level = SparseBasis()
-    for v in gs:
-        level.add({Path(v): ONE})
-    chain = [SubCoalgebra(quiver, [grouplike(quiver, v) for v in gs], validate=False)]
-    if chain[0].dim == coalg.dim:
-        return chain, 1
-    while True:
-        current = level
-        rows_by_key = {}
-        for i, b in enumerate(coalg.basis):
-            cols = {}
-            for (l, r), c in b.delta_dict().items():
-                if r.length > 0:
-                    cols.setdefault(r, {})[l] = c
-            for q, col in cols.items():
-                res, _ = current.residue(col)
-                for p, c in res.items():
-                    rows_by_key.setdefault((q, p), {})[i] = c
-        sols = nullspace(rows_by_key.values(), coalg.dim)
-        members = []
-        nxt = SparseBasis()
-        for c in sols:
-            x = CoElement.combination(quiver, c, coalg.basis)
-            if not x.is_zero() and nxt.add(dict(x.terms)):
-                members.append(x)
-        if nxt.dim <= current.dim:
-            raise NotPointed("coradical filtration stalls below the coalgebra")
-        chain.append(SubCoalgebra(quiver, members, validate=False))
-        level = nxt
-        if nxt.dim == coalg.dim:
-            return chain, len(chain)
-
-
-def reference_ext_quiver(coalg):
-    """dim P(g, h) - [g != h] arrows g -> h from one skew-primitive system per
-    pair of grouplikes that a diamond joins, as the library computed it before
-    it counted the length-1 rows of one elimination."""
-    reference_coradical_filtration(coalg)  # raises NotPointed when not pointed
-    gs = grouplikes(coalg)
-    pairs = {(g, g) for g in gs}
-    for d in diamond_basis(coalg):
-        pairs.add((d.source, d.sink))
-    arrows = []
-    for g, h in sorted(pairs):
-        count = len(skew_primitives(coalg, g, h)) - (1 if g != h else 0)
-        for k in range(count):
-            arrows.append((f"p{k}@{g}>{h}", g, h))
-    return Quiver(gs, arrows)
-
-
 def assert_matches_reference(coalg):
     ext, ref = ext_quiver(coalg), reference_ext_quiver(coalg)
     assert (ext.vertices, ext.arrows) == (ref.vertices, ref.arrows)
@@ -1369,6 +1145,8 @@ def test_recombined_path_spans_match_reference(case):
     assert Counter((src, dst) for _, src, dst in ext.arrows) == Counter(
         (p.start, p.target(quiver)) for p in paths if p.length == 1
     )
+    for g, h in product(ext.vertices, repeat=2):
+        assert_same_span(skew_primitives(coalg, g, h), reference_skew_primitives(coalg, g, h))
 
 
 NOT_POINTED = {

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from pathcoalg import comodules, hopf
 from pathcoalg.comodules import (
     Comodule,
-    HomSpace,
     StringSpec,
     are_isomorphic,
     build_band_family,
@@ -33,11 +32,22 @@ from pathcoalg.errors import (
     RequiresMEqualsN,
     WindowTooSmall,
 )
-from pathcoalg.coalgebra import CoElement, SubCoalgebra, path_element, span_subcoalgebra
+from pathcoalg.coalgebra import SubCoalgebra, span_subcoalgebra
 from pathcoalg.hopf import truncate_to_subcoalgebra, validate_params
-from pathcoalg.linalg import SparseBasis, accumulate, nullspace
-from pathcoalg.quiver import Path, grid_vertex_label
+from pathcoalg.linalg import nullspace
 from pathcoalg.scalar import ONE, ZERO, CycScalar, cyc
+from reference import (
+    _hom_full,
+    _hom_rows_all_pairs,
+    _old_bands,
+    _old_diamond,
+    _old_enumerate,
+    _old_simple,
+    _old_string,
+    reference_socle_series_dims,
+    reference_truncation,
+    reference_weights,
+)
 
 
 @pytest.fixture(scope="module")
@@ -333,68 +343,6 @@ def _sum(mods):
     return out
 
 
-def _hom_full(m1, m2):
-    """The Hom oracle: one unknown per entry of the dim N x dim M matrix f,
-    unknown f[r][c] in column r * dim M + c, and one equation per
-    (l, j, path), whatever the bases."""
-    comodules._check_ambient(m1, m2)
-    dm, dn = m1.dim, m2.dim
-    ids = {}
-
-    def terms(e):
-        return [(ids.setdefault(p, len(ids)), c) for p, c in e.terms.items()]
-
-    out2 = [[(k * dm, p, c) for k, e in enumerate(row) for p, c in terms(e)]
-            for row in m2.coaction]
-    in1 = [[(i, p, -c) for i, row in enumerate(m1.coaction) for p, c in terms(row[j])]
-           for j in range(dm)]
-    rows = []
-    for l in range(dn):
-        for j in range(dm):
-            per_path = {}
-            for k, p, c in out2[l]:
-                per_path.setdefault(p, {})[k + j] = c
-            for i, p, c in in1[j]:
-                accumulate(per_path.setdefault(p, {}), l * dm + i, c)
-            rows.extend(row for row in per_path.values() if row)
-    return HomSpace(m1, m2, [
-        [vec[r * dm:(r + 1) * dm] for r in range(dn)] for vec in nullspace(rows, dn * dm)
-    ])
-
-
-def _hom_rows_all_pairs(m1, m2):
-    """The equations of `hom` as (rows, number of unknowns), assembled by a
-    loop over every pair (l, j) of basis vectors of N and M, in order,
-    writing one row per path.  The unknowns are `hom`'s: f[r][c] for
-    the same-vertex pairs on adapted bases, every entry otherwise, numbered
-    in the order of r * dim M + c."""
-    dm, dn = m1.dim, m2.dim
-    w1, w2 = m1.weights, m2.weights
-    if w1 is None or w2 is None:
-        w1, w2 = [0] * dm, [0] * dn
-    number = count()
-    col = [[next(number) if g == h else None for h in w1] for g in w2]
-    out2, in1 = [{} for _ in range(dn)], [{} for _ in range(dm)]
-    for l, row in enumerate(m2.coaction):
-        for k, e in enumerate(row):
-            for p, c in e.terms.items():
-                out2[l].setdefault(w2[k], []).append((col[k], p, c))
-    for i, row in enumerate(m1.coaction):
-        for j, e in enumerate(row):
-            for p, c in e.terms.items():
-                in1[j].setdefault(w1[i], []).append((i, p, -c))
-    rows = []
-    for l, g in enumerate(w2):
-        for j, h in enumerate(w1):
-            per_path = {}
-            for col_k, p, c in out2[l].get(h, ()):
-                per_path.setdefault(p, {})[col_k[j]] = c
-            for i, p, c in in1[j].get(g, ()):
-                accumulate(per_path.setdefault(p, {}), col[l][i], c)
-            rows.extend(row for row in per_path.values() if row)
-    return rows, next(number)
-
-
 def _exact(matrices):
     """The matrices with each entry's type, so that 0 and Fraction(0) differ."""
     return [[[(type(x), x) for x in row] for row in f] for f in matrices]
@@ -596,54 +544,6 @@ class TestSocleSeries:
 # -- the socle series against the former quotient-comodule route --
 
 
-def reference_socle_series_dims(mod):
-    """The former `socle_series_dims`: soc M = {v : rho(v) in M (x) C_0} by
-    one nullspace, then the same on the quotient comodule M / soc M, layer
-    after layer."""
-    dims = []
-    current = mod
-    while current.dim > 0:
-        rows = []
-        for i in range(current.dim):
-            per_path = {}
-            for j in range(current.dim):
-                for p, coeff in current.coaction[i][j].terms.items():
-                    if p.length > 0:
-                        accumulate(per_path.setdefault(p, {}), j, coeff)
-            rows.extend(row for row in per_path.values() if row)
-        soc = nullspace(rows, current.dim)
-        if not soc:
-            raise InvalidDescription("socle vanished on a nonzero comodule")
-        dims.append(len(soc))
-        if len(soc) == current.dim:
-            break
-        current = _quotient_comodule(current, soc)
-    return dims
-
-
-def _quotient_comodule(mod, sub_vectors):
-    """M / span(sub_vectors) on the unit vectors that are no pivot of the
-    subspace's reduced basis."""
-    engine = SparseBasis()
-    for v in sub_vectors:
-        engine.add(dict(enumerate(v)))
-    keep = [i for i in range(mod.dim) if i not in engine.rows]
-    # residues of the unit vectors give the projection onto the complement
-    proj = [engine.residue({i: 1})[0] for i in range(mod.dim)]
-    zero = CoElement(mod.coalgebra.quiver, {})
-    c = [[zero] * len(keep) for _ in range(len(keep))]
-    for jj, j in enumerate(keep):
-        for i in range(mod.dim):
-            entry = mod.coaction[i][j]
-            if entry.is_zero():
-                continue
-            for ii, knew in enumerate(keep):
-                w = proj[i].get(knew)
-                if w:
-                    c[ii][jj] = c[ii][jj] + entry * w
-    return Comodule(mod.coalgebra, c, [mod.labels[i] for i in keep], validate=False)
-
-
 def _assert_socles_match(mods):
     for m in mods:
         assert socle_series_dims(m) == reference_socle_series_dims(m)
@@ -730,132 +630,7 @@ class TestEnumeration:
         assert len(simples) == len(trunc.window)
 
 
-# -- the former builders and enumeration, kept as oracles --------------------
-# They rebuilt every coaction entry as a path from vertex and arrow labels and
-# tested it by elimination (`SubCoalgebra.contains`), built every walk met by
-# the enumeration loop, and kept the first string of each (node set, path
-# support) pair.
-
-
-def _old_path(trunc, label, arrows=()):
-    try:
-        elem = path_element(trunc.quiver, Path(label, arrows))
-    except InvalidDescription:
-        raise WindowTooSmall(f"{label} {arrows} outside the window")
-    if not trunc.coalgebra.contains(elem):
-        raise WindowTooSmall(f"{label} {arrows} outside the window")
-    return elem
-
-
-def _old_vertex(trunc, g):
-    return _old_path(trunc, grid_vertex_label(*g))
-
-
-def _old_simple(trunc, i, j):
-    g = trunc.params.canon(i, j)
-    return Comodule(trunc.coalgebra, [[_old_vertex(trunc, g)]], [grid_vertex_label(*g)])
-
-
-def _old_arrow(trunc, letter, g):
-    label = grid_vertex_label(*g)
-    return _old_path(trunc, label, (f"{letter}@{label}",))
-
-
-def _old_string(trunc, spec):
-    if spec.length < 1:
-        raise InvalidSpec("string needs at least one arrow")
-    params, letter, down = trunc.params, spec.first_letter, not spec.up_first
-    if letter not in ("x", "y"):
-        raise InvalidSpec(f"unknown step letter {letter!r}")
-    nodes, arrows = [params.canon(*spec.start)], []
-    for _ in range(spec.length):
-        cur = nodes[-1]
-        di, dj = (1, 0) if letter == "x" else (0, 1)
-        if down:
-            nxt = params.canon(cur[0] + di, cur[1] + dj)
-            arrows.append((len(nodes) - 1, len(nodes), letter, cur))
-        else:
-            nxt = params.canon(cur[0] - di, cur[1] - dj)
-            arrows.append((len(nodes), len(nodes) - 1, letter, nxt))
-        nodes.append(nxt)
-        down, letter = not down, "y" if letter == "x" else "x"
-    if len(set(nodes)) != len(nodes):
-        raise InvalidSpec("walk revisits a node; use a band instead")
-    zero = CoElement(trunc.quiver, {})
-    c = [[zero] * len(nodes) for _ in nodes]
-    for idx, g in enumerate(nodes):
-        c[idx][idx] = _old_vertex(trunc, g)
-    for src, tgt, let, pos in arrows:
-        c[src][tgt] = c[src][tgt] + _old_arrow(trunc, let, pos)
-    return Comodule(trunc.coalgebra, c, [grid_vertex_label(*g) for g in nodes])
-
-
-def _old_diamond(trunc, i, j):
-    params = trunc.params
-    g = params.canon(i, j)
-    ga, gb = params.canon(g[0] + 1, g[1]), params.canon(g[0], g[1] + 1)
-    gab = params.canon(g[0] + 1, g[1] + 1)
-    zero = CoElement(trunc.quiver, {})
-    c = [[zero] * 4 for _ in range(4)]
-    for idx, v in enumerate((g, ga, gb, gab)):
-        c[idx][idx] = _old_vertex(trunc, v)
-    c[0][1], c[0][2] = _old_arrow(trunc, "x", g), _old_arrow(trunc, "y", g)
-    c[0][3] = trunc.image_of(g[0], g[1], 1, 1)
-    c[1][3] = _old_arrow(trunc, "y", ga)
-    c[2][3] = _old_arrow(trunc, "x", gb) * -params.lam
-    return Comodule(trunc.coalgebra, c, [grid_vertex_label(*v) for v in (g, ga, gb, gab)])
-
-
-def _old_bands(params, length, mus, trunc):
-    peaks = [params.canon(t, -t) for t in range(length)]
-    valleys = [params.canon(t + 1, -t) for t in range(length)]
-    out = []
-    for mu in mus:
-        zero = CoElement(trunc.quiver, {})
-        c = [[zero] * (2 * length) for _ in range(2 * length)]
-        for t in range(length):
-            vt, nxt = length + t, (t + 1) % length
-            c[t][t] = _old_vertex(trunc, peaks[t])
-            c[vt][vt] = _old_vertex(trunc, valleys[t])
-            c[t][vt] = _old_arrow(trunc, "x", peaks[t])
-            ya = _old_arrow(trunc, "y", peaks[nxt])
-            c[nxt][vt] = c[nxt][vt] + (ya * mu if nxt == 0 else ya)
-        labels = [f"p{t}" for t in range(length)] + [f"v{t}" for t in range(length)]
-        out.append(Comodule(trunc.coalgebra, c, labels))
-    return out
-
-
-def _old_enumerate(params, radius, max_total_dim):
-    trunc = truncate_to_subcoalgebra(params, radius)
-    window = set(trunc.window)
-    window_labels = {grid_vertex_label(*g) for g in window}
-    out, seen = [], set()
-    if max_total_dim >= 1:
-        out += [("simple", (g,), _old_simple(trunc, *g)) for g in sorted(window)]
-    if max_total_dim >= 4:
-        for g in sorted(window):
-            corners = (g, params.canon(g[0] + 1, g[1]), params.canon(g[0], g[1] + 1),
-                       params.canon(g[0] + 1, g[1] + 1))
-            if all(v in window for v in corners) and len(set(corners)) == 4:
-                out.append(("diamond", (g,), _old_diamond(trunc, *g)))
-    if max_total_dim >= 2:
-        for g in sorted(window):
-            for first in ("x", "y"):
-                for up_first in (False, True):
-                    for length in range(1, max_total_dim):
-                        try:
-                            mod = _old_string(trunc, StringSpec(g, first, length, up_first))
-                        except (WindowTooSmall, InvalidSpec):
-                            break
-                        if not set(mod.labels) <= window_labels:
-                            break
-                        nodes = frozenset(mod.labels)
-                        key = (nodes, frozenset(p for row in mod.coaction for e in row
-                                                for p in e.terms))
-                        if key not in seen:
-                            seen.add(key)
-                            out.append(("string", nodes, mod))
-    return out
+# -- the builders and the enumeration against their former routes ----------
 
 
 def _text(mod):
@@ -946,81 +721,6 @@ class TestFormerRoutes:
         enumerate_indecomposables(validate_params(0, 0, 1, 0, 0, 0), 1, 4, truncation=free)
 
 
-def revalidated(mod):
-    """The module through the validating constructor, the oracle of the proof
-    in `comodules._comodule`; raises InvalidDescription where it fails."""
-    return Comodule(mod.coalgebra, mod.coaction, mod.labels)
-
-
-def every_spec_module(trunc):
-    """The simples, diamonds and strings that build on every spec of
-    `TestFormerRoutes.test_builders_on_every_spec`."""
-    groups = sorted({g for g, _, _ in trunc.iota} | {(3, 3)})
-    builds = [(build, g) for g in groups for build in (build_simple, build_diamond)]
-    builds += [(build_string, (StringSpec(g, letter, length, up),)) for g in groups
-               for letter in ("x", "y", "z") for length in range(5) for up in (False, True)]
-    for build, args in builds:
-        try:
-            yield build(trunc, *args)
-        except (WindowTooSmall, InvalidSpec):
-            pass
-
-
-def wrong_first_letter(entries):
-    """The first arrow entry with the other letter's image."""
-    (r, col, (p, q), c), *rest = entries
-    return [(r, col, (q, p), c), *rest]
-
-
-def diamond_sign_flipped(entries):
-    """The diamond's -lam entry with its sign flipped; others as they are."""
-    return [(r, col, pq, -c if (r, col) == (2, 3) else c) for r, col, pq, c in entries]
-
-
-class TestBuilderProof:
-    """`comodules._comodule` builds without validation, on the proof in its
-    docstring; `Comodule._validate` is the oracle.  It accepts every builder
-    module and rejects builders that break the proof's premises."""
-
-    @pytest.mark.parametrize("raw, radius, max_dim, size", [
-        (*inventory, size) for inventory, size in zip(HOM_INVENTORIES, (179, 88, 136))])
-    def test_inventories(self, raw, radius, max_dim, size):
-        found = enumerate_indecomposables(validate_params(*raw), radius, max_dim)
-        assert len(found) == size
-        for item in found:
-            revalidated(item["module"])
-
-    @pytest.mark.parametrize("m", [2, 4, 6])
-    def test_band_families(self, m):
-        for band in build_band_family(validate_params(m, m, 1, 0, 0, 0), m, [1, 2, 3]):
-            revalidated(band)
-
-    @pytest.mark.parametrize("raw", [(0, 0, 1, 0, 0, 0), (0, 0, "z4", 0, 0, 0),
-                                     (3, 1, 1, 0, 0, 0)])
-    def test_every_spec(self, raw):
-        mods = list(every_spec_module(truncate_to_subcoalgebra(validate_params(*raw), 1)))
-        assert {m.dim for m in mods} == {1, 2, 3, 4, 5}
-        for mod in mods:
-            revalidated(mod)
-
-    @pytest.mark.parametrize("mutate", [wrong_first_letter, diamond_sign_flipped])
-    def test_mutant_builders_fail(self, monkeypatch, mutate):
-        free = truncate_to_subcoalgebra(validate_params(0, 0, 1, 0, 0, 0), 1)
-        band_params = validate_params(2, 2, 1, 0, 0, 0)
-        built = comodules._comodule
-        monkeypatch.setattr(comodules, "_comodule",
-                            lambda trunc, nodes, entries, labels=None:
-                            built(trunc, nodes, mutate(entries), labels))
-        mods = [build_diamond(free, 0, 0), build_diamond(free, -1, 0)]
-        if mutate is wrong_first_letter:
-            mods += [build_string(free, StringSpec((0, 0), "x", 3)),
-                     build_string(free, StringSpec((0, 0), "y", 2, up_first=True))]
-            mods += build_band_family(band_params, 2, [1, 3])
-        for mod in mods:
-            with pytest.raises(InvalidDescription, match="comatrix identity fails"):
-                revalidated(mod)
-
-
 class TestBands:
     def test_requires_m_equals_n(self):
         params = validate_params(2, 0, 1, 1, 1, 0)
@@ -1082,22 +782,11 @@ class TestDecideDiscrete:
         assert len(w["modules"]) == 3
 
 
-def reference_weights(mod):
-    """The former `Comodule.weights`, a dict for every entry."""
-    trivial = [[{p.start: c for p, c in e.terms.items() if p.length == 0} for e in row]
-               for row in mod.coaction]
-    w = [next(iter(row[i]), None) for i, row in enumerate(trivial)]
-    adapted = all(t == ({w[i]: 1} if i == j else {})
-                  for i, row in enumerate(trivial) for j, t in enumerate(row))
-    return w if adapted else None
-
-
 class TestLazyWindows:
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_bands_match_the_eager_truncation(self, n):
         """The bands built on the lazy truncation print as those built on
         the former eager one, and have its weights."""
-        from test_hopf import reference_truncation
         params = validate_params(n, n, 1, 0, 0, 0)
         lazy = build_band_family(params, n, [1, 2, 3])
         eager = build_band_family(params, n, [1, 2, 3], truncation=reference_truncation(params, n))

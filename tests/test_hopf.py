@@ -22,7 +22,6 @@ from pathcoalg.coalgebra import (
     SubCoalgebra,
 )
 from pathcoalg.errors import (
-    AxiomFailure,
     ConstraintViolation,
     ForbiddenPair,
     InvalidDescription,
@@ -52,10 +51,24 @@ from pathcoalg.hopf import (
     verify_hopf_axioms,
 )
 from pathcoalg.linalg import accumulate
-from pathcoalg.quiver import Path, Quiver, grid_quiver, grid_vertex_label, grid_window, group_canonical_pair
-from pathcoalg.scalar import ONE, ZERO, CycScalar, bare, cyc
+from pathcoalg.quiver import Path, grid_quiver, grid_vertex_label, grid_window
+from pathcoalg.scalar import ONE, CycScalar, bare, cyc
 
 from test_acceptance import PAIRS, _valid_grid
+from reference import (
+    certify,
+    evaluate_relation,
+    image_of_key_variant,
+    lattices_equal,
+    numeric_witness,
+    reference_certify_embedding,
+    reference_grid_quiver,
+    reference_image_of_key,
+    reference_rejects,
+    reference_truncation,
+    sweep_hopf_axioms,
+    witness_images,
+)
 
 
 def params_free(lam="1", s="1", t="1", k="0"):
@@ -254,6 +267,16 @@ SHAPES = [
 
 def shape_params():
     return [validate_params(*shape) for shape in SHAPES]
+
+
+def mutant_params():
+    return shape_params() + [
+        validate_params(0, 0, 1, 1, 1, 5),
+        validate_params(0, 0, 1, 2, 3, 0),
+        validate_params(0, 0, -1, 1, 1, 0),
+        validate_params(4, 2, -1, 1, 1, 0),
+        validate_params(0, 0, "z3^1", 0, 0, 0),
+    ]
 
 
 class TestHopfAxioms:
@@ -647,9 +670,9 @@ class TestMixedAgainstBoxed:
             report = verify_hopf_axioms(p, 2)
             verdicts = [verify_witness(IsoWitness(*wt), p, p) for wt in witnesses]
             # the cached certificate above is built once, on the mixed run; the
-            # numeric certificate and the element oracle build nothing cached
+            # numeric certificate and the witness oracle build nothing cached
             residues = list(hopf._residues(p))
-            oracle = [relations_vanish(IsoWitness(*wt), p, p) for wt in witnesses]
+            oracle = [numeric_witness(IsoWitness(*wt), p, p) for wt in witnesses]
             return elements, scalars, report, verdicts, residues, oracle
 
         mixed = run()
@@ -786,68 +809,6 @@ class TestWindowEmbedding:
 # -- the per-key reference: the oracle for the proof, and the mutants it fails
 
 
-def certify(params, images):
-    """`_certify_embedding` on an image dict, with the sizes a Truncation
-    reports of its own images as `certificate`."""
-    return {"keys": len(images), "representatives": 4,
-            "coproduct_terms": hopf._certify_embedding(params, images.__getitem__),
-            "paths": sum(len(img.terms) for img in images.values())}
-
-
-def reference_certify_embedding(params, images):
-    """The former per-key certificate, kept as the oracle for the proof in
-    `_certify_embedding`: the images are nonzero with pairwise disjoint
-    supports, Delta_H of every key lands on keys, and Delta_path iota(u) =
-    (iota (x) iota) Delta_H(u) for every key u, one dict comparison each."""
-    owner = {}
-    for key, img in images.items():
-        if not img.terms:
-            raise NotClosedUnderDelta(f"iota({hopf._fmt_key(key)}) is zero")
-        for path in img.terms:
-            other = owner.setdefault(path, key)
-            if other != key:
-                raise NotClosedUnderDelta(f"iota({hopf._fmt_key(key)}) and "
-                                          f"iota({hopf._fmt_key(other)}) share a path")
-    compared = 0
-    for key, img in images.items():
-        name, expected = hopf._fmt_key(key), {}
-        for (l, r), c in hopf._comul_terms(params, {key: 1}).items():
-            if l not in images or r not in images:
-                raise NotClosedUnderDelta(f"Delta({name}) leaves the keys at "
-                                          f"{hopf._fmt_key(l)} (x) {hopf._fmt_key(r)}")
-            linalg.tensor_axpy(expected, c, images[l].terms, images[r].terms)
-        if img.delta_dict() != expected:
-            raise NotClosedUnderDelta(
-                f"Delta(iota({name})) differs from (iota (x) iota) Delta({name})")
-        compared += len(expected)
-    return {"keys": len(images), "coproduct_terms": compared, "paths": len(owner)}
-
-
-def image_of_key_variant(lam_power=1, swap=False, drop=None, only=None):
-    """`_image_of_key` with lam^lam_power for lam on the yx path of the xy
-    image (of group part `only` alone, if given), with the x and y arrows of
-    the degree-one images swapped wherever the other arrow exists, or with
-    the image of the key `drop` replaced by 0; the defaults are the
-    original."""
-    original = hopf._image_of_key
-
-    def image_of_key(params, quiver, key):
-        (i, j), p, q = key
-        g = grid_vertex_label(i, j)
-        if key == drop:
-            return CoElement(quiver, {})
-        if swap and p + q == 1 and f"{'y' if p else 'x'}@{g}" in quiver.arrow_by_id:
-            return original(params, quiver, ((i, j), q, p))
-        img = original(params, quiver, key)
-        if p and q and only in (None, (i, j)):
-            gb = grid_vertex_label(*params.canon(i, j + 1))
-            yx = Path(g, (f"y@{g}", f"x@{gb}"))
-            img = img + path_element(quiver, yx, params.lam - params.lam ** lam_power)
-        return img
-
-    return image_of_key
-
-
 def truncation_keys(params, radius, group_shifts=((1, 0), (0, 1), (1, 1)), x_shifts=((0, 1),)):
     """The basis keys of the truncation, in its basis order: group parts of
     the window and its a-, b- and ab-shifts, x on the window and its
@@ -930,14 +891,6 @@ def mutant_images(name, params, radius, quiver):
     return {k: mutant(params, quiver, k) for k in truncation_keys(params, radius)}
 
 
-def reference_rejects(params, images):
-    try:
-        reference_certify_embedding(params, images)
-    except NotClosedUnderDelta:
-        return True
-    return False
-
-
 @functools.lru_cache(maxsize=None)
 def certified_window(index, radius):
     """EMBEDDING_MUTANT_PARAMS[index] and the image dict of its truncation at
@@ -954,72 +907,6 @@ def forbid_listing(monkeypatch):
     def listing(m, n, radius):
         raise AssertionError(f"the grid window {(m, n, radius)} was listed")
     monkeypatch.setattr(quiver_module, "grid_window", listing)
-
-
-def reference_grid_quiver(m, n, radius):
-    """The former `grid_quiver`, its lists built at once."""
-    coords = grid_window(m, n, radius)
-    coord_set = set(coords)
-    vertices = [grid_vertex_label(i, j) for i, j in coords]
-    arrows = []
-    for i, j in coords:
-        v = grid_vertex_label(i, j)
-        tx = group_canonical_pair(m, n, i + 1, j)
-        if tx in coord_set:
-            arrows.append((f"x@{v}", v, grid_vertex_label(*tx)))
-        ty = group_canonical_pair(m, n, i, j + 1)
-        if ty in coord_set:
-            arrows.append((f"y@{v}", v, grid_vertex_label(*ty)))
-    return Quiver(vertices, arrows)
-
-
-def reference_image_of_key(params, quiver, key):
-    """The former `_image_of_key`, through `path_element`."""
-    (i, j), p, q = key
-    g = grid_vertex_label(i, j)
-    if (p, q) != (1, 1):
-        return path_element(quiver, Path(g, (f"x@{g}",) * p + (f"y@{g}",) * q))
-    ga = grid_vertex_label(*params.canon(i + 1, j))
-    gb = grid_vertex_label(*params.canon(i, j + 1))
-    return path_element(quiver, Path(g, (f"x@{g}", f"y@{ga}"))) - path_element(
-        quiver, Path(g, (f"y@{g}", f"x@{gb}")), params.lam)
-
-
-class ReferenceTruncation:
-    """The former `Truncation`: everything built by `reference_truncation`."""
-
-    def __init__(self, params, radius, quiver, coalgebra, iota, window, certificate):
-        self.params, self.radius, self.quiver, self.coalgebra = params, radius, quiver, coalgebra
-        self.iota, self.window, self.certificate = iota, window, certificate
-        self.images = {(g, p, q): iota[g, p, q] for g in window for p in (0, 1) for q in (0, 1)}
-        self.rank = len(self.images)
-
-    def image_of(self, i, j, p, q):
-        key = (self.params.canon(i, j), p, q)
-        if key not in self.iota:
-            raise WindowTooSmall(f"{hopf._fmt_key(key)} has no image in the window")
-        return self.iota[key]
-
-
-def reference_truncation(params, radius):
-    """The former eager `truncate_to_subcoalgebra`: every key image, the
-    whole grid quiver of the ambient box and the `SubCoalgebra` elimination,
-    built at once."""
-    window = grid_window(params.m, params.n, radius)
-    shift_a = {params.canon(i + 1, j) for i, j in window}
-    shift_b = {params.canon(i, j + 1) for i, j in window}
-    shift_ab = {params.canon(i + 1, j + 1) for i, j in window}
-    groups = sorted(set(window) | shift_a | shift_b | shift_ab)
-    x_groups = sorted(set(window) | shift_b)
-    y_groups = sorted(set(window) | shift_a)
-    ambient = max(abs(c) for g in groups for c in g)
-    quiver = reference_grid_quiver(params.m, params.n, ambient)
-    keys = [(g, 0, 0) for g in groups] + [(g, 1, 0) for g in x_groups]
-    keys += [(g, 0, 1) for g in y_groups] + [(g, 1, 1) for g in window]
-    basis = {key: reference_image_of_key(params, quiver, key) for key in keys}
-    certificate = certify(params, basis)
-    coalg = SubCoalgebra(quiver, basis.values(), validate=False)
-    return ReferenceTruncation(params, radius, quiver, coalg, basis, window, certificate)
 
 
 class TestLazyTruncation:
@@ -1104,8 +991,9 @@ class TestLazyTruncation:
 
     def test_window_reads_list_no_window(self, monkeypatch):
         """On all 129 windows, a fresh truncation's images, Ext-quiver,
-        diamond basis and membership answers equal the eager build's, and
-        none of them lists the grid quiver's window."""
+        diamond basis, membership answers and skew-primitives from 1 to a
+        equal the eager build's, and none of them lists the grid quiver's
+        window."""
         for params, radius, _ in oracle_grid():
             ref = reference_truncation(params, radius)
             probes = list(ref.iota.values())  # in the span, and paths and sums that may not be
@@ -1122,6 +1010,8 @@ class TestLazyTruncation:
                     (str(d.element), d.source, d.sink) for d in diamond_basis(ref.coalgebra)]
                 contained = [tr.contains(CoElement(tr.quiver, e.terms)) for e in probes]
                 assert contained == [ref.coalgebra.contains(e) for e in probes]
+                e, a = (grid_vertex_label(*params.canon(*g)) for g in ((0, 0), (1, 0)))
+                assert len(skew_primitives(tr, e, a)) == len(skew_primitives(ref.coalgebra, e, a))
             assert True in contained and False in contained
 
     def test_image_validity_is_path_validity(self):
@@ -1294,75 +1184,7 @@ class TestEmbeddingMutants:
                 assert tr.certificate["keys"] == tr.coalgebra.dim
 
 
-# -- the window sweep: reference oracle for the certificate ------------------
-
-
-def sweep_hopf_axioms(params, radius, product_pairs=12, seed=0):
-    """The former verifier, kept as a reference: every Hopf axiom on every
-    basis monomial with group part in the window, plus multiplicativity on
-    random monomial pairs.  Reaches the structure maps through the module so
-    that monkeypatched mutants are seen."""
-    keys = [
-        ((i, j), p, q)
-        for (i, j) in grid_window(params.m, params.n, radius)
-        for p in (0, 1)
-        for q in (0, 1)
-    ]
-
-    def delta_key(key):
-        return hopf.comultiply(BmnElement(params, {key: ONE})).terms
-
-    one = hopf.group_element(params, 0, 0)
-    for key in keys:
-        u = BmnElement(params, {key: ONE})
-        du = hopf.comultiply(u)
-        lhs, rhs = {}, {}
-        for (l, r), c in du.terms.items():
-            for (l2, r2), c2 in delta_key(l).items():
-                accumulate(lhs, (l2, r2, r), c * c2)
-            for (l2, r2), c2 in delta_key(r).items():
-                accumulate(rhs, (l, l2, r2), c * c2)
-        if lhs != rhs:
-            raise AxiomFailure("coassociativity fails", witness=str(u))
-        left = BmnElement(params, {})
-        right = BmnElement(params, {})
-        for (l, r), c in du.terms.items():
-            if l[1] == 0 and l[2] == 0:
-                left = left + BmnElement(params, {r: c})
-            if r[1] == 0 and r[2] == 0:
-                right = right + BmnElement(params, {l: c})
-        if left != u or right != u:
-            raise AxiomFailure("counit law fails", witness=str(u))
-        target = one * hopf.counit(u)
-        conv_l = BmnElement(params, {})
-        conv_r = BmnElement(params, {})
-        for (l, r), c in du.terms.items():
-            el = BmnElement(params, {l: ONE})
-            er = BmnElement(params, {r: ONE})
-            conv_l = conv_l + (hopf.antipode(el) * er) * c
-            conv_r = conv_r + (el * hopf.antipode(er)) * c
-        if conv_l != target or conv_r != target:
-            raise AxiomFailure("antipode law fails", witness=str(u))
-    rng = random.Random(seed)
-    for _ in range(product_pairs):
-        u = BmnElement(params, {keys[rng.randrange(len(keys))]: ONE})
-        v = BmnElement(params, {keys[rng.randrange(len(keys))]: ONE})
-        uv = u * v
-        if hopf.comultiply(uv) != hopf.comultiply(u) * hopf.comultiply(v):
-            raise AxiomFailure("comultiplication is not multiplicative")
-        if hopf.counit(uv) != hopf.counit(u) * hopf.counit(v):
-            raise AxiomFailure("counit is not multiplicative")
-        if hopf.antipode(uv) != hopf.antipode(v) * hopf.antipode(u):
-            raise AxiomFailure("antipode is not anti-multiplicative")
-    return True
-
-
-def rejects(check, params):
-    try:
-        check(params)
-    except AxiomFailure:
-        return True
-    return False
+# -- the certificate against the window sweep -------------------------------
 
 
 class TestCertificate:
@@ -1389,88 +1211,12 @@ class TestCertificate:
             assert verify_hopf_axioms(p, radius)["ok"]
 
     def test_agrees_with_sweep_on_shapes(self):
-        for p in shape_params() + [validate_params(0, 0, 1, 1, 1, 5)]:
+        for p in mutant_params():
             assert sweep_hopf_axioms(p, 2)
             assert verify_hopf_axioms(p, 2)["ok"]
 
 
 # -- the term-dict evaluator against element arithmetic ----------------------
-
-
-def evaluate_relation(relation, images, start, reverse=False):
-    """The former element-level evaluator, kept as a reference:
-    sum(c * start * images[w_1] * ... * images[w_l]) over the relation's terms
-    (c, w), with algebra elements or tensors as images.  With reverse=True
-    each word is read right to left."""
-    total = start * ZERO
-    for coeff, word in relation:
-        if coeff.is_zero():
-            continue
-        value = start
-        for gen in reversed(word) if reverse else word:
-            value = value * images[gen]
-        total = total + value * coeff
-    return total
-
-
-def witness_images(w, p2):
-    """The images `verify_witness` gives the generators under w, as elements."""
-    (va, vb), (gx, gy) = ((1, 0), (0, 1)), (gen_x, gen_y)
-    if w.kind == "psi":
-        (va, vb), (gx, gy) = (vb, va), (gy, gx)
-    return {
-        "a": group_element(p2, *va), "A": group_element(p2, -va[0], -va[1]),
-        "b": group_element(p2, *vb), "B": group_element(p2, -vb[0], -vb[1]),
-        "x": gx(p2) * bare(w.alpha),
-        "y": gy(p2) * bare(w.beta),
-    }
-
-
-def lattices_equal(w, p1, p2):
-    """Whether w is bijective on the group parts: (m1, -n1) and the image
-    under w^-1 of (m2, -n2) generate one subgroup of Z^2, that is (m1, n1) =
-    +-(m2, n2) for phi and +-(n2, m2) for psi."""
-    m2, n2 = (p2.m, p2.n) if w.kind == "phi" else (p2.n, p2.m)
-    return (p1.m, p1.n) in ((m2, n2), (-m2, -n2))
-
-
-def numeric_witness(w, p1, p2):
-    """An earlier `verify_witness`, kept as the oracle of the closed form:
-    the relations of p1 and the structure maps multiplied out in the concrete
-    target p2.  It looks the term functions up on `hopf` at each call, so a
-    monkeypatched mutant reaches it.  It checks that w is a well-defined
-    algebra map, not that it is bijective (`lattices_equal`)."""
-    if w.alpha.is_zero() or w.beta.is_zero():
-        return False
-    images = {g: u.terms for g, u in witness_images(w, p2).items()}
-    one = group_element(p2, 0, 0).terms
-    if any(hopf._evaluate(p2, hopf._term_relation(p2, rel), images, one)
-           for _, rel in relations(p1)):
-        return False
-    for g in (images["a"], images["b"]):
-        g_tensor_g = {}
-        linalg.tensor_axpy(g_tensor_g, 1, g, g)
-        if hopf._comul_terms(p2, g) != g_tensor_g or hopf._counit_terms(p2, g) != one:
-            return False
-    for skew, grouplike, inv in (("x", "a", "A"), ("y", "b", "B")):
-        skew, grouplike, inv = images[skew], images[grouplike], images[inv]
-        expected = {}
-        linalg.tensor_axpy(expected, 1, one, skew)
-        linalg.tensor_axpy(expected, 1, skew, grouplike)
-        if hopf._comul_terms(p2, skew) != expected or hopf._counit_terms(p2, skew):
-            return False
-        minus_inv = {k: -c for k, c in inv.items()}
-        if hopf._anti_terms(p2, skew) != hopf._mul_terms(p2, skew, minus_inv):
-            return False
-    return True
-
-
-def relations_vanish(w, p1, p2):
-    """The element oracle: w sends every relation of p1 to 0 in p2 (a
-    rescaling always commutes with Delta, epsilon and S)."""
-    images = witness_images(w, p2)
-    one = group_element(p2, 0, 0)
-    return all(evaluate_relation(rel, images, one).is_zero() for _, rel in relations(p1))
 
 
 def assert_evaluator_matches(p, relation, images, terms, start, mul=hopf._mul_terms,
@@ -1545,23 +1291,19 @@ class TestEvaluator:
     @pytest.mark.parametrize("p1, p2, w", witness_cases(), ids=repr)
     def test_witness_images_match_oracle(self, p1, p2, w):
         """The witness and its corruption alpha -> 2 alpha: the evaluator
-        matches the oracle, and since a rescaling always commutes with Delta,
-        epsilon and S, `verify_witness` accepts exactly when the oracle sends
-        every relation to 0."""
+        matches the element oracle on every relation, `verify_witness` accepts
+        exactly when `numeric_witness` does on a bijection of the group parts,
+        and it accepts the witness itself."""
         one = group_element(p2, 0, 0)
         for alpha in (w.alpha, w.alpha * 2):
             witness = IsoWitness(w.kind, alpha, w.beta)
             images = witness_images(witness, p2)
             terms = {g: u.terms for g, u in images.items()}
-            vanish = True
             for _, rel in relations(p1):
                 assert_evaluator_matches(p2, rel, images, terms, one)
-                vanish = vanish and evaluate_relation(rel, images, one).is_zero()
-            bijective = lattices_equal(witness, p1, p2)
-            assert verify_witness(witness, p1, p2) == (vanish and bijective)
-            assert verify_witness(witness, p1, p2) == (
-                numeric_witness(witness, p1, p2) and bijective)
-            assert vanish and bijective or alpha != w.alpha
+            accepted = numeric_witness(witness, p1, p2) and lattices_equal(witness, p1, p2)
+            assert verify_witness(witness, p1, p2) == accepted
+            assert accepted or alpha != w.alpha
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -1596,202 +1338,3 @@ class TestEvaluator:
         w = are_isomorphic(p1, p2)
         assert verify_witness(w, p1, p2)
         assert not verify_witness(IsoWitness(w.kind, w.alpha * 2, w.beta), p1, p2)
-
-
-# -- mutants: each must fail the certificate wherever it fails the sweep -----
-
-
-def rule_table_variant(square=1, commute=1, k_term=1, shifted=1, y_square=1):
-    """`_rule_table` with a sign factor on some of its terms; all 1 is the
-    original.  `square` is on x*x = s(1 - a^2) wherever the table uses it,
-    `commute` on the -lam^-1 xy of yx, `k_term` on both k-terms of yx and
-    `shifted` on the ab one, and `y_square` on y*y = t(1 - b^2).  Like the
-    original, it drops zero terms."""
-
-    def rule_table(params):
-        s, t, li = params.s * square, params.t * y_square, params.lam_inv
-        lk = li * params.k * k_term
-        rules = {
-            (0, 0, "x"): [((0, 0), 1, 0, ONE)],
-            (0, 0, "y"): [((0, 0), 0, 1, ONE)],
-            (1, 0, "x"): [((0, 0), 0, 0, s), ((2, 0), 0, 0, -s)],
-            (1, 0, "y"): [((0, 0), 1, 1, ONE)],
-            (0, 1, "x"): [((0, 0), 0, 0, lk), ((1, 1), 0, 0, -lk * shifted),
-                          ((0, 0), 1, 1, -li * commute)],
-            (0, 1, "y"): [((0, 0), 0, 0, t), ((0, 2), 0, 0, -t)],
-            (1, 1, "x"): [((0, 0), 1, 0, lk),
-                          ((1, 1), 1, 0, -lk * shifted * params.sign_x(1, 1)),
-                          ((0, 0), 0, 1, -li * s * commute),
-                          ((2, 0), 0, 1, li * s * commute)],
-            (1, 1, "y"): [((0, 0), 1, 0, t), ((0, 2), 1, 0, -t * params.sign_x(0, 2))],
-        }
-        return {key: [term for term in terms if term[3]] for key, terms in rules.items()}
-
-    return rule_table
-
-
-def delta_variant(x_right=(1, 0), y_right=(0, 1)):
-    """`_delta_generators` with Delta x = 1(x)x + x(x)g and Delta y =
-    1(x)y + y(x)h for the given g, h; the defaults a, b are the original."""
-
-    def delta_generators(params):
-        one = (params.canon(0, 0), 0, 0)
-        x = (params.canon(0, 0), 1, 0)
-        y = (params.canon(0, 0), 0, 1)
-        gx = (params.canon(*x_right), 0, 0)
-        gy = (params.canon(*y_right), 0, 0)
-        dx = TensorElement(params, {(one, x): ONE, (x, gx): ONE})
-        dy = TensorElement(params, {(one, y): ONE, (y, gy): ONE})
-        return dx, dy
-
-    return delta_generators
-
-
-def comul_terms_dy_first(params, terms):
-    """`_comul_terms` with Delta(y) multiplied in on the left."""
-    dx, dy = hopf._delta_generators(params)
-    out = TensorElement(params, {})
-    for (g, p, q), c in terms.items():
-        gk = (g, 0, 0)
-        t = TensorElement(params, {(gk, gk): c})
-        if p:
-            t = t * dx
-        if q:
-            t = dy * t
-        out = out + t
-    return out.terms
-
-
-def antipode_variant(reverse=False, s_x_sign=-1):
-    """`_anti_terms` from S(x) = s_x_sign * x a^-1 and S(y) = -y b^-1, with the
-    factors of S(g x^p y^q) in the order S(y) S(x) g^-1, or reversed; the
-    defaults are the original."""
-
-    def mutant(params, terms):
-        s_x = gen_x(params) * group_element(params, -1, 0) * s_x_sign
-        s_y = -(gen_y(params) * group_element(params, 0, -1))
-        out = BmnElement(params, {})
-        for (g, p, q), c in terms.items():
-            term = group_element(params, -g[0], -g[1])
-            for flag, factor in ((p, s_x), (q, s_y)):
-                if flag:
-                    term = term * factor if reverse else factor * term
-            out = out + term * c
-        return out.terms
-
-    return mutant
-
-
-def counit_of_x_is_one(params, terms):
-    """`_counit_terms` that counts x^p, not only the group parts."""
-    total = sum((c for (_, p, q), c in terms.items() if q == 0), 0)
-    return {(params.canon(0, 0), 0, 0): total} if total else {}
-
-
-def comul_terms_left_unit(params, terms):
-    """`_comul_terms` as Delta(u) = 1 (x) u: an algebra map that is
-    coassociative and obeys the left counit law, but not the right one."""
-    one = (params.canon(0, 0), 0, 0)
-    return {(one, key): c for key, c in terms.items()}
-
-
-def sign_x_inverted(self, i, j):
-    return (-ONE) ** i * (-self.lam_inv) ** j
-
-
-MUTANTS = {
-    "x*x sign": (hopf, "_rule_table", rule_table_variant(square=-1)),
-    "y*x commutation sign": (hopf, "_rule_table", rule_table_variant(commute=-1)),
-    "y*x k-term sign": (hopf, "_rule_table", rule_table_variant(k_term=-1)),
-    "y*x shifted-term sign": (hopf, "_rule_table", rule_table_variant(shifted=-1)),
-    "y*y sign": (hopf, "_rule_table", rule_table_variant(y_square=-1)),
-    "x past b with lam^-1": (hopf.BmnParams, "sign_x", sign_x_inverted),
-    "Delta x = 1(x)x + x(x)b": (hopf, "_delta_generators", delta_variant(x_right=(0, 1))),
-    "Delta y = 1(x)y + y(x)a": (hopf, "_delta_generators", delta_variant(y_right=(1, 0))),
-    "dy * t in comultiply": (hopf, "_comul_terms", comul_terms_dy_first),
-    "reversed antipode factors": (hopf, "_anti_terms", antipode_variant(reverse=True)),
-    "S(x) = x*a^-1": (hopf, "_anti_terms", antipode_variant(s_x_sign=1)),
-    "epsilon(x) = 1": (hopf, "_counit_terms", counit_of_x_is_one),
-}
-
-
-def counit_doubled(params, terms):
-    """`_counit_terms` times 2: epsilon(g) = 2 on a group element g."""
-    total = sum((2 * c for (_, p, q), c in terms.items() if p == q == 0), 0)
-    return {(params.canon(0, 0), 0, 0): total} if total else {}
-
-
-def comul_doubled_on_group(params, terms, comul=hopf._comul_terms):
-    """`_comul_terms` with Delta(g) = 2 g (x) g on a group element g != 1."""
-    e = (params.canon(0, 0), 0, 0)
-    return {(l, r): 2 * c if l == r != e and l[1:] == (0, 0) else c
-            for (l, r), c in comul(params, terms).items()}
-
-
-WITNESS_MUTANTS = {**MUTANTS, "Delta(u) = 1 (x) u": (hopf, "_comul_terms", comul_terms_left_unit),
-                   "epsilon(g) = 2": (hopf, "_counit_terms", counit_doubled),
-                   "Delta(g) = 2 g (x) g": (hopf, "_comul_terms", comul_doubled_on_group)}
-
-
-# These mutants present B(m, n; lam, -s, t, k), B(m, n; lam, s, -t, k) and
-# B(m, n; lam, s, t, -k): Hopf algebras again, so the sweep accepts them, and
-# only the relation table of the certificate tells them from the parameters.
-SWEEP_BLIND = {"x*x sign", "y*y sign", "y*x k-term sign"}
-
-
-def mutant_params():
-    return shape_params() + [
-        validate_params(0, 0, 1, 1, 1, 5),
-        validate_params(0, 0, 1, 2, 3, 0),
-        validate_params(0, 0, -1, 1, 1, 0),
-        validate_params(4, 2, -1, 1, 1, 0),
-        validate_params(0, 0, "z3^1", 0, 0, 0),
-    ]
-
-
-class TestMutants:
-    def test_unmutated_variants_pass(self, monkeypatch):
-        for p in mutant_params():
-            assert rule_table_variant()(p) == hopf._rule_table(p)
-        monkeypatch.setattr(hopf, "_rule_table", rule_table_variant())
-        monkeypatch.setattr(hopf, "_delta_generators", delta_variant())
-        monkeypatch.setattr(hopf, "_anti_terms", antipode_variant())
-        for p in mutant_params():
-            assert sweep_hopf_axioms(p, 1)
-            assert verify_hopf_axioms(p, 1)["ok"]
-
-    def test_right_counit_law_is_checked(self, monkeypatch):
-        """Delta(u) = 1 (x) u passes parts 1-3, coassociativity and the left
-        counit law, so only the right counit law can reject it (the antipode
-        laws, checked after it, would too, with another message)."""
-        monkeypatch.setattr(hopf, "_comul_terms", comul_terms_left_unit)
-        for p in mutant_params():
-            with pytest.raises(AxiomFailure, match="counit law fails"):
-                verify_hopf_axioms(p, 1)
-
-    @pytest.mark.parametrize("name", sorted(MUTANTS))
-    def test_certificate_rejects_what_sweep_rejects(self, monkeypatch, name):
-        owner, attr, mutant = MUTANTS[name]
-        monkeypatch.setattr(owner, attr, mutant)
-        swept = certified = 0
-        for p in mutant_params():
-            by_sweep = rejects(lambda q: sweep_hopf_axioms(q, 1), p)
-            by_certificate = rejects(lambda q: verify_hopf_axioms(q, 1), p)
-            assert by_certificate or not by_sweep, p
-            swept += by_sweep
-            certified += by_certificate
-        assert certified
-        assert (swept > 0) == (name not in SWEEP_BLIND)
-
-    @pytest.mark.parametrize("name", sorted(WITNESS_MUTANTS))
-    def test_certificate_rejects_witness_mutant(self, monkeypatch, name):
-        """`verify_witness` trusts that the normal-form monomials are a basis
-        and that Delta, epsilon and S are the maps on the generators that a
-        rescaling commutes with; the Hopf certificate checks both, so it
-        rejects each mutant on some source or target of the witness cases.
-        Fresh parameters keep cached tables out of the check."""
-        cases = {p for p1, p2, _ in witness_cases() for p in (p1, p2)}
-        owner, attr, mutant = WITNESS_MUTANTS[name]
-        monkeypatch.setattr(owner, attr, mutant)
-        cases = [validate_params(*p.as_tuple()) for p in cases]
-        assert any(rejects(lambda q: verify_hopf_axioms(q, 1), p) for p in cases)

@@ -26,56 +26,27 @@ from pathcoalg import hopf, quiver
 from pathcoalg.errors import AxiomFailure, ForbiddenPair, PathcoalgError
 from pathcoalg.classify import IsoWitness, verify_witness
 from pathcoalg.hopf import (
-    GENERATOR_NAMES,
-    BmnElement,
     BmnParams,
     family_certificate,
-    relations,
     validate_params,
     verify_hopf_axioms,
 )
-from pathcoalg.linalg import accumulate, axpy, tensor_axpy
+from pathcoalg.linalg import accumulate
 from pathcoalg.quiver import grid_window, group_canonical_pair
 from pathcoalg.scalar import CycScalar, Laurent, bare, cyc
 
 import test_hopf
+from reference import (
+    _family_residues,
+    lattices_equal,
+    numeric_verdict,
+    numeric_witness,
+    witness_residues,
+)
 
 SWEEP_PAIRS = [(0, 0), (2, 0), (3, 1), (4, 2), (2, -2), (1, 1), (2, 1), (4, 0), (6, 2)]
 SWEEP_LAMBDAS = ["1", "-1", "2", "z3", "z4", "-z4", "1/2"]
 LAMBDA, S, T, K = (Laurent({(0,) * i + (1,) + (0,) * (3 - i): 1}) for i in range(4))
-
-
-def first_failure(params):
-    """The first nonzero residue of the certificate run on the concrete
-    parameters, as (message, witness text), or None."""
-    for message, witness, residue in hopf._residues(params):
-        if residue:
-            if not isinstance(witness, str):
-                witness = str(BmnElement(params, witness))
-            return message, witness
-    return None
-
-
-def numeric_verdict(params, radius):
-    """What the certificate run on the concrete parameters says: the first
-    nonzero residue as (message, witness text), or the report."""
-    return first_failure(params) or listed_report(params, radius)
-
-
-def listed_report(params, radius):
-    """The success report, with the window listed to count its monomials."""
-    return {
-        "params": params.to_json(),
-        "window_radius": radius,
-        "basis_checked": 4 * len(grid_window(params.m, params.n, radius)),
-        "product_pairs": 0,
-        "certificate": {
-            "relations": [name for name, _ in relations(params)],
-            "generators": list(GENERATOR_NAMES.values()),
-            "translates": ["1", "a", "a^-1", "b", "b^-1"],
-        },
-        "ok": True,
-    }
 
 
 def parametric_verdict(params, radius):
@@ -116,16 +87,6 @@ class TestAgainstNumericCertificate:
     @settings(max_examples=80, deadline=None)
     def test_random_parameters(self, m, n, lam, stk, radius):
         assert_verdicts_agree(BmnParams(m, n, cyc(lam), *map(cyc, stk)), radius)
-
-    @pytest.mark.parametrize("name", sorted(test_hopf.MUTANTS) + ["Delta(u) = 1 (x) u"])
-    def test_mutants(self, monkeypatch, name):
-        """A mutated term function reaches the generic run as it reaches the
-        numeric one, so both name the same first failure."""
-        owner, attr, mutant = test_hopf.MUTANTS.get(
-            name, (hopf, "_comul_terms", test_hopf.comul_terms_left_unit))
-        monkeypatch.setattr(owner, attr, mutant)
-        for params in test_hopf.mutant_params():
-            assert_verdicts_agree(params, 1)
 
     def test_valid_parameters_pass(self):
         for (m, n), lam, s, t, k in itertools.product(
@@ -196,17 +157,6 @@ class TestLaurent:
 
 
 # -- the parameter laws: where the cached residues vanish --------------------
-
-
-@functools.lru_cache(maxsize=None)
-def _family_residues(m, n):
-    """The oracle for the quotient route: `_residues` of B(m, n) itself on
-    generic parameters over Q[lam^+-1, s, t, k], as (message, witness,
-    coefficients) for each residue that is not the zero polynomial.  Only
-    unmutated tests read it, so its cache outlives them."""
-    generic = hopf._generic_params(m, n)
-    return tuple((message, witness, tuple(r.values()))
-                 for message, witness, r in hopf._residues(generic) if r)
 
 
 def character_residues(m, n):
@@ -468,24 +418,7 @@ class TestCanonMutants:
             hopf._certify_quotient_map(hopf._generic_params(m, n))
 
 
-GENERATOR_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 BIG = st.integers(-10**6, 10**6)
-
-
-def box_check(canon, m, n):
-    """The former runtime check of `canon`, the reference of the laws below:
-    on the box |i|, |j| <= max(|m|, |n|, 2), canon sends (m, -n) to canon(0,
-    0), is idempotent, and canon(canon(g) + e) = canon(g + e) for the four
-    generator steps e.  Its cost grows as (m, n)^2."""
-    r = max(abs(m), abs(n), 2)
-    if canon(m, -n) != canon(0, 0):
-        return False
-    for i, j in itertools.product(range(-r, r + 1), repeat=2):
-        g = canon(i, j)
-        if canon(*g) != g or any(canon(g[0] + di, g[1] + dj) != canon(i + di, j + dj)
-                                 for di, dj in GENERATOR_STEPS):
-            return False
-    return True
 
 
 def canon_laws_hold(canon, m, n, i, j, k):
@@ -515,42 +448,11 @@ def canon_cases(draw):
     return m, n, i, j, k
 
 
-def _normalized(m, n):
-    return (-m, -n) if m < 0 or (m == 0 and n < 0) else (m, n)
-
-
-def canon_k_off_by_one(m, n, i, j):
-    """`group_canonical_pair` with k one too large: i - km lands in [-m, 0)."""
-    m, n = _normalized(m, n)
-    return (i - (i // m + 1) * m, j + (i // m + 1) * n) if m else group_canonical_pair(m, n, i, j)
-
-
-def canon_wrong_sign_of_n(m, n, i, j):
-    """`group_canonical_pair` moving j by -kn: off the coset where kn != 0."""
-    m, n = _normalized(m, n)
-    return (i - i // m * m, j - i // m * n) if m else group_canonical_pair(m, n, i, j)
-
-
-def canon_m0_branch_swapped(m, n, i, j):
-    """`group_canonical_pair` reducing i, not j, by n when m = 0."""
-    m, n = _normalized(m, n)
-    return (i - i // n * n, j) if m == 0 and n else group_canonical_pair(m, n, i, j)
-
-
-# mutants of the formula itself, as (m, n, i, j) -> pair
-FORMULA_MUTANTS = {f.__name__: f for f in (canon_k_off_by_one, canon_wrong_sign_of_n,
-                                           canon_m0_branch_swapped)}
-
-
-def mutant_canon(mutant, m, n):
-    if mutant in FORMULA_MUTANTS.values():
-        return functools.partial(mutant, m, n)
-    return functools.partial(mutant, SimpleNamespace(m=m, n=n))
-
-
 class TestCanonLaws:
     """`canon` is proved the quotient map in its docstring; these check the
-    proof's laws over |m|, |n| <= 10^6, against the former box check."""
+    proof's laws over |m|, |n| <= 10^6.  The source mutants of the formula
+    (k off by one, the wrong sign of n, the m = 0 branch reducing i) are in
+    `tools/mutants.py`."""
 
     @settings(max_examples=300)
     @given(canon_cases())
@@ -558,37 +460,19 @@ class TestCanonLaws:
         m, n, *rest = case
         assert canon_laws_hold(functools.partial(group_canonical_pair, m, n), m, n, *rest)
 
-    @pytest.mark.parametrize("name", sorted(CANON_MUTANTS) + sorted(FORMULA_MUTANTS))
+    @pytest.mark.parametrize("name", sorted(CANON_MUTANTS))
     def test_each_mutant_fails_the_laws(self, name):
-        mutant = {**CANON_MUTANTS, **FORMULA_MUTANTS}[name]
+        mutant = CANON_MUTANTS[name]
 
         @settings(max_examples=300, derandomize=True, database=None)
         @given(canon_cases())
         def laws(case):
             m, n, *rest = case
-            assert canon_laws_hold(mutant_canon(mutant, m, n), m, n, *rest)
+            canon = functools.partial(mutant, SimpleNamespace(m=m, n=n))
+            assert canon_laws_hold(canon, m, n, *rest)
 
         with pytest.raises(AssertionError):
             laws()
-
-    def test_box_reference_on_small_pairs(self):
-        """On |m|, |n| <= 8 the former box check accepts `group_canonical_pair`,
-        where the laws hold on the whole box, and agrees with the laws on each
-        mutant but one: `canon_k_off_by_one` is a quotient map with other
-        representatives, which the box accepts and only the range law
-        rejects."""
-        for m, n in itertools.product(range(-8, 9), repeat=2):
-            r = max(abs(m), abs(n), 2)
-            box = list(itertools.product(range(-r, r + 1), repeat=2))
-            mutants = [*CANON_MUTANTS.values(), *FORMULA_MUTANTS.values()]
-            for canon in [functools.partial(group_canonical_pair, m, n),
-                          *(mutant_canon(mutant, m, n) for mutant in mutants)]:
-                laws = all(canon_laws_hold(canon, m, n, i, j, k) for i, j in box for k in (-1, 2))
-                if canon.func is canon_k_off_by_one:
-                    assert box_check(canon, m, n) and laws == (m == 0)
-                else:
-                    assert box_check(canon, m, n) == laws, (m, n, canon)
-            assert box_check(functools.partial(group_canonical_pair, m, n), m, n)
 
 
 class TestCanonCallCount:
@@ -625,81 +509,6 @@ class TestCanonCallCount:
 
 
 # -- the span gate: the certificates evaluate the rows of their residues -----
-
-
-def per_residue_verdict(params, radius):
-    """The former gate of `verify_hopf_axioms`, kept as the reference of the
-    span gate: it specializes every coefficient of every B(0, 0) residue, not
-    their `_span_rows`, and lists the window to count it."""
-    hopf._certify_quotient_map(params)
-    value, g = hopf._specializer(params), (params.m, -params.n)
-    if params.sign_x(*g) != 1 or params.sign_y(*g) != 1 or any(
-            value(c) for _, _, residue in _family_residues(0, 0) for c in residue):
-        failure = first_failure(params)
-        assert failure is not None, params
-        return failure
-    return listed_report(params, radius)
-
-
-def generic_images(m2, n2, kind):
-    """The generic target B(m2, n2), phi_1's images of the generators there
-    by relation letter, and its unit."""
-    target = hopf._generic_params(m2, n2)
-    gens = {g: u.terms for g, u in hopf.generator_images(target).items()}
-    images = gens if kind == "phi" else {g: gens[h] for g, h in zip("aAbBxy", "bBaAyx")}
-    return target, images, {(target.canon(0, 0), 0, 0): 1}
-
-
-def witness_residues(m1, n1, m2, n2, kind):
-    """The coefficients of the structure-map residues of a witness of `kind`
-    with alpha = beta = 1 on generic parameters, one tuple per nonzero
-    residue: Delta(g) = g (x) g, epsilon(g) = 1, Delta(u) = 1 (x) u + u (x) g,
-    epsilon(u) = 0 and S(u) = -u g^-1 on the images g of a, b and u of x, y."""
-    target, images, one = generic_images(m2, n2, kind)
-    residues = []
-    for g, u, g_inv in (("a", "x", "A"), ("b", "y", "B")):
-        g, u, g_inv = images[g], images[u], images[g_inv]
-        delta_g, eps_g = dict(hopf._comul_terms(target, g)), dict(hopf._counit_terms(target, g))
-        delta_u, anti_u = dict(hopf._comul_terms(target, u)), dict(hopf._anti_terms(target, u))
-        tensor_axpy(delta_g, -1, g, g)
-        axpy(eps_g, -1, one)
-        tensor_axpy(delta_u, -1, one, u)
-        tensor_axpy(delta_u, -1, u, g)
-        axpy(anti_u, 1, hopf._mul_terms(target, u, g_inv))
-        residues += [delta_g, eps_g, delta_u, hopf._counit_terms(target, u), anti_u]
-    return tuple(tuple(r.values()) for r in residues if r)
-
-
-def per_residue_witness(w, p1, p2):
-    """An earlier `verify_witness`, kept as the reference of the closed form:
-    every relation of `hopf.relations` multiplied out on generic parameters
-    and specialized, every residue coefficient specialized, and a
-    specializer per side.  Like the former route it checks that w is a
-    well-defined algebra map, not that it is bijective
-    (`test_hopf.lattices_equal`)."""
-    if w.alpha.is_zero() or w.beta.is_zero():
-        return False
-    source = hopf._generic_params(p1.m, p1.n)
-    target, images, one = generic_images(p2.m, p2.n, w.kind)
-    rels = [hopf._term_relation(source, rel) for _, rel in hopf.relations(source)]
-    words = {word: (word.count("x"), word.count("y"),
-                    hopf._evaluate(target, [(1, word)], images, one))
-             for rel in rels for _, word in rel}
-    at_p1, at_p2 = hopf._specializer(p1), hopf._specializer(p2)
-    residues = witness_residues(p1.m, p1.n, p2.m, p2.n, w.kind)
-    if any(at_p2(c) for residue in residues for c in residue):
-        return False
-    alpha, beta = bare(w.alpha), bare(w.beta)
-    values = {word: (alpha ** nx * beta ** ny, {key: at_p2(c) for key, c in image.items()})
-              for word, (nx, ny, image) in words.items()}
-    for rel in rels:
-        total = {}
-        for c, word in rel:
-            scale, image = values[word]
-            axpy(total, at_p1(c) * scale, image)
-        if total:
-            return False
-    return True
 
 
 def is_laurent_multiple(c, row):
@@ -774,16 +583,16 @@ class TestSpanGate:
     @pytest.mark.parametrize("point", [(-1, 0, 0, 1), (2, 1, 0, 0), (2, 0, 1, 0)])
     def test_a_dropped_row_is_caught(self, monkeypatch, point):
         """Each row is the only one nonzero at its point (lam, s, t, k), so a
-        certificate without it passes B(0, 0) there, where the per-residue
-        gate, like the whole certificate, names a failure."""
+        certificate without it passes B(0, 0) there, where the residues of
+        the concrete parameters, like the whole certificate, name a failure."""
         params = BmnParams(0, 0, *map(cyc, point))
         names, rows = family_certificate()
-        assert parametric_verdict(params, 1) == per_residue_verdict(params, 1)
+        assert parametric_verdict(params, 1) == numeric_verdict(params, 1)
         kept = tuple(row for row in rows if not specialize(row, point))
         assert len(kept) == 2
         monkeypatch.setattr(hopf, "family_certificate", lambda: (names, kept))
-        assert isinstance(per_residue_verdict(params, 1), tuple)
-        assert parametric_verdict(params, 1) != per_residue_verdict(params, 1)
+        assert isinstance(numeric_verdict(params, 1), tuple)
+        assert parametric_verdict(params, 1) != numeric_verdict(params, 1)
 
     @pytest.mark.parametrize("given_rows, kept", [
         # no divisor: lam^2 - 1 does not divide lam^3 - 1, nor s divide t
@@ -827,12 +636,12 @@ class TestSpanGate:
         monkeypatch.setattr(BmnParams, "sign_x", sign_x_commutes_with_a)
         params, w = BmnParams(0, 0, *map(cyc, (1, 0, 0, 0))), IsoWitness("phi", 1, 1)
         assert not verify_witness(w, params, params)
-        assert not per_residue_witness(w, params, params)
+        assert not numeric_witness(w, params, params)
 
     @given(params=points(), radius=st.integers(0, 3))
     @settings(max_examples=150, deadline=None)
     def test_hopf_gate_matches_per_residue_gate(self, params, radius):
-        assert parametric_verdict(params, radius) == per_residue_verdict(params, radius)
+        assert parametric_verdict(params, radius) == numeric_verdict(params, radius)
 
     @given(p1=points(), p2=points(), same=st.booleans(), kind=st.sampled_from(["phi", "psi"]),
            alpha=WITNESS_SCALES, beta=WITNESS_SCALES)
@@ -856,15 +665,16 @@ class TestSpanGate:
     @example(p1=unvalidated(0, 0, 2, 0, 0, 1), p2=unvalidated(0, 0, "1/2", 0, 0, 1), same=False,
              kind="psi", alpha=1, beta=1)
     def test_closed_form_matches_per_residue_witness(self, p1, p2, same, kind, alpha, beta):
-        """On parameters on and off the laws.  The examples: three quotient
-        maps, well defined but not bijective, which both sides reject; an
-        unvalidated B(1, -1) whose character of x at a is -1/2, not -1; a
-        void k(1 - ab), s(1 - a^2) or t(1 - b^2) on the target; and psi with
-        k1 = alpha beta k2/lam2 at lam2 = 1/2, and with k1 = alpha beta k2."""
+        """Against `numeric_witness`, on parameters on and off the laws.  The
+        examples: three quotient maps, well defined but not bijective, which
+        both sides reject; an unvalidated B(1, -1) whose character of x at a
+        is -1/2, not -1; a void k(1 - ab), s(1 - a^2) or t(1 - b^2) on the
+        target; and psi with k1 = alpha beta k2/lam2 at lam2 = 1/2, and with
+        k1 = alpha beta k2."""
         p2 = p1 if same else p2
         w = IsoWitness(kind, alpha, beta)
         assert verify_witness(w, p1, p2) == (
-            per_residue_witness(w, p1, p2) and test_hopf.lattices_equal(w, p1, p2))
+            numeric_witness(w, p1, p2) and lattices_equal(w, p1, p2))
 
 
 class TestClosedFormCount:

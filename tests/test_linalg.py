@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from pathcoalg.coalgebra import CoElement
 from pathcoalg.hopf import BmnElement, TensorElement, validate_params
-from pathcoalg.linalg import SparseBasis, _inverse, axpy, nullspace, rref, tensor_axpy
+from pathcoalg.linalg import SparseBasis, nullspace, rref, tensor_axpy
 from pathcoalg.quiver import Path, Quiver, grid_window
 from pathcoalg.scalar import ONE, ZERO, CycScalar, cyc
+from reference import full_scan_residue, FullScanBasis, reference_nullspace, reference_rref
 
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -36,43 +37,6 @@ def sparse_systems(draw, max_rows=6, max_cols=7):
 
 def as_cyc(row):
     return {k: cyc(v) for k, v in row.items()}
-
-
-def reference_rref(rows, ncols):
-    """Textbook dense Gauss-Jordan over Fraction: (rows, pivots)."""
-    mat = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return mat[:r], pivots
-
-
-def full_scan_residue(engine, vec):
-    """Reduce against every row in turn, reading each coefficient afresh."""
-    res = {k: v for k, v in vec.items() if not v.is_zero()}
-    for pivot, row in engine.rows.items():
-        c = res.get(pivot)
-        if c is None:
-            continue
-        for k, val in row.items():
-            new = res.get(k, ZERO) - c * val
-            if new.is_zero():
-                res.pop(k, None)
-            else:
-                res[k] = new
-    return res
 
 
 def dot(row, vec):
@@ -203,36 +167,6 @@ class TestSparseBasis:
             engine.coords({0: ONE})
 
 
-
-class FullScanBasis(SparseBasis):
-    """Reference kernel: `add` scans every stored row for the new pivot."""
-
-    def add(self, vec, tag=None):
-        if tag is None:
-            tag = self._adds
-        self._adds += 1
-        res, comb = self.residue(vec)
-        if not res:
-            return False
-        pivot = min(res)
-        inv = _inverse(res[pivot])
-        row = {k: v * inv for k, v in res.items()}
-        crow = None
-        if comb is not None:
-            crow = {tag: inv}
-            axpy(crow, -inv, comb)
-        for p, r in self.rows.items():
-            c = r.get(pivot)
-            if c is not None:
-                axpy(r, -c, row)
-                if crow is not None:
-                    axpy(self.crows[p], -c, crow)
-        self.rows[pivot] = row
-        if crow is not None:
-            self.crows[pivot] = crow
-        return True
-
-
 def assert_same_as_full_scan(vectors):
     engine, ref = SparseBasis(coords=True), FullScanBasis(coords=True)
     for vec in vectors:
@@ -350,22 +284,6 @@ class TestSparseElement:
 
 
 # -- the forced-zero shortcut of nullspace and the bare-rational kernel -------
-
-
-def reference_nullspace(rows, ncols):
-    """Every row through one SparseBasis, the kernel read off its reduced rows."""
-    engine = SparseBasis()
-    for row in rows:
-        engine.add(row)
-    vecs = {
-        f: [ONE if c == f else ZERO for c in range(ncols)]
-        for f in range(ncols) if f not in engine.rows
-    }
-    for p, row in engine.rows.items():
-        for f, c in row.items():
-            if f != p:
-                vecs[f][p] = -c
-    return list(vecs.values())
 
 
 @st.composite

@@ -3,9 +3,8 @@ import json
 import pickle
 import random
 import time
-from fractions import Fraction
-from collections import Counter, deque
-from itertools import combinations, product
+from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,12 +18,8 @@ from pathcoalg.errors import (
     ParseError,
 )
 from pathcoalg.quiver import (
-    GraphClass,
     Path,
-    OTHER,
     Quiver,
-    QuiverMorphism,
-    _arm_lengths,
     _underlying_class,
     _star_records,
     _stars_isomorphic,
@@ -35,6 +30,14 @@ from pathcoalg.quiver import (
     grid_quiver,
     group_canonical_pair,
     quotient,
+)
+from reference import (
+    backtracking_stars_isomorphic,
+    former_find_nondynkin_cover,
+    reference_check_homogeneous,
+    reference_graph_class,
+    reference_underlying_class,
+    star,
 )
 
 
@@ -220,71 +223,7 @@ class TestHomogeneous:
         assert all(witnesses[v] is None for v in names[1:])
 
 
-# -- the former star-quiver route of check_homogeneous, kept as a reference --
-
-
-def star(quiver, v):
-    """The former `quiver.star`: the subquiver on v, its neighbors and all
-    arrows incident to v."""
-    incident = [a for a in quiver.arrows if a[1] == v or a[2] == v]
-    verts = [v] + sorted({w for _, s, t in incident for w in (s, t) if w != v})
-    return Quiver(verts, incident)
-
-
-def reference_star_signature(quiver, v):
-    out = {t for _, s, t in quiver.arrows if s == v and t != v}
-    inn = {s for _, s, t in quiver.arrows if t == v and s != v}
-    loops = sum(1 for _, s, t in quiver.arrows if s == v and t == v)
-    return len(out), len(inn), loops
-
-
-def reference_stars_isomorphic(s1, c1, s2, c2):
-    """The former `_stars_isomorphic` on two star quivers."""
-
-    def shape(q, center):
-        out = {w: [0, 0] for w in q.vertices if w != center}
-        for _, s, t in q.arrows:
-            if s != t:
-                out[t if s == center else s][s != center] += 1
-        return sum(s == t for _, s, t in q.arrows), {w: tuple(p) for w, p in out.items()}
-
-    (loops1, p1), (loops2, p2) = shape(s1, c1), shape(s2, c2)
-    if loops1 != loops2 or Counter(p1.values()) != Counter(p2.values()):
-        return None
-    by_profile = {}
-    for w, p in p2.items():
-        by_profile.setdefault(p, []).append(w)
-    mapping = {c1: c2}
-    for w, p in p1.items():
-        mapping[w] = by_profile[p].pop(0)
-    return mapping
-
-
-def reference_check_homogeneous(quiver, vertices=None):
-    """The former `check_homogeneous`: a signature pass and a `star` quiver
-    per vertex."""
-    checked = list(quiver.vertices) if vertices is None else [
-        v for v in quiver.vertices if v in set(vertices)
-    ]
-    if not checked:
-        return {"out_degree": 0, "in_degree": 0, "loops": 0, "is_homogeneous": True,
-                "star_iso_witnesses": {}, "per_vertex": {}}
-    sigs = {v: reference_star_signature(quiver, v) for v in checked}
-    uniform = len(set(sigs.values())) == 1
-    base = checked[0]
-    base_star = star(quiver, base)
-    witnesses = {v: reference_stars_isomorphic(base_star, base, star(quiver, v), v)
-                 if uniform else None for v in checked}
-    homogeneous = uniform and all(w is not None for w in witnesses.values())
-    out_d, in_d, loops = sigs[base]
-    return {
-        "out_degree": out_d if homogeneous else None,
-        "in_degree": in_d if homogeneous else None,
-        "loops": loops if homogeneous else None,
-        "is_homogeneous": homogeneous,
-        "star_iso_witnesses": witnesses,
-        "per_vertex": {v: {"out": s[0], "in": s[1], "loops": s[2]} for v, s in sigs.items()},
-    }
+# -- check_homogeneous against its former star-quiver route ----------------
 
 
 def random_homogeneity_case(rng):
@@ -331,44 +270,6 @@ class TestHomogeneityIdentity:
                 q.to_json(), subset)
             homogeneous += got["is_homogeneous"] and bool(got["star_iso_witnesses"])
         assert homogeneous > 100
-
-
-def backtracking_stars_isomorphic(s1, c1, s2, c2):
-    """The former `_stars_isomorphic`: pairs the neighbors of s1, in order,
-    with unused neighbors of s2 of equal profile, backtracking on failure."""
-
-    def profile(q, center, w):
-        to_w = sum(1 for _, s, t in q.arrows if s == center and t == w)
-        from_w = sum(1 for _, s, t in q.arrows if s == w and t == center)
-        return (to_w, from_w)
-
-    n1 = [w for w in s1.vertices if w != c1]
-    n2 = [w for w in s2.vertices if w != c2]
-    if len(n1) != len(n2):
-        return None
-    if sum(1 for _, s, t in s1.arrows if s == t) != sum(1 for _, s, t in s2.arrows if s == t):
-        return None
-    by_profile = {}
-    for w in n2:
-        by_profile.setdefault(profile(s2, c2, w), []).append(w)
-    mapping = {c1: c2}
-    used = set()
-
-    def assign(idx):
-        if idx == len(n1):
-            return True
-        w = n1[idx]
-        for cand in by_profile.get(profile(s1, c1, w), []):
-            if cand not in used:
-                used.add(cand)
-                mapping[w] = cand
-                if assign(idx + 1):
-                    return True
-                used.discard(cand)
-                del mapping[w]
-        return False
-
-    return dict(mapping) if assign(0) else None
 
 
 NEIGHBOR_PROFILE = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any)
@@ -470,49 +371,6 @@ class TestGraphClass:
 # the extended ones.  Computed exactly over the rationals via principal minors.
 
 
-def cartan_matrix(quiver):
-    vs = quiver.vertices
-    idx = {v: i for i, v in enumerate(vs)}
-    n = len(vs)
-    c = [[Fraction(2 if i == j else 0) for j in range(n)] for i in range(n)]
-    for _, s, t in quiver.arrows:
-        c[idx[s]][idx[t]] -= 1
-        c[idx[t]][idx[s]] -= 1
-    return c
-
-
-def det(mat):
-    mat = [row[:] for row in mat]
-    n = len(mat)
-    result = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            result = -result
-        result *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            f = mat[r][col] * inv
-            if f:
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-    return result
-
-
-def definiteness(c):
-    n = len(c)
-    if all(det([row[: k + 1] for row in c[: k + 1]]) > 0 for k in range(n)):
-        return "posdef"
-    for k in range(1, n + 1):
-        for sub in combinations(range(n), k):
-            minor = det([[c[i][j] for j in sub] for i in sub])
-            if minor < 0:
-                return "indefinite"
-    return "psd"
-
-
 @st.composite
 def connected_quivers(draw):
     n = draw(st.integers(min_value=1, max_value=7))
@@ -537,15 +395,8 @@ def connected_quivers(draw):
 class TestGraphClassOracle:
     @given(connected_quivers())
     @settings(max_examples=120, deadline=None)
-    def test_matches_tits_form(self, q):
-        cls = graph_class(q)
-        verdict = definiteness(cartan_matrix(q))
-        if cls.kind == "Dynkin":
-            assert verdict == "posdef"
-        elif cls.kind == "Euclidean":
-            assert verdict == "psd"
-        else:
-            assert verdict == "indefinite"
+    def test_matches_reference_on_connected_quivers(self, q):
+        assert_class_matches(q)
 
 
 class TestQuotient:
@@ -632,61 +483,7 @@ class TestNonDynkinCover:
         assert find_nondynkin_cover(q, 6) is None
 
 
-
 # -- the one arm-rule classifier of graph_class and the cover search ---------
-
-
-def reference_underlying_class(vertices, edges):
-    """The former table-based `graph_class` on a connected loopless
-    multigraph: parallel edges counted pair by pair, trees read off a
-    hand-written table of arm patterns."""
-    nv, ne = len(vertices), len(edges)
-    if len({frozenset(e) for e in edges}) < ne:  # a pair of vertices joined twice
-        return GraphClass("Euclidean", "A", 1) if nv == 2 and ne == 2 else OTHER
-    adj = {v: [] for v in vertices}
-    for u, w in edges:
-        adj[u].append(w)
-        adj[w].append(u)
-    degrees = {v: len(adj[v]) for v in vertices}
-    if ne == nv:
-        if all(d == 2 for d in degrees.values()):
-            return GraphClass("Euclidean", "A", nv - 1)
-        return OTHER
-    if ne != nv - 1:
-        return OTHER
-    branch = [v for v in vertices if degrees[v] >= 3]
-    if not branch:
-        return GraphClass("Dynkin", "A", nv)
-    if len(branch) == 1:
-        c = branch[0]
-        arms = _arm_lengths(adj, c)
-        if degrees[c] == 4:
-            return GraphClass("Euclidean", "D", 4) if arms == [1, 1, 1, 1] else OTHER
-        if degrees[c] > 4:
-            return OTHER
-        if arms[0] == 1 and arms[1] == 1:
-            return GraphClass("Dynkin", "D", nv)
-        table = {(2, 2, 2): ("Euclidean", "E", 6), (1, 2, 2): ("Dynkin", "E", 6),
-                 (1, 2, 3): ("Dynkin", "E", 7), (1, 3, 3): ("Euclidean", "E", 7),
-                 (1, 2, 4): ("Dynkin", "E", 8), (1, 2, 5): ("Euclidean", "E", 8)}
-        return GraphClass(*table[tuple(arms)]) if tuple(arms) in table else OTHER
-    if len(branch) == 2:
-        b1, b2 = branch
-        if degrees[b1] == degrees[b2] == 3:
-            leaves1 = sum(1 for w in adj[b1] if degrees[w] == 1)
-            leaves2 = sum(1 for w in adj[b2] if degrees[w] == 1)
-            if leaves1 == 2 and leaves2 == 2:
-                return GraphClass("Euclidean", "D", nv - 1)
-    return OTHER
-
-
-def reference_graph_class(quiver):
-    """The former `graph_class`: its checks, then the table."""
-    if not quiver.is_connected() or not quiver.vertices:
-        raise Disconnected("reference")
-    if any(s == t for _, s, t in quiver.arrows):
-        return OTHER
-    return reference_underlying_class(quiver.vertices, [(s, t) for _, s, t in quiver.arrows])
 
 
 def prufer_tree(seq):
@@ -855,58 +652,6 @@ class TestCoverAnswerIdentity:
         assert any(g is not None for g in got) and any(g is None for g in got)
 
 
-def former_find_nondynkin_cover(qtarget, size_bound, classify=_underlying_class):
-    """The former cover search: a state keyed by its renumbered arrows and
-    its images, tested by `classify` when it leaves the queue."""
-    if size_bound < 2:
-        return None
-    target_arrows = sorted(qtarget.arrows)
-    queue, seen = deque(), set()
-
-    def push(cover_arrows, images):
-        order = {}
-        for _, u, w in cover_arrows:
-            order.setdefault(u, len(order))
-            order.setdefault(w, len(order))
-        key = (tuple((aid, order[u], order[w]) for aid, u, w in cover_arrows),
-               tuple(images[v] for v in order))
-        if key not in seen:
-            seen.add(key)
-            queue.append((cover_arrows, images))
-
-    for aid, src, dst in target_arrows:
-        push(((aid, 0, 1),), (src, dst))
-    while queue:
-        cover_arrows, images = queue.popleft()
-        vertices = range(len(images))
-        if len(cover_arrows) >= len(images) or not classify(
-                vertices, [(u, w) for _, u, w in cover_arrows]).is_dynkin:
-            cover = Quiver([f"v{i}" for i in vertices],
-                           [(f"{aid}#{i}", f"v{u}", f"v{w}")
-                            for i, (aid, u, w) in enumerate(cover_arrows)])
-            return cover, QuiverMorphism(
-                cover, qtarget, {f"v{i}": img for i, img in enumerate(images)},
-                {f"{aid}#{i}": aid for i, (aid, _, _) in enumerate(cover_arrows)})
-        used = {aid for aid, _, _ in cover_arrows}
-        sources = {u for _, u, _ in cover_arrows}
-        new = len(images)
-        for aid, src, dst in target_arrows:
-            if aid in used:
-                continue
-            src_hosts = [v for v in vertices if images[v] == src and v in sources]
-            dst_hosts = [v for v in vertices if images[v] == dst and v not in sources]
-            candidates = []
-            for u in src_hosts:
-                candidates += [(u, w, images) for w in dst_hosts]
-                if new < size_bound:
-                    candidates.append((u, new, images + (dst,)))
-            if new < size_bound:
-                candidates += [(new, w, images + (src,)) for w in dst_hosts]
-            for u, w, grown in candidates:
-                push(tuple(sorted(cover_arrows + ((aid, u, w),))), grown)
-    return None
-
-
 def relabelled_square_with_loops(rng):
     """`square_with_loops` under random vertex and arrow names, as the
     benchmark's cover queries draw it (the names reorder the search)."""
@@ -943,7 +688,6 @@ class TestCoverSearchOrder:
                 got = cover_json(find_nondynkin_cover(q, bound))
                 assert got == cover_json(former_find_nondynkin_cover(q, bound))
             assert got is not None
-
 
 
 class TestIncrementalDynkinTest:

@@ -27,6 +27,7 @@ from pathcoalg.scalar import (
     root_of_unity_order,
     sqrt,
 )
+from reference import order_by_divisor_powers, root_by_demotion, sqrt_by_trial_products
 
 
 def zeta(n, e=1):
@@ -148,42 +149,6 @@ class TestSqrt:
 
 # The former searching routes, kept as references for the closed forms of
 # `CycScalar.root_of_unity`, `sqrt` and `root_of_unity_order`.
-
-
-def root_by_demotion(n, e=1):
-    """zeta_n^e demoted by `_canonical`'s subfield search."""
-    return scalar._canonical(n, scalar._reduce_mod_cyclo([0] * (e % n) + [1], n))
-
-
-def sqrt_by_trial_products(a):
-    """The square root found by up to n field products a * zeta_n^e."""
-    a = cyc(a)
-    if a.is_zero():
-        return ZERO
-    n = a.n
-    for e in range(n):
-        r = a * root_by_demotion(n, e)
-        if r.n == 1:
-            q = bare(r)
-            root = scalar._rational_sqrt(q) if q > 0 else None
-            if root is None:
-                root = scalar._rational_sqrt(-q) if q < 0 else None
-                if root is None:
-                    break
-                root = cyc(root) * root_by_demotion(4, 1)
-            else:
-                root = cyc(root)
-            return root if e == 0 else root * root_by_demotion(2 * n, n - e)
-    raise SquareRootUnavailable(f"no constructible square root for {a}")
-
-
-def order_by_divisor_powers(a):
-    """The least divisor d of lcm(2, n) with a^d = 1."""
-    a = cyc(a)
-    for d in scalar._divisors(scalar._lcm(2, a.n)):
-        if a ** d == ONE:
-            return d
-    return None
 
 
 def kinds(x):
@@ -432,6 +397,7 @@ class TestNormalForm:
     result is at its minimal conductor: demoting it again changes nothing."""
 
     @given(st.one_of(field_elements, scalars), st.one_of(field_elements, scalars))
+    @example(zeta(12), zeta(12))  # z12^2 = z6, at conductor 3
     @settings(max_examples=200, deadline=None)
     def test_every_result_is_normal(self, a, b):
         from pathcoalg.scalar import _canonical
