@@ -702,6 +702,23 @@ def image_of_key_variant(lam_power=1, swap=False, drop=None, only=None):
     return image_of_key
 
 
+def truncation_keys(params, radius, group_shifts=((1, 0), (0, 1), (1, 1)), x_shifts=((0, 1),)):
+    """Checks `Truncation._keys`, read off `_KEY_SHIFTS`: the basis keys in
+    basis order, group parts of the window and its a-, b- and ab-shifts, x
+    on the window and its b-shift, y on the window and its a-shift, xy on
+    the window.  Fewer group_shifts or x_shifts give the key-set mutants."""
+    window = grid_window(params.m, params.n, radius)
+
+    def shifted(*shifts):
+        return sorted(set(window).union(*({params.canon(i + di, j + dj) for i, j in window}
+                                          for di, dj in shifts)))
+
+    keys = [(g, 0, 0) for g in shifted(*group_shifts)]
+    keys += [(g, 1, 0) for g in shifted(*x_shifts)]
+    keys += [(g, 0, 1) for g in shifted((1, 0))]
+    return keys + [(g, 1, 1) for g in window]
+
+
 def reference_rejects(params, images):
     """Whether `reference_certify_embedding` rejects the images."""
     try:

@@ -67,6 +67,7 @@ from reference import (
     reference_rejects,
     reference_truncation,
     sweep_hopf_axioms,
+    truncation_keys,
     witness_images,
 )
 
@@ -807,23 +808,6 @@ class TestWindowEmbedding:
 
 
 # -- the per-key reference: the oracle for the proof, and the mutants it fails
-
-
-def truncation_keys(params, radius, group_shifts=((1, 0), (0, 1), (1, 1)), x_shifts=((0, 1),)):
-    """The basis keys of the truncation, in its basis order: group parts of
-    the window and its a-, b- and ab-shifts, x on the window and its
-    b-shift, y on the window and its a-shift, xy on the window.  Fewer
-    group_shifts or x_shifts give the key-set mutants."""
-    window = grid_window(params.m, params.n, radius)
-
-    def shifted(*shifts):
-        return sorted(set(window).union(*({params.canon(i + di, j + dj) for i, j in window}
-                                          for di, dj in shifts)))
-
-    keys = [(g, 0, 0) for g in shifted(*group_shifts)]
-    keys += [(g, 1, 0) for g in shifted(*x_shifts)]
-    keys += [(g, 0, 1) for g in shifted((1, 0))]
-    return keys + [(g, 1, 1) for g in window]
 
 
 def boundary_group(params, radius):
