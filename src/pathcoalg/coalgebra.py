@@ -148,7 +148,7 @@ class SubCoalgebra:
     closure under comultiplication and the grouplikes are verified too.
     """
 
-    _diamonds = None
+    _diamonds = _levels = None
 
     def __init__(self, quiver, basis, validate=True):
         self.quiver = quiver
@@ -298,7 +298,7 @@ def skew_primitives(coalg, g, h):
             raise NotGrouplike(f"{v!r} is not grouplike in the subcoalgebra")
     quiver = coalg.quiver
     basis = [] if g == h else [CoElement(quiver, {Path(g): 1, Path(h): -1})]
-    return basis + [row for p, row in levels.get(1, ()) if (p.start, p.target(quiver)) == (g, h)]
+    return basis + [row for p, row in levels.get(1, ()) if p.start == g and p.target(quiver) == h]
 
 
 def _rows_by_length(coalg):
@@ -307,7 +307,10 @@ def _rows_by_length(coalg):
     paths are no longer than its pivot, and a combination of rows contains
     the longest pivot it uses, so the rows of length <= n span C intersected
     with the paths of length <= n.  Raises NotPointed unless those of length
-    0 are single vertices, that is unless grouplikes span that intersection."""
+    0 are single vertices, that is unless grouplikes span that intersection.
+    `coalg._levels` keeps them, as `coalg._diamonds` keeps the diamonds."""
+    if coalg._levels is not None:
+        return coalg._levels
     engine = SparseBasis()
     for b in coalg.basis:
         engine.add({(-p.length, p): c for p, c in b.terms.items()})
@@ -317,6 +320,7 @@ def _rows_by_length(coalg):
         levels.setdefault(pivot.length, []).append((pivot, element))
     if not levels.get(0) or any(len(row.terms) != 1 for _, row in levels[0]):
         raise NotPointed("the coradical is not spanned by grouplikes")
+    coalg._levels = levels
     return levels
 
 

@@ -353,6 +353,17 @@ class TestSkewPrimitives:
                 assert_same_span(skew_primitives(c, g, h),
                                  solve_combination(c, c.basis, skew_condition(g, h)))
 
+    def test_one_elimination_for_every_pair(self, monkeypatch):
+        """`ext_quiver` and `skew_primitives` on every pair of grouplikes share
+        one elimination, kept on the coalgebra as its diamonds are."""
+        built = []
+        monkeypatch.setattr(coalgebra, "SparseBasis",
+                            lambda *args, **kw: built.append(1) or SparseBasis(*args, **kw))
+        c = truncate_to_subcoalgebra(validate_params(0, 0, 1, 0, 0, 0), 1).coalgebra
+        vertices = ext_quiver(c).vertices
+        assert sum(len(skew_primitives(c, g, h)) for g in vertices for h in vertices) == 264
+        assert len(built) == 1
+
 
 class TestExtQuiver:
     def test_reconstruction(self):

@@ -22,6 +22,7 @@ from pathcoalg.coalgebra import (
     SubCoalgebra,
 )
 from pathcoalg.errors import (
+    AxiomFailure,
     ConstraintViolation,
     ForbiddenPair,
     InvalidDescription,
@@ -1171,6 +1172,19 @@ class TestEmbeddingMutants:
 # -- the certificate against the window sweep -------------------------------
 
 
+anti_terms = hopf._anti_terms
+LAW_MUTANTS = {
+    # Delta(u) = 1 (x) u and u (x) 1: coassociative algebra maps, each with one counit law
+    "right-counit": ("_comul_terms", lambda p, terms: {
+        ((p.canon(0, 0), 0, 0), key): c for key, c in terms.items()}, "counit law fails"),
+    "left-counit": ("_comul_terms", lambda p, terms: {
+        (key, (p.canon(0, 0), 0, 0)): c for key, c in terms.items()}, "counit law fails"),
+    # S(x) = x a^-1: an anti-map that sends the relations to 0 when k = 0
+    "antipode": ("_anti_terms", lambda p, terms: anti_terms(p, {
+        key: -c if key[1] else c for key, c in terms.items()}), "antipode law fails"),
+}
+
+
 class TestCertificate:
     def test_negative_radius(self):
         with pytest.raises(WindowTooSmall):
@@ -1194,10 +1208,29 @@ class TestCertificate:
             assert sweep_hopf_axioms(p, radius)
             assert verify_hopf_axioms(p, radius)["ok"]
 
-    def test_agrees_with_sweep_on_shapes(self):
+    def test_certificate_accepts_mutant_params(self):
+        """The certificate alone, so that a Hopf mutant of the term functions
+        fails this test only if the certificate rejects it: on these
+        parameters it must reject each one, the sign flips of s, t and k
+        included, which present another Hopf algebra that the sweep accepts."""
+        for p in mutant_params():
+            assert verify_hopf_axioms(p, 2)["ok"]
+
+    def test_sweep_accepts_mutant_params(self):
         for p in mutant_params():
             assert sweep_hopf_axioms(p, 2)
-            assert verify_hopf_axioms(p, 2)["ok"]
+
+    @pytest.mark.parametrize("law", sorted(LAW_MUTANTS))
+    def test_each_law_is_checked(self, monkeypatch, law):
+        """Each mutant passes parts 1-3 and all of part 4 but one law, so only
+        that law can reject it with this message (the antipode laws, checked
+        after the counit laws, would reject the counit mutants with another)."""
+        attr, mutant, message = LAW_MUTANTS[law]
+        monkeypatch.setattr(hopf, attr, mutant)
+        for p in mutant_params():
+            if law != "antipode" or not p.k:
+                with pytest.raises(AxiomFailure, match=message):
+                    verify_hopf_axioms(p, 1)
 
 
 # -- the term-dict evaluator against element arithmetic ----------------------

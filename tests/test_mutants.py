@@ -16,7 +16,7 @@ _spec.loader.exec_module(mutants)
 @pytest.mark.parametrize("number", range(1, len(mutants.CATALOGUE) + 1))
 def test_entry_is_current(number, request):
     name, old, _, ids = mutants.CATALOGUE[number - 1]
-    assert Path(mutants.source(ROOT, name)).read_text().count(old) == 1, name
+    assert (ROOT / "src" / "pathcoalg" / name).read_text().count(old) == 1, name
     collected = [item.nodeid for item in request.session.items]
     files = {nodeid.split("::")[0] for nodeid in collected}
     for test_id in mutants.node_ids(ids):

@@ -1,17 +1,15 @@
-"""Source mutants that the tier-1 tests must catch.
+"""Source mutants that the tier-1 tests must catch: `python3 tools/mutants.py`
+exits 0 when every mutant is caught, 1 otherwise.
 
 Each catalogue entry is (file, old text, new text, test IDs): the file under
 src/pathcoalg/, the IDs under tests/, space-separated.  The checkout is copied
-once, without .git, into a temporary directory, and every listed test must
-pass there.  Then each mutant in turn replaces its old text, which must occur
-exactly once in its file, runs only its own tests in one pytest process, and
-restores the file; every one of those tests must fail.  An ID may name a
-test, a parametrized test or a class; it fails when one of its cases does.
-
-    python3 tools/mutants.py
-
-exits 0 when every mutant is caught, 1 otherwise.  A change that records a
-caught source mutant adds it to the catalogue.
+once, without .git and what .gitignore lists, into a temporary directory, and
+every listed test must pass there.  Then each mutant in turn replaces its old
+text, which must occur exactly once in its file, runs only its own tests in
+one pytest process, and restores the file; every one of those tests must
+fail, or the process outlast TIMEOUT.  An ID may name a test, a parametrized
+test or a class; it fails when one of its cases does.  A change that records
+a caught source mutant adds it to the catalogue.
 """
 
 import os
@@ -21,23 +19,28 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
+ROOT = Path(__file__).resolve().parent.parent
+IGNORED = [p.strip("/") for p in (ROOT / ".gitignore").read_text().split() if p[0] != "#"]
+SKIP = shutil.ignore_patterns(".git", ".venv", "venv", *IGNORED)
+TIMEOUT = 900  # seconds for one pytest process
 
 
 def run_tests(tree, ids):
-    """The IDs among `ids` with a failed case, and pytest's exit code."""
-    out = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *ids],
-        cwd=tree, env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True)
+    """The IDs among `ids` with a failed case, and pytest's exit code; all of
+    them and "timeout" when the run outlasts TIMEOUT, as a hung test fails."""
+    path = os.pathsep.join(filter(None, ("src", os.environ.get("PYTHONPATH"))))
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *ids],
+            cwd=tree, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+            timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return set(ids), "timeout"
     failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", out.stdout, re.M)
     caught = {i for i in ids for f in failed if f == i or f.startswith((i + "[", i + "::"))}
     return caught, out.returncode
-
-
-def source(tree, name):
-    return os.path.join(tree, "src", "pathcoalg", name)
 
 
 def node_ids(ids):
@@ -47,7 +50,7 @@ def node_ids(ids):
 def main():
     start, bad = time.time(), 0
     with tempfile.TemporaryDirectory() as tmp:
-        tree = os.path.join(tmp, "checkout")
+        tree = Path(tmp, "checkout")
         shutil.copytree(ROOT, tree, ignore=SKIP)
         every = sorted({i for entry in CATALOGUE for i in node_ids(entry[3])})
         caught, code = run_tests(tree, every)
@@ -55,33 +58,32 @@ def main():
             print(f"unmutated tests fail (exit {code}):", *sorted(caught), sep="\n  ")
             return 1
         for number, (name, old, new, ids) in enumerate(CATALOGUE, 1):
-            ids, target = node_ids(ids), source(tree, name)
-            with open(target) as f:
-                text = f.read()
-            if text.count(old) != 1:
-                print(f"#{number} {name}: the old text does not occur exactly once")
-                bad += 1
-                continue
-            with open(target, "w") as f:
-                f.write(text.replace(old, new))
-            try:
-                caught, _ = run_tests(tree, ids)
-            finally:
-                with open(target, "w") as f:
-                    f.write(text)
+            ids, target = node_ids(ids), tree / "src" / "pathcoalg" / name
+            text = target.read_text()
+            if text.count(old) == 1:
+                target.write_text(text.replace(old, new))
+                try:
+                    caught, code = run_tests(tree, ids)
+                finally:
+                    target.write_text(text)
+            else:
+                caught, code = set(), "the old text does not occur exactly once"
             survived = [i for i in ids if i not in caught]
             bad += bool(survived)
-            print(f"#{number} {name}: " + ("caught" if not survived else "SURVIVED"),
-                  *survived, sep="\n  " if survived else "")
+            print(f"#{number} {name}: {'SURVIVED' if survived else 'caught'} ({code})",
+                  *survived, sep="\n  ")
     seconds = time.time() - start
     print(f"{len(CATALOGUE) - bad} of {len(CATALOGUE)} mutants caught in {seconds:.0f} s")
     return 1 if bad else 0
 
 
 # the tests that catch the Hopf certificate's mutants, and shared old texts
-SWEEP = "test_hopf.py::TestCertificate::test_agrees_with_sweep_on_shapes"
+CERTIFICATE = "test_hopf.py::TestCertificate::test_certificate_accepts_mutant_params"
+SWEEP = "test_hopf.py::TestCertificate::test_sweep_accepts_mutant_params"
 WITNESS_IMAGES = "test_hopf.py::TestEvaluator::test_witness_images_match_oracle"
-WITNESS = SWEEP + " " + WITNESS_IMAGES
+BOTH = CERTIFICATE + " " + SWEEP
+WITNESS = BOTH + " " + WITNESS_IMAGES
+LAWS = "test_hopf.py::TestCertificate::test_each_law_is_checked"
 RULES = "s, t, k, li = map(bare, (params.s, params.t, params.k, params.lam_inv))"
 HOM_N = "for j in over1.get(w2[k], ()) if e.terms else ():"
 SHARED = "if d1.source == d2.source or d1.sink == d2.sink:"
@@ -216,6 +218,9 @@ CATALOGUE = [
     ("coalgebra.py", "basis = [] if g == h else [CoElement(quiver, {Path(g): 1, Path(h): -1})]",
      "basis = []", "test_coalgebra.py::TestSkewPrimitives::test_against_full_solve "
      "test_hopf.py::TestTruncation::test_skew_primitive_dimensions"),
+    # P(g, h) with one elimination per call, not one per coalgebra
+    ("coalgebra.py", "    coalg._levels = levels\n", "",
+     "test_coalgebra.py::TestSkewPrimitives::test_one_elimination_for_every_pair"),
     # one oracle for verify_witness: chi_x(b) = -1, the k-term waived, k2/lam2
     # for psi read as k2; one for the span gate: rows divided without M' | M
     ("classify.py", "chi_x(*b) == -lam1", "chi_x(*b) == -1", WITNESS_IMAGES),
@@ -230,11 +235,15 @@ CATALOGUE = [
     ("hopf.py", "_tensor_mul(self.params, self.terms, other.terms))",
      "_tensor_mul(self.params, other.terms, self.terms))",
      "test_hopf.py::TestCertificate::test_agrees_with_sweep_on_grid"),
-    # Hopf certificate mutants: the signs of x*x, y*y, the k-term, the
-    # commutation and the shifted term of yx; x past b with lam^-1
-    ("hopf.py", RULES, RULES.replace("(params.s,", "(-params.s,"), WITNESS),
-    ("hopf.py", RULES, RULES.replace("params.t,", "-params.t,"), WITNESS),
-    ("hopf.py", RULES, RULES.replace("params.k,", "-params.k,"), WITNESS),
+    # Hopf certificate mutants: the signs of x*x, y*y, the k-term (another
+    # Hopf algebra, B(m, n; lam, -s, t, k) and so on, which the sweep accepts),
+    # the commutation and the shifted term of yx; x past b with lam^-1
+    ("hopf.py", RULES, RULES.replace("(params.s,", "(-params.s,"),
+     CERTIFICATE + " " + WITNESS_IMAGES),
+    ("hopf.py", RULES, RULES.replace("params.t,", "-params.t,"),
+     CERTIFICATE + " " + WITNESS_IMAGES),
+    ("hopf.py", RULES, RULES.replace("params.k,", "-params.k,"),
+     CERTIFICATE + " " + WITNESS_IMAGES),
     ("hopf.py", "((0, 0), 1, 1, -li)],", "((0, 0), 1, 1, li)],", WITNESS),
     ("hopf.py", "((1, 1), 0, 0, -li * k),", "((1, 1), 0, 0, li * k),", WITNESS),
     ("hopf.py", "c = _power(-self._lam, j)", "c = _power(-self._lam_inv, j)", WITNESS),
@@ -242,10 +251,10 @@ CATALOGUE = [
     ("hopf.py", "{(one, x): 1, (x, a): 1}", "{(one, x): 1, (x, b): 1}", WITNESS),
     ("hopf.py", "{(one, y): 1, (y, b): 1}", "{(one, y): 1, (y, a): 1}", WITNESS),
     ("hopf.py", "_tensor_mul(params, dx if p else d1, dy if q else d1)",
-     "_tensor_mul(params, dy if q else d1, dx if p else d1)", SWEEP),
+     "_tensor_mul(params, dy if q else d1, dx if p else d1)", BOTH),
     # S(x) S(y) in place of S(y) S(x), S(x) = x a^-1, epsilon(x) = 1
     ("hopf.py", "_mul_terms(params, s_y if q else u1, s_x if p else u1)",
-     "_mul_terms(params, s_x if p else u1, s_y if q else u1)", SWEEP),
+     "_mul_terms(params, s_x if p else u1, s_y if q else u1)", BOTH),
     ("hopf.py", "s_x = (-(gen_x(params) * group_element(params, -1, 0))).terms",
      "s_x = (gen_x(params) * group_element(params, -1, 0)).terms", WITNESS),
     ("hopf.py", "if p == 0 and q == 0), 0)", "if q == 0), 0)", WITNESS),
@@ -257,6 +266,11 @@ CATALOGUE = [
      "return {(params.canon(0, 0), 0, 0): 2 * total} if total else {}", WITNESS),
     ("hopf.py", "_shift(params, g, r)), c * c2)", "_shift(params, g, r)), c * c2"
      " * (2 if (p, q) == (0, 0) and g != params.canon(0, 0) else 1))", WITNESS),
+    # the certificate without the left or the right counit law, or the antipode laws
+    ("hopf.py", ' ("counit law fails", left, u),', "", LAWS + "[left-counit]"),
+    ("hopf.py", '("counit law fails", right, u), ', "", LAWS + "[right-counit]"),
+    ("hopf.py", '("antipode law fails", conv_l, target),\n'
+     '                ("antipode law fails", conv_r, target)]', "]", LAWS + "[antipode]"),
 ]
 
 
